@@ -25,6 +25,7 @@ from .errors import (
     DivergentIntegral,
     EvaluationAtZero,
     NotAbsolutelyContinuous,
+    RatioUndefined,
 )
 from .quadrature import integrate_fn, integrate_segments
 
@@ -557,6 +558,64 @@ def pair_difference_fn(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
         return lambda y: gap * nu1.jump_density.pdf(y)
 
     return lambda y: nu1.density(y) - nu2.density(y)
+
+
+def _undefined_ratio() -> RatioUndefined:
+    return RatioUndefined("a jump landed where the reference density vanishes")
+
+
+def _by_sign(pos: np.ndarray, plus: float, minus: float):
+    if plus == minus:
+        return plus
+    # Indexing by the 0/1 bytes of the mask is about twice as fast as where.
+    return np.array((minus, plus))[pos.view(np.uint8)]
+
+
+def _ts_log_density(nu, pos, ay, lay) -> np.ndarray:
+    """``nu.log_density`` at nonzero, non-nan y from pos = y > 0, |y| and
+    log|y|: the same operations in the same order, one sign per element."""
+    out = (1.0 + nu.alpha) * lay
+    np.subtract(_by_sign(pos, math.log(nu.c_plus), math.log(nu.c_minus)), out, out=out)
+    out -= _by_sign(pos, nu.lam_plus, nu.lam_minus) * ay
+    return out
+
+
+def pair_log_ratio(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
+    """y -> log(dnu1/dnu2)(y), raising RatioUndefined when the log-density
+    of nu2 is -inf at any y (always so at y = 0 and at nan).
+
+    Equals ``nu1.log_density(y) - nu2.log_density(y)`` bit for bit.  For
+    two tempered stable measures |y| and log|y| are computed once instead
+    of once per measure.
+    """
+    if isinstance(nu1, TemperedStableMeasure) and isinstance(nu2, TemperedStableMeasure):
+
+        def ratio(y):
+            shape = np.shape(y)
+            y = np.asarray(y, dtype=float).reshape(-1)
+            pos = y > 0
+            if not np.all(pos | (y < 0)):
+                raise _undefined_ratio()
+            ay = np.abs(y)
+            with np.errstate(all="ignore"):
+                lay = np.log(ay)
+                ld2 = _ts_log_density(nu2, pos, ay, lay)
+                if np.any(np.isneginf(ld2)):
+                    raise _undefined_ratio()
+                out = _ts_log_density(nu1, pos, ay, lay)
+                out -= ld2
+            return out.reshape(shape)[()]
+
+        return ratio
+
+    def ratio(y):
+        ld2 = nu2.log_density(y)
+        if np.any(np.isneginf(ld2)):
+            raise _undefined_ratio()
+        with np.errstate(invalid="ignore"):
+            return nu1.log_density(y) - ld2
+
+    return ratio
 
 
 def pair_sqrt_difference_fn(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:

@@ -26,6 +26,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,18 +34,24 @@ from .bounds import normal_cdf
 from .errors import (
     HypothesisFailed,
     NotAbsolutelyContinuous,
-    RatioUndefined,
 )
 from .measures import (
     LevyMeasure,
     check_abs_continuity,
     l1_distance,
     pair_difference_fn,
+    pair_log_ratio,
     pair_support_edges,
 )
 from .processes import ProblemSpec
 from .quadrature import integrate_segments
-from .simulate import DEFAULT_EPSILON, JumpRecord, RngStream, sample_jump_batch
+from .simulate import (
+    DEFAULT_EPSILON,
+    JumpRecord,
+    RngStream,
+    _mass_above,
+    sample_jump_batch,
+)
 
 __all__ = [
     "CHUNK_PATHS",
@@ -119,17 +126,9 @@ def e_abs_one_minus_exp_normal(m: float, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _log_ratio(sizes: np.ndarray, nu1: LevyMeasure, nu2: LevyMeasure) -> np.ndarray:
-    ld2 = nu2.log_density(sizes)
-    if np.any(np.isneginf(ld2)):
-        raise RatioUndefined("a jump landed where the reference density vanishes")
-    with np.errstate(invalid="ignore"):
-        return nu1.log_density(sizes) - ld2
-
-
 def _compensator_gap(nu1: LevyMeasure, nu2: LevyMeasure, epsilon: float) -> float:
     """integral of (nu1 - nu2) over {|y| > epsilon}, via the exact masses."""
-    m1, m2 = nu1.mass_above(epsilon), nu2.mass_above(epsilon)
+    m1, m2 = _mass_above(nu1, epsilon), _mass_above(nu2, epsilon)
     if math.isinf(m1) or math.isinf(m2):
         raise ValueError(
             "epsilon = 0 compensators need finite-activity measures"
@@ -166,7 +165,7 @@ def jump_loglik_D(
 
     Exact (no truncation limit) when the record is exact (epsilon 0).
     """
-    ratio = _log_ratio(jumps.sizes, nu1, nu2)
+    ratio = pair_log_ratio(nu1, nu2)(jumps.sizes)
     comp = _compensator_gap(nu1, nu2, jumps.truncation_epsilon)
     return float(ratio.sum()) - horizon * comp
 
@@ -180,7 +179,7 @@ def split_A_pm(
     h- factor, A- the negative log-ratios with the h+ compensator; by
     construction A+ >= 0 >= A-.
     """
-    ratio = _log_ratio(jumps.sizes, nu1, nu2)
+    ratio = pair_log_ratio(nu1, nu2)(jumps.sizes)
     pos_rate, neg_rate = _signed_difference_rates(
         nu1, nu2, jumps.truncation_epsilon
     )
@@ -252,8 +251,8 @@ def _result(s1: float, s2: float, n: int, epsilon: float, seed: int) -> Estimate
 class _Prepared:
     """Per-estimate constants hoisted out of the chunk loop."""
 
-    nu1: LevyMeasure
     nu2: LevyMeasure
+    log_ratio: Callable[[np.ndarray], np.ndarray]
     horizon: float
     xi_sq: float | None
     comp_d: float
@@ -285,7 +284,7 @@ def _prepare(spec: ProblemSpec, epsilon: float) -> _Prepared:
             "epsilon = 0 requires finite-activity measures; pass epsilon > 0"
         )
     comp_d = spec.horizon * _compensator_gap(nu1, nu2, epsilon)
-    return _Prepared(nu1, nu2, spec.horizon, xi_sq, comp_d)
+    return _Prepared(nu2, pair_log_ratio(nu1, nu2), spec.horizon, xi_sq, comp_d)
 
 
 def _estimate_ct_dt(spec, n_paths, epsilon, rng_root, value_fn) -> EstimateResult:
@@ -300,7 +299,7 @@ def _estimate_ct_dt(spec, n_paths, epsilon, rng_root, value_fn) -> EstimateResul
         batch = sample_jump_batch(
             prep.nu2, prep.horizon, m, RngStream(seed, 2 * j), epsilon
         )
-        d = batch.path_sums(_log_ratio(batch.sizes, prep.nu1, prep.nu2))
+        d = batch.path_sums(prep.log_ratio(batch.sizes))
         d -= prep.comp_d
         if prep.xi_sq is None:
             c = 0.0
@@ -375,10 +374,11 @@ def estimate_sinh_oracle(
         raise NotAbsolutelyContinuous("nu1 carries density where nu2 has none")
     horizon = spec.horizon
     pos_rate, neg_rate = _signed_difference_rates(nu1, nu2, 0.0)
+    log_ratio = pair_log_ratio(nu1, nu2)
 
     def worker(j: int, m: int) -> tuple[float, float]:
         batch = sample_jump_batch(nu2, horizon, m, RngStream(seed, 2 * j), 0.0)
-        ratio = _log_ratio(batch.sizes, nu1, nu2)
+        ratio = log_ratio(batch.sizes)
         a_plus = batch.path_sums(np.maximum(ratio, 0.0)) + horizon * neg_rate
         a_minus = batch.path_sums(np.minimum(ratio, 0.0)) - horizon * pos_rate
         with np.errstate(over="ignore"):

@@ -9,7 +9,15 @@ sizes.  Sizes come from the family's own sampler when one is exact
 (compound Poisson densities, with rejection for a truncated window) and
 otherwise from inverse-CDF sampling on a log-spaced tabulation of the
 restricted measure, with a per-cell power-law closed form for both the
-cell masses and their inversion.
+cell masses and their inversion.  The cell of a uniform draw is found by
+guide-table inversion (Chen & Asau 1974; Devroye 1986, section III.2.4):
+equal-width buckets of the cumulative mass map each draw to a nearby cell
+in O(1), and only the few draws that lie past that cell's end fall back
+to binary search, so the cells, and every sampled bit, are those a full
+binary search would give.  The tabulation, its guide table and the
+per-cell constants of the inversion are built once per (measure, epsilon)
+and shared by every chunk of paths, as is the truncated intensity
+nu(|y| > epsilon).
 
 Randomness is organized in named streams: ``RngStream(root_seed, k)``
 yields the k-th of 2**64 independent Philox substreams of a root seed, so
@@ -66,6 +74,10 @@ _EXACT_FLOOR = 1e-12
 
 # Log-spaced knots per side for the inverse-CDF tabulation.
 _TABLE_POINTS = 2048
+
+# Guide-table buckets per tabulated cell; more buckets mean fewer draws
+# that fall past their bucket's first cell and need a binary search.
+_GUIDE_PER_CELL = 8
 
 # Tail mass (relative to the truncated intensity) considered negligible when
 # hunting for the outer tabulation cutoff on an unbounded support.
@@ -211,6 +223,13 @@ def _annulus_edges(nu: LevyMeasure, lo_mag: float, hi_mag: float) -> list[list[f
 
 
 @functools.lru_cache(maxsize=256)
+def _mass_above(nu: LevyMeasure, epsilon: float) -> float:
+    """nu(|y| > epsilon), computed once per (measure, epsilon) instead of
+    once per chunk of paths."""
+    return nu.mass_above(epsilon)
+
+
+@functools.lru_cache(maxsize=256)
 def _compensator_shift(nu: LevyMeasure, epsilon: float) -> float:
     """-integral of y over {epsilon < |y| <= 1} against nu."""
     if isinstance(nu, ZeroMeasure):
@@ -258,7 +277,8 @@ class _SizeTable:
 
     Within cell ``[lo, hi]`` the density is modeled as the power law fitted
     through its endpoint values, for which the cell mass and the inverse of
-    the intra-cell cumulative are closed forms.
+    the intra-cell cumulative are closed forms.  The fields after ``total``
+    are derived once, so that a draw only gathers per-cell values.
     """
 
     lo: np.ndarray
@@ -268,6 +288,32 @@ class _SizeTable:
     slope1: np.ndarray  # fitted exponent + 1
     cum0: np.ndarray  # leading 0 followed by cumulative cell masses
     total: float
+    cum1: np.ndarray = dataclasses.field(init=False)  # cum0[1:]
+    base: np.ndarray = dataclasses.field(init=False)  # va * lo
+    slope: np.ndarray = dataclasses.field(init=False)  # slope1, 1 on straight cells
+    # Cells with slope1 ~ 0 (density ~ 1/|y|), inverted linearly; None if none.
+    straight: np.ndarray | None = dataclasses.field(init=False)
+    floor: np.ndarray = dataclasses.field(init=False)  # lo * (1 + 4e-16)
+    scale: float = dataclasses.field(init=False)  # guide buckets per unit mass
+    guide: np.ndarray = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        straight = np.abs(self.slope1) < 1e-12
+        scale, guide = _guide_table(self.cum0)
+        derived = {
+            "cum1": self.cum0[1:],
+            "base": self.va * self.lo,
+            "slope": np.where(straight, 1.0, self.slope1),
+            "straight": straight if straight.any() else None,
+            "floor": self.lo * (1.0 + 4e-16),
+            "scale": scale,
+            "guide": guide,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
 
 def _cell_arrays(nu, grid: np.ndarray, sgn: float):
@@ -285,7 +331,7 @@ def _cell_arrays(nu, grid: np.ndarray, sgn: float):
 
 
 def _outer_cutoff(nu: LevyMeasure, inner: float) -> float:
-    reference = nu.mass_above(inner)
+    reference = _mass_above(nu, inner)
     r = max(1.0, 8.0 * inner)
     for _ in range(80):
         tail = nu.mass_above(r)
@@ -293,6 +339,30 @@ def _outer_cutoff(nu: LevyMeasure, inner: float) -> float:
             break
         r *= 2.0
     return r
+
+
+def _guide_table(cum0: np.ndarray) -> tuple[float, np.ndarray]:
+    """Bucket scale and guide table for indexed search over ``cum0``
+    (Chen & Asau 1974; Devroye 1986, section III.2.4).
+
+    [0, total] is cut into ``_GUIDE_PER_CELL`` equal buckets per cell, and
+    a draw u falls in bucket ``floor(u * scale)``; one extra bucket takes
+    draws that round up to total.  Bucket k holds the last cell starting
+    at or below its lower edge ``k / scale`` lowered by a relative 1e-12,
+    far more than rounding in ``u * scale`` can move a draw, so a draw's
+    guide cell never starts above it.  A table without usable buckets (no
+    mass, or a mass so small that the scale overflows) gets one bucket
+    holding cell 0.
+    """
+    cells = cum0.size - 1
+    buckets = _GUIDE_PER_CELL * cells
+    total = float(cum0[-1])
+    if not (0.0 < total < math.inf and math.isfinite(buckets / total)):
+        return 0.0, np.zeros(1, dtype=np.intp)
+    scale = buckets / total
+    edges = np.arange(buckets + 1) / scale * (1.0 - 1e-12)
+    guide = np.clip(np.searchsorted(cum0, edges, side="right") - 1, 0, cells - 1)
+    return scale, guide
 
 
 @functools.lru_cache(maxsize=64)
@@ -337,24 +407,50 @@ def _size_table(nu: LevyMeasure, epsilon: float) -> _SizeTable:
     return _SizeTable(lo, hi, sign, va, slope1, cum0, float(cum0[-1]))
 
 
+def _table_cells(table: _SizeTable, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``clip(searchsorted(cum0, u, "right") - 1, 0, cells - 1)`` for u in
+    [0, total], and cum0 at those cells.
+
+    The guide cell of a draw never starts past it, so only the draws that
+    lie past the end of their guide cell need a binary search.
+    """
+    idx = table.guide[(u * table.scale).astype(np.intp)]
+    beyond = np.flatnonzero(table.cum1[idx] <= u)
+    if beyond.size:
+        found = np.searchsorted(table.cum0, u[beyond], side="right") - 1
+        idx[beyond] = np.minimum(found, table.lo.size - 1)
+    return idx, table.cum0[idx]
+
+
 def _draw_from_table(table: _SizeTable, n: int, gen: np.random.Generator) -> np.ndarray:
-    if table.total <= 0.0:
-        raise DivergentMass("truncated measure carries no mass to sample")
+    if not 0.0 < table.total < math.inf:
+        raise DivergentMass("truncated measure carries no finite mass to sample")
     u = gen.random(n) * table.total
-    idx = np.clip(np.searchsorted(table.cum0, u, side="right") - 1, 0, table.lo.size - 1)
-    target = u - table.cum0[idx]
-    lo, va, s1 = table.lo[idx], table.va[idx], table.slope1[idx]
-    base = va * lo
-    straight = np.abs(s1) < 1e-12
-    arg = np.clip(target * np.where(straight, 1.0, s1) / base, -1.0 + 1e-16, None)
-    log_x = np.where(
-        straight,
-        target / base,
-        np.log1p(arg) / np.where(straight, 1.0, s1),
-    )
-    mag = lo * np.exp(np.maximum(log_x, 0.0))
-    mag = np.minimum(np.maximum(mag, lo * (1.0 + 4e-16)), table.hi[idx])
-    return table.sign[idx] * mag
+    idx, start = _table_cells(table, u)
+    # Same operations, in the same order, as the closed-form inversion
+    #   log_x = log1p(max(target * slope / base, -1 + 1e-16)) / slope
+    # (target / base on straight cells), mag = lo * exp(max(log_x, 0))
+    # clamped to [floor, hi], computed in place in the array of draws.
+    out = u
+    out -= start
+    slope = table.slope[idx]
+    out *= slope
+    out /= table.base[idx]
+    if table.straight is not None:
+        straight = np.flatnonzero(table.straight[idx])
+        linear = out[straight]
+    np.maximum(out, -1.0 + 1e-16, out=out)
+    np.log1p(out, out=out)
+    out /= slope
+    if table.straight is not None:
+        out[straight] = linear
+    np.maximum(out, 0.0, out=out)
+    np.exp(out, out=out)
+    out *= table.lo[idx]
+    np.maximum(out, table.floor[idx], out=out)
+    np.minimum(out, table.hi[idx], out=out)
+    out *= table.sign[idx]
+    return out
 
 
 def _rejection_sizes(
@@ -450,7 +546,7 @@ def sample_truncated_jumps(
     if horizon < 0.0:
         raise ValueError("horizon must be >= 0")
     gen = rng.generator
-    lam = nu.mass_above(epsilon)
+    lam = _mass_above(nu, epsilon)
     n = int(gen.poisson(lam * horizon)) if lam * horizon > 0.0 else 0
     times = _arrival_times(horizon, n, gen)
     sizes = _draw_sizes(nu, epsilon, n, gen)
@@ -480,7 +576,7 @@ def sample_jump_batch(
             "epsilon = 0 needs a finite-activity measure; pass epsilon > 0"
         )
     gen = rng.generator
-    lam = nu.mass_above(epsilon)
+    lam = _mass_above(nu, epsilon)
     if lam * horizon > 0.0:
         counts = gen.poisson(lam * horizon, n_paths)
     else:

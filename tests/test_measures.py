@@ -1,16 +1,20 @@
 """Tests for Levy measures, jump densities, and pairwise functionals."""
 
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from addgap.errors import (
     DivergentIntegral,
     EvaluationAtZero,
     NotAbsolutelyContinuous,
+    RatioUndefined,
 )
 from addgap.measures import (
     AbsContinuityReport,
@@ -28,6 +32,7 @@ from addgap.measures import (
     hellinger_sq,
     l1_distance,
     pair_difference_fn,
+    pair_log_ratio,
     pair_sqrt_difference_fn,
     total_mass,
     validate_levy,
@@ -467,3 +472,103 @@ class TestPairHooks:
         assert EX3_NU1 == TemperedStableMeasure(1.0, 1.0, 1.0, 2.0, 0.5)
         d = {EX3_NU1: "a", EX3_NU2: "b", ZeroMeasure(): "c"}
         assert d[TemperedStableMeasure(1.0, 1.0, 1.0, 2.0, 0.5)] == "a"
+
+
+# ---------------------------------------------------------------------------
+# Jump log-ratio hook
+# ---------------------------------------------------------------------------
+
+
+def two_pass_log_ratio(nu1, nu2, y):
+    """The generic log-ratio: two full log-density passes, the reference
+    the fused tempered stable path must match bit for bit."""
+    ld2 = nu2.log_density(y)
+    if np.any(np.isneginf(ld2)):
+        raise RatioUndefined("reference density vanishes")
+    with np.errstate(invalid="ignore"):
+        return nu1.log_density(y) - ld2
+
+
+def ratio_outcome(fn, y):
+    """The ratio's bit pattern, or None when it raises RatioUndefined."""
+    try:
+        return fn(y).view(np.uint64)
+    except RatioUndefined:
+        return None
+
+
+def assert_same_ratio(nu1, nu2, y):
+    fused = ratio_outcome(pair_log_ratio(nu1, nu2), y)
+    generic = ratio_outcome(lambda v: two_pass_log_ratio(nu1, nu2, v), y)
+    if generic is None:
+        assert fused is None
+    else:
+        assert fused is not None and np.array_equal(fused, generic)
+
+
+def signed_magnitudes(seed, n=2000):
+    """Mixed signs with |y| log-uniform on [1e-12, 1e3]."""
+    gen = np.random.default_rng(seed)
+    mags = 10.0 ** gen.uniform(-12.0, 3.0, n)
+    return np.where(gen.random(n) < 0.5, -mags, mags)
+
+
+positive = st.floats(1e-3, 1e3)
+tempered_stable = st.builds(
+    TemperedStableMeasure,
+    c_minus=positive,
+    c_plus=positive,
+    lam_minus=positive,
+    lam_plus=positive,
+    alpha=st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5]), st.floats(-3.0, 1.99)),
+)
+
+
+class TestPairLogRatio:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        nu1=tempered_stable,
+        nu2=tempered_stable,
+        same_shape=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tempered_stable_matches_two_passes_bitwise(self, nu1, nu2, same_shape, seed):
+        if same_shape:
+            nu1 = dataclasses.replace(
+                nu1, alpha=nu2.alpha, c_plus=nu2.c_plus, c_minus=nu2.c_minus
+            )
+        assert_same_ratio(nu1, nu2, signed_magnitudes(seed))
+
+    @pytest.mark.parametrize("alpha", [-1.5, -1.0, 0.5, 1.5])
+    @pytest.mark.parametrize(
+        "special", [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e308]
+    )
+    def test_tempered_stable_special_values(self, alpha, special):
+        nu1 = TemperedStableMeasure(1.0, 2.0, 1.0, 3.0, alpha)
+        nu2 = TemperedStableMeasure(0.5, 1.0, 2.0, 1.0, 0.25)
+        y = np.concatenate([signed_magnitudes(1, 50), [special]])
+        assert_same_ratio(nu1, nu2, y)
+        assert_same_ratio(nu2, nu1, y)
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_zero_and_nan_are_undefined(self, bad):
+        with pytest.raises(RatioUndefined):
+            pair_log_ratio(EX3_NU1, EX3_NU2)(np.array([0.5, bad]))
+
+    def test_input_shapes(self):
+        ratio = pair_log_ratio(EX3_NU1, EX3_NU2)
+        assert ratio(np.empty(0)).shape == (0,)
+        matrix = signed_magnitudes(2, 12).reshape(3, 4)
+        for y in (matrix, matrix[:, ::2], 0.25, -3.0):
+            got = ratio(y)
+            want = two_pass_log_ratio(EX3_NU1, EX3_NU2, y)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+
+    def test_generic_pair_uses_log_densities(self):
+        nu1 = CP_U01(2.0)
+        nu2 = CompoundPoissonMeasure(1.0, ExponentialDensity(1.0))
+        y = np.array([0.25, 0.75])
+        assert np.array_equal(pair_log_ratio(nu1, nu2)(y), two_pass_log_ratio(nu1, nu2, y))
+        with pytest.raises(RatioUndefined):
+            pair_log_ratio(nu1, nu2)(np.array([0.5, -1.0]))

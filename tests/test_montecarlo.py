@@ -1,11 +1,13 @@
 """Tests for the likelihood-ratio functionals and Monte Carlo estimators."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from addgap.bounds import bound_thm1, bound_thm2, gaussian_tv_exact, normal_cdf
+from addgap.config import parse_config
 from addgap.errors import (
     HypothesisFailed,
     NotAbsolutelyContinuous,
@@ -53,6 +55,17 @@ CP12 = CompoundPoissonMeasure(1.2, G01)
 CP10 = CompoundPoissonMeasure(1.0, G01)
 ZERO_FN = ConstantFunction(0.0)
 UNIT_VOL = ConstantFunction(1.0)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# estimate_tv(configs/tempered_stable.json, 24676 paths, epsilon, seed 3):
+# (mean, 95% half-width) as hex floats, recorded with the size table
+# searched by plain binary search and the log-ratio taken as two
+# log-density passes.  24676 paths are three full chunks and a partial one.
+TS_GOLDEN = {
+    1e-2: ("0x1.0b8671bdc8fabp-1", "0x1.2503e43fe0a1ap-8"),
+    1e-3: ("0x1.0ce904ead6a5fp-1", "0x1.2458dcaab49ebp-8"),
+    1e-4: ("0x1.0d6342784d8e9p-1", "0x1.24e49cd93fc60p-8"),
+}
 
 
 def matched_cp_spec(horizon=1.0):
@@ -265,6 +278,15 @@ class TestEstimateTv:
         monkeypatch.setenv("ADDGAP_THREADS", "8")
         threaded = estimate_tv(spec, 50_000, 0.0, 42)
         assert serial == threaded
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_tempered_stable_golden_bits(self, monkeypatch, threads):
+        monkeypatch.setenv("ADDGAP_THREADS", threads)
+        spec = parse_config(CONFIG_DIR / "tempered_stable.json").problem
+        for epsilon, (mean, half_width) in TS_GOLDEN.items():
+            result = estimate_tv(spec, 24676, epsilon, 3)
+            assert result.mean.hex() == mean
+            assert result.half_width_95.hex() == half_width
 
     def test_truncated_proxy_for_infinite_activity(self):
         ts1 = TemperedStableMeasure(1.0, 1.0, 1.0, 1.0, 0.5)

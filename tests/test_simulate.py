@@ -2,16 +2,19 @@
 
 import io
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
+from addgap.config import parse_config
 from addgap.errors import DivergentMass, HypothesisFailed, ZeroVolatility
 from addgap.measures import (
     CompoundPoissonMeasure,
     ExponentialDensity,
+    TabulatedLevyMeasure,
     TemperedStableMeasure,
     UniformDensity,
     ZeroMeasure,
@@ -39,6 +42,7 @@ from addgap.simulate import (
     sample_truncated_jumps,
     small_jump_variance,
 )
+from addgap.simulate import _draw_from_table, _size_table, _SizeTable, _table_cells
 
 TOL_EXACT = 1e-12
 TOL_CLOSED = 1e-9
@@ -47,6 +51,7 @@ KS_ALPHA = 1e-3
 CP_U01 = CompoundPoissonMeasure(3.0, UniformDensity(0.0, 1.0))
 TS_SYM = TemperedStableMeasure(1.0, 1.0, 2.0, 2.0, 0.5)
 TS_ASYM = TemperedStableMeasure(1.0, 2.0, 3.0, 3.0, 0.5)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def ks_critical(n):
@@ -436,3 +441,158 @@ class TestDumpPathsCsv:
         target = tmp_path / "paths.csv"
         dump_paths_csv([], target)
         assert target.read_text() == "path_id,jump_time,jump_size\n"
+
+
+# ---------------------------------------------------------------------------
+# Guide-table inversion of the size table
+# ---------------------------------------------------------------------------
+
+
+def bundled_ts_measures():
+    spec = parse_config(CONFIG_DIR / "tempered_stable.json").problem
+    return [spec.process1.levy, spec.process2.levy]
+
+
+# Log-linear knots on both sides; the positive side bends at 0.3 and 2.0,
+# which land strictly inside the tabulated range and become cell edges.
+TAB_BENT = TabulatedLevyMeasure(
+    (-4.0, -1.0, -0.05, 0.01, 0.3, 2.0, 9.0),
+    (0.01, 0.5, 40.0, 900.0, 3.0, 0.4, 0.001),
+)
+# Density exactly 1/|y| between the knots: every cell is straight.
+TAB_RECIPROCAL = TabulatedLevyMeasure((0.01, 0.1, 1.0, 10.0), (100.0, 10.0, 1.0, 0.1))
+
+
+def reference_cells(table, u):
+    return np.clip(np.searchsorted(table.cum0, u, side="right") - 1, 0, table.lo.size - 1)
+
+
+def reference_draw(table, n, gen):
+    """Table inversion by plain binary search, with every per-cell value
+    recomputed per draw: the fast path must match it bit for bit."""
+    u = gen.random(n) * table.total
+    idx = reference_cells(table, u)
+    target = u - table.cum0[idx]
+    lo, va, s1 = table.lo[idx], table.va[idx], table.slope1[idx]
+    base = va * lo
+    straight = np.abs(s1) < 1e-12
+    arg = np.clip(target * np.where(straight, 1.0, s1) / base, -1.0 + 1e-16, None)
+    log_x = np.where(
+        straight,
+        target / base,
+        np.log1p(arg) / np.where(straight, 1.0, s1),
+    )
+    mag = lo * np.exp(np.maximum(log_x, 0.0))
+    mag = np.minimum(np.maximum(mag, lo * (1.0 + 4e-16)), table.hi[idx])
+    return table.sign[idx] * mag
+
+
+def probe_points(table, n=50_000, seed=0):
+    """Random draws, every cell start and both its neighbours, and the
+    largest draws: total itself and (1 - 2**-53) * total."""
+    cum0, total = table.cum0, table.total
+    u = np.concatenate(
+        [
+            np.random.default_rng(seed).random(n) * total,
+            cum0,
+            np.nextafter(cum0, -np.inf),
+            np.nextafter(cum0, np.inf),
+            [total, np.nextafter(1.0, 0.0) * total],
+        ]
+    )
+    return u[(u >= 0.0) & (u <= total)]
+
+
+def assert_cells_exact(table):
+    u = probe_points(table)
+    idx, start = _table_cells(table, u.copy())
+    expected = reference_cells(table, u)
+    assert np.array_equal(idx, expected)
+    assert np.array_equal(start, table.cum0[expected])
+
+
+def synthetic_table(mass):
+    """A table with the given cell masses; only the cumulative matters to
+    the cell search."""
+    mass = np.asarray(mass, dtype=float)
+    lo = np.geomspace(0.1, 1.0, mass.size)
+    cum0 = np.concatenate([[0.0], np.cumsum(mass)])
+    return _SizeTable(lo, lo * 1.1, np.ones(mass.size), lo, lo, cum0, float(cum0[-1]))
+
+
+class TestGuideTable:
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+    def test_bundled_tempered_stable_cells(self, eps):
+        for nu in bundled_ts_measures():
+            assert_cells_exact(_size_table(nu, eps))
+
+    def test_inserted_breakpoints_cells(self):
+        table = _size_table(TAB_BENT, 1e-3)
+        assert 0.3 in table.lo and 2.0 in table.lo
+        assert_cells_exact(table)
+
+    def test_tied_zero_mass_cells(self):
+        mass = np.random.default_rng(3).exponential(size=400)
+        mass[[0, 1, 57, 58, 59, 200, 398, 399]] = 0.0
+        table = synthetic_table(mass)
+        assert np.any(np.diff(table.cum0) == 0.0)
+        assert_cells_exact(table)
+
+    def test_uneven_masses_cells(self):
+        # Masses spanning 30 decades: most buckets hold one huge cell and a
+        # few hold hundreds of tiny ones.
+        mass = 10.0 ** np.random.default_rng(4).uniform(-30.0, 0.0, 2000)
+        assert_cells_exact(synthetic_table(mass))
+
+    def test_mass_too_small_for_buckets(self):
+        table = synthetic_table(np.full(8, 1e-310))
+        assert table.scale == 0.0
+        assert_cells_exact(table)
+
+    @pytest.mark.parametrize("mass", [[0.0, 0.0], [1.0, math.inf]])
+    def test_zero_or_infinite_mass_refused(self, mass):
+        with pytest.raises(DivergentMass):
+            _draw_from_table(synthetic_table(mass), 10, RngStream(1, 0).generator)
+
+    def test_guide_is_read_only(self):
+        table = _size_table(TS_SYM, 1e-2)
+        assert not table.guide.flags.writeable
+        assert not table.cum0.flags.writeable
+
+    @pytest.mark.parametrize(
+        "nu, eps",
+        [
+            (TS_SYM, 1e-3),
+            (TS_ASYM, 1e-4),
+            (TAB_BENT, 1e-3),
+            (TAB_RECIPROCAL, 1e-3),
+        ],
+    )
+    def test_draws_match_reference_bitwise(self, nu, eps):
+        table = _size_table(nu, eps)
+        fast = _draw_from_table(table, 200_000, RngStream(11, 0).generator)
+        slow = reference_draw(table, 200_000, RngStream(11, 0).generator)
+        assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
+
+    def test_reciprocal_density_has_straight_cells(self):
+        table = _size_table(TAB_RECIPROCAL, 1e-3)
+        assert table.straight is not None and table.straight.all()
+
+    def test_mass_above_does_not_grow_with_chunks(self, monkeypatch):
+        nu = TemperedStableMeasure(1.0, 1.5, 2.0, 2.5, 0.4375)
+        original = TemperedStableMeasure.mass_above
+        calls = []
+
+        def counting(self, epsilon):
+            calls.append(epsilon)
+            return original(self, epsilon)
+
+        monkeypatch.setattr(TemperedStableMeasure, "mass_above", counting)
+        first = sample_jump_batch(nu, 1.0, 200, RngStream(5, 0), 0.05)
+        after_one = len(calls)
+        for k in range(1, 4):
+            sample_jump_batch(nu, 1.0, 200, RngStream(5, 2 * k), 0.05)
+        assert len(calls) == after_one
+        again = sample_jump_batch(nu, 1.0, 200, RngStream(5, 0), 0.05)
+        assert np.array_equal(first.counts, again.counts)
+        assert np.array_equal(first.sizes, again.sizes)
