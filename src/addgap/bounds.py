@@ -1,16 +1,21 @@
 """Explicit upper bounds on the L1 distance between two additive process laws.
 
-Each bound checks its own applicability hypotheses on the process pair and
-raises HypothesisFailed (with a short reason) when they do not hold; the
-report aggregator converts those failures into not-applicable entries. Raw
-bound values are kept unclamped (the sinh bound explodes for large horizons);
-only the report's `best` clamps every applicable bound to the trivial ceiling
-of 2 before taking the minimum.
+`compute_report` evaluates the pair once: the volatility class, absolute
+continuity, L1 and H^2 of the Levy measures, eta, gamma and xi^2 (or the
+drift match) are each computed a single time, and every bound is then
+decided from those values.  A bound that does not apply gets a short
+reason, the first of its hypotheses that fails, checked in that bound's
+own order; `bound_thm1`, `bound_thm2` and `bound_simple_sqrt` read their
+value from the report and raise HypothesisFailed with that reason.  Raw
+bound values are kept unclamped (the sinh bound explodes for large
+horizons); only the report's `best` clamps every applicable bound to the
+trivial ceiling of 2 before taking the minimum.
 
 Applicability is decided by the volatility class of the pair: shared positive
 volatility activates the Gaussian-smoothing terms, shared zero volatility
 requires the drift gap to match the compensated jump drift exactly, and any
 volatility mismatch or partial degeneracy leaves only the trivial bound.
+`continuous_part` makes the same decision for the Monte Carlo estimators.
 """
 
 import math
@@ -25,7 +30,14 @@ from .errors import (
     NotGaussianCase,
     ZeroVolatility,
 )
-from .measures import ZeroMeasure, gamma_nu, hellinger_sq, l1_distance
+from .measures import (
+    ZeroMeasure,
+    check_abs_continuity,
+    gamma_nu,
+    hellinger_integral,
+    l1_integral,
+    require_abs_continuity,
+)
 from .processes import ProblemSpec
 
 # The L1 distance between probability laws never exceeds 2.
@@ -48,46 +60,102 @@ def _gaussian_term(xi_sq: float) -> float:
     return float(2.0 * special.erf(math.sqrt(xi_sq) * _INV_2SQRT2))
 
 
+# ---------------------------------------------------------------------------
+# Applicability: one decision for the bounds and the estimators
+# ---------------------------------------------------------------------------
+
+
+def _continuous_reasons(
+    mismatch: bool, vol_class: str, xi_sq: float | None, drift_matched: bool | None
+) -> tuple[str | None, str | None]:
+    """(volatility reason, drift reason) for the continuous part, None where
+    the hypothesis holds.  The volatilities must agree and not vanish on
+    only part of [0, T]; then a zero-volatility pair must match its drift
+    (drift_matched) and a positive-volatility pair needs a finite xi^2."""
+    if mismatch:
+        return "sigma mismatch", None
+    if vol_class == "degenerate":
+        return "sigma^2 vanishes on part of [0, T]", None
+    if drift_matched is False:
+        return None, "drift mismatch at sigma = 0"
+    if xi_sq is not None and math.isinf(xi_sq):
+        return None, "xi^2 infinite"
+    return None, None
+
+
+def continuous_part(spec: ProblemSpec) -> float | None:
+    """Check the hypotheses on the continuous part of the pair, as the
+    report does, for the Monte Carlo estimators.
+
+    Returns xi^2 for positive volatility and None for zero volatility.
+    Raises HypothesisFailed with the first failing hypothesis; a divergent
+    eta raises DivergentIntegral.
+    """
+    mismatch, vol_class = spec.sigma_mismatch(), spec.vol_class()
+    xi_sq = drift_matched = None
+    if not mismatch and vol_class == "positive":
+        xi_sq = spec.xi_sq()
+    elif not mismatch and vol_class == "zero":
+        drift_matched = spec.drift_matched()
+    reasons = _continuous_reasons(mismatch, vol_class, xi_sq, drift_matched)
+    failed = next(filter(None, reasons), None)
+    if failed is not None:
+        raise HypothesisFailed(failed)
+    return xi_sq
+
+
+def _gaussian_case(nu1, nu2, mismatch: bool, vol_class: str) -> None:
+    if not (isinstance(nu1, ZeroMeasure) and isinstance(nu2, ZeroMeasure)):
+        raise NotGaussianCase("exact value requires both Levy measures to be Zero")
+    if mismatch:
+        raise ZeroVolatility("instantaneous variances differ on [0, T]")
+    if vol_class != "positive":
+        raise ZeroVolatility("exact Gaussian distance needs sigma^2 > 0 on [0, T]")
+
+
 def gaussian_tv_exact(spec: ProblemSpec) -> float:
     """Exact L1 distance for purely Gaussian pairs (no jumps, shared sigma > 0)."""
-    if not (
-        isinstance(spec.process1.levy, ZeroMeasure)
-        and isinstance(spec.process2.levy, ZeroMeasure)
-    ):
-        raise NotGaussianCase("exact value requires both Levy measures to be Zero")
-    if spec.sigma_mismatch():
-        raise ZeroVolatility("instantaneous variances differ on [0, T]")
-    if spec.vol_class() != "positive":
-        raise ZeroVolatility("exact Gaussian distance needs sigma^2 > 0 on [0, T]")
+    _gaussian_case(
+        spec.process1.levy, spec.process2.levy, spec.sigma_mismatch(), spec.vol_class()
+    )
     return _gaussian_term(spec.xi_sq())
 
 
-def _shared_vol_class(spec: ProblemSpec) -> str:
-    if spec.sigma_mismatch():
-        raise HypothesisFailed("sigma mismatch")
-    cls = spec.vol_class()
-    if cls == "degenerate":
-        raise HypothesisFailed("sigma^2 vanishes on part of [0, T]")
-    return cls
+# ---------------------------------------------------------------------------
+# Bounds as functions of the ingredients
+# ---------------------------------------------------------------------------
 
 
-def _require_drift_match(spec: ProblemSpec) -> None:
-    try:
-        matched = spec.drift_matched()
-    except DivergentIntegral:
-        raise HypothesisFailed("eta divergent") from None
-    if not matched:
-        raise HypothesisFailed("drift mismatch at sigma = 0")
+def _measure_reason(value: float | None, name: str) -> str | None:
+    if value is None:
+        return "not-abs-continuous"
+    if math.isinf(value):
+        return f"{name} infinite"
+    return None
 
 
-def _xi_sq_checked(spec: ProblemSpec) -> float:
-    try:
-        xi_sq = spec.xi_sq()
-    except DivergentIntegral:
-        raise HypothesisFailed("eta divergent") from None
-    if math.isinf(xi_sq):
-        raise HypothesisFailed("xi^2 infinite")
-    return xi_sq
+def _thm1(horizon: float, h2: float, xi_sq: float | None) -> float:
+    """sqrt(8 (1 - exp(-xi^2/8 - T H^2 / 2)); xi_sq is None, and its term
+    drops, at zero volatility."""
+    arg = 0.125 * (0.0 if xi_sq is None else xi_sq) + 0.5 * horizon * h2
+    return _SQRT8 * math.sqrt(-math.expm1(-arg))
+
+
+def _thm2(horizon: float, l1: float, xi_sq: float | None) -> float:
+    """2 sinh(T L1), plus 2 (1 - 2 Phi(-xi/2)) at positive volatility."""
+    gauss = 0.0 if xi_sq is None else _gaussian_term(xi_sq)
+    z = horizon * l1
+    if z >= _SINH_OVERFLOW:
+        return math.inf
+    return 2.0 * math.sinh(z) + gauss
+
+
+def _bound_from_report(spec: ProblemSpec, key: str) -> float:
+    report = compute_report(spec)
+    value = getattr(report, key)
+    if value is None:
+        raise HypothesisFailed(report.reasons[key])
+    return value
 
 
 def bound_thm1(spec: ProblemSpec) -> float:
@@ -95,56 +163,18 @@ def bound_thm1(spec: ProblemSpec) -> float:
 
     Under shared zero volatility (drift-matched) the xi^2 term drops.
     """
-    cls = _shared_vol_class(spec)
-    try:
-        h2 = hellinger_sq(spec.process1.levy, spec.process2.levy)
-    except NotAbsolutelyContinuous:
-        raise HypothesisFailed("not-abs-continuous") from None
-    if math.isinf(h2):
-        raise HypothesisFailed("H^2 infinite")
-    if cls == "zero":
-        _require_drift_match(spec)
-        xi_sq = 0.0
-    else:
-        xi_sq = _xi_sq_checked(spec)
-    arg = 0.125 * xi_sq + 0.5 * spec.horizon * h2
-    return _SQRT8 * math.sqrt(-math.expm1(-arg))
+    return _bound_from_report(spec, "thm1")
 
 
 def bound_thm2(spec: ProblemSpec) -> float:
     """Coupling bound 2 sinh(T L1(nu)) plus, under positive volatility, the
     Gaussian drift term 2 (1 - 2 Phi(-xi/2)). Raw value; may exceed 2."""
-    cls = _shared_vol_class(spec)
-    try:
-        l1 = l1_distance(spec.process1.levy, spec.process2.levy)
-    except NotAbsolutelyContinuous:
-        raise HypothesisFailed("not-abs-continuous") from None
-    if math.isinf(l1):
-        raise HypothesisFailed("L1 infinite")
-    if cls == "zero":
-        _require_drift_match(spec)
-        gauss = 0.0
-    else:
-        gauss = _gaussian_term(_xi_sq_checked(spec))
-    z = spec.horizon * l1
-    if z >= _SINH_OVERFLOW:
-        return math.inf
-    return 2.0 * math.sinh(z) + gauss
+    return _bound_from_report(spec, "thm2")
 
 
 def bound_simple_sqrt(spec: ProblemSpec) -> float:
     """Small-gap bound 2 sqrt(T L1(nu)): zero volatility, matched drift only."""
-    cls = _shared_vol_class(spec)
-    if cls != "zero":
-        raise HypothesisFailed("applies only under shared zero volatility")
-    _require_drift_match(spec)
-    try:
-        l1 = l1_distance(spec.process1.levy, spec.process2.levy)
-    except NotAbsolutelyContinuous:
-        raise HypothesisFailed("not-abs-continuous") from None
-    if math.isinf(l1):
-        raise HypothesisFailed("L1 infinite")
-    return 2.0 * math.sqrt(spec.horizon * l1)
+    return _bound_from_report(spec, "simple_sqrt")
 
 
 @dataclass(frozen=True)
@@ -176,9 +206,10 @@ class BoundReport:
 
 
 def compute_report(spec: ProblemSpec) -> BoundReport:
-    """Evaluate every ingredient and every applicable bound for the pair."""
+    """Evaluate every ingredient once, then every applicable bound."""
     nu1 = spec.process1.levy
     nu2 = spec.process2.levy
+    horizon = spec.horizon
     reasons: dict[str, str] = {}
 
     mismatch = spec.sigma_mismatch()
@@ -186,11 +217,13 @@ def compute_report(spec: ProblemSpec) -> BoundReport:
 
     # Measure-level ingredients do not depend on the volatility.
     try:
-        l1_nu = l1_distance(nu1, nu2)
-        hell = hellinger_sq(nu1, nu2)
+        require_abs_continuity(check_abs_continuity(nu1, nu2))
     except NotAbsolutelyContinuous as exc:
         l1_nu = hell = None
         reasons["l1_nu"] = reasons["hellinger_sq_nu"] = str(exc)
+    else:
+        l1_nu = l1_integral(nu1, nu2)
+        hell = hellinger_integral(nu1, nu2)
 
     try:
         eta = spec.eta()
@@ -198,50 +231,60 @@ def compute_report(spec: ProblemSpec) -> BoundReport:
         eta = None
         reasons["eta"] = str(exc)
 
-    gamma1 = gamma2 = None
+    gammas = {}
     for key, nu in (("gamma1", nu1), ("gamma2", nu2)):
         try:
-            value = gamma_nu(nu)
+            gammas[key] = gamma_nu(nu)
         except DivergentIntegral as exc:
+            gammas[key] = None
             reasons[key] = str(exc)
-        else:
-            if key == "gamma1":
-                gamma1 = value
-            else:
-                gamma2 = value
 
-    xi_sq = None
+    xi_sq = drift_matched = None
     if mismatch:
         reasons["xi_sq"] = "instantaneous variances differ on [0, T]"
-    elif vol_class == "positive":
-        try:
-            xi_sq = spec.xi_sq()
-        except DivergentIntegral as exc:
-            reasons["xi_sq"] = str(exc)
-    else:
+    elif vol_class != "positive":
         reasons["xi_sq"] = "undefined without positive shared volatility"
-
-    drift_matched = None
+    elif eta is None:
+        reasons["xi_sq"] = reasons["eta"]
+    else:
+        xi_sq = spec.xi_sq()
     if not mismatch and vol_class == "zero" and eta is not None:
         drift_matched = spec.drift_matched()
 
+    # Each bound reports the first failing hypothesis in its own order.
+    vol_reason, drift_reason = _continuous_reasons(
+        mismatch, vol_class, xi_sq, drift_matched
+    )
+    if eta is None:
+        drift_reason = "eta divergent"
+    l1_reason = _measure_reason(l1_nu, "L1")
+    zero_only = (
+        "applies only under shared zero volatility" if vol_class == "positive" else None
+    )
+    hypotheses = {
+        "thm1": (vol_reason, _measure_reason(hell, "H^2"), drift_reason),
+        "thm2": (vol_reason, l1_reason, drift_reason),
+        "simple_sqrt": (vol_reason, zero_only, drift_reason, l1_reason),
+    }
+    formulas = {
+        "thm1": lambda: _thm1(horizon, hell, xi_sq),
+        "thm2": lambda: _thm2(horizon, l1_nu, xi_sq),
+        "simple_sqrt": lambda: 2.0 * math.sqrt(horizon * l1_nu),
+    }
     values = {}
-    for key, fn in (
-        ("thm1", bound_thm1),
-        ("thm2", bound_thm2),
-        ("simple_sqrt", bound_simple_sqrt),
-    ):
-        try:
-            values[key] = fn(spec)
-        except HypothesisFailed as exc:
-            values[key] = None
-            reasons[key] = exc.reason
+    for key, in_order in hypotheses.items():
+        failed = next(filter(None, in_order), None)
+        values[key] = formulas[key]() if failed is None else None
+        if failed is not None:
+            reasons[key] = failed
 
     try:
-        gaussian_exact = gaussian_tv_exact(spec)
+        _gaussian_case(nu1, nu2, mismatch, vol_class)
     except (NotGaussianCase, ZeroVolatility) as exc:
         gaussian_exact = None
         reasons["gaussian_exact"] = str(exc)
+    else:
+        gaussian_exact = _gaussian_term(xi_sq)
 
     candidates = [
         min(v, TRIVIAL_BOUND)
@@ -251,15 +294,15 @@ def compute_report(spec: ProblemSpec) -> BoundReport:
     best = min(candidates) if candidates else TRIVIAL_BOUND
 
     return BoundReport(
-        horizon=spec.horizon,
+        horizon=horizon,
         vol_class=vol_class,
         sigma_mismatch=mismatch,
         drift_matched=drift_matched,
         l1_nu=l1_nu,
         hellinger_sq_nu=hell,
         eta=eta,
-        gamma1=gamma1,
-        gamma2=gamma2,
+        gamma1=gammas["gamma1"],
+        gamma2=gammas["gamma2"],
         xi_sq=xi_sq,
         thm1=values["thm1"],
         thm2=values["thm2"],

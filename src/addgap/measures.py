@@ -715,38 +715,50 @@ def check_abs_continuity(nu1: LevyMeasure, nu2: LevyMeasure) -> AbsContinuityRep
     return AbsContinuityReport(not bad.any(), violations, probes.size)
 
 
-def _require_ac(nu1, nu2):
-    report = check_abs_continuity(nu1, nu2)
+def require_abs_continuity(report: AbsContinuityReport) -> None:
+    """Raise NotAbsolutelyContinuous when the probe report found violations."""
     if not report.ok:
         raise NotAbsolutelyContinuous(
             f"nu1 has density where nu2 has none, e.g. at y = {report.violations[0]!r}"
         )
 
 
-def l1_distance(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
-    """Integral of |density gap| over the union support; math.inf if divergent."""
-    _require_ac(nu1, nu2)
+def _require_ac(nu1, nu2):
+    require_abs_continuity(check_abs_continuity(nu1, nu2))
+
+
+def _pair_integral(nu1, nu2, integrand) -> float:
     edges = pair_support_edges(nu1, nu2)
     if not edges:
         return 0.0
-    diff = pair_difference_fn(nu1, nu2)
-    res = integrate_segments(
-        lambda y: np.abs(diff(y)), edges, singular_at_zero=True
-    )
+    res = integrate_segments(integrand, edges, singular_at_zero=True)
     return math.inf if res.diverged else res.value
+
+
+def l1_integral(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
+    """l1_distance without its absolute-continuity check, for callers that
+    have already made it."""
+    diff = pair_difference_fn(nu1, nu2)
+    return _pair_integral(nu1, nu2, lambda y: np.abs(diff(y)))
+
+
+def hellinger_integral(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
+    """hellinger_sq without its absolute-continuity check, for callers that
+    have already made it."""
+    sdiff = pair_sqrt_difference_fn(nu1, nu2)
+    return _pair_integral(nu1, nu2, lambda y: sdiff(y) ** 2)
+
+
+def l1_distance(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
+    """Integral of |density gap| over the union support; math.inf if divergent."""
+    _require_ac(nu1, nu2)
+    return l1_integral(nu1, nu2)
 
 
 def hellinger_sq(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
     """Integral of (sqrt(density1) - sqrt(density2))^2; math.inf if divergent."""
     _require_ac(nu1, nu2)
-    edges = pair_support_edges(nu1, nu2)
-    if not edges:
-        return 0.0
-    sdiff = pair_sqrt_difference_fn(nu1, nu2)
-    res = integrate_segments(
-        lambda y: sdiff(y) ** 2, edges, singular_at_zero=True
-    )
-    return math.inf if res.diverged else res.value
+    return hellinger_integral(nu1, nu2)
 
 
 @dataclass(frozen=True)

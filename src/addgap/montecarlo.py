@@ -30,24 +30,18 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import normal_cdf
-from .errors import (
-    HypothesisFailed,
-    NotAbsolutelyContinuous,
-)
+from .bounds import continuous_part, normal_cdf
+from .errors import HypothesisFailed, NotAbsolutelyContinuous
 from .measures import (
     LevyMeasure,
     check_abs_continuity,
-    l1_distance,
-    pair_difference_fn,
+    l1_integral,
     pair_log_ratio,
-    pair_support_edges,
 )
 from .processes import ProblemSpec
-from .quadrature import integrate_segments
 from .simulate import (
     DEFAULT_EPSILON,
-    JumpRecord,
+    JumpBatch,
     RngStream,
     _mass_above,
     sample_jump_batch,
@@ -56,23 +50,24 @@ from .simulate import (
 __all__ = [
     "CHUNK_PATHS",
     "EstimateResult",
-    "LikelihoodTerms",
-    "normal_cdf",
     "e_abs_one_minus_exp_normal",
-    "jump_loglik_D",
-    "split_A_pm",
-    "likelihood_terms",
     "default_epsilon",
     "estimate_tv",
     "estimate_sinh_oracle",
     "martingale_check",
-    "positive_part_check",
 ]
 
 # Fixed replication granularity: chunk boundaries never move, so the
 # stream layout (and hence every digit of the result) is independent of
 # the worker count.
 CHUNK_PATHS = 8192
+
+# Most jumps one chunk may expect to draw.  A chunk holds its sizes, their
+# table lookups and log-ratios at once, about 47 bytes per jump (measured
+# on the table sampler), so the limit caps a worker near 1.6 GB; an
+# estimate that would expect more is refused before anything is drawn.
+# The bundled tempered-stable pair expects 3.3e7 jumps at epsilon 1e-6.
+MAX_CHUNK_JUMPS = 2**25
 
 
 @dataclass(frozen=True)
@@ -84,17 +79,6 @@ class EstimateResult:
     n_paths: int
     truncation_epsilon: float
     seed: int
-
-
-@dataclass(frozen=True)
-class LikelihoodTerms:
-    """Pathwise log-likelihood pieces: D_T and its split A+ + A- = D_T,
-    plus the Gaussian part C_T (0 when there is no Gaussian part)."""
-
-    d_t: float
-    a_plus: float
-    a_minus: float
-    c_t: float
 
 
 def e_abs_one_minus_exp_normal(m: float, s: float) -> float:
@@ -122,7 +106,7 @@ def e_abs_one_minus_exp_normal(m: float, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Pathwise functionals of one jump record
+# Compensators and hypotheses
 # ---------------------------------------------------------------------------
 
 
@@ -137,69 +121,45 @@ def _compensator_gap(nu1: LevyMeasure, nu2: LevyMeasure, epsilon: float) -> floa
 
 
 def _signed_difference_rates(
-    nu1: LevyMeasure, nu2: LevyMeasure, epsilon: float
+    nu1: LevyMeasure, nu2: LevyMeasure
 ) -> tuple[float, float]:
-    """(positive part, negative part) of integral of (n1 - n2) over |y| > eps."""
-    if epsilon == 0.0:
-        l1 = l1_distance(nu1, nu2)
-    else:
-        diff = pair_difference_fn(nu1, nu2)
-        edges = pair_support_edges(nu1, nu2)
-        l1 = 0.0
-        for window in ((-math.inf, -epsilon), (epsilon, math.inf)):
-            cut = [min(max(e, window[0]), window[1]) for e in edges]
-            res = integrate_segments(
-                lambda y: np.abs(diff(y)), sorted(set(cut)), singular_at_zero=False
-            )
-            l1 += res.value
-    gap = _compensator_gap(nu1, nu2, epsilon)
+    """(positive part, negative part) of the integral of n1 - n2, for an
+    absolutely continuous finite-activity pair."""
+    l1 = l1_integral(nu1, nu2)
+    gap = _compensator_gap(nu1, nu2, 0.0)
     return max(0.5 * (l1 + gap), 0.0), max(0.5 * (l1 - gap), 0.0)
 
 
-def jump_loglik_D(
-    jumps: JumpRecord, nu1: LevyMeasure, nu2: LevyMeasure, horizon: float
-) -> float:
-    """Jump log-likelihood ratio of one record sampled under nu2:
-    sum of log(dnu1/dnu2) over the jumps minus the compensator
-    horizon * integral of (nu1 - nu2) over {|y| > truncation_epsilon}.
-
-    Exact (no truncation limit) when the record is exact (epsilon 0).
-    """
-    ratio = pair_log_ratio(nu1, nu2)(jumps.sizes)
-    comp = _compensator_gap(nu1, nu2, jumps.truncation_epsilon)
-    return float(ratio.sum()) - horizon * comp
+def _require_ac(nu1: LevyMeasure, nu2: LevyMeasure) -> None:
+    if not check_abs_continuity(nu1, nu2).ok:
+        raise NotAbsolutelyContinuous("nu1 carries density where nu2 has none")
 
 
-def split_A_pm(
-    jumps: JumpRecord, nu1: LevyMeasure, nu2: LevyMeasure, horizon: float
-) -> tuple[float, float]:
-    """The split D_T = A+ + A- along the sign of the density log-ratio.
+def _check_chunk_jumps(nu: LevyMeasure, horizon: float, epsilon: float, n_paths: int) -> None:
+    """Refuse a run whose largest chunk expects more than MAX_CHUNK_JUMPS
+    jumps with |y| > epsilon under nu."""
+    chunk = min(n_paths, CHUNK_PATHS)
+    expected = _mass_above(nu, epsilon) * horizon * chunk
+    if expected > MAX_CHUNK_JUMPS:
+        raise HypothesisFailed(
+            f"epsilon = {epsilon!r} expects {expected:.3g} jumps in a chunk of"
+            f" {chunk} paths, above the limit of {MAX_CHUNK_JUMPS}; raise epsilon"
+        )
+
+
+def _split_a_pm(
+    batch: JumpBatch, ratio: np.ndarray, horizon: float, rates: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path split D_T = A+ + A- along the sign of the log-ratio.
 
     A+ sums the positive log-ratios and carries the compensator of the
-    h- factor, A- the negative log-ratios with the h+ compensator; by
-    construction A+ >= 0 >= A-.
+    negative part of nu1 - nu2, A- the negative log-ratios with the
+    compensator of the positive part; so A+ >= 0 >= A-.
     """
-    ratio = pair_log_ratio(nu1, nu2)(jumps.sizes)
-    pos_rate, neg_rate = _signed_difference_rates(
-        nu1, nu2, jumps.truncation_epsilon
-    )
-    a_plus = float(np.maximum(ratio, 0.0).sum()) + horizon * neg_rate
-    a_minus = float(np.minimum(ratio, 0.0).sum()) - horizon * pos_rate
+    pos_rate, neg_rate = rates
+    a_plus = batch.path_sums(np.maximum(ratio, 0.0)) + horizon * neg_rate
+    a_minus = batch.path_sums(np.minimum(ratio, 0.0)) - horizon * pos_rate
     return a_plus, a_minus
-
-
-def likelihood_terms(
-    jumps: JumpRecord,
-    nu1: LevyMeasure,
-    nu2: LevyMeasure,
-    horizon: float,
-    c_t: float = 0.0,
-) -> LikelihoodTerms:
-    """Assemble the pathwise terms of one record (c_t supplied by the caller,
-    0 when the processes carry no Gaussian part)."""
-    a_plus, a_minus = split_A_pm(jumps, nu1, nu2, horizon)
-    d_t = jump_loglik_D(jumps, nu1, nu2, horizon)
-    return LikelihoodTerms(d_t, a_plus, a_minus, c_t)
 
 
 # ---------------------------------------------------------------------------
@@ -257,32 +217,32 @@ class _Prepared:
     xi_sq: float | None
     comp_d: float
 
+    def jump_part(self, batch: JumpBatch) -> np.ndarray:
+        """D_T of each path: the summed log-ratios of its jumps minus the
+        compensator horizon * integral of (nu1 - nu2) over {|y| > epsilon}."""
+        d = batch.path_sums(self.log_ratio(batch.sizes))
+        d -= self.comp_d
+        return d
 
-def _prepare(spec: ProblemSpec, epsilon: float) -> _Prepared:
+    def gaussian_part(self, rng: RngStream, m: int):
+        """C_T of m paths, exactly N(-xi^2/2, xi^2); 0 without a Gaussian part."""
+        if self.xi_sq is None:
+            return 0.0
+        z = rng.generator.standard_normal(m)
+        return -0.5 * self.xi_sq + math.sqrt(self.xi_sq) * z
+
+
+def _prepare(spec: ProblemSpec, n_paths: int, epsilon: float) -> _Prepared:
     nu1, nu2 = spec.process1.levy, spec.process2.levy
-    if not check_abs_continuity(nu1, nu2).ok:
-        raise NotAbsolutelyContinuous(
-            "nu1 carries density where nu2 has none"
-        )
-    if spec.sigma_mismatch():
-        raise HypothesisFailed("sigma mismatch")
-    cls = spec.vol_class()
-    if cls == "degenerate":
-        raise HypothesisFailed("sigma^2 vanishes on part of [0, T]")
-    if cls == "positive":
-        xi_sq = spec.xi_sq()
-        if not math.isfinite(xi_sq):
-            raise HypothesisFailed("xi^2 infinite")
-    else:
-        xi_sq = None
-        if not spec.drift_matched():
-            raise HypothesisFailed("drift mismatch at sigma = 0")
+    _require_ac(nu1, nu2)
+    xi_sq = continuous_part(spec)
     if epsilon == 0.0 and not (
         nu1.is_finite_activity() and nu2.is_finite_activity()
     ):
         raise HypothesisFailed(
             "epsilon = 0 requires finite-activity measures; pass epsilon > 0"
         )
+    _check_chunk_jumps(nu2, spec.horizon, epsilon, n_paths)
     comp_d = spec.horizon * _compensator_gap(nu1, nu2, epsilon)
     return _Prepared(nu2, pair_log_ratio(nu1, nu2), spec.horizon, xi_sq, comp_d)
 
@@ -293,19 +253,14 @@ def _estimate_ct_dt(spec, n_paths, epsilon, rng_root, value_fn) -> EstimateResul
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError("epsilon must be finite and >= 0")
     seed = _check_root_seed(rng_root)
-    prep = _prepare(spec, epsilon)
+    prep = _prepare(spec, n_paths, epsilon)
 
     def worker(j: int, m: int) -> tuple[float, float]:
         batch = sample_jump_batch(
             prep.nu2, prep.horizon, m, RngStream(seed, 2 * j), epsilon
         )
-        d = batch.path_sums(prep.log_ratio(batch.sizes))
-        d -= prep.comp_d
-        if prep.xi_sq is None:
-            c = 0.0
-        else:
-            z = RngStream(seed, 2 * j + 1).generator.standard_normal(m)
-            c = -0.5 * prep.xi_sq + math.sqrt(prep.xi_sq) * z
+        d = prep.jump_part(batch)
+        c = prep.gaussian_part(RngStream(seed, 2 * j + 1), m)
         with np.errstate(over="ignore"):
             values = value_fn(c + d)
         return float(values.sum()), float((values * values).sum())
@@ -345,20 +300,6 @@ def martingale_check(spec: ProblemSpec, n_paths: int, rng_root) -> EstimateResul
     )
 
 
-def positive_part_check(
-    spec: ProblemSpec, n_paths: int, rng_root
-) -> EstimateResult:
-    """Monte Carlo mean of 2 (1 - M_T)^+, which equals E|1 - M_T| because
-    M_T has unit mean; a cross-check estimator for estimate_tv."""
-    return _estimate_ct_dt(
-        spec,
-        n_paths,
-        default_epsilon(spec),
-        rng_root,
-        lambda x: 2.0 * np.maximum(-np.expm1(x), 0.0),
-    )
-
-
 def estimate_sinh_oracle(
     spec: ProblemSpec, n_paths: int, rng_root
 ) -> EstimateResult:
@@ -370,17 +311,15 @@ def estimate_sinh_oracle(
     nu1, nu2 = spec.process1.levy, spec.process2.levy
     if not (nu1.is_finite_activity() and nu2.is_finite_activity()):
         raise HypothesisFailed("finite-activity pair required")
-    if not check_abs_continuity(nu1, nu2).ok:
-        raise NotAbsolutelyContinuous("nu1 carries density where nu2 has none")
+    _require_ac(nu1, nu2)
     horizon = spec.horizon
-    pos_rate, neg_rate = _signed_difference_rates(nu1, nu2, 0.0)
+    _check_chunk_jumps(nu2, horizon, 0.0, n_paths)
+    rates = _signed_difference_rates(nu1, nu2)
     log_ratio = pair_log_ratio(nu1, nu2)
 
     def worker(j: int, m: int) -> tuple[float, float]:
         batch = sample_jump_batch(nu2, horizon, m, RngStream(seed, 2 * j), 0.0)
-        ratio = log_ratio(batch.sizes)
-        a_plus = batch.path_sums(np.maximum(ratio, 0.0)) + horizon * neg_rate
-        a_minus = batch.path_sums(np.minimum(ratio, 0.0)) - horizon * pos_rate
+        a_plus, a_minus = _split_a_pm(batch, log_ratio(batch.sizes), horizon, rates)
         with np.errstate(over="ignore"):
             values = np.exp(a_plus) - np.exp(a_minus)
         return float(values.sum()), float((values * values).sum())

@@ -14,7 +14,7 @@ sums); only the quotient integrals behind xi^2 go through quadrature.
 import abc
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -165,9 +165,7 @@ class ProblemSpec:
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be finite and > 0")
-        t = _probe_grid(self.horizon)
-        for k, p in ((1, self.process1), (2, self.process2)):
-            v = np.asarray(p.vol_sq.value(t), dtype=float)
+        for k, v in enumerate(self._vol_probes, start=1):
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"process {k} volatility is not finite on [0, T]")
             if v.min() < 0.0:
@@ -175,15 +173,21 @@ class ProblemSpec:
 
     # -- volatility classification ------------------------------------------
 
-    def _vol_probes(self):
+    @cached_property
+    def _vol_probes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both instantaneous variances on the probe grid, evaluated once."""
         t = _probe_grid(self.horizon)
-        v1 = np.asarray(self.process1.vol_sq.value(t), dtype=float)
-        v2 = np.asarray(self.process2.vol_sq.value(t), dtype=float)
-        return v1, v2
+        probes = tuple(
+            np.asarray(p.vol_sq.value(t), dtype=float)
+            for p in (self.process1, self.process2)
+        )
+        for v in probes:
+            v.flags.writeable = False
+        return probes
 
     def sigma_mismatch(self) -> bool:
         """True when the two instantaneous variances differ somewhere on [0, T]."""
-        v1, v2 = self._vol_probes()
+        v1, v2 = self._vol_probes
         scale = max(v1.max(), v2.max(), MACHINE_ZERO)
         return bool(np.max(np.abs(v1 - v2)) > MATCH_TOL * scale)
 
@@ -194,7 +198,7 @@ class ProblemSpec:
         being positive elsewhere; no bound form covers that case. Meaningful
         only when sigma_mismatch() is False.
         """
-        v1, v2 = self._vol_probes()
+        v1, v2 = self._vol_probes
         v = np.maximum(v1, v2)
         if v.max() <= MACHINE_ZERO:
             return "zero"

@@ -3,13 +3,14 @@
 The continuous part is never discretized: its terminal contribution is a
 single normal draw with the closed-form mean and variance, so the only
 approximation anywhere in the sampling layer is the small-jump truncation
-for infinite-activity measures.  Jumps are simulated as marked Poisson
-processes: a Poisson count, uniform arrival times on (0, T], and i.i.d.
-sizes.  Sizes come from the family's own sampler when one is exact
-(compound Poisson densities, with rejection for a truncated window) and
-otherwise from inverse-CDF sampling on a log-spaced tabulation of the
-restricted measure, with a per-cell power-law closed form for both the
-cell masses and their inversion.  The cell of a uniform draw is found by
+for infinite-activity measures.  Every functional the estimators need
+depends on the jump sizes alone, so a path is a Poisson count of jumps
+and i.i.d. sizes, with no arrival times; many paths are drawn at once as
+a flat ``JumpBatch``.  Sizes come from the family's own sampler when one
+is exact (compound Poisson densities, with rejection for a truncated
+window) and otherwise from inverse-CDF sampling on a log-spaced
+tabulation of the restricted measure, with a per-cell power-law closed
+form for both the cell masses and their inversion.  The cell of a uniform draw is found by
 guide-table inversion (Chen & Asau 1974; Devroye 1986, section III.2.4):
 equal-width buckets of the cumulative mass map each draw to a nearby cell
 in O(1), and only the few draws that lie past that cell's end fall back
@@ -29,7 +30,6 @@ independent by construction.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import math
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentIntegral, DivergentMass, HypothesisFailed
+from .errors import DivergentIntegral, DivergentMass
 from .measures import (
     CompoundPoissonMeasure,
     JumpDensity,
@@ -45,23 +45,16 @@ from .measures import (
     ZeroMeasure,
     gamma_nu,
 )
-from .processes import ProcessSpec, ProblemSpec
+from .processes import ProcessSpec
 from .quadrature import integrate_segments
 
 __all__ = [
     "DEFAULT_EPSILON",
     "RngStream",
-    "JumpRecord",
     "JumpBatch",
-    "sample_jump_size",
-    "sample_compound_poisson",
-    "sample_truncated_jumps",
     "sample_jump_batch",
-    "sample_C_T",
-    "sample_C_T_batch",
     "small_jump_variance",
     "sample_terminal_values",
-    "dump_paths_csv",
 ]
 
 # Default small-jump truncation threshold for infinite-activity measures.
@@ -116,61 +109,18 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _frozen_array(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class JumpRecord:
-    """Jumps of one path: arrival times in (0, T] and matching sizes.
-
-    ``truncation_epsilon`` is 0 for exact records (finite activity) and
-    the truncation threshold otherwise; every stored size exceeds it in
-    magnitude.  ``compensator_shift`` is the per-unit-time drift
-    adjustment -integral of y over {epsilon < |y| <= 1}, so the
-    compensated terminal jump contribution is
-    ``sizes.sum() + horizon * compensator_shift``, matching the
-    characteristic-function convention of the process layer.
-    """
-
-    times: np.ndarray
-    sizes: np.ndarray
-    truncation_epsilon: float
-    compensator_shift: float
-
-    def __post_init__(self):
-        times = _frozen_array(self.times, "times")
-        sizes = _frozen_array(self.sizes, "sizes")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "sizes", sizes)
-        if times.shape != sizes.shape:
-            raise ValueError("times and sizes must have equal length")
-        if times.size and (np.any(times <= 0.0) or np.any(np.diff(times) < 0.0)):
-            raise ValueError("times must be positive and sorted")
-        eps = float(self.truncation_epsilon)
-        if not (math.isfinite(eps) and eps >= 0.0):
-            raise ValueError("truncation_epsilon must be finite and >= 0")
-        if sizes.size and not np.all(np.abs(sizes) > eps):
-            raise ValueError("every jump size must exceed the truncation threshold")
-        if not math.isfinite(float(self.compensator_shift)):
-            raise ValueError("compensator_shift must be finite")
-
-    @property
-    def count(self) -> int:
-        return int(self.times.size)
-
-
 @dataclass(frozen=True)
 class JumpBatch:
     """Sizes of many paths at once, flattened, with per-path counts.
 
-    The flat layout keeps the batch samplers fully vectorized; arrival
+    The flat layout keeps the batch sampler fully vectorized; arrival
     times are omitted because every terminal-value and likelihood-ratio
-    functional depends on the sizes only.
+    functional depends on the sizes only.  ``truncation_epsilon`` is 0 for
+    exact batches (finite activity) and the truncation threshold
+    otherwise; every sampled size exceeds it in magnitude.
+    ``compensator_shift`` is the per-unit-time drift adjustment -integral
+    of y over {epsilon < |y| <= 1}, so a path's compensated jump
+    contribution is its size sum plus ``horizon * compensator_shift``.
     """
 
     counts: np.ndarray
@@ -181,8 +131,12 @@ class JumpBatch:
     def __post_init__(self):
         counts = np.array(self.counts, dtype=np.int64)
         counts.flags.writeable = False
+        sizes = np.array(self.sizes, dtype=float)
+        if sizes.ndim != 1:
+            raise ValueError("sizes must be one-dimensional")
+        sizes.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "sizes", _frozen_array(self.sizes, "sizes"))
+        object.__setattr__(self, "sizes", sizes)
         if int(counts.sum()) != self.sizes.size:
             raise ValueError("counts must sum to the number of sizes")
 
@@ -492,67 +446,6 @@ def _draw_sizes(
 # ---------------------------------------------------------------------------
 
 
-def sample_jump_size(density: JumpDensity, rng: RngStream) -> float:
-    """One draw from a jump-size density, advancing the stream."""
-    return float(density.sample(rng.generator, 1)[0])
-
-
-def _arrival_times(horizon: float, n: int, gen: np.random.Generator) -> np.ndarray:
-    # 1 - U maps [0, 1) draws onto (0, T] as the record contract requires.
-    return np.sort(horizon * (1.0 - gen.random(n)))
-
-
-def sample_compound_poisson(
-    nu: LevyMeasure, horizon: float, rng: RngStream
-) -> JumpRecord:
-    """Exact jump record of one path of a finite-activity measure.
-
-    The count is Poisson(total_mass * horizon), arrival times are uniform
-    on (0, T] and sorted, and sizes are i.i.d. from the normalized jump
-    density; truncation_epsilon is 0.
-    """
-    if not nu.is_finite_activity():
-        raise DivergentMass("exact simulation needs a finite-activity measure")
-    if horizon < 0.0:
-        raise ValueError("horizon must be >= 0")
-    gen = rng.generator
-    lam = nu.total_mass()
-    n = int(gen.poisson(lam * horizon)) if lam * horizon > 0.0 else 0
-    times = _arrival_times(horizon, n, gen)
-    sizes = _draw_sizes(nu, 0.0, n, gen)
-    keep = sizes != 0.0
-    if not np.all(keep):
-        times, sizes = times[keep], sizes[keep]
-    return JumpRecord(times, sizes, 0.0, _compensator_shift(nu, 0.0))
-
-
-def sample_truncated_jumps(
-    nu: LevyMeasure, epsilon: float, horizon: float, rng: RngStream
-) -> JumpRecord:
-    """Jump record of one path restricted to sizes with |y| > epsilon.
-
-    The count is Poisson(mass_above(epsilon) * horizon) and the stored
-    compensator shift is -integral of y over {epsilon < |y| <= 1}, the
-    drift adjustment that replaces the small-jump compensator.
-    """
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be >= 0")
-    if epsilon == 0.0:
-        if not nu.is_finite_activity():
-            raise DivergentMass(
-                "epsilon = 0 needs a finite-activity measure; pass epsilon > 0"
-            )
-        return sample_compound_poisson(nu, horizon, rng)
-    if horizon < 0.0:
-        raise ValueError("horizon must be >= 0")
-    gen = rng.generator
-    lam = _mass_above(nu, epsilon)
-    n = int(gen.poisson(lam * horizon)) if lam * horizon > 0.0 else 0
-    times = _arrival_times(horizon, n, gen)
-    sizes = _draw_sizes(nu, epsilon, n, gen)
-    return JumpRecord(times, sizes, epsilon, _compensator_shift(nu, epsilon))
-
-
 def sample_jump_batch(
     nu: LevyMeasure,
     horizon: float,
@@ -560,12 +453,11 @@ def sample_jump_batch(
     rng: RngStream,
     epsilon: float = 0.0,
 ) -> JumpBatch:
-    """Vectorized batch of jump sizes for many paths, no arrival times.
+    """Jump sizes of many paths with |y| > epsilon, drawn on one stream.
 
-    Draw layout differs from the per-record samplers (all counts first,
-    then one flat block of sizes), so a batch and a loop of records on
-    the same stream do not replay each other; each is deterministic on
-    its own.
+    All Poisson counts come first, then one flat block of sizes, so a
+    batch is determined by (nu, horizon, n_paths, stream, epsilon).
+    epsilon = 0 samples a finite-activity measure exactly.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
@@ -589,26 +481,6 @@ def sample_jump_batch(
         )
         sizes = sizes[keep]
     return JumpBatch(counts, sizes, epsilon, _compensator_shift(nu, epsilon))
-
-
-def sample_C_T_batch(spec: ProblemSpec, rng: RngStream, n: int) -> np.ndarray:
-    """n independent draws of the continuous log-likelihood part C_T.
-
-    C_T is exactly N(-xi^2/2, xi^2); no path discretization is involved.
-    """
-    if spec.sigma_mismatch():
-        raise HypothesisFailed("sigma mismatch")
-    if spec.vol_class() == "degenerate":
-        raise HypothesisFailed("sigma^2 vanishes on part of [0, T]")
-    xi_sq = spec.xi_sq()
-    if not math.isfinite(xi_sq):
-        raise HypothesisFailed("xi^2 infinite")
-    return -0.5 * xi_sq + math.sqrt(xi_sq) * rng.generator.standard_normal(n)
-
-
-def sample_C_T(spec: ProblemSpec, rng: RngStream) -> float:
-    """One draw of C_T; consecutive calls walk the stream forward."""
-    return float(sample_C_T_batch(spec, rng, 1)[0])
 
 
 def sample_terminal_values(
@@ -646,24 +518,3 @@ def sample_terminal_values(
             raise ValueError("rng_gauss is required when a Gaussian part is present")
         out = out + math.sqrt(variance) * rng_gauss.generator.standard_normal(n_paths)
     return out
-
-
-def dump_paths_csv(records, destination) -> None:
-    """Write jump records as CSV rows (path_id, jump_time, jump_size).
-
-    The header row is always written; path_id is the 0-based index of the
-    record in the sequence.  destination is a path or an open text file.
-    """
-
-    def _write(handle):
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["path_id", "jump_time", "jump_size"])
-        for path_id, record in enumerate(records):
-            for t, y in zip(record.times, record.sizes):
-                writer.writerow([path_id, repr(float(t)), repr(float(y))])
-
-    if hasattr(destination, "write"):
-        _write(destination)
-    else:
-        with open(destination, "w", newline="") as handle:
-            _write(handle)

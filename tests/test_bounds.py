@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
+from addgap import bounds, measures
 from addgap.bounds import (
     TRIVIAL_BOUND,
     BoundReport,
@@ -16,6 +19,7 @@ from addgap.bounds import (
     gaussian_tv_exact,
     normal_cdf,
 )
+from addgap.config import parse_config
 from addgap.errors import HypothesisFailed, NotGaussianCase, ZeroVolatility
 from addgap.measures import (
     CompoundPoissonMeasure,
@@ -24,6 +28,7 @@ from addgap.measures import (
     ZeroMeasure,
 )
 from addgap.processes import (
+    PROBE_POINTS,
     ConstantFunction,
     PiecewiseConstantFunction,
     ProblemSpec,
@@ -33,6 +38,7 @@ from addgap.processes import (
 from _oracles import GAUSS_T4, PHI_M1, THM1_CP12_T1, TWO_SINH_02
 
 TOL_PIN = 1e-12
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 ZERO_FN = ConstantFunction(0.0)
 UNIT_FN = ConstantFunction(1.0)
@@ -358,3 +364,59 @@ class TestComputeReport:
         data = dataclasses.asdict(rep)
         assert set(data["reasons"].keys()) >= {"simple_sqrt", "gaussian_exact"}
         assert isinstance(rep, BoundReport)
+
+
+class TestSinglePass:
+    """One compute_report computes each pair ingredient once."""
+
+    @pytest.mark.parametrize(
+        "name", ["compound_poisson", "jump_diffusion", "tempered_stable"]
+    )
+    def test_each_ingredient_computed_once(self, monkeypatch, name):
+        calls = {"ac": 0, "l1": 0, "h2": 0}
+        probes = []
+
+        def counting(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for key, attr in (
+            ("ac", "check_abs_continuity"),
+            ("l1", "l1_integral"),
+            ("h2", "hellinger_integral"),
+        ):
+            wrapper = counting(key, getattr(measures, attr))
+            for module in (measures, bounds):
+                monkeypatch.setattr(module, attr, wrapper)
+        constant_value = ConstantFunction.value
+
+        def probe_value(self, t):
+            if np.size(t) == PROBE_POINTS:
+                probes.append(self)
+            return constant_value(self, t)
+
+        monkeypatch.setattr(ConstantFunction, "value", probe_value)
+        spec = parse_config(CONFIG_DIR / f"{name}.json").problem
+        compute_report(spec)
+        vols = [spec.process1.vol_sq, spec.process2.vol_sq]
+        assert calls == {"ac": 1, "l1": 1, "h2": 1}
+        # The variances are probed once per spec, at construction; the
+        # report reuses those probes.
+        assert [sum(p is v for p in probes) for v in vols] == [1, 1]
+
+    def test_bound_wrappers_raise_the_report_reason(self):
+        spec = matched_cp_pair(1.2, 1.0, 0.5)
+        spec = dataclasses.replace(
+            spec,
+            process1=dataclasses.replace(spec.process1, drift=ConstantFunction(5.0)),
+        )
+        reasons = compute_report(spec).reasons
+        for key, fn in (
+            ("thm1", bound_thm1), ("thm2", bound_thm2), ("simple_sqrt", bound_simple_sqrt)
+        ):
+            with pytest.raises(HypothesisFailed) as info:
+                fn(spec)
+            assert info.value.reason == reasons[key] == "drift mismatch at sigma = 0"

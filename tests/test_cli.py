@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from addgap import cli
+from addgap import cli, montecarlo
 from addgap.bounds import compute_report
 from addgap.config import parse_config_dict
 from addgap.montecarlo import estimate_tv
@@ -612,6 +612,58 @@ class TestBundledConfigs:
         assert all(a < b for a, b in zip(thm1, thm1[1:]))
         assert thm1[-1] < math.sqrt(8.0)
         assert thm2[-1] / thm2[0] > 2.0 * horizons[-1] / horizons[0]
+
+
+def heavy_tempered_config():
+    """tempered_stable.json with alpha = 1.5 and sigma^2 = 1 on both sides and
+    no estimator block: at the default epsilon 1e-4 one chunk of paths
+    would expect about 1.1e10 jumps."""
+    data = json.loads((CONFIG_DIR / "tempered_stable.json").read_text())
+    del data["estimator"]
+    for key in ("process1", "process2"):
+        data[key]["levy"]["alpha"] = 1.5
+        data[key]["vol_sq"]["c"] = 1.0
+    return data
+
+
+class TestChunkJumpGuard:
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def never_sample(*args, **kwargs):
+            raise AssertionError("the guard must refuse before any jump is drawn")
+
+        monkeypatch.setattr(montecarlo, "sample_jump_batch", never_sample)
+
+    def test_bound_still_applies(self, tmp_path, capsys):
+        path = write_config(tmp_path, heavy_tempered_config())
+        code, out, _ = run(capsys, ["bound", "--config", path, "--json"])
+        assert code == 0
+        assert 1.4 < json.loads(out)["report"]["thm1"] < 1.5
+
+    def test_estimate_exits_two_naming_epsilon(self, tmp_path, capsys):
+        path = write_config(tmp_path, heavy_tempered_config())
+        code, out, err = run(capsys, ["estimate", "--config", path])
+        assert code == 2 and out == ""
+        assert "epsilon = 0.0001 expects 1.09e+10 jumps" in err
+
+    def test_compare_keeps_the_report(self, tmp_path, capsys):
+        path = write_config(tmp_path, heavy_tempered_config())
+        code, out, _ = run(capsys, ["compare", "--config", path, "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["estimate"] is None
+        assert "1.09e+10 jumps" in doc["estimate_error"]
+        assert doc["report"]["thm1"] is not None
+
+    def test_sweep_leaves_estimate_cells_empty(self, tmp_path, capsys):
+        path = write_config(tmp_path, heavy_tempered_config())
+        argv = ["sweep", "--config", path, "--param", "horizon", "--from", "0.5",
+                "--to", "1.0", "--steps", "2", "--paths", "1000"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 2
+        assert all(row[4] != "" and row[8:] == ["", ""] for row in rows)
 
 
 class TestExitCodes:

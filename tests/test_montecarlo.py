@@ -1,5 +1,6 @@
 """Tests for the likelihood-ratio functionals and Monte Carlo estimators."""
 
+import json
 import math
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from addgap.bounds import bound_thm1, bound_thm2, gaussian_tv_exact, normal_cdf
-from addgap.config import parse_config
+from addgap import montecarlo
+from addgap.config import parse_config, parse_config_dict
 from addgap.errors import (
     HypothesisFailed,
     NotAbsolutelyContinuous,
@@ -20,17 +22,21 @@ from addgap.measures import (
     UniformDensity,
     ZeroMeasure,
 )
+from addgap.measures import pair_log_ratio
 from addgap.montecarlo import (
     CHUNK_PATHS,
+    MAX_CHUNK_JUMPS,
     EstimateResult,
+    _check_chunk_jumps,
+    _estimate_ct_dt,
+    _prepare,
+    _Prepared,
+    _signed_difference_rates,
+    _split_a_pm,
     e_abs_one_minus_exp_normal,
     estimate_sinh_oracle,
     estimate_tv,
-    jump_loglik_D,
-    likelihood_terms,
     martingale_check,
-    positive_part_check,
-    split_A_pm,
 )
 from addgap.processes import (
     ConstantFunction,
@@ -38,13 +44,7 @@ from addgap.processes import (
     ProblemSpec,
     ProcessSpec,
 )
-from addgap.simulate import (
-    JumpRecord,
-    RngStream,
-    sample_C_T_batch,
-    sample_compound_poisson,
-    sample_jump_batch,
-)
+from addgap.simulate import JumpBatch, RngStream, sample_jump_batch
 
 from _oracles import EABS_1_2, GAUSS_T4, TWO_SINH_02, TWO_SINH_04
 
@@ -117,33 +117,53 @@ class TestEAbsOneMinusExpNormal:
             e_abs_one_minus_exp_normal(0.0, -1.0)
 
 
+def cp_batch(horizon, n_paths, stream):
+    return sample_jump_batch(CP10, horizon, n_paths, RngStream(*stream))
+
+
+def sinh_split(nu1, nu2, batch, horizon):
+    """A+ and A- of each path, as the sinh oracle's chunk worker forms them."""
+    ratio = pair_log_ratio(nu1, nu2)(batch.sizes)
+    return _split_a_pm(batch, ratio, horizon, _signed_difference_rates(nu1, nu2))
+
+
 class TestJumpLoglikD:
+    # D_T of each path, as the estimators' chunk worker forms it.
     def test_equal_measures_give_zero(self):
-        rec = sample_compound_poisson(CP10, 1.0, RngStream(3, 0))
-        assert jump_loglik_D(rec, CP10, CP10, 1.0) == 0.0
+        spec = ProblemSpec(
+            ProcessSpec(ZERO_FN, ZERO_FN, CP10), ProcessSpec(ZERO_FN, ZERO_FN, CP10), 1.0
+        )
+        d = _prepare(spec, 50, 0.0).jump_part(cp_batch(1.0, 50, (3, 0)))
+        assert np.all(d == 0.0)
 
     def test_empty_record_is_pure_compensator(self):
-        rec = JumpRecord(np.empty(0), np.empty(0), 0.0, 0.0)
-        assert abs(jump_loglik_D(rec, CP12, CP10, 1.0) + 0.2) < TOL_EXACT
+        batch = JumpBatch([0], np.empty(0), 0.0, 0.0)
+        d = _prepare(matched_cp_spec(), 1, 0.0).jump_part(batch)
+        assert abs(d[0] + 0.2) < TOL_EXACT
 
     def test_constant_ratio_closed_form(self):
-        rec = sample_compound_poisson(CP10, 2.0, RngStream(5, 0))
-        expected = rec.count * math.log(1.2) - 2.0 * 0.2
-        assert abs(jump_loglik_D(rec, CP12, CP10, 2.0) - expected) < TOL_EXACT
+        batch = cp_batch(2.0, 50, (5, 0))
+        expected = batch.counts * math.log(1.2) - 2.0 * 0.2
+        d = _prepare(matched_cp_spec(2.0), 50, 0.0).jump_part(batch)
+        np.testing.assert_allclose(d, expected, rtol=0.0, atol=TOL_EXACT)
 
     def test_truncated_compensator_uses_clipped_masses(self):
         nu1 = CompoundPoissonMeasure(2.0, G01)
+        spec = ProblemSpec(
+            ProcessSpec(ZERO_FN, UNIT_VOL, nu1), ProcessSpec(ZERO_FN, UNIT_VOL, CP10), 1.0
+        )
         eps = 0.3
-        rec = JumpRecord([0.5], [0.8], eps, 0.0)
+        batch = JumpBatch([1], [0.8], eps, 0.0)
         # masses above 0.3: 2 * 0.7 and 1 * 0.7; the log-ratio is log 2.
         expected = math.log(2.0) - 1.0 * (2.0 * 0.7 - 1.0 * 0.7)
-        assert abs(jump_loglik_D(rec, nu1, CP10, 1.0) - expected) < 1e-10
+        d = _prepare(spec, 1, eps).jump_part(batch)
+        assert abs(d[0] - expected) < 1e-10
 
     def test_jump_off_reference_support(self):
         wide = CompoundPoissonMeasure(1.0, UniformDensity(0.0, 2.0))
-        rec = JumpRecord([0.5], [1.5], 0.0, 0.0)
+        prep = _Prepared(CP10, pair_log_ratio(wide, CP10), 1.0, None, 0.0)
         with pytest.raises(RatioUndefined):
-            jump_loglik_D(rec, wide, CP10, 1.0)
+            prep.jump_part(JumpBatch([1], [1.5], 0.0, 0.0))
 
     def test_unit_mean_of_exp_d(self):
         # sigma = 0 pair: M_T = exp(D_T); its empirical mean must cover 1.
@@ -153,30 +173,46 @@ class TestJumpLoglikD:
 
 class TestSplitAPm:
     def test_equal_measures(self):
-        rec = sample_compound_poisson(CP10, 1.0, RngStream(7, 0))
-        assert split_A_pm(rec, CP10, CP10, 1.0) == (0.0, 0.0)
+        a_plus, a_minus = sinh_split(CP10, CP10, cp_batch(1.0, 50, (7, 0)), 1.0)
+        assert np.all(a_plus == 0.0) and np.all(a_minus == 0.0)
 
     def test_constant_ratio_closed_form(self):
-        rec = sample_compound_poisson(CP10, 1.0, RngStream(9, 0))
-        a_plus, a_minus = split_A_pm(rec, CP12, CP10, 1.0)
-        assert abs(a_plus - rec.count * math.log(1.2)) < TOL_EXACT
-        assert abs(a_minus + 0.2) < TOL_EXACT
+        batch = cp_batch(1.0, 50, (9, 0))
+        a_plus, a_minus = sinh_split(CP12, CP10, batch, 1.0)
+        np.testing.assert_allclose(
+            a_plus, batch.counts * math.log(1.2), rtol=0.0, atol=TOL_EXACT
+        )
+        np.testing.assert_allclose(a_minus, -0.2, rtol=0.0, atol=TOL_EXACT)
 
     def test_pathwise_identity_on_tabulated_pairs(self):
         nu1, nu2 = tabulated_pair()
-        for k in range(40):
-            rec = sample_compound_poisson(nu2, 3.0, RngStream(100, k))
-            a_plus, a_minus = split_A_pm(rec, nu1, nu2, 3.0)
-            d = jump_loglik_D(rec, nu1, nu2, 3.0)
-            assert a_plus >= 0.0 >= a_minus
-            assert abs((a_plus + a_minus) - d) <= 1e-10 * max(1.0, abs(d))
+        spec = ProblemSpec(
+            ProcessSpec(ZERO_FN, UNIT_VOL, nu1), ProcessSpec(ZERO_FN, UNIT_VOL, nu2), 3.0
+        )
+        batch = sample_jump_batch(nu2, 3.0, 40, RngStream(100, 0))
+        a_plus, a_minus = sinh_split(nu1, nu2, batch, 3.0)
+        d = _prepare(spec, 40, 0.0).jump_part(batch)
+        assert np.all(a_plus >= 0.0) and np.all(a_minus <= 0.0)
+        np.testing.assert_allclose(
+            a_plus + a_minus, d, rtol=0.0, atol=1e-10 * max(1.0, np.abs(d).max())
+        )
 
     def test_terms_assembly(self):
-        rec = sample_compound_poisson(CP10, 1.0, RngStream(11, 0))
-        terms = likelihood_terms(rec, CP12, CP10, 1.0, c_t=-0.25)
-        assert terms.c_t == -0.25
-        assert terms.a_plus >= 0.0 >= terms.a_minus
-        assert abs(terms.a_plus + terms.a_minus - terms.d_t) < 1e-12
+        # One chunk's terms: D_T and its split from the same jumps, C_T
+        # from the chunk's Gaussian stream.
+        spec = ProblemSpec(
+            ProcessSpec(ConstantFunction(1.0), UNIT_VOL, CP12),
+            ProcessSpec(ConstantFunction(0.5), UNIT_VOL, CP10),
+            1.0,
+        )
+        prep = _prepare(spec, 64, 0.0)
+        batch = cp_batch(1.0, 64, (11, 0))
+        a_plus, a_minus = sinh_split(CP12, CP10, batch, 1.0)
+        d = prep.jump_part(batch)
+        c = prep.gaussian_part(RngStream(11, 1), 64)
+        assert c.shape == d.shape == (64,)
+        assert np.all(a_plus >= 0.0) and np.all(a_minus <= 0.0)
+        np.testing.assert_allclose(a_plus + a_minus, d, rtol=0.0, atol=1e-12)
 
 
 class TestEstimateTv:
@@ -205,7 +241,10 @@ class TestEstimateTv:
     def test_positive_part_consistency(self):
         spec = matched_cp_spec()
         tv = estimate_tv(spec, 300_000, 0.0, 4242)
-        pos = positive_part_check(spec, 300_000, 4242)
+        # 2 (1 - M_T)^+ has the same mean as |1 - M_T| because E[M_T] = 1.
+        pos = _estimate_ct_dt(
+            spec, 300_000, 0.0, 4242, lambda x: 2.0 * np.maximum(-np.expm1(x), 0.0)
+        )
         combined = 4.0 * (tv.half_width_95 + pos.half_width_95)
         assert abs(tv.mean - pos.mean) < combined
 
@@ -369,7 +408,7 @@ class TestPathwiseSplitting:
         batch = sample_jump_batch(CP10, 1.0, n, RngStream(17, 0), 0.0)
         log_ratio = np.full(batch.sizes.shape, math.log(1.2))
         d = batch.path_sums(log_ratio) - 1.0 * 0.2
-        c = sample_C_T_batch(spec, RngStream(17, 1), n)
+        c = _prepare(spec, n, 0.0).gaussian_part(RngStream(17, 1), n)
         lhs = np.abs(-np.expm1(c + d))
         rhs = 0.5 * (1.0 + np.exp(c)) * np.abs(np.expm1(d)) + 0.5 * (
             1.0 + np.exp(d)
@@ -395,3 +434,62 @@ class TestChunkReduction:
             partials.append(float(values.sum()))
         expected = math.fsum(partials) / n
         assert estimate_tv(spec, n, 0.0, seed).mean == expected
+
+
+def heavy_ts_spec():
+    """tempered_stable.json with alpha = 1.5 and sigma^2 = 1 on both sides:
+    a valid pair whose default truncation expects ~1.1e10 jumps per chunk."""
+    raw = json.loads((CONFIG_DIR / "tempered_stable.json").read_text())
+    for key in ("process1", "process2"):
+        raw[key]["levy"]["alpha"] = 1.5
+        raw[key]["vol_sq"]["c"] = 1.0
+    return parse_config_dict(raw).problem
+
+
+def never_sample(*args, **kwargs):
+    raise AssertionError("the guard must refuse before any jump is drawn")
+
+
+class TestChunkJumpGuard:
+    def test_expected_jumps_arithmetic(self):
+        # A compound Poisson chunk expects exactly lambda * T * paths jumps.
+        assert MAX_CHUNK_JUMPS == 2**25
+        at_limit = CompoundPoissonMeasure(MAX_CHUNK_JUMPS / CHUNK_PATHS, G01)
+        above = CompoundPoissonMeasure(MAX_CHUNK_JUMPS / CHUNK_PATHS + 1.0, G01)
+        _check_chunk_jumps(at_limit, 1.0, 0.0, 100_000)
+        _check_chunk_jumps(above, 0.5, 0.0, 100_000)
+        with pytest.raises(HypothesisFailed, match="3.36e\\+07 jumps in a chunk of 8192"):
+            _check_chunk_jumps(above, 1.0, 0.0, 100_000)
+        # A run shorter than one chunk expects jumps for its own paths.
+        _check_chunk_jumps(above, 1.0, 0.0, 8000)
+        with pytest.raises(HypothesisFailed, match="in a chunk of 100 paths"):
+            _check_chunk_jumps(above, 1000.0, 0.0, 100)
+
+    def test_bundled_tempered_stable_fits(self):
+        # Its largest chunk at the default epsilon expects about 3.2e6 jumps.
+        spec = parse_config(CONFIG_DIR / "tempered_stable.json").problem
+        nu2 = spec.process2.levy
+        _check_chunk_jumps(nu2, 10.0, 1e-4, 100_000)
+        with pytest.raises(HypothesisFailed):
+            _check_chunk_jumps(nu2, 11.0, 1e-4, 100_000)
+
+    def test_estimators_refuse_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "sample_jump_batch", never_sample)
+        spec = heavy_ts_spec()
+        message = (
+            r"epsilon = 0\.0001 expects 1\.09e\+10 jumps in a chunk of 8192 paths,"
+            r" above the limit of 33554432"
+        )
+        with pytest.raises(HypothesisFailed, match=message):
+            estimate_tv(spec, 100_000, 1e-4, 1)
+        with pytest.raises(HypothesisFailed, match=message):
+            martingale_check(spec, 100_000, 1)
+
+    def test_sinh_oracle_guards_its_chunks(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "sample_jump_batch", never_sample)
+        heavy = CompoundPoissonMeasure(1e5, G01)
+        spec = ProblemSpec(
+            ProcessSpec(ZERO_FN, ZERO_FN, heavy), ProcessSpec(ZERO_FN, ZERO_FN, heavy), 1.0
+        )
+        with pytest.raises(HypothesisFailed, match="8.19e\\+08 jumps"):
+            estimate_sinh_oracle(spec, 100_000, 1)

@@ -1,6 +1,5 @@
-"""Tests for the path samplers: streams, jump records, C_T, terminals."""
+"""Tests for the path samplers: streams, jump batches, C_T, terminals."""
 
-import io
 import math
 from pathlib import Path
 
@@ -10,7 +9,7 @@ import pytest
 from scipy import stats
 
 from addgap.config import parse_config
-from addgap.errors import DivergentMass, HypothesisFailed, ZeroVolatility
+from addgap.errors import DivergentMass, HypothesisFailed
 from addgap.measures import (
     CompoundPoissonMeasure,
     ExponentialDensity,
@@ -19,6 +18,7 @@ from addgap.measures import (
     UniformDensity,
     ZeroMeasure,
 )
+from addgap.montecarlo import _prepare
 from addgap.processes import (
     ConstantFunction,
     PiecewiseConstantFunction,
@@ -30,16 +30,9 @@ from addgap.quadrature import integrate_fn
 from addgap.simulate import (
     DEFAULT_EPSILON,
     JumpBatch,
-    JumpRecord,
     RngStream,
-    dump_paths_csv,
-    sample_C_T,
-    sample_C_T_batch,
-    sample_compound_poisson,
     sample_jump_batch,
-    sample_jump_size,
     sample_terminal_values,
-    sample_truncated_jumps,
     small_jump_variance,
 )
 from addgap.simulate import _draw_from_table, _size_table, _SizeTable, _table_cells
@@ -93,77 +86,46 @@ class TestRngStream:
             RngStream(0, bad)
 
 
-class TestJumpRecord:
-    def test_empty_record(self):
-        rec = JumpRecord(np.empty(0), np.empty(0), 0.0, -1.5)
-        assert rec.count == 0
-
-    def test_arrays_are_read_only(self):
-        rec = JumpRecord([0.5], [1.0], 0.0, 0.0)
-        with pytest.raises(ValueError):
-            rec.times[0] = 2.0
-
-    def test_rejects_unsorted_times(self):
-        with pytest.raises(ValueError):
-            JumpRecord([0.7, 0.4], [1.0, 1.0], 0.0, 0.0)
-
-    def test_rejects_nonpositive_times(self):
-        with pytest.raises(ValueError):
-            JumpRecord([0.0, 0.4], [1.0, 1.0], 0.0, 0.0)
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            JumpRecord([0.5], [1.0, 2.0], 0.0, 0.0)
-
-    def test_rejects_sizes_at_or_below_threshold(self):
-        with pytest.raises(ValueError):
-            JumpRecord([0.5], [0.01], 0.01, 0.0)
-        with pytest.raises(ValueError):
-            JumpRecord([0.5], [0.0], 0.0, 0.0)
-
-    def test_rejects_negative_epsilon(self):
-        with pytest.raises(ValueError):
-            JumpRecord([0.5], [1.0], -0.1, 0.0)
-
-
 class TestSampleJumpSize:
     def test_matches_density_sampler_on_fresh_stream(self):
+        # A batch draws every Poisson count first, then one block of sizes
+        # from the jump density on the same stream.
         density = UniformDensity(-2.0, 5.0)
-        scalar = sample_jump_size(density, RngStream(8, 3))
-        direct = float(density.sample(RngStream(8, 3).generator, 1)[0])
-        assert scalar == direct
+        nu = CompoundPoissonMeasure(3.0, density)
+        batch = sample_jump_batch(nu, 1.0, 40, RngStream(8, 3))
+        gen = RngStream(8, 3).generator
+        counts = gen.poisson(3.0, 40)
+        direct = density.sample(gen, int(counts.sum()))
+        assert np.array_equal(batch.counts, counts)
+        assert np.array_equal(batch.sizes, direct)
 
     def test_exponential_draws_pass_ks(self):
-        density = ExponentialDensity(2.5)
-        gen_stream = RngStream(21, 0)
-        draws = np.array([sample_jump_size(density, gen_stream) for _ in range(4000)])
+        nu = CompoundPoissonMeasure(1.0, ExponentialDensity(2.5))
+        draws = sample_jump_batch(nu, 1.0, 4000, RngStream(21, 0)).sizes
         result = stats.kstest(draws, stats.expon(scale=1.0 / 2.5).cdf)
         assert result.pvalue > KS_ALPHA
 
 
 class TestSampleCompoundPoisson:
     def test_exact_record_shape(self):
-        rec = sample_compound_poisson(CP_U01, 2.0, RngStream(1, 0))
-        assert rec.truncation_epsilon == 0.0
-        assert np.all(rec.times > 0.0) and np.all(rec.times <= 2.0)
-        assert np.all(np.diff(rec.times) >= 0.0)
-        assert np.all(rec.sizes != 0.0)
+        batch = sample_jump_batch(CP_U01, 2.0, 500, RngStream(1, 0))
+        assert batch.truncation_epsilon == 0.0
+        assert batch.n_paths == 500 and int(batch.counts.sum()) == batch.sizes.size
+        assert np.all(batch.counts >= 0)
+        assert np.all(batch.sizes != 0.0)
 
     def test_compensator_shift_closed_form(self):
         # uniform(0, 1) sizes: shift = -lambda * E[Y] = -3 * 0.5
-        rec = sample_compound_poisson(CP_U01, 1.0, RngStream(1, 0))
-        assert abs(rec.compensator_shift + 1.5) < TOL_CLOSED
+        batch = sample_jump_batch(CP_U01, 1.0, 1, RngStream(1, 0))
+        assert abs(batch.compensator_shift + 1.5) < TOL_CLOSED
         # exponential(1) sizes clipped at 1: -2 * (1 - 2/e)
         nu = CompoundPoissonMeasure(2.0, ExponentialDensity(1.0))
-        rec = sample_compound_poisson(nu, 1.0, RngStream(1, 1))
-        assert abs(rec.compensator_shift + 2.0 * (1.0 - 2.0 / math.e)) < 1e-8
+        batch = sample_jump_batch(nu, 1.0, 1, RngStream(1, 1))
+        assert abs(batch.compensator_shift + 2.0 * (1.0 - 2.0 / math.e)) < 1e-8
 
     def test_count_mean_and_variance(self):
         horizon = 2.0
-        counts = np.array([
-            sample_compound_poisson(CP_U01, horizon, RngStream(100, k)).count
-            for k in range(20_000)
-        ])
+        counts = sample_jump_batch(CP_U01, horizon, 20_000, RngStream(100, 0)).counts
         lam_t = CP_U01.total_mass() * horizon
         se_mean = math.sqrt(lam_t / counts.size)
         assert abs(counts.mean() - lam_t) < 4.0 * se_mean
@@ -171,57 +133,44 @@ class TestSampleCompoundPoisson:
         se_var = lam_t * math.sqrt(2.0 / counts.size)
         assert abs(counts.var() - lam_t) < 5.0 * se_var
 
-    def test_times_are_uniform(self):
-        horizon = 3.0
-        pooled = np.concatenate([
-            sample_compound_poisson(CP_U01, horizon, RngStream(7, k)).times
-            for k in range(3000)
-        ])
-        result = stats.kstest(pooled, stats.uniform(scale=horizon).cdf)
-        assert result.pvalue > KS_ALPHA
-
     def test_sizes_follow_jump_density(self):
-        pooled = np.concatenate([
-            sample_compound_poisson(CP_U01, 1.0, RngStream(13, k)).sizes
-            for k in range(3000)
-        ])
+        pooled = sample_jump_batch(CP_U01, 1.0, 3000, RngStream(13, 0)).sizes
         result = stats.kstest(pooled, stats.uniform().cdf)
         assert result.pvalue > KS_ALPHA
 
     def test_zero_measure_gives_empty_record(self):
-        rec = sample_compound_poisson(ZeroMeasure(), 5.0, RngStream(1, 0))
-        assert rec.count == 0 and rec.compensator_shift == 0.0
+        batch = sample_jump_batch(ZeroMeasure(), 5.0, 10, RngStream(1, 0))
+        assert not batch.counts.any() and batch.compensator_shift == 0.0
 
     def test_infinite_activity_rejected(self):
         with pytest.raises(DivergentMass):
-            sample_compound_poisson(TS_SYM, 1.0, RngStream(1, 0))
+            sample_jump_batch(TS_SYM, 1.0, 1, RngStream(1, 0))
 
     def test_deterministic_replay(self):
-        a = sample_compound_poisson(CP_U01, 1.0, RngStream(5, 9))
-        b = sample_compound_poisson(CP_U01, 1.0, RngStream(5, 9))
-        assert np.array_equal(a.times, b.times)
+        a = sample_jump_batch(CP_U01, 1.0, 50, RngStream(5, 9))
+        b = sample_jump_batch(CP_U01, 1.0, 50, RngStream(5, 9))
+        assert np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.sizes, b.sizes)
 
 
 class TestSampleTruncatedJumps:
     def test_epsilon_zero_infinite_activity_diverges(self):
         with pytest.raises(DivergentMass):
-            sample_truncated_jumps(TS_SYM, 0.0, 1.0, RngStream(1, 0))
+            sample_jump_batch(TS_SYM, 1.0, 1, RngStream(1, 0), 0.0)
 
     def test_epsilon_zero_finite_activity_is_exact(self):
-        rec = sample_truncated_jumps(CP_U01, 0.0, 1.0, RngStream(1, 0))
-        assert rec.truncation_epsilon == 0.0
+        batch = sample_jump_batch(CP_U01, 1.0, 1, RngStream(1, 0), 0.0)
+        assert batch.truncation_epsilon == 0.0
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
-            sample_truncated_jumps(TS_SYM, -0.1, 1.0, RngStream(1, 0))
+            sample_jump_batch(TS_SYM, 1.0, 1, RngStream(1, 0), -0.1)
 
     def test_sizes_exceed_threshold(self):
         eps = 1e-2
-        rec = sample_truncated_jumps(TS_SYM, eps, 1.0, RngStream(3, 0))
-        assert rec.count > 0
-        assert np.all(np.abs(rec.sizes) > eps)
-
+        batch = sample_jump_batch(TS_SYM, 1.0, 20, RngStream(3, 0), eps)
+        assert batch.sizes.size > 0
+        assert np.all(np.abs(batch.sizes) > eps)
     def test_count_matches_truncated_intensity(self):
         eps, horizon = 0.05, 1.0
         batch = sample_jump_batch(TS_SYM, horizon, 50_000, RngStream(17, 0), eps)
@@ -256,7 +205,7 @@ class TestSampleTruncatedJumps:
         # -integral of y over {eps < |y| <= 1} for the asymmetric pair of
         # tempered-stable sides, evaluated in extended precision.
         eps = 0.05
-        rec = sample_truncated_jumps(TS_ASYM, eps, 1.0, RngStream(31, 0))
+        batch = sample_jump_batch(TS_ASYM, 1.0, 1, RngStream(31, 0), eps)
         with mpmath.workdps(40):
             density = lambda y: mpmath.mpf(y) ** mpmath.mpf(-1.5) * mpmath.e ** (
                 -3 * mpmath.mpf(y)
@@ -264,20 +213,20 @@ class TestSampleTruncatedJumps:
             pos = mpmath.quad(lambda y: y * 2 * density(y), [eps, 1])
             neg = mpmath.quad(lambda y: y * density(y), [eps, 1])
             expected = -float(pos - neg)
-        assert abs(rec.compensator_shift - expected) < 1e-8
+        assert abs(batch.compensator_shift - expected) < 1e-8
 
     def test_symmetric_measure_has_zero_shift(self):
-        rec = sample_truncated_jumps(TS_SYM, 0.01, 1.0, RngStream(3, 1))
-        assert abs(rec.compensator_shift) < 1e-10
+        batch = sample_jump_batch(TS_SYM, 1.0, 1, RngStream(3, 1), 0.01)
+        assert abs(batch.compensator_shift) < 1e-10
 
     def test_epsilon_beyond_support_gives_empty_record(self):
-        rec = sample_truncated_jumps(CP_U01, 2.0, 1.0, RngStream(1, 0))
-        assert rec.count == 0 and rec.compensator_shift == 0.0
+        batch = sample_jump_batch(CP_U01, 1.0, 100, RngStream(1, 0), 2.0)
+        assert not batch.counts.any() and batch.compensator_shift == 0.0
 
     def test_deterministic_replay(self):
-        a = sample_truncated_jumps(TS_SYM, 1e-2, 1.0, RngStream(37, 4))
-        b = sample_truncated_jumps(TS_SYM, 1e-2, 1.0, RngStream(37, 4))
-        assert np.array_equal(a.times, b.times)
+        a = sample_jump_batch(TS_SYM, 1.0, 20, RngStream(37, 4), 1e-2)
+        b = sample_jump_batch(TS_SYM, 1.0, 20, RngStream(37, 4), 1e-2)
+        assert np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.sizes, b.sizes)
 
 
@@ -317,21 +266,19 @@ class TestJumpBatch:
 
 
 class TestSampleCT:
-    def test_zero_volatility_rejected(self):
-        spec = zero_measure_spec(1.0, 0.0, ConstantFunction(0.0))
-        with pytest.raises(ZeroVolatility):
-            sample_C_T(spec, RngStream(1, 0))
-
+    # C_T is drawn by the estimators' chunk worker from the constants that
+    # _prepare hoists out of the chunk loop.
     def test_infinite_xi_sq_rejected(self):
         vol = PiecewiseConstantFunction((0.5,), (0.0, 1.0))
         spec = zero_measure_spec(1.0, 0.0, vol)
         with pytest.raises(HypothesisFailed):
-            sample_C_T(spec, RngStream(1, 0))
+            _prepare(spec, 1, 0.0)
 
     def test_moments(self):
         spec = zero_measure_spec(1.0, 0.0, ConstantFunction(1.0))
         xi_sq = spec.xi_sq()
-        draws = sample_C_T_batch(spec, RngStream(5, 1), 100_000)
+        n = 100_000
+        draws = _prepare(spec, n, 0.0).gaussian_part(RngStream(5, 1), n)
         se_mean = math.sqrt(xi_sq / draws.size)
         assert abs(draws.mean() + 0.5 * xi_sq) < 4.0 * se_mean
         se_var = xi_sq * math.sqrt(2.0 / draws.size)
@@ -339,16 +286,10 @@ class TestSampleCT:
 
     def test_likelihood_factor_has_unit_mean(self):
         spec = zero_measure_spec(2.0, 0.5, ConstantFunction(1.5), horizon=2.0)
-        draws = np.exp(sample_C_T_batch(spec, RngStream(6, 1), 200_000))
+        n = 200_000
+        draws = np.exp(_prepare(spec, n, 0.0).gaussian_part(RngStream(6, 1), n))
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - 1.0) < 4.0 * se
-
-    def test_scalar_walks_the_stream(self):
-        spec = zero_measure_spec(1.0, 0.0, ConstantFunction(1.0))
-        stream = RngStream(7, 2)
-        first, second = sample_C_T(spec, stream), sample_C_T(spec, stream)
-        assert first != second
-        assert first == sample_C_T(spec, RngStream(7, 2))
 
 
 class TestSmallJumpVariance:
@@ -419,28 +360,6 @@ class TestTerminalValues:
         gap_fixed = abs(np.exp(1j * u * fixed).mean() - cf)
         assert gap_raw > 0.05
         assert gap_fixed < 0.02
-
-
-class TestDumpPathsCsv:
-    def test_exact_layout(self):
-        records = [
-            JumpRecord([0.25, 0.5], [1.5, -2.0], 0.0, 0.0),
-            JumpRecord(np.empty(0), np.empty(0), 0.0, 0.0),
-            JumpRecord([0.125], [0.75], 0.0, 0.0),
-        ]
-        buffer = io.StringIO()
-        dump_paths_csv(records, buffer)
-        assert buffer.getvalue() == (
-            "path_id,jump_time,jump_size\n"
-            "0,0.25,1.5\n"
-            "0,0.5,-2.0\n"
-            "2,0.125,0.75\n"
-        )
-
-    def test_writes_to_path(self, tmp_path):
-        target = tmp_path / "paths.csv"
-        dump_paths_csv([], target)
-        assert target.read_text() == "path_id,jump_time,jump_size\n"
 
 
 # ---------------------------------------------------------------------------
