@@ -14,8 +14,9 @@ and reduces them into mean/half-width estimates:
   the identity behind the jump term of the sinh-shaped bound.
 
 Replications run in fixed chunks of ``CHUNK_PATHS`` paths; chunk j draws
-its jumps from stream 2j and its Gaussian part from stream 2j+1 of the
-root seed, and chunk partials are reduced in index order with
+its jumps from stream 2j (reduced block by block as they are drawn, see
+``simulate.stream_jump_sums``) and its Gaussian part from stream 2j+1 of
+the root seed, and chunk partials are reduced in index order with
 compensated summation, so results are bit-identical for any value of
 ADDGAP_THREADS.
 """
@@ -41,10 +42,9 @@ from .measures import (
 from .processes import ProblemSpec
 from .simulate import (
     DEFAULT_EPSILON,
-    JumpBatch,
     RngStream,
     _mass_above,
-    sample_jump_batch,
+    stream_jump_sums,
 )
 
 __all__ = [
@@ -62,11 +62,11 @@ __all__ = [
 # the worker count.
 CHUNK_PATHS = 8192
 
-# Most jumps one chunk may expect to draw.  A chunk holds its sizes, their
-# table lookups and log-ratios at once, about 47 bytes per jump (measured
-# on the table sampler), so the limit caps a worker near 1.6 GB; an
-# estimate that would expect more is refused before anything is drawn.
-# The bundled tempered-stable pair expects 3.3e7 jumps at epsilon 1e-6.
+# Most jumps one chunk may expect to draw; an estimate that would expect
+# more is refused before anything is drawn.  A chunk streams its jumps in
+# fixed blocks, so its memory does not grow with them: the limit bounds the
+# run time of one chunk.  The bundled tempered-stable pair expects 3.3e7
+# jumps at epsilon 1e-6.
 MAX_CHUNK_JUMPS = 2**25
 
 
@@ -121,11 +121,10 @@ def _compensator_gap(nu1: LevyMeasure, nu2: LevyMeasure, epsilon: float) -> floa
 
 
 def _signed_difference_rates(
-    nu1: LevyMeasure, nu2: LevyMeasure
+    nu1: LevyMeasure, nu2: LevyMeasure, l1: float
 ) -> tuple[float, float]:
     """(positive part, negative part) of the integral of n1 - n2, for an
-    absolutely continuous finite-activity pair."""
-    l1 = l1_integral(nu1, nu2)
+    absolutely continuous finite-activity pair whose L1 distance is l1."""
     gap = _compensator_gap(nu1, nu2, 0.0)
     return max(0.5 * (l1 + gap), 0.0), max(0.5 * (l1 - gap), 0.0)
 
@@ -148,17 +147,29 @@ def _check_chunk_jumps(nu: LevyMeasure, horizon: float, epsilon: float, n_paths:
 
 
 def _split_a_pm(
-    batch: JumpBatch, ratio: np.ndarray, horizon: float, rates: tuple[float, float]
+    nu2: LevyMeasure,
+    log_ratio: Callable[[np.ndarray], np.ndarray],
+    horizon: float,
+    rates: tuple[float, float],
+    rng: RngStream,
+    m: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path split D_T = A+ + A- along the sign of the log-ratio.
+    """Per-path split D_T = A+ + A- along the sign of the log-ratio, for m
+    exact paths of nu2 drawn from ``rng``.
 
     A+ sums the positive log-ratios and carries the compensator of the
     negative part of nu1 - nu2, A- the negative log-ratios with the
     compensator of the positive part; so A+ >= 0 >= A-.
     """
+
+    def signed_parts(sizes):
+        ratio = log_ratio(sizes)
+        return np.maximum(ratio, 0.0), np.minimum(ratio, 0.0)
+
     pos_rate, neg_rate = rates
-    a_plus = batch.path_sums(np.maximum(ratio, 0.0)) + horizon * neg_rate
-    a_minus = batch.path_sums(np.minimum(ratio, 0.0)) - horizon * pos_rate
+    a_plus, a_minus = stream_jump_sums(nu2, horizon, m, rng, 0.0, signed_parts, rows=2)
+    a_plus += horizon * neg_rate
+    a_minus -= horizon * pos_rate
     return a_plus, a_minus
 
 
@@ -214,13 +225,17 @@ class _Prepared:
     nu2: LevyMeasure
     log_ratio: Callable[[np.ndarray], np.ndarray]
     horizon: float
+    epsilon: float
     xi_sq: float | None
     comp_d: float
 
-    def jump_part(self, batch: JumpBatch) -> np.ndarray:
-        """D_T of each path: the summed log-ratios of its jumps minus the
-        compensator horizon * integral of (nu1 - nu2) over {|y| > epsilon}."""
-        d = batch.path_sums(self.log_ratio(batch.sizes))
+    def jump_part(self, rng: RngStream, m: int) -> np.ndarray:
+        """D_T of m paths of nu2 drawn from ``rng``: the summed log-ratios of
+        each path's jumps with |y| > epsilon minus the compensator
+        horizon * integral of (nu1 - nu2) over {|y| > epsilon}."""
+        (d,) = stream_jump_sums(
+            self.nu2, self.horizon, m, rng, self.epsilon, lambda y: (self.log_ratio(y),)
+        )
         d -= self.comp_d
         return d
 
@@ -244,7 +259,9 @@ def _prepare(spec: ProblemSpec, n_paths: int, epsilon: float) -> _Prepared:
         )
     _check_chunk_jumps(nu2, spec.horizon, epsilon, n_paths)
     comp_d = spec.horizon * _compensator_gap(nu1, nu2, epsilon)
-    return _Prepared(nu2, pair_log_ratio(nu1, nu2), spec.horizon, xi_sq, comp_d)
+    return _Prepared(
+        nu2, pair_log_ratio(nu1, nu2), spec.horizon, epsilon, xi_sq, comp_d
+    )
 
 
 def _estimate_ct_dt(spec, n_paths, epsilon, rng_root, value_fn) -> EstimateResult:
@@ -256,10 +273,7 @@ def _estimate_ct_dt(spec, n_paths, epsilon, rng_root, value_fn) -> EstimateResul
     prep = _prepare(spec, n_paths, epsilon)
 
     def worker(j: int, m: int) -> tuple[float, float]:
-        batch = sample_jump_batch(
-            prep.nu2, prep.horizon, m, RngStream(seed, 2 * j), epsilon
-        )
-        d = prep.jump_part(batch)
+        d = prep.jump_part(RngStream(seed, 2 * j), m)
         c = prep.gaussian_part(RngStream(seed, 2 * j + 1), m)
         with np.errstate(over="ignore"):
             values = value_fn(c + d)
@@ -305,6 +319,14 @@ def estimate_sinh_oracle(
 ) -> EstimateResult:
     """Monte Carlo mean of e^{A+} - e^{A-} under the pure-jump law of the
     second measure; the target identity is 2 sinh(T L1(nu1, nu2))."""
+    return _sinh_oracle(spec, n_paths, rng_root)[0]
+
+
+def _sinh_oracle(
+    spec: ProblemSpec, n_paths: int, rng_root
+) -> tuple[EstimateResult, float]:
+    """``estimate_sinh_oracle`` and the L1(nu1, nu2) of its target, from one
+    absolute-continuity check and one L1 integral."""
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
     seed = _check_root_seed(rng_root)
@@ -314,15 +336,17 @@ def estimate_sinh_oracle(
     _require_ac(nu1, nu2)
     horizon = spec.horizon
     _check_chunk_jumps(nu2, horizon, 0.0, n_paths)
-    rates = _signed_difference_rates(nu1, nu2)
+    l1 = l1_integral(nu1, nu2)
+    rates = _signed_difference_rates(nu1, nu2, l1)
     log_ratio = pair_log_ratio(nu1, nu2)
 
     def worker(j: int, m: int) -> tuple[float, float]:
-        batch = sample_jump_batch(nu2, horizon, m, RngStream(seed, 2 * j), 0.0)
-        a_plus, a_minus = _split_a_pm(batch, log_ratio(batch.sizes), horizon, rates)
+        a_plus, a_minus = _split_a_pm(
+            nu2, log_ratio, horizon, rates, RngStream(seed, 2 * j), m
+        )
         with np.errstate(over="ignore"):
             values = np.exp(a_plus) - np.exp(a_minus)
         return float(values.sum()), float((values * values).sum())
 
     s1, s2 = _reduce_chunks(n_paths, worker)
-    return _result(s1, s2, n_paths, 0.0, seed)
+    return _result(s1, s2, n_paths, 0.0, seed), l1

@@ -20,6 +20,18 @@ per-cell constants of the inversion are built once per (measure, epsilon)
 and shared by every chunk of paths, as is the truncated intensity
 nu(|y| > epsilon).
 
+A chunk of paths draws all its Poisson counts first and then its sizes
+in stream order, in fixed blocks of ``_BLOCK_JUMPS`` jumps.
+``stream_jump_sums`` weighs each block and folds it into per-path running
+sums, reusing one set of block-sized arrays, so a chunk's memory does not
+grow with its jumps; ``sample_jump_batch`` keeps every block instead.
+The split changes no bit: uniform draws taken in pieces equal one call;
+each block is reduced by one ``np.bincount``, which adds left to right,
+with the running sum of the path that straddles the block boundary
+entered as its first weight; and the rejection sampler of compound
+Poisson sizes carries the accepted draws left over from one block into
+the next, so the sizes are the first accepted values of the stream.
+
 Randomness is organized in named streams: ``RngStream(root_seed, k)``
 yields the k-th of 2**64 independent Philox substreams of a root seed, so
 replications can be fanned out across workers while staying bit-stable.
@@ -34,6 +46,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -53,6 +66,7 @@ __all__ = [
     "RngStream",
     "JumpBatch",
     "sample_jump_batch",
+    "stream_jump_sums",
     "small_jump_variance",
     "sample_terminal_values",
 ]
@@ -71,6 +85,13 @@ _TABLE_POINTS = 2048
 # Guide-table buckets per tabulated cell; more buckets mean fewer draws
 # that fall past their bucket's first cell and need a binary search.
 _GUIDE_PER_CELL = 8
+
+# Jumps drawn and reduced at a time within a chunk of paths.  The block
+# boundaries depend on the chunk alone, never on the worker count, and the
+# sums do not depend on them at all; the size is chosen by measurement so
+# that a block's arrays stay in cache and no block allocates memory that
+# grows with the chunk.
+_BLOCK_JUMPS = 2**15
 
 # Tail mass (relative to the truncated intensity) considered negligible when
 # hunting for the outer tabulation cutoff on an unbounded support.
@@ -361,84 +382,160 @@ def _size_table(nu: LevyMeasure, epsilon: float) -> _SizeTable:
     return _SizeTable(lo, hi, sign, va, slope1, cum0, float(cum0[-1]))
 
 
-def _table_cells(table: _SizeTable, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``clip(searchsorted(cum0, u, "right") - 1, 0, cells - 1)`` for u in
-    [0, total], and cum0 at those cells.
+class _TableSizes:
+    """Sizes of one chunk drawn by inversion of a size table, block by block.
 
-    The guide cell of a draw never starts past it, so only the draws that
-    lie past the end of their guide cell need a binary search.
+    The scratch arrays are allocated once, for the largest block, and every
+    block reuses them; a block allocates only for the few draws that need
+    a binary search.
     """
-    idx = table.guide[(u * table.scale).astype(np.intp)]
-    beyond = np.flatnonzero(table.cum1[idx] <= u)
-    if beyond.size:
-        found = np.searchsorted(table.cum0, u[beyond], side="right") - 1
-        idx[beyond] = np.minimum(found, table.lo.size - 1)
-    return idx, table.cum0[idx]
+
+    def __init__(self, table: _SizeTable, gen: np.random.Generator, block: int):
+        if not 0.0 < table.total < math.inf:
+            raise DivergentMass("truncated measure carries no finite mass to sample")
+        self.table = table
+        self.gen = gen
+        self.bucket = np.empty(block, dtype=np.intp)
+        self.cell = np.empty(block, dtype=np.intp)
+        self.slope = np.empty(block)
+        self.tmp = np.empty(block)
+        self.mask = np.empty(block, dtype=bool)
+
+    def _gather(self, values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        # mode="clip" writes straight into the scratch array ("raise" would
+        # buffer it); every index is in range, so the values are the same.
+        return np.take(values, idx, out=self.tmp[: idx.size], mode="clip")
+
+    def cells(self, u: np.ndarray) -> np.ndarray:
+        """``clip(searchsorted(cum0, u, "right") - 1, 0, cells - 1)`` for u
+        in [0, total].
+
+        The guide cell of a draw never starts past it, so only the draws
+        that lie past the end of their guide cell need a binary search.
+        """
+        table, n = self.table, u.size
+        bucket = self.bucket[:n]
+        np.copyto(bucket, np.multiply(u, table.scale, out=self.tmp[:n]), casting="unsafe")
+        idx = np.take(table.guide, bucket, out=self.cell[:n], mode="clip")
+        past = np.less_equal(self._gather(table.cum1, idx), u, out=self.mask[:n])
+        beyond = np.flatnonzero(past)
+        if beyond.size:
+            found = np.searchsorted(table.cum0, u[beyond], side="right") - 1
+            idx[beyond] = np.minimum(found, table.lo.size - 1)
+        return idx
+
+    def fill(self, out: np.ndarray) -> None:
+        """Overwrite ``out`` with the next ``out.size`` sizes of the stream."""
+        table = self.table
+        self.gen.random(out=out)
+        out *= table.total
+        idx = self.cells(out)
+        # Same operations, in the same order, as the closed-form inversion
+        #   log_x = log1p(max(target * slope / base, -1 + 1e-16)) / slope
+        # (target / base on straight cells), mag = lo * exp(max(log_x, 0))
+        # clamped to [floor, hi], computed in place in the array of draws.
+        out -= self._gather(table.cum0, idx)
+        slope = np.take(table.slope, idx, out=self.slope[: out.size], mode="clip")
+        out *= slope
+        out /= self._gather(table.base, idx)
+        if table.straight is not None:
+            straight = np.flatnonzero(table.straight[idx])
+            linear = out[straight]
+        np.maximum(out, -1.0 + 1e-16, out=out)
+        np.log1p(out, out=out)
+        out /= slope
+        if table.straight is not None:
+            out[straight] = linear
+        np.maximum(out, 0.0, out=out)
+        np.exp(out, out=out)
+        out *= self._gather(table.lo, idx)
+        np.maximum(out, self._gather(table.floor, idx), out=out)
+        np.minimum(out, self._gather(table.hi, idx), out=out)
+        out *= self._gather(table.sign, idx)
 
 
-def _draw_from_table(table: _SizeTable, n: int, gen: np.random.Generator) -> np.ndarray:
-    if not 0.0 < table.total < math.inf:
-        raise DivergentMass("truncated measure carries no finite mass to sample")
-    u = gen.random(n) * table.total
-    idx, start = _table_cells(table, u)
-    # Same operations, in the same order, as the closed-form inversion
-    #   log_x = log1p(max(target * slope / base, -1 + 1e-16)) / slope
-    # (target / base on straight cells), mag = lo * exp(max(log_x, 0))
-    # clamped to [floor, hi], computed in place in the array of draws.
-    out = u
-    out -= start
-    slope = table.slope[idx]
-    out *= slope
-    out /= table.base[idx]
-    if table.straight is not None:
-        straight = np.flatnonzero(table.straight[idx])
-        linear = out[straight]
-    np.maximum(out, -1.0 + 1e-16, out=out)
-    np.log1p(out, out=out)
-    out /= slope
-    if table.straight is not None:
-        out[straight] = linear
-    np.maximum(out, 0.0, out=out)
-    np.exp(out, out=out)
-    out *= table.lo[idx]
-    np.maximum(out, table.floor[idx], out=out)
-    np.minimum(out, table.hi[idx], out=out)
-    out *= table.sign[idx]
-    return out
+class _RejectionSizes:
+    """Sizes of one chunk drawn from a jump density, keeping |y| > epsilon.
 
+    Block after block, ``fill`` hands out the accepted draws in stream
+    order; the surplus of a block's last draw is carried to the next block
+    instead of being discarded, so the sizes are the first accepted values
+    of the stream however the blocks split.  Draws are sized from the
+    known acceptance nu(|y| > epsilon) / intensity, which is 1 at epsilon
+    0, so an exact chunk draws its sizes plus 16 spare values.
+    """
 
-def _rejection_sizes(
-    density: JumpDensity, epsilon: float, n: int, gen: np.random.Generator
-) -> np.ndarray:
-    out = np.empty(n)
-    filled = 0
-    acceptance = 0.5
-    for _ in range(10_000):
-        if filled >= n:
-            break
-        need = n - filled
-        block = min(int(need / max(acceptance, 1e-6)) + 16, 10_000_000)
-        draw = density.sample(gen, block)
-        keep = draw[np.abs(draw) > epsilon]
-        take = min(keep.size, need)
-        out[filled : filled + take] = keep[:take]
-        filled += take
-        acceptance = max(keep.size / block, 1e-6)
-    else:
+    def __init__(
+        self, density: JumpDensity, epsilon: float, acceptance: float, gen: np.random.Generator
+    ):
+        self.density = density
+        self.epsilon = epsilon
+        self.acceptance = min(acceptance, 1.0)
+        self.gen = gen
+        self.spare = np.empty(0)
+
+    def fill(self, out: np.ndarray) -> None:
+        """Overwrite ``out`` with the next ``out.size`` accepted sizes."""
+        filled = min(self.spare.size, out.size)
+        out[:filled] = self.spare[:filled]
+        self.spare = self.spare[filled:]
+        acceptance = self.acceptance
+        for _ in range(10_000):
+            if filled >= out.size:
+                return
+            need = out.size - filled
+            block = min(int(need / max(acceptance, 1e-6)) + 16, 10_000_000)
+            draw = self.density.sample(self.gen, block)
+            keep = draw[np.abs(draw) > self.epsilon]
+            take = min(keep.size, need)
+            out[filled : filled + take] = keep[:take]
+            filled += take
+            self.spare = keep[take:]
+            acceptance = max(keep.size / block, 1e-6)
         raise DivergentMass(
-            f"rejection sampling above epsilon = {epsilon!r} makes no progress"
+            f"rejection sampling above epsilon = {self.epsilon!r} makes no progress"
         )
-    return out
 
 
-def _draw_sizes(
-    nu: LevyMeasure, epsilon: float, n: int, gen: np.random.Generator
-) -> np.ndarray:
-    if n == 0:
-        return np.empty(0)
+def _block_spans(total: int):
+    """(start, stop) of each block of a chunk's ``total`` jumps."""
+    return [
+        (start, min(start + _BLOCK_JUMPS, total))
+        for start in range(0, total, _BLOCK_JUMPS)
+    ]
+
+
+def _draw_counts(
+    nu: LevyMeasure, horizon: float, n_paths: int, rng: RngStream, epsilon: float
+):
+    """Poisson counts of n_paths paths, and the source of their sizes.
+
+    Counts come first on the stream, then the sizes in stream order, so a
+    chunk is determined by (nu, horizon, n_paths, stream, epsilon) however
+    its sizes are split into blocks.
+    """
+    if n_paths <= 0:
+        raise ValueError("n_paths must be positive")
+    if epsilon < 0.0:
+        raise ValueError("epsilon must be >= 0")
+    if epsilon == 0.0 and not nu.is_finite_activity():
+        raise DivergentMass(
+            "epsilon = 0 needs a finite-activity measure; pass epsilon > 0"
+        )
+    gen = rng.generator
+    lam = _mass_above(nu, epsilon)
+    if lam * horizon > 0.0:
+        counts = gen.poisson(lam * horizon, n_paths)
+    else:
+        counts = np.zeros(n_paths, dtype=np.int64)
+    total = int(counts.sum())
+    if total == 0:
+        return counts, None
     if isinstance(nu, CompoundPoissonMeasure):
-        return _rejection_sizes(nu.jump_density, epsilon, n, gen)
-    return _draw_from_table(_size_table(nu, epsilon), n, gen)
+        source = _RejectionSizes(nu.jump_density, epsilon, lam / nu.intensity, gen)
+    else:
+        source = _TableSizes(_size_table(nu, epsilon), gen, min(total, _BLOCK_JUMPS))
+    return counts, source
 
 
 # ---------------------------------------------------------------------------
@@ -455,32 +552,71 @@ def sample_jump_batch(
 ) -> JumpBatch:
     """Jump sizes of many paths with |y| > epsilon, drawn on one stream.
 
-    All Poisson counts come first, then one flat block of sizes, so a
-    batch is determined by (nu, horizon, n_paths, stream, epsilon).
-    epsilon = 0 samples a finite-activity measure exactly.
+    The blocks of ``stream_jump_sums``, every one kept: all Poisson counts
+    come first, then the sizes in stream order.  epsilon = 0 samples a
+    finite-activity measure exactly.
     """
-    if n_paths <= 0:
-        raise ValueError("n_paths must be positive")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be >= 0")
-    if epsilon == 0.0 and not nu.is_finite_activity():
-        raise DivergentMass(
-            "epsilon = 0 needs a finite-activity measure; pass epsilon > 0"
-        )
-    gen = rng.generator
-    lam = _mass_above(nu, epsilon)
-    if lam * horizon > 0.0:
-        counts = gen.poisson(lam * horizon, n_paths)
-    else:
-        counts = np.zeros(n_paths, dtype=np.int64)
-    sizes = _draw_sizes(nu, epsilon, int(counts.sum()), gen)
-    if epsilon == 0.0 and sizes.size and np.any(sizes == 0.0):
-        keep = sizes != 0.0
-        counts = counts - np.bincount(
-            np.repeat(np.arange(n_paths), counts)[~keep], minlength=n_paths
-        )
-        sizes = sizes[keep]
+    counts, source = _draw_counts(nu, horizon, n_paths, rng, epsilon)
+    sizes = np.empty(int(counts.sum()))
+    for start, stop in _block_spans(sizes.size):
+        source.fill(sizes[start:stop])
     return JumpBatch(counts, sizes, epsilon, _compensator_shift(nu, epsilon))
+
+
+def stream_jump_sums(
+    nu: LevyMeasure,
+    horizon: float,
+    n_paths: int,
+    rng: RngStream,
+    epsilon: float,
+    weigh: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+    rows: int = 1,
+) -> np.ndarray:
+    """Per-path sums of ``rows`` weights of the jumps of ``sample_jump_batch``.
+
+    ``weigh(sizes)`` maps a block of sizes to ``rows`` arrays of weights,
+    one per size; the result has shape (rows, n_paths) and equals
+    ``batch.path_sums(w)`` for each row w, bit for bit.  The sizes are
+    drawn and weighed ``_BLOCK_JUMPS`` at a time, so the memory of a chunk
+    does not grow with its jumps.  Each block is reduced with one
+    ``np.bincount`` per row, which adds left to right like the one over a
+    whole batch; the path that straddles a block boundary carries its
+    running sum in as the first weight of the next block.  ``weigh`` sees
+    a view into a buffer that the next block overwrites.
+    """
+    counts, source = _draw_counts(nu, horizon, n_paths, rng, epsilon)
+    sums = np.zeros((rows, n_paths))
+    if source is None:
+        return sums
+    total = int(counts.sum())
+    size = min(total, _BLOCK_JUMPS)
+    sizes = np.empty(size)
+    weights = np.empty((rows, size + 1))
+    ids = np.empty(size + 1, dtype=np.intp)
+    # Paths with jumps, and the index of each one's first jump.
+    paths = np.flatnonzero(counts)
+    path_counts = counts[paths]
+    firsts = np.cumsum(path_counts)
+    firsts -= path_counts
+    for start, stop in _block_spans(total):
+        n = stop - start
+        block = sizes[:n]
+        source.fill(block)
+        # Paths with a jump in this block: the one holding jump `start`,
+        # then every path whose first jump falls inside the block.
+        lo, hi = np.searchsorted(firsts, (start, stop - 1), side="right")
+        lo -= 1
+        block_ids = ids[: n + 1]
+        block_ids.fill(0)
+        block_ids[firsts[lo + 1 : hi] - (start - 1)] = 1
+        np.cumsum(block_ids, out=block_ids)
+        held = paths[lo:hi]
+        for row, values, w in zip(sums, weigh(block), weights, strict=True):
+            w = w[: n + 1]
+            w[0] = row[held[0]]
+            w[1:] = values
+            row[held] = np.bincount(block_ids, weights=w, minlength=held.size)
+    return sums
 
 
 def sample_terminal_values(

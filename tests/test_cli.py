@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from addgap import cli, montecarlo
+from addgap import cli, measures, montecarlo
 from addgap.bounds import compute_report
 from addgap.config import parse_config_dict
+from addgap.measures import l1_distance
 from addgap.montecarlo import estimate_tv
 
 from _oracles import L1_EX3, TWO_SINH_1
@@ -269,6 +270,29 @@ class TestEstimate:
         mean = doc["estimate"]["mean"]
         hw = doc["estimate"]["half_width_95"]
         assert abs(mean - doc["target"]) <= 4.0 * hw
+
+    def test_sinh_check_computes_each_ingredient_once(self, tmp_path, capsys, monkeypatch):
+        # The oracle's absolute-continuity grid and L1 integral also give
+        # the target; the command runs neither a second time.
+        calls = {"check_abs_continuity": 0, "l1_integral": 0}
+        for name in calls:
+            original = getattr(measures, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in (measures, montecarlo, cli):
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, counting)
+        path = write_config(tmp_path, matched_cp_config())
+        argv = ["estimate", "--config", path, "--json", "--check", "sinh", "--paths", "3000"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert calls == {"check_abs_continuity": 1, "l1_integral": 1}
+        problem = parse_config_dict(matched_cp_config()).problem
+        l1 = l1_distance(problem.process1.levy, problem.process2.levy)
+        assert json.loads(out)["target"] == 2.0 * math.sinh(problem.horizon * l1)
 
     def test_epsilon_flag_reaches_result(self, tmp_path, capsys):
         path = write_config(tmp_path, matched_cp_config())
@@ -632,7 +656,7 @@ class TestChunkJumpGuard:
         def never_sample(*args, **kwargs):
             raise AssertionError("the guard must refuse before any jump is drawn")
 
-        monkeypatch.setattr(montecarlo, "sample_jump_batch", never_sample)
+        monkeypatch.setattr(montecarlo, "stream_jump_sums", never_sample)
 
     def test_bound_still_applies(self, tmp_path, capsys):
         path = write_config(tmp_path, heavy_tempered_config())

@@ -22,7 +22,7 @@ from addgap.measures import (
     UniformDensity,
     ZeroMeasure,
 )
-from addgap.measures import pair_log_ratio
+from addgap.measures import l1_integral, pair_log_ratio
 from addgap.montecarlo import (
     CHUNK_PATHS,
     MAX_CHUNK_JUMPS,
@@ -44,7 +44,7 @@ from addgap.processes import (
     ProblemSpec,
     ProcessSpec,
 )
-from addgap.simulate import JumpBatch, RngStream, sample_jump_batch
+from addgap.simulate import RngStream, sample_jump_batch
 
 from _oracles import EABS_1_2, GAUSS_T4, TWO_SINH_02, TWO_SINH_04
 
@@ -117,14 +117,17 @@ class TestEAbsOneMinusExpNormal:
             e_abs_one_minus_exp_normal(0.0, -1.0)
 
 
-def cp_batch(horizon, n_paths, stream):
-    return sample_jump_batch(CP10, horizon, n_paths, RngStream(*stream))
+def cp_batch(horizon, n_paths, stream, nu=CP10, epsilon=0.0):
+    """The jumps the estimators' chunk worker draws from ``stream``."""
+    return sample_jump_batch(nu, horizon, n_paths, RngStream(*stream), epsilon)
 
 
-def sinh_split(nu1, nu2, batch, horizon):
+def sinh_split(nu1, nu2, horizon, n_paths, stream):
     """A+ and A- of each path, as the sinh oracle's chunk worker forms them."""
-    ratio = pair_log_ratio(nu1, nu2)(batch.sizes)
-    return _split_a_pm(batch, ratio, horizon, _signed_difference_rates(nu1, nu2))
+    rates = _signed_difference_rates(nu1, nu2, l1_integral(nu1, nu2))
+    return _split_a_pm(
+        nu2, pair_log_ratio(nu1, nu2), horizon, rates, RngStream(*stream), n_paths
+    )
 
 
 class TestJumpLoglikD:
@@ -133,18 +136,21 @@ class TestJumpLoglikD:
         spec = ProblemSpec(
             ProcessSpec(ZERO_FN, ZERO_FN, CP10), ProcessSpec(ZERO_FN, ZERO_FN, CP10), 1.0
         )
-        d = _prepare(spec, 50, 0.0).jump_part(cp_batch(1.0, 50, (3, 0)))
+        d = _prepare(spec, 50, 0.0).jump_part(RngStream(3, 0), 50)
         assert np.all(d == 0.0)
 
     def test_empty_record_is_pure_compensator(self):
-        batch = JumpBatch([0], np.empty(0), 0.0, 0.0)
-        d = _prepare(matched_cp_spec(), 1, 0.0).jump_part(batch)
+        # The first stream whose single path has no jump.
+        stream = next(
+            (s, 0) for s in range(100) if cp_batch(1.0, 1, (s, 0)).counts[0] == 0
+        )
+        d = _prepare(matched_cp_spec(), 1, 0.0).jump_part(RngStream(*stream), 1)
         assert abs(d[0] + 0.2) < TOL_EXACT
 
     def test_constant_ratio_closed_form(self):
         batch = cp_batch(2.0, 50, (5, 0))
         expected = batch.counts * math.log(1.2) - 2.0 * 0.2
-        d = _prepare(matched_cp_spec(2.0), 50, 0.0).jump_part(batch)
+        d = _prepare(matched_cp_spec(2.0), 50, 0.0).jump_part(RngStream(5, 0), 50)
         np.testing.assert_allclose(d, expected, rtol=0.0, atol=TOL_EXACT)
 
     def test_truncated_compensator_uses_clipped_masses(self):
@@ -153,17 +159,20 @@ class TestJumpLoglikD:
             ProcessSpec(ZERO_FN, UNIT_VOL, nu1), ProcessSpec(ZERO_FN, UNIT_VOL, CP10), 1.0
         )
         eps = 0.3
-        batch = JumpBatch([1], [0.8], eps, 0.0)
+        batch = cp_batch(1.0, 50, (6, 0), epsilon=eps)
+        assert batch.sizes.size > 0 and np.all(batch.sizes > eps)
         # masses above 0.3: 2 * 0.7 and 1 * 0.7; the log-ratio is log 2.
-        expected = math.log(2.0) - 1.0 * (2.0 * 0.7 - 1.0 * 0.7)
-        d = _prepare(spec, 1, eps).jump_part(batch)
-        assert abs(d[0] - expected) < 1e-10
+        expected = batch.counts * math.log(2.0) - 1.0 * (2.0 * 0.7 - 1.0 * 0.7)
+        d = _prepare(spec, 50, eps).jump_part(RngStream(6, 0), 50)
+        np.testing.assert_allclose(d, expected, rtol=0.0, atol=1e-10)
 
     def test_jump_off_reference_support(self):
+        # Jumps of uniform(0, 2) above 1 fall where CP10 has no density.
         wide = CompoundPoissonMeasure(1.0, UniformDensity(0.0, 2.0))
-        prep = _Prepared(CP10, pair_log_ratio(wide, CP10), 1.0, None, 0.0)
+        prep = _Prepared(wide, pair_log_ratio(wide, CP10), 1.0, 0.0, None, 0.0)
+        assert np.any(cp_batch(1.0, 50, (1, 0), nu=wide).sizes > 1.0)
         with pytest.raises(RatioUndefined):
-            prep.jump_part(JumpBatch([1], [1.5], 0.0, 0.0))
+            prep.jump_part(RngStream(1, 0), 50)
 
     def test_unit_mean_of_exp_d(self):
         # sigma = 0 pair: M_T = exp(D_T); its empirical mean must cover 1.
@@ -173,12 +182,12 @@ class TestJumpLoglikD:
 
 class TestSplitAPm:
     def test_equal_measures(self):
-        a_plus, a_minus = sinh_split(CP10, CP10, cp_batch(1.0, 50, (7, 0)), 1.0)
+        a_plus, a_minus = sinh_split(CP10, CP10, 1.0, 50, (7, 0))
         assert np.all(a_plus == 0.0) and np.all(a_minus == 0.0)
 
     def test_constant_ratio_closed_form(self):
         batch = cp_batch(1.0, 50, (9, 0))
-        a_plus, a_minus = sinh_split(CP12, CP10, batch, 1.0)
+        a_plus, a_minus = sinh_split(CP12, CP10, 1.0, 50, (9, 0))
         np.testing.assert_allclose(
             a_plus, batch.counts * math.log(1.2), rtol=0.0, atol=TOL_EXACT
         )
@@ -189,9 +198,8 @@ class TestSplitAPm:
         spec = ProblemSpec(
             ProcessSpec(ZERO_FN, UNIT_VOL, nu1), ProcessSpec(ZERO_FN, UNIT_VOL, nu2), 3.0
         )
-        batch = sample_jump_batch(nu2, 3.0, 40, RngStream(100, 0))
-        a_plus, a_minus = sinh_split(nu1, nu2, batch, 3.0)
-        d = _prepare(spec, 40, 0.0).jump_part(batch)
+        a_plus, a_minus = sinh_split(nu1, nu2, 3.0, 40, (100, 0))
+        d = _prepare(spec, 40, 0.0).jump_part(RngStream(100, 0), 40)
         assert np.all(a_plus >= 0.0) and np.all(a_minus <= 0.0)
         np.testing.assert_allclose(
             a_plus + a_minus, d, rtol=0.0, atol=1e-10 * max(1.0, np.abs(d).max())
@@ -206,9 +214,8 @@ class TestSplitAPm:
             1.0,
         )
         prep = _prepare(spec, 64, 0.0)
-        batch = cp_batch(1.0, 64, (11, 0))
-        a_plus, a_minus = sinh_split(CP12, CP10, batch, 1.0)
-        d = prep.jump_part(batch)
+        a_plus, a_minus = sinh_split(CP12, CP10, 1.0, 64, (11, 0))
+        d = prep.jump_part(RngStream(11, 0), 64)
         c = prep.gaussian_part(RngStream(11, 1), 64)
         assert c.shape == d.shape == (64,)
         assert np.all(a_plus >= 0.0) and np.all(a_minus <= 0.0)
@@ -450,6 +457,16 @@ def never_sample(*args, **kwargs):
     raise AssertionError("the guard must refuse before any jump is drawn")
 
 
+def test_never_sample_patches_the_sampling_entry_point(monkeypatch):
+    # The guard tests below patch montecarlo.stream_jump_sums; a chunk
+    # worker that drew its jumps any other way would slip past them.
+    monkeypatch.setattr(montecarlo, "stream_jump_sums", never_sample)
+    with pytest.raises(AssertionError, match="before any jump is drawn"):
+        estimate_tv(matched_cp_spec(), 10, 0.0, 1)
+    with pytest.raises(AssertionError, match="before any jump is drawn"):
+        estimate_sinh_oracle(matched_cp_spec(), 10, 1)
+
+
 class TestChunkJumpGuard:
     def test_expected_jumps_arithmetic(self):
         # A compound Poisson chunk expects exactly lambda * T * paths jumps.
@@ -474,7 +491,7 @@ class TestChunkJumpGuard:
             _check_chunk_jumps(nu2, 11.0, 1e-4, 100_000)
 
     def test_estimators_refuse_before_drawing(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "sample_jump_batch", never_sample)
+        monkeypatch.setattr(montecarlo, "stream_jump_sums", never_sample)
         spec = heavy_ts_spec()
         message = (
             r"epsilon = 0\.0001 expects 1\.09e\+10 jumps in a chunk of 8192 paths,"
@@ -486,7 +503,7 @@ class TestChunkJumpGuard:
             martingale_check(spec, 100_000, 1)
 
     def test_sinh_oracle_guards_its_chunks(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "sample_jump_batch", never_sample)
+        monkeypatch.setattr(montecarlo, "stream_jump_sums", never_sample)
         heavy = CompoundPoissonMeasure(1e5, G01)
         spec = ProblemSpec(
             ProcessSpec(ZERO_FN, ZERO_FN, heavy), ProcessSpec(ZERO_FN, ZERO_FN, heavy), 1.0

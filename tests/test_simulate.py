@@ -1,6 +1,7 @@
 """Tests for the path samplers: streams, jump batches, C_T, terminals."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -8,15 +9,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from addgap import simulate
 from addgap.config import parse_config
 from addgap.errors import DivergentMass, HypothesisFailed
 from addgap.measures import (
     CompoundPoissonMeasure,
     ExponentialDensity,
+    NormalDensity,
+    TabulatedDensity,
     TabulatedLevyMeasure,
     TemperedStableMeasure,
     UniformDensity,
     ZeroMeasure,
+    pair_log_ratio,
 )
 from addgap.montecarlo import _prepare
 from addgap.processes import (
@@ -34,8 +39,26 @@ from addgap.simulate import (
     sample_jump_batch,
     sample_terminal_values,
     small_jump_variance,
+    stream_jump_sums,
 )
-from addgap.simulate import _draw_from_table, _size_table, _SizeTable, _table_cells
+from addgap.simulate import (
+    _mass_above,
+    _RejectionSizes,
+    _size_table,
+    _SizeTable,
+    _TableSizes,
+)
+
+
+def table_draw(table, n, gen, block=None):
+    """n draws from a size table, filled ``block`` at a time (default: one
+    block)."""
+    block = block or max(n, 1)
+    out = np.empty(n)
+    source = _TableSizes(table, gen, block)
+    for start in range(0, n, block):
+        source.fill(out[start : start + block])
+    return out
 
 TOL_EXACT = 1e-12
 TOL_CLOSED = 1e-9
@@ -424,10 +447,9 @@ def probe_points(table, n=50_000, seed=0):
 
 def assert_cells_exact(table):
     u = probe_points(table)
-    idx, start = _table_cells(table, u.copy())
+    idx = _TableSizes(table, RngStream(1, 0).generator, u.size).cells(u.copy())
     expected = reference_cells(table, u)
     assert np.array_equal(idx, expected)
-    assert np.array_equal(start, table.cum0[expected])
 
 
 def synthetic_table(mass):
@@ -471,7 +493,7 @@ class TestGuideTable:
     @pytest.mark.parametrize("mass", [[0.0, 0.0], [1.0, math.inf]])
     def test_zero_or_infinite_mass_refused(self, mass):
         with pytest.raises(DivergentMass):
-            _draw_from_table(synthetic_table(mass), 10, RngStream(1, 0).generator)
+            _TableSizes(synthetic_table(mass), RngStream(1, 0).generator, 10)
 
     def test_guide_is_read_only(self):
         table = _size_table(TS_SYM, 1e-2)
@@ -489,9 +511,12 @@ class TestGuideTable:
     )
     def test_draws_match_reference_bitwise(self, nu, eps):
         table = _size_table(nu, eps)
-        fast = _draw_from_table(table, 200_000, RngStream(11, 0).generator)
         slow = reference_draw(table, 200_000, RngStream(11, 0).generator)
-        assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
+        # One block, and blocks that do not divide the draw count: the
+        # stream is consumed in order, so the split leaves every bit.
+        for block in (None, 8191, 65536):
+            fast = table_draw(table, 200_000, RngStream(11, 0).generator, block)
+            assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
 
     def test_reciprocal_density_has_straight_cells(self):
         table = _size_table(TAB_RECIPROCAL, 1e-3)
@@ -515,3 +540,231 @@ class TestGuideTable:
         again = sample_jump_batch(nu, 1.0, 200, RngStream(5, 0), 0.05)
         assert np.array_equal(first.counts, again.counts)
         assert np.array_equal(first.sizes, again.sizes)
+
+
+# ---------------------------------------------------------------------------
+# Rejection sampling of compound Poisson sizes
+# ---------------------------------------------------------------------------
+
+
+def reference_rejection_sizes(density, epsilon, n, gen):
+    """The rejection sampler as it was before sizes were drawn in blocks:
+    first draw sized for an acceptance of 1/2, surplus discarded.  Its
+    output is the first n accepted values of the density's stream."""
+    out = np.empty(n)
+    filled = 0
+    acceptance = 0.5
+    for _ in range(10_000):
+        if filled >= n:
+            break
+        need = n - filled
+        block = min(int(need / max(acceptance, 1e-6)) + 16, 10_000_000)
+        draw = density.sample(gen, block)
+        keep = draw[np.abs(draw) > epsilon]
+        take = min(keep.size, need)
+        out[filled : filled + take] = keep[:take]
+        filled += take
+        acceptance = max(keep.size / block, 1e-6)
+    return out
+
+
+class CountingDensity:
+    """A jump density that records the size of every draw it makes."""
+
+    def __init__(self, density):
+        self.density = density
+        self.draws = []
+
+    def sample(self, gen, n):
+        self.draws.append(n)
+        return self.density.sample(gen, n)
+
+
+def rejection_draw(density, epsilon, n, gen, block, sampler=None):
+    """n sizes of a unit-intensity compound Poisson measure, drawn by
+    ``sampler`` (default: the density) and filled ``block`` at a time."""
+    acceptance = _mass_above(CompoundPoissonMeasure(1.0, density), epsilon)
+    source = _RejectionSizes(sampler or density, epsilon, acceptance, gen)
+    out = np.empty(n)
+    for start in range(0, n, block):
+        source.fill(out[start : start + block])
+    return out
+
+
+JUMP_DENSITIES = [
+    UniformDensity(-2.0, 5.0),
+    ExponentialDensity(2.5),
+    NormalDensity(0.3, 1.7),
+    TabulatedDensity((-1.0, 0.0, 1.0, 2.0), (0.2, 0.6, 0.3, 0.0)),
+]
+
+
+class TestRejectionSizes:
+    @pytest.mark.parametrize("density", JUMP_DENSITIES, ids=lambda d: type(d).__name__)
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
+    def test_first_accepted_values_for_any_block_split(self, density, epsilon):
+        n = 20_000
+        expected = reference_rejection_sizes(density, epsilon, n, RngStream(4, 0).generator)
+        for block in (1, 7, 8192, n):
+            if block == 1 and epsilon > 0.0:
+                continue  # one accepted value per call: slow, and covered by 7
+            got = rejection_draw(density, epsilon, n, RngStream(4, 0).generator, block)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("density", JUMP_DENSITIES, ids=lambda d: type(d).__name__)
+    def test_exact_sizes_draw_what_they_keep(self, density):
+        # At epsilon 0 the acceptance is 1: one draw of n + 16 values, not
+        # the 2n + 16 of a first draw sized for acceptance 1/2.
+        counting = CountingDensity(density)
+        rejection_draw(density, 0.0, 10_000, RngStream(5, 0).generator, 10_000, counting)
+        assert counting.draws == [10_016]
+
+    def test_known_acceptance_sizes_the_first_draw(self):
+        # uniform(-2, 5) above 1 in magnitude keeps 5/7 of its draws.
+        density = UniformDensity(-2.0, 5.0)
+        counting = CountingDensity(density)
+        rejection_draw(density, 1.0, 7_000, RngStream(6, 0).generator, 7_000, counting)
+        acceptance = _mass_above(CompoundPoissonMeasure(1.0, density), 1.0)
+        assert abs(acceptance - 5.0 / 7.0) < 1e-12
+        assert counting.draws[0] == int(7_000 / acceptance) + 16
+
+
+class TestNoZeroSizes:
+    # Rejection keeps |y| > epsilon only and the table clamps every draw
+    # to at least lo * (1 + 4e-16) > 0, so no exact batch holds a zero.
+    @pytest.mark.parametrize(
+        "nu",
+        [
+            CP_U01,
+            CompoundPoissonMeasure(4.0, NormalDensity(0.0, 1e-6)),
+            TAB_BENT,
+            TemperedStableMeasure(1.0, 2.0, 0.5, 0.7, -0.5),
+        ],
+        ids=["cp_uniform", "cp_narrow_normal", "tabulated", "ts_negative_alpha"],
+    )
+    def test_exact_batches_hold_no_zero(self, nu):
+        assert nu.is_finite_activity()
+        batch = sample_jump_batch(nu, 2.0, 20_000, RngStream(12, 0), 0.0)
+        assert batch.sizes.size > 0
+        assert np.all(batch.sizes != 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Streamed per-path sums
+# ---------------------------------------------------------------------------
+
+
+def bench_tabulated_pair():
+    """The shape of the benchmark's tabulated pair: a tilted copy of a
+    tempered-stable-like tabulation on 32 knots per side."""
+    lo, hi, knots = 0.02, 4.0, 32
+    mags = [lo * (hi / lo) ** (i / (knots - 1)) for i in range(knots)]
+    grid = [-m for m in reversed(mags)] + mags
+    base = [abs(y) ** -1.2 * math.exp(-abs(y)) for y in grid]
+    tilted = [v * math.exp(0.3 * math.sin(0.2 * i + 1.0)) for i, v in enumerate(base)]
+    return TabulatedLevyMeasure(tuple(grid), tuple(tilted)), TabulatedLevyMeasure(
+        tuple(grid), tuple(base)
+    )
+
+
+def assert_stream_matches_batch(nu, horizon, n_paths, stream, eps, log_ratio):
+    """Streamed sums of the sizes and of their log-ratios equal the batch's
+    path sums bit for bit."""
+
+    def weigh(sizes):
+        return sizes, log_ratio(sizes)
+
+    batch = sample_jump_batch(nu, horizon, n_paths, RngStream(*stream), eps)
+    sums = stream_jump_sums(nu, horizon, n_paths, RngStream(*stream), eps, weigh, rows=2)
+    expected = [batch.path_sums(), batch.path_sums(log_ratio(batch.sizes))]
+    assert sums.shape == (2, n_paths)
+    for got, want in zip(sums, expected):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    return batch
+
+
+BLOCKS = [1, 7, 8192, simulate._BLOCK_JUMPS, 10**9]
+
+
+class TestStreamJumpSums:
+    @pytest.fixture(params=BLOCKS, ids=lambda b: f"block{b}")
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(simulate, "_BLOCK_JUMPS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+    def test_bundled_tempered_stable(self, block, eps):
+        nu1, nu2 = bundled_ts_measures()
+        # Fewer paths for the tiny blocks, which loop once per few jumps.
+        n_paths = {1: 6, 7: 40}.get(block, 700)
+        batch = assert_stream_matches_batch(
+            nu2, 1.0, n_paths, (3, 2), eps, pair_log_ratio(nu1, nu2)
+        )
+        assert batch.sizes.size > block or block >= simulate._BLOCK_JUMPS
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_tabulated_pair(self, block, eps):
+        nu1, nu2 = bench_tabulated_pair()
+        n_paths = 60 if block == 1 else 300
+        assert_stream_matches_batch(nu2, 1.0, n_paths, (4, 0), eps, pair_log_ratio(nu1, nu2))
+
+    def test_compound_poisson_paths_longer_than_a_block(self, block):
+        # About 9000 jumps per path (300 for the one-jump blocks): every
+        # path straddles blocks of up to 8192 jumps, and paths start and end
+        # inside larger ones.
+        lam = 300.0 if block == 1 else 9000.0
+        nu1 = CompoundPoissonMeasure(1.05 * lam, ExponentialDensity(1.5))
+        nu2 = CompoundPoissonMeasure(lam, ExponentialDensity(2.0))
+        batch = assert_stream_matches_batch(
+            nu2, 1.0, 6, (7, 0), 0.0, pair_log_ratio(nu1, nu2)
+        )
+        assert batch.counts.min() > min(block, 8192)
+
+    def test_paths_without_jumps(self, block):
+        # lambda * T = 0.7: about half the paths have no jump.
+        nu = CompoundPoissonMeasure(0.7, UniformDensity(0.0, 1.0))
+        batch = assert_stream_matches_batch(
+            nu, 1.0, 3000, (8, 0), 0.0, pair_log_ratio(CP_U01, nu)
+        )
+        assert np.any(batch.counts == 0) and np.any(batch.counts > 1)
+
+    @pytest.mark.parametrize(
+        "nu, eps", [(ZeroMeasure(), 0.0), (CP_U01, 2.0)], ids=["zero", "beyond_support"]
+    )
+    def test_chunks_without_jumps(self, block, nu, eps):
+        def weigh(sizes):
+            raise AssertionError("no block to weigh")
+
+        sums = stream_jump_sums(nu, 1.0, 50, RngStream(9, 0), eps, weigh, rows=3)
+        assert sums.shape == (3, 50) and not sums.any()
+
+    def test_batch_is_blocks_kept(self, block):
+        # sample_jump_batch fills its sizes block by block from the same
+        # source; the split never shows in the sizes.
+        nu1, nu2 = bundled_ts_measures()
+        batch = sample_jump_batch(nu2, 1.0, 30, RngStream(10, 0), 1e-3)
+        gen = RngStream(10, 0).generator
+        counts = gen.poisson(_mass_above(nu2, 1e-3), 30)
+        sizes = table_draw(_size_table(nu2, 1e-3), int(counts.sum()), gen)
+        assert np.array_equal(batch.counts, counts)
+        assert np.array_equal(batch.sizes.view(np.uint64), sizes.view(np.uint64))
+
+
+class TestStreamMemory:
+    def test_tempered_stable_chunk_peak(self):
+        # One 8192-path chunk at epsilon 1e-4 holds about 3.2M jumps; the
+        # whole-chunk batch needed ~150 MB of arrays, a streamed one needs
+        # its blocks only.
+        nu1, nu2 = bundled_ts_measures()
+        log_ratio = pair_log_ratio(nu1, nu2)
+        _size_table(nu2, 1e-4)  # build the shared table outside the trace
+        tracemalloc.start()
+        try:
+            (d,) = stream_jump_sums(
+                nu2, 1.0, 8192, RngStream(1, 0), 1e-4, lambda y: (log_ratio(y),)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.shape == (8192,) and np.all(np.isfinite(d))
+        assert peak < 16 * 2**20
