@@ -15,7 +15,6 @@ from .errors import (
     ConfigParse,
     DivergentIntegral,
     DivergentMass,
-    EvaluationAtZero,
     HypothesisFailed,
     NonFiniteIntegrand,
     NotAbsolutelyContinuous,
@@ -67,9 +66,7 @@ from .bounds import (
 )
 from .simulate import (
     DEFAULT_EPSILON,
-    JumpBatch,
     RngStream,
-    sample_jump_batch,
     sample_terminal_values,
 )
 from .montecarlo import (
@@ -100,13 +97,11 @@ __all__ = [
     "DivergentMass",
     "EstimateResult",
     "EstimatorSettings",
-    "EvaluationAtZero",
     "ExperimentConfig",
     "ExponentialDensity",
     "HypothesisFailed",
     "IntegrationRequest",
     "IntegrationResult",
-    "JumpBatch",
     "JumpDensity",
     "LevyMeasure",
     "NonFiniteIntegrand",
@@ -149,7 +144,6 @@ __all__ = [
     "normal_cdf",
     "parse_config",
     "parse_config_dict",
-    "sample_jump_batch",
     "sample_terminal_values",
     "set_config_value",
 ]

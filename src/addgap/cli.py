@@ -182,6 +182,8 @@ def _resolve_settings(cfg: ExperimentConfig, args) -> EstimatorSettings:
         raise ConfigParse("--paths", "must be positive")
     if epsilon is not None and epsilon < 0.0:
         raise ConfigParse("--epsilon", "must be >= 0")
+    if epsilon is not None and not math.isfinite(epsilon):
+        raise ConfigParse("--epsilon", "must be finite")
     if not 0 <= seed < 1 << 64:
         raise ConfigParse("--seed", "must be a 64-bit unsigned integer")
     return EstimatorSettings(n_paths, epsilon, seed)

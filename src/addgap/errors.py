@@ -13,10 +13,6 @@ class ToleranceNotMet(AddgapError):
     """Adaptive refinement exhausted its budget without convergence or a divergence signature."""
 
 
-class EvaluationAtZero(AddgapError):
-    """A Levy density was evaluated at y = 0, where it is undefined."""
-
-
 class DivergentIntegral(AddgapError):
     """A required integral (small-jump moment, compensated drift gap, ...) diverges."""
 

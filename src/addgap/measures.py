@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     DivergentIntegral,
-    EvaluationAtZero,
     NotAbsolutelyContinuous,
     RatioUndefined,
 )
@@ -647,17 +646,6 @@ def pair_sqrt_difference_fn(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
 # ---------------------------------------------------------------------------
 # Functionals
 # ---------------------------------------------------------------------------
-
-
-def density_at(nu: LevyMeasure, y: float) -> float:
-    """Pointwise density; y = 0 is outside every Levy measure's domain."""
-    if y == 0.0:
-        raise EvaluationAtZero("Levy densities are undefined at y = 0")
-    return float(nu.density(np.array([y]))[0])
-
-
-def total_mass(nu: LevyMeasure) -> float:
-    return nu.total_mass()
 
 
 def gamma_nu(nu: LevyMeasure) -> float:

@@ -41,8 +41,8 @@ from .measures import (
 )
 from .processes import ProblemSpec
 from .simulate import (
-    DEFAULT_EPSILON,
     RngStream,
+    _default_epsilon,
     _mass_above,
     stream_jump_sums,
 )
@@ -285,12 +285,8 @@ def _estimate_ct_dt(spec, n_paths, epsilon, rng_root, value_fn) -> EstimateResul
 
 def default_epsilon(spec: ProblemSpec) -> float:
     """Truncation policy when none is given: exact simulation (epsilon 0)
-    for finite-activity pairs, 1e-4 otherwise."""
-    finite = (
-        spec.process1.levy.is_finite_activity()
-        and spec.process2.levy.is_finite_activity()
-    )
-    return 0.0 if finite else DEFAULT_EPSILON
+    for finite-activity pairs, DEFAULT_EPSILON otherwise."""
+    return _default_epsilon(spec.process1.levy, spec.process2.levy)
 
 
 def estimate_tv(

@@ -5,8 +5,8 @@ single normal draw with the closed-form mean and variance, so the only
 approximation anywhere in the sampling layer is the small-jump truncation
 for infinite-activity measures.  Every functional the estimators need
 depends on the jump sizes alone, so a path is a Poisson count of jumps
-and i.i.d. sizes, with no arrival times; many paths are drawn at once as
-a flat ``JumpBatch``.  Sizes come from the family's own sampler when one
+and i.i.d. sizes, with no arrival times, and many paths are drawn on one
+stream at once.  Sizes come from the family's own sampler when one
 is exact (compound Poisson densities, with rejection for a truncated
 window) and otherwise from inverse-CDF sampling on a log-spaced
 tabulation of the restricted measure, with a per-cell power-law closed
@@ -24,7 +24,10 @@ A chunk of paths draws all its Poisson counts first and then its sizes
 in stream order, in fixed blocks of ``_BLOCK_JUMPS`` jumps.
 ``stream_jump_sums`` weighs each block and folds it into per-path running
 sums, reusing one set of block-sized arrays, so a chunk's memory does not
-grow with its jumps; ``sample_jump_batch`` keeps every block instead.
+grow with its jumps; the estimators and ``sample_terminal_values`` draw
+through it.  ``sample_jump_batch`` keeps every block of the same draws in
+one ``JumpBatch``: it is the reference the tests compare the stream
+against, and the name the benchmark tracer times.
 The split changes no bit: uniform draws taken in pieces equal one call;
 each block is reduced by one ``np.bincount``, which adds left to right,
 with the running sum of the path that straddles the block boundary
@@ -64,8 +67,6 @@ from .quadrature import integrate_segments
 __all__ = [
     "DEFAULT_EPSILON",
     "RngStream",
-    "JumpBatch",
-    "sample_jump_batch",
     "stream_jump_sums",
     "small_jump_variance",
     "sample_terminal_values",
@@ -100,6 +101,13 @@ _TAIL_FRACTION = 1e-13
 _TWO64 = 1 << 64
 
 
+def _default_epsilon(*measures: LevyMeasure) -> float:
+    """Truncation policy when none is given: exact simulation (epsilon 0)
+    when every measure has finite activity, DEFAULT_EPSILON otherwise."""
+    finite = all(nu.is_finite_activity() for nu in measures)
+    return 0.0 if finite else DEFAULT_EPSILON
+
+
 def _check_uint64(value, name: str) -> int:
     v = int(value)
     if v != value or not 0 <= v < _TWO64:
@@ -132,48 +140,15 @@ class RngStream:
 
 @dataclass(frozen=True)
 class JumpBatch:
-    """Sizes of many paths at once, flattened, with per-path counts.
-
-    The flat layout keeps the batch sampler fully vectorized; arrival
-    times are omitted because every terminal-value and likelihood-ratio
-    functional depends on the sizes only.  ``truncation_epsilon`` is 0 for
-    exact batches (finite activity) and the truncation threshold
-    otherwise; every sampled size exceeds it in magnitude.
-    ``compensator_shift`` is the per-unit-time drift adjustment -integral
-    of y over {epsilon < |y| <= 1}, so a path's compensated jump
-    contribution is its size sum plus ``horizon * compensator_shift``.
-    """
+    """Read-only jumps of many paths: the per-path ``counts``, and the
+    ``sizes`` of every path in turn, ``counts.sum()`` of them."""
 
     counts: np.ndarray
     sizes: np.ndarray
-    truncation_epsilon: float
-    compensator_shift: float
-
-    def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64)
-        counts.flags.writeable = False
-        sizes = np.array(self.sizes, dtype=float)
-        if sizes.ndim != 1:
-            raise ValueError("sizes must be one-dimensional")
-        sizes.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "sizes", sizes)
-        if int(counts.sum()) != self.sizes.size:
-            raise ValueError("counts must sum to the number of sizes")
 
     @property
     def n_paths(self) -> int:
         return int(self.counts.size)
-
-    def path_ids(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n_paths), self.counts)
-
-    def path_sums(self, values: np.ndarray | None = None) -> np.ndarray:
-        """Per-path sums of ``values`` (default: the sizes themselves)."""
-        weights = self.sizes if values is None else np.asarray(values, dtype=float)
-        if weights.size == 0:
-            return np.zeros(self.n_paths)
-        return np.bincount(self.path_ids(), weights=weights, minlength=self.n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -554,13 +529,16 @@ def sample_jump_batch(
 
     The blocks of ``stream_jump_sums``, every one kept: all Poisson counts
     come first, then the sizes in stream order.  epsilon = 0 samples a
-    finite-activity measure exactly.
+    finite-activity measure exactly.  The whole batch is held at once, so
+    its memory grows with its jumps; it is the reference for the stream.
     """
     counts, source = _draw_counts(nu, horizon, n_paths, rng, epsilon)
     sizes = np.empty(int(counts.sum()))
     for start, stop in _block_spans(sizes.size):
         source.fill(sizes[start:stop])
-    return JumpBatch(counts, sizes, epsilon, _compensator_shift(nu, epsilon))
+    counts.flags.writeable = False
+    sizes.flags.writeable = False
+    return JumpBatch(counts, sizes)
 
 
 def stream_jump_sums(
@@ -575,8 +553,9 @@ def stream_jump_sums(
     """Per-path sums of ``rows`` weights of the jumps of ``sample_jump_batch``.
 
     ``weigh(sizes)`` maps a block of sizes to ``rows`` arrays of weights,
-    one per size; the result has shape (rows, n_paths) and equals
-    ``batch.path_sums(w)`` for each row w, bit for bit.  The sizes are
+    one per size; the result has shape (rows, n_paths), and each row
+    equals one ``np.bincount`` of its weights over the whole batch, keyed
+    by the path of each jump, bit for bit.  The sizes are
     drawn and weighed ``_BLOCK_JUMPS`` at a time, so the memory of a chunk
     does not grow with its jumps.  Each block is reduced with one
     ``np.bincount`` per row, which adds left to right like the one over a
@@ -633,22 +612,25 @@ def sample_terminal_values(
     + truncated jump sum + horizon * compensator shift.
 
     epsilon defaults to 0 for finite-activity measures (exact) and to
-    DEFAULT_EPSILON otherwise.  With ``gaussian_correction`` the discarded
-    small jumps are re-injected as an independent centered normal with
-    their exact variance; the flag is off by default so the estimator
-    stays a pure truncation proxy.
+    DEFAULT_EPSILON otherwise.  The jumps are drawn on ``rng_jumps`` as
+    ``stream_jump_sums`` draws them and summed per path block by block, so
+    memory grows with ``n_paths`` but not with the number of jumps.  With
+    ``gaussian_correction`` the discarded small jumps are re-injected as an
+    independent centered normal with their exact variance; the flag is off
+    by default so the estimator stays a pure truncation proxy.
     """
+    nu = process.levy
     if epsilon is None:
-        epsilon = 0.0 if process.levy.is_finite_activity() else DEFAULT_EPSILON
-    batch = sample_jump_batch(process.levy, horizon, n_paths, rng_jumps, epsilon)
+        epsilon = _default_epsilon(nu)
+    (jumps,) = stream_jump_sums(nu, horizon, n_paths, rng_jumps, epsilon, lambda s: (s,))
     out = (
-        batch.path_sums()
-        + horizon * batch.compensator_shift
+        jumps
+        + horizon * _compensator_shift(nu, epsilon)
         + process.drift.integral(0.0, horizon)
     )
     variance = process.vol_sq.integral(0.0, horizon)
     if gaussian_correction and epsilon > 0.0:
-        variance += horizon * small_jump_variance(process.levy, epsilon)
+        variance += horizon * small_jump_variance(nu, epsilon)
     if variance > 0.0:
         if rng_gauss is None:
             raise ValueError("rng_gauss is required when a Gaussian part is present")

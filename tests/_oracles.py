@@ -7,6 +7,16 @@ re-derives them at import-accuracy so a corrupted constant cannot go unseen.
 
 import numpy as np
 
+
+def path_sums(batch, values=None):
+    """Per-path sums of ``values`` (default: the sizes) of a jump batch, by
+    one ``np.bincount`` keyed by the path of each jump."""
+    ids = np.repeat(np.arange(batch.n_paths), batch.counts)
+    weights = batch.sizes if values is None else values
+    sums = np.bincount(ids, weights=weights, minlength=batch.n_paths)
+    return sums.astype(float, copy=False)  # an empty bincount is integer
+
+
 def riemann_log(f, lo, hi, n=10_000_000):
     """Composite midpoint rule on a log-spaced grid with n panels.
 

@@ -723,3 +723,17 @@ class TestExitCodes:
         code, _, err = run(capsys, ["estimate", "--config", path, "--paths", "0"])
         assert code == 1
         assert "--paths" in err
+
+    @pytest.mark.parametrize("command", ["estimate", "compare", "sweep"])
+    @pytest.mark.parametrize(
+        "value, reason",
+        [("nan", "must be finite"), ("inf", "must be finite"), ("-inf", "must be >= 0")],
+    )
+    def test_bad_epsilon_names_the_flag(self, command, value, reason, capsys):
+        config = str(CONFIG_DIR / "compound_poisson.json")
+        code, out, err = run(
+            capsys, [command, "--config", config, "--paths", "100", f"--epsilon={value}"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --epsilon: {reason}\n"

@@ -1,5 +1,6 @@
 """Tests for the path samplers: streams, jump batches, C_T, terminals."""
 
+import hashlib
 import math
 import tracemalloc
 from pathlib import Path
@@ -34,7 +35,6 @@ from addgap.processes import (
 from addgap.quadrature import integrate_fn
 from addgap.simulate import (
     DEFAULT_EPSILON,
-    JumpBatch,
     RngStream,
     sample_jump_batch,
     sample_terminal_values,
@@ -42,12 +42,15 @@ from addgap.simulate import (
     stream_jump_sums,
 )
 from addgap.simulate import (
+    _compensator_shift,
     _mass_above,
     _RejectionSizes,
     _size_table,
     _SizeTable,
     _TableSizes,
 )
+
+from _oracles import path_sums
 
 
 def table_draw(table, n, gen, block=None):
@@ -68,6 +71,19 @@ CP_U01 = CompoundPoissonMeasure(3.0, UniformDensity(0.0, 1.0))
 TS_SYM = TemperedStableMeasure(1.0, 1.0, 2.0, 2.0, 0.5)
 TS_ASYM = TemperedStableMeasure(1.0, 2.0, 3.0, 3.0, 0.5)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+# math.fsum of the 256 terminal values of each bundled process (rng_jumps
+# RngStream(7, 2k), rng_gauss RngStream(7, 2k + 1), default epsilon), and
+# the first 16 hex digits of the SHA-256 of their bytes.
+TERMINAL_GOLDEN = {
+    ("compound_poisson", 1): ("0x1.fc756f390e7c8p+7", "6d030e58fa1c5b26"),
+    ("compound_poisson", 2): ("0x1.32a1785af92adp+7", "2f878d1ac66a7ea5"),
+    ("jump_diffusion", 1): ("0x1.f35a766c3d380p+5", "917fdf1919ebc324"),
+    ("jump_diffusion", 2): ("0x1.4ef2c559d1d03p+4", "5d51dc26f4efe013"),
+    ("tempered_stable", 1): ("-0x1.2e30a8d00665fp+7", "782fe46ad2e3a72d"),
+    ("tempered_stable", 2): ("-0x1.4bd58050bbbf4p+4", "ed4053da6cfe8824"),
+}
 
 
 def ks_critical(n):
@@ -132,19 +148,17 @@ class TestSampleJumpSize:
 class TestSampleCompoundPoisson:
     def test_exact_record_shape(self):
         batch = sample_jump_batch(CP_U01, 2.0, 500, RngStream(1, 0))
-        assert batch.truncation_epsilon == 0.0
         assert batch.n_paths == 500 and int(batch.counts.sum()) == batch.sizes.size
+        assert not batch.counts.flags.writeable and not batch.sizes.flags.writeable
         assert np.all(batch.counts >= 0)
         assert np.all(batch.sizes != 0.0)
 
     def test_compensator_shift_closed_form(self):
         # uniform(0, 1) sizes: shift = -lambda * E[Y] = -3 * 0.5
-        batch = sample_jump_batch(CP_U01, 1.0, 1, RngStream(1, 0))
-        assert abs(batch.compensator_shift + 1.5) < TOL_CLOSED
+        assert abs(_compensator_shift(CP_U01, 0.0) + 1.5) < TOL_CLOSED
         # exponential(1) sizes clipped at 1: -2 * (1 - 2/e)
         nu = CompoundPoissonMeasure(2.0, ExponentialDensity(1.0))
-        batch = sample_jump_batch(nu, 1.0, 1, RngStream(1, 1))
-        assert abs(batch.compensator_shift + 2.0 * (1.0 - 2.0 / math.e)) < 1e-8
+        assert abs(_compensator_shift(nu, 0.0) + 2.0 * (1.0 - 2.0 / math.e)) < 1e-8
 
     def test_count_mean_and_variance(self):
         horizon = 2.0
@@ -163,7 +177,7 @@ class TestSampleCompoundPoisson:
 
     def test_zero_measure_gives_empty_record(self):
         batch = sample_jump_batch(ZeroMeasure(), 5.0, 10, RngStream(1, 0))
-        assert not batch.counts.any() and batch.compensator_shift == 0.0
+        assert not batch.counts.any() and _compensator_shift(ZeroMeasure(), 0.0) == 0.0
 
     def test_infinite_activity_rejected(self):
         with pytest.raises(DivergentMass):
@@ -183,7 +197,7 @@ class TestSampleTruncatedJumps:
 
     def test_epsilon_zero_finite_activity_is_exact(self):
         batch = sample_jump_batch(CP_U01, 1.0, 1, RngStream(1, 0), 0.0)
-        assert batch.truncation_epsilon == 0.0
+        assert int(batch.counts.sum()) == batch.sizes.size
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
@@ -228,7 +242,6 @@ class TestSampleTruncatedJumps:
         # -integral of y over {eps < |y| <= 1} for the asymmetric pair of
         # tempered-stable sides, evaluated in extended precision.
         eps = 0.05
-        batch = sample_jump_batch(TS_ASYM, 1.0, 1, RngStream(31, 0), eps)
         with mpmath.workdps(40):
             density = lambda y: mpmath.mpf(y) ** mpmath.mpf(-1.5) * mpmath.e ** (
                 -3 * mpmath.mpf(y)
@@ -236,15 +249,14 @@ class TestSampleTruncatedJumps:
             pos = mpmath.quad(lambda y: y * 2 * density(y), [eps, 1])
             neg = mpmath.quad(lambda y: y * density(y), [eps, 1])
             expected = -float(pos - neg)
-        assert abs(batch.compensator_shift - expected) < 1e-8
+        assert abs(_compensator_shift(TS_ASYM, eps) - expected) < 1e-8
 
     def test_symmetric_measure_has_zero_shift(self):
-        batch = sample_jump_batch(TS_SYM, 1.0, 1, RngStream(3, 1), 0.01)
-        assert abs(batch.compensator_shift) < 1e-10
+        assert abs(_compensator_shift(TS_SYM, 0.01)) < 1e-10
 
     def test_epsilon_beyond_support_gives_empty_record(self):
         batch = sample_jump_batch(CP_U01, 1.0, 100, RngStream(1, 0), 2.0)
-        assert not batch.counts.any() and batch.compensator_shift == 0.0
+        assert not batch.counts.any() and _compensator_shift(CP_U01, 2.0) == 0.0
 
     def test_deterministic_replay(self):
         a = sample_jump_batch(TS_SYM, 1.0, 20, RngStream(37, 4), 1e-2)
@@ -254,21 +266,10 @@ class TestSampleTruncatedJumps:
 
 
 class TestJumpBatch:
-    def test_path_sums_match_flat_layout(self):
-        batch = JumpBatch([2, 0, 1], [1.0, 2.0, 5.0], 0.0, 0.0)
-        np.testing.assert_allclose(batch.path_sums(), [3.0, 0.0, 5.0])
-        np.testing.assert_allclose(
-            batch.path_sums(np.array([10.0, 20.0, 30.0])), [30.0, 0.0, 30.0]
-        )
-
-    def test_counts_must_sum_to_sizes(self):
-        with pytest.raises(ValueError):
-            JumpBatch([1, 2], [1.0], 0.0, 0.0)
-
     def test_moments_match_quadrature(self):
         eps, horizon = 0.01, 1.0
         batch = sample_jump_batch(TS_SYM, horizon, 100_000, RngStream(9, 0), eps)
-        sums = batch.path_sums()
+        sums = path_sums(batch)
         second = 2.0 * integrate_fn(
             lambda y: y * y * TS_SYM.density(y), eps, 60.0
         ).value
@@ -383,6 +384,34 @@ class TestTerminalValues:
         gap_fixed = abs(np.exp(1j * u * fixed).mean() - cf)
         assert gap_raw > 0.05
         assert gap_fixed < 0.02
+
+    @pytest.mark.parametrize("name", ["compound_poisson", "jump_diffusion", "tempered_stable"])
+    def test_bundled_golden_bits(self, name):
+        spec = parse_config(CONFIG_DIR / f"{name}.json").problem
+        for k, proc in ((1, spec.process1), (2, spec.process2)):
+            x = sample_terminal_values(
+                proc, spec.horizon, 256,
+                rng_jumps=RngStream(7, 2 * k), rng_gauss=RngStream(7, 2 * k + 1),
+            )
+            digest = hashlib.sha256(x.tobytes()).hexdigest()[:16]
+            assert (math.fsum(x).hex(), digest) == TERMINAL_GOLDEN[name, k]
+
+    def test_tempered_stable_peak_memory(self):
+        # 16384 paths of the bundled tempered-stable process2 at the default
+        # epsilon 1e-4 hold about 6.4M jumps (~150 MB as one batch); summed
+        # block by block they need the blocks and a few per-path arrays.
+        spec = parse_config(CONFIG_DIR / "tempered_stable.json").problem
+        _size_table(spec.process2.levy, DEFAULT_EPSILON)  # shared, built outside the trace
+        tracemalloc.start()
+        try:
+            x = sample_terminal_values(
+                spec.process2, spec.horizon, 16384, rng_jumps=RngStream(1, 0)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (16384,) and np.all(np.isfinite(x))
+        assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +705,7 @@ def assert_stream_matches_batch(nu, horizon, n_paths, stream, eps, log_ratio):
 
     batch = sample_jump_batch(nu, horizon, n_paths, RngStream(*stream), eps)
     sums = stream_jump_sums(nu, horizon, n_paths, RngStream(*stream), eps, weigh, rows=2)
-    expected = [batch.path_sums(), batch.path_sums(log_ratio(batch.sizes))]
+    expected = [path_sums(batch), path_sums(batch, log_ratio(batch.sizes))]
     assert sums.shape == (2, n_paths)
     for got, want in zip(sums, expected):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
