@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 
@@ -85,6 +86,15 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad arguments; remap to the
     config-error code 1 by raising instead."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-3" or "-inf" for an unknown option unless this
+        # pattern reads it as a negative number; read so, it reaches the
+        # flag's own check, which names what is wrong with it.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
 
     def error(self, message):
         raise _UsageError(message)

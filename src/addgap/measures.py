@@ -227,12 +227,8 @@ class LevyMeasure(abc.ABC):
             raise ValueError("epsilon must be >= 0")
         if epsilon == 0.0:
             return self.total_mass()
-        segs = _clip_outside(self.support_segments(), epsilon)
-        if not segs:
-            return 0.0
         total = 0.0
-        for lo, hi in segs:
-            edges = _edges_for([(lo, hi)], self.breakpoints())
+        for edges in _side_edges(self, epsilon, math.inf):
             res = integrate_segments(self.density, edges)
             if res.diverged:
                 raise DivergentIntegral(f"mass above {epsilon!r} diverged")
@@ -427,8 +423,7 @@ class TabulatedLevyMeasure(LevyMeasure):
         if self.diverges_near_zero(0.0):
             return math.inf
         total = 0.0
-        for lo, hi in self.support_segments():
-            edges = _edges_for([(lo, hi)], self.breakpoints())
+        for edges in _side_edges(self, 0.0, math.inf):
             res = integrate_segments(self.density, edges)
             if res.diverged:
                 return math.inf
@@ -462,32 +457,32 @@ class TabulatedLevyMeasure(LevyMeasure):
 # ---------------------------------------------------------------------------
 
 
-def _clip_outside(segments, epsilon):
-    """Clip segments to {|y| > epsilon}."""
+def _side_edges(nu: LevyMeasure, lo_mag: float, hi_mag: float) -> list[list[float]]:
+    """Sorted edges of support ∩ {lo_mag < |y| < hi_mag}, one list per sign,
+    negative side first, split at the breakpoints inside; a side without
+    support gets an empty list.  Every built-in family has at most one
+    support segment per sign, so each list covers one segment."""
     out = []
-    for lo, hi in segments:
-        if hi <= 0:
-            lo2, hi2 = lo, min(hi, -epsilon)
-        elif lo >= 0:
-            lo2, hi2 = max(lo, epsilon), hi
-        else:
-            # segment spans 0; callers split at 0 first, but stay safe
-            out.extend(_clip_outside([(lo, 0.0), (0.0, hi)], epsilon))
-            continue
-        if lo2 < hi2:
-            out.append((lo2, hi2))
+    for window in ((-hi_mag, -lo_mag), (lo_mag, hi_mag)):
+        pts = set()
+        for a, b in nu.support_segments():
+            lo, hi = max(a, window[0]), min(b, window[1])
+            if lo < hi:
+                pts.update((lo, hi))
+        if pts:
+            lo, hi = min(pts), max(pts)
+            pts.update(b for b in nu.breakpoints() if lo < b < hi)
+        out.append(sorted(pts))
     return out
 
 
-def _edges_for(segments, breakpoints):
-    """Sorted edge list covering the segments, split at interior breakpoints and 0."""
-    edges = []
-    for lo, hi in segments:
-        pts = {lo, hi}
-        if lo < 0.0 < hi:
-            pts.add(0.0)
-        pts.update(b for b in breakpoints if lo < b < hi)
-        edges.extend(sorted(pts))
+def _unit_cut_edges(nu: LevyMeasure) -> list[float]:
+    """The support edges of nu, also cut at -1 and 1 where they fall
+    inside, for integrands that switch form at |y| = 1."""
+    edges = pair_support_edges(nu, ZeroMeasure())
+    for cut in (-1.0, 1.0):
+        if edges and edges[0] < cut < edges[-1] and cut not in edges:
+            edges = sorted(edges + [cut])
     return edges
 
 
@@ -766,10 +761,7 @@ def validate_levy(nu: LevyMeasure) -> LevyValidation:
             math.inf,
             "inner-edge trend steeper than y^-3: y^2-integral diverges toward 0",
         )
-    edges = pair_support_edges(nu, ZeroMeasure())
-    for cut in (-1.0, 1.0):
-        if edges and edges[0] < cut < edges[-1] and cut not in edges:
-            edges = sorted(edges + [cut])
+    edges = _unit_cut_edges(nu)
     if not edges:
         return LevyValidation(True, 0.0)
     res = integrate_segments(

@@ -13,10 +13,13 @@ and reduces them into mean/half-width estimates:
 * ``estimate_sinh_oracle`` targets E[e^{A+} - e^{A-}] = 2 sinh(T L1),
   the identity behind the jump term of the sinh-shaped bound.
 
-Replications run in fixed chunks of ``CHUNK_PATHS`` paths; chunk j draws
-its jumps from stream 2j (reduced block by block as they are drawn, see
-``simulate.stream_jump_sums``) and its Gaussian part from stream 2j+1 of
-the root seed, and chunk partials are reduced in index order with
+Each estimator checks its hypotheses, hoists its per-estimate constants,
+and hands a closure that maps one chunk's two streams to the values of its
+paths to ``_reduce_chunks``, the one place that runs chunks and owns their
+layout: replications run in fixed chunks of ``CHUNK_PATHS`` paths; chunk j
+draws its jumps from stream 2j (reduced block by block as they are drawn,
+see ``simulate.stream_jump_sums``) and its Gaussian part from stream 2j+1
+of the root seed, and chunk partials are reduced in index order with
 compensated summation, so results are bit-identical for any value of
 ADDGAP_THREADS.
 """
@@ -27,7 +30,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -120,15 +122,6 @@ def _compensator_gap(nu1: LevyMeasure, nu2: LevyMeasure, epsilon: float) -> floa
     return m1 - m2
 
 
-def _signed_difference_rates(
-    nu1: LevyMeasure, nu2: LevyMeasure, l1: float
-) -> tuple[float, float]:
-    """(positive part, negative part) of the integral of n1 - n2, for an
-    absolutely continuous finite-activity pair whose L1 distance is l1."""
-    gap = _compensator_gap(nu1, nu2, 0.0)
-    return max(0.5 * (l1 + gap), 0.0), max(0.5 * (l1 - gap), 0.0)
-
-
 def _require_ac(nu1: LevyMeasure, nu2: LevyMeasure) -> None:
     if not check_abs_continuity(nu1, nu2).ok:
         raise NotAbsolutelyContinuous("nu1 carries density where nu2 has none")
@@ -146,33 +139,6 @@ def _check_chunk_jumps(nu: LevyMeasure, horizon: float, epsilon: float, n_paths:
         )
 
 
-def _split_a_pm(
-    nu2: LevyMeasure,
-    log_ratio: Callable[[np.ndarray], np.ndarray],
-    horizon: float,
-    rates: tuple[float, float],
-    rng: RngStream,
-    m: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path split D_T = A+ + A- along the sign of the log-ratio, for m
-    exact paths of nu2 drawn from ``rng``.
-
-    A+ sums the positive log-ratios and carries the compensator of the
-    negative part of nu1 - nu2, A- the negative log-ratios with the
-    compensator of the positive part; so A+ >= 0 >= A-.
-    """
-
-    def signed_parts(sizes):
-        ratio = log_ratio(sizes)
-        return np.maximum(ratio, 0.0), np.minimum(ratio, 0.0)
-
-    pos_rate, neg_rate = rates
-    a_plus, a_minus = stream_jump_sums(nu2, horizon, m, rng, 0.0, signed_parts, rows=2)
-    a_plus += horizon * neg_rate
-    a_minus -= horizon * pos_rate
-    return a_plus, a_minus
-
-
 # ---------------------------------------------------------------------------
 # Chunked, bit-stable reduction
 # ---------------------------------------------------------------------------
@@ -188,67 +154,45 @@ def _thread_count() -> int:
         return 1
 
 
-def _check_root_seed(rng_root) -> int:
-    # Reuse the stream validation so errors read the same everywhere.
-    return RngStream(rng_root, 0).root_seed
+def _reduce_chunks(n_paths: int, epsilon: float, seed: int, values) -> EstimateResult:
+    """Mean and 95% half-width of the per-path values of n_paths paths.
 
+    The paths run in fixed chunks of CHUNK_PATHS; ``values(rng_jumps,
+    rng_gauss, m)`` returns the values of the m paths of chunk j from its
+    jump stream 2j and its Gaussian stream 2j+1 of ``seed``.  The chunks'
+    (sum, sum of squares) partials are folded in index order with
+    compensated sums, so the result does not depend on the thread count.
+    """
 
-def _reduce_chunks(n_paths: int, worker) -> tuple[float, float]:
-    """Run worker(j, n_chunk_paths) for every fixed-size chunk and fold the
-    (sum, sum of squares) partials in index order with compensated sums."""
+    def partial(j: int, m: int) -> tuple[float, float]:
+        v = values(RngStream(seed, 2 * j), RngStream(seed, 2 * j + 1), m)
+        return float(v.sum()), float((v * v).sum())
+
     spans = [
         (j, min(CHUNK_PATHS, n_paths - start))
         for j, start in enumerate(range(0, n_paths, CHUNK_PATHS))
     ]
     threads = _thread_count()
     if threads == 1:
-        partials = [worker(j, m) for j, m in spans]
+        partials = [partial(j, m) for j, m in spans]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda jm: worker(*jm), spans))
+            partials = list(pool.map(lambda jm: partial(*jm), spans))
     s1 = math.fsum(p[0] for p in partials)
     s2 = math.fsum(p[1] for p in partials)
-    return s1, s2
-
-
-def _result(s1: float, s2: float, n: int, epsilon: float, seed: int) -> EstimateResult:
-    mean = s1 / n
+    n = n_paths
     variance = max(s2 - s1 * s1 / n, 0.0) / (n - 1) if n > 1 else 0.0
-    half_width = 1.96 * math.sqrt(variance / n)
-    return EstimateResult(mean, half_width, n, epsilon, seed)
+    return EstimateResult(s1 / n, 1.96 * math.sqrt(variance / n), n, epsilon, seed)
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    """Per-estimate constants hoisted out of the chunk loop."""
-
-    nu2: LevyMeasure
-    log_ratio: Callable[[np.ndarray], np.ndarray]
-    horizon: float
-    epsilon: float
-    xi_sq: float | None
-    comp_d: float
-
-    def jump_part(self, rng: RngStream, m: int) -> np.ndarray:
-        """D_T of m paths of nu2 drawn from ``rng``: the summed log-ratios of
-        each path's jumps with |y| > epsilon minus the compensator
-        horizon * integral of (nu1 - nu2) over {|y| > epsilon}."""
-        (d,) = stream_jump_sums(
-            self.nu2, self.horizon, m, rng, self.epsilon, lambda y: (self.log_ratio(y),)
-        )
-        d -= self.comp_d
-        return d
-
-    def gaussian_part(self, rng: RngStream, m: int):
-        """C_T of m paths, exactly N(-xi^2/2, xi^2); 0 without a Gaussian part."""
-        if self.xi_sq is None:
-            return 0.0
-        z = rng.generator.standard_normal(m)
-        return -0.5 * self.xi_sq + math.sqrt(self.xi_sq) * z
-
-
-def _prepare(spec: ProblemSpec, n_paths: int, epsilon: float) -> _Prepared:
-    nu1, nu2 = spec.process1.levy, spec.process2.levy
+def _estimate_ct_dt(spec, n_paths, epsilon, rng_root, value_fn) -> EstimateResult:
+    """Monte Carlo mean of value_fn(C_T + D_T) under the second process."""
+    if n_paths <= 0:
+        raise ValueError("n_paths must be positive")
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError("epsilon must be finite and >= 0")
+    seed = RngStream(rng_root, 0).root_seed  # validates like every stream
+    nu1, nu2, horizon = spec.process1.levy, spec.process2.levy, spec.horizon
     _require_ac(nu1, nu2)
     xi_sq = continuous_part(spec)
     if epsilon == 0.0 and not (
@@ -257,30 +201,26 @@ def _prepare(spec: ProblemSpec, n_paths: int, epsilon: float) -> _Prepared:
         raise HypothesisFailed(
             "epsilon = 0 requires finite-activity measures; pass epsilon > 0"
         )
-    _check_chunk_jumps(nu2, spec.horizon, epsilon, n_paths)
-    comp_d = spec.horizon * _compensator_gap(nu1, nu2, epsilon)
-    return _Prepared(
-        nu2, pair_log_ratio(nu1, nu2), spec.horizon, epsilon, xi_sq, comp_d
-    )
+    _check_chunk_jumps(nu2, horizon, epsilon, n_paths)
+    comp_d = horizon * _compensator_gap(nu1, nu2, epsilon)
+    log_ratio = pair_log_ratio(nu1, nu2)
 
-
-def _estimate_ct_dt(spec, n_paths, epsilon, rng_root, value_fn) -> EstimateResult:
-    if n_paths <= 0:
-        raise ValueError("n_paths must be positive")
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError("epsilon must be finite and >= 0")
-    seed = _check_root_seed(rng_root)
-    prep = _prepare(spec, n_paths, epsilon)
-
-    def worker(j: int, m: int) -> tuple[float, float]:
-        d = prep.jump_part(RngStream(seed, 2 * j), m)
-        c = prep.gaussian_part(RngStream(seed, 2 * j + 1), m)
+    def values(rng_jumps: RngStream, rng_gauss: RngStream, m: int) -> np.ndarray:
+        # D_T: the summed log-ratios of each path's jumps with |y| > epsilon
+        # minus horizon * integral of (nu1 - nu2) over {|y| > epsilon}.
+        (d,) = stream_jump_sums(
+            nu2, horizon, m, rng_jumps, epsilon, lambda y: (log_ratio(y),)
+        )
+        d -= comp_d
+        # C_T, exactly N(-xi^2/2, xi^2); 0 without a Gaussian part.
+        c = 0.0
+        if xi_sq is not None:
+            z = rng_gauss.generator.standard_normal(m)
+            c = -0.5 * xi_sq + math.sqrt(xi_sq) * z
         with np.errstate(over="ignore"):
-            values = value_fn(c + d)
-        return float(values.sum()), float((values * values).sum())
+            return value_fn(c + d)
 
-    s1, s2 = _reduce_chunks(n_paths, worker)
-    return _result(s1, s2, n_paths, epsilon, seed)
+    return _reduce_chunks(n_paths, epsilon, seed, values)
 
 
 def default_epsilon(spec: ProblemSpec) -> float:
@@ -325,7 +265,7 @@ def _sinh_oracle(
     absolute-continuity check and one L1 integral."""
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
-    seed = _check_root_seed(rng_root)
+    seed = RngStream(rng_root, 0).root_seed  # validates like every stream
     nu1, nu2 = spec.process1.levy, spec.process2.levy
     if not (nu1.is_finite_activity() and nu2.is_finite_activity()):
         raise HypothesisFailed("finite-activity pair required")
@@ -333,16 +273,25 @@ def _sinh_oracle(
     horizon = spec.horizon
     _check_chunk_jumps(nu2, horizon, 0.0, n_paths)
     l1 = l1_integral(nu1, nu2)
-    rates = _signed_difference_rates(nu1, nu2, l1)
+    gap = _compensator_gap(nu1, nu2, 0.0)
+    # The positive and negative parts of the integral of nu1 - nu2.
+    pos_rate, neg_rate = max(0.5 * (l1 + gap), 0.0), max(0.5 * (l1 - gap), 0.0)
     log_ratio = pair_log_ratio(nu1, nu2)
 
-    def worker(j: int, m: int) -> tuple[float, float]:
-        a_plus, a_minus = _split_a_pm(
-            nu2, log_ratio, horizon, rates, RngStream(seed, 2 * j), m
-        )
-        with np.errstate(over="ignore"):
-            values = np.exp(a_plus) - np.exp(a_minus)
-        return float(values.sum()), float((values * values).sum())
+    def signed_parts(sizes):
+        ratio = log_ratio(sizes)
+        return np.maximum(ratio, 0.0), np.minimum(ratio, 0.0)
 
-    s1, s2 = _reduce_chunks(n_paths, worker)
-    return _result(s1, s2, n_paths, 0.0, seed), l1
+    def values(rng_jumps: RngStream, rng_gauss: RngStream, m: int) -> np.ndarray:
+        # D_T = A+ + A- split along the sign of the log-ratio: A+ sums the
+        # positive log-ratios and carries the compensator of the negative
+        # part of nu1 - nu2, A- the rest, so A+ >= 0 >= A-.
+        a_plus, a_minus = stream_jump_sums(
+            nu2, horizon, m, rng_jumps, 0.0, signed_parts, rows=2
+        )
+        a_plus += horizon * neg_rate
+        a_minus -= horizon * pos_rate
+        with np.errstate(over="ignore"):
+            return np.exp(a_plus) - np.exp(a_minus)
+
+    return _reduce_chunks(n_paths, 0.0, seed, values), l1

@@ -23,7 +23,7 @@ from .errors import DivergentIntegral, ZeroVolatility
 from .measures import (
     LevyMeasure,
     TabulatedLevyMeasure,
-    ZeroMeasure,
+    _unit_cut_edges,
     pair_difference_fn,
     pair_support_edges,
     validate_levy,
@@ -296,10 +296,7 @@ def char_function(process: ProcessSpec, horizon: float, u) -> np.ndarray:
     drift_term = process.drift.integral(0.0, horizon)
     var_term = process.vol_sq.integral(0.0, horizon)
     nu = process.levy
-    edges = pair_support_edges(nu, ZeroMeasure())
-    for cut in (-1.0, 1.0):
-        if edges and edges[0] < cut < edges[-1] and cut not in edges:
-            edges = sorted(edges + [cut])
+    edges = _unit_cut_edges(nu)
 
     out = np.empty(u_arr.shape, dtype=complex)
     for k, uk in enumerate(u_arr):

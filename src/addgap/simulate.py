@@ -18,7 +18,9 @@ to binary search, so the cells, and every sampled bit, are those a full
 binary search would give.  The tabulation, its guide table and the
 per-cell constants of the inversion are built once per (measure, epsilon)
 and shared by every chunk of paths, as is the truncated intensity
-nu(|y| > epsilon).
+nu(|y| > epsilon).  That intensity, the compensator shift and the window
+of each side of the tabulation all cut the support where
+``measures._side_edges`` does, one edge list per sign.
 
 A chunk of paths draws all its Poisson counts first and then its sizes
 in stream order, in fixed blocks of ``_BLOCK_JUMPS`` jumps.
@@ -59,6 +61,7 @@ from .measures import (
     JumpDensity,
     LevyMeasure,
     ZeroMeasure,
+    _side_edges,
     gamma_nu,
 )
 from .processes import ProcessSpec
@@ -68,7 +71,6 @@ __all__ = [
     "DEFAULT_EPSILON",
     "RngStream",
     "stream_jump_sums",
-    "small_jump_variance",
     "sample_terminal_values",
 ]
 
@@ -152,24 +154,8 @@ class JumpBatch:
 
 
 # ---------------------------------------------------------------------------
-# Compensators and small-jump moments
+# Truncated intensity and compensator
 # ---------------------------------------------------------------------------
-
-
-def _annulus_edges(nu: LevyMeasure, lo_mag: float, hi_mag: float) -> list[list[float]]:
-    """Sorted edge lists covering support ∩ {lo_mag < |y| < hi_mag}, per sign."""
-    out = []
-    for window in ((-hi_mag, -lo_mag), (lo_mag, hi_mag)):
-        pts = set()
-        for a, b in nu.support_segments():
-            lo, hi = max(a, window[0]), min(b, window[1])
-            if lo < hi:
-                pts.update((lo, hi))
-        if pts:
-            lo, hi = min(pts), max(pts)
-            pts.update(b for b in nu.breakpoints() if lo < b < hi)
-        out.append(sorted(pts))
-    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -189,31 +175,12 @@ def _compensator_shift(nu: LevyMeasure, epsilon: float) -> float:
     if epsilon >= 1.0:
         return 0.0
     total = 0.0
-    for edges in _annulus_edges(nu, epsilon, 1.0):
+    for edges in _side_edges(nu, epsilon, 1.0):
         res = integrate_segments(lambda y: y * nu.density(y), edges)
         if res.diverged:
             raise DivergentIntegral("truncated compensator diverged")
         total += res.value
     return -total
-
-
-@functools.lru_cache(maxsize=256)
-def small_jump_variance(nu: LevyMeasure, epsilon: float) -> float:
-    """Per-unit-time variance of the discarded jumps: integral of y^2 over
-    {0 < |y| <= epsilon}.  Finite for every valid Levy measure."""
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be >= 0")
-    if epsilon == 0.0 or isinstance(nu, ZeroMeasure):
-        return 0.0
-    total = 0.0
-    for edges in _annulus_edges(nu, 0.0, epsilon):
-        res = integrate_segments(
-            lambda y: y * y * nu.density(y), edges, singular_at_zero=True
-        )
-        if res.diverged:
-            raise DivergentIntegral("small-jump second moment diverged")
-        total += res.value
-    return max(total, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +287,11 @@ def _size_table(nu: LevyMeasure, epsilon: float) -> _SizeTable:
     parts = []
     total = 0.0
     cutoff = None
-    for sgn in (-1.0, 1.0):
-        edges = []
-        for a, b in nu.support_segments():
-            lo, hi = (a, b) if sgn > 0 else (-b, -a)
-            if hi > epsilon:
-                edges.append((max(lo, epsilon), hi))
+    for sgn, edges in zip((-1.0, 1.0), _side_edges(nu, epsilon, math.inf)):
         if not edges:
             continue
-        m_lo = max(min(e[0] for e in edges), epsilon)
-        m_hi = max(e[1] for e in edges)
+        mags = sorted(abs(e) for e in edges)
+        m_lo, m_hi = mags[0], mags[-1]
         if m_lo <= 0.0:
             m_lo = max(epsilon, _EXACT_FLOOR)
         if not math.isfinite(m_hi):
@@ -339,11 +301,7 @@ def _size_table(nu: LevyMeasure, epsilon: float) -> _SizeTable:
         if not m_lo < m_hi:
             continue
         grid = np.geomspace(m_lo, m_hi, _TABLE_POINTS)
-        inner_bps = [
-            abs(b)
-            for b in nu.breakpoints()
-            if b * sgn > 0 and m_lo < abs(b) < m_hi
-        ]
+        inner_bps = [b for b in mags[1:-1] if m_lo < b < m_hi]
         if inner_bps:
             grid = np.unique(np.concatenate([grid, np.asarray(inner_bps)]))
         lo, hi, va, slope1, mass = _cell_arrays(nu, grid, sgn)
@@ -606,7 +564,6 @@ def sample_terminal_values(
     rng_jumps: RngStream,
     rng_gauss: RngStream | None = None,
     epsilon: float | None = None,
-    gaussian_correction: bool = False,
 ) -> np.ndarray:
     """Terminal values X_T of one process: drift integral + Gaussian part
     + truncated jump sum + horizon * compensator shift.
@@ -614,10 +571,7 @@ def sample_terminal_values(
     epsilon defaults to 0 for finite-activity measures (exact) and to
     DEFAULT_EPSILON otherwise.  The jumps are drawn on ``rng_jumps`` as
     ``stream_jump_sums`` draws them and summed per path block by block, so
-    memory grows with ``n_paths`` but not with the number of jumps.  With
-    ``gaussian_correction`` the discarded small jumps are re-injected as an
-    independent centered normal with their exact variance; the flag is off
-    by default so the estimator stays a pure truncation proxy.
+    memory grows with ``n_paths`` but not with the number of jumps.
     """
     nu = process.levy
     if epsilon is None:
@@ -629,8 +583,6 @@ def sample_terminal_values(
         + process.drift.integral(0.0, horizon)
     )
     variance = process.vol_sq.integral(0.0, horizon)
-    if gaussian_correction and epsilon > 0.0:
-        variance += horizon * small_jump_variance(nu, epsilon)
     if variance > 0.0:
         if rng_gauss is None:
             raise ValueError("rng_gauss is required when a Gaussian part is present")

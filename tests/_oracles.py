@@ -7,6 +7,8 @@ re-derives them at import-accuracy so a corrupted constant cannot go unseen.
 
 import numpy as np
 
+from addgap.montecarlo import _estimate_ct_dt
+
 
 def path_sums(batch, values=None):
     """Per-path sums of ``values`` (default: the sizes) of a jump batch, by
@@ -15,6 +17,20 @@ def path_sums(batch, values=None):
     weights = batch.sizes if values is None else values
     sums = np.bincount(ids, weights=weights, minlength=batch.n_paths)
     return sums.astype(float, copy=False)  # an empty bincount is integer
+
+
+def estimator_inputs(monkeypatch, spec, n_paths, epsilon, seed):
+    """C_T + D_T of each path, in path order, as the value_fn of the Monte
+    Carlo estimators receives it when one worker thread runs the chunks."""
+    monkeypatch.setenv("ADDGAP_THREADS", "1")
+    seen = []
+
+    def record(x):
+        seen.append(np.array(x, copy=True))
+        return x
+
+    _estimate_ct_dt(spec, n_paths, epsilon, seed, record)
+    return np.concatenate(seen)
 
 
 def riemann_log(f, lo, hi, n=10_000_000):

@@ -737,3 +737,15 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err == f"error: --epsilon: {reason}\n"
+
+    @pytest.mark.parametrize("command", ["estimate", "compare", "sweep"])
+    @pytest.mark.parametrize("value", ["-1e-3", "-inf"])
+    def test_negative_epsilon_as_its_own_argument(self, command, value, capsys):
+        # argparse reads "-1e-3" and "-inf" as negative numbers, not options.
+        config = str(CONFIG_DIR / "compound_poisson.json")
+        code, out, err = run(
+            capsys, [command, "--config", config, "--paths", "100", "--epsilon", value]
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: --epsilon: must be >= 0\n"

@@ -22,17 +22,12 @@ from addgap.measures import (
     UniformDensity,
     ZeroMeasure,
 )
-from addgap.measures import l1_integral, pair_log_ratio
 from addgap.montecarlo import (
     CHUNK_PATHS,
     MAX_CHUNK_JUMPS,
     EstimateResult,
     _check_chunk_jumps,
     _estimate_ct_dt,
-    _prepare,
-    _Prepared,
-    _signed_difference_rates,
-    _split_a_pm,
     e_abs_one_minus_exp_normal,
     estimate_sinh_oracle,
     estimate_tv,
@@ -46,7 +41,14 @@ from addgap.processes import (
 )
 from addgap.simulate import RngStream, sample_jump_batch
 
-from _oracles import EABS_1_2, GAUSS_T4, TWO_SINH_02, TWO_SINH_04, path_sums
+from _oracles import (
+    EABS_1_2,
+    GAUSS_T4,
+    TWO_SINH_02,
+    TWO_SINH_04,
+    estimator_inputs,
+    path_sums,
+)
 
 TOL_EXACT = 1e-12
 
@@ -117,62 +119,89 @@ class TestEAbsOneMinusExpNormal:
             e_abs_one_minus_exp_normal(0.0, -1.0)
 
 
-def cp_batch(horizon, n_paths, stream, nu=CP10, epsilon=0.0):
-    """The jumps the estimators' chunk worker draws from ``stream``."""
-    return sample_jump_batch(nu, horizon, n_paths, RngStream(*stream), epsilon)
+def cp_batch(horizon, n_paths, seed, nu=CP10, epsilon=0.0):
+    """The jumps that chunk 0 of an estimate with root ``seed`` draws."""
+    return sample_jump_batch(nu, horizon, n_paths, RngStream(seed, 0), epsilon)
 
 
-def sinh_split(nu1, nu2, horizon, n_paths, stream):
-    """A+ and A- of each path, as the sinh oracle's chunk worker forms them."""
-    rates = _signed_difference_rates(nu1, nu2, l1_integral(nu1, nu2))
-    return _split_a_pm(
-        nu2, pair_log_ratio(nu1, nu2), horizon, rates, RngStream(*stream), n_paths
-    )
+class _RecordingExp:
+    """numpy, except that ``exp`` keeps a copy of every argument."""
+
+    def __init__(self):
+        self.args = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x):
+        self.args.append(np.array(x, copy=True))
+        return np.exp(x)
+
+
+def sinh_split(monkeypatch, spec, n_paths, seed):
+    """A+ and A- of each path, as the sinh oracle exponentiates them.
+
+    The oracle's chunks call ``np.exp`` twice each, on A+ then on A-; the
+    recorded calls are checked against that layout before they are paired.
+    """
+    monkeypatch.setenv("ADDGAP_THREADS", "1")
+    recorder = _RecordingExp()
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "np", recorder)
+        estimate_sinh_oracle(spec, n_paths, seed)
+    chunks = [min(CHUNK_PATHS, n_paths - s) for s in range(0, n_paths, CHUNK_PATHS)]
+    assert [a.shape for a in recorder.args] == [(m,) for m in chunks for _ in range(2)]
+    return np.concatenate(recorder.args[0::2]), np.concatenate(recorder.args[1::2])
+
+
+def sigma_zero_spec(nu1, nu2, horizon=1.0):
+    """sigma = 0 pair of nu1 and nu2 whose drift gap matches eta, so that
+    the estimators see C_T = 0 and their value_fn receives D_T itself."""
+    p2 = ProcessSpec(ZERO_FN, ZERO_FN, nu2)
+    eta = ProblemSpec(ProcessSpec(ZERO_FN, ZERO_FN, nu1), p2, horizon).eta()
+    return ProblemSpec(ProcessSpec(ConstantFunction(eta), ZERO_FN, nu1), p2, horizon)
+
+
+class _StrayingUniform(UniformDensity):
+    """Uniform density on [a, b] whose sampler draws on [a, 2b - a]."""
+
+    def sample(self, gen, n):
+        return self.a + 2.0 * (self.b - self.a) * gen.random(n)
 
 
 class TestJumpLoglikD:
-    # D_T of each path, as the estimators' chunk worker forms it.
-    def test_equal_measures_give_zero(self):
-        spec = ProblemSpec(
-            ProcessSpec(ZERO_FN, ZERO_FN, CP10), ProcessSpec(ZERO_FN, ZERO_FN, CP10), 1.0
-        )
-        d = _prepare(spec, 50, 0.0).jump_part(RngStream(3, 0), 50)
-        assert np.all(d == 0.0)
+    # D_T of each path, as the estimators' value_fn receives it.
+    def test_equal_measures_give_zero(self, monkeypatch):
+        d = estimator_inputs(monkeypatch, sigma_zero_spec(CP10, CP10), 50, 0.0, 3)
+        assert d.shape == (50,) and np.all(d == 0.0)
 
-    def test_empty_record_is_pure_compensator(self):
-        # The first stream whose single path has no jump.
-        stream = next(
-            (s, 0) for s in range(100) if cp_batch(1.0, 1, (s, 0)).counts[0] == 0
-        )
-        d = _prepare(matched_cp_spec(), 1, 0.0).jump_part(RngStream(*stream), 1)
+    def test_empty_record_is_pure_compensator(self, monkeypatch):
+        # The first seed whose single path has no jump.
+        seed = next(s for s in range(100) if cp_batch(1.0, 1, s).counts[0] == 0)
+        d = estimator_inputs(monkeypatch, matched_cp_spec(), 1, 0.0, seed)
         assert abs(d[0] + 0.2) < TOL_EXACT
 
-    def test_constant_ratio_closed_form(self):
-        batch = cp_batch(2.0, 50, (5, 0))
-        expected = batch.counts * math.log(1.2) - 2.0 * 0.2
-        d = _prepare(matched_cp_spec(2.0), 50, 0.0).jump_part(RngStream(5, 0), 50)
+    def test_constant_ratio_closed_form(self, monkeypatch):
+        expected = cp_batch(2.0, 50, 5).counts * math.log(1.2) - 2.0 * 0.2
+        d = estimator_inputs(monkeypatch, matched_cp_spec(2.0), 50, 0.0, 5)
         np.testing.assert_allclose(d, expected, rtol=0.0, atol=TOL_EXACT)
 
-    def test_truncated_compensator_uses_clipped_masses(self):
+    def test_truncated_compensator_uses_clipped_masses(self, monkeypatch):
         nu1 = CompoundPoissonMeasure(2.0, G01)
-        spec = ProblemSpec(
-            ProcessSpec(ZERO_FN, UNIT_VOL, nu1), ProcessSpec(ZERO_FN, UNIT_VOL, CP10), 1.0
-        )
         eps = 0.3
-        batch = cp_batch(1.0, 50, (6, 0), epsilon=eps)
+        batch = cp_batch(1.0, 50, 6, epsilon=eps)
         assert batch.sizes.size > 0 and np.all(batch.sizes > eps)
         # masses above 0.3: 2 * 0.7 and 1 * 0.7; the log-ratio is log 2.
         expected = batch.counts * math.log(2.0) - 1.0 * (2.0 * 0.7 - 1.0 * 0.7)
-        d = _prepare(spec, 50, eps).jump_part(RngStream(6, 0), 50)
+        d = estimator_inputs(monkeypatch, sigma_zero_spec(nu1, CP10), 50, eps, 6)
         np.testing.assert_allclose(d, expected, rtol=0.0, atol=1e-10)
 
     def test_jump_off_reference_support(self):
-        # Jumps of uniform(0, 2) above 1 fall where CP10 has no density.
-        wide = CompoundPoissonMeasure(1.0, UniformDensity(0.0, 2.0))
-        prep = _Prepared(wide, pair_log_ratio(wide, CP10), 1.0, 0.0, None, 0.0)
-        assert np.any(cp_batch(1.0, 50, (1, 0), nu=wide).sizes > 1.0)
+        # Sizes above 1 land where the sampled measure has no density.
+        stray = CompoundPoissonMeasure(1.0, _StrayingUniform(0.0, 1.0))
+        assert np.any(cp_batch(1.0, 50, 1, nu=stray).sizes > 1.0)
         with pytest.raises(RatioUndefined):
-            prep.jump_part(RngStream(1, 0), 50)
+            estimate_tv(sigma_zero_spec(stray, stray), 50, 0.0, 1)
 
     def test_unit_mean_of_exp_d(self):
         # sigma = 0 pair: M_T = exp(D_T); its empirical mean must cover 1.
@@ -181,45 +210,47 @@ class TestJumpLoglikD:
 
 
 class TestSplitAPm:
-    def test_equal_measures(self):
-        a_plus, a_minus = sinh_split(CP10, CP10, 1.0, 50, (7, 0))
+    def test_equal_measures(self, monkeypatch):
+        a_plus, a_minus = sinh_split(monkeypatch, sigma_zero_spec(CP10, CP10), 50, 7)
+        assert a_plus.shape == (50,)
         assert np.all(a_plus == 0.0) and np.all(a_minus == 0.0)
 
-    def test_constant_ratio_closed_form(self):
-        batch = cp_batch(1.0, 50, (9, 0))
-        a_plus, a_minus = sinh_split(CP12, CP10, 1.0, 50, (9, 0))
+    def test_constant_ratio_closed_form(self, monkeypatch):
+        counts = cp_batch(1.0, 50, 9).counts
+        a_plus, a_minus = sinh_split(monkeypatch, matched_cp_spec(), 50, 9)
         np.testing.assert_allclose(
-            a_plus, batch.counts * math.log(1.2), rtol=0.0, atol=TOL_EXACT
+            a_plus, counts * math.log(1.2), rtol=0.0, atol=TOL_EXACT
         )
         np.testing.assert_allclose(a_minus, -0.2, rtol=0.0, atol=TOL_EXACT)
 
-    def test_pathwise_identity_on_tabulated_pairs(self):
-        nu1, nu2 = tabulated_pair()
-        spec = ProblemSpec(
-            ProcessSpec(ZERO_FN, UNIT_VOL, nu1), ProcessSpec(ZERO_FN, UNIT_VOL, nu2), 3.0
-        )
-        a_plus, a_minus = sinh_split(nu1, nu2, 3.0, 40, (100, 0))
-        d = _prepare(spec, 40, 0.0).jump_part(RngStream(100, 0), 40)
+    def test_pathwise_identity_on_tabulated_pairs(self, monkeypatch):
+        spec = sigma_zero_spec(*tabulated_pair(), horizon=3.0)
+        a_plus, a_minus = sinh_split(monkeypatch, spec, 40, 100)
+        d = estimator_inputs(monkeypatch, spec, 40, 0.0, 100)
         assert np.all(a_plus >= 0.0) and np.all(a_minus <= 0.0)
         np.testing.assert_allclose(
             a_plus + a_minus, d, rtol=0.0, atol=1e-10 * max(1.0, np.abs(d).max())
         )
 
-    def test_terms_assembly(self):
-        # One chunk's terms: D_T and its split from the same jumps, C_T
-        # from the chunk's Gaussian stream.
+    def test_terms_assembly(self, monkeypatch):
+        # Two chunks of a jump-diffusion pair: value_fn receives C_T + D_T,
+        # D_T splits into the A+ and A- of the same jumps, and the rest is
+        # C_T ~ N(-xi^2/2, xi^2), drawn on the chunks' Gaussian streams.
         spec = ProblemSpec(
             ProcessSpec(ConstantFunction(1.0), UNIT_VOL, CP12),
             ProcessSpec(ConstantFunction(0.5), UNIT_VOL, CP10),
             1.0,
         )
-        prep = _prepare(spec, 64, 0.0)
-        a_plus, a_minus = sinh_split(CP12, CP10, 1.0, 64, (11, 0))
-        d = prep.jump_part(RngStream(11, 0), 64)
-        c = prep.gaussian_part(RngStream(11, 1), 64)
-        assert c.shape == d.shape == (64,)
+        n = 2 * CHUNK_PATHS
+        x = estimator_inputs(monkeypatch, spec, n, 0.0, 11)
+        a_plus, a_minus = sinh_split(monkeypatch, spec, n, 11)
+        d = estimator_inputs(monkeypatch, sigma_zero_spec(CP12, CP10), n, 0.0, 11)
+        assert x.shape == d.shape == a_plus.shape == (n,)
         assert np.all(a_plus >= 0.0) and np.all(a_minus <= 0.0)
         np.testing.assert_allclose(a_plus + a_minus, d, rtol=0.0, atol=1e-12)
+        c, xi_sq = x - d, spec.xi_sq()
+        assert abs(c.mean() + 0.5 * xi_sq) < 4.0 * math.sqrt(xi_sq / n)
+        assert abs(c.var() - xi_sq) < 5.0 * xi_sq * math.sqrt(2.0 / n)
 
 
 class TestEstimateTv:
@@ -404,18 +435,12 @@ class TestSinhOracle:
 
 
 class TestPathwiseSplitting:
-    def test_inequality_on_simulated_paths(self):
-        # |1 - e^{c+d}| <= (1+e^c)/2 |1-e^d| + (1+e^d)/2 |1-e^c| pathwise.
-        spec = ProblemSpec(
-            ProcessSpec(ConstantFunction(1.0), UNIT_VOL, CP12),
-            ProcessSpec(ConstantFunction(0.5), UNIT_VOL, CP10),
-            1.0,
-        )
+    def test_inequality_on_simulated_paths(self, monkeypatch):
+        # |1 - e^{c+d}| <= (1+e^c)/2 |1-e^d| + (1+e^d)/2 |1-e^c| pathwise,
+        # for the C_T of a Gaussian pair and the D_T of a jump pair.
         n = 4096
-        batch = sample_jump_batch(CP10, 1.0, n, RngStream(17, 0), 0.0)
-        log_ratio = np.full(batch.sizes.shape, math.log(1.2))
-        d = path_sums(batch, log_ratio) - 1.0 * 0.2
-        c = _prepare(spec, n, 0.0).gaussian_part(RngStream(17, 1), n)
+        c = estimator_inputs(monkeypatch, gaussian_spec(0.4, 1.0), n, 0.0, 17)
+        d = estimator_inputs(monkeypatch, matched_cp_spec(), n, 0.0, 17)
         lhs = np.abs(-np.expm1(c + d))
         rhs = 0.5 * (1.0 + np.exp(c)) * np.abs(np.expm1(d)) + 0.5 * (
             1.0 + np.exp(d)

@@ -24,7 +24,7 @@ from addgap.measures import (
     ZeroMeasure,
     pair_log_ratio,
 )
-from addgap.montecarlo import _prepare
+from addgap.montecarlo import estimate_tv
 from addgap.processes import (
     ConstantFunction,
     PiecewiseConstantFunction,
@@ -38,7 +38,6 @@ from addgap.simulate import (
     RngStream,
     sample_jump_batch,
     sample_terminal_values,
-    small_jump_variance,
     stream_jump_sums,
 )
 from addgap.simulate import (
@@ -50,7 +49,7 @@ from addgap.simulate import (
     _TableSizes,
 )
 
-from _oracles import path_sums
+from _oracles import estimator_inputs, path_sums
 
 
 def table_draw(table, n, gen, block=None):
@@ -290,50 +289,111 @@ class TestJumpBatch:
 
 
 class TestSampleCT:
-    # C_T is drawn by the estimators' chunk worker from the constants that
-    # _prepare hoists out of the chunk loop.
+    # C_T of each path, as the estimators' value_fn receives it: with no
+    # jumps, C_T + D_T is C_T.
     def test_infinite_xi_sq_rejected(self):
         vol = PiecewiseConstantFunction((0.5,), (0.0, 1.0))
         spec = zero_measure_spec(1.0, 0.0, vol)
         with pytest.raises(HypothesisFailed):
-            _prepare(spec, 1, 0.0)
+            estimate_tv(spec, 1, 0.0, 1)
 
-    def test_moments(self):
+    def test_moments(self, monkeypatch):
         spec = zero_measure_spec(1.0, 0.0, ConstantFunction(1.0))
         xi_sq = spec.xi_sq()
-        n = 100_000
-        draws = _prepare(spec, n, 0.0).gaussian_part(RngStream(5, 1), n)
+        draws = estimator_inputs(monkeypatch, spec, 100_000, 0.0, 5)
         se_mean = math.sqrt(xi_sq / draws.size)
         assert abs(draws.mean() + 0.5 * xi_sq) < 4.0 * se_mean
         se_var = xi_sq * math.sqrt(2.0 / draws.size)
         assert abs(draws.var() - xi_sq) < 5.0 * se_var
 
-    def test_likelihood_factor_has_unit_mean(self):
+    def test_likelihood_factor_has_unit_mean(self, monkeypatch):
         spec = zero_measure_spec(2.0, 0.5, ConstantFunction(1.5), horizon=2.0)
-        n = 200_000
-        draws = np.exp(_prepare(spec, n, 0.0).gaussian_part(RngStream(6, 1), n))
+        draws = np.exp(estimator_inputs(monkeypatch, spec, 200_000, 0.0, 6))
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - 1.0) < 4.0 * se
 
 
-class TestSmallJumpVariance:
-    def test_zero_epsilon_and_zero_measure(self):
-        assert small_jump_variance(TS_SYM, 0.0) == 0.0
-        assert small_jump_variance(ZeroMeasure(), 0.5) == 0.0
+def edge_measures():
+    """One measure of each built-in family, each side split at breakpoints."""
+    tab_grid = np.array([-1.0, -0.2, 0.5, 2.0])
+    tab_values = np.array([0.1, 0.5, 0.6, 0.1])
+    tab_values = tab_values / np.trapezoid(tab_values, tab_grid)
+    mags = np.geomspace(1e-2, 3.0, 40)
+    grid = np.concatenate([-mags[::-1], mags])
+    values = np.where(grid < 0, 0.4, 0.3) * np.abs(grid) ** -1.2 * np.exp(-np.abs(grid))
+    return {
+        "cp_uniform": CompoundPoissonMeasure(2.0, UniformDensity(-0.5, 2.0)),
+        "cp_exponential": CompoundPoissonMeasure(1.5, ExponentialDensity(1.5)),
+        "cp_normal": CompoundPoissonMeasure(3.0, NormalDensity(0.2, 0.5)),
+        "cp_tabulated": CompoundPoissonMeasure(
+            1.0, TabulatedDensity(tuple(tab_grid), tuple(tab_values))
+        ),
+        "tempered_stable": TemperedStableMeasure(1.0, 2.0, 3.0, 1.5, 0.5),
+        "tabulated_levy": TabulatedLevyMeasure(tuple(grid), tuple(values)),
+        "zero": ZeroMeasure(),
+    }
 
-    def test_tempered_stable_oracle(self):
-        eps = 0.01
-        with mpmath.workdps(40):
-            expected = float(
-                2 * mpmath.quad(
-                    lambda y: y ** mpmath.mpf(0.5) * mpmath.e ** (-2 * y), [0, eps]
-                )
+
+# (mass_above(eps), _compensator_shift(nu, eps), _size_table(nu, eps).cum0[-1])
+# at eps = 1e-4, 0.3 and 1.5 as hex floats, recorded when each of them still
+# cut the support at its own edges.
+EDGE_GOLDEN = {
+    "cp_uniform": [
+        ("0x1.fff583a53b8e5p+0", "-0x1.3333333333332p-2", "0x1.fff583a53b8fap+0"),
+        ("0x1.851eb851eb852p+0", "-0x1.3333333333333p-2", "0x1.851eb851eb859p+0"),
+        ("0x1.999999999999ap-2", "0x0.0p+0", "0x1.99999999999abp-2"),
+    ],
+    "cp_exponential": [
+        ("0x1.7ff14168d513cp+0", "-0x1.c4c96a50dbba6p-2", "0x1.7ff0f0fd5f686p+0"),
+        ("0x1.e9b2cbaeac5e9p-1", "-0x1.77897d63d075dp-2", "0x1.e9b2b5e51594fp-1"),
+        ("0x1.43c952ae341ecp-3", "0x0.0p+0", "0x1.43c948231f9c1p-3"),
+    ],
+    "cp_normal": [
+        ("0x1.7ff557af7bdfap+1", "-0x1.fffc8a9fef51ep-3", "0x1.7ff4d2ffc5864p+1"),
+        ("0x1.06789cddaea36p+1", "-0x1.e93a9e343179ap-3", "0x1.067890938c79ap+1"),
+        ("0x1.f90bee8c46b7fp-4", "0x0.0p+0", "0x1.f90bcb7a22500p-4"),
+    ],
+    "cp_tabulated": [
+        ("0x1.fff3f37e42d7fp-1", "-0x1.cd0c1eaba67cep-4", "0x1.fff36083c4ad7p-1"),
+        ("0x1.7398f6c71365fp-1", "-0x1.c23148ec7cf88p-4", "0x1.7398f20b7d863p-1"),
+        ("0x1.467e2519f8944p-4", "0x0.0p+0", "0x1.467e249591569p-4"),
+    ],
+    "tempered_stable": [
+        ("0x1.24a5fe3448d86p+9", "-0x1.9fed6e64cd393p+0", "0x1.24a5fd859d67dp+9"),
+        ("0x1.07d831c2e15bfp+1", "-0x1.29ec8ceaaf92cp-1", "0x1.07d82bdffc0dcp+1"),
+        ("0x1.a5ba3873993e8p-5", "0x0.0p+0", "0x1.a5ba2bb16291cp-5"),
+    ],
+    "tabulated_levy": [
+        ("0x1.2ebdebf0781e8p+2", "0x1.49a3cf9c2517cp-4", "0x1.2ebdeaa9ddd5cp+2"),
+        ("0x1.5dd3d6d3238a0p-1", "0x1.558f74dd72a48p-5", "0x1.5dd3d624b71fep-1"),
+        ("0x1.b2c1dc7d37f81p-5", "0x0.0p+0", "0x1.b2c1dc4f8911ep-5"),
+    ],
+    "zero": [
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    ],
+}
+TABULATED_TOTAL_MASS = "0x1.2ebdebf0781e8p+2"
+
+
+class TestSupportEdgeGoldens:
+    @pytest.mark.parametrize("name", sorted(EDGE_GOLDEN))
+    def test_masses_compensators_and_tables(self, name):
+        nu = edge_measures()[name]
+        got = [
+            (
+                float(nu.mass_above(eps)).hex(),
+                float(_compensator_shift(nu, eps)).hex(),
+                float(_size_table(nu, eps).cum0[-1]).hex(),
             )
-        assert abs(small_jump_variance(TS_SYM, eps) - expected) < 1e-12
+            for eps in (1e-4, 0.3, 1.5)
+        ]
+        assert got == EDGE_GOLDEN[name]
 
-    def test_monotone_in_epsilon(self):
-        values = [small_jump_variance(TS_SYM, e) for e in (0.01, 0.1, 0.5)]
-        assert values[0] < values[1] < values[2]
+    def test_tabulated_total_mass(self):
+        nu = edge_measures()["tabulated_levy"]
+        assert nu.total_mass().hex() == TABULATED_TOTAL_MASS
 
 
 class TestTerminalValues:
@@ -365,25 +425,6 @@ class TestTerminalValues:
         proc = ProcessSpec(ConstantFunction(0.0), ConstantFunction(0.0), TS_SYM)
         x = sample_terminal_values(proc, 1.0, 100, rng_jumps=RngStream(2, 0))
         assert np.all(np.isfinite(x))
-
-    def test_small_jump_correction_shrinks_cf_bias(self):
-        # Coarse truncation leaves a visible characteristic-function bias;
-        # re-injecting the small-jump variance as a Gaussian removes most
-        # of it (the remainder is higher-moment, far below the gap).
-        proc = ProcessSpec(ConstantFunction(0.0), ConstantFunction(0.0), TS_SYM)
-        u, eps, n = 2.0, 0.2, 100_000
-        cf = char_function(proc, 1.0, np.array([u]))[0]
-        raw = sample_terminal_values(
-            proc, 1.0, n, rng_jumps=RngStream(3, 0), epsilon=eps
-        )
-        fixed = sample_terminal_values(
-            proc, 1.0, n, rng_jumps=RngStream(3, 0), rng_gauss=RngStream(3, 1),
-            epsilon=eps, gaussian_correction=True,
-        )
-        gap_raw = abs(np.exp(1j * u * raw).mean() - cf)
-        gap_fixed = abs(np.exp(1j * u * fixed).mean() - cf)
-        assert gap_raw > 0.05
-        assert gap_fixed < 0.02
 
     @pytest.mark.parametrize("name", ["compound_poisson", "jump_diffusion", "tempered_stable"])
     def test_bundled_golden_bits(self, name):
