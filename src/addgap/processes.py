@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DivergentIntegral, ZeroVolatility
+from .errors import DivergentIntegral, NonFiniteIntegrand, ZeroVolatility
 from .measures import (
     LevyMeasure,
     TabulatedLevyMeasure,
@@ -221,7 +221,8 @@ class ProblemSpec:
         """Integral over [0, T] of (f1 - f2 - eta)^2 / sigma^2.
 
         Requires the shared positive-volatility class; math.inf when the
-        quotient integral diverges.
+        quotient integral diverges or meets a non-finite quotient, as where
+        sigma^2 vanishes between the probe points of vol_class.
         """
         if self.vol_class() == "zero":
             raise ZeroVolatility("xi^2 is undefined for zero volatility")
@@ -237,7 +238,10 @@ class ProblemSpec:
         cuts = {0.0, self.horizon}
         for fn in (f1, f2, vol, self.process2.vol_sq):
             cuts.update(b for b in fn.breakpoints() if 0.0 < b < self.horizon)
-        res = integrate_segments(integrand, sorted(cuts))
+        try:
+            res = integrate_segments(integrand, sorted(cuts))
+        except NonFiniteIntegrand:
+            return math.inf
         return math.inf if res.diverged else res.value
 
     def drift_gap_sup(self) -> float:

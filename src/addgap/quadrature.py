@@ -19,6 +19,25 @@ Panels halve geometrically toward singular points down to a width floor of
 representable). Integrable singularities steeper than about y^{-0.8} stall at
 that floor and raise ToleranceNotMet rather than returning an unconverged
 value.
+
+Lockstep rounds. A request's breakpoints cut [lower, upper] into pieces,
+each with an equal share of abs_tol, and each piece becomes one to three
+working intervals (split at 0, tails and a singular origin substituted),
+which share the piece's tolerance equally. Every working interval is a
+resumable bisection state (`_adaptive`: its own heap, running totals, stall
+trackers and bisection count) that yields the panels it needs next: its
+first panel, then the two halves of each bisection. `integrate` advances
+all unfinished intervals together: each round it builds the nodes of every
+wanted panel, makes one integrand call on their concatenation, and sends
+each interval its panel sums. An interval refines in exactly the order it
+would alone, so values, error estimates and the set of integrand points
+are those of integrating the intervals one after another.
+
+Outcomes resolve in piece order, then in interval order: the first interval
+that diverges or raises decides the result, and the intervals after it are
+no longer evaluated. If the batched call raises or returns the wrong
+shape, that round is evaluated panel by panel, where an integrand that
+rejects arrays is called once per node.
 """
 
 import heapq
@@ -46,6 +65,7 @@ _LO_X, _LO_W = leggauss(7)
 _HI_X, _HI_W = leggauss(15)
 # Node layout for one panel evaluation: 15 high-order then 7 low-order nodes.
 _NODES = np.concatenate([_HI_X, _LO_X])
+_N = _NODES.size
 
 
 @dataclass(frozen=True)
@@ -56,6 +76,10 @@ class IntegrationRequest:
     abs_tol: float = DEFAULT_ABS_TOL
     rel_tol: float = DEFAULT_REL_TOL
     singular_at_zero: bool = False
+    # Sorted cut points in [lower, upper]: known kinks and support edges.
+    # Each piece between neighbours gets an equal share of abs_tol; equal
+    # neighbours collapse.
+    breakpoints: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -82,21 +106,6 @@ def _vectorized(f: Callable) -> Callable:
         return ys
 
     return call
-
-
-def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
-    """(value, error estimate) for a panel via the 15/7 Gauss pair."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    xs = mid + half * _NODES
-    ys = f(xs)
-    bad = ~np.isfinite(ys)
-    if bad.any():
-        x_bad = float(xs[bad][0])
-        raise NonFiniteIntegrand(f"integrand returned a non-finite value at x = {x_bad!r}")
-    hi = half * float(_HI_W @ ys[:15])
-    lo = half * float(_LO_W @ ys[15:])
-    return hi, abs(hi - lo)
 
 
 def _width_floor(a: float, b: float) -> float:
@@ -133,30 +142,28 @@ class _Tracker:
 
 
 def _adaptive(
-    f: Callable,
     a: float,
     b: float,
     abs_tol: float,
     rel_tol: float,
     watch_left: bool,
     watch_right: bool,
-) -> tuple[float, float]:
-    """Adaptive bisection on a finite working interval.
+):
+    """Adaptive bisection on a finite working interval, as a resumable state.
 
-    Returns (value, error). Raises _Diverged, ToleranceNotMet or
-    NonFiniteIntegrand.
+    Yields the panels it needs next as a tuple of (lo, hi) pairs and must be
+    sent their (value, error) pairs in the same order. Returns (value,
+    error); raises _Diverged or ToleranceNotMet.
     """
     left_tracker = _Tracker(a, abs_tol) if watch_left else None
     right_tracker = _Tracker(b, abs_tol) if watch_right else None
 
-    val, err = _panel(f, a, b)
+    ((val, err),) = yield ((a, b),)
     heap = [(-err, 0, a, b, val, err)]
     tie = 1
     total_val = val
     total_err = err
     total_abs = abs(val)
-    frozen_val = 0.0
-    frozen_err = 0.0
 
     for _ in range(MAX_BISECTIONS):
         if total_err <= max(abs_tol, rel_tol * abs(total_val)):
@@ -167,15 +174,12 @@ def _adaptive(
             break
         _, _, pa, pb, pval, perr = heapq.heappop(heap)
         if pb - pa <= _width_floor(pa, pb):
-            frozen_val += pval
-            frozen_err += perr
             continue
         total_val -= pval
         total_err -= perr
         total_abs -= abs(pval)
         m = 0.5 * (pa + pb)
-        lval, lerr = _panel(f, pa, m)
-        rval, rerr = _panel(f, m, pb)
+        (lval, lerr), (rval, rerr) = yield ((pa, m), (m, pb))
         heapq.heappush(heap, (-lerr, tie, pa, m, lval, lerr))
         heapq.heappush(heap, (-rerr, tie + 1, m, pb, rval, rerr))
         tie += 2
@@ -197,69 +201,70 @@ def _adaptive(
     )
 
 
-def _tail_up(f: Callable, a: float) -> Callable:
-    """Map f on [a, inf) to t in [0, 1) via y = a + t/(1 - t)."""
+# Substitutions: `pre` maps working nodes to integrand points and returns
+# what `post` needs to weight the integrand values.
 
-    def g(ts: np.ndarray) -> np.ndarray:
+
+def _tail_up(a: float):
+    """[a, inf) from t in [0, 1) via y = a + t/(1 - t)."""
+
+    def pre(ts):
         u = 1.0 - ts
-        ys = a + ts / u
-        return f(ys) / (u * u)
+        return a + ts / u, u
 
-    return g
+    return pre, _tail_weight
 
 
-def _tail_down(f: Callable, b: float) -> Callable:
-    """Map f on (-inf, b] to t in [0, 1) via y = b - t/(1 - t)."""
+def _tail_down(b: float):
+    """(-inf, b] from t in [0, 1) via y = b - t/(1 - t)."""
 
-    def g(ts: np.ndarray) -> np.ndarray:
+    def pre(ts):
         u = 1.0 - ts
-        ys = b - ts / u
-        return f(ys) / (u * u)
+        return b - ts / u, u
 
-    return g
+    return pre, _tail_weight
 
 
-def _power_up(f: Callable, hi: float) -> tuple[Callable, float]:
-    """Map f on (0, hi] to u in (0, hi^(1/5)] via y = u^5.
+def _tail_weight(gy, u):
+    return gy / (u * u)
+
+
+def _power_up(us):
+    """(0, hi] from u in (0, hi^(1/5)] via y = u^5.
 
     Softens an integrable singularity at 0 (y^-p becomes u^(4-5p), integrable
     up to p just below 1) while keeping true divergence divergent: y^-1 maps
     to u^-1, so the stall detector still fires on the borderline case.
     """
-
-    def g(us: np.ndarray) -> np.ndarray:
-        u4 = us * us * us * us
-        return f(u4 * us) * (5.0 * u4)
-
-    return g, hi**0.2
+    u4 = us * us * us * us
+    return u4 * us, u4
 
 
-def _power_down(f: Callable, lo: float) -> tuple[Callable, float]:
-    """Map f on [lo, 0) to u in (0, (-lo)^(1/5)] via y = -u^5."""
-
-    def g(us: np.ndarray) -> np.ndarray:
-        u4 = us * us * us * us
-        return f(-(u4 * us)) * (5.0 * u4)
-
-    return g, (-lo) ** 0.2
+def _power_down(us):
+    """[lo, 0) from u in (0, (-lo)^(1/5)] via y = -u^5."""
+    u4 = us * us * us * us
+    return -(u4 * us), u4
 
 
-def integrate(request: IntegrationRequest) -> IntegrationResult:
-    """Integrate request.integrand over [lower, upper].
+def _power_weight(gy, u4):
+    return gy * (5.0 * u4)
 
-    Infinite bounds are allowed. With singular_at_zero the interval is split
-    at 0 and the origin is approached by geometric refinement; divergence at
-    the origin or in an infinite tail is reported via the diverged flag.
-    """
-    a, b = float(request.lower), float(request.upper)
-    if math.isnan(a) or math.isnan(b) or not a < b:
-        raise ValueError(f"invalid interval [{a!r}, {b!r}]")
-    if request.abs_tol <= 0 and request.rel_tol <= 0:
-        raise ValueError("at least one tolerance must be positive")
 
-    f = _vectorized(request.integrand)
-    singular = request.singular_at_zero
+class _Work:
+    """One working interval: its substitution, its bisection state and the
+    panels it waits for, or its outcome once it has one."""
 
+    __slots__ = ("pre", "post", "state", "panels", "aux", "sums", "outcome")
+
+    def __init__(self, substitution, lo, hi, abs_tol, rel_tol, wl, wr):
+        self.pre, self.post = substitution or (None, None)
+        self.state = _adaptive(lo, hi, abs_tol, rel_tol, wl, wr)
+        self.panels = next(self.state)
+        self.outcome = None
+
+
+def _working_intervals(a: float, b: float, singular: bool) -> list[tuple]:
+    """(substitution, lo, hi, watch_left, watch_right) covering [a, b]."""
     # Split at 0 when it is interior (needed both for the singular flag and
     # to anchor the two tail substitutions of a fully infinite interval).
     cuts = [a, b]
@@ -278,39 +283,172 @@ def integrate(request: IntegrationRequest) -> IntegrationResult:
             expanded.append(hi)
         cuts = expanded
 
-    # Working intervals: (f_mapped, lo, hi, watch_left, watch_right)
     work = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if math.isinf(lo) and math.isinf(hi):
-            raise ValueError("unsplit doubly infinite interval")  # unreachable
         if math.isinf(hi):
-            wl = singular and lo == 0.0
-            work.append((_tail_up(f, lo), 0.0, 1.0, wl, True))
+            work.append((_tail_up(lo), 0.0, 1.0, singular and lo == 0.0, True))
         elif math.isinf(lo):
-            wr = singular and hi == 0.0
-            work.append((_tail_down(f, hi), 0.0, 1.0, wr, True))
+            work.append((_tail_down(hi), 0.0, 1.0, singular and hi == 0.0, True))
         elif singular and lo == 0.0:
-            g, umax = _power_up(f, hi)
-            work.append((g, 0.0, umax, True, False))
+            work.append(((_power_up, _power_weight), 0.0, hi**0.2, True, False))
         elif singular and hi == 0.0:
-            g, umax = _power_down(f, lo)
-            work.append((g, 0.0, umax, True, False))
+            work.append(((_power_down, _power_weight), 0.0, (-lo) ** 0.2, True, False))
         else:
-            work.append((f, lo, hi, False, False))
+            work.append((None, lo, hi, False, False))
+    return work
 
-    seg_abs = request.abs_tol / len(work)
+
+def _evaluate(f: Callable, works: list[_Work]) -> None:
+    """Evaluate every panel the works wait for with one call of f.
+
+    Leaves each work the (value, error) sums of its panels in `sums`, or in
+    `outcome` the error that stops it. Arrays are flat, _N entries a panel.
+    """
+    spans = []
+    centres = []
+    for w in works:
+        first = len(centres)
+        for lo, hi in w.panels:
+            centres.append((0.5 * (lo + hi), 0.5 * (hi - lo)))
+        spans.append((w, first * _N, len(centres) * _N))
+    # The one-panel and one-interval cases skip array set-up that costs as
+    # much as their panel; the arithmetic is the same.
+    if len(centres) == 1:
+        ts = centres[0][0] + centres[0][1] * _NODES
+    else:
+        mh = np.array(centres)
+        ts = (mh[:, :1] + mh[:, 1:] * _NODES).ravel()
+    blocks = []
+    for w, i0, i1 in spans:
+        if w.pre is None:
+            blocks.append(ts[i0:i1])
+        else:
+            y, w.aux = w.pre(ts[i0:i1])
+            blocks.append(y)
+    ys = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+    gy = None
+    with np.errstate(all="ignore"):
+        try:
+            gy = np.asarray(f(ys), dtype=float)
+        except Exception:
+            pass
+    if gy is not None and gy.shape == ys.shape:
+        blocks = []
+        for w, i0, i1 in spans:
+            block = gy[i0:i1]
+            blocks.append(block if w.post is None else w.post(block, w.aux))
+        gy = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    else:
+        # Panel by panel, in the order the intervals would run alone: a
+        # panel that raises or is non-finite stops its interval there.
+        fv = _vectorized(f)
+        gy = np.empty_like(ts)
+        for w, i0, i1 in spans:
+            for k in range(i0, i1, _N):
+                try:
+                    gy[k : k + _N] = fv(ys[k : k + _N])
+                except Exception as exc:
+                    w.outcome = exc
+                    break
+                if w.post is not None:
+                    gy[k : k + _N] = w.post(gy[k : k + _N], w.aux[k - i0 : k - i0 + _N])
+                if not np.isfinite(gy[k : k + _N]).all():
+                    break
+
+    all_finite = np.isfinite(gy).all()
+    for w, i0, i1 in spans:
+        if w.outcome is not None:
+            continue
+        sums = []
+        for k in range(i0, i1, _N):
+            if not all_finite:
+                bad = ~np.isfinite(gy[k : k + _N])
+                if bad.any():
+                    x_bad = float(ts[k : k + _N][bad][0])
+                    w.outcome = NonFiniteIntegrand(
+                        f"integrand returned a non-finite value at x = {x_bad!r}"
+                    )
+                    break
+            half = centres[k // _N][1]
+            value = half * float(_HI_W @ gy[k : k + 15])
+            low = half * float(_LO_W @ gy[k + 15 : k + _N])
+            sums.append((value, abs(value - low)))
+        w.sums = sums
+
+
+def integrate(request: IntegrationRequest) -> IntegrationResult:
+    """Integrate request.integrand over [lower, upper], cut at its breakpoints.
+
+    Infinite bounds are allowed. With singular_at_zero each piece is split
+    at 0 and the origin is approached by geometric refinement; divergence at
+    the origin or in an infinite tail is reported via the diverged flag.
+    """
+    a, b = float(request.lower), float(request.upper)
+    if math.isnan(a) or math.isnan(b) or not a < b:
+        raise ValueError(f"invalid interval [{a!r}, {b!r}]")
+    if request.abs_tol <= 0 and request.rel_tol <= 0:
+        raise ValueError("at least one tolerance must be positive")
+    pairs = _pieces([a, *map(float, request.breakpoints), b]) if request.breakpoints else [(a, b)]
+
+    pieces = []
+    works = []
+    for lo, hi in pairs:
+        intervals = _working_intervals(lo, hi, request.singular_at_zero)
+        seg_abs = request.abs_tol / len(pairs) / len(intervals)
+        piece = []
+        for sub, wlo, whi, wl, wr in intervals:
+            piece.append(_Work(sub, wlo, whi, seg_abs, request.rel_tol, wl, wr))
+        pieces.append(piece)
+        works += piece
+
+    f = request.integrand
+    active = works
+    while active:
+        _evaluate(f, active)
+        waiting = []
+        for w in active:
+            if w.outcome is None:
+                try:
+                    w.panels = w.state.send(w.sums)
+                except StopIteration as done:
+                    w.outcome = done.value
+                except (_Diverged, ToleranceNotMet) as exc:
+                    w.outcome = exc
+                else:
+                    waiting.append(w)
+                    continue
+            if isinstance(w.outcome, Exception):
+                break  # the intervals after it can no longer change the result
+        active = waiting
+
     value = 0.0
     error = 0.0
-    for g, lo, hi, wl, wr in work:
-        try:
-            v, e = _adaptive(g, lo, hi, seg_abs, request.rel_tol, wl, wr)
-        except _Diverged as d:
-            partial = float(d.args[0]) if d.args else value
-            sign = -1.0 if partial < 0 else 1.0
-            return IntegrationResult(sign * DIVERGENCE_CAP, math.inf, True)
-        value += v
-        error += e
+    for piece in pieces:
+        piece_value = 0.0
+        piece_error = 0.0
+        for w in piece:
+            if isinstance(w.outcome, _Diverged):
+                sign = -1.0 if w.outcome.args[0] < 0 else 1.0
+                return IntegrationResult(sign * DIVERGENCE_CAP, math.inf, True)
+            if isinstance(w.outcome, Exception):
+                raise w.outcome
+            piece_value += w.outcome[0]
+            piece_error += w.outcome[1]
+        value += piece_value
+        error += piece_error
     return IntegrationResult(value, error, False)
+
+
+def _pieces(edges: list[float]) -> list[tuple[float, float]]:
+    """The non-empty (lo, hi) pieces between sorted, nan-free edges."""
+    pieces = []
+    for lo, hi in zip(edges, edges[1:]):
+        if not lo <= hi:
+            raise ValueError(f"edges must be sorted and free of nan: {edges!r}")
+        if lo < hi:
+            pieces.append((lo, hi))
+    return pieces
 
 
 def integrate_fn(
@@ -338,30 +476,16 @@ def integrate_segments(
 ) -> IntegrationResult:
     """Integrate f over the union of [edges[i], edges[i+1]] intervals.
 
-    edges must be sorted; adjacent equal edges collapse to nothing. Known
-    breakpoints (support boundaries, tabulation knots) go here so the
-    adaptive loop never has to hunt for interior kinks.
+    edges must be sorted and free of nan (ValueError otherwise); adjacent
+    equal edges collapse to nothing. Known breakpoints (support boundaries,
+    tabulation knots) go here so the adaptive loop never has to hunt for
+    interior kinks. All pieces are refined in one lockstep integration.
     """
-    pairs = [
-        (lo, hi)
-        for lo, hi in zip(edges[:-1], edges[1:])
-        if lo < hi
-    ]
-    if not pairs:
+    if len(edges) < 2 or not edges[0] < edges[-1]:
+        _pieces(edges)  # raises unless all edges are equal
         return IntegrationResult(0.0, 0.0, False)
-    value = 0.0
-    error = 0.0
-    for lo, hi in pairs:
-        res = integrate_fn(
-            f,
-            lo,
-            hi,
-            abs_tol=abs_tol / len(pairs),
-            rel_tol=rel_tol,
-            singular_at_zero=singular_at_zero,
+    return integrate(
+        IntegrationRequest(
+            f, edges[0], edges[-1], abs_tol, rel_tol, singular_at_zero, tuple(edges[1:-1])
         )
-        if res.diverged:
-            return IntegrationResult(res.value, math.inf, True)
-        value += res.value
-        error += res.error_estimate
-    return IntegrationResult(value, error, False)
+    )

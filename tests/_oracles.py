@@ -5,9 +5,28 @@ against the Riemann oracle below; the self-check test in test_quadrature
 re-derives them at import-accuracy so a corrupted constant cannot go unseen.
 """
 
+import heapq
+import math
+
 import numpy as np
 
+from addgap.errors import NonFiniteIntegrand, ToleranceNotMet
+from addgap import quadrature
 from addgap.montecarlo import _estimate_ct_dt
+from addgap.quadrature import (
+    _HI_W,
+    _LO_W,
+    _NODES,
+    DEFAULT_ABS_TOL,
+    DEFAULT_REL_TOL,
+    DIVERGENCE_CAP,
+    IntegrationRequest,
+    IntegrationResult,
+    _Diverged,
+    _Tracker,
+    _vectorized,
+    _width_floor,
+)
 
 
 def path_sums(batch, values=None):
@@ -75,3 +94,190 @@ TWO_SINH_1 = 2.3504023872876029
 # unit-mean normalization m = -s^2/2, and at (m, s) = (1, 2) a direct Monte
 # Carlo sits at ~19.45, not 0.60.
 EABS_1_2 = 19.453163076276613
+
+
+# ---------------------------------------------------------------------------
+# Sequential adaptive quadrature: the bit-identity reference for the
+# lockstep integrator in addgap.quadrature. One working interval at a time, one
+# integrand call per panel, pieces in order with an early return.
+# ---------------------------------------------------------------------------
+
+
+def _seq_panel(f, a, b):
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    xs = mid + half * _NODES
+    ys = f(xs)
+    bad = ~np.isfinite(ys)
+    if bad.any():
+        x_bad = float(xs[bad][0])
+        raise NonFiniteIntegrand(f"integrand returned a non-finite value at x = {x_bad!r}")
+    hi = half * float(_HI_W @ ys[:15])
+    lo = half * float(_LO_W @ ys[15:])
+    return hi, abs(hi - lo)
+
+
+def _seq_adaptive(f, a, b, abs_tol, rel_tol, watch_left, watch_right):
+    left_tracker = _Tracker(a, abs_tol) if watch_left else None
+    right_tracker = _Tracker(b, abs_tol) if watch_right else None
+
+    val, err = _seq_panel(f, a, b)
+    heap = [(-err, 0, a, b, val, err)]
+    tie = 1
+    total_val = val
+    total_err = err
+    total_abs = abs(val)
+
+    for _ in range(quadrature.MAX_BISECTIONS):  # looked up, so tests may patch it
+        if total_err <= max(abs_tol, rel_tol * abs(total_val)):
+            return total_val, total_err
+        if total_abs >= DIVERGENCE_CAP:
+            raise _Diverged(total_val)
+        if not heap:
+            break
+        _, _, pa, pb, pval, perr = heapq.heappop(heap)
+        if pb - pa <= _width_floor(pa, pb):
+            continue
+        total_val -= pval
+        total_err -= perr
+        total_abs -= abs(pval)
+        m = 0.5 * (pa + pb)
+        lval, lerr = _seq_panel(f, pa, m)
+        rval, rerr = _seq_panel(f, m, pb)
+        heapq.heappush(heap, (-lerr, tie, pa, m, lval, lerr))
+        heapq.heappush(heap, (-rerr, tie + 1, m, pb, rval, rerr))
+        tie += 2
+        total_val += lval + rval
+        total_err += lerr + rerr
+        total_abs += abs(lval) + abs(rval)
+        if left_tracker is not None and pa == left_tracker.coord:
+            if left_tracker.stalled(rval):
+                raise _Diverged(total_val)
+        if right_tracker is not None and pb == right_tracker.coord:
+            if right_tracker.stalled(lval):
+                raise _Diverged(total_val)
+
+    if total_err <= max(abs_tol, rel_tol * abs(total_val)):
+        return total_val, total_err
+    raise ToleranceNotMet(
+        f"refinement budget exhausted on [{a!r}, {b!r}]: "
+        f"value ~ {total_val!r}, error ~ {total_err!r}"
+    )
+
+
+def _seq_tail_up(f, a):
+    def g(ts):
+        u = 1.0 - ts
+        ys = a + ts / u
+        return f(ys) / (u * u)
+
+    return g
+
+
+def _seq_tail_down(f, b):
+    def g(ts):
+        u = 1.0 - ts
+        ys = b - ts / u
+        return f(ys) / (u * u)
+
+    return g
+
+
+def _seq_power_up(f, hi):
+    def g(us):
+        u4 = us * us * us * us
+        return f(u4 * us) * (5.0 * u4)
+
+    return g, hi**0.2
+
+
+def _seq_power_down(f, lo):
+    def g(us):
+        u4 = us * us * us * us
+        return f(-(u4 * us)) * (5.0 * u4)
+
+    return g, (-lo) ** 0.2
+
+
+def sequential_integrate(request):
+    """addgap.quadrature.integrate for a request without breakpoints, one
+    working interval after another."""
+    assert not request.breakpoints
+    a, b = float(request.lower), float(request.upper)
+    if math.isnan(a) or math.isnan(b) or not a < b:
+        raise ValueError(f"invalid interval [{a!r}, {b!r}]")
+    if request.abs_tol <= 0 and request.rel_tol <= 0:
+        raise ValueError("at least one tolerance must be positive")
+
+    f = _vectorized(request.integrand)
+    singular = request.singular_at_zero
+    cuts = [a, b]
+    if a < 0.0 < b and (singular or (math.isinf(a) and math.isinf(b))):
+        cuts = [a, 0.0, b]
+    if singular:
+        expanded = [cuts[0]]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if lo == 0.0 and math.isinf(hi):
+                expanded.append(1.0)
+            elif hi == 0.0 and math.isinf(lo):
+                expanded.append(-1.0)
+            expanded.append(hi)
+        cuts = expanded
+
+    work = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if math.isinf(hi):
+            work.append((_seq_tail_up(f, lo), 0.0, 1.0, singular and lo == 0.0, True))
+        elif math.isinf(lo):
+            work.append((_seq_tail_down(f, hi), 0.0, 1.0, singular and hi == 0.0, True))
+        elif singular and lo == 0.0:
+            g, umax = _seq_power_up(f, hi)
+            work.append((g, 0.0, umax, True, False))
+        elif singular and hi == 0.0:
+            g, umax = _seq_power_down(f, lo)
+            work.append((g, 0.0, umax, True, False))
+        else:
+            work.append((f, lo, hi, False, False))
+
+    seg_abs = request.abs_tol / len(work)
+    value = 0.0
+    error = 0.0
+    for g, lo, hi, wl, wr in work:
+        try:
+            v, e = _seq_adaptive(g, lo, hi, seg_abs, request.rel_tol, wl, wr)
+        except _Diverged as d:
+            sign = -1.0 if d.args[0] < 0 else 1.0
+            return IntegrationResult(sign * DIVERGENCE_CAP, math.inf, True)
+        value += v
+        error += e
+    return IntegrationResult(value, error, False)
+
+
+def sequential_integrate_fn(
+    f, lower, upper, *, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL, singular_at_zero=False
+):
+    return sequential_integrate(
+        IntegrationRequest(f, lower, upper, abs_tol, rel_tol, singular_at_zero)
+    )
+
+
+def sequential_integrate_segments(
+    f, edges, *, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL, singular_at_zero=False
+):
+    """addgap.quadrature.integrate_segments, one piece after another with an
+    early return on the first divergent piece (edges assumed valid)."""
+    pairs = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if lo < hi]
+    if not pairs:
+        return IntegrationResult(0.0, 0.0, False)
+    value = 0.0
+    error = 0.0
+    for lo, hi in pairs:
+        res = sequential_integrate_fn(
+            f, lo, hi, abs_tol=abs_tol / len(pairs), rel_tol=rel_tol,
+            singular_at_zero=singular_at_zero,
+        )
+        if res.diverged:
+            return IntegrationResult(res.value, math.inf, True)
+        value += res.value
+        error += res.error_estimate
+    return IntegrationResult(value, error, False)

@@ -1,4 +1,5 @@
-"""The benchmark tracer's targets still exist in the library.
+"""The benchmark tracer's targets still exist in the library, and the
+quadrature the benchmark's report workload measures stays within budget.
 
 ``perfbench/tracer.py`` wraps addgap entry points by name, so deleting or
 renaming one of them breaks ``python3 perfbench/run.py --trace 1``; these
@@ -6,17 +7,25 @@ tests make that a failure of the library's own suite.
 """
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from addgap import measures, processes, quadrature, simulate
+from addgap.bounds import compute_report
+from addgap.config import parse_config_dict
+
+from _oracles import sequential_integrate_fn, sequential_integrate_segments
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def loaded(name):
+    """Yield perfbench/<name>.py as a module, registered while in use."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # Its dataclasses look their module up in sys.modules while being built.
     sys.modules[spec.name] = module
@@ -25,6 +34,49 @@ def tracer():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    yield from loaded("tracer")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    yield from loaded("workloads")
+
+
+def tabulated_spec(workloads):
+    """A fresh spec of the report workload's tabulated pair, uncached."""
+    processes._eta_cached.cache_clear()
+    config = workloads.tabulated_pair(random.Random("report_sweep:1:0"))
+    return parse_config_dict(config).problem
+
+
+def record_points(monkeypatch, integrate_segments, integrate_fn):
+    """Route the library's quadrature calls through the given functions and
+    return the list that collects the points of every integrand call."""
+    calls = []
+
+    def recording(f):
+        def g(y):
+            calls.append(np.array(y, dtype=float).ravel())
+            return f(y)
+
+        return g
+
+    def segments(f, edges, **kwargs):
+        return integrate_segments(recording(f), edges, **kwargs)
+
+    def one(f, lower, upper, **kwargs):
+        return integrate_fn(recording(f), lower, upper, **kwargs)
+
+    for module in (measures, processes, simulate):
+        if hasattr(module, "integrate_segments"):
+            monkeypatch.setattr(module, "integrate_segments", segments)
+        if hasattr(module, "integrate_fn"):
+            monkeypatch.setattr(module, "integrate_fn", one)
+    return calls
 
 
 def test_every_target_is_found(tracer):
@@ -40,3 +92,29 @@ def test_install_wraps_and_restores_every_target(tracer):
     with tracer.installed(tracer.Tracer()):
         assert tracer.leftover_wrappers()
     assert tracer.leftover_wrappers() == []
+
+
+def test_tabulated_report_quadrature_budget(workloads, monkeypatch):
+    # One integrand call per refinement round of each integral, and the
+    # points and the report of integrating one interval after another.
+    spec = tabulated_spec(workloads)
+    with monkeypatch.context() as m:
+        calls = record_points(m, quadrature.integrate_segments, quadrature.integrate_fn)
+        report = compute_report(spec)
+    spec = tabulated_spec(workloads)
+    with monkeypatch.context() as m:
+        oracle_calls = record_points(m, sequential_integrate_segments, sequential_integrate_fn)
+        oracle_report = compute_report(spec)
+    assert report == oracle_report
+    assert len(calls) <= 100 < len(oracle_calls)
+    points = np.sort(np.concatenate(calls))
+    assert points.tobytes() == np.sort(np.concatenate(oracle_calls)).tobytes()
+
+
+def test_tracer_counts_every_integrand_point(tracer, workloads, monkeypatch):
+    spec = tabulated_spec(workloads)
+    calls = record_points(monkeypatch, quadrature.integrate_segments, quadrature.integrate_fn)
+    with tracer.installed(tracer.Tracer()) as traced:
+        compute_report(spec)
+    metrics = tracer.layer_metrics(traced.spans)
+    assert metrics["quadrature.integrand_points"] == sum(c.size for c in calls) > 0

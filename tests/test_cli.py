@@ -110,6 +110,18 @@ class TestBound:
         assert doc["report"]["sigma_mismatch"] is True
         assert doc["report"]["reasons"]["thm1"] == "sigma mismatch"
 
+    def test_vol_vanishing_between_probes_reports_infinite_xi(self, tmp_path, capsys):
+        data = gaussian_config()
+        data["horizon"] = 1.0
+        for side in ("process1", "process2"):
+            data[side]["vol_sq"] = {"form": "polynomial", "coeffs": [0.25010001, -1.0002, 1.0]}
+        path = write_config(tmp_path, data)
+        code, out, err = run(capsys, ["bound", "--config", path, "--json"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)["report"]
+        assert report["xi_sq"] == "inf"
+        assert report["reasons"]["thm1"] == report["reasons"]["thm2"] == "xi^2 infinite"
+
     def test_no_applicable_bound_exit_two(self, tmp_path, capsys):
         data = matched_cp_config()
         data["process1"]["drift"] = {"form": "constant", "c": 3.0}

@@ -210,6 +210,18 @@ class TestXiSq:
         with pytest.raises(ZeroVolatility):
             spec.xi_sq()
 
+    def test_vol_vanishing_between_probes_is_infinite(self):
+        # sigma^2(t) = (t - 0.5001)^2 is positive on every probe point, so
+        # the class is "positive", but the quotient is non-finite at a node.
+        vol = PolynomialFunction((0.25010001, -1.0002, 1.0))
+        spec = ProblemSpec(
+            ProcessSpec(UNIT_FN, vol, ZeroMeasure()),
+            ProcessSpec(ZERO_FN, vol, ZeroMeasure()),
+            1.0,
+        )
+        assert spec.vol_class() == "positive"
+        assert spec.xi_sq() == math.inf
+
 
 class TestDriftMatching:
     def test_matched_when_gap_equals_eta(self):

@@ -1,10 +1,14 @@
 """Adaptive integrator: closed forms, properties, divergence detection."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from addgap import quadrature
 from addgap.errors import NonFiniteIntegrand, ToleranceNotMet
 from addgap.quadrature import (
     DIVERGENCE_CAP,
@@ -14,7 +18,7 @@ from addgap.quadrature import (
     integrate_segments,
 )
 
-from _oracles import L1_EX3, riemann_log
+from _oracles import L1_EX3, riemann_log, sequential_integrate_segments
 
 TOL = 1e-8
 
@@ -166,3 +170,177 @@ def test_integrate_segments_matches_whole():
     whole = integrate_fn(f, 0.0, 3.0).value
     split = integrate_segments(f, [0.0, 0.7, 0.7, 2.1, 3.0]).value
     assert abs(whole - split) < 10 * TOL
+
+
+@pytest.mark.parametrize("edges", [[0.0, 2.0, 1.0], [0.0, math.nan, 1.0], [math.nan, math.nan]])
+def test_integrate_segments_rejects_unsorted_or_nan_edges(edges):
+    with pytest.raises(ValueError, match="sorted and free of nan"):
+        integrate_segments(lambda y: np.ones_like(y), edges)
+
+
+def test_breakpoints_split_like_segments():
+    f = lambda y: np.abs(y - 0.7) * np.exp(-y)
+    edges = [0.0, 0.7, 0.7, 2.1, 3.0]
+    req = IntegrationRequest(f, 0.0, 3.0, breakpoints=(0.7, 0.7, 2.1))
+    assert integrate(req) == integrate_segments(f, edges)
+    with pytest.raises(ValueError):
+        integrate(IntegrationRequest(f, 0.0, 3.0, breakpoints=(4.0,)))
+
+
+# ---------------------------------------------------------------------------
+# Bit identity with the sequential integrator
+# ---------------------------------------------------------------------------
+
+INF = math.inf
+edge = st.floats(-4.0, 4.0)
+edge_lists = st.lists(edge, min_size=2, max_size=5).map(sorted)
+
+
+@st.composite
+def smooth(draw):
+    c0, c1 = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    k, w = draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 20.0))
+    return (lambda y: c0 + c1 * np.sin(w * y) * np.exp(-k * y * y)), draw(edge_lists), {}
+
+
+@st.composite
+def kinked(draw):
+    kink, slope = draw(edge), draw(st.floats(-3.0, 3.0))
+
+    def f(y):
+        return slope * np.abs(y - kink) + np.sqrt(np.maximum(y - kink, 0.0))
+
+    return f, draw(edge_lists), {}
+
+
+@st.composite
+def tabulated(draw):
+    knots = sorted(draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=8, unique=True)))
+    values = draw(st.lists(st.floats(0.0, 5.0), min_size=len(knots), max_size=len(knots)))
+    edges = knots if draw(st.booleans()) else [knots[0], knots[-1]]
+    return (lambda y: np.interp(y, knots, values)), edges, {}
+
+
+@st.composite
+def singular_or_tail(draw):
+    p, k = draw(st.floats(0.0, 0.75)), draw(st.floats(0.1, 3.0))
+    edges = draw(st.sampled_from([
+        [0.0, 2.0], [-1.5, 0.0, 2.0], [-3.0, 1.0], [0.0, INF], [-INF, 0.0],
+        [-INF, INF], [-INF, -1.0, 0.0, 0.5, INF], [1.0, 2.0, INF],
+    ]))
+    singular = draw(st.booleans()) if 0.0 not in edges else True
+
+    def f(y):
+        return np.abs(y) ** -p * np.exp(-k * np.abs(y))
+
+    return f, edges, {"singular_at_zero": singular}
+
+
+@st.composite
+def divergent(draw):
+    edges, singular = draw(st.sampled_from([
+        ([0.0, 1.0], True), ([-1.0, 0.0, 1.0], True), ([1.0, INF], False),
+        ([0.0, 0.5, INF], True), ([-INF, -2.0], False),
+    ]))
+    # A y^-1.5 tail converges: only the origin gets the steeper power.
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    power = draw(st.sampled_from([1.0, 1.5])) if 0.0 in edges else 1.0
+    return (lambda y: sign * np.abs(y) ** -power), edges, {"singular_at_zero": singular}
+
+
+@st.composite
+def later_piece_fails(draw):
+    # The first piece diverges at 0 (or converges); a later piece meets a
+    # nan at its first panel, or raises once the integrand sees y > cut.
+    split = draw(st.floats(0.5, 2.0))
+    power = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    if draw(st.booleans()):
+        def f(y):
+            return np.where(y < split, y**-power, np.log(split - y - 1.0))
+    else:
+        def f(y):
+            if np.any(np.asarray(y) > split):
+                raise ZeroDivisionError(f"beyond {split!r}")
+            return y**-power
+
+    return f, [0.0, split, split + 1.0], {"singular_at_zero": True}
+
+
+@st.composite
+def not_converging(draw):
+    f, edges = draw(st.sampled_from([
+        (lambda y: np.sin(1.0 / y), [0.0, 1.0]),
+        (lambda y: np.abs(y - 0.3) ** -0.95, [0.0, 0.3, 1.0]),
+        (lambda y: np.where(y < 1.0 / 3.0, 0.0, 1.0), [0.0, 0.25, 1.0]),
+    ]))
+    budget = draw(st.integers(50, 400))
+    return f, edges, {"abs_tol": 1e-14, "rel_tol": 1e-14, "budget": budget}
+
+
+@st.composite
+def pointwise_only(draw):
+    k = draw(st.floats(0.1, 5.0))
+    if draw(st.booleans()):
+        def f(y):
+            return math.exp(-y) * (1.0 + 0.5 * math.sin(k * y))  # rejects arrays
+    else:
+        def f(y):
+            return k  # wrong shape for arrays
+    return f, draw(edge_lists), {}
+
+
+def outcome(impl, f, edges, kwargs):
+    """Everything a caller can observe: result bits or exception, and for a
+    finished integral the sorted points the integrand saw."""
+    kwargs = dict(kwargs)
+    budget = kwargs.pop("budget", quadrature.MAX_BISECTIONS)
+    seen = []
+
+    def recording(y):
+        out = f(y)
+        if np.shape(out) == np.shape(y):
+            seen.append(np.atleast_1d(np.array(y, dtype=float)))
+        return out
+
+    with mock.patch.object(quadrature, "MAX_BISECTIONS", budget):
+        try:
+            res = impl(recording, edges, **kwargs)
+        except Exception as exc:
+            return type(exc), str(exc)
+    bits = (res.value.hex(), res.error_estimate.hex(), res.diverged)
+    if res.diverged:
+        return bits
+    return bits, np.sort(np.concatenate(seen)).tobytes() if seen else b""
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        smooth, kinked, tabulated, singular_or_tail, divergent,
+        later_piece_fails, not_converging, pointwise_only,
+    ],
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_lockstep_matches_sequential_oracle(family, data):
+    f, edges, kwargs = data.draw(family())
+    assert outcome(integrate_segments, f, edges, kwargs) == outcome(
+        sequential_integrate_segments, f, edges, kwargs
+    )
+
+
+def test_fallback_stops_an_interval_at_its_first_bad_panel():
+    # A scalar-only integrand, smooth at the nodes of the first panel on
+    # [0, 1]; after the first bisection the left half meets a nan and the
+    # right half raises. Alone, the interval never evaluates the right half.
+    left = float(0.25 + 0.25 * quadrature._NODES[0])
+    right = float(0.75 + 0.25 * quadrature._NODES[0])
+
+    def f(y):
+        if abs(y - right) < 1e-12:
+            raise ArithmeticError("right half evaluated")
+        return math.nan if abs(y - left) < 1e-12 else math.sin(30.0 * y)
+
+    expected = (NonFiniteIntegrand, f"integrand returned a non-finite value at x = {left!r}")
+    assert outcome(sequential_integrate_segments, f, [0.0, 1.0], {}) == expected
+    assert outcome(integrate_segments, f, [0.0, 1.0], {}) == expected
