@@ -21,8 +21,6 @@ volatility mismatch or partial degeneracy leaves only the trivial bound.
 import math
 from dataclasses import dataclass
 
-from scipy import special
-
 from .errors import (
     DivergentIntegral,
     HypothesisFailed,
@@ -49,6 +47,11 @@ _INV_2SQRT2 = 1.0 / (2.0 * math.sqrt(2.0))
 
 def normal_cdf(x):
     """Standard normal CDF, accurate in both tails (erfc-based)."""
+    # scipy.special is imported at first use, here and in _gaussian_term:
+    # it is about half the time of `import addgap`, and pairs without a
+    # Gaussian part never need it.
+    from scipy import special
+
     return special.ndtr(x)
 
 
@@ -57,6 +60,8 @@ def _gaussian_term(xi_sq: float) -> float:
     distances keep full relative precision."""
     if math.isinf(xi_sq):
         return 2.0
+    from scipy import special
+
     return float(2.0 * special.erf(math.sqrt(xi_sq) * _INV_2SQRT2))
 
 

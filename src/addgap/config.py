@@ -327,39 +327,36 @@ def parse_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _child_key(node, segment: str, trail: str):
+    """The key of `segment` in a JSON array or object; `trail` names the
+    path up to it in errors."""
+    if isinstance(node, list):
+        if not segment.isdigit() or int(segment) >= len(node):
+            raise UnknownParameterPath(trail, "no such array index")
+        return int(segment)
+    if isinstance(node, dict):
+        if segment not in node:
+            raise UnknownParameterPath(trail, "no such field")
+        return segment
+    raise UnknownParameterPath(trail, "path descends below a leaf")
+
+
 def set_config_value(raw: dict, path: str, value: float) -> dict:
     """Return a copy of the raw config with one numeric leaf replaced.
 
     The path is dot-separated; integer segments index into arrays
     (e.g. "process2.levy.lambda", "process1.drift.coeffs.0").  The leaf
-    must already exist and hold a number.
+    must already exist and hold a number.  Only the objects and arrays on
+    the path are copied; the copy shares every other node with raw, which
+    is left unchanged.
     """
-    segments = path.split(".")
-    out = copy.deepcopy(raw)
-    node = out
-    for depth, segment in enumerate(segments[:-1]):
-        trail = ".".join(segments[: depth + 1])
-        if isinstance(node, list):
-            if not segment.isdigit() or int(segment) >= len(node):
-                raise UnknownParameterPath(trail, "no such array index")
-            node = node[int(segment)]
-        elif isinstance(node, dict):
-            if segment not in node:
-                raise UnknownParameterPath(trail, "no such field")
-            node = node[segment]
-        else:
-            raise UnknownParameterPath(trail, "path descends below a leaf")
-    leaf = segments[-1]
-    if isinstance(node, list):
-        if not leaf.isdigit() or int(leaf) >= len(node):
-            raise UnknownParameterPath(path, "no such array index")
-        key = int(leaf)
-    elif isinstance(node, dict):
-        if leaf not in node:
-            raise UnknownParameterPath(path, "no such field")
-        key = leaf
-    else:
-        raise UnknownParameterPath(path, "path descends below a leaf")
+    *inner, leaf = path.split(".")
+    out = node = copy.copy(raw)
+    for depth, segment in enumerate(inner):
+        key = _child_key(node, segment, ".".join(inner[: depth + 1]))
+        node[key] = copy.copy(node[key])
+        node = node[key]
+    key = _child_key(node, leaf, path)
     old = node[key]
     if isinstance(old, bool) or not isinstance(old, (int, float)):
         raise UnknownParameterPath(path, "does not address a numeric value")

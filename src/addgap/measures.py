@@ -11,12 +11,21 @@ must come back with an infinite L1 flag, and the same pair keeps a finite
 Hellinger value. Cancellation-prone differences of tempered stable densities
 with shared C and alpha are routed through expm1 so that near-zero behavior
 is resolved to relative precision.
+
+The measures are time-homogeneous, so their functionals do not depend on
+the horizon, the drifts or the variances of a problem: `validate_levy`,
+`check_abs_continuity`, `l1_integral`, `hellinger_integral` and `gamma_nu`
+are pure functions of frozen, value-hashed measures and are cached by
+value (`functools.lru_cache`, FUNCTIONAL_CACHE_SIZE entries each).  A
+horizon sweep, or any caller that meets an equal measure twice in one
+process, computes each of them once; a failure (an exception) is not
+cached and is raised again on every call.
 """
 
 import abc
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -33,6 +42,9 @@ AC_PROBES_PER_SIDE = 4096
 AC_PROBE_MIN = 1e-8
 AC_PROBE_MAX_FLOOR = 1e2
 
+# Entries kept by each cached functional of the measures.
+FUNCTIONAL_CACHE_SIZE = 256
+
 # Tabulated measures whose innermost knot lies below this are treated as
 # truncated views of a measure reaching 0; finiteness verdicts extrapolate
 # the inner-edge log-log slope.
@@ -44,6 +56,13 @@ _Interval = tuple[float, float]
 # ---------------------------------------------------------------------------
 # Jump-size densities (probability densities of compound Poisson jump sizes)
 # ---------------------------------------------------------------------------
+
+
+def _store_knots(table, grid: np.ndarray, values: np.ndarray) -> None:
+    """Keep a table's knots as tuples of float, so that one built from lists
+    or arrays hashes and compares like one built from tuples."""
+    object.__setattr__(table, "grid", tuple(grid.tolist()))
+    object.__setattr__(table, "values", tuple(values.tolist()))
 
 
 class JumpDensity(abc.ABC):
@@ -148,6 +167,7 @@ class TabulatedDensity(JumpDensity):
         raw = float(np.trapezoid(v, g))
         if raw <= 0 or abs(raw - 1.0) > 1e-6:
             raise ValueError(f"tabulated density integrates to {raw!r}, expected 1 within 1e-6")
+        _store_knots(self, g, v)
 
     @cached_property
     def _arrays(self):
@@ -360,6 +380,7 @@ class TabulatedLevyMeasure(LevyMeasure):
         for side in self._sides_of(g, v):
             if side is not None and len(side[0]) == 1:
                 raise ValueError("each tabulated side needs >= 2 knots or none")
+        _store_knots(self, g, v)
 
     @staticmethod
     def _sides_of(g, v):
@@ -643,6 +664,7 @@ def pair_sqrt_difference_fn(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def gamma_nu(nu: LevyMeasure) -> float:
     """Small-jump compensator drift: integral of y over {|y| <= 1}."""
     if isinstance(nu, ZeroMeasure):
@@ -667,6 +689,7 @@ class AbsContinuityReport:
     checked: int
 
 
+@lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def check_abs_continuity(nu1: LevyMeasure, nu2: LevyMeasure) -> AbsContinuityReport:
     """Probe-grid proxy for nu1 << nu2: wherever nu1 has density, nu2 must.
 
@@ -718,6 +741,7 @@ def _pair_integral(nu1, nu2, integrand) -> float:
     return math.inf if res.diverged else res.value
 
 
+@lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def l1_integral(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
     """l1_distance without its absolute-continuity check, for callers that
     have already made it."""
@@ -725,6 +749,7 @@ def l1_integral(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
     return _pair_integral(nu1, nu2, lambda y: np.abs(diff(y)))
 
 
+@lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def hellinger_integral(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
     """hellinger_sq without its absolute-continuity check, for callers that
     have already made it."""
@@ -751,6 +776,7 @@ class LevyValidation:
     message: str = ""
 
 
+@lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def validate_levy(nu: LevyMeasure) -> LevyValidation:
     """Check the defining integrability: int (y^2 and 1) nu(dy) < inf."""
     if isinstance(nu, ZeroMeasure):

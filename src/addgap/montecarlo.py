@@ -172,7 +172,7 @@ def _reduce_chunks(n_paths: int, epsilon: float, seed: int, values) -> EstimateR
         (j, min(CHUNK_PATHS, n_paths - start))
         for j, start in enumerate(range(0, n_paths, CHUNK_PATHS))
     ]
-    threads = _thread_count()
+    threads = min(_thread_count(), len(spans))
     if threads == 1:
         partials = [partial(j, m) for j, m in spans]
     else:

@@ -21,6 +21,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import DivergentIntegral, NonFiniteIntegrand, ZeroVolatility
 from .measures import (
+    FUNCTIONAL_CACHE_SIZE,
     LevyMeasure,
     TabulatedLevyMeasure,
     _unit_cut_edges,
@@ -266,7 +267,7 @@ class ProblemSpec:
         return self.drift_gap_sup() <= MATCH_TOL * scale
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def _eta_cached(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
     for nu in (nu1, nu2):
         if isinstance(nu, TabulatedLevyMeasure) and nu.diverges_near_zero(1.0):

@@ -5,8 +5,10 @@ against the Riemann oracle below; the self-check test in test_quadrature
 re-derives them at import-accuracy so a corrupted constant cannot go unseen.
 """
 
+import dataclasses
 import heapq
 import math
+import sys
 
 import numpy as np
 
@@ -50,6 +52,25 @@ def estimator_inputs(monkeypatch, spec, n_paths, epsilon, seed):
 
     _estimate_ct_dt(spec, n_paths, epsilon, seed, record)
     return np.concatenate(seen)
+
+
+def clear_caches():
+    """Empty every cache in the addgap modules (each attribute with a
+    ``cache_clear``), so that the next call computes from scratch."""
+    for name, module in list(sys.modules.items()):
+        if name == "addgap" or name.startswith("addgap."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+def report_bits(report):
+    """Every field of a BoundReport, floats as hex, so that equality is
+    equality of bits (0.0 and -0.0 differ, nan equals nan)."""
+    return {
+        key: value.hex() if isinstance(value, float) else value
+        for key, value in dataclasses.asdict(report).items()
+    }
 
 
 def riemann_log(f, lo, hi, n=10_000_000):

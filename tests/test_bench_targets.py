@@ -18,7 +18,7 @@ from addgap import measures, processes, quadrature, simulate
 from addgap.bounds import compute_report
 from addgap.config import parse_config_dict
 
-from _oracles import sequential_integrate_fn, sequential_integrate_segments
+from _oracles import clear_caches, sequential_integrate_fn, sequential_integrate_segments
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -48,7 +48,7 @@ def workloads():
 
 def tabulated_spec(workloads):
     """A fresh spec of the report workload's tabulated pair, uncached."""
-    processes._eta_cached.cache_clear()
+    clear_caches()
     config = workloads.tabulated_pair(random.Random("report_sweep:1:0"))
     return parse_config_dict(config).problem
 

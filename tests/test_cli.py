@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -648,6 +651,43 @@ class TestBundledConfigs:
         assert all(a < b for a, b in zip(thm1, thm1[1:]))
         assert thm1[-1] < math.sqrt(8.0)
         assert thm2[-1] / thm2[0] > 2.0 * horizons[-1] / horizons[0]
+
+
+# Runs the CLI argument lists given as JSON in one fresh interpreter, then
+# prints whether scipy.special was imported.
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from addgap import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print("scipy.special" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "names, commands, loaded",
+    [
+        (("compound_poisson", "tempered_stable"), (["bound"], ["estimate", "--paths", "2000"]), False),
+        (("jump_diffusion",), (["bound"],), True),
+    ],
+)
+def test_scipy_special_is_imported_only_when_needed(names, commands, loaded):
+    # Pairs without a Gaussian part never evaluate the normal CDF or erf.
+    argvs = [
+        [command[0], "--config", str(CONFIG_DIR / f"{name}.json"), *command[1:]]
+        for name in names
+        for command in commands
+    ]
+    root = CONFIG_DIR.parent
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
+        capture_output=True, cwd=root, env=env, timeout=300, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(loaded)
 
 
 def heavy_tempered_config():

@@ -321,6 +321,18 @@ class TestSetConfigValue:
         out = set_config_value(base_config(), "process2.levy.lambda", 1.5)
         assert out["process2"]["levy"]["lambda"] == 1.5
 
+    def test_copies_only_the_path(self):
+        raw = base_config()
+        before = copy.deepcopy(raw)
+        out = set_config_value(raw, "process2.levy.lambda", 1.5)
+        assert raw == before
+        assert out["process2"] is not raw["process2"]
+        assert out["process2"]["levy"] is not raw["process2"]["levy"]
+        # Nodes off the path are shared with raw.
+        assert out["process1"] is raw["process1"]
+        assert out["process2"]["drift"] is raw["process2"]["drift"]
+        assert out["process2"]["levy"]["jump_density"] is raw["process2"]["levy"]["jump_density"]
+
     def test_array_index_path(self):
         data = base_config()
         data["process1"]["drift"] = {"form": "polynomial", "coeffs": [0.0, 1.0]}

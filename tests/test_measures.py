@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from addgap.bounds import compute_report
 from addgap.errors import (
     DivergentIntegral,
     NotAbsolutelyContinuous,
@@ -34,6 +35,7 @@ from addgap.measures import (
     pair_sqrt_difference_fn,
     validate_levy,
 )
+from addgap.processes import ConstantFunction, ProblemSpec, ProcessSpec
 
 from _oracles import (
     ETA_EX3,
@@ -42,6 +44,8 @@ from _oracles import (
     H2_EX3,
     H2_EX3_A15,
     L1_EX3,
+    clear_caches,
+    report_bits,
 )
 
 TOL_EXACT = 1e-12
@@ -418,6 +422,48 @@ class TestTabulatedLevyMeasure:
         tab = TabulatedLevyMeasure(grid, vals)
         assert tab.total_mass() == math.inf
         assert not tab.is_finite_activity()
+
+
+class TestTabulatedKnotTypes:
+    """Tables built from lists or arrays hash, compare and report like the
+    same table built from tuples of float."""
+
+    LEVY = ([-1.0, -0.5, 0.5, 1.0], [1, 2, 2, 1], [2, 1, 2, 3])
+    JUMPS = ([0, 1, 2], [0, 1, 0])
+
+    @staticmethod
+    def report(nu1, nu2):
+        clear_caches()
+        procs = [
+            ProcessSpec(ConstantFunction(c), ConstantFunction(1.0), nu)
+            for c, nu in ((0.3, nu1), (0.0, nu2))
+        ]
+        return report_bits(compute_report(ProblemSpec(*procs, 1.0)))
+
+    def pairs(self, kind):
+        grid, v1, v2 = self.LEVY
+        jgrid, jvals = self.JUMPS
+        levy = lambda g, v: TabulatedLevyMeasure(kind(g), kind(v))
+        cp = lambda lam: CompoundPoissonMeasure(lam, TabulatedDensity(kind(jgrid), kind(jvals)))
+        return {
+            "levy": (levy(grid, v1), levy(grid, v2)),
+            "jump_density": (cp(2.0), cp(1.0)),
+        }
+
+    @pytest.mark.parametrize("kind", [list, np.array, lambda xs: np.array(xs, dtype=np.float32)])
+    def test_report_equals_tuple_built(self, kind):
+        floats = lambda xs: tuple(float(x) for x in xs)
+        for name, pair in self.pairs(kind).items():
+            want = self.pairs(floats)[name]
+            assert pair == want and hash(pair) == hash(want)
+            assert self.report(*pair) == self.report(*want)
+
+    def test_knots_are_tuples_of_float(self):
+        nu, _ = self.pairs(np.array)["levy"]
+        assert type(nu.grid) is tuple and type(nu.values) is tuple
+        assert {type(x) for x in nu.grid + nu.values} == {float}
+        density = self.pairs(list)["jump_density"][0].jump_density
+        assert {type(x) for x in density.grid + density.values} == {float}
 
 
 class TestPairHooks:
