@@ -1,32 +1,37 @@
 """Truncation study for an infinite-activity tempered stable pair.
 
 The two measures share the negative tail and differ in the positive
-tempering rate (lambda+ = 2 vs 1) at alpha = 0.5. Small jumps below a
+tempering rate (lambda+ = 2 vs 1) at alpha = 0.7. Small jumps below a
 threshold epsilon cannot be simulated one by one, so the estimator works
 on the truncated proxy: jumps larger than epsilon plus the matching
 compensator shift. As epsilon decreases the proxy estimate stabilizes,
 and it stays below the Hellinger-rate bound throughout.
+
+At alpha = 0.5 (configs/tempered_stable.json) the same pair needs no
+truncation: each one-sided jump sum is inverse Gaussian and is drawn
+exactly, whatever epsilon is. Its estimate closes the study.
 """
 
+from pathlib import Path
+
 from addgap.bounds import compute_report
+from addgap.config import parse_config
 from addgap.measures import TemperedStableMeasure
 from addgap.montecarlo import estimate_tv
 from addgap.processes import ConstantFunction, ProblemSpec, ProcessSpec
 
 SEED = 3
 N_PATHS = 50_000
+ZERO = ConstantFunction(0.0)
 
-nu1 = TemperedStableMeasure(1.0, 1.0, 1.0, 2.0, 0.5)
-nu2 = TemperedStableMeasure(1.0, 1.0, 1.0, 1.0, 0.5)
+nu1 = TemperedStableMeasure(1.0, 1.0, 1.0, 2.0, 0.7)
+nu2 = TemperedStableMeasure(1.0, 1.0, 1.0, 1.0, 0.7)
 
-# Compensated drifts must match when there is no Gaussian part; process2
-# has a symmetric measure (gamma = 0), so process1's drift absorbs its own
-# small-jump mean eta = gamma^{nu1}.
-spec = ProblemSpec(
-    ProcessSpec(ConstantFunction(-0.29736025230224585), ConstantFunction(0.0), nu1),
-    ProcessSpec(ConstantFunction(0.0), ConstantFunction(0.0), nu2),
-    horizon=1.0,
-)
+# Compensated drifts must match when there is no Gaussian part: process1's
+# drift absorbs the compensated drift gap eta of the pair.
+process2 = ProcessSpec(ZERO, ZERO, nu2)
+eta = ProblemSpec(ProcessSpec(ZERO, ZERO, nu1), process2, 1.0).eta()
+spec = ProblemSpec(ProcessSpec(ConstantFunction(eta), ZERO, nu1), process2, 1.0)
 
 report = compute_report(spec)
 print(f"L1(nu1, nu2)   {report.l1_nu:.6f}")
@@ -35,9 +40,14 @@ print(f"hellinger-rate bound  {report.thm1:.6f}")
 print(f"sinh bound            {report.thm2:.6f}  (vacuous, > 2)")
 print()
 print(f"{'epsilon':>9}  {'estimate':>9}  {'hw':>8}")
-for epsilon in (3e-2, 1e-2, 3e-3, 1e-3, 3e-4):
+for epsilon in (3e-2, 1e-2, 3e-3, 1e-3):
     tv = estimate_tv(spec, N_PATHS, epsilon, SEED)
     print(f"{epsilon:9.0e}  {tv.mean:9.4f}  {tv.half_width_95:8.4f}")
 print()
-print("successive epsilon halvings move the estimate by far less than a")
-print("half-width once epsilon reaches ~1e-3: the proxy has converged.")
+print("each step in epsilon moves the estimate by less than a half-width:")
+print("at this path count the truncation bias is below the Monte Carlo error.")
+print()
+bundled = parse_config(Path(__file__).resolve().parent.parent / "configs/tempered_stable.json")
+exact = estimate_tv(bundled.problem, 1_000_000, 0.0, SEED)
+print("alpha = 0.5, no truncation (inverse Gaussian jump sums, 1M paths):")
+print(f"  estimate {exact.mean:.4f} +- {exact.half_width_95:.4f}, epsilon {exact.truncation_epsilon:g}")

@@ -41,10 +41,11 @@ from .config import (
     set_config_value,
 )
 from .errors import AddgapError, ConfigParse
+from .measures import l1_distance
 from .montecarlo import (
     EstimateResult,
-    _sinh_oracle,
     default_epsilon,
+    estimate_sinh_oracle,
     estimate_tv,
     martingale_check,
 )
@@ -258,7 +259,8 @@ def _cmd_estimate(args) -> int:
         extra_payload = {"target": 1.0}
         extra_rows = [("target", 1.0)]
     else:
-        result, l1 = _sinh_oracle(problem, settings.n_paths, settings.seed)
+        result = estimate_sinh_oracle(problem, settings.n_paths, settings.seed)
+        l1 = l1_distance(problem.process1.levy, problem.process2.levy)
         target = 2.0 * math.sinh(problem.horizon * l1)
         extra_payload = {"target": target}
         extra_rows = [("target", target)]

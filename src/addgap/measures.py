@@ -633,6 +633,27 @@ def pair_log_ratio(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
     return ratio
 
 
+def pair_ig_sides(nu1: LevyMeasure, nu2: LevyMeasure):
+    """(C, lambda1, lambda2) of each side on which an alpha = 1/2
+    same-shape tempered-stable pair differs, negative side first; None for
+    any other pair.
+
+    On such a side log(dnu1/dnu2)(y) = -(lambda1 - lambda2)|y|, and nu1 - nu2
+    integrates to C Gamma(-1/2)(sqrt(lambda1) - sqrt(lambda2)), with
+    Gamma(-1/2) = -2 sqrt(pi).  So the summed log-ratio of a path is linear
+    in its one-sided jump sums, whose law under nu2 is inverse Gaussian
+    (``simulate.inverse_gaussian_sums``), and the pair needs no truncation.
+    Sides with equal tempering contribute nothing and are left out.
+    """
+    if not (_same_shape_ts(nu1, nu2) and nu1.alpha == 0.5):
+        return None
+    sides = (
+        (nu1.c_minus, nu1.lam_minus, nu2.lam_minus),
+        (nu1.c_plus, nu1.lam_plus, nu2.lam_plus),
+    )
+    return tuple(side for side in sides if side[1] != side[2])
+
+
 def pair_sqrt_difference_fn(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
     """y -> sqrt(density(nu1)) - sqrt(density(nu2)), cancellation-safe."""
     if _same_shape_ts(nu1, nu2):

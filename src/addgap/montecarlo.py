@@ -7,11 +7,21 @@ driven by the jump sizes alone.  Everything here samples under the law
 of the second process, evaluates pathwise functionals of (C_T, D_T),
 and reduces them into mean/half-width estimates:
 
-* ``estimate_tv`` targets E|1 - M_T|, the L1 distance itself (exact for
-  finite-activity pairs, a truncation proxy otherwise);
+* ``estimate_tv`` targets E|1 - M_T|, the L1 distance itself (unbiased
+  for finite-activity pairs and for same-shape alpha = 1/2
+  tempered-stable pairs, a truncation proxy otherwise);
 * ``martingale_check`` targets E[M_T] = 1, a pure self-test;
 * ``estimate_sinh_oracle`` targets E[e^{A+} - e^{A-}] = 2 sinh(T L1),
   the identity behind the jump term of the sinh-shaped bound.
+
+The jump part D_T is drawn one of two ways (``_jump_part``).  For a
+same-shape alpha = 1/2 tempered-stable pair (equal alpha and C+-, see
+``measures.pair_ig_sides``) log(dnu1/dnu2)(y) = -(lambda1 - lambda2)|y|,
+so D_T is affine in the one-sided jump sums, which are inverse Gaussian:
+one ``Generator.wald`` variate per differing side and path gives D_T
+exactly, epsilon plays no part, no jump is drawn and the chunk-jump limit
+does not apply.  Every other pair sums the log-ratios of its jumps above
+epsilon through ``simulate.stream_jump_sums``.
 
 Each estimator checks its hypotheses, hoists its per-estimate constants,
 and hands a closure that maps one chunk's two streams to the values of its
@@ -39,6 +49,7 @@ from .measures import (
     LevyMeasure,
     check_abs_continuity,
     l1_integral,
+    pair_ig_sides,
     pair_log_ratio,
 )
 from .processes import ProblemSpec
@@ -46,6 +57,7 @@ from .simulate import (
     RngStream,
     _default_epsilon,
     _mass_above,
+    inverse_gaussian_sums,
     stream_jump_sums,
 )
 
@@ -67,9 +79,12 @@ CHUNK_PATHS = 8192
 # Most jumps one chunk may expect to draw; an estimate that would expect
 # more is refused before anything is drawn.  A chunk streams its jumps in
 # fixed blocks, so its memory does not grow with them: the limit bounds the
-# run time of one chunk.  The bundled tempered-stable pair expects 3.3e7
-# jumps at epsilon 1e-6.
+# run time of one chunk.  A pair truncated at epsilon 1e-6 whose second
+# measure is the bundled tempered-stable one expects 3.3e7 jumps; the
+# bundled pair itself draws no jumps (see ``_jump_part``).
 MAX_CHUNK_JUMPS = 2**25
+
+_TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)  # -Gamma(-1/2)
 
 
 @dataclass(frozen=True)
@@ -185,16 +200,31 @@ def _reduce_chunks(n_paths: int, epsilon: float, seed: int, values) -> EstimateR
     return EstimateResult(s1 / n, 1.96 * math.sqrt(variance / n), n, epsilon, seed)
 
 
-def _estimate_ct_dt(spec, n_paths, epsilon, rng_root, value_fn) -> EstimateResult:
-    """Monte Carlo mean of value_fn(C_T + D_T) under the second process."""
-    if n_paths <= 0:
-        raise ValueError("n_paths must be positive")
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError("epsilon must be finite and >= 0")
-    seed = RngStream(rng_root, 0).root_seed  # validates like every stream
-    nu1, nu2, horizon = spec.process1.levy, spec.process2.levy, spec.horizon
-    _require_ac(nu1, nu2)
-    xi_sq = continuous_part(spec)
+def _jump_part(nu1: LevyMeasure, nu2: LevyMeasure, horizon: float, n_paths: int, epsilon: float):
+    """``(jump_part, truncation)``: ``jump_part(rng_jumps, m)`` returns D_T of
+    m paths drawn on the jump stream, and ``truncation`` is the epsilon it
+    truncates the jumps at (0 when it draws D_T exactly)."""
+    sides = pair_ig_sides(nu1, nu2)
+    if sides is not None:
+        # D_T = shift - sum over sides of (lambda1 - lambda2) S, with S the
+        # side's inverse Gaussian jump sum and shift = -horizon * integral
+        # of (nu1 - nu2); sqrt(l1) - sqrt(l2) is taken as (l1 - l2) /
+        # (sqrt(l1) + sqrt(l2)), which does not cancel.
+        shift = horizon * sum(
+            _TWO_SQRT_PI * c * (lam1 - lam2) / (math.sqrt(lam1) + math.sqrt(lam2))
+            for c, lam1, lam2 in sides
+        )
+
+        def exact(rng_jumps: RngStream, m: int) -> np.ndarray:
+            d = np.full(m, shift)
+            for c, lam1, lam2 in sides:
+                s = inverse_gaussian_sums(c, lam2, horizon, m, rng_jumps)
+                s *= lam1 - lam2
+                d -= s
+            return d
+
+        return exact, 0.0
+
     if epsilon == 0.0 and not (
         nu1.is_finite_activity() and nu2.is_finite_activity()
     ):
@@ -205,13 +235,32 @@ def _estimate_ct_dt(spec, n_paths, epsilon, rng_root, value_fn) -> EstimateResul
     comp_d = horizon * _compensator_gap(nu1, nu2, epsilon)
     log_ratio = pair_log_ratio(nu1, nu2)
 
-    def values(rng_jumps: RngStream, rng_gauss: RngStream, m: int) -> np.ndarray:
-        # D_T: the summed log-ratios of each path's jumps with |y| > epsilon
+    def truncated(rng_jumps: RngStream, m: int) -> np.ndarray:
+        # The summed log-ratios of each path's jumps with |y| > epsilon
         # minus horizon * integral of (nu1 - nu2) over {|y| > epsilon}.
         (d,) = stream_jump_sums(
             nu2, horizon, m, rng_jumps, epsilon, lambda y: (log_ratio(y),)
         )
         d -= comp_d
+        return d
+
+    return truncated, epsilon
+
+
+def _estimate_ct_dt(spec, n_paths, epsilon, rng_root, value_fn) -> EstimateResult:
+    """Monte Carlo mean of value_fn(C_T + D_T) under the second process."""
+    if n_paths <= 0:
+        raise ValueError("n_paths must be positive")
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError("epsilon must be finite and >= 0")
+    seed = RngStream(rng_root, 0).root_seed  # validates like every stream
+    nu1, nu2, horizon = spec.process1.levy, spec.process2.levy, spec.horizon
+    _require_ac(nu1, nu2)
+    xi_sq = continuous_part(spec)
+    jump_part, truncation = _jump_part(nu1, nu2, horizon, n_paths, epsilon)
+
+    def values(rng_jumps: RngStream, rng_gauss: RngStream, m: int) -> np.ndarray:
+        d = jump_part(rng_jumps, m)
         # C_T, exactly N(-xi^2/2, xi^2); 0 without a Gaussian part.
         c = 0.0
         if xi_sq is not None:
@@ -220,7 +269,7 @@ def _estimate_ct_dt(spec, n_paths, epsilon, rng_root, value_fn) -> EstimateResul
         with np.errstate(over="ignore"):
             return value_fn(c + d)
 
-    return _reduce_chunks(n_paths, epsilon, seed, values)
+    return _reduce_chunks(n_paths, truncation, seed, values)
 
 
 def default_epsilon(spec: ProblemSpec) -> float:
@@ -237,6 +286,8 @@ def estimate_tv(
 
     Unbiased for finite-activity pairs at epsilon = 0; with epsilon > 0 it
     targets the truncated proxy instead (no extrapolation is attempted).
+    Same-shape alpha = 1/2 tempered-stable pairs are drawn exactly and
+    unbiased at any valid epsilon, reported as truncation_epsilon 0.
     """
     return _estimate_ct_dt(
         spec, n_paths, epsilon, rng_root, lambda x: np.abs(np.expm1(x))
@@ -255,14 +306,6 @@ def estimate_sinh_oracle(
 ) -> EstimateResult:
     """Monte Carlo mean of e^{A+} - e^{A-} under the pure-jump law of the
     second measure; the target identity is 2 sinh(T L1(nu1, nu2))."""
-    return _sinh_oracle(spec, n_paths, rng_root)[0]
-
-
-def _sinh_oracle(
-    spec: ProblemSpec, n_paths: int, rng_root
-) -> tuple[EstimateResult, float]:
-    """``estimate_sinh_oracle`` and the L1(nu1, nu2) of its target, from one
-    absolute-continuity check and one L1 integral."""
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
     seed = RngStream(rng_root, 0).root_seed  # validates like every stream
@@ -294,4 +337,4 @@ def _sinh_oracle(
         with np.errstate(over="ignore"):
             return np.exp(a_plus) - np.exp(a_minus)
 
-    return _reduce_chunks(n_paths, 0.0, seed, values), l1
+    return _reduce_chunks(n_paths, 0.0, seed, values)

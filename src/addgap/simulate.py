@@ -3,7 +3,10 @@
 The continuous part is never discretized: its terminal contribution is a
 single normal draw with the closed-form mean and variance, so the only
 approximation anywhere in the sampling layer is the small-jump truncation
-for infinite-activity measures.  Every functional the estimators need
+for infinite-activity measures.  One infinite-activity case needs none:
+the jumps of one side of an alpha = 1/2 tempered-stable measure sum to an
+inverse Gaussian variable, which ``inverse_gaussian_sums`` draws exactly,
+one variate per path.  Every functional the estimators need
 depends on the jump sizes alone, so a path is a Poisson count of jumps
 and i.i.d. sizes, with no arrival times, and many paths are drawn on one
 stream at once.  Sizes come from the family's own sampler when one
@@ -70,6 +73,7 @@ from .quadrature import integrate_segments
 __all__ = [
     "DEFAULT_EPSILON",
     "RngStream",
+    "inverse_gaussian_sums",
     "stream_jump_sums",
     "sample_terminal_values",
 ]
@@ -553,6 +557,27 @@ def stream_jump_sums(
             w[0] = row[held[0]]
             w[1:] = values
             row[held] = np.bincount(block_ids, weights=w, minlength=held.size)
+    return sums
+
+
+def inverse_gaussian_sums(
+    c: float, lam: float, horizon: float, n_paths: int, rng: RngStream
+) -> np.ndarray:
+    """Per-path sums of |y| over the jumps in [0, horizon] of one side of an
+    alpha = 1/2 tempered-stable measure, density c |y|^{-3/2} e^{-lam |y|}.
+
+    No jump is drawn and nothing is truncated: the sum has Laplace
+    transform exp(-2 sqrt(pi) c horizon (sqrt(lam + s) - sqrt(lam))), the
+    inverse Gaussian law IG(c horizon sqrt(pi / lam), 2 pi (c horizon)^2),
+    which ``Generator.wald`` draws exactly (Michael, Schucany & Haas 1976),
+    n_paths variates from the current position of the stream.  They are
+    drawn as c horizon times IG(sqrt(pi / lam), 2 pi c horizon), the same
+    law (k IG(m, s) = IG(k m, k s)), so that the shape cannot underflow to
+    0 for a tiny c horizon.
+    """
+    ct = c * horizon
+    sums = rng.generator.wald(math.sqrt(math.pi / lam), 2.0 * math.pi * ct, n_paths)
+    sums *= ct
     return sums
 
 

@@ -15,7 +15,7 @@ from addgap.config import parse_config_dict
 from addgap.measures import l1_distance
 from addgap.montecarlo import estimate_tv
 
-from _oracles import L1_EX3, TWO_SINH_1
+from _oracles import L1_EX3, TWO_SINH_1, clear_caches
 
 TOL = 1e-12
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -286,25 +286,16 @@ class TestEstimate:
         hw = doc["estimate"]["half_width_95"]
         assert abs(mean - doc["target"]) <= 4.0 * hw
 
-    def test_sinh_check_computes_each_ingredient_once(self, tmp_path, capsys, monkeypatch):
+    def test_sinh_check_computes_each_ingredient_once(self, tmp_path, capsys):
         # The oracle's absolute-continuity grid and L1 integral also give
-        # the target; the command runs neither a second time.
-        calls = {"check_abs_continuity": 0, "l1_integral": 0}
-        for name in calls:
-            original = getattr(measures, name)
-
-            def counting(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            for module in (measures, montecarlo, cli):
-                if name in vars(module):
-                    monkeypatch.setattr(module, name, counting)
+        # the target: the command's second look-up of each is a cache hit.
+        clear_caches()
         path = write_config(tmp_path, matched_cp_config())
         argv = ["estimate", "--config", path, "--json", "--check", "sinh", "--paths", "3000"]
         code, out, _ = run(capsys, argv)
         assert code == 0
-        assert calls == {"check_abs_continuity": 1, "l1_integral": 1}
+        assert measures.check_abs_continuity.cache_info().misses == 1
+        assert measures.l1_integral.cache_info().misses == 1
         problem = parse_config_dict(matched_cp_config()).problem
         l1 = l1_distance(problem.process1.levy, problem.process2.levy)
         assert json.loads(out)["target"] == 2.0 * math.sinh(problem.horizon * l1)
@@ -788,6 +779,31 @@ class TestExitCodes:
         )
         assert code == 1
         assert out == ""
+        assert err == f"error: --epsilon: {reason}\n"
+
+    @pytest.mark.parametrize("value", ["0", "1e-9"])
+    def test_exact_tempered_stable_pair_ignores_epsilon(self, value, capsys):
+        # The bundled pair draws its jump part exactly: epsilon 0 needs no
+        # finite activity and 1e-9 no jump limit.
+        config = str(CONFIG_DIR / "tempered_stable.json")
+        argv = ["estimate", "--config", config, "--json", "--paths", "20000"]
+        code, out, err = run(capsys, argv + ["--epsilon", value])
+        assert code == 0 and err == ""
+        estimate = json.loads(out)["estimate"]
+        assert estimate["truncation_epsilon"] == 0.0
+        code, default, _ = run(capsys, argv)
+        assert code == 0 and json.loads(default)["estimate"] == estimate
+
+    @pytest.mark.parametrize(
+        "value, reason",
+        [("-1e-3", "must be >= 0"), ("nan", "must be finite"), ("inf", "must be finite")],
+    )
+    def test_exact_tempered_stable_pair_checks_epsilon(self, value, reason, capsys):
+        config = str(CONFIG_DIR / "tempered_stable.json")
+        code, out, err = run(
+            capsys, ["estimate", "--config", config, "--paths", "100", "--epsilon", value]
+        )
+        assert code == 1 and out == ""
         assert err == f"error: --epsilon: {reason}\n"
 
     @pytest.mark.parametrize("command", ["estimate", "compare", "sweep"])

@@ -17,7 +17,7 @@ DEMO_DIR = ROOT / "demos"
 DEMO_SHA256 = {
     "compound_poisson_distance.py": "2046f823e9c78158a1e4d52684eb9f4162536a4def206ac8c7820c2305b7a5f6",
     "horizon_sweep.py": "70ea2388db3e38e918359055fac234e749962dac7fbf3236572aea25d069889a",
-    "tempered_stable_truncation.py": "7ffd1b2e54b4ec88cd8cc8b2e885c2a88b6a5aab2d97d8307f2a799f86338e32",
+    "tempered_stable_truncation.py": "fa1af780c3822d5ccd427e073f2bd6f9867ad63d8bc49680932cae7910aaaf07",
 }
 
 

@@ -15,7 +15,12 @@ each pair the battery pins:
 
 ``golden_battery.json`` was recorded with the per-bound evaluation that
 each ``bound_*`` function carried out on its own, before the report
-computed every ingredient in one pass.  To inspect a record, run
+computed every ingredient in one pass.  The ``estimate_tv`` and
+``martingale_check`` records of ``ts_bundled`` and
+``ts_same_shape_poly_drift`` were re-recorded when those pairs (alpha =
+1/2, equal C+-) began drawing their jump part exactly from inverse
+Gaussian sums instead of truncating at epsilon; each new estimate lies
+within 0.5 combined half-widths of the truncated one it replaced.  To inspect a record, run
 ``PYTHONPATH=src python tests/test_golden_battery.py``; it prints the
 battery as JSON.
 """

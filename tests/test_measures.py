@@ -31,11 +31,13 @@ from addgap.measures import (
     hellinger_sq,
     l1_distance,
     pair_difference_fn,
+    pair_ig_sides,
     pair_log_ratio,
     pair_sqrt_difference_fn,
     validate_levy,
 )
 from addgap.processes import ConstantFunction, ProblemSpec, ProcessSpec
+from addgap.quadrature import integrate_fn
 
 from _oracles import (
     ETA_EX3,
@@ -611,3 +613,39 @@ class TestPairLogRatio:
         assert np.array_equal(pair_log_ratio(nu1, nu2)(y), two_pass_log_ratio(nu1, nu2, y))
         with pytest.raises(RatioUndefined):
             pair_log_ratio(nu1, nu2)(np.array([0.5, -1.0]))
+
+
+class TestPairIgSides:
+    def test_differing_sides_negative_first(self):
+        nu1 = TemperedStableMeasure(0.7, 1.3, 1.5, 2.0, 0.5)
+        nu2 = TemperedStableMeasure(0.7, 1.3, 1.0, 0.8, 0.5)
+        assert pair_ig_sides(nu1, nu2) == ((0.7, 1.5, 1.0), (1.3, 2.0, 0.8))
+        assert pair_ig_sides(EX3_NU1, EX3_NU2) == ((1.0, 2.0, 1.0),)
+        assert pair_ig_sides(EX3_NU2, EX3_NU2) == ()
+
+    @pytest.mark.parametrize(
+        "nu1, nu2",
+        [
+            (TemperedStableMeasure(1.0, 1.0, 1.0, 2.0, 0.7), TemperedStableMeasure(1.0, 1.0, 1.0, 1.0, 0.7)),
+            (TemperedStableMeasure(1.0, 1.5, 1.0, 2.0, 0.5), TemperedStableMeasure(1.0, 1.0, 1.0, 1.0, 0.5)),
+            (TemperedStableMeasure(2.0, 1.0, 1.0, 2.0, 0.5), TemperedStableMeasure(1.0, 1.0, 1.0, 1.0, 0.5)),
+            (CP_U01(2.0), CP_U01(1.0)),
+            (CP_U01(1.0), EX3_NU2),
+        ],
+    )
+    def test_other_pairs_have_no_exact_law(self, nu1, nu2):
+        assert pair_ig_sides(nu1, nu2) is None
+
+    def test_log_ratio_and_mass_gap_of_each_side(self):
+        # On each listed side log(dnu1/dnu2)(y) = -(lambda1 - lambda2)|y|
+        # and nu1 - nu2 integrates to C Gamma(-1/2)(sqrt(lambda1) - sqrt(lambda2)).
+        nu1 = TemperedStableMeasure(0.7, 1.3, 1.5, 2.0, 0.5)
+        nu2 = TemperedStableMeasure(0.7, 1.3, 1.0, 0.8, 0.5)
+        ratio, diff = pair_log_ratio(nu1, nu2), pair_difference_fn(nu1, nu2)
+        y = np.geomspace(1e-6, 30.0, 50)
+        for sign, (c, lam1, lam2) in zip((-1.0, 1.0), pair_ig_sides(nu1, nu2)):
+            np.testing.assert_allclose(ratio(sign * y), -(lam1 - lam2) * y, rtol=1e-12, atol=1e-13)
+            lo, hi = sorted((0.0, sign * math.inf))
+            gap = integrate_fn(diff, lo, hi, singular_at_zero=True).value
+            want = c * math.gamma(-0.5) * (math.sqrt(lam1) - math.sqrt(lam2))
+            assert math.isclose(gap, want, rel_tol=1e-9)

@@ -36,6 +36,7 @@ from addgap.montecarlo import (
 from addgap.processes import (
     ConstantFunction,
     PiecewiseConstantFunction,
+    PolynomialFunction,
     ProblemSpec,
     ProcessSpec,
 )
@@ -47,6 +48,7 @@ from _oracles import (
     TWO_SINH_02,
     TWO_SINH_04,
     estimator_inputs,
+    exact_ts_l1,
     path_sums,
 )
 
@@ -59,14 +61,22 @@ ZERO_FN = ConstantFunction(0.0)
 UNIT_VOL = ConstantFunction(1.0)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
-# estimate_tv(configs/tempered_stable.json, 24676 paths, epsilon, seed 3):
-# (mean, 95% half-width) as hex floats, recorded with the size table
-# searched by plain binary search and the log-ratio taken as two
-# log-density passes.  24676 paths are three full chunks and a partial one.
+# estimate_tv(unequal_c_ts_spec(), 24676 paths, epsilon, seed 3): (mean,
+# 95% half-width) as hex floats.  The pair has no exact law, so these pin
+# the table sampler; recorded before the exact inverse-Gaussian draw was
+# added.  24676 paths are three full chunks and a partial one.
 TS_GOLDEN = {
-    1e-2: ("0x1.0b8671bdc8fabp-1", "0x1.2503e43fe0a1ap-8"),
-    1e-3: ("0x1.0ce904ead6a5fp-1", "0x1.2458dcaab49ebp-8"),
-    1e-4: ("0x1.0d6342784d8e9p-1", "0x1.24e49cd93fc60p-8"),
+    1e-2: ("0x1.36748890c2038p+0", "0x1.a2f06811353ecp-5"),
+    1e-3: ("0x1.6157c38776faep+0", "0x1.ebda2e782dd9dp-4"),
+    1e-4: ("0x1.157a84304b7c5p+0", "0x1.a5aa0a43e6954p-4"),
+}
+
+# Exact inverse-Gaussian draws at 24676 paths, seed 3, as hex floats:
+# estimate_tv of configs/tempered_stable.json and martingale_check of
+# two_sided_ig_spec().
+IG_GOLDEN = {
+    "tv_bundled": ("0x1.0db3b2613a21fp-1", "0x1.24b574684e3dfp-8"),
+    "martingale_two_sided": ("0x1.025c85557c2dap+0", "0x1.fbd9a9d0a40dcp-7"),
 }
 
 
@@ -75,6 +85,26 @@ def matched_cp_spec(horizon=1.0):
     p1 = ProcessSpec(ConstantFunction(0.1), ZERO_FN, CP12)
     p2 = ProcessSpec(ZERO_FN, ZERO_FN, CP10)
     return ProblemSpec(p1, p2, horizon)
+
+
+def unequal_c_ts_spec():
+    """tempered_stable.json with C+ = 1.5 in process1 and sigma^2 = 1 on
+    both sides: a tempered-stable pair without an exact law of D_T."""
+    raw = json.loads((CONFIG_DIR / "tempered_stable.json").read_text())
+    raw["process1"]["levy"]["c_plus"] = 1.5
+    for key in ("process1", "process2"):
+        raw[key]["vol_sq"]["c"] = 1.0
+    return parse_config_dict(raw).problem
+
+
+def two_sided_ig_spec():
+    """A same-shape alpha = 1/2 pair whose tempering differs on both sides,
+    with unit volatility and zero drifts."""
+    return ProblemSpec(
+        ProcessSpec(ZERO_FN, UNIT_VOL, TemperedStableMeasure(0.7, 1.3, 1.5, 2.0, 0.5)),
+        ProcessSpec(ZERO_FN, UNIT_VOL, TemperedStableMeasure(0.7, 1.3, 1.0, 0.8, 0.5)),
+        1.0,
+    )
 
 
 def gaussian_spec(gap=1.0, horizon=4.0):
@@ -294,14 +324,8 @@ class TestEstimateTv:
         assert result.seed == 99
 
     def test_epsilon_zero_needs_finite_activity(self):
-        ts = TemperedStableMeasure(1.0, 1.0, 2.0, 2.0, 0.5)
-        spec = ProblemSpec(
-            ProcessSpec(ZERO_FN, UNIT_VOL, ts),
-            ProcessSpec(ZERO_FN, UNIT_VOL, ts),
-            1.0,
-        )
-        with pytest.raises(HypothesisFailed):
-            estimate_tv(spec, 100, 0.0, 1)
+        with pytest.raises(HypothesisFailed, match="requires finite-activity"):
+            estimate_tv(unequal_c_ts_spec(), 100, 0.0, 1)
 
     def test_sigma_mismatch_rejected(self):
         spec = ProblemSpec(
@@ -359,14 +383,14 @@ class TestEstimateTv:
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_tempered_stable_golden_bits(self, monkeypatch, threads):
         monkeypatch.setenv("ADDGAP_THREADS", threads)
-        spec = parse_config(CONFIG_DIR / "tempered_stable.json").problem
+        spec = unequal_c_ts_spec()
         for epsilon, (mean, half_width) in TS_GOLDEN.items():
             result = estimate_tv(spec, 24676, epsilon, 3)
             assert result.mean.hex() == mean
             assert result.half_width_95.hex() == half_width
 
     def test_truncated_proxy_for_infinite_activity(self):
-        ts1 = TemperedStableMeasure(1.0, 1.0, 1.0, 1.0, 0.5)
+        ts1 = TemperedStableMeasure(1.0, 1.5, 1.0, 1.0, 0.5)
         ts2 = TemperedStableMeasure(1.0, 1.0, 2.0, 2.0, 0.5)
         spec = ProblemSpec(
             ProcessSpec(ZERO_FN, UNIT_VOL, ts1),
@@ -466,6 +490,98 @@ class TestChunkReduction:
             partials.append(float(values.sum()))
         expected = math.fsum(partials) / n
         assert estimate_tv(spec, n, 0.0, seed).mean == expected
+
+
+def ig_specs():
+    """Same-shape alpha = 1/2 pairs: the bundled config, the golden battery's
+    ts_same_shape_poly_drift and a pair differing on both sides."""
+    return {
+        "bundled": parse_config(CONFIG_DIR / "tempered_stable.json").problem,
+        "poly_drift": ProblemSpec(
+            ProcessSpec(
+                PolynomialFunction((0.1, 0.5)), UNIT_VOL,
+                TemperedStableMeasure(1.0, 1.0, 1.0, 2.0, 0.5),
+            ),
+            ProcessSpec(ZERO_FN, UNIT_VOL, TemperedStableMeasure(1.0, 1.0, 1.0, 1.0, 0.5)),
+            1.0,
+        ),
+        "two_sided": two_sided_ig_spec(),
+    }
+
+
+class TestExactInverseGaussian:
+    """Same-shape alpha = 1/2 tempered-stable pairs draw D_T exactly."""
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_golden_bits(self, monkeypatch, threads):
+        monkeypatch.setenv("ADDGAP_THREADS", threads)
+        results = {
+            "tv_bundled": estimate_tv(ig_specs()["bundled"], 24676, 0.0, 3),
+            "martingale_two_sided": martingale_check(two_sided_ig_spec(), 24676, 3),
+        }
+        for name, result in results.items():
+            assert (result.mean.hex(), result.half_width_95.hex()) == IG_GOLDEN[name]
+            assert result.truncation_epsilon == 0.0
+
+    def test_epsilon_plays_no_part(self, monkeypatch):
+        # No jump is drawn, so neither the chunk-jump limit nor the size
+        # table is consulted, and every epsilon gives the same bits.
+        monkeypatch.setattr(montecarlo, "stream_jump_sums", never_sample)
+        monkeypatch.setattr(montecarlo, "_check_chunk_jumps", never_sample)
+        spec = ig_specs()["bundled"]
+        results = {estimate_tv(spec, 20_000, eps, 8) for eps in (0.0, 1e-12, 1e-4, 0.5)}
+        assert len(results) == 1
+        assert results.pop().truncation_epsilon == 0.0
+
+    @pytest.mark.parametrize("epsilon", [-1e-3, math.nan, math.inf])
+    def test_bad_epsilon_still_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            estimate_tv(ig_specs()["bundled"], 100, epsilon, 1)
+
+    def test_identical_measures_are_exact(self):
+        ts = TemperedStableMeasure(1.0, 1.0, 2.0, 2.0, 0.5)
+        spec = sigma_zero_spec(ts, ts)
+        assert estimate_tv(spec, 1000, 0.0, 1).mean == 0.0
+        assert martingale_check(spec, 1000, 1).mean == 1.0
+
+    def test_replays_stream_layout(self, monkeypatch):
+        # Chunk j draws the negative side's inverse Gaussian sums, then the
+        # positive side's, on its jump stream 2j; D_T is the shift minus
+        # (lambda1 - lambda2) times each sum.
+        spec = sigma_zero_spec(
+            TemperedStableMeasure(0.7, 1.3, 1.5, 2.0, 0.5),
+            TemperedStableMeasure(0.7, 1.3, 1.0, 0.8, 0.5),
+        )
+        n, seed = 20_000, 42
+        shift = -math.gamma(-0.5) * (
+            0.7 * (math.sqrt(1.5) - 1.0) + 1.3 * (math.sqrt(2.0) - math.sqrt(0.8))
+        )
+        expected = []
+        for j, start in enumerate(range(0, n, CHUNK_PATHS)):
+            m = min(CHUNK_PATHS, n - start)
+            gen = RngStream(seed, 2 * j).generator
+            s_minus = 0.7 * gen.wald(math.sqrt(math.pi), 2.0 * math.pi * 0.7, m)
+            s_plus = 1.3 * gen.wald(math.sqrt(math.pi / 0.8), 2.0 * math.pi * 1.3, m)
+            expected.append(shift - 0.5 * s_minus - 1.2 * s_plus)
+        d = estimator_inputs(monkeypatch, spec, n, 0.0, seed)
+        np.testing.assert_allclose(d, np.concatenate(expected), rtol=0.0, atol=1e-12)
+
+    def test_oracle_value_of_the_bundled_pair(self):
+        value, error = exact_ts_l1(ig_specs()["bundled"])
+        assert abs(value - 0.5277703) < 5e-8
+        assert error < 1e-10
+
+    @pytest.mark.parametrize("name", ["bundled", "poly_drift", "two_sided"])
+    def test_estimate_matches_oracle(self, name):
+        spec = ig_specs()[name]
+        result = estimate_tv(spec, 1 << 20, 0.0, 2024)
+        value, _ = exact_ts_l1(spec)
+        assert abs(result.mean - value) < 4.0 * result.half_width_95
+
+    @pytest.mark.parametrize("name", ["bundled", "poly_drift", "two_sided"])
+    def test_martingale_covers_one(self, name):
+        result = martingale_check(ig_specs()[name], 1 << 20, 77)
+        assert abs(result.mean - 1.0) < 4.0 * result.half_width_95
 
 
 def heavy_ts_spec():

@@ -1,5 +1,6 @@
 """Tests for the path samplers: streams, jump batches, C_T, terminals."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -22,6 +23,7 @@ from addgap.measures import (
     TemperedStableMeasure,
     UniformDensity,
     ZeroMeasure,
+    gamma_nu,
     pair_log_ratio,
 )
 from addgap.montecarlo import estimate_tv
@@ -36,6 +38,7 @@ from addgap.quadrature import integrate_fn
 from addgap.simulate import (
     DEFAULT_EPSILON,
     RngStream,
+    inverse_gaussian_sums,
     sample_jump_batch,
     sample_terminal_values,
     stream_jump_sums,
@@ -394,6 +397,48 @@ class TestSupportEdgeGoldens:
     def test_tabulated_total_mass(self):
         nu = edge_measures()["tabulated_levy"]
         assert nu.total_mass().hex() == TABULATED_TOTAL_MASS
+
+
+@dataclasses.dataclass(frozen=True)
+class _OneSide(TemperedStableMeasure):
+    """The half line of sign ``side`` of a tempered-stable measure."""
+
+    side: float = 1.0
+
+    def density(self, y):
+        y = np.asarray(y, dtype=float)
+        return np.where(self.side * y > 0.0, super().density(y), 0.0)
+
+    def support_segments(self):
+        return ((0.0, math.inf),) if self.side > 0 else ((-math.inf, 0.0),)
+
+
+class TestInverseGaussianSums:
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_empirical_cf_matches_char_function(self, side):
+        # The jump sum S of one side, as signed jumps, has characteristic
+        # function char_function(u) e^{iu T gamma}: char_function
+        # compensates the jumps with |y| <= 1 by their mean T gamma.
+        nu = _OneSide(0.6, 1.4, 0.5, 2.5, 0.5, side=side)
+        c, lam = (nu.c_plus, nu.lam_plus) if side > 0 else (nu.c_minus, nu.lam_minus)
+        horizon = 1.5
+        sums = inverse_gaussian_sums(c, lam, horizon, 200_000, RngStream(13, 0))
+        assert np.all(sums > 0.0)
+        x = side * sums
+        proc = ProcessSpec(ConstantFunction(0.0), ConstantFunction(0.0), nu)
+        for u in (0.3, 1.0, 3.0):
+            cf = char_function(proc, horizon, np.array([u]))[0]
+            target = cf * np.exp(1j * u * horizon * gamma_nu(nu))
+            ecf_re, ecf_im = np.cos(u * x), np.sin(u * x)
+            assert abs(ecf_re.mean() - target.real) < 4.0 * ecf_re.std() / math.sqrt(x.size)
+            assert abs(ecf_im.mean() - target.imag) < 4.0 * ecf_im.std() / math.sqrt(x.size)
+
+    def test_tiny_scale(self):
+        # c * horizon = 1e-170: IG(c T sqrt(pi), 2 pi (c T)^2) would have a
+        # shape that underflows to 0, which wald refuses.  Almost all of
+        # the law's mass then lies below the smallest double.
+        sums = inverse_gaussian_sums(1e-170, 1.0, 1.0, 1000, RngStream(3, 0))
+        assert np.all((sums >= 0.0) & (sums < 1e-150))
 
 
 class TestTerminalValues:
