@@ -654,6 +654,37 @@ def pair_ig_sides(nu1: LevyMeasure, nu2: LevyMeasure):
     return tuple(side for side in sides if side[1] != side[2])
 
 
+def pair_constant_log_ratio(nu1: LevyMeasure, nu2: LevyMeasure) -> float | None:
+    """The one value ``pair_log_ratio(nu1, nu2)`` gives at every jump that
+    nu2's sampler can draw, or None when the pair has no such constant.
+
+    A pair qualifies when both measures are compound Poisson (exactly that
+    type) with jump densities of type exactly ``UniformDensity``, nu2's
+    [a2, b2] lies inside nu1's [a1, b1], and the largest value nu2's
+    sampler can return, a2 + (b2 - a2)(1 - 2**-53), does not pass b2.
+    Every sampled jump then lies in [a2, b2] and is nonzero (the sampler
+    keeps |y| > epsilon >= 0), where both densities are flat, so its
+    log-ratio log(lambda1 / (b1 - a1)) - log(lambda2 / (b2 - a2)) is the
+    value returned here bit for bit, and the summed log-ratio of a path
+    depends on its jump count alone (the Poisson change of measure).
+    A subclass may sample or weigh differently, so it never qualifies.
+    """
+    if not (type(nu1) is type(nu2) is CompoundPoissonMeasure):
+        return None
+    g1, g2 = nu1.jump_density, nu2.jump_density
+    if not (type(g1) is type(g2) is UniformDensity):
+        return None
+    if not (g1.a <= g2.a and g2.b <= g1.b):
+        return None
+    if not g2.a + (g2.b - g2.a) * (1.0 - 2.0**-53) <= g2.b:
+        return None
+    point = g2.b if g2.b != 0.0 else g2.a
+    try:
+        return float(pair_log_ratio(nu1, nu2)(np.array([point]))[0])
+    except RatioUndefined:  # nu2's density underflows to 0
+        return None
+
+
 def pair_sqrt_difference_fn(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
     """y -> sqrt(density(nu1)) - sqrt(density(nu2)), cancellation-safe."""
     if _same_shape_ts(nu1, nu2):

@@ -14,14 +14,22 @@ and reduces them into mean/half-width estimates:
 * ``estimate_sinh_oracle`` targets E[e^{A+} - e^{A-}] = 2 sinh(T L1),
   the identity behind the jump term of the sinh-shaped bound.
 
-The jump part D_T is drawn one of two ways (``_jump_part``).  For a
+The jump part D_T is drawn one of three ways (``_jump_part``).  For a
 same-shape alpha = 1/2 tempered-stable pair (equal alpha and C+-, see
 ``measures.pair_ig_sides``) log(dnu1/dnu2)(y) = -(lambda1 - lambda2)|y|,
 so D_T is affine in the one-sided jump sums, which are inverse Gaussian:
 one ``Generator.wald`` variate per differing side and path gives D_T
 exactly, epsilon plays no part, no jump is drawn and the chunk-jump limit
 does not apply.  Every other pair sums the log-ratios of its jumps above
-epsilon through ``simulate.stream_jump_sums``.
+epsilon through ``simulate.stream_jump_sums``; when that log-ratio is one
+constant c at every jump nu2 can draw (compound Poisson pairs with
+uniform jumps, nu2's support inside nu1's, see
+``measures.pair_constant_log_ratio``), D_T is N_T c minus the compensator,
+a function of the Poisson count N_T alone.  ``stream_jump_sums`` is then
+handed the constant: it draws the counts and no sizes, and gives the
+sums of weighing every jump bit for bit.  Epsilon and the chunk-jump
+limit apply to these pairs as to any other.  The sinh oracle weighs its
+jumps the same way.
 
 Each estimator checks its hypotheses, hoists its per-estimate constants,
 and hands a closure that maps one chunk's two streams to the values of its
@@ -49,6 +57,7 @@ from .measures import (
     LevyMeasure,
     check_abs_continuity,
     l1_integral,
+    pair_constant_log_ratio,
     pair_ig_sides,
     pair_log_ratio,
 )
@@ -200,6 +209,19 @@ def _reduce_chunks(n_paths: int, epsilon: float, seed: int, values) -> EstimateR
     return EstimateResult(s1 / n, 1.96 * math.sqrt(variance / n), n, epsilon, seed)
 
 
+def _log_ratio_weights(nu1: LevyMeasure, nu2: LevyMeasure, parts):
+    """The ``weigh`` of ``simulate.stream_jump_sums`` whose rows are
+    ``parts(log-ratio)`` of each jump: a tuple of constants when the
+    pair's log-ratio is one constant (``pair_constant_log_ratio``), so that
+    only the counts are drawn, else ``parts`` of ``pair_log_ratio`` on each
+    block of sizes.  ``parts`` runs the same operations on either."""
+    constant = pair_constant_log_ratio(nu1, nu2)
+    if constant is not None:
+        return tuple(float(w) for w in parts(constant))
+    log_ratio = pair_log_ratio(nu1, nu2)
+    return lambda sizes: parts(log_ratio(sizes))
+
+
 def _jump_part(nu1: LevyMeasure, nu2: LevyMeasure, horizon: float, n_paths: int, epsilon: float):
     """``(jump_part, truncation)``: ``jump_part(rng_jumps, m)`` returns D_T of
     m paths drawn on the jump stream, and ``truncation`` is the epsilon it
@@ -233,14 +255,12 @@ def _jump_part(nu1: LevyMeasure, nu2: LevyMeasure, horizon: float, n_paths: int,
         )
     _check_chunk_jumps(nu2, horizon, epsilon, n_paths)
     comp_d = horizon * _compensator_gap(nu1, nu2, epsilon)
-    log_ratio = pair_log_ratio(nu1, nu2)
+    weigh = _log_ratio_weights(nu1, nu2, lambda ratio: (ratio,))
 
     def truncated(rng_jumps: RngStream, m: int) -> np.ndarray:
         # The summed log-ratios of each path's jumps with |y| > epsilon
         # minus horizon * integral of (nu1 - nu2) over {|y| > epsilon}.
-        (d,) = stream_jump_sums(
-            nu2, horizon, m, rng_jumps, epsilon, lambda y: (log_ratio(y),)
-        )
+        (d,) = stream_jump_sums(nu2, horizon, m, rng_jumps, epsilon, weigh)
         d -= comp_d
         return d
 
@@ -319,18 +339,16 @@ def estimate_sinh_oracle(
     gap = _compensator_gap(nu1, nu2, 0.0)
     # The positive and negative parts of the integral of nu1 - nu2.
     pos_rate, neg_rate = max(0.5 * (l1 + gap), 0.0), max(0.5 * (l1 - gap), 0.0)
-    log_ratio = pair_log_ratio(nu1, nu2)
-
-    def signed_parts(sizes):
-        ratio = log_ratio(sizes)
-        return np.maximum(ratio, 0.0), np.minimum(ratio, 0.0)
+    weigh = _log_ratio_weights(
+        nu1, nu2, lambda ratio: (np.maximum(ratio, 0.0), np.minimum(ratio, 0.0))
+    )
 
     def values(rng_jumps: RngStream, rng_gauss: RngStream, m: int) -> np.ndarray:
         # D_T = A+ + A- split along the sign of the log-ratio: A+ sums the
         # positive log-ratios and carries the compensator of the negative
         # part of nu1 - nu2, A- the rest, so A+ >= 0 >= A-.
         a_plus, a_minus = stream_jump_sums(
-            nu2, horizon, m, rng_jumps, 0.0, signed_parts, rows=2
+            nu2, horizon, m, rng_jumps, 0.0, weigh, rows=2
         )
         a_plus += horizon * neg_rate
         a_minus -= horizon * pos_rate

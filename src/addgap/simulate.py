@@ -39,6 +39,9 @@ with the running sum of the path that straddles the block boundary
 entered as its first weight; and the rejection sampler of compound
 Poisson sizes carries the accepted draws left over from one block into
 the next, so the sizes are the first accepted values of the stream.
+Given one constant weight per row instead of a function of the sizes,
+``stream_jump_sums`` draws the counts alone and forms each path's sum by
+the same additions (``_counted_sums``).
 
 Randomness is organized in named streams: ``RngStream(root_seed, k)``
 yields the k-th of 2**64 independent Philox substreams of a root seed, so
@@ -444,12 +447,12 @@ def _block_spans(total: int):
 
 def _draw_counts(
     nu: LevyMeasure, horizon: float, n_paths: int, rng: RngStream, epsilon: float
-):
-    """Poisson counts of n_paths paths, and the source of their sizes.
+) -> np.ndarray:
+    """Poisson counts of n_paths paths of jumps with |y| > epsilon.
 
-    Counts come first on the stream, then the sizes in stream order, so a
-    chunk is determined by (nu, horizon, n_paths, stream, epsilon) however
-    its sizes are split into blocks.
+    Counts come first on the stream, then the sizes in stream order
+    (``_size_source``), so a chunk is determined by (nu, horizon, n_paths,
+    stream, epsilon) however its sizes are split into blocks.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
@@ -459,20 +462,47 @@ def _draw_counts(
         raise DivergentMass(
             "epsilon = 0 needs a finite-activity measure; pass epsilon > 0"
         )
-    gen = rng.generator
     lam = _mass_above(nu, epsilon)
     if lam * horizon > 0.0:
-        counts = gen.poisson(lam * horizon, n_paths)
-    else:
-        counts = np.zeros(n_paths, dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return counts, None
+        return rng.generator.poisson(lam * horizon, n_paths)
+    return np.zeros(n_paths, dtype=np.int64)
+
+
+def _size_source(nu: LevyMeasure, epsilon: float, rng: RngStream, total: int):
+    """The source of the ``total`` > 0 sizes that follow the counts on rng."""
+    gen = rng.generator
     if isinstance(nu, CompoundPoissonMeasure):
-        source = _RejectionSizes(nu.jump_density, epsilon, lam / nu.intensity, gen)
-    else:
-        source = _TableSizes(_size_table(nu, epsilon), gen, min(total, _BLOCK_JUMPS))
-    return counts, source
+        acceptance = _mass_above(nu, epsilon) / nu.intensity
+        return _RejectionSizes(nu.jump_density, epsilon, acceptance, gen)
+    return _TableSizes(_size_table(nu, epsilon), gen, min(total, _BLOCK_JUMPS))
+
+
+def _counted_sums(counts: np.ndarray, weights: tuple[float, ...], rows: int) -> np.ndarray:
+    """Per-path sums of ``counts`` copies of each constant weight.
+
+    Row r at a path with k jumps is k copies of ``weights[r]`` added left
+    to right from 0.0, as the block ``bincount``s of ``stream_jump_sums``
+    add them, so the bits are those of weighing every jump.  The running
+    sums are built ``_BLOCK_JUMPS`` counts at a time, each block starting
+    from the last sum of the one before, so memory does not grow with the
+    largest count.
+    """
+    sums = np.zeros((rows, counts.size))
+    top = int(counts.max())
+    for row, weight in zip(sums, weights, strict=True):
+        carry = 0.0
+        for start, stop in _block_spans(top):
+            # running[i] is the sum of start + i copies of the weight.
+            running = np.full(stop - start + 1, weight)
+            running[0] = carry
+            np.cumsum(running, out=running)
+            if stop - start == top:  # one block holds every count
+                np.take(running, counts, out=row)
+            else:
+                held = np.flatnonzero((counts > start) & (counts <= stop))
+                row[held] = running[counts[held] - start]
+            carry = running[-1]
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +524,12 @@ def sample_jump_batch(
     finite-activity measure exactly.  The whole batch is held at once, so
     its memory grows with its jumps; it is the reference for the stream.
     """
-    counts, source = _draw_counts(nu, horizon, n_paths, rng, epsilon)
+    counts = _draw_counts(nu, horizon, n_paths, rng, epsilon)
     sizes = np.empty(int(counts.sum()))
-    for start, stop in _block_spans(sizes.size):
-        source.fill(sizes[start:stop])
+    if sizes.size:
+        source = _size_source(nu, epsilon, rng, sizes.size)
+        for start, stop in _block_spans(sizes.size):
+            source.fill(sizes[start:stop])
     counts.flags.writeable = False
     sizes.flags.writeable = False
     return JumpBatch(counts, sizes)
@@ -509,7 +541,7 @@ def stream_jump_sums(
     n_paths: int,
     rng: RngStream,
     epsilon: float,
-    weigh: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+    weigh: Callable[[np.ndarray], tuple[np.ndarray, ...]] | tuple[float, ...],
     rows: int = 1,
 ) -> np.ndarray:
     """Per-path sums of ``rows`` weights of the jumps of ``sample_jump_batch``.
@@ -524,12 +556,24 @@ def stream_jump_sums(
     whole batch; the path that straddles a block boundary carries its
     running sum in as the first weight of the next block.  ``weigh`` sees
     a view into a buffer that the next block overwrites.
+
+    ``weigh`` may instead be a tuple of ``rows`` floats, one weight that
+    every jump of a row takes (a pair whose log-ratio is one constant, see
+    ``measures.pair_constant_log_ratio``).  Then only the counts are drawn,
+    with the same validation on the same stream, and no size is drawn:
+    a path with k jumps gets k copies of each weight added left to right
+    from 0.0 (``_counted_sums``), the additions the blocks would make, so
+    the sums equal those of ``lambda s: tuple(np.full(s.size, w) for w in
+    weigh)`` bit for bit.
     """
-    counts, source = _draw_counts(nu, horizon, n_paths, rng, epsilon)
+    counts = _draw_counts(nu, horizon, n_paths, rng, epsilon)
+    if not callable(weigh):
+        return _counted_sums(counts, weigh, rows)
     sums = np.zeros((rows, n_paths))
-    if source is None:
-        return sums
     total = int(counts.sum())
+    if total == 0:
+        return sums
+    source = _size_source(nu, epsilon, rng, total)
     size = min(total, _BLOCK_JUMPS)
     sizes = np.empty(size)
     weights = np.empty((rows, size + 1))

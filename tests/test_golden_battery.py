@@ -20,7 +20,13 @@ computed every ingredient in one pass.  The ``estimate_tv`` and
 ``ts_same_shape_poly_drift`` were re-recorded when those pairs (alpha =
 1/2, equal C+-) began drawing their jump part exactly from inverse
 Gaussian sums instead of truncating at epsilon; each new estimate lies
-within 0.5 combined half-widths of the truncated one it replaced.  To inspect a record, run
+within 0.5 combined half-widths of the truncated one it replaced.  The
+other compound Poisson pairs have uniform(0, 1) jumps on both sides, a
+constant log-ratio, and so draw counts and no sizes
+(``measures.pair_constant_log_ratio``); ``cp_exponential`` and
+``cp_wider_reference`` (uniform(0, 1) against uniform(0, 2)) keep the
+path that draws and weighs every jump pinned, and were recorded before
+the counted path existed.  To inspect a record, run
 ``PYTHONPATH=src python tests/test_golden_battery.py``; it prints the
 battery as JSON.
 """
@@ -72,11 +78,11 @@ def _const(c):
     return {"form": "constant", "c": c}
 
 
-def _cp(lam, a=0.0, b=1.0):
+def _cp(lam, a=0.0, b=1.0, density=None):
     return {
         "type": "compound_poisson",
         "lambda": lam,
-        "jump_density": {"family": "uniform", "a": a, "b": b},
+        "jump_density": density or {"family": "uniform", "a": a, "b": b},
     }
 
 
@@ -137,6 +143,15 @@ def battery() -> dict:
         "not_ac_zero_drift_mismatch": _pair(
             _const(1.0), _const(0.0), _const(0.0), _const(0.0),
             _cp(1.0, 0.0, 2.0), _cp(1.0),
+        ),
+        "cp_exponential": _pair(
+            _const(0.3), _const(0.0), _const(1.0), _const(1.0),
+            _cp(1.0, density={"family": "exponential", "rate": 1.0}),
+            _cp(1.0, density={"family": "exponential", "rate": 2.0}),
+        ),
+        "cp_wider_reference": _pair(
+            _const(0.0), _const(0.0), _const(1.0), _const(1.0),
+            _cp(1.0), _cp(1.0, 0.0, 2.0),
         ),
         "gauss_positive": _pair(
             _const(1.0), _const(0.0), _const(1.0), _const(1.0), ZERO, ZERO, 4.0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -30,13 +31,16 @@ from addgap.measures import (
     gamma_nu,
     hellinger_sq,
     l1_distance,
+    pair_constant_log_ratio,
     pair_difference_fn,
     pair_ig_sides,
     pair_log_ratio,
     pair_sqrt_difference_fn,
     validate_levy,
 )
+from addgap.config import parse_config
 from addgap.processes import ConstantFunction, ProblemSpec, ProcessSpec
+from addgap.simulate import RngStream, sample_jump_batch
 from addgap.quadrature import integrate_fn
 
 from _oracles import (
@@ -58,6 +62,7 @@ EX3_NU1 = TemperedStableMeasure(c_minus=1.0, c_plus=1.0, lam_minus=1.0, lam_plus
 EX3_NU2 = TemperedStableMeasure(c_minus=1.0, c_plus=1.0, lam_minus=1.0, lam_plus=1.0, alpha=0.5)
 
 CP_U01 = lambda lam: CompoundPoissonMeasure(lam, UniformDensity(0.0, 1.0))
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestJumpDensities:
@@ -649,3 +654,67 @@ class TestPairIgSides:
             gap = integrate_fn(diff, lo, hi, singular_at_zero=True).value
             want = c * math.gamma(-0.5) * (math.sqrt(lam1) - math.sqrt(lam2))
             assert math.isclose(gap, want, rel_tol=1e-9)
+
+
+class _OtherUniform(UniformDensity):
+    """A uniform density by value, but a subclass, free to sample otherwise."""
+
+
+def bundled_levy_pair(name):
+    spec = parse_config(CONFIG_DIR / f"{name}.json").problem
+    return spec.process1.levy, spec.process2.levy
+
+
+class TestPairConstantLogRatio:
+    @pytest.mark.parametrize(
+        "nu1, nu2",
+        [
+            bundled_levy_pair("compound_poisson"),
+            bundled_levy_pair("jump_diffusion"),
+            (CP_U01(2.0), CompoundPoissonMeasure(1.0, UniformDensity(0.2, 0.7))),
+            (CP_U01(0.8), CP_U01(1.5)),
+        ],
+        ids=["cp_bundled", "jd_bundled", "inner_support", "lambda1_below_lambda2"],
+    )
+    def test_equals_the_log_ratio_of_every_sampled_jump(self, nu1, nu2):
+        constant = pair_constant_log_ratio(nu1, nu2)
+        sizes = sample_jump_batch(nu2, 1.0, 10**5, RngStream(4, 0)).sizes
+        ratio = pair_log_ratio(nu1, nu2)(sizes)
+        assert sizes.size > 50_000 and type(constant) is float
+        assert np.array_equal(ratio.view(np.uint64), np.full(sizes.size, constant).view(np.uint64))
+        g1, g2 = nu1.jump_density, nu2.jump_density
+        closed = math.log(nu1.intensity / (g1.b - g1.a)) - math.log(nu2.intensity / (g2.b - g2.a))
+        assert math.isclose(constant, closed, rel_tol=1e-12, abs_tol=1e-15)
+
+    @pytest.mark.parametrize(
+        "nu1, nu2",
+        [
+            (CompoundPoissonMeasure(1.0, ExponentialDensity(1.0)),
+             CompoundPoissonMeasure(1.0, ExponentialDensity(2.0))),
+            (CompoundPoissonMeasure(2.0, ExponentialDensity(1.0)),
+             CompoundPoissonMeasure(1.0, ExponentialDensity(1.0))),
+            (CompoundPoissonMeasure(2.0, NormalDensity(0.0, 1.0)),
+             CompoundPoissonMeasure(1.0, NormalDensity(0.0, 1.0))),
+            # the log-ratio is -inf on (1, 2]
+            (CP_U01(1.0), CompoundPoissonMeasure(1.0, UniformDensity(0.0, 2.0))),
+            (CompoundPoissonMeasure(2.0, _OtherUniform(0.0, 1.0)), CP_U01(1.0)),
+            (CP_U01(2.0), CompoundPoissonMeasure(1.0, _OtherUniform(0.0, 1.0))),
+            (CP_U01(1.0), CompoundPoissonMeasure(1.0, ExponentialDensity(1.0))),
+            (EX3_NU1, EX3_NU2),
+            (TabulatedLevyMeasure((0.1, 1.0), (2.0, 2.0)), TabulatedLevyMeasure((0.1, 1.0), (1.0, 1.0))),
+            (ZeroMeasure(), CP_U01(1.0)),
+            (CP_U01(1.0), ZeroMeasure()),
+            # nu2's sampler overflows to inf, outside [a2, b2]
+            (CompoundPoissonMeasure(1.0, UniformDensity(-1e308, 1e308)),
+             CompoundPoissonMeasure(1.0, UniformDensity(-1e308, 1e308))),
+            # nu2's density underflows to 0, so every jump's ratio is undefined
+            (CP_U01(1.0), CompoundPoissonMeasure(5e-324, UniformDensity(0.0, 2.0))),
+        ],
+        ids=[
+            "exponential", "exponential_same_density", "normal", "wider_reference",
+            "subclass_nu1", "subclass_nu2", "uniform_vs_exponential", "tempered_stable",
+            "tabulated", "zero_nu1", "zero_nu2", "overflowing_sampler", "vanishing_density",
+        ],
+    )
+    def test_other_pairs_have_no_constant(self, nu1, nu2):
+        assert pair_constant_log_ratio(nu1, nu2) is None

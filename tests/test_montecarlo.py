@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from addgap.bounds import bound_thm1, bound_thm2, gaussian_tv_exact, normal_cdf
-from addgap import montecarlo
+from addgap import montecarlo, simulate
 from addgap.config import parse_config, parse_config_dict
 from addgap.errors import (
     HypothesisFailed,
@@ -582,6 +582,64 @@ class TestExactInverseGaussian:
     def test_martingale_covers_one(self, name):
         result = martingale_check(ig_specs()[name], 1 << 20, 77)
         assert abs(result.mean - 1.0) < 4.0 * result.half_width_95
+
+
+def counted_specs():
+    """Compound Poisson pairs whose log-ratio is one constant, with the
+    epsilon each estimate_tv runs at."""
+    inner = CompoundPoissonMeasure(1.0, UniformDensity(0.2, 0.7))
+    return {
+        "cp_bundled": (parse_config(CONFIG_DIR / "compound_poisson.json").problem, 0.0),
+        "jd_bundled": (parse_config(CONFIG_DIR / "jump_diffusion.json").problem, 0.0),
+        "cp_epsilon": (parse_config(CONFIG_DIR / "compound_poisson.json").problem, 0.3),
+        "lambda1_below": (sigma_zero_spec(CompoundPoissonMeasure(0.8, G01), CP12), 0.0),
+        # nu1 carries mass off nu2's support: every estimator refuses it.
+        "inner_support": (sigma_zero_spec(CompoundPoissonMeasure(2.0, G01), inner), 0.0),
+    }
+
+
+def estimate_outcomes(spec, epsilon, n_paths, seed):
+    """Hex (mean, half-width) or (exception type, message) of each estimator;
+    the martingale runs at the estimate's epsilon."""
+
+    def outcome(fn, *args):
+        try:
+            result = fn(*args)
+        except (HypothesisFailed, NotAbsolutelyContinuous) as exc:
+            return type(exc).__name__, str(exc)
+        return result.mean.hex(), result.half_width_95.hex()
+
+    return {
+        "tv": outcome(estimate_tv, spec, n_paths, epsilon, seed),
+        "martingale": outcome(_estimate_ct_dt, spec, n_paths, epsilon, seed, np.exp),
+        "sinh": outcome(estimate_sinh_oracle, spec, n_paths, seed),
+    }
+
+
+def no_sizes(*args, **kwargs):
+    raise AssertionError("a constant log-ratio draws no jump size")
+
+
+class TestCountedJumpParts:
+    """Pairs with a constant log-ratio draw their counts and no sizes, with
+    every bit of the estimates that weigh each jump."""
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    @pytest.mark.parametrize("name", sorted(counted_specs()))
+    def test_same_bits_as_weighing_each_jump(self, monkeypatch, threads, name):
+        spec, epsilon = counted_specs()[name]
+        nu1, nu2 = spec.process1.levy, spec.process2.levy
+        assert montecarlo.pair_constant_log_ratio(nu1, nu2) is not None
+        monkeypatch.setenv("ADDGAP_THREADS", threads)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate._RejectionSizes, "fill", no_sizes)
+            counted = estimate_outcomes(spec, epsilon, 24676, 3)
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "pair_constant_log_ratio", lambda nu1, nu2: None)
+            streamed = estimate_outcomes(spec, epsilon, 24676, 3)
+        assert counted == streamed
+        refused = name == "inner_support"
+        assert all((v[0] == "NotAbsolutelyContinuous") == refused for v in counted.values())
 
 
 def heavy_ts_spec():

@@ -865,6 +865,72 @@ class TestStreamJumpSums:
         assert np.array_equal(batch.sizes.view(np.uint64), sizes.view(np.uint64))
 
 
+COUNTED_WEIGHTS = (math.log(2.0), -math.log(1.2), 0.0, 0.1)
+
+
+def no_sizes(*args, **kwargs):
+    raise AssertionError("a constant weight draws no jump size")
+
+
+def assert_counted_matches_streamed(monkeypatch, nu, n_paths, stream, eps):
+    """Constant weights give the sums of weighing every jump, bit for bit,
+    without drawing a size; returns the counts of the chunk."""
+    rows = len(COUNTED_WEIGHTS)
+
+    def weigh(sizes):
+        return tuple(np.full(sizes.size, w) for w in COUNTED_WEIGHTS)
+
+    streamed = stream_jump_sums(nu, 1.0, n_paths, RngStream(*stream), eps, weigh, rows=rows)
+    with monkeypatch.context() as patch:
+        patch.setattr(_RejectionSizes, "fill", no_sizes)
+        patch.setattr(UniformDensity, "sample", no_sizes)
+        counted = stream_jump_sums(
+            nu, 1.0, n_paths, RngStream(*stream), eps, COUNTED_WEIGHTS, rows=rows
+        )
+    assert counted.shape == streamed.shape == (rows, n_paths)
+    assert np.array_equal(counted.view(np.uint64), streamed.view(np.uint64))
+    return simulate._draw_counts(nu, 1.0, n_paths, RngStream(*stream), eps)
+
+
+class TestCountedSums:
+    @pytest.fixture(params=BLOCKS[:-1], ids=lambda b: f"block{b}")
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(simulate, "_BLOCK_JUMPS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_paths_longer_than_a_block(self, monkeypatch, block, eps):
+        # About 9000 jumps per path (300 for the one-jump blocks), so paths
+        # straddle blocks of jumps and of counts, and repeated sums of 0.1 round.
+        lam = 300.0 if block == 1 else 9000.0
+        nu = CompoundPoissonMeasure(lam, UniformDensity(0.0, 1.0))
+        counts = assert_counted_matches_streamed(monkeypatch, nu, 6, (7, 1), eps)
+        assert counts.sum() > block  # some path straddles a block boundary
+        (tenths,) = stream_jump_sums(nu, 1.0, 6, RngStream(7, 1), eps, (0.1,))
+        assert np.any(tenths != counts * 0.1)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_paths_without_jumps(self, monkeypatch, block, eps):
+        nu = CompoundPoissonMeasure(0.7, UniformDensity(0.0, 1.0))
+        counts = assert_counted_matches_streamed(monkeypatch, nu, 3000, (8, 1), eps)
+        assert np.any(counts == 0) and np.any(counts > 1)
+
+    @pytest.mark.parametrize(
+        "nu, eps", [(ZeroMeasure(), 0.0), (CP_U01, 2.0)], ids=["zero", "beyond_support"]
+    )
+    def test_chunks_without_jumps(self, monkeypatch, block, nu, eps):
+        counts = assert_counted_matches_streamed(monkeypatch, nu, 50, (9, 1), eps)
+        assert not counts.any()
+
+    def test_counts_are_validated_as_before(self):
+        with pytest.raises(ValueError, match="n_paths must be positive"):
+            stream_jump_sums(CP_U01, 1.0, 0, RngStream(1, 0), 0.0, (1.0,))
+        with pytest.raises(ValueError, match="epsilon must be >= 0"):
+            stream_jump_sums(CP_U01, 1.0, 5, RngStream(1, 0), -0.1, (1.0,))
+        with pytest.raises(DivergentMass):
+            stream_jump_sums(TS_SYM, 1.0, 5, RngStream(1, 0), 0.0, (1.0,))
+
+
 class TestStreamMemory:
     def test_tempered_stable_chunk_peak(self):
         # One 8192-path chunk at epsilon 1e-4 holds about 3.2M jumps; the
