@@ -343,7 +343,7 @@ def _cmd_sweep(args) -> int:
     want_estimate = cfg.estimator is not None or any(
         flag is not None for flag in (args.paths, args.seed, args.epsilon)
     )
-    settings = _resolve_settings(cfg, args)
+    _resolve_settings(cfg, args)  # a bad flag is refused before any row
     lines = [CSV_HEADER]
     for value in _sweep_values(start, stop, steps):
         raw = set_config_value(cfg.raw, param, value)
@@ -351,6 +351,7 @@ def _cmd_sweep(args) -> int:
         report = compute_report(sub.problem)
         estimate = half_width = None
         if want_estimate:
+            settings = _resolve_settings(sub, args)  # may sweep an estimator leaf
             try:
                 result = _run_tv(sub.problem, settings)
             except AddgapError:

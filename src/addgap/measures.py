@@ -544,26 +544,35 @@ def _same_shape_ts(nu1, nu2) -> bool:
     )
 
 
+def _same_shape_ts_difference(nu1, nu2, root, factor) -> Callable:
+    """y -> root(density(nu1)) - root(density(nu2)) of a same-shape
+    tempered-stable pair, for root(x) = x**factor (the identity and 1.0, or
+    np.sqrt and 0.5).  On each side it is root(C |y|^(-1-alpha))
+    e^(-factor lambda2 |y|) expm1(factor (lambda2 - lambda1) |y|), which
+    keeps relative precision where the densities nearly cancel."""
+
+    def diff(y):
+        y = np.asarray(y, dtype=float)
+        ay = np.abs(y)
+        with np.errstate(all="ignore"):
+            pos, neg = (
+                root(c * ay ** (-1.0 - nu1.alpha))
+                * np.exp(-factor * lam2 * ay)
+                * np.expm1(factor * (lam2 - lam1) * ay)
+                for c, lam1, lam2 in (
+                    (nu1.c_plus, nu1.lam_plus, nu2.lam_plus),
+                    (nu1.c_minus, nu1.lam_minus, nu2.lam_minus),
+                )
+            )
+        return np.where(y > 0, pos, np.where(y < 0, neg, 0.0))
+
+    return diff
+
+
 def pair_difference_fn(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
     """y -> density(nu1) - density(nu2), cancellation-safe where it matters."""
     if _same_shape_ts(nu1, nu2):
-
-        def diff(y):
-            y = np.asarray(y, dtype=float)
-            ay = np.abs(y)
-            with np.errstate(all="ignore"):
-                base_p = nu1.c_plus * ay ** (-1.0 - nu1.alpha)
-                pos = base_p * np.exp(-nu2.lam_plus * ay) * np.expm1(
-                    (nu2.lam_plus - nu1.lam_plus) * ay
-                )
-                base_m = nu1.c_minus * ay ** (-1.0 - nu1.alpha)
-                neg = base_m * np.exp(-nu2.lam_minus * ay) * np.expm1(
-                    (nu2.lam_minus - nu1.lam_minus) * ay
-                )
-            return np.where(y > 0, pos, np.where(y < 0, neg, 0.0))
-
-        return diff
-
+        return _same_shape_ts_difference(nu1, nu2, lambda x: x, 1.0)
     if (
         isinstance(nu1, CompoundPoissonMeasure)
         and isinstance(nu2, CompoundPoissonMeasure)
@@ -633,82 +642,77 @@ def pair_log_ratio(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
     return ratio
 
 
-def pair_ig_sides(nu1: LevyMeasure, nu2: LevyMeasure):
-    """(C, lambda1, lambda2) of each side on which an alpha = 1/2
-    same-shape tempered-stable pair differs, negative side first; None for
-    any other pair.
+_TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)  # -Gamma(-1/2)
 
-    On such a side log(dnu1/dnu2)(y) = -(lambda1 - lambda2)|y|, and nu1 - nu2
-    integrates to C Gamma(-1/2)(sqrt(lambda1) - sqrt(lambda2)), with
-    Gamma(-1/2) = -2 sqrt(pi).  So the summed log-ratio of a path is linear
-    in its one-sided jump sums, whose law under nu2 is inverse Gaussian
-    (``simulate.inverse_gaussian_sums``), and the pair needs no truncation.
-    Sides with equal tempering contribute nothing and are left out.
+
+@dataclass(frozen=True)
+class JumpLaw:
+    """A pair's jump law (``pair_jump_law``): its ``kind`` and ``value``,
+    and ``mass_gap``, the integral of nu1 - nu2 of an ``"ig_sides"`` law."""
+
+    kind: str
+    value: object
+    mass_gap: float = 0.0
+
+
+def pair_jump_law(nu1: LevyMeasure, nu2: LevyMeasure) -> JumpLaw:
+    """How the summed log-ratio D of a path's jumps under nu2 is drawn: the
+    first of three laws that the pair qualifies for.
+
+    ``"ig_sides"``, value the (C, lambda1, lambda2) of each side on which
+    an alpha = 1/2 pair of tempered-stable measures with equal C+- differs,
+    negative side first.  On such a side log(dnu1/dnu2)(y) = -(lambda1 -
+    lambda2)|y| and nu1 - nu2 integrates to C Gamma(-1/2)(sqrt(lambda1) -
+    sqrt(lambda2)), Gamma(-1/2) = -2 sqrt(pi), with the root difference
+    taken as (lambda1 - lambda2) / (sqrt(lambda1) + sqrt(lambda2)), which
+    does not cancel.  So D is affine in the one-sided jump sums, which are
+    inverse Gaussian under nu2 (``simulate.inverse_gaussian_sums``): it is
+    drawn exactly, with no truncation and no jump.
+
+    ``"constant"``, value the one log-ratio of every jump nu2's sampler can
+    draw: both measures compound Poisson and both jump densities uniform
+    (exactly those types; a subclass may sample elsewhere), nu2's [a2, b2]
+    inside nu1's [a1, b1], and nu2's largest draw a2 + (b2 - a2)(1 -
+    2**-53) not past b2.  Every sampled jump is then a nonzero point of
+    [a2, b2], where both densities are flat, so its log-ratio is the value
+    bit for bit, unless nu2's density underflows to 0, and D depends on the
+    jump count alone (the Poisson change of measure).
+
+    ``"generic"``, value ``pair_log_ratio(nu1, nu2)``: every jump is drawn
+    and weighed.
     """
-    if not (_same_shape_ts(nu1, nu2) and nu1.alpha == 0.5):
-        return None
-    sides = (
-        (nu1.c_minus, nu1.lam_minus, nu2.lam_minus),
-        (nu1.c_plus, nu1.lam_plus, nu2.lam_plus),
-    )
-    return tuple(side for side in sides if side[1] != side[2])
-
-
-def pair_constant_log_ratio(nu1: LevyMeasure, nu2: LevyMeasure) -> float | None:
-    """The one value ``pair_log_ratio(nu1, nu2)`` gives at every jump that
-    nu2's sampler can draw, or None when the pair has no such constant.
-
-    A pair qualifies when both measures are compound Poisson (exactly that
-    type) with jump densities of type exactly ``UniformDensity``, nu2's
-    [a2, b2] lies inside nu1's [a1, b1], and the largest value nu2's
-    sampler can return, a2 + (b2 - a2)(1 - 2**-53), does not pass b2.
-    Every sampled jump then lies in [a2, b2] and is nonzero (the sampler
-    keeps |y| > epsilon >= 0), where both densities are flat, so its
-    log-ratio log(lambda1 / (b1 - a1)) - log(lambda2 / (b2 - a2)) is the
-    value returned here bit for bit, and the summed log-ratio of a path
-    depends on its jump count alone (the Poisson change of measure).
-    A subclass may sample or weigh differently, so it never qualifies.
-    """
-    if not (type(nu1) is type(nu2) is CompoundPoissonMeasure):
-        return None
-    g1, g2 = nu1.jump_density, nu2.jump_density
-    if not (type(g1) is type(g2) is UniformDensity):
-        return None
-    if not (g1.a <= g2.a and g2.b <= g1.b):
-        return None
-    if not g2.a + (g2.b - g2.a) * (1.0 - 2.0**-53) <= g2.b:
-        return None
-    point = g2.b if g2.b != 0.0 else g2.a
-    try:
-        return float(pair_log_ratio(nu1, nu2)(np.array([point]))[0])
-    except RatioUndefined:  # nu2's density underflows to 0
-        return None
+    if _same_shape_ts(nu1, nu2) and nu1.alpha == 0.5:
+        sides = (
+            (nu1.c_minus, nu1.lam_minus, nu2.lam_minus),
+            (nu1.c_plus, nu1.lam_plus, nu2.lam_plus),
+        )
+        sides = tuple(side for side in sides if side[1] != side[2])
+        gaps = [
+            _TWO_SQRT_PI * c * (l1 - l2) / (math.sqrt(l1) + math.sqrt(l2)) for c, l1, l2 in sides
+        ]
+        return JumpLaw("ig_sides", sides, -sum(gaps, 0.0))
+    log_ratio = pair_log_ratio(nu1, nu2)
+    if type(nu1) is type(nu2) is CompoundPoissonMeasure:
+        g1, g2 = nu1.jump_density, nu2.jump_density
+        if (
+            type(g1) is type(g2) is UniformDensity
+            and g1.a <= g2.a
+            and g2.b <= g1.b
+            and g2.a + (g2.b - g2.a) * (1.0 - 2.0**-53) <= g2.b
+        ):
+            point = g2.b if g2.b != 0.0 else g2.a
+            try:
+                return JumpLaw("constant", float(log_ratio(np.array([point]))[0]))
+            except RatioUndefined:  # nu2's density underflows to 0
+                pass
+    return JumpLaw("generic", log_ratio)
 
 
 def pair_sqrt_difference_fn(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
     """y -> sqrt(density(nu1)) - sqrt(density(nu2)), cancellation-safe."""
     if _same_shape_ts(nu1, nu2):
-
-        def diff(y):
-            y = np.asarray(y, dtype=float)
-            ay = np.abs(y)
-            with np.errstate(all="ignore"):
-                base_p = np.sqrt(nu1.c_plus * ay ** (-1.0 - nu1.alpha))
-                pos = base_p * np.exp(-0.5 * nu2.lam_plus * ay) * np.expm1(
-                    0.5 * (nu2.lam_plus - nu1.lam_plus) * ay
-                )
-                base_m = np.sqrt(nu1.c_minus * ay ** (-1.0 - nu1.alpha))
-                neg = base_m * np.exp(-0.5 * nu2.lam_minus * ay) * np.expm1(
-                    0.5 * (nu2.lam_minus - nu1.lam_minus) * ay
-                )
-            return np.where(y > 0, pos, np.where(y < 0, neg, 0.0))
-
-        return diff
-
-    def diff(y):
-        return np.sqrt(nu1.density(y)) - np.sqrt(nu2.density(y))
-
-    return diff
+        return _same_shape_ts_difference(nu1, nu2, np.sqrt, 0.5)
+    return lambda y: np.sqrt(nu1.density(y)) - np.sqrt(nu2.density(y))
 
 
 # ---------------------------------------------------------------------------

@@ -14,22 +14,13 @@ and reduces them into mean/half-width estimates:
 * ``estimate_sinh_oracle`` targets E[e^{A+} - e^{A-}] = 2 sinh(T L1),
   the identity behind the jump term of the sinh-shaped bound.
 
-The jump part D_T is drawn one of three ways (``_jump_part``).  For a
-same-shape alpha = 1/2 tempered-stable pair (equal alpha and C+-, see
-``measures.pair_ig_sides``) log(dnu1/dnu2)(y) = -(lambda1 - lambda2)|y|,
-so D_T is affine in the one-sided jump sums, which are inverse Gaussian:
-one ``Generator.wald`` variate per differing side and path gives D_T
-exactly, epsilon plays no part, no jump is drawn and the chunk-jump limit
-does not apply.  Every other pair sums the log-ratios of its jumps above
-epsilon through ``simulate.stream_jump_sums``; when that log-ratio is one
-constant c at every jump nu2 can draw (compound Poisson pairs with
-uniform jumps, nu2's support inside nu1's, see
-``measures.pair_constant_log_ratio``), D_T is N_T c minus the compensator,
-a function of the Poisson count N_T alone.  ``stream_jump_sums`` is then
-handed the constant: it draws the counts and no sizes, and gives the
-sums of weighing every jump bit for bit.  Epsilon and the chunk-jump
-limit apply to these pairs as to any other.  The sinh oracle weighs its
-jumps the same way.
+The jump part D_T is drawn by the law ``measures.pair_jump_law`` picks
+for the pair, in one dispatch (``_jump_part``): exactly from inverse
+Gaussian sums, with no epsilon, no jump and no chunk-jump limit; or the
+log-ratios of the jumps above epsilon summed by
+``simulate.stream_jump_sums``, which draws only the Poisson counts when
+the log-ratio is one constant (``_jump_sums``, shared with the sinh
+oracle).
 
 Each estimator checks its hypotheses, hoists its per-estimate constants,
 and hands a closure that maps one chunk's two streams to the values of its
@@ -57,9 +48,7 @@ from .measures import (
     LevyMeasure,
     check_abs_continuity,
     l1_integral,
-    pair_constant_log_ratio,
-    pair_ig_sides,
-    pair_log_ratio,
+    pair_jump_law,
 )
 from .processes import ProblemSpec
 from .simulate import (
@@ -92,8 +81,6 @@ CHUNK_PATHS = 8192
 # measure is the bundled tempered-stable one expects 3.3e7 jumps; the
 # bundled pair itself draws no jumps (see ``_jump_part``).
 MAX_CHUNK_JUMPS = 2**25
-
-_TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)  # -Gamma(-1/2)
 
 
 @dataclass(frozen=True)
@@ -209,44 +196,17 @@ def _reduce_chunks(n_paths: int, epsilon: float, seed: int, values) -> EstimateR
     return EstimateResult(s1 / n, 1.96 * math.sqrt(variance / n), n, epsilon, seed)
 
 
-def _log_ratio_weights(nu1: LevyMeasure, nu2: LevyMeasure, parts):
-    """The ``weigh`` of ``simulate.stream_jump_sums`` whose rows are
-    ``parts(log-ratio)`` of each jump: a tuple of constants when the
-    pair's log-ratio is one constant (``pair_constant_log_ratio``), so that
-    only the counts are drawn, else ``parts`` of ``pair_log_ratio`` on each
-    block of sizes.  ``parts`` runs the same operations on either."""
-    constant = pair_constant_log_ratio(nu1, nu2)
-    if constant is not None:
-        return tuple(float(w) for w in parts(constant))
-    log_ratio = pair_log_ratio(nu1, nu2)
-    return lambda sizes: parts(log_ratio(sizes))
+def _jump_sums(nu1, nu2, law, horizon, n_paths, epsilon, parts, rows=1):
+    """``sums(rng_jumps, m)``: the ``rows`` per-path sums of ``parts`` of
+    the log-ratio of each jump with |y| > epsilon of m paths under nu2,
+    for a pair whose ``law`` is not ``"ig_sides"``.
 
-
-def _jump_part(nu1: LevyMeasure, nu2: LevyMeasure, horizon: float, n_paths: int, epsilon: float):
-    """``(jump_part, truncation)``: ``jump_part(rng_jumps, m)`` returns D_T of
-    m paths drawn on the jump stream, and ``truncation`` is the epsilon it
-    truncates the jumps at (0 when it draws D_T exactly)."""
-    sides = pair_ig_sides(nu1, nu2)
-    if sides is not None:
-        # D_T = shift - sum over sides of (lambda1 - lambda2) S, with S the
-        # side's inverse Gaussian jump sum and shift = -horizon * integral
-        # of (nu1 - nu2); sqrt(l1) - sqrt(l2) is taken as (l1 - l2) /
-        # (sqrt(l1) + sqrt(l2)), which does not cancel.
-        shift = horizon * sum(
-            _TWO_SQRT_PI * c * (lam1 - lam2) / (math.sqrt(lam1) + math.sqrt(lam2))
-            for c, lam1, lam2 in sides
-        )
-
-        def exact(rng_jumps: RngStream, m: int) -> np.ndarray:
-            d = np.full(m, shift)
-            for c, lam1, lam2 in sides:
-                s = inverse_gaussian_sums(c, lam2, horizon, m, rng_jumps)
-                s *= lam1 - lam2
-                d -= s
-            return d
-
-        return exact, 0.0
-
+    Refuses epsilon = 0 for an infinite-activity pair, and a run whose
+    chunk expects more than MAX_CHUNK_JUMPS jumps, before anything is
+    drawn.  A ``"constant"`` law hands ``stream_jump_sums`` ``parts`` of
+    its constant, so only the counts are drawn; ``parts`` runs the same
+    operations on the constant as on each block of log-ratios.
+    """
     if epsilon == 0.0 and not (
         nu1.is_finite_activity() and nu2.is_finite_activity()
     ):
@@ -254,13 +214,43 @@ def _jump_part(nu1: LevyMeasure, nu2: LevyMeasure, horizon: float, n_paths: int,
             "epsilon = 0 requires finite-activity measures; pass epsilon > 0"
         )
     _check_chunk_jumps(nu2, horizon, epsilon, n_paths)
+    weigh = (
+        tuple(float(w) for w in parts(law.value))
+        if law.kind == "constant"
+        else lambda sizes: parts(law.value(sizes))
+    )
+    return lambda rng_jumps, m: stream_jump_sums(
+        nu2, horizon, m, rng_jumps, epsilon, weigh, rows
+    )
+
+
+def _jump_part(nu1: LevyMeasure, nu2: LevyMeasure, horizon: float, n_paths: int, epsilon: float):
+    """``(jump_part, truncation)``: ``jump_part(rng_jumps, m)`` returns D_T of
+    m paths drawn on the jump stream, and ``truncation`` is the epsilon it
+    truncates the jumps at (0 when it draws D_T exactly)."""
+    law = pair_jump_law(nu1, nu2)
+    if law.kind == "ig_sides":
+        # D_T = shift - sum over sides of (lambda1 - lambda2) S, with S the
+        # side's inverse Gaussian jump sum.
+        shift = -horizon * law.mass_gap
+
+        def exact(rng_jumps: RngStream, m: int) -> np.ndarray:
+            d = np.full(m, shift)
+            for c, lam1, lam2 in law.value:
+                s = inverse_gaussian_sums(c, lam2, horizon, m, rng_jumps)
+                s *= lam1 - lam2
+                d -= s
+            return d
+
+        return exact, 0.0
+
+    sums = _jump_sums(nu1, nu2, law, horizon, n_paths, epsilon, lambda ratio: (ratio,))
     comp_d = horizon * _compensator_gap(nu1, nu2, epsilon)
-    weigh = _log_ratio_weights(nu1, nu2, lambda ratio: (ratio,))
 
     def truncated(rng_jumps: RngStream, m: int) -> np.ndarray:
         # The summed log-ratios of each path's jumps with |y| > epsilon
         # minus horizon * integral of (nu1 - nu2) over {|y| > epsilon}.
-        (d,) = stream_jump_sums(nu2, horizon, m, rng_jumps, epsilon, weigh)
+        (d,) = sums(rng_jumps, m)
         d -= comp_d
         return d
 
@@ -330,26 +320,26 @@ def estimate_sinh_oracle(
         raise ValueError("n_paths must be positive")
     seed = RngStream(rng_root, 0).root_seed  # validates like every stream
     nu1, nu2 = spec.process1.levy, spec.process2.levy
+    # The identity needs finite compensators at any epsilon, so this comes
+    # before absolute continuity and the checks of ``_jump_sums``.
     if not (nu1.is_finite_activity() and nu2.is_finite_activity()):
         raise HypothesisFailed("finite-activity pair required")
     _require_ac(nu1, nu2)
     horizon = spec.horizon
-    _check_chunk_jumps(nu2, horizon, 0.0, n_paths)
+    sums = _jump_sums(
+        nu1, nu2, pair_jump_law(nu1, nu2), horizon, n_paths, 0.0,
+        lambda ratio: (np.maximum(ratio, 0.0), np.minimum(ratio, 0.0)), rows=2,
+    )
     l1 = l1_integral(nu1, nu2)
     gap = _compensator_gap(nu1, nu2, 0.0)
     # The positive and negative parts of the integral of nu1 - nu2.
     pos_rate, neg_rate = max(0.5 * (l1 + gap), 0.0), max(0.5 * (l1 - gap), 0.0)
-    weigh = _log_ratio_weights(
-        nu1, nu2, lambda ratio: (np.maximum(ratio, 0.0), np.minimum(ratio, 0.0))
-    )
 
     def values(rng_jumps: RngStream, rng_gauss: RngStream, m: int) -> np.ndarray:
         # D_T = A+ + A- split along the sign of the log-ratio: A+ sums the
         # positive log-ratios and carries the compensator of the negative
         # part of nu1 - nu2, A- the rest, so A+ >= 0 >= A-.
-        a_plus, a_minus = stream_jump_sums(
-            nu2, horizon, m, rng_jumps, 0.0, weigh, rows=2
-        )
+        a_plus, a_minus = sums(rng_jumps, m)
         a_plus += horizon * neg_rate
         a_minus -= horizon * pos_rate
         with np.errstate(over="ignore"):

@@ -478,7 +478,8 @@ def _size_source(nu: LevyMeasure, epsilon: float, rng: RngStream, total: int):
 
 
 def _counted_sums(counts: np.ndarray, weights: tuple[float, ...], rows: int) -> np.ndarray:
-    """Per-path sums of ``counts`` copies of each constant weight.
+    """Per-path sums of ``counts`` copies of each constant weight, the
+    jump sums of a pair whose ``measures.pair_jump_law`` is ``"constant"``.
 
     Row r at a path with k jumps is k copies of ``weights[r]`` added left
     to right from 0.0, as the block ``bincount``s of ``stream_jump_sums``
@@ -558,13 +559,13 @@ def stream_jump_sums(
     a view into a buffer that the next block overwrites.
 
     ``weigh`` may instead be a tuple of ``rows`` floats, one weight that
-    every jump of a row takes (a pair whose log-ratio is one constant, see
-    ``measures.pair_constant_log_ratio``).  Then only the counts are drawn,
-    with the same validation on the same stream, and no size is drawn:
-    a path with k jumps gets k copies of each weight added left to right
-    from 0.0 (``_counted_sums``), the additions the blocks would make, so
-    the sums equal those of ``lambda s: tuple(np.full(s.size, w) for w in
-    weigh)`` bit for bit.
+    every jump of a row takes (a pair whose ``measures.pair_jump_law`` is
+    ``"constant"``).  Then only the counts are drawn, with the same
+    validation on the same stream, and no size is drawn: a path with k
+    jumps gets k copies of each weight added left to right from 0.0
+    (``_counted_sums``), the additions the blocks would make, so the sums
+    equal those of ``lambda s: tuple(np.full(s.size, w) for w in weigh)``
+    bit for bit.
     """
     counts = _draw_counts(nu, horizon, n_paths, rng, epsilon)
     if not callable(weigh):

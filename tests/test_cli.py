@@ -480,6 +480,33 @@ class TestSweep:
         assert float(row[8]) == direct.mean
         assert float(row[9]) == direct.half_width_95
 
+    @pytest.mark.parametrize(
+        "param, start, stop",
+        [("estimator.seed", "1", "2"), ("estimator.n_paths", "3000", "5000")],
+    )
+    def test_swept_estimator_leaf_sets_each_row(self, tmp_path, capsys, param, start, stop):
+        data = matched_cp_config()
+        data["estimator"] = {"n_paths": 4000, "seed": 1}
+        path = write_config(tmp_path, data)
+        argv = ["sweep", "--config", path, "--param", param, "--from", start, "--to", stop,
+                "--steps", "2"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        spec = parse_config_dict(data).problem
+        leaf = param.split(".")[1]
+        for line, value in zip(out.splitlines()[1:], (start, stop), strict=True):
+            settings = {**data["estimator"], leaf: int(value)}
+            direct = estimate_tv(spec, settings["n_paths"], 0.0, settings["seed"])
+            row = line.split(",")
+            assert (row[8], row[9]) == (repr(direct.mean), repr(direct.half_width_95))
+        # A flag still takes precedence over the swept leaf.
+        flag = {"estimator.seed": "--seed", "estimator.n_paths": "--paths"}[param]
+        code, out, _ = run(capsys, argv + [flag, "4000" if leaf == "n_paths" else "1"])
+        assert code == 0
+        direct = estimate_tv(spec, 4000, 0.0, 1)
+        for line in out.splitlines()[1:]:
+            assert line.split(",")[8:] == [repr(direct.mean), repr(direct.half_width_95)]
+
     def test_config_sweep_block_used(self, tmp_path, capsys):
         data = matched_cp_config()
         data["sweep"] = {"parameter": "horizon", "from": 0.5, "to": 1.5, "steps": 3}

@@ -22,11 +22,13 @@ computed every ingredient in one pass.  The ``estimate_tv`` and
 Gaussian sums instead of truncating at epsilon; each new estimate lies
 within 0.5 combined half-widths of the truncated one it replaced.  The
 other compound Poisson pairs have uniform(0, 1) jumps on both sides, a
-constant log-ratio, and so draw counts and no sizes
-(``measures.pair_constant_log_ratio``); ``cp_exponential`` and
+constant log-ratio, and so draw counts and no sizes (the ``"constant"``
+law of ``measures.pair_jump_law``); ``cp_exponential`` and
 ``cp_wider_reference`` (uniform(0, 1) against uniform(0, 2)) keep the
 path that draws and weighs every jump pinned, and were recorded before
-the counted path existed.  To inspect a record, run
+the counted path existed.  The counted and weighed paths give the same
+bits, so ``JUMP_LAW_KIND`` pins the law of each pair: a pair that slipped
+from one law to another would change no record, only the time it takes.  To inspect a record, run
 ``PYTHONPATH=src python tests/test_golden_battery.py``; it prints the
 battery as JSON.
 """
@@ -45,8 +47,9 @@ from addgap.bounds import (
     compute_report,
     gaussian_tv_exact,
 )
-from addgap.config import parse_config_dict
+from addgap.config import parse_config, parse_config_dict
 from addgap.errors import AddgapError
+from addgap.measures import pair_jump_law
 from addgap.montecarlo import (
     default_epsilon,
     estimate_sinh_oracle,
@@ -110,6 +113,30 @@ def _pair(drift1, drift2, vol1, vol2, levy1, levy2, horizon=1.0):
         "horizon": horizon,
     }
 
+
+# The ``pair_jump_law`` kind of each pair of the battery.
+JUMP_LAW_KIND = {
+    "cp_bundled": "constant",
+    "cp_exponential": "generic",
+    "cp_sigma_mismatch": "constant",
+    "cp_wider_reference": "generic",
+    "degenerate": "constant",
+    "gauss_positive": "generic",
+    "gauss_sigma_mismatch": "generic",
+    "gauss_zero_matched": "generic",
+    "gauss_zero_unmatched": "generic",
+    "jd_bundled": "constant",
+    "not_ac_positive": "constant",
+    "not_ac_zero_drift_mismatch": "constant",
+    "sinh_overflow": "constant",
+    "tab_eta_divergent_positive": "generic",
+    "tab_eta_divergent_zero": "generic",
+    "ts_alpha_1_5": "generic",
+    "ts_bundled": "ig_sides",
+    "ts_diff_shape_zero": "generic",
+    "ts_same_shape_poly_drift": "ig_sides",
+    "zero_sigma_drift_mismatch": "constant",
+}
 
 ZERO = {"type": "zero"}
 DEGENERATE = {"form": "piecewise_constant", "breaks": [0.5], "values": [0.0, 1.0]}
@@ -228,6 +255,28 @@ def test_battery_covers_the_recorded_pairs(golden):
 def test_pair_matches_golden_record(golden, name):
     got = json.loads(json.dumps(record(battery()[name])))
     assert got == golden[name]
+
+
+def _law_kind(spec):
+    return pair_jump_law(spec.process1.levy, spec.process2.levy).kind
+
+
+def test_every_pair_has_a_jump_law_kind():
+    assert sorted(JUMP_LAW_KIND) == sorted(battery())
+
+
+@pytest.mark.parametrize("name", sorted(battery()))
+def test_pair_jump_law_kind(name):
+    spec = parse_config_dict(copy.deepcopy(battery()[name])).problem
+    assert _law_kind(spec) == JUMP_LAW_KIND[name]
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [("compound_poisson", "constant"), ("jump_diffusion", "constant"), ("tempered_stable", "ig_sides")],
+)
+def test_bundled_config_jump_law_kind(name, kind):
+    assert _law_kind(parse_config(CONFIG_DIR / f"{name}.json").problem) == kind
 
 
 if __name__ == "__main__":

@@ -31,9 +31,8 @@ from addgap.measures import (
     gamma_nu,
     hellinger_sq,
     l1_distance,
-    pair_constant_log_ratio,
     pair_difference_fn,
-    pair_ig_sides,
+    pair_jump_law,
     pair_log_ratio,
     pair_sqrt_difference_fn,
     validate_levy,
@@ -620,13 +619,22 @@ class TestPairLogRatio:
             pair_log_ratio(nu1, nu2)(np.array([0.5, -1.0]))
 
 
+def ig_sides(nu1, nu2):
+    law = pair_jump_law(nu1, nu2)
+    assert law.kind == "ig_sides"
+    return law.value
+
+
 class TestPairIgSides:
+    """The ``"ig_sides"`` law of ``pair_jump_law``."""
+
     def test_differing_sides_negative_first(self):
         nu1 = TemperedStableMeasure(0.7, 1.3, 1.5, 2.0, 0.5)
         nu2 = TemperedStableMeasure(0.7, 1.3, 1.0, 0.8, 0.5)
-        assert pair_ig_sides(nu1, nu2) == ((0.7, 1.5, 1.0), (1.3, 2.0, 0.8))
-        assert pair_ig_sides(EX3_NU1, EX3_NU2) == ((1.0, 2.0, 1.0),)
-        assert pair_ig_sides(EX3_NU2, EX3_NU2) == ()
+        assert ig_sides(nu1, nu2) == ((0.7, 1.5, 1.0), (1.3, 2.0, 0.8))
+        assert ig_sides(EX3_NU1, EX3_NU2) == ((1.0, 2.0, 1.0),)
+        assert ig_sides(EX3_NU2, EX3_NU2) == ()
+        assert pair_jump_law(EX3_NU2, EX3_NU2).mass_gap == 0.0
 
     @pytest.mark.parametrize(
         "nu1, nu2",
@@ -639,7 +647,7 @@ class TestPairIgSides:
         ],
     )
     def test_other_pairs_have_no_exact_law(self, nu1, nu2):
-        assert pair_ig_sides(nu1, nu2) is None
+        assert pair_jump_law(nu1, nu2).kind != "ig_sides"
 
     def test_log_ratio_and_mass_gap_of_each_side(self):
         # On each listed side log(dnu1/dnu2)(y) = -(lambda1 - lambda2)|y|
@@ -648,12 +656,15 @@ class TestPairIgSides:
         nu2 = TemperedStableMeasure(0.7, 1.3, 1.0, 0.8, 0.5)
         ratio, diff = pair_log_ratio(nu1, nu2), pair_difference_fn(nu1, nu2)
         y = np.geomspace(1e-6, 30.0, 50)
-        for sign, (c, lam1, lam2) in zip((-1.0, 1.0), pair_ig_sides(nu1, nu2)):
+        total = 0.0
+        for sign, (c, lam1, lam2) in zip((-1.0, 1.0), ig_sides(nu1, nu2)):
             np.testing.assert_allclose(ratio(sign * y), -(lam1 - lam2) * y, rtol=1e-12, atol=1e-13)
             lo, hi = sorted((0.0, sign * math.inf))
             gap = integrate_fn(diff, lo, hi, singular_at_zero=True).value
             want = c * math.gamma(-0.5) * (math.sqrt(lam1) - math.sqrt(lam2))
             assert math.isclose(gap, want, rel_tol=1e-9)
+            total += want
+        assert math.isclose(pair_jump_law(nu1, nu2).mass_gap, total, rel_tol=1e-12)
 
 
 class _OtherUniform(UniformDensity):
@@ -666,6 +677,8 @@ def bundled_levy_pair(name):
 
 
 class TestPairConstantLogRatio:
+    """The ``"constant"`` law of ``pair_jump_law``."""
+
     @pytest.mark.parametrize(
         "nu1, nu2",
         [
@@ -677,7 +690,9 @@ class TestPairConstantLogRatio:
         ids=["cp_bundled", "jd_bundled", "inner_support", "lambda1_below_lambda2"],
     )
     def test_equals_the_log_ratio_of_every_sampled_jump(self, nu1, nu2):
-        constant = pair_constant_log_ratio(nu1, nu2)
+        law = pair_jump_law(nu1, nu2)
+        assert law.kind == "constant"
+        constant = law.value
         sizes = sample_jump_batch(nu2, 1.0, 10**5, RngStream(4, 0)).sizes
         ratio = pair_log_ratio(nu1, nu2)(sizes)
         assert sizes.size > 50_000 and type(constant) is float
@@ -717,4 +732,4 @@ class TestPairConstantLogRatio:
         ],
     )
     def test_other_pairs_have_no_constant(self, nu1, nu2):
-        assert pair_constant_log_ratio(nu1, nu2) is None
+        assert pair_jump_law(nu1, nu2).kind != "constant"

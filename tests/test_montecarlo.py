@@ -17,10 +17,13 @@ from addgap.errors import (
 )
 from addgap.measures import (
     CompoundPoissonMeasure,
+    JumpLaw,
     TabulatedLevyMeasure,
     TemperedStableMeasure,
     UniformDensity,
     ZeroMeasure,
+    pair_jump_law,
+    pair_log_ratio,
 )
 from addgap.montecarlo import (
     CHUNK_PATHS,
@@ -620,6 +623,11 @@ def no_sizes(*args, **kwargs):
     raise AssertionError("a constant log-ratio draws no jump size")
 
 
+def generic_law(nu1, nu2):
+    """``pair_jump_law`` as if no pair had a constant log-ratio."""
+    return JumpLaw("generic", pair_log_ratio(nu1, nu2))
+
+
 class TestCountedJumpParts:
     """Pairs with a constant log-ratio draw their counts and no sizes, with
     every bit of the estimates that weigh each jump."""
@@ -629,13 +637,13 @@ class TestCountedJumpParts:
     def test_same_bits_as_weighing_each_jump(self, monkeypatch, threads, name):
         spec, epsilon = counted_specs()[name]
         nu1, nu2 = spec.process1.levy, spec.process2.levy
-        assert montecarlo.pair_constant_log_ratio(nu1, nu2) is not None
+        assert pair_jump_law(nu1, nu2).kind == "constant"
         monkeypatch.setenv("ADDGAP_THREADS", threads)
         with monkeypatch.context() as patch:
             patch.setattr(simulate._RejectionSizes, "fill", no_sizes)
             counted = estimate_outcomes(spec, epsilon, 24676, 3)
         with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "pair_constant_log_ratio", lambda nu1, nu2: None)
+            patch.setattr(montecarlo, "pair_jump_law", generic_law)
             streamed = estimate_outcomes(spec, epsilon, 24676, 3)
         assert counted == streamed
         refused = name == "inner_support"
