@@ -28,14 +28,7 @@ from .errors import (
     NotGaussianCase,
     ZeroVolatility,
 )
-from .measures import (
-    ZeroMeasure,
-    check_abs_continuity,
-    gamma_nu,
-    hellinger_integral,
-    l1_integral,
-    require_abs_continuity,
-)
+from .measures import ZeroMeasure, gamma_nu, hellinger_sq, l1_distance
 from .processes import ProblemSpec
 
 # The L1 distance between probability laws never exceeds 2.
@@ -222,13 +215,10 @@ def compute_report(spec: ProblemSpec) -> BoundReport:
 
     # Measure-level ingredients do not depend on the volatility.
     try:
-        require_abs_continuity(check_abs_continuity(nu1, nu2))
+        l1_nu, hell = l1_distance(nu1, nu2), hellinger_sq(nu1, nu2)
     except NotAbsolutelyContinuous as exc:
         l1_nu = hell = None
         reasons["l1_nu"] = reasons["hellinger_sq_nu"] = str(exc)
-    else:
-        l1_nu = l1_integral(nu1, nu2)
-        hell = hellinger_integral(nu1, nu2)
 
     try:
         eta = spec.eta()

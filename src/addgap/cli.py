@@ -261,7 +261,10 @@ def _cmd_estimate(args) -> int:
     else:
         result = estimate_sinh_oracle(problem, settings.n_paths, settings.seed)
         l1 = l1_distance(problem.process1.levy, problem.process2.levy)
-        target = 2.0 * math.sinh(problem.horizon * l1)
+        try:
+            target = 2.0 * math.sinh(problem.horizon * l1)
+        except OverflowError:
+            target = math.inf
         extra_payload = {"target": target}
         extra_rows = [("target", target)]
     if args.json:

@@ -45,7 +45,8 @@ class RatioUndefined(AddgapError):
 
 
 class DivergentMass(AddgapError):
-    """Exact (epsilon = 0) jump simulation requested for an infinite-activity measure."""
+    """Jump simulation requested where the mass above epsilon is infinite,
+    as at epsilon = 0 for an infinite-activity measure."""
 
 
 class ConfigParse(AddgapError):

@@ -22,10 +22,20 @@ log-ratios of the jumps above epsilon summed by
 the log-ratio is one constant (``_jump_sums``, shared with the sinh
 oracle).
 
-Each estimator checks its hypotheses, hoists its per-estimate constants,
-and hands a closure that maps one chunk's two streams to the values of its
-paths to ``_reduce_chunks``, the one place that runs chunks and owns their
-layout: replications run in fixed chunks of ``CHUNK_PATHS`` paths; chunk j
+Each hypothesis is refused in one place, for all three estimators:
+``_run_seed`` checks the paths, epsilon and the seed;
+``measures.require_abs_continuity`` refuses a pair that is not nu1 << nu2,
+with the message of the bound report; and ``_jump_sums``, the finite-mass
+gate, reads nu1(|y| > epsilon) and nu2(|y| > epsilon) once, refuses with
+HypothesisFailed when either is infinite or a chunk would expect more than
+MAX_CHUNK_JUMPS jumps, and returns the compensator gap with the sums (an
+exact law draws no jump and needs no gate).  The sinh oracle alone first
+asks for a finite-activity pair.
+
+Each estimator then hoists its per-estimate constants and hands a
+closure that maps one chunk's two streams to the values of its paths to
+``_reduce_chunks``, the one place that runs chunks and owns their layout:
+replications run in fixed chunks of ``CHUNK_PATHS`` paths; chunk j
 draws its jumps from stream 2j (reduced block by block as they are drawn,
 see ``simulate.stream_jump_sums``) and its Gaussian part from stream 2j+1
 of the root seed, and chunk partials are reduced in index order with
@@ -43,12 +53,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import continuous_part, normal_cdf
-from .errors import HypothesisFailed, NotAbsolutelyContinuous
+from .errors import HypothesisFailed
 from .measures import (
     LevyMeasure,
-    check_abs_continuity,
-    l1_integral,
+    l1_distance,
     pair_jump_law,
+    require_abs_continuity,
 )
 from .processes import ProblemSpec
 from .simulate import (
@@ -119,38 +129,6 @@ def e_abs_one_minus_exp_normal(m: float, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Compensators and hypotheses
-# ---------------------------------------------------------------------------
-
-
-def _compensator_gap(nu1: LevyMeasure, nu2: LevyMeasure, epsilon: float) -> float:
-    """integral of (nu1 - nu2) over {|y| > epsilon}, via the exact masses."""
-    m1, m2 = _mass_above(nu1, epsilon), _mass_above(nu2, epsilon)
-    if math.isinf(m1) or math.isinf(m2):
-        raise ValueError(
-            "epsilon = 0 compensators need finite-activity measures"
-        )
-    return m1 - m2
-
-
-def _require_ac(nu1: LevyMeasure, nu2: LevyMeasure) -> None:
-    if not check_abs_continuity(nu1, nu2).ok:
-        raise NotAbsolutelyContinuous("nu1 carries density where nu2 has none")
-
-
-def _check_chunk_jumps(nu: LevyMeasure, horizon: float, epsilon: float, n_paths: int) -> None:
-    """Refuse a run whose largest chunk expects more than MAX_CHUNK_JUMPS
-    jumps with |y| > epsilon under nu."""
-    chunk = min(n_paths, CHUNK_PATHS)
-    expected = _mass_above(nu, epsilon) * horizon * chunk
-    if expected > MAX_CHUNK_JUMPS:
-        raise HypothesisFailed(
-            f"epsilon = {epsilon!r} expects {expected:.3g} jumps in a chunk of"
-            f" {chunk} paths, above the limit of {MAX_CHUNK_JUMPS}; raise epsilon"
-        )
-
-
-# ---------------------------------------------------------------------------
 # Chunked, bit-stable reduction
 # ---------------------------------------------------------------------------
 
@@ -196,32 +174,54 @@ def _reduce_chunks(n_paths: int, epsilon: float, seed: int, values) -> EstimateR
     return EstimateResult(s1 / n, 1.96 * math.sqrt(variance / n), n, epsilon, seed)
 
 
-def _jump_sums(nu1, nu2, law, horizon, n_paths, epsilon, parts, rows=1):
-    """``sums(rng_jumps, m)``: the ``rows`` per-path sums of ``parts`` of
-    the log-ratio of each jump with |y| > epsilon of m paths under nu2,
-    for a pair whose ``law`` is not ``"ig_sides"``.
+def _run_seed(n_paths: int, epsilon: float, rng_root) -> int:
+    """The root seed of a run of n_paths paths truncated at epsilon, after
+    refusing a non-positive n_paths, a negative or non-finite epsilon and
+    a seed that is not a 64-bit unsigned integer, in that order."""
+    if n_paths <= 0:
+        raise ValueError("n_paths must be positive")
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError("epsilon must be finite and >= 0")
+    return RngStream(rng_root, 0).root_seed  # validates like every stream
 
-    Refuses epsilon = 0 for an infinite-activity pair, and a run whose
-    chunk expects more than MAX_CHUNK_JUMPS jumps, before anything is
-    drawn.  A ``"constant"`` law hands ``stream_jump_sums`` ``parts`` of
-    its constant, so only the counts are drawn; ``parts`` runs the same
-    operations on the constant as on each block of log-ratios.
+
+def _jump_sums(nu1, nu2, law, horizon, n_paths, epsilon, parts, rows=1):
+    """``(sums, gap)`` for a pair whose ``law`` is not ``"ig_sides"``:
+    ``sums(rng_jumps, m)`` gives the ``rows`` per-path sums of ``parts`` of
+    the log-ratio of each jump with |y| > epsilon of m paths under nu2, and
+    ``gap`` is the compensator gap, the integral of nu1 - nu2 over
+    {|y| > epsilon}.
+
+    The finite-mass gate of every estimator that draws jumps: it reads
+    nu1(|y| > epsilon) and nu2(|y| > epsilon) once and, before anything is
+    drawn, refuses a pair where either is infinite and a run whose chunk
+    expects more than MAX_CHUNK_JUMPS jumps.  A ``"constant"`` law hands
+    ``stream_jump_sums`` ``parts`` of its constant, so only the counts are
+    drawn; ``parts`` runs the same operations on the constant as on each
+    block of log-ratios.
     """
-    if epsilon == 0.0 and not (
-        nu1.is_finite_activity() and nu2.is_finite_activity()
-    ):
+    m1, m2 = _mass_above(nu1, epsilon), _mass_above(nu2, epsilon)
+    if math.isinf(m1) or math.isinf(m2):
         raise HypothesisFailed(
             "epsilon = 0 requires finite-activity measures; pass epsilon > 0"
         )
-    _check_chunk_jumps(nu2, horizon, epsilon, n_paths)
+    chunk = min(n_paths, CHUNK_PATHS)
+    expected = m2 * horizon * chunk
+    if expected > MAX_CHUNK_JUMPS:
+        raise HypothesisFailed(
+            f"epsilon = {epsilon!r} expects {expected:.3g} jumps in a chunk of"
+            f" {chunk} paths, above the limit of {MAX_CHUNK_JUMPS}; raise epsilon"
+        )
     weigh = (
         tuple(float(w) for w in parts(law.value))
         if law.kind == "constant"
         else lambda sizes: parts(law.value(sizes))
     )
-    return lambda rng_jumps, m: stream_jump_sums(
-        nu2, horizon, m, rng_jumps, epsilon, weigh, rows
-    )
+
+    def sums(rng_jumps: RngStream, m: int) -> np.ndarray:
+        return stream_jump_sums(nu2, horizon, m, rng_jumps, epsilon, weigh, rows)
+
+    return sums, m1 - m2
 
 
 def _jump_part(nu1: LevyMeasure, nu2: LevyMeasure, horizon: float, n_paths: int, epsilon: float):
@@ -244,8 +244,8 @@ def _jump_part(nu1: LevyMeasure, nu2: LevyMeasure, horizon: float, n_paths: int,
 
         return exact, 0.0
 
-    sums = _jump_sums(nu1, nu2, law, horizon, n_paths, epsilon, lambda ratio: (ratio,))
-    comp_d = horizon * _compensator_gap(nu1, nu2, epsilon)
+    sums, gap = _jump_sums(nu1, nu2, law, horizon, n_paths, epsilon, lambda ratio: (ratio,))
+    comp_d = horizon * gap
 
     def truncated(rng_jumps: RngStream, m: int) -> np.ndarray:
         # The summed log-ratios of each path's jumps with |y| > epsilon
@@ -259,13 +259,9 @@ def _jump_part(nu1: LevyMeasure, nu2: LevyMeasure, horizon: float, n_paths: int,
 
 def _estimate_ct_dt(spec, n_paths, epsilon, rng_root, value_fn) -> EstimateResult:
     """Monte Carlo mean of value_fn(C_T + D_T) under the second process."""
-    if n_paths <= 0:
-        raise ValueError("n_paths must be positive")
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError("epsilon must be finite and >= 0")
-    seed = RngStream(rng_root, 0).root_seed  # validates like every stream
+    seed = _run_seed(n_paths, epsilon, rng_root)
     nu1, nu2, horizon = spec.process1.levy, spec.process2.levy, spec.horizon
-    _require_ac(nu1, nu2)
+    require_abs_continuity(nu1, nu2)
     xi_sq = continuous_part(spec)
     jump_part, truncation = _jump_part(nu1, nu2, horizon, n_paths, epsilon)
 
@@ -316,22 +312,19 @@ def estimate_sinh_oracle(
 ) -> EstimateResult:
     """Monte Carlo mean of e^{A+} - e^{A-} under the pure-jump law of the
     second measure; the target identity is 2 sinh(T L1(nu1, nu2))."""
-    if n_paths <= 0:
-        raise ValueError("n_paths must be positive")
-    seed = RngStream(rng_root, 0).root_seed  # validates like every stream
+    seed = _run_seed(n_paths, 0.0, rng_root)
     nu1, nu2 = spec.process1.levy, spec.process2.levy
     # The identity needs finite compensators at any epsilon, so this comes
-    # before absolute continuity and the checks of ``_jump_sums``.
+    # before absolute continuity and the gate of ``_jump_sums``.
     if not (nu1.is_finite_activity() and nu2.is_finite_activity()):
         raise HypothesisFailed("finite-activity pair required")
-    _require_ac(nu1, nu2)
+    require_abs_continuity(nu1, nu2)
     horizon = spec.horizon
-    sums = _jump_sums(
+    sums, gap = _jump_sums(
         nu1, nu2, pair_jump_law(nu1, nu2), horizon, n_paths, 0.0,
         lambda ratio: (np.maximum(ratio, 0.0), np.minimum(ratio, 0.0)), rows=2,
     )
-    l1 = l1_integral(nu1, nu2)
-    gap = _compensator_gap(nu1, nu2, 0.0)
+    l1 = l1_distance(nu1, nu2)
     # The positive and negative parts of the integral of nu1 - nu2.
     pos_rate, neg_rate = max(0.5 * (l1 + gap), 0.0), max(0.5 * (l1 - gap), 0.0)
 

@@ -458,11 +458,11 @@ def _draw_counts(
         raise ValueError("n_paths must be positive")
     if epsilon < 0.0:
         raise ValueError("epsilon must be >= 0")
-    if epsilon == 0.0 and not nu.is_finite_activity():
+    lam = _mass_above(nu, epsilon)
+    if math.isinf(lam):
         raise DivergentMass(
             "epsilon = 0 needs a finite-activity measure; pass epsilon > 0"
         )
-    lam = _mass_above(nu, epsilon)
     if lam * horizon > 0.0:
         return rng.generator.poisson(lam * horizon, n_paths)
     return np.zeros(n_paths, dtype=np.int64)

@@ -57,7 +57,10 @@ def estimator_inputs(monkeypatch, spec, n_paths, epsilon, seed):
 
 def clear_caches():
     """Empty every cache in the addgap modules (each attribute with a
-    ``cache_clear``), so that the next call computes from scratch."""
+    ``cache_clear``), so that the next call computes from scratch: the
+    measure functionals ``validate_levy``, ``check_abs_continuity``,
+    ``l1_distance``, ``hellinger_sq`` and ``gamma_nu``, the pair's eta, and
+    the sampler's per-(measure, epsilon) masses, shifts and size tables."""
     for name, module in list(sys.modules.items()):
         if name == "addgap" or name.startswith("addgap."):
             for value in vars(module).values():

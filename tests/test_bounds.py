@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from addgap import bounds, measures
+from addgap import measures
 from addgap.bounds import (
     TRIVIAL_BOUND,
     BoundReport,
@@ -35,7 +35,7 @@ from addgap.processes import (
     ProcessSpec,
 )
 
-from _oracles import GAUSS_T4, PHI_M1, THM1_CP12_T1, TWO_SINH_02
+from _oracles import GAUSS_T4, PHI_M1, THM1_CP12_T1, TWO_SINH_02, clear_caches
 
 TOL_PIN = 1e-12
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -373,24 +373,10 @@ class TestSinglePass:
         "name", ["compound_poisson", "jump_diffusion", "tempered_stable"]
     )
     def test_each_ingredient_computed_once(self, monkeypatch, name):
-        calls = {"ac": 0, "l1": 0, "h2": 0}
+        # The functionals are caches: a second look-up of an ingredient
+        # (each of L1 and H^2 checks absolute continuity) is a hit.
+        clear_caches()
         probes = []
-
-        def counting(key, fn):
-            def wrapper(*args):
-                calls[key] += 1
-                return fn(*args)
-
-            return wrapper
-
-        for key, attr in (
-            ("ac", "check_abs_continuity"),
-            ("l1", "l1_integral"),
-            ("h2", "hellinger_integral"),
-        ):
-            wrapper = counting(key, getattr(measures, attr))
-            for module in (measures, bounds):
-                monkeypatch.setattr(module, attr, wrapper)
         constant_value = ConstantFunction.value
 
         def probe_value(self, t):
@@ -402,7 +388,13 @@ class TestSinglePass:
         spec = parse_config(CONFIG_DIR / f"{name}.json").problem
         compute_report(spec)
         vols = [spec.process1.vol_sq, spec.process2.vol_sq]
-        assert calls == {"ac": 1, "l1": 1, "h2": 1}
+        misses = {
+            key: getattr(measures, attr).cache_info().misses
+            for key, attr in (
+                ("ac", "check_abs_continuity"), ("l1", "l1_distance"), ("h2", "hellinger_sq")
+            )
+        }
+        assert misses == {"ac": 1, "l1": 1, "h2": 1}
         # The variances are probed once per spec, at construction; the
         # report reuses those probes.
         assert [sum(p is v for p in probes) for v in vols] == [1, 1]

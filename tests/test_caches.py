@@ -1,8 +1,10 @@
 """The value-keyed caches of the measure functionals change no output bit.
 
-``measures.validate_levy``, ``check_abs_continuity``, ``l1_integral``,
-``hellinger_integral`` and ``gamma_nu`` (and ``processes._eta_cached``) are
-``functools.lru_cache``s keyed by the measures' values.  A report computed
+``measures.validate_levy``, ``check_abs_continuity``, ``l1_distance``,
+``hellinger_sq`` and ``gamma_nu`` (and ``processes._eta_cached``) are
+``functools.lru_cache``s keyed by the measures' values; ``l1_distance``
+and ``hellinger_sq`` look up the cached absolute-continuity check before
+they integrate, and a pair that fails it is refused on every call.  A report computed
 after an equal measure, parsed separately, has filled them must equal the
 report computed from empty caches bit for bit, also for measures that are
 equal without being written the same way (0.0 and -0.0).

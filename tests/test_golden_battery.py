@@ -28,7 +28,13 @@ law of ``measures.pair_jump_law``); ``cp_exponential`` and
 path that draws and weighs every jump pinned, and were recorded before
 the counted path existed.  The counted and weighed paths give the same
 bits, so ``JUMP_LAW_KIND`` pins the law of each pair: a pair that slipped
-from one law to another would change no record, only the time it takes.  To inspect a record, run
+from one law to another would change no record, only the time it takes.
+The six estimator records of ``not_ac_positive`` and
+``not_ac_zero_drift_mismatch`` were re-recorded when the estimators began
+refusing a pair that is not absolutely continuous with the report's
+message, which names a probe (``nu1 has density where nu2 has none, e.g.
+at y = ...``), in place of ``nu1 carries density where nu2 has none``.
+To inspect a record, run
 ``PYTHONPATH=src python tests/test_golden_battery.py``; it prints the
 battery as JSON.
 """

@@ -182,6 +182,25 @@ class TestTotalMass:
         expect = 2.0 * math.gamma(0.5)
         assert abs(nu.total_mass() - expect) < TOL_QUAD * expect
 
+    @pytest.mark.parametrize("alpha", [-1e-9, -1e-3, -0.05, -0.5, -1.5, -3.0])
+    def test_tempered_stable_closed_form_against_mpmath(self, alpha):
+        nu = TemperedStableMeasure(1.0, 2.0, 1.5, 0.7, alpha)
+        a = mpmath.mpf(alpha)
+        with mpmath.workdps(40):
+            expect = mpmath.gamma(-a) * (2 * mpmath.mpf(0.7) ** a + mpmath.mpf(1.5) ** a)
+        assert abs(nu.total_mass() - float(expect)) <= 1e-14 * float(expect)
+
+    @pytest.mark.parametrize(
+        "nu",
+        [
+            TemperedStableMeasure(1.0, 1.0, 1.0, 1.0, -200.0),  # Gamma(200)
+            TemperedStableMeasure(1.0, 1.0, 1e-300, 1.0, -2.0),  # lambda^alpha
+            TemperedStableMeasure(1e300, 1e300, 1e-20, 1e-20, -0.5),  # the product
+        ],
+    )
+    def test_tempered_stable_overflow_is_infinite(self, nu):
+        assert nu.total_mass() == math.inf
+
     def test_tempered_stable_infinite_activity(self):
         assert EX3_NU1.total_mass() == math.inf
         assert not EX3_NU1.is_finite_activity()

@@ -11,6 +11,7 @@ from addgap.bounds import bound_thm1, bound_thm2, gaussian_tv_exact, normal_cdf
 from addgap import montecarlo, simulate
 from addgap.config import parse_config, parse_config_dict
 from addgap.errors import (
+    DivergentMass,
     HypothesisFailed,
     NotAbsolutelyContinuous,
     RatioUndefined,
@@ -29,8 +30,8 @@ from addgap.montecarlo import (
     CHUNK_PATHS,
     MAX_CHUNK_JUMPS,
     EstimateResult,
-    _check_chunk_jumps,
     _estimate_ct_dt,
+    _jump_sums,
     e_abs_one_minus_exp_normal,
     estimate_sinh_oracle,
     estimate_tv,
@@ -43,7 +44,7 @@ from addgap.processes import (
     ProblemSpec,
     ProcessSpec,
 )
-from addgap.simulate import RngStream, sample_jump_batch
+from addgap.simulate import RngStream, sample_jump_batch, sample_terminal_values
 
 from _oracles import (
     EABS_1_2,
@@ -530,7 +531,7 @@ class TestExactInverseGaussian:
         # No jump is drawn, so neither the chunk-jump limit nor the size
         # table is consulted, and every epsilon gives the same bits.
         monkeypatch.setattr(montecarlo, "stream_jump_sums", never_sample)
-        monkeypatch.setattr(montecarlo, "_check_chunk_jumps", never_sample)
+        monkeypatch.setattr(montecarlo, "_jump_sums", never_sample)
         spec = ig_specs()["bundled"]
         results = {estimate_tv(spec, 20_000, eps, 8) for eps in (0.0, 1e-12, 1e-4, 0.5)}
         assert len(results) == 1
@@ -674,28 +675,38 @@ def test_never_sample_patches_the_sampling_entry_point(monkeypatch):
         estimate_sinh_oracle(matched_cp_spec(), 10, 1)
 
 
+def gate(nu2, horizon, epsilon, n_paths, nu1=CP10):
+    """The compensator gap that the estimators' finite-mass gate,
+    ``_jump_sums``, returns for (nu1, nu2); raises its refusal."""
+    _, gap = _jump_sums(
+        nu1, nu2, generic_law(nu1, nu2), horizon, n_paths, epsilon, lambda ratio: (ratio,)
+    )
+    return gap
+
+
 class TestChunkJumpGuard:
     def test_expected_jumps_arithmetic(self):
         # A compound Poisson chunk expects exactly lambda * T * paths jumps.
         assert MAX_CHUNK_JUMPS == 2**25
         at_limit = CompoundPoissonMeasure(MAX_CHUNK_JUMPS / CHUNK_PATHS, G01)
         above = CompoundPoissonMeasure(MAX_CHUNK_JUMPS / CHUNK_PATHS + 1.0, G01)
-        _check_chunk_jumps(at_limit, 1.0, 0.0, 100_000)
-        _check_chunk_jumps(above, 0.5, 0.0, 100_000)
+        assert gate(at_limit, 1.0, 0.0, 100_000) == 1.0 - MAX_CHUNK_JUMPS / CHUNK_PATHS
+        gate(above, 0.5, 0.0, 100_000)
         with pytest.raises(HypothesisFailed, match="3.36e\\+07 jumps in a chunk of 8192"):
-            _check_chunk_jumps(above, 1.0, 0.0, 100_000)
+            gate(above, 1.0, 0.0, 100_000)
         # A run shorter than one chunk expects jumps for its own paths.
-        _check_chunk_jumps(above, 1.0, 0.0, 8000)
+        gate(above, 1.0, 0.0, 8000)
         with pytest.raises(HypothesisFailed, match="in a chunk of 100 paths"):
-            _check_chunk_jumps(above, 1000.0, 0.0, 100)
+            gate(above, 1000.0, 0.0, 100)
 
     def test_bundled_tempered_stable_fits(self):
         # Its largest chunk at the default epsilon expects about 3.2e6 jumps.
         spec = parse_config(CONFIG_DIR / "tempered_stable.json").problem
-        nu2 = spec.process2.levy
-        _check_chunk_jumps(nu2, 10.0, 1e-4, 100_000)
+        nu1, nu2 = spec.process1.levy, spec.process2.levy
+        gap = gate(nu2, 10.0, 1e-4, 100_000, nu1)
+        assert gap == nu1.mass_above(1e-4) - nu2.mass_above(1e-4)
         with pytest.raises(HypothesisFailed):
-            _check_chunk_jumps(nu2, 11.0, 1e-4, 100_000)
+            gate(nu2, 11.0, 1e-4, 100_000, nu1)
 
     def test_estimators_refuse_before_drawing(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "stream_jump_sums", never_sample)
@@ -717,3 +728,36 @@ class TestChunkJumpGuard:
         )
         with pytest.raises(HypothesisFailed, match="8.19e\\+08 jumps"):
             estimate_sinh_oracle(spec, 100_000, 1)
+
+
+class _InfiniteMassMeasure(CompoundPoissonMeasure):
+    """A measure that claims finite activity but whose total mass is
+    infinite: the gate must read the mass, not ``is_finite_activity``."""
+
+    def total_mass(self):
+        return math.inf
+
+
+class TestFiniteMassGate:
+    NU = _InfiniteMassMeasure(1.0, G01)
+
+    @pytest.mark.parametrize("vol", [ZERO_FN, UNIT_VOL])
+    @pytest.mark.parametrize(
+        "nu1, nu2", [(NU, NU), (NU, CP10), (CP10, NU)], ids=["both", "nu1", "nu2"]
+    )
+    def test_estimators_refuse_before_drawing(self, monkeypatch, vol, nu1, nu2):
+        assert self.NU.is_finite_activity() and self.NU.mass_above(0.0) == math.inf
+        monkeypatch.setattr(montecarlo, "stream_jump_sums", never_sample)
+        spec = ProblemSpec(ProcessSpec(ZERO_FN, vol, nu1), ProcessSpec(ZERO_FN, vol, nu2), 1.0)
+        message = r"^epsilon = 0 requires finite-activity measures; pass epsilon > 0$"
+        with pytest.raises(HypothesisFailed, match=message):
+            estimate_tv(spec, 100, 0.0, 1)
+        with pytest.raises(HypothesisFailed, match=message):
+            martingale_check(spec, 100, 1)
+        with pytest.raises(HypothesisFailed, match=message):
+            estimate_sinh_oracle(spec, 100, 1)
+
+    def test_sampler_raises_divergent_mass(self):
+        process = ProcessSpec(ZERO_FN, ZERO_FN, self.NU)
+        with pytest.raises(DivergentMass, match="epsilon = 0 needs a finite-activity measure"):
+            sample_terminal_values(process, 1.0, 10, rng_jumps=RngStream(1, 0))
