@@ -30,7 +30,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .bounds import BoundReport, compute_report
 from .config import (
@@ -56,23 +56,7 @@ SCHEMA_VERSION = 1
 
 _BOUND_KEYS = ("thm1", "thm2", "simple_sqrt", "gaussian_exact")
 
-_REPORT_FIELDS = (
-    "horizon",
-    "vol_class",
-    "sigma_mismatch",
-    "drift_matched",
-    "l1_nu",
-    "hellinger_sq_nu",
-    "eta",
-    "gamma1",
-    "gamma2",
-    "xi_sq",
-    "thm1",
-    "thm2",
-    "simple_sqrt",
-    "gaussian_exact",
-    "best",
-)
+_REPORT_FIELDS = tuple(f.name for f in fields(BoundReport) if f.name != "reasons")
 
 CSV_HEADER = (
     "parameter,l1_nu,hellinger_sq_nu,xi_sq,thm1,thm2,"
@@ -326,21 +310,20 @@ def _sweep_values(start: float, stop: float, steps: int) -> list:
 
 def _cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
-    sweep = cfg.sweep
-    param = args.param if args.param is not None else (sweep.parameter if sweep else None)
-    start = args.sweep_from if args.sweep_from is not None else (sweep.start if sweep else None)
-    stop = args.sweep_to if args.sweep_to is not None else (sweep.stop if sweep else None)
-    steps = args.steps if args.steps is not None else (sweep.steps if sweep else None)
-    for name, value in (
-        ("--param", param),
-        ("--from", start),
-        ("--to", stop),
-        ("--steps", steps),
+    merged = []  # each flag over the config's sweep block
+    for flag, dest, field in (
+        ("--param", "param", "parameter"),
+        ("--from", "sweep_from", "start"),
+        ("--to", "sweep_to", "stop"),
+        ("--steps", "steps", "steps"),
     ):
+        value = getattr(args, dest)
+        if value is None and cfg.sweep is not None:
+            value = getattr(cfg.sweep, field)
         if value is None:
-            raise ConfigParse(
-                name, "sweep requires a config sweep block or explicit flags"
-            )
+            raise ConfigParse(flag, "sweep requires a config sweep block or explicit flags")
+        merged.append(value)
+    param, start, stop, steps = merged
     if steps < 1:
         raise ConfigParse("--steps", "must be >= 1")
     want_estimate = cfg.estimator is not None or any(

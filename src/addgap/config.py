@@ -17,20 +17,13 @@ Schema (JSON):
       "sweep": {"parameter": "horizon", "from": 0.1, "to": 5.0, "steps": 25}
     }
 
-Time functions TF: {"form": "constant", "c": 1.0},
-{"form": "polynomial", "coeffs": [0.0, 1.0]},
-{"form": "piecewise_constant", "breaks": [0.5], "values": [1.0, 2.0]}.
-
-Levy measures LM: {"type": "zero"},
-{"type": "compound_poisson", "lambda": 2.0, "jump_density": JD},
-{"type": "tempered_stable", "c_minus": 1.0, "c_plus": 1.0,
- "lambda_minus": 1.0, "lambda_plus": 2.0, "alpha": 0.5},
-{"type": "tabulated", "grid": [...], "values": [...]}.
-
-Jump densities JD: {"family": "uniform", "a": 0.0, "b": 1.0},
-{"family": "exponential", "rate": 1.0},
-{"family": "normal", "mean": 0.0, "variance": 1.0},
-{"family": "tabulated", "grid": [...], "values": [...]}.
+TF, LM and JD are tagged objects: "form", "type" or "family" picks an
+entry of ``_TIME_FUNCTIONS``, ``_LEVY_MEASURES`` or ``_JUMP_DENSITIES``,
+which names the constructor and its fields in order, e.g.
+{"type": "compound_poisson", "lambda": 2.0,
+ "jump_density": {"family": "uniform", "a": 0.0, "b": 1.0}}.
+One builder, ``_tagged``, checks every tagged object: the node, its tag,
+its keys, each field in order, then the constructor.
 """
 
 from __future__ import annotations
@@ -44,8 +37,6 @@ from .errors import ConfigParse, UnknownParameterPath
 from .measures import (
     CompoundPoissonMeasure,
     ExponentialDensity,
-    JumpDensity,
-    LevyMeasure,
     NormalDensity,
     TabulatedDensity,
     TabulatedLevyMeasure,
@@ -59,7 +50,6 @@ from .processes import (
     PolynomialFunction,
     ProblemSpec,
     ProcessSpec,
-    TimeFunction,
 )
 
 __all__ = [
@@ -164,94 +154,72 @@ def _wrap(where: str, builder):
 
 
 # ---------------------------------------------------------------------------
-# Fragment builders
+# Tagged fragments
 # ---------------------------------------------------------------------------
 
 
-def _build_jump_density(node, where: str) -> JumpDensity:
+def _tagged(node, where: str, tag: str, noun: str, kinds: dict):
+    """The object a tagged JSON object names: ``kinds`` maps each known
+    string value of its ``tag`` key to a constructor and that constructor's
+    ``(json key, reader)`` fields, in order.  Any other tag is unknown."""
     node = _object(node, where)
-    if "family" not in node:
-        raise ConfigParse(f"{where}.family", "missing required field")
-    family = node["family"]
-    if family == "uniform":
-        _check_keys(node, where, ("family", "a", "b"))
-        a, b = _real(node, "a", where), _real(node, "b", where)
-        return _wrap(where, lambda: UniformDensity(a, b))
-    if family == "exponential":
-        _check_keys(node, where, ("family", "rate"))
-        rate = _real(node, "rate", where)
-        return _wrap(where, lambda: ExponentialDensity(rate))
-    if family == "normal":
-        _check_keys(node, where, ("family", "mean", "variance"))
-        mean = _real(node, "mean", where)
-        variance = _real(node, "variance", where)
-        return _wrap(where, lambda: NormalDensity(mean, variance))
-    if family == "tabulated":
-        _check_keys(node, where, ("family", "grid", "values"))
-        grid = _real_list(node, "grid", where)
-        values = _real_list(node, "values", where)
-        return _wrap(where, lambda: TabulatedDensity(grid, values))
-    raise ConfigParse(f"{where}.family", f"unknown jump density family {family!r}")
+    if tag not in node:
+        raise ConfigParse(f"{where}.{tag}", "missing required field")
+    value = node[tag]
+    if not (isinstance(value, str) and value in kinds):
+        raise ConfigParse(f"{where}.{tag}", f"unknown {noun} {value!r}")
+    build, fields = kinds[value]
+    _check_keys(node, where, (tag, *(key for key, _ in fields)))
+    args = [read(node, key, where) for key, read in fields]
+    return _wrap(where, lambda: build(*args))
 
 
-def _build_levy(node, where: str) -> LevyMeasure:
-    node = _object(node, where)
-    if "type" not in node:
-        raise ConfigParse(f"{where}.type", "missing required field")
-    kind = node["type"]
-    if kind == "zero":
-        _check_keys(node, where, ("type",))
-        return ZeroMeasure()
-    if kind == "compound_poisson":
-        _check_keys(node, where, ("type", "lambda", "jump_density"))
-        intensity = _real(node, "lambda", where)
-        density = _build_jump_density(node["jump_density"], f"{where}.jump_density")
-        return _wrap(where, lambda: CompoundPoissonMeasure(intensity, density))
-    if kind == "tempered_stable":
-        _check_keys(
-            node,
-            where,
-            ("type", "c_minus", "c_plus", "lambda_minus", "lambda_plus", "alpha"),
-        )
-        args = tuple(
-            _real(node, key, where)
-            for key in ("c_minus", "c_plus", "lambda_minus", "lambda_plus", "alpha")
-        )
-        return _wrap(where, lambda: TemperedStableMeasure(*args))
-    if kind == "tabulated":
-        _check_keys(node, where, ("type", "grid", "values"))
-        grid = _real_list(node, "grid", where)
-        values = _real_list(node, "values", where)
-        return _wrap(where, lambda: TabulatedLevyMeasure(grid, values))
-    raise ConfigParse(f"{where}.type", f"unknown Levy measure type {kind!r}")
+def _reader(tag: str, noun: str, kinds: dict):
+    """The field reader of a tagged object nested under a key."""
+    return lambda node, key, where: _tagged(node[key], f"{where}.{key}", tag, noun, kinds)
 
 
-def _build_time_function(node, where: str) -> TimeFunction:
-    node = _object(node, where)
-    if "form" not in node:
-        raise ConfigParse(f"{where}.form", "missing required field")
-    form = node["form"]
-    if form == "constant":
-        _check_keys(node, where, ("form", "c"))
-        return ConstantFunction(_real(node, "c", where))
-    if form == "polynomial":
-        _check_keys(node, where, ("form", "coeffs"))
-        coeffs = _real_list(node, "coeffs", where)
-        return _wrap(where, lambda: PolynomialFunction(coeffs))
-    if form == "piecewise_constant":
-        _check_keys(node, where, ("form", "breaks", "values"))
-        breaks = _real_list(node, "breaks", where)
-        values = _real_list(node, "values", where)
-        return _wrap(where, lambda: PiecewiseConstantFunction(breaks, values))
-    raise ConfigParse(f"{where}.form", f"unknown time function form {form!r}")
+_GRID_VALUES = (("grid", _real_list), ("values", _real_list))
+_TS_FIELDS = tuple(
+    (key, _real) for key in ("c_minus", "c_plus", "lambda_minus", "lambda_plus", "alpha")
+)
+
+_JUMP_DENSITIES = {
+    "uniform": (UniformDensity, (("a", _real), ("b", _real))),
+    "exponential": (ExponentialDensity, (("rate", _real),)),
+    "normal": (NormalDensity, (("mean", _real), ("variance", _real))),
+    "tabulated": (TabulatedDensity, _GRID_VALUES),
+}
+_jump_density = _reader("family", "jump density family", _JUMP_DENSITIES)
+
+_LEVY_MEASURES = {
+    "zero": (ZeroMeasure, ()),
+    "compound_poisson": (
+        CompoundPoissonMeasure,
+        (("lambda", _real), ("jump_density", _jump_density)),
+    ),
+    "tempered_stable": (TemperedStableMeasure, _TS_FIELDS),
+    "tabulated": (TabulatedLevyMeasure, _GRID_VALUES),
+}
+_levy = _reader("type", "Levy measure type", _LEVY_MEASURES)
+
+_TIME_FUNCTIONS = {
+    "constant": (ConstantFunction, (("c", _real),)),
+    "polynomial": (PolynomialFunction, (("coeffs", _real_list),)),
+    "piecewise_constant": (
+        PiecewiseConstantFunction,
+        (("breaks", _real_list), ("values", _real_list)),
+    ),
+}
+_time_function = _reader("form", "time function form", _TIME_FUNCTIONS)
 
 
 def _build_process(node, where: str) -> ProcessSpec:
     node = _object(node, where)
     _check_keys(node, where, ("drift", "vol_sq", "levy"))
-    drift = _build_time_function(node["drift"], f"{where}.drift")
-    vol_sq = _build_time_function(node["vol_sq"], f"{where}.vol_sq")
-    levy = _build_levy(node["levy"], f"{where}.levy")
+    drift = _time_function(node, "drift", where)
+    vol_sq = _time_function(node, "vol_sq", where)
+    levy = _levy(node, "levy", where)
     return _wrap(where, lambda: ProcessSpec(drift, vol_sq, levy))
 
 

@@ -26,6 +26,10 @@ reads the cached probe grid and raises NotAbsolutelyContinuous naming a
 probe where nu1 has density and nu2 has none.  `l1_distance`,
 `hellinger_sq`, the bound report and every Monte Carlo estimator go
 through it.
+
+A measure has finite activity exactly when ``total_mass()`` is finite;
+there is no second test.  The mass above epsilon and the truncated
+compensator integrate each sign of the support in ``_side_integral``.
 """
 
 import abc
@@ -232,10 +236,8 @@ class LevyMeasure(abc.ABC):
 
     @abc.abstractmethod
     def total_mass(self) -> float:
-        """nu(R), possibly math.inf."""
-
-    @abc.abstractmethod
-    def is_finite_activity(self) -> bool: ...
+        """nu(R), possibly math.inf; the measure has finite activity exactly
+        when it is finite."""
 
     @abc.abstractmethod
     def support_segments(self) -> tuple[_Interval, ...]:
@@ -253,12 +255,9 @@ class LevyMeasure(abc.ABC):
             raise ValueError("epsilon must be >= 0")
         if epsilon == 0.0:
             return self.total_mass()
-        total = 0.0
-        for edges in _side_edges(self, epsilon, math.inf):
-            res = integrate_segments(self.density, edges)
-            if res.diverged:
-                raise DivergentIntegral(f"mass above {epsilon!r} diverged")
-            total += res.value
+        total = _side_integral(self, self.density, epsilon, math.inf)
+        if total is None:
+            raise DivergentIntegral(f"mass above {epsilon!r} diverged")
         return total
 
 
@@ -269,9 +268,6 @@ class ZeroMeasure(LevyMeasure):
 
     def total_mass(self):
         return 0.0
-
-    def is_finite_activity(self):
-        return True
 
     def support_segments(self):
         return ()
@@ -292,9 +288,6 @@ class CompoundPoissonMeasure(LevyMeasure):
 
     def total_mass(self):
         return self.intensity
-
-    def is_finite_activity(self):
-        return True
 
     def support_segments(self):
         lo, hi = self.jump_density.support()
@@ -353,9 +346,6 @@ class TemperedStableMeasure(LevyMeasure):
             )
         except OverflowError:
             return math.inf
-
-    def is_finite_activity(self):
-        return self.alpha < 0
 
     def support_segments(self):
         return ((-math.inf, 0.0), (0.0, math.inf))
@@ -451,16 +441,8 @@ class TabulatedLevyMeasure(LevyMeasure):
     def total_mass(self):
         if self.diverges_near_zero(0.0):
             return math.inf
-        total = 0.0
-        for edges in _side_edges(self, 0.0, math.inf):
-            res = integrate_segments(self.density, edges)
-            if res.diverged:
-                return math.inf
-            total += res.value
-        return total
-
-    def is_finite_activity(self):
-        return not self.diverges_near_zero(0.0)
+        total = _side_integral(self, self.density, 0.0, math.inf)
+        return math.inf if total is None else total
 
     def support_segments(self):
         g = np.asarray(self.grid, dtype=float)
@@ -503,6 +485,19 @@ def _side_edges(nu: LevyMeasure, lo_mag: float, hi_mag: float) -> list[list[floa
             pts.update(b for b in nu.breakpoints() if lo < b < hi)
         out.append(sorted(pts))
     return out
+
+
+def _side_integral(nu: LevyMeasure, integrand, lo_mag: float, hi_mag: float) -> float | None:
+    """Integral of integrand over support ∩ {lo_mag < |y| < hi_mag}, one
+    quadrature per sign of ``_side_edges``, added negative side first;
+    None as soon as a side diverges."""
+    total = 0.0
+    for edges in _side_edges(nu, lo_mag, hi_mag):
+        res = integrate_segments(integrand, edges)
+        if res.diverged:
+            return None
+        total += res.value
+    return total
 
 
 def _unit_cut_edges(nu: LevyMeasure) -> list[float]:
@@ -731,8 +726,6 @@ def pair_sqrt_difference_fn(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def gamma_nu(nu: LevyMeasure) -> float:
     """Small-jump compensator drift: integral of y over {|y| <= 1}."""
-    if isinstance(nu, ZeroMeasure):
-        return 0.0
     if isinstance(nu, TabulatedLevyMeasure) and nu.diverges_near_zero(1.0):
         raise DivergentIntegral("tabulated small-jump first moment diverges near 0")
     edges = pair_support_edges(nu, ZeroMeasure(), clip=(-1.0, 1.0))
@@ -829,8 +822,6 @@ class LevyValidation:
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def validate_levy(nu: LevyMeasure) -> LevyValidation:
     """Check the defining integrability: int (y^2 and 1) nu(dy) < inf."""
-    if isinstance(nu, ZeroMeasure):
-        return LevyValidation(True, 0.0)
     if isinstance(nu, TabulatedLevyMeasure) and nu.diverges_near_zero(2.0):
         return LevyValidation(
             False,

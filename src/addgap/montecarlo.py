@@ -30,7 +30,7 @@ gate, reads nu1(|y| > epsilon) and nu2(|y| > epsilon) once, refuses with
 HypothesisFailed when either is infinite or a chunk would expect more than
 MAX_CHUNK_JUMPS jumps, and returns the compensator gap with the sums (an
 exact law draws no jump and needs no gate).  The sinh oracle alone first
-asks for a finite-activity pair.
+asks for a finite-activity pair: a finite nu(R) for both measures.
 
 Each estimator then hoists its per-estimate constants and hands a
 closure that maps one chunk's two streams to the values of its paths to
@@ -40,7 +40,8 @@ draws its jumps from stream 2j (reduced block by block as they are drawn,
 see ``simulate.stream_jump_sums``) and its Gaussian part from stream 2j+1
 of the root seed, and chunk partials are reduced in index order with
 compensated summation, so results are bit-identical for any value of
-ADDGAP_THREADS.
+ADDGAP_THREADS.  An estimate whose sum or sum of squares overflows is
+refused with HypothesisFailed, never reported as inf.
 """
 
 from __future__ import annotations
@@ -151,11 +152,13 @@ def _reduce_chunks(n_paths: int, epsilon: float, seed: int, values) -> EstimateR
     jump stream 2j and its Gaussian stream 2j+1 of ``seed``.  The chunks'
     (sum, sum of squares) partials are folded in index order with
     compensated sums, so the result does not depend on the thread count.
+    An estimate whose sum or sum of squares is not finite is refused.
     """
 
     def partial(j: int, m: int) -> tuple[float, float]:
         v = values(RngStream(seed, 2 * j), RngStream(seed, 2 * j + 1), m)
-        return float(v.sum()), float((v * v).sum())
+        with np.errstate(over="ignore"):
+            return float(v.sum()), float((v * v).sum())
 
     spans = [
         (j, min(CHUNK_PATHS, n_paths - start))
@@ -167,8 +170,14 @@ def _reduce_chunks(n_paths: int, epsilon: float, seed: int, values) -> EstimateR
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(lambda jm: partial(*jm), spans))
-    s1 = math.fsum(p[0] for p in partials)
-    s2 = math.fsum(p[1] for p in partials)
+    try:
+        s1, s2 = (math.fsum(p[i] for p in partials) for i in (0, 1))
+    except OverflowError:  # fsum raises where a finite sum passes the float range
+        s1 = s2 = math.inf
+    if not (math.isfinite(s1) and math.isfinite(s2)):
+        raise HypothesisFailed(
+            "the path values overflow: their sum or sum of squares is not finite"
+        )
     n = n_paths
     variance = max(s2 - s1 * s1 / n, 0.0) / (n - 1) if n > 1 else 0.0
     return EstimateResult(s1 / n, 1.96 * math.sqrt(variance / n), n, epsilon, seed)
@@ -316,7 +325,7 @@ def estimate_sinh_oracle(
     nu1, nu2 = spec.process1.levy, spec.process2.levy
     # The identity needs finite compensators at any epsilon, so this comes
     # before absolute continuity and the gate of ``_jump_sums``.
-    if not (nu1.is_finite_activity() and nu2.is_finite_activity()):
+    if math.isinf(_mass_above(nu1, 0.0)) or math.isinf(_mass_above(nu2, 0.0)):
         raise HypothesisFailed("finite-activity pair required")
     require_abs_continuity(nu1, nu2)
     horizon = spec.horizon

@@ -57,9 +57,6 @@ class TimeFunction(abc.ABC):
     def breakpoints(self) -> tuple[float, ...]:
         return ()
 
-    @abc.abstractmethod
-    def is_zero(self) -> bool: ...
-
 
 @dataclass(frozen=True)
 class ConstantFunction(TimeFunction):
@@ -70,9 +67,6 @@ class ConstantFunction(TimeFunction):
 
     def integral(self, a, b):
         return self.c * (b - a)
-
-    def is_zero(self):
-        return self.c == 0.0
 
 
 @dataclass(frozen=True)
@@ -91,9 +85,6 @@ class PolynomialFunction(TimeFunction):
     def integral(self, a, b):
         anti = npoly.polyint(self.coeffs)
         return float(npoly.polyval(b, anti) - npoly.polyval(a, anti))
-
-    def is_zero(self):
-        return all(c == 0.0 for c in self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -127,9 +118,6 @@ class PiecewiseConstantFunction(TimeFunction):
 
     def breakpoints(self):
         return self.breaks
-
-    def is_zero(self):
-        return all(v == 0.0 for v in self.values)
 
 
 # ---------------------------------------------------------------------------

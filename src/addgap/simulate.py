@@ -68,10 +68,10 @@ from .measures import (
     LevyMeasure,
     ZeroMeasure,
     _side_edges,
+    _side_integral,
     gamma_nu,
 )
 from .processes import ProcessSpec
-from .quadrature import integrate_segments
 
 __all__ = [
     "DEFAULT_EPSILON",
@@ -112,8 +112,9 @@ _TWO64 = 1 << 64
 
 def _default_epsilon(*measures: LevyMeasure) -> float:
     """Truncation policy when none is given: exact simulation (epsilon 0)
-    when every measure has finite activity, DEFAULT_EPSILON otherwise."""
-    finite = all(nu.is_finite_activity() for nu in measures)
+    when every measure has finite activity (a finite total mass),
+    DEFAULT_EPSILON otherwise."""
+    finite = all(math.isfinite(_mass_above(nu, 0.0)) for nu in measures)
     return 0.0 if finite else DEFAULT_EPSILON
 
 
@@ -181,12 +182,9 @@ def _compensator_shift(nu: LevyMeasure, epsilon: float) -> float:
         return -gamma_nu(nu)
     if epsilon >= 1.0:
         return 0.0
-    total = 0.0
-    for edges in _side_edges(nu, epsilon, 1.0):
-        res = integrate_segments(lambda y: y * nu.density(y), edges)
-        if res.diverged:
-            raise DivergentIntegral("truncated compensator diverged")
-        total += res.value
+    total = _side_integral(nu, lambda y: y * nu.density(y), epsilon, 1.0)
+    if total is None:
+        raise DivergentIntegral("truncated compensator diverged")
     return -total
 
 

@@ -922,3 +922,22 @@ class TestHostileInputs:
                     codes.add(cli.main([command[0], "--config", path, *command[1:]]))
         capsys.readouterr()
         assert codes <= {0, 1, 2}
+
+    def test_overflowed_estimate_is_refused(self, tmp_path, capsys):
+        # At horizon 1e300, e^{A+} overflows on every path of the sinh
+        # oracle: the estimate exits 2 with one error line, not an inf mean.
+        hostile, plain = HOSTILE_MEASURES["cp_lambda_1e-300"]
+        config = {"horizon": 1e300}
+        for key, levy in (("process1", plain), ("process2", hostile)):
+            config[key] = {
+                "drift": {"form": "constant", "c": 0.0},
+                "vol_sq": {"form": "constant", "c": 0.0},
+                "levy": levy,
+            }
+        path = write_config(tmp_path, config)
+        argv = ["estimate", "--config", path, "--paths", "2000", "--check", "sinh"]
+        assert run(capsys, argv) == (
+            2,
+            "",
+            "error: the path values overflow: their sum or sum of squares is not finite\n",
+        )

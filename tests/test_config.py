@@ -290,6 +290,128 @@ class TestStrictness:
         self.expect(data, "config.sweep.parameter")
 
 
+_TS = {
+    "type": "tempered_stable", "c_minus": 1.0, "c_plus": 1.0,
+    "lambda_minus": 1.0, "lambda_plus": 2.0, "alpha": 0.5,
+}
+_TS_NO_ALPHA = {key: value for key, value in _TS.items() if key != "alpha"}
+
+# (fragment of process1 replaced, new fragment, the full message)
+MESSAGE_CASES = {
+    "levy_no_type": ("levy", {"lambda": 1.0}, "config.process1.levy.type: missing required field"),
+    "density_no_family": (
+        "levy.jump_density", {"a": 0.0, "b": 1.0},
+        "config.process1.levy.jump_density.family: missing required field",
+    ),
+    "drift_no_form": ("drift", {"c": 1.0}, "config.process1.drift.form: missing required field"),
+    "levy_type_stable": (
+        "levy", {"type": "stable"}, "config.process1.levy.type: unknown Levy measure type 'stable'"
+    ),
+    "density_family_cauchy": (
+        "levy.jump_density", {"family": "cauchy"},
+        "config.process1.levy.jump_density.family: unknown jump density family 'cauchy'",
+    ),
+    "drift_form_linear": (
+        "drift", {"form": "linear", "c": 1.0},
+        "config.process1.drift.form: unknown time function form 'linear'",
+    ),
+    **{
+        f"levy_type_{name}": (
+            "levy", {"type": tag}, f"config.process1.levy.type: unknown Levy measure type {text}"
+        )
+        for name, tag, text in (
+            ("1", 1, "1"),
+            ("1.5", 1.5, "1.5"),
+            ("true", True, "True"),
+            ("null", None, "None"),
+            ("list", [1], "[1]"),
+            ("object", {}, "{}"),
+        )
+    },
+    "density_family_list": (
+        "levy.jump_density", {"family": [1]},
+        "config.process1.levy.jump_density.family: unknown jump density family [1]",
+    ),
+    "drift_form_object": (
+        "drift", {"form": {}}, "config.process1.drift.form: unknown time function form {}"
+    ),
+    "levy_not_object": ("levy", [1], "config.process1.levy: expected a JSON object"),
+    "density_not_object": (
+        "levy.jump_density", "uniform", "config.process1.levy.jump_density: expected a JSON object"
+    ),
+    "ts_unknown_field": ("levy", {**_TS, "beta": 1.0}, "config.process1.levy.beta: unknown field"),
+    "ts_missing_field": (
+        "levy", _TS_NO_ALPHA, "config.process1.levy.alpha: missing required field"
+    ),
+    "ts_first_bad_field": (
+        "levy", {**_TS, "c_minus": "x", "alpha": "y"},
+        "config.process1.levy.c_minus: expected a number",
+    ),
+    "zero_extra_field": (
+        "levy", {"type": "zero", "lambda": 1.0}, "config.process1.levy.lambda: unknown field"
+    ),
+    "normal_unknown_field": (
+        "levy.jump_density", {"family": "normal", "mean": 0.0, "variance": 1.0, "sd": 1.0},
+        "config.process1.levy.jump_density.sd: unknown field",
+    ),
+    "normal_missing_field": (
+        "levy.jump_density", {"family": "normal", "mean": 0.0},
+        "config.process1.levy.jump_density.variance: missing required field",
+    ),
+    "piecewise_unknown_field": (
+        "drift", {"form": "piecewise_constant", "breaks": [0.5], "values": [1.0, 2.0], "slope": 1.0},
+        "config.process1.drift.slope: unknown field",
+    ),
+    "piecewise_missing_field": (
+        "drift", {"form": "piecewise_constant", "breaks": [0.5]},
+        "config.process1.drift.values: missing required field",
+    ),
+    "number_wrong_type": (
+        "levy", {"type": "compound_poisson", "lambda": "2", "jump_density": 1},
+        "config.process1.levy.lambda: expected a number",
+    ),
+    "constant_bool": (
+        "vol_sq", {"form": "constant", "c": True}, "config.process1.vol_sq.c: expected a number"
+    ),
+    "list_wrong_type": (
+        "drift", {"form": "polynomial", "coeffs": 1.0},
+        "config.process1.drift.coeffs: expected a non-empty array of numbers",
+    ),
+    "list_item_wrong_type": (
+        "levy", {"type": "tabulated", "grid": [0.1, "x"], "values": [1.0, 1.0]},
+        "config.process1.levy.grid.1: expected a number",
+    ),
+    "uniform_empty": (
+        "levy.jump_density", {"family": "uniform", "a": 1.0, "b": 1.0},
+        "config.process1.levy.jump_density: uniform density needs a < b, got [1.0, 1.0]",
+    ),
+    "ts_constructor": (
+        "levy", {**_TS, "alpha": 2.5}, "config.process1.levy: tempered stable alpha must be < 2"
+    ),
+    "piecewise_constructor": (
+        "drift", {"form": "piecewise_constant", "breaks": [0.5], "values": [1.0]},
+        "config.process1.drift: piecewise constant needs len(values) == len(breaks) + 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MESSAGE_CASES))
+def test_tagged_fragment_messages(name):
+    # Each tagged fragment (a Levy measure, a jump density, a time function)
+    # is refused with its full message: the node, the tag, the keys, each
+    # field in order, then the constructor.
+    fragment, node, message = MESSAGE_CASES[name]
+    data = base_config()
+    *inner, leaf = fragment.split(".")
+    parent = data["process1"]
+    for key in inner:
+        parent = parent[key]
+    parent[leaf] = node
+    with pytest.raises(ConfigParse) as err:
+        parse_config_dict(data)
+    assert str(err.value) == message
+
+
 class TestParseFile:
     def test_reads_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"

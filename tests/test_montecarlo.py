@@ -32,6 +32,8 @@ from addgap.montecarlo import (
     EstimateResult,
     _estimate_ct_dt,
     _jump_sums,
+    _reduce_chunks,
+    default_epsilon,
     e_abs_one_minus_exp_normal,
     estimate_sinh_oracle,
     estimate_tv,
@@ -495,6 +497,13 @@ class TestChunkReduction:
         expected = math.fsum(partials) / n
         assert estimate_tv(spec, n, 0.0, seed).mean == expected
 
+    @pytest.mark.parametrize("value", [math.inf, 1e304, math.nan], ids=["inf", "1e304", "nan"])
+    def test_refuses_values_that_overflow(self, value):
+        # 1e304 keeps each chunk's sum finite, but not its sum of squares,
+        # nor the fsum of three chunk sums.
+        with pytest.raises(HypothesisFailed, match="^the path values overflow: their sum or"):
+            _reduce_chunks(3 * CHUNK_PATHS, 0.0, 1, lambda rj, rg, m: np.full(m, value))
+
 
 def ig_specs():
     """Same-shape alpha = 1/2 pairs: the bundled config, the golden battery's
@@ -731,10 +740,13 @@ class TestChunkJumpGuard:
 
 
 class _InfiniteMassMeasure(CompoundPoissonMeasure):
-    """A measure that claims finite activity but whose total mass is
-    infinite: the gate must read the mass, not ``is_finite_activity``."""
+    """The density of a compound Poisson measure with an infinite mass
+    above every epsilon: the gates must read the mass, not the family."""
 
     def total_mass(self):
+        return math.inf
+
+    def mass_above(self, epsilon):
         return math.inf
 
 
@@ -746,18 +758,18 @@ class TestFiniteMassGate:
         "nu1, nu2", [(NU, NU), (NU, CP10), (CP10, NU)], ids=["both", "nu1", "nu2"]
     )
     def test_estimators_refuse_before_drawing(self, monkeypatch, vol, nu1, nu2):
-        assert self.NU.is_finite_activity() and self.NU.mass_above(0.0) == math.inf
         monkeypatch.setattr(montecarlo, "stream_jump_sums", never_sample)
         spec = ProblemSpec(ProcessSpec(ZERO_FN, vol, nu1), ProcessSpec(ZERO_FN, vol, nu2), 1.0)
+        assert default_epsilon(spec) == 1e-4  # martingale_check's epsilon meets the gate too
         message = r"^epsilon = 0 requires finite-activity measures; pass epsilon > 0$"
         with pytest.raises(HypothesisFailed, match=message):
             estimate_tv(spec, 100, 0.0, 1)
         with pytest.raises(HypothesisFailed, match=message):
             martingale_check(spec, 100, 1)
-        with pytest.raises(HypothesisFailed, match=message):
+        with pytest.raises(HypothesisFailed, match="^finite-activity pair required$"):
             estimate_sinh_oracle(spec, 100, 1)
 
     def test_sampler_raises_divergent_mass(self):
         process = ProcessSpec(ZERO_FN, ZERO_FN, self.NU)
         with pytest.raises(DivergentMass, match="epsilon = 0 needs a finite-activity measure"):
-            sample_terminal_values(process, 1.0, 10, rng_jumps=RngStream(1, 0))
+            sample_terminal_values(process, 1.0, 10, epsilon=0.0, rng_jumps=RngStream(1, 0))

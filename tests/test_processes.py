@@ -48,8 +48,6 @@ class TestTimeFunctions:
         f = ConstantFunction(2.5)
         np.testing.assert_allclose(f.value(np.array([0.0, 1.0])), [2.5, 2.5])
         assert f.integral(1.0, 3.0) == 5.0
-        assert not f.is_zero()
-        assert ConstantFunction(0.0).is_zero()
 
     def test_polynomial_value_and_integral(self):
         f = PolynomialFunction((1.0, 2.0, 3.0))
