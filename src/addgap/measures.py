@@ -28,8 +28,19 @@ probe where nu1 has density and nu2 has none.  `l1_distance`,
 through it.
 
 A measure has finite activity exactly when ``total_mass()`` is finite;
-there is no second test.  The mass above epsilon and the truncated
-compensator integrate each sign of the support in ``_side_integral``.
+there is no second test.
+
+Every integral over a Levy measure runs on the edges of one function,
+``support_edges(measures, lo, hi, cuts)``: it clips each support segment
+to the window [lo, hi], and returns the ends of the hull of what is left,
+with 0, each cut, each clipped segment end and each breakpoint that lies
+strictly inside that hull; a window that meets no support has no edges
+and integrates to 0.  ``support_integral`` integrates over these edges in
+one quadrature, singular at 0, for the functionals of the whole support
+(gamma, L1, H^2, the Levy integrability, eta and the characteristic
+exponent).  ``_side_integral`` integrates each sign of the support
+separately, negative side first, for the mass above epsilon and the
+truncated compensator.
 """
 
 import abc
@@ -88,8 +99,8 @@ class JumpDensity(abc.ABC):
     def support(self) -> _Interval: ...
 
     def breakpoints(self) -> tuple[float, ...]:
-        lo, hi = self.support()
-        return tuple(x for x in (lo, hi) if math.isfinite(x))
+        """Kinks inside the support; its ends are edges already."""
+        return ()
 
 
 @dataclass(frozen=True)
@@ -244,10 +255,14 @@ class LevyMeasure(abc.ABC):
         """Disjoint intervals carrying all mass, none with 0 in the interior."""
 
     def breakpoints(self) -> tuple[float, ...]:
-        out = []
-        for lo, hi in self.support_segments():
-            out.extend(x for x in (lo, hi) if math.isfinite(x))
-        return tuple(out)
+        """Kinks of the density inside its support, where quadrature cuts
+        it; the support segment ends are edges already."""
+        return ()
+
+    def diverges_near_zero(self, moment: float) -> bool:
+        """Whether int |y|^moment nu(dy) diverges near 0 by a verdict the
+        quadrature cannot reach (False: the quadrature decides)."""
+        return False
 
     def mass_above(self, epsilon: float) -> float:
         """nu(|y| > epsilon); finite for epsilon > 0 on every built-in family."""
@@ -296,7 +311,7 @@ class CompoundPoissonMeasure(LevyMeasure):
         return ((lo, hi),)
 
     def breakpoints(self):
-        return tuple(set(super().breakpoints()) | set(self.jump_density.breakpoints()))
+        return self.jump_density.breakpoints()
 
 
 @dataclass(frozen=True)
@@ -468,68 +483,45 @@ class TabulatedLevyMeasure(LevyMeasure):
 # ---------------------------------------------------------------------------
 
 
-def _side_edges(nu: LevyMeasure, lo_mag: float, hi_mag: float) -> list[list[float]]:
-    """Sorted edges of support ∩ {lo_mag < |y| < hi_mag}, one list per sign,
-    negative side first, split at the breakpoints inside; a side without
-    support gets an empty list.  Every built-in family has at most one
-    support segment per sign, so each list covers one segment."""
-    out = []
-    for window in ((-hi_mag, -lo_mag), (lo_mag, hi_mag)):
-        pts = set()
+def support_edges(measures, lo=-math.inf, hi=math.inf, cuts=()) -> list[float]:
+    """Sorted, distinct edges of the union support of ``measures`` in [lo,
+    hi]: the ends of the hull of the clipped support segments, and each of
+    0, ``cuts``, the clipped segment ends and the breakpoints that lies
+    strictly inside that hull; [] when no segment meets [lo, hi]."""
+    ends = []
+    for nu in measures:
         for a, b in nu.support_segments():
-            lo, hi = max(a, window[0]), min(b, window[1])
-            if lo < hi:
-                pts.update((lo, hi))
-        if pts:
-            lo, hi = min(pts), max(pts)
-            pts.update(b for b in nu.breakpoints() if lo < b < hi)
-        out.append(sorted(pts))
-    return out
+            a, b = max(a, lo), min(b, hi)
+            if a < b:
+                ends.extend((a, b))
+    if not ends:
+        return []
+    first, last = min(ends), max(ends)
+    pts = {first, last}
+    inner = (0.0, *cuts, *ends, *(b for nu in measures for b in nu.breakpoints()))
+    pts.update(p for p in inner if first < p < last)
+    return sorted(pts)
+
+
+def support_integral(measures, integrand, lo=-math.inf, hi=math.inf, cuts=()) -> float | None:
+    """Integral of integrand over ``support_edges(measures, lo, hi, cuts)``
+    in one quadrature, singular at 0; None when it diverges."""
+    edges = support_edges(measures, lo, hi, cuts)
+    res = integrate_segments(integrand, edges, singular_at_zero=True)
+    return None if res.diverged else res.value
 
 
 def _side_integral(nu: LevyMeasure, integrand, lo_mag: float, hi_mag: float) -> float | None:
     """Integral of integrand over support ∩ {lo_mag < |y| < hi_mag}, one
-    quadrature per sign of ``_side_edges``, added negative side first;
-    None as soon as a side diverges."""
+    quadrature per sign, added negative side first; None as soon as a side
+    diverges."""
     total = 0.0
-    for edges in _side_edges(nu, lo_mag, hi_mag):
-        res = integrate_segments(integrand, edges)
+    for lo, hi in ((-hi_mag, -lo_mag), (lo_mag, hi_mag)):
+        res = integrate_segments(integrand, support_edges((nu,), lo, hi))
         if res.diverged:
             return None
         total += res.value
     return total
-
-
-def _unit_cut_edges(nu: LevyMeasure) -> list[float]:
-    """The support edges of nu, also cut at -1 and 1 where they fall
-    inside, for integrands that switch form at |y| = 1."""
-    edges = pair_support_edges(nu, ZeroMeasure())
-    for cut in (-1.0, 1.0):
-        if edges and edges[0] < cut < edges[-1] and cut not in edges:
-            edges = sorted(edges + [cut])
-    return edges
-
-
-def pair_support_edges(nu1, nu2, clip: _Interval | None = None):
-    segs = list(nu1.support_segments()) + list(nu2.support_segments())
-    if not segs:
-        return []
-    lo = min(s[0] for s in segs)
-    hi = max(s[1] for s in segs)
-    if clip is not None:
-        lo, hi = max(lo, clip[0]), min(hi, clip[1])
-        if not lo < hi:
-            return []
-    pts = {lo, hi}
-    if lo < 0.0 < hi:
-        pts.add(0.0)
-    for p in (p for s in segs for p in s):
-        if lo < p < hi:
-            pts.add(p)
-    for b in tuple(nu1.breakpoints()) + tuple(nu2.breakpoints()):
-        if lo < b < hi:
-            pts.add(b)
-    return sorted(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -726,17 +718,12 @@ def pair_sqrt_difference_fn(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def gamma_nu(nu: LevyMeasure) -> float:
     """Small-jump compensator drift: integral of y over {|y| <= 1}."""
-    if isinstance(nu, TabulatedLevyMeasure) and nu.diverges_near_zero(1.0):
+    if nu.diverges_near_zero(1.0):
         raise DivergentIntegral("tabulated small-jump first moment diverges near 0")
-    edges = pair_support_edges(nu, ZeroMeasure(), clip=(-1.0, 1.0))
-    if not edges:
-        return 0.0
-    res = integrate_segments(
-        lambda y: y * nu.density(y), edges, singular_at_zero=True
-    )
-    if res.diverged:
+    value = support_integral((nu,), lambda y: y * nu.density(y), -1.0, 1.0)
+    if value is None:
         raise DivergentIntegral("small-jump first moment diverges")
-    return res.value
+    return value
 
 
 @dataclass(frozen=True)
@@ -753,22 +740,11 @@ def check_abs_continuity(nu1: LevyMeasure, nu2: LevyMeasure) -> AbsContinuityRep
     Probes 4096 log-spaced magnitudes per side from 1e-8 up to the larger of
     100 and the outermost finite support edge, plus all tabulated knots.
     """
-    finite_edges = [
-        abs(p)
-        for nu in (nu1, nu2)
-        for seg in nu.support_segments()
-        for p in seg
-        if math.isfinite(p) and p != 0.0
-    ]
-    hi = max([AC_PROBE_MAX_FLOOR] + finite_edges)
+    edges = support_edges((nu1, nu2))
+    hi = max([AC_PROBE_MAX_FLOOR] + [abs(p) for p in edges if math.isfinite(p)])
     mags = np.logspace(math.log10(AC_PROBE_MIN), math.log10(hi), AC_PROBES_PER_SIDE)
     probes = np.concatenate([-mags[::-1], mags])
-    knots = [
-        float(k)
-        for nu in (nu1, nu2)
-        if isinstance(nu, TabulatedLevyMeasure)
-        for k in nu.grid
-    ]
+    knots = [k for nu in (nu1, nu2) if isinstance(nu, TabulatedLevyMeasure) for k in nu.grid]
     if knots:
         probes = np.unique(np.concatenate([probes, np.asarray(knots)]))
     d1 = nu1.density(probes)
@@ -791,11 +767,8 @@ def require_abs_continuity(nu1: LevyMeasure, nu2: LevyMeasure) -> None:
 
 def _pair_integral(nu1, nu2, integrand) -> float:
     require_abs_continuity(nu1, nu2)
-    edges = pair_support_edges(nu1, nu2)
-    if not edges:
-        return 0.0
-    res = integrate_segments(integrand, edges, singular_at_zero=True)
-    return math.inf if res.diverged else res.value
+    value = support_integral((nu1, nu2), integrand)
+    return math.inf if value is None else value
 
 
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
@@ -822,20 +795,15 @@ class LevyValidation:
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def validate_levy(nu: LevyMeasure) -> LevyValidation:
     """Check the defining integrability: int (y^2 and 1) nu(dy) < inf."""
-    if isinstance(nu, TabulatedLevyMeasure) and nu.diverges_near_zero(2.0):
+    if nu.diverges_near_zero(2.0):
         return LevyValidation(
             False,
             math.inf,
             "inner-edge trend steeper than y^-3: y^2-integral diverges toward 0",
         )
-    edges = _unit_cut_edges(nu)
-    if not edges:
-        return LevyValidation(True, 0.0)
-    res = integrate_segments(
-        lambda y: np.minimum(y * y, 1.0) * nu.density(y),
-        edges,
-        singular_at_zero=True,
+    value = support_integral(
+        (nu,), lambda y: np.minimum(y * y, 1.0) * nu.density(y), cuts=(-1.0, 1.0)
     )
-    if res.diverged:
+    if value is None:
         return LevyValidation(False, math.inf, "y^2-integral diverges near 0")
-    return LevyValidation(True, res.value)
+    return LevyValidation(True, value)

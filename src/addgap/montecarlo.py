@@ -40,8 +40,9 @@ draws its jumps from stream 2j (reduced block by block as they are drawn,
 see ``simulate.stream_jump_sums``) and its Gaussian part from stream 2j+1
 of the root seed, and chunk partials are reduced in index order with
 compensated summation, so results are bit-identical for any value of
-ADDGAP_THREADS.  An estimate whose sum or sum of squares overflows is
-refused with HypothesisFailed, never reported as inf.
+ADDGAP_THREADS.  An estimate whose sum, sum of squares or square of the
+sum overflows is refused with HypothesisFailed, never reported as inf or
+with a zero half-width.
 """
 
 from __future__ import annotations
@@ -152,7 +153,8 @@ def _reduce_chunks(n_paths: int, epsilon: float, seed: int, values) -> EstimateR
     jump stream 2j and its Gaussian stream 2j+1 of ``seed``.  The chunks'
     (sum, sum of squares) partials are folded in index order with
     compensated sums, so the result does not depend on the thread count.
-    An estimate whose sum or sum of squares is not finite is refused.
+    An estimate whose sum, sum of squares or square of the sum is not
+    finite is refused.
     """
 
     def partial(j: int, m: int) -> tuple[float, float]:
@@ -178,6 +180,8 @@ def _reduce_chunks(n_paths: int, epsilon: float, seed: int, values) -> EstimateR
         raise HypothesisFailed(
             "the path values overflow: their sum or sum of squares is not finite"
         )
+    if not math.isfinite(s1 * s1):  # the variance would read 0
+        raise HypothesisFailed("the path values overflow: the square of their sum is not finite")
     n = n_paths
     variance = max(s2 - s1 * s1 / n, 0.0) / (n - 1) if n > 1 else 0.0
     return EstimateResult(s1 / n, 1.96 * math.sqrt(variance / n), n, epsilon, seed)

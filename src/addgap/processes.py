@@ -23,10 +23,8 @@ from .errors import DivergentIntegral, NonFiniteIntegrand, ZeroVolatility
 from .measures import (
     FUNCTIONAL_CACHE_SIZE,
     LevyMeasure,
-    TabulatedLevyMeasure,
-    _unit_cut_edges,
     pair_difference_fn,
-    pair_support_edges,
+    support_integral,
     validate_levy,
 )
 from .quadrature import integrate_segments
@@ -257,21 +255,13 @@ class ProblemSpec:
 
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def _eta_cached(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
-    for nu in (nu1, nu2):
-        if isinstance(nu, TabulatedLevyMeasure) and nu.diverges_near_zero(1.0):
-            raise DivergentIntegral(
-                "tabulated small-jump first moment diverges near 0"
-            )
-    edges = pair_support_edges(nu1, nu2, clip=(-1.0, 1.0))
-    if not edges:
-        return 0.0
+    if nu1.diverges_near_zero(1.0) or nu2.diverges_near_zero(1.0):
+        raise DivergentIntegral("tabulated small-jump first moment diverges near 0")
     diff = pair_difference_fn(nu1, nu2)
-    res = integrate_segments(
-        lambda y: y * diff(y), edges, singular_at_zero=True
-    )
-    if res.diverged:
+    value = support_integral((nu1, nu2), lambda y: y * diff(y), -1.0, 1.0)
+    if value is None:
         raise DivergentIntegral("compensated drift gap diverges near 0")
-    return res.value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +278,9 @@ def char_function(process: ProcessSpec, horizon: float, u) -> np.ndarray:
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     drift_term = process.drift.integral(0.0, horizon)
     var_term = process.vol_sq.integral(0.0, horizon)
-    nu = process.levy
-    edges = _unit_cut_edges(nu)
-
     out = np.empty(u_arr.shape, dtype=complex)
     for k, uk in enumerate(u_arr):
-        if not edges or uk == 0.0:
-            jump_re = jump_im = 0.0
-        else:
-            jump_re = _jump_re(nu, edges, uk)
-            jump_im = _jump_im(nu, edges, uk)
+        jump_re, jump_im = (0.0, 0.0) if uk == 0.0 else _jump_exponent(process.levy, uk)
         psi = (
             1j * uk * drift_term
             - 0.5 * uk * uk * var_term
@@ -307,16 +290,27 @@ def char_function(process: ProcessSpec, horizon: float, u) -> np.ndarray:
     return out
 
 
-def _jump_re(nu, edges, uk):
-    def integrand(y):
+def _jump_exponent(nu, uk) -> list[float]:
+    """Real and imaginary parts of the jump exponent at frequency uk, the
+    imaginary part compensated on |y| <= 1."""
+
+    def real(y):
         y = np.asarray(y, dtype=float)
         s = np.sin(0.5 * uk * y)
         return -2.0 * s * s * nu.density(y)
 
-    res = integrate_segments(integrand, edges, singular_at_zero=True)
-    if res.diverged:
-        raise DivergentIntegral("characteristic exponent real part diverged")
-    return res.value
+    def imaginary(y):
+        y = np.asarray(y, dtype=float)
+        s = uk * y
+        return np.where(np.abs(y) <= 1.0, _sin_minus_id(s), np.sin(s)) * nu.density(y)
+
+    parts = []
+    for name, integrand in (("real", real), ("imaginary", imaginary)):
+        value = support_integral((nu,), integrand, cuts=(-1.0, 1.0))
+        if value is None:
+            raise DivergentIntegral(f"characteristic exponent {name} part diverged")
+        parts.append(value)
+    return parts
 
 
 def _sin_minus_id(s):
@@ -327,17 +321,3 @@ def _sin_minus_id(s):
     with np.errstate(invalid="ignore"):
         direct = np.sin(s) - s
     return np.where(np.abs(s) < 0.1, series, direct)
-
-
-def _jump_im(nu, edges, uk):
-    def integrand(y):
-        y = np.asarray(y, dtype=float)
-        s = uk * y
-        inner = _sin_minus_id(s)
-        outer = np.sin(s)
-        return np.where(np.abs(y) <= 1.0, inner, outer) * nu.density(y)
-
-    res = integrate_segments(integrand, edges, singular_at_zero=True)
-    if res.diverged:
-        raise DivergentIntegral("characteristic exponent imaginary part diverged")
-    return res.value

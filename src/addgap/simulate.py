@@ -23,7 +23,7 @@ per-cell constants of the inversion are built once per (measure, epsilon)
 and shared by every chunk of paths, as is the truncated intensity
 nu(|y| > epsilon).  That intensity, the compensator shift and the window
 of each side of the tabulation all cut the support where
-``measures._side_edges`` does, one edge list per sign.
+``measures.support_edges`` does, one sign window at a time.
 
 A chunk of paths draws all its Poisson counts first and then its sizes
 in stream order, in fixed blocks of ``_BLOCK_JUMPS`` jumps.
@@ -67,9 +67,9 @@ from .measures import (
     JumpDensity,
     LevyMeasure,
     ZeroMeasure,
-    _side_edges,
     _side_integral,
     gamma_nu,
+    support_edges,
 )
 from .processes import ProcessSpec
 
@@ -292,7 +292,8 @@ def _size_table(nu: LevyMeasure, epsilon: float) -> _SizeTable:
     parts = []
     total = 0.0
     cutoff = None
-    for sgn, edges in zip((-1.0, 1.0), _side_edges(nu, epsilon, math.inf)):
+    for sgn, window in ((-1.0, (-math.inf, -epsilon)), (1.0, (epsilon, math.inf))):
+        edges = support_edges((nu,), *window)
         if not edges:
             continue
         mags = sorted(abs(e) for e in edges)

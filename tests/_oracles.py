@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from addgap.bounds import continuous_part
+from addgap.measures import LevyMeasure, ZeroMeasure, _Interval
 from addgap.errors import NonFiniteIntegrand, ToleranceNotMet
 from addgap import quadrature
 from addgap.montecarlo import _estimate_ct_dt, e_abs_one_minus_exp_normal
@@ -385,3 +386,64 @@ def sequential_integrate_segments(
         value += res.value
         error += res.error_estimate
     return IntegrationResult(value, error, False)
+
+
+# ---------------------------------------------------------------------------
+# Reference support edges: the three edge helpers that
+# addgap.measures.support_edges replaced, kept as they were.  Per sign and
+# with cuts it must equal them; with a clip, it must equal
+# pair_support_edges restricted to the hull of the clipped segments (the
+# old helper clipped the hull instead, so a gap of the support around a
+# clip bound gave edges on which every density is 0).
+# ---------------------------------------------------------------------------
+
+
+def _side_edges(nu: LevyMeasure, lo_mag: float, hi_mag: float) -> list[list[float]]:
+    """Sorted edges of support ∩ {lo_mag < |y| < hi_mag}, one list per sign,
+    negative side first, split at the breakpoints inside; a side without
+    support gets an empty list.  Every built-in family has at most one
+    support segment per sign, so each list covers one segment."""
+    out = []
+    for window in ((-hi_mag, -lo_mag), (lo_mag, hi_mag)):
+        pts = set()
+        for a, b in nu.support_segments():
+            lo, hi = max(a, window[0]), min(b, window[1])
+            if lo < hi:
+                pts.update((lo, hi))
+        if pts:
+            lo, hi = min(pts), max(pts)
+            pts.update(b for b in nu.breakpoints() if lo < b < hi)
+        out.append(sorted(pts))
+    return out
+
+
+def _unit_cut_edges(nu: LevyMeasure) -> list[float]:
+    """The support edges of nu, also cut at -1 and 1 where they fall
+    inside, for integrands that switch form at |y| = 1."""
+    edges = pair_support_edges(nu, ZeroMeasure())
+    for cut in (-1.0, 1.0):
+        if edges and edges[0] < cut < edges[-1] and cut not in edges:
+            edges = sorted(edges + [cut])
+    return edges
+
+
+def pair_support_edges(nu1, nu2, clip: _Interval | None = None):
+    segs = list(nu1.support_segments()) + list(nu2.support_segments())
+    if not segs:
+        return []
+    lo = min(s[0] for s in segs)
+    hi = max(s[1] for s in segs)
+    if clip is not None:
+        lo, hi = max(lo, clip[0]), min(hi, clip[1])
+        if not lo < hi:
+            return []
+    pts = {lo, hi}
+    if lo < 0.0 < hi:
+        pts.add(0.0)
+    for p in (p for s in segs for p in s):
+        if lo < p < hi:
+            pts.add(p)
+    for b in tuple(nu1.breakpoints()) + tuple(nu2.breakpoints()):
+        if lo < b < hi:
+            pts.add(b)
+    return sorted(pts)

@@ -35,6 +35,8 @@ from addgap.measures import (
     pair_jump_law,
     pair_log_ratio,
     pair_sqrt_difference_fn,
+    support_edges,
+    support_integral,
     validate_levy,
 )
 from addgap.config import parse_config
@@ -49,7 +51,10 @@ from _oracles import (
     H2_EX3,
     H2_EX3_A15,
     L1_EX3,
+    _side_edges,
+    _unit_cut_edges,
     clear_caches,
+    pair_support_edges,
     report_bits,
 )
 
@@ -750,3 +755,115 @@ class TestPairConstantLogRatio:
     )
     def test_other_pairs_have_no_constant(self, nu1, nu2):
         assert pair_jump_law(nu1, nu2).kind != "constant"
+
+
+def _knots(lo, hi):
+    """Sorted, distinct knots in [lo, hi]: 2 to 40 of them, so that a long
+    tabulation's breakpoints are subsampled."""
+    return st.lists(st.floats(lo, hi), min_size=2, max_size=40, unique=True).map(sorted)
+
+
+@st.composite
+def tabulated_densities(draw):
+    grid = draw(_knots(-5.0, 5.0))
+    values = np.asarray(draw(st.lists(st.floats(0.1, 5.0), min_size=len(grid), max_size=len(grid))))
+    return TabulatedDensity(tuple(grid), tuple(values / np.trapezoid(values, grid)))
+
+
+@st.composite
+def tabulated_levy_measures(draw):
+    sides = draw(st.sampled_from(["negative", "positive", "both"]))
+    neg = draw(_knots(1e-3, 10.0)) if sides != "positive" else []
+    pos = draw(_knots(1e-3, 10.0)) if sides != "negative" else []
+    grid = [-m for m in reversed(neg)] + pos
+    values = draw(st.lists(st.floats(0.01, 10.0), min_size=len(grid), max_size=len(grid)))
+    return TabulatedLevyMeasure(tuple(grid), tuple(values))
+
+
+jump_densities = st.one_of(
+    st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2, unique=True)
+    .map(sorted)
+    .map(lambda ab: UniformDensity(*ab)),
+    st.builds(ExponentialDensity, st.floats(0.1, 10.0)),
+    st.builds(NormalDensity, st.floats(-3.0, 3.0), st.floats(0.1, 4.0)),
+    tabulated_densities(),
+)
+# Supports with -1 and 1 in a gap, besides those drawn at random.
+GAPPED = [
+    CompoundPoissonMeasure(1.0, UniformDensity(1.5, 3.0)),
+    CompoundPoissonMeasure(1.0, UniformDensity(-3.0, -2.0)),
+    TabulatedLevyMeasure((-3.0, -2.0, 2.0, 3.0), (1.0, 0.5, 0.5, 1.0)),
+]
+levy_measures = st.one_of(
+    st.sampled_from([ZeroMeasure(), *GAPPED]),
+    st.builds(CompoundPoissonMeasure, st.floats(0.1, 10.0), jump_densities),
+    tempered_stable,
+    tabulated_levy_measures(),
+)
+special_bounds = st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 1.0, math.inf])
+windows = st.lists(st.one_of(special_bounds, st.floats(-6.0, 6.0)), min_size=2, max_size=2).map(
+    sorted
+)
+magnitude_windows = st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0, math.inf]), st.floats(0.0, 6.0)), min_size=2, max_size=2
+).map(sorted)
+
+
+def hexes(edges):
+    """Edges as hex strings, so that 0.0 and -0.0 differ."""
+    return [float(e).hex() for e in edges]
+
+
+def never_called(y):
+    raise AssertionError("integrand called on a window without support")
+
+
+class TestSupportEdges:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(nu1=levy_measures, nu2=levy_measures, window=windows, mags=magnitude_windows)
+    def test_matches_the_reference_helpers(self, nu1, nu2, window, mags):
+        lo_mag, hi_mag = mags
+        sides = [support_edges((nu1,), -hi_mag, -lo_mag), support_edges((nu1,), lo_mag, hi_mag)]
+        assert list(map(hexes, sides)) == list(map(hexes, _side_edges(nu1, lo_mag, hi_mag)))
+        assert hexes(support_edges((nu1,), cuts=(-1.0, 1.0))) == hexes(_unit_cut_edges(nu1))
+        assert hexes(support_edges((nu1, nu2))) == hexes(pair_support_edges(nu1, nu2))
+        for lo, hi in (window, (-1.0, 1.0)):
+            pieces = [
+                (max(a, lo), min(b, hi)) for nu in (nu1, nu2) for a, b in nu.support_segments()
+            ]
+            pieces = [(a, b) for a, b in pieces if a < b]
+            got = support_edges((nu1, nu2), lo, hi)
+            if not pieces:
+                assert got == []
+                assert hexes([support_integral((nu1, nu2), never_called, lo, hi)]) == ["0x0.0p+0"]
+                continue
+            # Equal as floats: at a clip bound of -0.0 the old helper's hull
+            # ends in the bound, the clipped segment's in 0.0.
+            first, last = min(a for a, _ in pieces), max(b for _, b in pieces)
+            reference = pair_support_edges(nu1, nu2, clip=(lo, hi))
+            assert got == [e for e in reference if first <= e <= last]
+
+    @pytest.mark.parametrize(
+        "nu, lo, hi",
+        [
+            (ZeroMeasure(), -math.inf, math.inf),
+            (GAPPED[0], -1.0, 1.0),
+            (GAPPED[2], -1.0, 1.0),
+            (EX3_NU1, 0.5, 0.5),
+            (EX3_NU1, 1.0, -1.0),
+        ],
+        ids=["zero", "cp_gap", "tabulated_gap", "empty_window", "reversed_window"],
+    )
+    def test_integral_without_support_is_zero(self, nu, lo, hi):
+        assert support_edges((nu,), lo, hi) == []
+        value = support_integral((nu,), never_called, lo, hi, cuts=(-1.0, 1.0))
+        assert hexes([value]) == ["0x0.0p+0"]
+
+    def test_gap_at_the_unit_clip_is_skipped(self):
+        # The old rule clipped the hull of the union support, [-3, 3], so
+        # eta and gamma integrated [-1, 0, 1], where every density is 0.
+        cp01 = CompoundPoissonMeasure(1.0, UniformDensity(0.0, 1.0))
+        assert pair_support_edges(cp01, GAPPED[1], clip=(-1.0, 1.0)) == [-1.0, 0.0, 1.0]
+        assert support_edges((cp01, GAPPED[1]), -1.0, 1.0) == [0.0, 1.0]
+        assert pair_support_edges(GAPPED[2], ZeroMeasure(), clip=(-1.0, 1.0)) == [-1.0, 0.0, 1.0]
+        assert support_edges((GAPPED[2],), -1.0, 1.0) == []

@@ -504,6 +504,13 @@ class TestChunkReduction:
         with pytest.raises(HypothesisFailed, match="^the path values overflow: their sum or"):
             _reduce_chunks(3 * CHUNK_PATHS, 0.0, 1, lambda rj, rg, m: np.full(m, value))
 
+    def test_refuses_a_sum_whose_square_overflows(self):
+        # The sum (4.1e154) and the sum of squares (4.1e305) are finite, but
+        # the square of the sum is not, and the variance would read 0.
+        values = np.tile([1e151, 0.0], CHUNK_PATHS // 2)
+        with pytest.raises(HypothesisFailed, match="^the path values overflow: the square of"):
+            _reduce_chunks(CHUNK_PATHS, 0.0, 1, lambda rj, rg, m: values[:m])
+
 
 def ig_specs():
     """Same-shape alpha = 1/2 pairs: the bundled config, the golden battery's

@@ -23,8 +23,12 @@ from addgap.measures import (
     TemperedStableMeasure,
     UniformDensity,
     ZeroMeasure,
+    check_abs_continuity,
     gamma_nu,
+    hellinger_sq,
+    l1_distance,
     pair_log_ratio,
+    validate_levy,
 )
 from addgap.montecarlo import estimate_tv
 from addgap.processes import (
@@ -32,6 +36,7 @@ from addgap.processes import (
     PiecewiseConstantFunction,
     ProblemSpec,
     ProcessSpec,
+    _eta_cached,
     char_function,
 )
 from addgap.quadrature import integrate_fn
@@ -380,23 +385,265 @@ EDGE_GOLDEN = {
 TABULATED_TOTAL_MASS = "0x1.2ebdebf0781e8p+2"
 
 
+def edge_pins(nu):
+    """The ``EDGE_GOLDEN`` entry of nu."""
+    return [
+        (
+            float(nu.mass_above(eps)).hex(),
+            float(_compensator_shift(nu, eps)).hex(),
+            float(_size_table(nu, eps).cum0[-1]).hex(),
+        )
+        for eps in (1e-4, 0.3, 1.5)
+    ]
+
+
 class TestSupportEdgeGoldens:
     @pytest.mark.parametrize("name", sorted(EDGE_GOLDEN))
     def test_masses_compensators_and_tables(self, name):
-        nu = edge_measures()[name]
-        got = [
-            (
-                float(nu.mass_above(eps)).hex(),
-                float(_compensator_shift(nu, eps)).hex(),
-                float(_size_table(nu, eps).cum0[-1]).hex(),
-            )
-            for eps in (1e-4, 0.3, 1.5)
-        ]
-        assert got == EDGE_GOLDEN[name]
+        assert edge_pins(edge_measures()[name]) == EDGE_GOLDEN[name]
 
     def test_tabulated_total_mass(self):
         nu = edge_measures()["tabulated_levy"]
         assert nu.total_mass().hex() == TABULATED_TOTAL_MASS
+
+
+def support_measures():
+    """``edge_measures()`` and two measures with -1 and 1 in a gap of
+    their support."""
+    measures = edge_measures()
+    measures["cp_gap"] = CompoundPoissonMeasure(1.0, UniformDensity(1.5, 3.0))
+    measures["tabulated_gap"] = TabulatedLevyMeasure(
+        (-3.0, -2.0, 2.0, 3.0), (1.0, 0.5, 0.5, 1.0)
+    )
+    return measures
+
+
+def measure_pins(nu):
+    """gamma_nu, validate_levy(nu).value and the real and imaginary parts of
+    char_function at u = 0.5 and 3.0 (horizon 1, no drift, no variance)."""
+    zero = ConstantFunction(0.0)
+    phi = char_function(ProcessSpec(zero, zero, nu), 1.0, [0.5, 3.0])
+    values = [gamma_nu(nu), validate_levy(nu).value]
+    values += [part for z in phi for part in (z.real, z.imag)]
+    return tuple(float(v).hex() for v in values)
+
+
+def pair_pins(nu1, nu2):
+    """_eta_cached(nu1, nu2), and l1_distance and hellinger_sq where nu1 <<
+    nu2 (None where not)."""
+    pins = [_eta_cached(nu1, nu2)]
+    ok = check_abs_continuity(nu1, nu2).ok
+    pins += [fn(nu1, nu2) if ok else None for fn in (l1_distance, hellinger_sq)]
+    return tuple(None if v is None else float(v).hex() for v in pins)
+
+
+def pair_names():
+    names = sorted(support_measures())
+    return [f"{a}/{b}" for a in names for b in names]
+
+
+def _literal(value):
+    """value as this file writes it: strings in double quotes."""
+    if isinstance(value, str):
+        return f'"{value}"'
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(_literal, value)) + ")"
+    return repr(value)
+
+
+def print_golden(name, table):
+    """Print ``table`` in the layout of its literal ``name`` in this file."""
+    print(f"{name} = {{")
+    for key, pins in table.items():
+        head = f'    "{key}": '
+        if isinstance(pins, list):
+            print(head + "[\n" + "".join(f"        {_literal(row)},\n" for row in pins) + "    ],")
+        elif len(head + _literal(pins)) < 100:
+            print(f"{head}{_literal(pins)},")
+        else:
+            print(head + "(")
+            for i in range(0, len(pins), 2):
+                print("        " + " ".join(_literal(v) + "," for v in pins[i : i + 2]))
+            print("    ),")
+    print("}")
+
+
+# Integrals over the whole support, as hex floats: per measure of
+# support_measures(), measure_pins(nu); per ordered pair "nu1/nu2",
+# pair_pins(nu1, nu2).  ``python tests/test_simulate.py`` prints them, and
+# EDGE_GOLDEN, for the tree on the import path.
+SUPPORT_GOLDEN = {
+    "cp_exponential": (
+        "0x1.c4c96b121ccdap-2", "0x1.2ddb9cb6bdde0p-1",
+        "0x1.ad2fcc1b08fc8p-1", "0x1.8fff159fb4d0fp-3",
+        "0x1.cd15b7c12f143p-3", "-0x1.99c15ecd9ad0dp-3",
+    ),
+    "cp_gap": (
+        "0x0.0p+0", "0x1.ffffffffffffep-1",
+        "0x1.6d2843208b8fbp-2", "0x1.badc5aabc9265p-2",
+        "0x1.facda8c79bd33p-2", "0x1.3e112b8ed06fcp-4",
+    ),
+    "cp_normal": (
+        "0x1.fffc8a9ff322cp-3", "0x1.29f7f6ab5cb80p+0",
+        "0x1.9fcd6f95b049ep-1", "0x1.063229861980bp-3",
+        "0x1.bd5a05e31eefap-5", "-0x1.1e5cee590330dp-5",
+    ),
+    "cp_tabulated": (
+        "0x1.cd0c1eaba7f1cp-4", "0x1.c7556ea948135p-2",
+        "0x1.d29bcccda26cbp-1", "0x1.130860ee43921p-3",
+        "0x1.71c0600514b3cp-2", "-0x1.0f9a0267c6a96p-3",
+    ),
+    "cp_uniform": (
+        "0x1.3333333333332p-2", "0x1.199999999999ap+0",
+        "0x1.5434ee01928d1p-1", "0x1.93f6989697c2ap-2",
+        "0x1.1a0f3ede622c3p-4", "-0x1.309923bff1340p-3",
+    ),
+    "tabulated_gap": (
+        "0x0.0p+0", "0x1.79ed8cf959584p+0",
+        "0x1.64906950e7e67p-2", "0x0.0p+0",
+        "0x1.10be14551bbcep-2", "0x1.10be14551bbcep-56",
+    ),
+    "tabulated_levy": (
+        "-0x1.49a3cf9c2517fp-4", "0x1.6056fee209fa0p-2",
+        "0x1.dfc5ac9b28dedp-1", "-0x1.7baa416973cdep-7",
+        "0x1.a5852a4f6f820p-2", "0x1.d523d41ce429ap-6",
+    ),
+    "tempered_stable": (
+        "0x1.a50c26b5fdaccp+0", "0x1.d6e74cb39d0fap-1",
+        "0x1.bc0edfd185383p-1", "0x1.553484cc3b047p-4",
+        "0x1.051c61b260d38p-5", "-0x1.4a702aba65152p-5",
+    ),
+    "zero": (
+        "0x0.0p+0", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x0.0p+0",
+    ),
+}
+PAIR_GOLDEN = {
+    "cp_exponential/cp_exponential": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "cp_exponential/cp_gap": ("0x1.c4c96b121ccdap-2", None, None),
+    "cp_exponential/cp_normal": ("0x1.89964b844678dp-3", None, None),
+    "cp_exponential/cp_tabulated": ("0x1.5186636732d13p-2", None, None),
+    "cp_exponential/cp_uniform": ("0x1.232c6fbdd3350p-3", None, None),
+    "cp_exponential/tabulated_gap": ("0x1.c4c96b121ccdap-2", None, None),
+    "cp_exponential/tabulated_levy": ("0x1.0b992f7d57f7bp-1", None, None),
+    "cp_exponential/tempered_stable": ("-0x1.33d9cbf176796p+0", "inf", "inf"),
+    "cp_exponential/zero": ("0x1.c4c96b121ccdap-2", None, None),
+    "cp_gap/cp_exponential": (
+        "-0x1.c4c96b121ccdap-2", "0x1.1bcae4b77590cp+1",
+        "0x1.c8af1b2bbfb2ap+0",
+    ),
+    "cp_gap/cp_gap": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "cp_gap/cp_normal": ("-0x1.fffc8a9ff322cp-3", "0x1.e6b0175369c6ep+1", "0x1.bfc21c80ddf25p+1"),
+    "cp_gap/cp_tabulated": ("-0x1.cd0c1eaba7f1cp-4", None, None),
+    "cp_gap/cp_uniform": ("-0x1.3333333333332p-2", None, None),
+    "cp_gap/tabulated_gap": ("0x0.0p+0", None, None),
+    "cp_gap/tabulated_levy": (
+        "0x1.49a3cf9c2517fp-4", "0x1.6bd49f9c00008p+2",
+        "0x1.5c71b615d35d4p+2",
+    ),
+    "cp_gap/tempered_stable": ("-0x1.a50c26b5fdaccp+0", "inf", "inf"),
+    "cp_gap/zero": ("0x0.0p+0", None, None),
+    "cp_normal/cp_exponential": ("-0x1.89964b844678dp-3", None, None),
+    "cp_normal/cp_gap": ("0x1.fffc8a9ff322cp-3", None, None),
+    "cp_normal/cp_normal": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "cp_normal/cp_tabulated": ("0x1.19767b4a1f298p-3", None, None),
+    "cp_normal/cp_uniform": ("-0x1.99a76f19cd0f0p-5", None, None),
+    "cp_normal/tabulated_gap": ("0x1.fffc8a9ff322cp-3", None, None),
+    "cp_normal/tabulated_levy": ("0x1.52673942279dcp-2", None, None),
+    "cp_normal/tempered_stable": ("-0x1.650c9561ff488p+0", "inf", "inf"),
+    "cp_normal/zero": ("0x1.fffc8a9ff322cp-3", None, None),
+    "cp_tabulated/cp_exponential": ("-0x1.5186636732d13p-2", None, None),
+    "cp_tabulated/cp_gap": ("0x1.cd0c1eaba7f1cp-4", None, None),
+    "cp_tabulated/cp_normal": (
+        "-0x1.19767b4a1f298p-3", "0x1.0133abc230a04p+1",
+        "0x1.54c3f8dab8481p-1",
+    ),
+    "cp_tabulated/cp_tabulated": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "cp_tabulated/cp_uniform": ("-0x1.7fe05710926d5p-3", None, None),
+    "cp_tabulated/tabulated_gap": ("0x1.cd0c1eaba7f1cp-4", None, None),
+    "cp_tabulated/tabulated_levy": ("0x1.8b57f728caa09p-3", None, None),
+    "cp_tabulated/tempered_stable": ("-0x1.883b64cb46161p+0", "inf", "inf"),
+    "cp_tabulated/zero": ("0x1.cd0c1eaba7f1cp-4", None, None),
+    "cp_uniform/cp_exponential": ("-0x1.232c6fbdd3350p-3", None, None),
+    "cp_uniform/cp_gap": ("0x1.3333333333332p-2", None, None),
+    "cp_uniform/cp_normal": (
+        "0x1.99a76f19cd0f0p-5", "0x1.dd757c462a9fdp+0",
+        "0x1.93344b46a605dp-1",
+    ),
+    "cp_uniform/cp_tabulated": (
+        "0x1.7fe05710926d5p-3", "0x1.321642c8590b2p+0",
+        "0x1.7430a7779fd59p-2",
+    ),
+    "cp_uniform/cp_uniform": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "cp_uniform/tabulated_gap": ("0x1.3333333333332p-2", None, None),
+    "cp_uniform/tabulated_levy": ("0x1.859c272066c75p-2", None, None),
+    "cp_uniform/tempered_stable": ("-0x1.583f59e917106p+0", "inf", "inf"),
+    "cp_uniform/zero": ("0x1.3333333333332p-2", None, None),
+    "tabulated_gap/cp_exponential": ("-0x1.c4c96b121ccdap-2", None, None),
+    "tabulated_gap/cp_gap": ("0x0.0p+0", None, None),
+    "tabulated_gap/cp_normal": (
+        "-0x1.fffc8a9ff322cp-3", "0x1.1c0b95a91f6c5p+2",
+        "0x1.0edf76ba6f825p+2",
+    ),
+    "tabulated_gap/cp_tabulated": ("-0x1.cd0c1eaba7f1cp-4", None, None),
+    "tabulated_gap/cp_uniform": ("-0x1.3333333333332p-2", None, None),
+    "tabulated_gap/tabulated_gap": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "tabulated_gap/tabulated_levy": (
+        "0x1.49a3cf9c2517fp-4", "0x1.8a883921f016cp+2",
+        "0x1.77cbe9be25ee2p+2",
+    ),
+    "tabulated_gap/tempered_stable": ("-0x1.a50c26b5fdaccp+0", "inf", "inf"),
+    "tabulated_gap/zero": ("0x0.0p+0", None, None),
+    "tabulated_levy/cp_exponential": ("-0x1.0b992f7d57f7bp-1", None, None),
+    "tabulated_levy/cp_gap": ("-0x1.49a3cf9c2517fp-4", None, None),
+    "tabulated_levy/cp_normal": (
+        "-0x1.52673942279dcp-2", "0x1.28f1e0e1d3c85p+2",
+        "0x1.1fe8c0ebba0c0p+1",
+    ),
+    "tabulated_levy/cp_tabulated": ("-0x1.8b57f728caa09p-3", None, None),
+    "tabulated_levy/cp_uniform": ("-0x1.859c272066c75p-2", None, None),
+    "tabulated_levy/tabulated_gap": ("-0x1.49a3cf9c2517fp-4", None, None),
+    "tabulated_levy/tabulated_levy": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "tabulated_levy/tempered_stable": ("-0x1.b9a663ac1d21bp+0", "inf", "inf"),
+    "tabulated_levy/zero": ("-0x1.49a3cf9c2517fp-4", None, None),
+    "tempered_stable/cp_exponential": ("0x1.33d9cbf176796p+0", None, None),
+    "tempered_stable/cp_gap": ("0x1.a50c26b5fdaccp+0", None, None),
+    "tempered_stable/cp_normal": ("0x1.650c9561ff488p+0", None, None),
+    "tempered_stable/cp_tabulated": ("0x1.883b64cb46161p+0", None, None),
+    "tempered_stable/cp_uniform": ("0x1.583f59e917106p+0", None, None),
+    "tempered_stable/tabulated_gap": ("0x1.a50c26b5fdaccp+0", None, None),
+    "tempered_stable/tabulated_levy": ("0x1.b9a663ac1d21bp+0", None, None),
+    "tempered_stable/tempered_stable": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "tempered_stable/zero": ("0x1.a50c26b5fdaccp+0", None, None),
+    "zero/cp_exponential": (
+        "-0x1.c4c96b121ccdap-2", "0x1.7fffffffffffcp+0",
+        "0x1.7fffffffffffcp+0",
+    ),
+    "zero/cp_gap": ("0x0.0p+0", "0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1"),
+    "zero/cp_normal": ("-0x1.fffc8a9ff322cp-3", "0x1.7fffffffffffep+1", "0x1.7fffffffffffep+1"),
+    "zero/cp_tabulated": ("-0x1.cd0c1eaba7f1cp-4", "0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1"),
+    "zero/cp_uniform": ("-0x1.3333333333332p-2", "0x1.0000000000000p+1", "0x1.fffffffffffffp+0"),
+    "zero/tabulated_gap": ("0x0.0p+0", "0x1.79ed8cf959584p+0", "0x1.79ed8cf959585p+0"),
+    "zero/tabulated_levy": ("0x1.49a3cf9c2517fp-4", "0x1.2ebdebf0781e9p+2", "0x1.2ebdebf0781e8p+2"),
+    "zero/tempered_stable": ("-0x1.a50c26b5fdaccp+0", "inf", "inf"),
+    "zero/zero": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+}
+
+
+class TestSupportIntegralGoldens:
+    @pytest.mark.parametrize("name", sorted(SUPPORT_GOLDEN))
+    def test_measure(self, name):
+        assert measure_pins(support_measures()[name]) == SUPPORT_GOLDEN[name]
+
+    @pytest.mark.parametrize("key", sorted(PAIR_GOLDEN))
+    def test_pair(self, key):
+        nu1, nu2 = (support_measures()[name] for name in key.split("/"))
+        assert pair_pins(nu1, nu2) == PAIR_GOLDEN[key]
+
+    def test_every_pair_is_pinned(self):
+        assert sorted(SUPPORT_GOLDEN) == sorted(support_measures())
+        assert list(PAIR_GOLDEN) == pair_names()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -949,3 +1196,14 @@ class TestStreamMemory:
             tracemalloc.stop()
         assert d.shape == (8192,) and np.all(np.isfinite(d))
         assert peak < 16 * 2**20
+
+
+if __name__ == "__main__":
+    print_golden("EDGE_GOLDEN", {k: edge_pins(nu) for k, nu in edge_measures().items()})
+    print(f'TABULATED_TOTAL_MASS = "{edge_measures()["tabulated_levy"].total_mass().hex()}"')
+    measures = support_measures()
+    print_golden("SUPPORT_GOLDEN", {k: measure_pins(measures[k]) for k in sorted(measures)})
+    print_golden(
+        "PAIR_GOLDEN",
+        {k: pair_pins(*(measures[n] for n in k.split("/"))) for k in pair_names()},
+    )
