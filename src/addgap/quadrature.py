@@ -155,8 +155,7 @@ def _adaptive(
     sent their (value, error) pairs in the same order. Returns (value,
     error); raises _Diverged or ToleranceNotMet.
     """
-    left_tracker = _Tracker(a, abs_tol) if watch_left else None
-    right_tracker = _Tracker(b, abs_tol) if watch_right else None
+    trackers = [_Tracker(c, abs_tol) for c, watch in ((a, watch_left), (b, watch_right)) if watch]
 
     ((val, err),) = yield ((a, b),)
     heap = [(-err, 0, a, b, val, err)]
@@ -186,11 +185,9 @@ def _adaptive(
         total_val += lval + rval
         total_err += lerr + rerr
         total_abs += abs(lval) + abs(rval)
-        if left_tracker is not None and pa == left_tracker.coord:
-            if left_tracker.stalled(rval):
-                raise _Diverged(total_val)
-        if right_tracker is not None and pb == right_tracker.coord:
-            if right_tracker.stalled(lval):
+        for tracker in trackers:
+            # The half peeled off the watched end: the far one from it.
+            if tracker.coord in (pa, pb) and tracker.stalled(rval if pa == tracker.coord else lval):
                 raise _Diverged(total_val)
 
     if total_err <= max(abs_tol, rel_tol * abs(total_val)):
@@ -205,22 +202,13 @@ def _adaptive(
 # what `post` needs to weight the integrand values.
 
 
-def _tail_up(a: float):
-    """[a, inf) from t in [0, 1) via y = a + t/(1 - t)."""
+def _tail(edge: float, sign: float):
+    """[edge, inf) (sign 1) or (-inf, edge] (sign -1) from t in [0, 1) via
+    y = edge + sign t/(1 - t)."""
 
     def pre(ts):
         u = 1.0 - ts
-        return a + ts / u, u
-
-    return pre, _tail_weight
-
-
-def _tail_down(b: float):
-    """(-inf, b] from t in [0, 1) via y = b - t/(1 - t)."""
-
-    def pre(ts):
-        u = 1.0 - ts
-        return b - ts / u, u
+        return edge + sign * (ts / u), u
 
     return pre, _tail_weight
 
@@ -229,21 +217,20 @@ def _tail_weight(gy, u):
     return gy / (u * u)
 
 
-def _power_up(us):
-    """(0, hi] from u in (0, hi^(1/5)] via y = u^5.
+def _power(sign: float):
+    """(0, hi] (sign 1) or [-hi, 0) (sign -1) from u in (0, hi^(1/5)] via
+    y = sign u^5.
 
     Softens an integrable singularity at 0 (y^-p becomes u^(4-5p), integrable
     up to p just below 1) while keeping true divergence divergent: y^-1 maps
     to u^-1, so the stall detector still fires on the borderline case.
     """
-    u4 = us * us * us * us
-    return u4 * us, u4
 
+    def pre(us):
+        u4 = us * us * us * us
+        return sign * (u4 * us), u4
 
-def _power_down(us):
-    """[lo, 0) from u in (0, (-lo)^(1/5)] via y = -u^5."""
-    u4 = us * us * us * us
-    return -(u4 * us), u4
+    return pre, _power_weight
 
 
 def _power_weight(gy, u4):
@@ -276,23 +263,20 @@ def _working_intervals(a: float, b: float, singular: bool) -> list[tuple]:
     if singular:
         expanded = [cuts[0]]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if lo == 0.0 and math.isinf(hi):
-                expanded.append(1.0)
-            elif hi == 0.0 and math.isinf(lo):
-                expanded.append(-1.0)
+            if 0.0 in (lo, hi) and math.isinf(lo + hi):
+                expanded.append(math.copysign(1.0, lo + hi))
             expanded.append(hi)
         cuts = expanded
 
     work = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if math.isinf(hi):
-            work.append((_tail_up(lo), 0.0, 1.0, singular and lo == 0.0, True))
-        elif math.isinf(lo):
-            work.append((_tail_down(hi), 0.0, 1.0, singular and hi == 0.0, True))
-        elif singular and lo == 0.0:
-            work.append(((_power_up, _power_weight), 0.0, hi**0.2, True, False))
-        elif singular and hi == 0.0:
-            work.append(((_power_down, _power_weight), 0.0, (-lo) ** 0.2, True, False))
+        # A tail maps from its finite end, the power substitution from 0.
+        sign = 1.0 if math.isinf(hi) or lo == 0.0 else -1.0
+        near, far = (lo, hi) if sign > 0 else (hi, lo)
+        if math.isinf(far):
+            work.append((_tail(near, sign), 0.0, 1.0, singular and near == 0.0, True))
+        elif singular and near == 0.0:
+            work.append((_power(sign), 0.0, (sign * far) ** 0.2, True, False))
         else:
             work.append((None, lo, hi, False, False))
     return work

@@ -644,6 +644,23 @@ class TestBundledConfigs:
         hw = doc["estimate"]["half_width_95"]
         assert mean <= doc["report"]["thm1"] + 4.0 * hw
 
+    @pytest.mark.parametrize("command", [["bound"], ["compare", "--paths", "2000"]])
+    def test_tempered_stable_pair_swapped(self, tmp_path, capsys, command):
+        # nu1 has the heavier positive tail: far out, nu2's density
+        # underflows to 0 while nu1's does not.
+        bundled = CONFIG_DIR / "tempered_stable.json"
+        data = json.loads(bundled.read_text(encoding="utf-8"))
+        data["process1"], data["process2"] = data["process2"], data["process1"]
+        data["process1"]["drift"]["c"] = 0.29736025230224585
+        data["process2"]["drift"]["c"] = 0.0
+        reports = []
+        for path in (str(bundled), write_config(tmp_path, data)):
+            code, out, err = run(capsys, [command[0], "--config", path, "--json", *command[1:]])
+            assert (code, err) == (0, "")
+            reports.append(json.loads(out)["report"])
+        for key in ("l1_nu", "hellinger_sq_nu"):
+            assert math.isclose(reports[1][key], reports[0][key], rel_tol=1e-12)
+
     def test_horizon_sweep_shapes(self, capsys):
         # The sinh bound grows superlinearly with the horizon while the
         # Hellinger-based bound saturates below sqrt(8).

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import gammainc
 
 from addgap.bounds import compute_report
 from addgap.errors import (
@@ -42,7 +43,7 @@ from addgap.measures import (
 from addgap.config import parse_config
 from addgap.processes import ConstantFunction, ProblemSpec, ProcessSpec
 from addgap.simulate import RngStream, sample_jump_batch
-from addgap.quadrature import integrate_fn
+from addgap.quadrature import integrate_fn, integrate_segments
 
 from _oracles import (
     ETA_EX3,
@@ -357,6 +358,76 @@ class TestHellinger:
         ]
         for nu1, nu2 in pairs:
             assert hellinger_sq(nu1, nu2) <= l1_distance(nu1, nu2) + 1e-12
+
+
+# Same-shape tempered-stable pairs for the closed forms: (lambda-, lambda+)
+# of nu1 and of nu2, with lambda1 > lambda2 or lambda1 < lambda2 on one
+# side or on both.
+LAMBDA_GAPS = {
+    "plus_side": ((1.0, 2.0), (1.0, 1.0)),
+    "plus_side_swapped": ((1.0, 1.0), (1.0, 2.0)),
+    "both_sides": ((3.0, 1.5), (1.0, 4.0)),
+    "both_sides_swapped": ((1.0, 4.0), (3.0, 1.5)),
+}
+CLOSED_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+
+def closed_form_pair(alpha, c, gap):
+    (lam1, lam2), m = LAMBDA_GAPS[gap], mpmath.mpf(alpha)
+    nu1, nu2 = (TemperedStableMeasure(c[0], c[1], lam[0], lam[1], alpha) for lam in (lam1, lam2))
+    sides = [(mpmath.mpf(k), mpmath.mpf(a), mpmath.mpf(b)) for k, a, b in zip(c, lam1, lam2)]
+    return nu1, nu2, m, sides
+
+
+def assert_within_quadrature_error(integrand, edges, cached, closed):
+    """The one quadrature of integrand on edges gives ``cached`` bit for bit
+    and lies within its error estimate of the closed form."""
+    res = integrate_segments(integrand, edges, singular_at_zero=True)
+    assert res.value.hex() == cached.hex()
+    assert abs(res.value - float(closed)) <= res.error_estimate
+
+
+@pytest.mark.parametrize("c", [(1.0, 1.0), (0.5, 2.0)], ids=["equal_c", "unequal_c"])
+@pytest.mark.parametrize("gap", sorted(LAMBDA_GAPS))
+class TestClosedForms:
+    """Per side, int |nu1 - nu2| = C |Gamma(-alpha)(lambda1^alpha -
+    lambda2^alpha)| for alpha < 1, H^2 = C Gamma(-alpha)(lambda1^alpha +
+    lambda2^alpha - 2((lambda1 + lambda2)/2)^alpha), and int_0^1 y nu(dy) =
+    C lambda^(alpha - 1) Gamma(1 - alpha) P(1 - alpha, lambda)."""
+
+    @pytest.mark.parametrize("alpha", CLOSED_ALPHAS)
+    def test_l1(self, alpha, c, gap):
+        nu1, nu2, m, sides = closed_form_pair(alpha, c, gap)
+        closed = sum(k * abs(mpmath.gamma(-m) * (a**m - b**m)) for k, a, b in sides)
+        diff = pair_difference_fn(nu1, nu2)
+        assert_within_quadrature_error(
+            lambda y: np.abs(diff(y)), support_edges((nu1, nu2)), l1_distance(nu1, nu2), closed
+        )
+
+    @pytest.mark.parametrize("alpha", CLOSED_ALPHAS + (1.5,))
+    def test_hellinger(self, alpha, c, gap):
+        nu1, nu2, m, sides = closed_form_pair(alpha, c, gap)
+        closed = sum(
+            k * mpmath.gamma(-m) * (a**m + b**m - 2 * ((a + b) / 2) ** m) for k, a, b in sides
+        )
+        sdiff = pair_sqrt_difference_fn(nu1, nu2)
+        assert_within_quadrature_error(
+            lambda y: sdiff(y) ** 2, support_edges((nu1, nu2)), hellinger_sq(nu1, nu2), closed
+        )
+
+    @pytest.mark.parametrize("alpha", CLOSED_ALPHAS)
+    def test_gamma(self, alpha, c, gap):
+        # Within the quadrature's error estimate, not 1e-8 relative: the
+        # sides cancel, and at alpha 0.9, C+- 1, lambda+- (1, 4) each is
+        # about 9 in size while gamma is -1.006, 2e-8 relative off.
+        nu1, _, _, _ = closed_form_pair(alpha, c, gap)
+        closed = math.gamma(1.0 - alpha) * sum(
+            sign * k * lam ** (alpha - 1.0) * gammainc(1.0 - alpha, lam)
+            for sign, k, lam in zip((-1.0, 1.0), c, LAMBDA_GAPS[gap][0])
+        )
+        assert_within_quadrature_error(
+            lambda y: y * nu1.density(y), support_edges((nu1,), -1.0, 1.0), gamma_nu(nu1), closed
+        )
 
 
 class TestValidateLevy:
@@ -867,3 +938,832 @@ class TestSupportEdges:
         assert support_edges((cp01, GAPPED[1]), -1.0, 1.0) == [0.0, 1.0]
         assert pair_support_edges(GAPPED[2], ZeroMeasure(), clip=(-1.0, 1.0)) == [-1.0, 0.0, 1.0]
         assert support_edges((GAPPED[2],), -1.0, 1.0) == []
+
+
+# ---------------------------------------------------------------------------
+# Per-point pins
+# ---------------------------------------------------------------------------
+
+PIN_POINTS = (
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-300, -1e-300,
+    1e-155, -1e-155, 0.3, -0.3, 1.0, -1.0, 50.0, -50.0, 3000.0, -3000.0,
+)
+PIN_ALPHAS = (-0.5, 0.5, 0.7, 1.5)
+
+
+def pin_measures():
+    """Every built-in family: tempered stable with equal and unequal C+-
+    at each of PIN_ALPHAS, tabulated with one and two sides, compound
+    Poisson with each jump density, and zero."""
+    measures = {}
+    for alpha in PIN_ALPHAS:
+        measures[f"ts_equal_c_{alpha}"] = TemperedStableMeasure(1.0, 1.0, 1.0, 2.0, alpha)
+        measures[f"ts_unequal_c_{alpha}"] = TemperedStableMeasure(0.5, 2.0, 3.0, 1.5, alpha)
+    measures["tabulated_one_sided"] = TabulatedLevyMeasure(
+        (1e-4, 0.3, 2.0, 50.0), (1e4, 3.0, 0.2, 1e-3)
+    )
+    measures["tabulated_two_sided"] = TabulatedLevyMeasure(
+        (-50.0, -1.0, -1e-3, 1e-155, 0.3, 3.0), (1e-3, 0.5, 40.0, 1e10, 2.0, 0.1)
+    )
+    measures["cp_uniform"] = CompoundPoissonMeasure(2.0, UniformDensity(-0.3, 1.0))
+    measures["cp_exponential"] = CompoundPoissonMeasure(1.5, ExponentialDensity(2.0))
+    measures["cp_normal"] = CompoundPoissonMeasure(0.7, NormalDensity(0.5, 4.0))
+    measures["cp_tabulated"] = CompoundPoissonMeasure(
+        3.0, TabulatedDensity((-1.0, 0.3, 2.0), (0.1, 0.51, 0.2))
+    )
+    measures["zero"] = ZeroMeasure()
+    return measures
+
+
+def pin_pairs():
+    """Same-shape tempered-stable pairs with lambda1 > lambda2 on one side
+    and lambda1 < lambda2 on the other at each of PIN_ALPHAS, and the
+    bundled pair (lambda+ 2 against 1), each way round; and one pair for
+    each other branch of the pair hooks."""
+    measures = pin_measures()
+    pairs = {}
+    for alpha in PIN_ALPHAS:
+        nu1 = TemperedStableMeasure(0.5, 2.0, 3.0, 1.5, alpha)
+        nu2 = TemperedStableMeasure(0.5, 2.0, 1.0, 4.0, alpha)
+        pairs[f"ts_both_sides_{alpha}"] = (nu1, nu2)
+        pairs[f"ts_both_sides_swapped_{alpha}"] = (nu2, nu1)
+    pairs["ts_plus_side"] = (EX3_NU1, EX3_NU2)
+    pairs["ts_plus_side_swapped"] = (EX3_NU2, EX3_NU1)
+    pairs["ts_alpha"] = (measures["ts_unequal_c_0.5"], measures["ts_unequal_c_0.7"])
+    pairs["cp_intensity"] = (
+        measures["cp_uniform"],
+        CompoundPoissonMeasure(1.0, UniformDensity(-0.3, 1.0)),
+    )
+    pairs["tabulated_cp"] = (measures["tabulated_two_sided"], measures["cp_normal"])
+    return pairs
+
+
+def point_functions():
+    """Each pinned function by name: density and log_density per measure of
+    pin_measures(), and the three pair hooks per pair of pin_pairs()."""
+    functions = {}
+    for name, nu in pin_measures().items():
+        functions[f"density/{name}"] = nu.density
+        functions[f"log_density/{name}"] = nu.log_density
+    for name, (nu1, nu2) in pin_pairs().items():
+        functions[f"difference/{name}"] = pair_difference_fn(nu1, nu2)
+        functions[f"sqrt_difference/{name}"] = pair_sqrt_difference_fn(nu1, nu2)
+        functions[f"log_ratio/{name}"] = pair_log_ratio(nu1, nu2)
+    return functions
+
+
+def point_pins(fn, shape=(1,)):
+    """fn at each of PIN_POINTS, one point a call given as an array of
+    ``shape``, as hex floats; "RatioUndefined" where it raises so."""
+    pins = []
+    for y in PIN_POINTS:
+        try:
+            with np.errstate(all="ignore"):
+                value = fn(np.full(shape, y))
+        except RatioUndefined:
+            pins.append("RatioUndefined")
+            continue
+        assert np.shape(value) == shape
+        pins.append(float(np.ravel(value)[0]).hex())
+    return tuple(pins)
+
+
+def zero_d_pins():
+    """point_pins(fn, ()) per name where 0-d input differs from 1-d: numpy
+    takes a scalar power, not its array loop, for a 0-d |y|."""
+    pins = {}
+    for name, fn in point_functions().items():
+        zero_d = point_pins(fn, ())
+        if zero_d != point_pins(fn):
+            pins[name] = zero_d
+    return pins
+
+
+# point_pins(fn) per name of point_functions(), and zero_d_pins().
+# ``python tests/test_measures.py`` prints both for the tree on the import
+# path.
+POINT_GOLDEN = {
+    "density/cp_exponential": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.8000000000000p+1",
+        "0x0.0p+0", "0x1.8000000000000p+1", "0x0.0p+0",
+        "0x1.8000000000000p+1", "0x0.0p+0", "0x1.a57cc21610754p+0",
+        "0x0.0p+0", "0x1.9fbfff59f42b2p-2", "0x0.0p+0",
+        "0x1.3e9174faa0386p-143", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "density/cp_normal": (
+        "0x0.0p+0", "0x0.0p+0", "nan",
+        "0x0.0p+0", "0x0.0p+0", "0x1.1529e8a501f29p-3",
+        "0x1.1529e8a501f29p-3", "0x1.1529e8a501f29p-3", "0x1.1529e8a501f29p-3",
+        "0x1.1529e8a501f29p-3", "0x1.1529e8a501f29p-3", "0x1.1c891c2a8994ep-3",
+        "0x1.07f9dd88595e4p-3", "0x1.1529e8a501f29p-3", "0x1.afb5eb5f27c1dp-4",
+        "0x1.38d4a87983decp-445", "0x1.319c492416509p-463", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "density/cp_tabulated": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.3f03f03f03f04p+0",
+        "0x1.3f03f03f03f04p+0", "0x1.3f03f03f03f04p+0", "0x1.3f03f03f03f04p+0",
+        "0x1.3f03f03f03f04p+0", "0x1.3f03f03f03f04p+0", "0x1.87ae147ae147bp+0",
+        "0x1.ecb398064d31ap-1", "0x1.25a5a5a5a5a5bp+0", "0x1.3333333333334p-2",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "density/cp_uniform": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.89d89d89d89d8p+0",
+        "0x1.89d89d89d89d8p+0", "0x1.89d89d89d89d8p+0", "0x1.89d89d89d89d8p+0",
+        "0x1.89d89d89d89d8p+0", "0x1.89d89d89d89d8p+0", "0x1.89d89d89d89d8p+0",
+        "0x1.89d89d89d89d8p+0", "0x1.89d89d89d89d8p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "density/tabulated_one_sided": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.8000000000001p+1",
+        "0x0.0p+0", "0x1.136d43c1c69bfp-1", "0x0.0p+0",
+        "0x1.0624dd2f1a9fdp-10", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "density/tabulated_two_sided": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x1.2a05f20000002p+33", "0x0.0p+0", "0x1.0000000000000p+1",
+        "0x1.12bab7338f49ep+0", "0x1.ab9c744db6251p-2", "0x1.0000000000000p-1",
+        "0x0.0p+0", "0x1.0624dd2f1a9fdp-10", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "density/ts_equal_c_-0.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+537",
+        "0x1.0000000000000p+537", "0x1.38d352e5096afp+498", "0x1.38d352e5096afp+498",
+        "0x1.5d914951a394dp+257", "0x1.5d914951a394dp+257", "0x1.00824f6b77995p+0",
+        "0x1.5a403f4a73c7dp+0", "0x1.152aaa3bf81ccp-3", "0x1.78b56362cef38p-2",
+        "0x1.e08ef043cafd6p-148", "0x1.07cdb1c290c9ap-75", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "density/ts_equal_c_0.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "inf",
+        "inf", "inf", "inf",
+        "0x1.45e632df75aeap+772", "0x1.45e632df75aeap+772", "0x1.ab83d9b31caa3p+1",
+        "0x1.208adf68b5d13p+2", "0x1.152aaa3bf81ccp-3", "0x1.78b56362cef38p-2",
+        "0x1.338eae3fde12dp-153", "0x1.51ab20f90b3f9p-81", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "density/ts_equal_c_0.7": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "inf",
+        "inf", "inf", "inf",
+        "0x1.415c87115962cp+875", "0x1.415c87115962cp+875", "0x1.0ff47f2509225p+2",
+        "0x1.6f19d731be97bp+2", "0x1.152aaa3bf81ccp-3", "0x1.78b56362cef38p-2",
+        "0x1.194b88d23116cp-154", "0x1.34d5c24e70761p-82", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "density/ts_equal_c_1.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "inf",
+        "inf", "inf", "inf",
+        "inf", "inf", "0x1.6443356a97e32p+3",
+        "0x1.e0e774592f075p+3", "0x1.152aaa3bf81ccp-3", "0x1.78b56362cef38p-2",
+        "0x1.89ac6428ca559p-159", "0x1.b0373471f9eafp-87", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "density/ts_unequal_c_-0.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+538",
+        "0x1.0000000000000p+536", "0x1.38d352e5096afp+499", "0x1.38d352e5096afp+497",
+        "0x1.5d914951a394dp+258", "0x1.5d914951a394dp+256", "0x1.2a055e29a5929p+1",
+        "0x1.7c0d99246aceep-2", "0x1.c8f87724b5c1dp-2", "0x1.97db0ccceb0afp-6",
+        "0x1.f78890d337ed1p-111", "0x1.b5b4892674c68p-221", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "density/ts_unequal_c_0.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "inf",
+        "inf", "inf", "inf",
+        "0x1.45e632df75aeap+773", "0x1.45e632df75aeap+771", "0x1.f0b39cf013f45p+2",
+        "0x1.3cb5ff9e5901cp+0", "0x1.c8f87724b5c1dp-2", "0x1.97db0ccceb0afp-6",
+        "0x1.4242ec0c4cc0bp-116", "0x1.18219f74c59dcp-226", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "density/ts_unequal_c_0.7": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "inf",
+        "inf", "inf", "inf",
+        "0x1.415c87115962cp+876", "0x1.415c87115962cp+874", "0x1.3bf77a1d97542p+3",
+        "0x1.92f043d182494p+0", "0x1.c8f87724b5c1dp-2", "0x1.97db0ccceb0afp-6",
+        "0x1.26be590145649p-117", "0x1.0036010a78238p-227", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "density/ts_unequal_c_1.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "inf",
+        "inf", "inf", "inf",
+        "inf", "inf", "0x1.9deb02c810a0fp+4",
+        "0x1.07ecffae9f817p+2", "0x1.c8f87724b5c1dp-2", "0x1.97db0ccceb0afp-6",
+        "0x1.9c7e9ec81052dp-122", "0x1.66916ff1a0c9fp-232", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "density/zero": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "difference/cp_intensity": (
+        "0x1.89d89d89d89d8p-1", "0x1.89d89d89d89d8p-1", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.89d89d89d89d8p-1",
+        "0x1.89d89d89d89d8p-1", "0x1.89d89d89d89d8p-1", "0x1.89d89d89d89d8p-1",
+        "0x1.89d89d89d89d8p-1", "0x1.89d89d89d89d8p-1", "0x1.89d89d89d89d8p-1",
+        "0x1.89d89d89d89d8p-1", "0x1.89d89d89d89d8p-1", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "difference/tabulated_cp": (
+        "0x0.0p+0", "0x0.0p+0", "nan",
+        "0x0.0p+0", "0x0.0p+0", "-0x1.1529e8a501f29p-3",
+        "-0x1.1529e8a501f29p-3", "-0x1.1529e8a501f29p-3", "-0x1.1529e8a501f29p-3",
+        "0x1.2a05f1ffeead8p+33", "-0x1.1529e8a501f29p-3", "0x1.dc6edc7aaecd6p+0",
+        "0x1.e376f705083c3p-1", "0x1.21077ffb352bcp-2", "0x1.94128528360f9p-2",
+        "-0x1.38d4a87983decp-445", "0x1.0624dd2f1a9fdp-10", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "difference/ts_alpha": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "nan",
+        "nan", "nan", "nan",
+        "-0x1.415c87115962cp+876", "-0x1.415c87115962cp+874", "-0x1.0e76ae963567ep+1",
+        "-0x1.58e910cca51e0p-2", "0x0.0p+0", "0x0.0p+0",
+        "0x1.5dc77f17541cdp-117", "0x1.300d3ddf13180p-227", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "difference/ts_both_sides_-0.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "-0x0.0p+0", "0x1.0000000000000p-535",
+        "-0x1.0000000000000p-537", "0x1.05df0a267bcc9p-496", "-0x1.a2fe76a3f9475p-499",
+        "0x1.d4b18431e8124p-256", "-0x1.76f469c186750p-258", "0x1.3a7ddd869611bp+0",
+        "-0x1.3872e5707cc0dp-2", "0x1.a375cbb47347ep-2", "-0x1.45ba01c931922p-3",
+        "0x1.f78890d337ed2p-111", "-0x1.07cdb1c290c9ap-76", "0x0.0p+0",
+        "-0x0.0p+0",
+    ),
+    "difference/ts_both_sides_0.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "-0x0.0p+0", "inf",
+        "-inf", "inf", "-inf",
+        "0x1.b4f59ba60c7a0p+259", "-0x1.5d914951a394dp+257", "0x1.06138df027b97p+2",
+        "-0x1.045fbf3312a0bp+0", "0x1.a375cbb47347ep-2", "-0x1.45ba01c931922p-3",
+        "0x1.4242ec0c4cc0cp-116", "-0x1.51ab20f90b3f9p-82", "0x0.0p+0",
+        "-0x0.0p+0",
+    ),
+    "difference/ts_both_sides_0.7": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "-0x0.0p+0", "inf",
+        "-inf", "inf", "-inf",
+        "0x1.aee00fca9cae0p+362", "-0x1.58b33fd54a24dp+360", "0x1.4d6de06db4c8fp+2",
+        "-0x1.4b436a91fae63p+0", "0x1.a375cbb47347ep-2", "-0x1.45ba01c931922p-3",
+        "0x1.26be590145649p-117", "-0x1.34d5c24e70761p-83", "0x0.0p+0",
+        "-0x0.0p+0",
+    ),
+    "difference/ts_both_sides_1.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "-0x0.0p+0", "inf",
+        "-inf", "inf", "-inf",
+        "inf", "-inf", "0x1.b4cb41e5978a6p+3",
+        "-0x1.b1f4e9551f0bdp+1", "0x1.a375cbb47347ep-2", "-0x1.45ba01c931922p-3",
+        "0x1.9c7e9ec81052ep-122", "-0x1.b0373471f9eafp-88", "0x0.0p+0",
+        "-0x0.0p+0",
+    ),
+    "difference/ts_both_sides_swapped_-0.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "-0x0.0p+0", "0x0.0p+0", "-0x1.0000000000000p-535",
+        "0x1.0000000000000p-537", "-0x1.05df0a267bcc9p-496", "0x1.a2fe76a3f9475p-499",
+        "-0x1.d4b18431e8124p-256", "0x1.76f469c186750p-258", "-0x1.3a7ddd869611cp+0",
+        "0x1.3872e5707cc0dp-2", "-0x1.a375cbb47347ep-2", "0x1.45ba01c931922p-3",
+        "-0x1.f78890d337ed1p-111", "0x1.07cdb1c290c9bp-76", "-0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "difference/ts_both_sides_swapped_0.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "-0x0.0p+0", "0x0.0p+0", "-inf",
+        "inf", "-inf", "inf",
+        "-0x1.b4f59ba60c7a0p+259", "0x1.5d914951a394dp+257", "-0x1.06138df027b98p+2",
+        "0x1.045fbf3312a0bp+0", "-0x1.a375cbb47347ep-2", "0x1.45ba01c931922p-3",
+        "-0x1.4242ec0c4cc0bp-116", "0x1.51ab20f90b3f9p-82", "-0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "difference/ts_both_sides_swapped_0.7": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "-0x0.0p+0", "0x0.0p+0", "-inf",
+        "inf", "-inf", "inf",
+        "-0x1.aee00fca9cae0p+362", "0x1.58b33fd54a24dp+360", "-0x1.4d6de06db4c91p+2",
+        "0x1.4b436a91fae63p+0", "-0x1.a375cbb47347ep-2", "0x1.45ba01c931922p-3",
+        "-0x1.26be590145649p-117", "0x1.34d5c24e70762p-83", "-0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "difference/ts_both_sides_swapped_1.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "-0x0.0p+0", "0x0.0p+0", "-inf",
+        "inf", "-inf", "inf",
+        "-inf", "inf", "-0x1.b4cb41e5978a8p+3",
+        "0x1.b1f4e9551f0bdp+1", "-0x1.a375cbb47347ep-2", "0x1.45ba01c931922p-3",
+        "-0x1.9c7e9ec81052dp-122", "0x1.b0373471f9eb0p-88", "-0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "difference/ts_plus_side": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "-0x0.0p+0", "nan", "-inf",
+        "nan", "-inf", "nan",
+        "-0x1.5d914951a394dp+257", "0x0.0p+0", "-0x1.2b23ca3c9df05p+0",
+        "0x0.0p+0", "-0x1.dc401c89a5ca4p-3", "0x0.0p+0",
+        "-0x1.51ab20f90b3f9p-81", "0x0.0p+0", "-0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "difference/ts_plus_side_swapped": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "nan", "inf",
+        "nan", "inf", "nan",
+        "0x1.5d914951a394dp+257", "0x0.0p+0", "0x1.2b23ca3c9df05p+0",
+        "0x0.0p+0", "0x1.dc401c89a5ca5p-3", "0x0.0p+0",
+        "0x1.51ab20f90b3f8p-81", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "log_density/cp_exponential": (
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "0x1.193ea7aad030bp+0",
+        "-inf", "0x1.193ea7aad030bp+0", "-inf",
+        "0x1.193ea7aad030bp+0", "-inf", "0x1.fe943844da5c1p-2",
+        "-inf", "-0x1.cd82b0aa5f9eap-1", "-inf",
+        "-0x1.8b9b056154bf4p+6", "-inf", "-inf",
+        "-inf",
+    ),
+    "log_density/cp_normal": (
+        "-inf", "-inf", "nan",
+        "-inf", "-inf", "-0x1.000059673e613p+1",
+        "-0x1.000059673e613p+1", "-0x1.000059673e613p+1", "-0x1.000059673e613p+1",
+        "-0x1.000059673e613p+1", "-0x1.000059673e613p+1", "-0x1.f94860e2f7a3ap+0",
+        "-0x1.063dca0b156b7p+1", "-0x1.000059673e613p+1", "-0x1.200059673e613p+1",
+        "-0x1.344000b2ce7ccp+8", "-0x1.40c000b2ce7ccp+8", "-inf",
+        "-inf",
+    ),
+    "log_density/cp_tabulated": (
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "0x1.c2afce31b32a8p-3",
+        "0x1.c2afce31b32a8p-3", "0x1.c2afce31b32a8p-3", "0x1.c2afce31b32a8p-3",
+        "0x1.c2afce31b32a8p-3", "0x1.c2afce31b32a8p-3", "0x1.b379629e6c2cbp-2",
+        "-0x1.3abebf0475335p-5", "0x1.18fce6ceffe0fp-3", "-0x1.34378fcbda720p+0",
+        "-inf", "-inf", "-inf",
+        "-inf",
+    ),
+    "log_density/cp_uniform": (
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "0x1.b91f28212ba01p-2",
+        "0x1.b91f28212ba01p-2", "0x1.b91f28212ba01p-2", "0x1.b91f28212ba01p-2",
+        "0x1.b91f28212ba01p-2", "0x1.b91f28212ba01p-2", "0x1.b91f28212ba01p-2",
+        "0x1.b91f28212ba01p-2", "0x1.b91f28212ba01p-2", "-inf",
+        "-inf", "-inf", "-inf",
+        "-inf",
+    ),
+    "log_density/tabulated_one_sided": (
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "0x1.193ea7aad030bp+0",
+        "-inf", "-0x1.3d70fd9d8acb6p-1", "-inf",
+        "-0x1.ba18a998fffa0p+2", "-inf", "-inf",
+        "-inf",
+    ),
+    "log_density/tabulated_two_sided": (
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "-inf",
+        "0x1.7069e2aa2aa5bp+4", "-inf", "0x1.62e42fefa39efp-1",
+        "0x1.2136eb4ddf25fp-4", "-0x1.bf1b9d24347ccp-1", "-0x1.62e42fefa39efp-1",
+        "-inf", "-0x1.ba18a998fffa0p+2", "-inf",
+        "-inf",
+    ),
+    "log_density/ts_equal_c_-0.5": (
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "0x1.74385446d71c3p+8",
+        "0x1.74385446d71c3p+8", "0x1.5963447f87fb5p+8", "0x1.5963447f87fb5p+8",
+        "0x1.64e69394d9508p+7", "0x1.64e69394d9508p+7", "0x1.045c98a73ee00p-9",
+        "0x1.353bec6481b0fp-2", "-0x1.0000000000000p+1", "-0x1.0000000000000p+0",
+        "-0x1.97d2f4adeb06fp+6", "-0x1.9fa5e95bd60ddp+5", "-0x1.77400d0a70768p+12",
+        "-0x1.77801a14e0ed0p+11",
+    ),
+    "log_density/ts_equal_c_0.5": (
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "0x1.172a3f3521552p+10",
+        "0x1.172a3f3521552p+10", "0x1.030a735fa5fc8p+10", "0x1.030a735fa5fc8p+10",
+        "0x1.0baceeafa2fc6p+9", "0x1.0baceeafa2fc6p+9", "0x1.34b9be182e118p+0",
+        "0x1.81868ae4fade5p+0", "-0x1.0000000000000p+1", "-0x1.0000000000000p+0",
+        "-0x1.a778de09c114cp+6", "-0x1.bef1bc1382298p+5", "-0x1.77c0271f51638p+12",
+        "-0x1.78804e3ea2c70p+11",
+    ),
+    "log_density/ts_equal_c_0.7": (
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "0x1.3c63146f6a0b2p+10",
+        "0x1.3c63146f6a0b2p+10", "0x1.2594609f99fc0p+10", "0x1.2594609f99fc0p+10",
+        "0x1.2f5d970b52513p+9", "0x1.2f5d970b52513p+9", "0x1.725e7474268eap+0",
+        "0x1.bf2b4140f35b7p+0", "-0x1.0000000000000p+1", "-0x1.0000000000000p+0",
+        "-0x1.aa9a0cb5b8b12p+6", "-0x1.c534196b71624p+5", "-0x1.77d9c5f04b2c8p+12",
+        "-0x1.78b38be096590p+11",
+    ),
+    "log_density/ts_equal_c_1.5": (
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "0x1.d14669588ce34p+10",
+        "0x1.d14669588ce34p+10", "0x1.afbc159f69fa2p+10", "0x1.afbc159f69fa2p+10",
+        "0x1.be20387a0fa4ap+9", "0x1.be20387a0fa4ap+9", "0x1.3478a6f20441cp+1",
+        "0x1.5adf0d586aa83p+1", "-0x1.0000000000000p+1", "-0x1.0000000000000p+0",
+        "-0x1.b71ec7659722ap+6", "-0x1.de3d8ecb2e453p+5", "-0x1.7840413432508p+12",
+        "-0x1.7980826864a10p+11",
+    ),
+    "log_density/ts_unequal_c_-0.5": (
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "0x1.74e9c65eceee0p+8",
+        "0x1.7386e22edf4a6p+8", "0x1.5a14b6977fcd2p+8", "0x1.58b1d26790298p+8",
+        "0x1.664977c4c8f42p+7", "0x1.6383af64e9acep+7", "0x1.b0b5595517aaap-1",
+        "-0x1.fb796cf095f9ap-1", "-0x1.9d1bd0105c611p-1", "-0x1.d8b90bfbe8e7cp+1",
+        "-0x1.310d2c4e0bbfbp+6", "-0x1.314c5e86e5271p+7", "-0x1.1974f5e8f0f96p+12",
+        "-0x1.19659215f7f9dp+13",
+    ),
+    "log_density/ts_unequal_c_0.5": (
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "0x1.17569bbb1f499p+10",
+        "0x1.16fde2af2360bp+10", "0x1.0336cfe5a3f0fp+10", "0x1.02de16d9a8081p+10",
+        "0x1.0c05a7bb9ee54p+9", "0x1.0b5435a3a7138p+9", "0x1.06491e3b3323cp+1",
+        "0x1.b3d6ca9c7baa0p-3", "-0x1.9d1bd0105c611p-1", "-0x1.d8b90bfbe8e7cp+1",
+        "-0x1.40b315a9e1cd8p+6", "-0x1.391f5334d02e0p+7", "-0x1.19f50ffdd1e66p+12",
+        "-0x1.19a59f2068705p+13",
+    ),
+    "log_density/ts_unequal_c_0.7": (
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "0x1.3c8f70f567ff9p+10",
+        "0x1.3c36b7e96c16bp+10", "0x1.25c0bd2597f07p+10", "0x1.256804199c079p+10",
+        "0x1.2fb650174e3a1p+9", "0x1.2f04ddff56685p+9", "0x1.251b79692f624p+1",
+        "0x1.d07e3ebe1fc98p-2", "-0x1.9d1bd0105c611p-1", "-0x1.d8b90bfbe8e7cp+1",
+        "-0x1.43d44455d969ep+6", "-0x1.3aafea8acbfc3p+7", "-0x1.1a0eaececbaf6p+12",
+        "-0x1.19b26e88e554dp+13",
+    ),
+    "log_density/ts_unequal_c_1.5": (
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "0x1.d172c5de8ad7bp+10",
+        "0x1.d11a0cd28eeedp+10", "0x1.afe8722567ee9p+10", "0x1.af8fb9196c05bp+10",
+        "0x1.be78f1860b8d8p+9", "0x1.bdc77f6e13bbcp+9", "0x1.a064e621205ccp+1",
+        "0x1.6ab2691f69e74p+0", "-0x1.9d1bd0105c611p-1", "-0x1.d8b90bfbe8e7cp+1",
+        "-0x1.5058ff05b7db6p+6", "-0x1.40f247e2bb34fp+7", "-0x1.1a752a12b2d36p+12",
+        "-0x1.19e5ac2ad8e6dp+13",
+    ),
+    "log_density/zero": (
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "-inf",
+        "-inf", "-inf", "-inf",
+        "-inf",
+    ),
+    "log_ratio/cp_intensity": (
+        "RatioUndefined", "RatioUndefined", "RatioUndefined",
+        "RatioUndefined", "RatioUndefined", "0x1.62e42fefa39efp-1",
+        "0x1.62e42fefa39efp-1", "0x1.62e42fefa39efp-1", "0x1.62e42fefa39efp-1",
+        "0x1.62e42fefa39efp-1", "0x1.62e42fefa39efp-1", "0x1.62e42fefa39efp-1",
+        "0x1.62e42fefa39efp-1", "0x1.62e42fefa39efp-1", "RatioUndefined",
+        "RatioUndefined", "RatioUndefined", "RatioUndefined",
+        "RatioUndefined",
+    ),
+    "log_ratio/tabulated_cp": (
+        "RatioUndefined", "RatioUndefined", "nan",
+        "RatioUndefined", "RatioUndefined", "-inf",
+        "-inf", "-inf", "-inf",
+        "0x1.9069edd71271dp+4", "-inf", "0x1.555d3c6d64b99p+1",
+        "0x1.0f4781658464ap+1", "0x1.2072e43c62840p+0", "0x1.8e8e9ad6aaf2ep+0",
+        "-inf", "0x1.39d79e0c6a7cep+8", "RatioUndefined",
+        "RatioUndefined",
+    ),
+    "log_ratio/ts_alpha": (
+        "RatioUndefined", "RatioUndefined", "RatioUndefined",
+        "RatioUndefined", "RatioUndefined", "-0x1.29c6a9d245b00p+7",
+        "-0x1.29c6a9d245b00p+7", "-0x1.144f69ff9ffc0p+7", "-0x1.144f69ff9ffc0p+7",
+        "-0x1.1d8542dd7aa68p+6", "-0x1.1d8542dd7aa68p+6", "-0x1.ed25b2dfc3e80p-3",
+        "-0x1.ed25b2dfc3e90p-3", "0x0.0p+0", "0x0.0p+0",
+        "0x1.909755fbce300p-1", "0x1.909755fbce300p-1", "0x1.99ed0f9c90000p+0",
+        "0x1.99ed0f9c90000p+0",
+    ),
+    "log_ratio/ts_both_sides_-0.5": (
+        "RatioUndefined", "RatioUndefined", "RatioUndefined",
+        "RatioUndefined", "RatioUndefined", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.8000000000000p-1",
+        "-0x1.3333333333332p-1", "0x1.4000000000000p+1", "-0x1.0000000000000p+1",
+        "0x1.f3fffffffffffp+6", "-0x1.9000000000000p+6", "0x1.d4c0000000000p+12",
+        "-0x1.7700000000000p+12",
+    ),
+    "log_ratio/ts_both_sides_0.5": (
+        "RatioUndefined", "RatioUndefined", "RatioUndefined",
+        "RatioUndefined", "RatioUndefined", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.8000000000002p-1",
+        "-0x1.3333333333332p-1", "0x1.4000000000000p+1", "-0x1.0000000000000p+1",
+        "0x1.f400000000000p+6", "-0x1.9000000000000p+6", "0x1.d4c0000000000p+12",
+        "-0x1.7700000000000p+12",
+    ),
+    "log_ratio/ts_both_sides_0.7": (
+        "RatioUndefined", "RatioUndefined", "RatioUndefined",
+        "RatioUndefined", "RatioUndefined", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.7fffffffffffep-1",
+        "-0x1.3333333333332p-1", "0x1.4000000000000p+1", "-0x1.0000000000000p+1",
+        "0x1.f400000000000p+6", "-0x1.9000000000000p+6", "0x1.d4c0000000000p+12",
+        "-0x1.7700000000000p+12",
+    ),
+    "log_ratio/ts_both_sides_1.5": (
+        "RatioUndefined", "RatioUndefined", "RatioUndefined",
+        "RatioUndefined", "RatioUndefined", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.8000000000000p-1",
+        "-0x1.3333333333334p-1", "0x1.4000000000000p+1", "-0x1.0000000000000p+1",
+        "0x1.f400000000000p+6", "-0x1.9000000000000p+6", "0x1.d4c0000000000p+12",
+        "-0x1.7700000000000p+12",
+    ),
+    "log_ratio/ts_both_sides_swapped_-0.5": (
+        "RatioUndefined", "RatioUndefined", "RatioUndefined",
+        "RatioUndefined", "RatioUndefined", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "-0x1.8000000000000p-1",
+        "0x1.3333333333332p-1", "-0x1.4000000000000p+1", "0x1.0000000000000p+1",
+        "-0x1.f3fffffffffffp+6", "0x1.9000000000000p+6", "-0x1.d4c0000000000p+12",
+        "0x1.7700000000000p+12",
+    ),
+    "log_ratio/ts_both_sides_swapped_0.5": (
+        "RatioUndefined", "RatioUndefined", "RatioUndefined",
+        "RatioUndefined", "RatioUndefined", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "-0x1.8000000000002p-1",
+        "0x1.3333333333332p-1", "-0x1.4000000000000p+1", "0x1.0000000000000p+1",
+        "-0x1.f400000000000p+6", "0x1.9000000000000p+6", "-0x1.d4c0000000000p+12",
+        "0x1.7700000000000p+12",
+    ),
+    "log_ratio/ts_both_sides_swapped_0.7": (
+        "RatioUndefined", "RatioUndefined", "RatioUndefined",
+        "RatioUndefined", "RatioUndefined", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "-0x1.7fffffffffffep-1",
+        "0x1.3333333333332p-1", "-0x1.4000000000000p+1", "0x1.0000000000000p+1",
+        "-0x1.f400000000000p+6", "0x1.9000000000000p+6", "-0x1.d4c0000000000p+12",
+        "0x1.7700000000000p+12",
+    ),
+    "log_ratio/ts_both_sides_swapped_1.5": (
+        "RatioUndefined", "RatioUndefined", "RatioUndefined",
+        "RatioUndefined", "RatioUndefined", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "-0x1.8000000000000p-1",
+        "0x1.3333333333334p-1", "-0x1.4000000000000p+1", "0x1.0000000000000p+1",
+        "-0x1.f400000000000p+6", "0x1.9000000000000p+6", "-0x1.d4c0000000000p+12",
+        "0x1.7700000000000p+12",
+    ),
+    "log_ratio/ts_plus_side": (
+        "RatioUndefined", "RatioUndefined", "RatioUndefined",
+        "RatioUndefined", "RatioUndefined", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "-0x1.3333333333334p-2",
+        "0x0.0p+0", "-0x1.0000000000000p+0", "0x0.0p+0",
+        "-0x1.9000000000000p+5", "0x0.0p+0", "-0x1.7700000000000p+11",
+        "0x0.0p+0",
+    ),
+    "log_ratio/ts_plus_side_swapped": (
+        "RatioUndefined", "RatioUndefined", "RatioUndefined",
+        "RatioUndefined", "RatioUndefined", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.3333333333334p-2",
+        "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0",
+        "0x1.9000000000000p+5", "0x0.0p+0", "0x1.7700000000000p+11",
+        "0x0.0p+0",
+    ),
+    "sqrt_difference/cp_intensity": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.74021e02acb94p-2",
+        "0x1.74021e02acb94p-2", "0x1.74021e02acb94p-2", "0x1.74021e02acb94p-2",
+        "0x1.74021e02acb94p-2", "0x1.74021e02acb94p-2", "0x1.74021e02acb94p-2",
+        "0x1.74021e02acb94p-2", "0x1.74021e02acb94p-2", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "sqrt_difference/tabulated_cp": (
+        "0x0.0p+0", "0x0.0p+0", "nan",
+        "0x0.0p+0", "0x0.0p+0", "-0x1.78b4dfd3e9992p-2",
+        "-0x1.78b4dfd3e9992p-2", "-0x1.78b4dfd3e9992p-2", "-0x1.78b4dfd3e9992p-2",
+        "0x1.869fa1d2c80b1p+16", "-0x1.78b4dfd3e9992p-2", "0x1.0a9e29887107ep+0",
+        "0x1.5a94c3fa4707cp-1", "0x1.1d0388d059576p-2", "0x1.87a28ea1f23d1p-2",
+        "-0x1.90362ab75aa4bp-223", "0x1.030dc4ea03a73p-5", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "sqrt_difference/ts_alpha": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "nan",
+        "nan", "nan", "nan",
+        "-0x1.1ed32d24a7d50p+438", "-0x1.1ed32d24a7d50p+437", "-0x1.6cfd5ed61d148p-2",
+        "-0x1.2373417895de0p-3", "0x0.0p+0", "0x0.0p+0",
+        "0x1.73f735344c948p-60", "0x1.5acce43f3c606p-115", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "sqrt_difference/ts_both_sides_-0.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "-0x0.0p+0", "0x1.0000000000000p-805",
+        "-0x1.0000000000000p-806", "0x1.4f05516b6bbc7p-747", "-0x1.0c044122bc96cp-748",
+        "0x1.9117631a4fe32p-386", "-0x1.40df827b731c2p-387", "0x1.e89bd0a95d567p-2",
+        "-0x1.b482bffb3753ep-3", "0x1.e812cb2ff0802p-2", "-0x1.159c92d378600p-2",
+        "0x1.fbbfc3e9e9803p-56", "-0x1.03df5966a4720p-38", "0x0.0p+0",
+        "-0x0.0p+0",
+    ),
+    "sqrt_difference/ts_both_sides_0.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "-0x0.0p+0", "inf",
+        "-inf", "inf", "-inf",
+        "0x1.11d8419cca61fp-128", "-0x1.b626cf6143cfep-130", "0x1.be0960e56d8c6p-1",
+        "-0x1.8e7a5c042401ap-2", "0x1.e812cb2ff0802p-2", "-0x1.159c92d378600p-2",
+        "0x1.1f39ebe7a600bp-58", "-0x1.26031a87949a3p-41", "0x0.0p+0",
+        "-0x0.0p+0",
+    ),
+    "sqrt_difference/ts_both_sides_0.7": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "-0x0.0p+0", "inf",
+        "-inf", "inf", "-inf",
+        "0x1.8091bf6aa8bb2p-77", "-0x1.33a7cc5553c8fp-78", "0x1.f71acfefc1f3bp-1",
+        "-0x1.c1760fda1a7cap-2", "0x1.e812cb2ff0802p-2", "-0x1.159c92d378600p-2",
+        "0x1.84783d3525b74p-59", "-0x1.8da5c138d22a2p-42", "0x0.0p+0",
+        "-0x0.0p+0",
+    ),
+    "sqrt_difference/ts_both_sides_1.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "-0x0.0p+0", "inf",
+        "-inf", "inf", "-inf",
+        "inf", "-inf", "0x1.972c8337cdc81p+0",
+        "-0x1.6bc24aa6ae1b4p-1", "0x1.e812cb2ff0802p-2", "-0x1.159c92d378600p-2",
+        "0x1.44f59c1ad2e16p-61", "-0x1.4ca301cb0fee1p-44", "0x0.0p+0",
+        "-0x0.0p+0",
+    ),
+    "sqrt_difference/ts_both_sides_swapped_-0.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "-0x0.0p+0", "0x0.0p+0", "-0x1.0000000000000p-805",
+        "0x1.0000000000000p-806", "-0x1.4f05516b6bbc7p-747", "0x1.0c044122bc96cp-748",
+        "-0x1.9117631a4fe32p-386", "0x1.40df827b731c2p-387", "-0x1.e89bd0a95d568p-2",
+        "0x1.b482bffb3753ep-3", "-0x1.e812cb2ff0800p-2", "0x1.159c92d378600p-2",
+        "-0x1.fbbfc3e9e9803p-56", "0x1.03df5966a4720p-38", "-0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "sqrt_difference/ts_both_sides_swapped_0.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "-0x0.0p+0", "0x0.0p+0", "-inf",
+        "inf", "-inf", "inf",
+        "-0x1.11d8419cca61fp-128", "0x1.b626cf6143cfep-130", "-0x1.be0960e56d8c8p-1",
+        "0x1.8e7a5c042401bp-2", "-0x1.e812cb2ff0800p-2", "0x1.159c92d378600p-2",
+        "-0x1.1f39ebe7a600cp-58", "0x1.26031a87949a3p-41", "-0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "sqrt_difference/ts_both_sides_swapped_0.7": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "-0x0.0p+0", "0x0.0p+0", "-inf",
+        "inf", "-inf", "inf",
+        "-0x1.8091bf6aa8bb2p-77", "0x1.33a7cc5553c8fp-78", "-0x1.f71acfefc1f3cp-1",
+        "0x1.c1760fda1a7cap-2", "-0x1.e812cb2ff0800p-2", "0x1.159c92d378600p-2",
+        "-0x1.84783d3525b75p-59", "0x1.8da5c138d22a1p-42", "-0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "sqrt_difference/ts_both_sides_swapped_1.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "-0x0.0p+0", "0x0.0p+0", "-inf",
+        "inf", "-inf", "inf",
+        "-inf", "inf", "-0x1.972c8337cdc82p+0",
+        "0x1.6bc24aa6ae1b3p-1", "-0x1.e812cb2ff0800p-2", "0x1.159c92d378600p-2",
+        "-0x1.44f59c1ad2e16p-61", "0x1.4ca301cb0fee0p-44", "-0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "sqrt_difference/ts_plus_side": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "-0x0.0p+0", "nan", "nan",
+        "nan", "-inf", "nan",
+        "-0x1.35d1e97aceb41p-130", "0x0.0p+0", "-0x1.2edc0329cbb5fp-2",
+        "0x0.0p+0", "-0x1.e8c1f856479b8p-3", "0x0.0p+0",
+        "-0x1.9fcbc23dbb1c6p-41", "0x0.0p+0", "-0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "sqrt_difference/ts_plus_side_swapped": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "nan", "nan",
+        "nan", "inf", "nan",
+        "0x1.35d1e97aceb41p-130", "0x0.0p+0", "0x1.2edc0329cbb60p-2",
+        "0x0.0p+0", "0x1.e8c1f856479b9p-3", "0x0.0p+0",
+        "0x1.9fcbc23dbb1c6p-41", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+}
+ZERO_D_GOLDEN = {
+    "density/ts_equal_c_-0.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+537",
+        "0x1.0000000000000p+537", "0x1.38d352e5096afp+498", "0x1.38d352e5096afp+498",
+        "0x1.5d914951a394ep+257", "0x1.5d914951a394ep+257", "0x1.00824f6b77995p+0",
+        "0x1.5a403f4a73c7dp+0", "0x1.152aaa3bf81ccp-3", "0x1.78b56362cef38p-2",
+        "0x1.e08ef043cafd6p-148", "0x1.07cdb1c290c9ap-75", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "density/ts_unequal_c_-0.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+538",
+        "0x1.0000000000000p+536", "0x1.38d352e5096afp+499", "0x1.38d352e5096afp+497",
+        "0x1.5d914951a394ep+258", "0x1.5d914951a394ep+256", "0x1.2a055e29a5929p+1",
+        "0x1.7c0d99246aceep-2", "0x1.c8f87724b5c1dp-2", "0x1.97db0ccceb0afp-6",
+        "0x1.f78890d337ed1p-111", "0x1.b5b4892674c68p-221", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "difference/ts_both_sides_-0.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "-0x0.0p+0", "0x1.0000000000000p-535",
+        "-0x1.0000000000000p-537", "0x1.05df0a267bcc9p-496", "-0x1.a2fe76a3f9475p-499",
+        "0x1.d4b18431e8125p-256", "-0x1.76f469c186751p-258", "0x1.3a7ddd869611bp+0",
+        "-0x1.3872e5707cc0dp-2", "0x1.a375cbb47347ep-2", "-0x1.45ba01c931922p-3",
+        "0x1.f78890d337ed2p-111", "-0x1.07cdb1c290c9ap-76", "0x0.0p+0",
+        "-0x0.0p+0",
+    ),
+    "difference/ts_both_sides_swapped_-0.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "-0x0.0p+0", "0x0.0p+0", "-0x1.0000000000000p-535",
+        "0x1.0000000000000p-537", "-0x1.05df0a267bcc9p-496", "0x1.a2fe76a3f9475p-499",
+        "-0x1.d4b18431e8125p-256", "0x1.76f469c186751p-258", "-0x1.3a7ddd869611cp+0",
+        "0x1.3872e5707cc0dp-2", "-0x1.a375cbb47347ep-2", "0x1.45ba01c931922p-3",
+        "-0x1.f78890d337ed1p-111", "0x1.07cdb1c290c9bp-76", "-0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "sqrt_difference/ts_both_sides_-0.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "-0x0.0p+0", "0x1.0000000000000p-805",
+        "-0x1.0000000000000p-806", "0x1.4f05516b6bbc7p-747", "-0x1.0c044122bc96cp-748",
+        "0x1.9117631a4fe33p-386", "-0x1.40df827b731c3p-387", "0x1.e89bd0a95d567p-2",
+        "-0x1.b482bffb3753ep-3", "0x1.e812cb2ff0802p-2", "-0x1.159c92d378600p-2",
+        "0x1.fbbfc3e9e9803p-56", "-0x1.03df5966a4720p-38", "0x0.0p+0",
+        "-0x0.0p+0",
+    ),
+    "sqrt_difference/ts_both_sides_swapped_-0.5": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "-0x0.0p+0", "0x0.0p+0", "-0x1.0000000000000p-805",
+        "0x1.0000000000000p-806", "-0x1.4f05516b6bbc7p-747", "0x1.0c044122bc96cp-748",
+        "-0x1.9117631a4fe33p-386", "0x1.40df827b731c3p-387", "-0x1.e89bd0a95d568p-2",
+        "0x1.b482bffb3753ep-3", "-0x1.e812cb2ff0800p-2", "0x1.159c92d378600p-2",
+        "-0x1.fbbfc3e9e9803p-56", "0x1.03df5966a4720p-38", "-0x0.0p+0",
+        "0x0.0p+0",
+    ),
+}
+
+
+class TestPointPins:
+    @pytest.mark.parametrize("name", sorted(POINT_GOLDEN))
+    def test_one_and_two_d_input(self, name):
+        # A call raises RatioUndefined as soon as one point does; the rest
+        # come back with the pins.
+        fn = point_functions()[name]
+        pins = np.array(POINT_GOLDEN[name])
+        defined = pins != "RatioUndefined"
+        if not defined.all():
+            with pytest.raises(RatioUndefined):
+                fn(np.array(PIN_POINTS))
+        y, pins = np.array(PIN_POINTS)[defined], pins[defined]
+        for arg, want in ((y, pins), (np.stack([y, y[::-1]]), np.stack([pins, pins[::-1]]))):
+            with np.errstate(all="ignore"):
+                got = fn(arg)
+            assert np.shape(got) == arg.shape
+            assert [float(v).hex() for v in got.ravel()] == want.ravel().tolist()
+
+    @pytest.mark.parametrize("name", sorted(POINT_GOLDEN))
+    def test_point_by_point(self, name):
+        fn = point_functions()[name]
+        assert point_pins(fn) == POINT_GOLDEN[name]
+        assert point_pins(fn, ()) == ZERO_D_GOLDEN.get(name, POINT_GOLDEN[name])
+
+    def test_every_function_is_pinned(self):
+        assert sorted(point_functions()) == sorted(POINT_GOLDEN)
+        assert set(ZERO_D_GOLDEN) <= set(POINT_GOLDEN)
+
+
+def print_pins(name, table):
+    """Print ``table`` in the layout of its literal ``name`` in this file."""
+    print(f"{name} = {{")
+    for key in sorted(table):
+        pins = table[key]
+        print(f'    "{key}": (')
+        for i in range(0, len(pins), 3):
+            print("        " + " ".join(f'"{pin}",' for pin in pins[i : i + 3]))
+        print("    ),")
+    print("}")
+
+
+if __name__ == "__main__":
+    print_pins("POINT_GOLDEN", {k: point_pins(fn) for k, fn in point_functions().items()})
+    print_pins("ZERO_D_GOLDEN", zero_d_pins())
