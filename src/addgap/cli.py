@@ -26,6 +26,7 @@ ADDGAP_THREADS worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -384,6 +385,7 @@ def _add_mc(sub):
     )
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="addgap", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)

@@ -775,6 +775,9 @@ def hellinger_sq(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
 
 @dataclass(frozen=True)
 class LevyValidation:
+    """Whether int min(y^2, 1) nu(dy) is finite; ``value`` is the integral,
+    or nu(R), which bounds it, when the quadrature reads it as divergent."""
+
     ok: bool
     value: float
     message: str = ""
@@ -793,5 +796,10 @@ def validate_levy(nu: LevyMeasure) -> LevyValidation:
         (nu,), lambda y: np.minimum(y * y, 1.0) * nu.density(y), cuts=(-1.0, 1.0)
     )
     if value is None:
+        # The quadrature reads a large finite integral as divergent, but
+        # int min(y^2, 1) nu(dy) <= nu(R), so a finite-activity measure passes.
+        mass = nu.total_mass()
+        if math.isfinite(mass):
+            return LevyValidation(True, mass)
         return LevyValidation(False, math.inf, "y^2-integral diverges near 0")
     return LevyValidation(True, value)

@@ -40,15 +40,20 @@ draws its jumps from stream 2j (reduced block by block as they are drawn,
 see ``simulate.stream_jump_sums``) and its Gaussian part from stream 2j+1
 of the root seed, and chunk partials are reduced in index order with
 compensated summation, so results are bit-identical for any value of
-ADDGAP_THREADS.  An estimate whose sum, sum of squares or square of the
-sum overflows is refused with HypothesisFailed, never reported as inf or
-with a zero half-width.
+ADDGAP_THREADS (by default the CPUs the process may run on).  With t
+threads, chunk j goes to the strided run j mod t: the calling thread does
+run 0 and one pool of t - 1 workers, built on first use and reused by every
+later estimate, does the others; the pool is rebuilt after a fork or when
+ADDGAP_THREADS changes.  An estimate whose sum, sum of squares or square
+of the sum overflows is refused with HypothesisFailed, never reported as
+inf or with a zero half-width.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -136,8 +141,11 @@ def e_abs_one_minus_exp_normal(m: float, s: float) -> float:
 
 
 def _thread_count() -> int:
+    """ADDGAP_THREADS, or the CPUs this process may run on when it is unset."""
     raw = os.environ.get("ADDGAP_THREADS", "")
     if not raw:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         return max(1, int(raw))
@@ -145,33 +153,72 @@ def _thread_count() -> int:
         return 1
 
 
+# The pool that runs chunks beside the calling thread.  Reusing it saves
+# spawning and joining threads on every estimate, which costs about as much
+# CPU as a chunk of work.  Tasks are submitted under the lock, so a rebuild
+# by another thread cannot shut the pool down between lookup and submit.
+_pool_lock = threading.Lock()
+_pool_key: tuple[int, int] | None = None
+_pool: ThreadPoolExecutor | None = None
+
+
+def _submit_runs(threads: int, run, runs: int) -> list:
+    """Futures of ``run(r)`` for r = 1, ..., runs - 1 on the shared pool of
+    ``threads - 1`` workers; at one thread the pool is dropped and there
+    are none."""
+    global _pool, _pool_key
+    key = (os.getpid(), threads)
+    with _pool_lock:
+        if _pool_key != key:
+            if _pool is not None:
+                _pool.shutdown(wait=False)
+            _pool = None
+            if threads > 1:
+                _pool = ThreadPoolExecutor(threads - 1, "addgap-chunks")
+            _pool_key = key
+        return [_pool.submit(run, r) for r in range(1, runs)]
+
+
 def _reduce_chunks(n_paths: int, epsilon: float, seed: int, values) -> EstimateResult:
     """Mean and 95% half-width of the per-path values of n_paths paths.
 
     The paths run in fixed chunks of CHUNK_PATHS; ``values(rng_jumps,
     rng_gauss, m)`` returns the values of the m paths of chunk j from its
-    jump stream 2j and its Gaussian stream 2j+1 of ``seed``.  The chunks'
-    (sum, sum of squares) partials are folded in index order with
-    compensated sums, so the result does not depend on the thread count.
-    An estimate whose sum, sum of squares or square of the sum is not
-    finite is refused.
+    jump stream 2j and its Gaussian stream 2j+1 of ``seed``.  With t
+    threads, chunk j goes to run j mod t: the calling thread does run 0
+    and the shared pool the others, each run its chunks in index order.
+    The chunks' (sum, sum of squares) partials are folded in index order
+    with compensated sums, so the result does not depend on the thread
+    count.  When chunks raise, every run is waited for and the exception
+    of the lowest-index failing chunk is raised, the one a single thread
+    meets first.  An estimate whose sum, sum of squares or square of the
+    sum is not finite is refused.
     """
-
-    def partial(j: int, m: int) -> tuple[float, float]:
-        v = values(RngStream(seed, 2 * j), RngStream(seed, 2 * j + 1), m)
-        with np.errstate(over="ignore"):
-            return float(v.sum()), float((v * v).sum())
-
     spans = [
         (j, min(CHUNK_PATHS, n_paths - start))
         for j, start in enumerate(range(0, n_paths, CHUNK_PATHS))
     ]
-    threads = min(_thread_count(), len(spans))
-    if threads == 1:
-        partials = [partial(j, m) for j, m in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda jm: partial(*jm), spans))
+    threads = _thread_count()
+    runs = min(threads, len(spans))
+    partials: list = [None] * len(spans)
+    failures: list = []  # (chunk index, exception), one per failed run
+
+    def run(r: int) -> None:
+        for j, m in spans[r::runs]:
+            try:
+                v = values(RngStream(seed, 2 * j), RngStream(seed, 2 * j + 1), m)
+                with np.errstate(over="ignore"):
+                    partials[j] = float(v.sum()), float((v * v).sum())
+            except Exception as exc:
+                failures.append((j, exc))
+                return
+
+    futures = _submit_runs(threads, run, runs) if len(spans) > 1 else []
+    run(0)
+    for future in futures:
+        future.result()
+    if failures:  # the chunk indices differ, so min compares them alone
+        raise min(failures)[1]
     try:
         s1, s2 = (math.fsum(p[i] for p in partials) for i in (0, 1))
     except OverflowError:  # fsum raises where a finite sum passes the float range

@@ -125,6 +125,21 @@ class TestBound:
         assert report["xi_sq"] == "inf"
         assert report["reasons"]["thm1"] == report["reasons"]["thm2"] == "xi^2 infinite"
 
+    def test_intense_compound_poisson_is_a_valid_measure(self, tmp_path, capsys):
+        # lambda = 1e9 takes the y^2-integral past the quadrature's divergence
+        # cap, but a finite-activity measure is always a Levy measure.
+        data = gaussian_config()
+        data["horizon"] = 1.0
+        data["process1"]["drift"] = {"form": "constant", "c": 0.0}
+        data["process1"]["levy"] = _cp_levy(1e9)
+        data["process2"]["levy"] = _cp_levy(1.0)
+        path = write_config(tmp_path, data)
+        code, out, err = run(capsys, ["bound", "--config", path, "--json"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)["report"]
+        assert report["l1_nu"] == pytest.approx(1e9 - 1.0, rel=1e-8)
+        assert report["best"] == 2.0
+
     def test_no_applicable_bound_exit_two(self, tmp_path, capsys):
         data = matched_cp_config()
         data["process1"]["drift"] = {"form": "constant", "c": 3.0}

@@ -452,6 +452,12 @@ class TestValidateLevy:
         rep = validate_levy(TemperedStableMeasure(1.0, 1.0, 1.0, 1.0, 1.9))
         assert rep.ok and math.isfinite(rep.value)
 
+    def test_finite_mass_past_the_divergence_cap_is_valid(self):
+        # int min(y^2, 1) nu(dy) = 1e9 / 3 reads as divergent to the
+        # quadrature; nu(R) = 1e9 bounds it.
+        rep = validate_levy(CP_U01(1e9))
+        assert rep.ok and rep.value == 1e9
+
     def test_tabulated_steep_inner_trend_fails(self):
         grid = tuple(np.logspace(-6, 1, 200))
         vals = tuple(g**-3.0 for g in grid)

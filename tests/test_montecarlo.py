@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import signal
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +37,7 @@ from addgap.montecarlo import (
     _estimate_ct_dt,
     _jump_sums,
     _reduce_chunks,
+    _thread_count,
     default_epsilon,
     e_abs_one_minus_exp_normal,
     estimate_sinh_oracle,
@@ -510,6 +515,97 @@ class TestChunkReduction:
         values = np.tile([1e151, 0.0], CHUNK_PATHS // 2)
         with pytest.raises(HypothesisFailed, match="^the path values overflow: the square of"):
             _reduce_chunks(CHUNK_PATHS, 0.0, 1, lambda rj, rg, m: values[:m])
+
+
+def live_workers():
+    return {t for t in threading.enumerate() if t.name.startswith("addgap-chunks")}
+
+
+def pool_workers(limit, timeout=10.0):
+    """The number of live chunk-pool workers, after waiting up to timeout
+    seconds for workers of a pool that was shut down to drop it to limit."""
+    deadline = time.monotonic() + timeout
+    while len(live_workers()) > limit and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return len(live_workers())
+
+
+def fail_on_chunks_2_and_5(rng_jumps, rng_gauss, m):
+    j = rng_jumps.stream_index // 2
+    if j == 2:
+        time.sleep(0.05)  # so chunk 5 fails first in time when both run
+        raise ValueError("chunk 2")
+    if j == 5:
+        raise ValueError("chunk 5")
+    return np.ones(m)
+
+
+class TestWorkerPool:
+    """One pool serves every estimate; it never changes a bit."""
+
+    def test_estimates_reuse_the_pool(self, monkeypatch):
+        monkeypatch.setenv("ADDGAP_THREADS", "2")
+        spec = matched_cp_spec()
+        first = estimate_tv(spec, 3 * CHUNK_PATHS, 0.0, 5)
+        threads, workers = threading.active_count(), live_workers()
+        assert len(workers) == 1
+        for _ in range(50):
+            assert estimate_tv(spec, 3 * CHUNK_PATHS, 0.0, 5) == first
+        assert (threading.active_count(), live_workers()) == (threads, workers)
+
+    def test_thread_count_changes_keep_bits_and_bound_workers(self, monkeypatch):
+        spec = two_sided_ig_spec()
+        results = []
+        for threads in (3, 2, 1, 3):
+            monkeypatch.setenv("ADDGAP_THREADS", str(threads))
+            results.append(estimate_tv(spec, 5 * CHUNK_PATHS, 0.0, 11))
+            assert pool_workers(threads - 1) <= threads - 1
+        assert all(result == results[0] for result in results)
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_lowest_failing_chunk_raises(self, monkeypatch, threads):
+        monkeypatch.setenv("ADDGAP_THREADS", threads)
+        with pytest.raises(ValueError, match="^chunk 2$"):
+            _reduce_chunks(7 * CHUNK_PATHS, 0.0, 1, fail_on_chunks_2_and_5)
+        result = _reduce_chunks(7 * CHUNK_PATHS, 0.0, 1, lambda rj, rg, m: np.ones(m))
+        assert (result.mean, result.half_width_95) == (1.0, 0.0)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_rebuilds_the_pool(self, monkeypatch):
+        monkeypatch.setenv("ADDGAP_THREADS", "2")
+        spec = two_sided_ig_spec()
+        parent = estimate_tv(spec, 3 * CHUNK_PATHS, 0.0, 13)
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: report its estimate and leave at once
+            code = 1
+            try:
+                os.close(read_end)
+                child = estimate_tv(spec, 3 * CHUNK_PATHS, 0.0, 13)
+                os.write(write_end, f"{child.mean.hex()} {child.half_width_95.hex()}".encode())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        deadline = time.monotonic() + 60.0
+        finished, status = os.waitpid(pid, os.WNOHANG)
+        while not finished and time.monotonic() < deadline:
+            time.sleep(0.01)
+            finished, status = os.waitpid(pid, os.WNOHANG)
+        if not finished:  # a child stuck on the parent's dead workers
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        with os.fdopen(read_end, "rb") as pipe:
+            reported = pipe.read().decode()
+        assert finished == pid and os.waitstatus_to_exitcode(status) == 0
+        assert reported == f"{parent.mean.hex()} {parent.half_width_95.hex()}"
+
+    def test_default_thread_count_is_the_affinity(self, monkeypatch):
+        monkeypatch.delenv("ADDGAP_THREADS", raising=False)
+        if hasattr(os, "sched_getaffinity"):
+            assert _thread_count() == len(os.sched_getaffinity(0))
+        else:
+            assert _thread_count() == (os.cpu_count() or 1)
 
 
 def ig_specs():
