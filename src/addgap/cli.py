@@ -38,8 +38,7 @@ from .config import (
     EstimatorSettings,
     ExperimentConfig,
     parse_config,
-    parse_config_dict,
-    set_config_value,
+    sweep_row,
 )
 from .errors import AddgapError, ConfigParse
 from .measures import l1_distance
@@ -333,8 +332,7 @@ def _cmd_sweep(args) -> int:
     _resolve_settings(cfg, args)  # a bad flag is refused before any row
     lines = [CSV_HEADER]
     for value in _sweep_values(start, stop, steps):
-        raw = set_config_value(cfg.raw, param, value)
-        sub = parse_config_dict(raw)
+        sub = sweep_row(cfg, param, value)
         report = compute_report(sub.problem)
         estimate = half_width = None
         if want_estimate:

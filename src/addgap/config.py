@@ -24,6 +24,12 @@ which names the constructor and its fields in order, e.g.
  "jump_density": {"family": "uniform", "a": 0.0, "b": 1.0}}.
 One builder, ``_tagged``, checks every tagged object: the node, its tag,
 its keys, each field in order, then the constructor.
+
+A sweep row (``sweep_row``) is the parse of the config with one leaf
+replaced, and it fails with the same field and message.  It re-parses only
+the top-level branch that holds the leaf, reuses the other branches, and
+its ``raw`` shares the unchanged nodes of the parent's ``raw``, copying
+only the objects on the leaf's path.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigParse, UnknownParameterPath
 from .measures import (
@@ -60,6 +66,7 @@ __all__ = [
     "parse_config",
     "parse_config_dict",
     "set_config_value",
+    "sweep_row",
 ]
 
 DEFAULT_N_PATHS = 100_000
@@ -252,8 +259,18 @@ def _build_sweep(node, where: str) -> SweepSettings:
     return SweepSettings(parameter, start, stop, steps)
 
 
+def _build_problem(process1, process2, horizon: float, source: str) -> ProblemSpec:
+    return _wrap(f"{source}.horizon", lambda: ProblemSpec(process1, process2, horizon))
+
+
 def parse_config_dict(data: dict, source: str = "config") -> ExperimentConfig:
-    """Build an ExperimentConfig from already-decoded JSON."""
+    """Build an ExperimentConfig from already-decoded JSON; its ``raw`` is a
+    deep copy of data, which the caller keeps."""
+    return _parse(copy.deepcopy(data), source)
+
+
+def _parse(data, source: str) -> ExperimentConfig:
+    """parse_config_dict on data that nothing else holds, kept as ``raw``."""
     data = _object(data, source)
     _check_keys(
         data,
@@ -264,9 +281,7 @@ def parse_config_dict(data: dict, source: str = "config") -> ExperimentConfig:
     process1 = _build_process(data["process1"], f"{source}.process1")
     process2 = _build_process(data["process2"], f"{source}.process2")
     horizon = _real(data, "horizon", source)
-    problem = _wrap(
-        f"{source}.horizon", lambda: ProblemSpec(process1, process2, horizon)
-    )
+    problem = _build_problem(process1, process2, horizon, source)
     estimator = (
         _build_estimator(data["estimator"], f"{source}.estimator")
         if "estimator" in data
@@ -275,7 +290,37 @@ def parse_config_dict(data: dict, source: str = "config") -> ExperimentConfig:
     sweep = (
         _build_sweep(data["sweep"], f"{source}.sweep") if "sweep" in data else None
     )
-    return ExperimentConfig(problem, estimator, sweep, copy.deepcopy(data))
+    return ExperimentConfig(problem, estimator, sweep, data)
+
+
+def sweep_row(cfg: ExperimentConfig, path: str, value: float) -> ExperimentConfig:
+    """``parse_config_dict(set_config_value(cfg.raw, path, value))``, result
+    or ConfigParse, for a cfg parsed from source "config" (as parse_config
+    and parse_config_dict by default do).
+
+    Only the top-level branch that holds the leaf is parsed again, by its
+    own builder: a process or the horizon, and then the ProblemSpec, or the
+    estimator or sweep block.  Every other branch of cfg was validated
+    already and is reused, and the row's ``raw`` shares every node off the
+    path with ``cfg.raw`` (no deep copy).
+    """
+    raw = set_config_value(cfg.raw, path, value)
+    branch = path.split(".", 1)[0]
+    source = "config"
+    where = f"{source}.{branch}"
+    if branch == "estimator":
+        return replace(cfg, estimator=_build_estimator(raw[branch], where), raw=raw)
+    if branch == "sweep":
+        return replace(cfg, sweep=_build_sweep(raw[branch], where), raw=raw)
+    problem = cfg.problem
+    process1, process2, horizon = problem.process1, problem.process2, problem.horizon
+    if branch == "process1":
+        process1 = _build_process(raw[branch], where)
+    elif branch == "process2":
+        process2 = _build_process(raw[branch], where)
+    else:
+        horizon = _real(raw, "horizon", source)
+    return replace(cfg, problem=_build_problem(process1, process2, horizon, source), raw=raw)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -287,7 +332,7 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigParse(str(path), f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigParse(str(path), f"invalid JSON: {exc}") from None
-    return parse_config_dict(data, source="config")
+    return _parse(data, "config")
 
 
 # ---------------------------------------------------------------------------

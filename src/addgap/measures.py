@@ -11,7 +11,11 @@ must come back with an infinite L1 flag, and the same pair keeps a finite
 Hellinger value. Cancellation-prone differences of tempered stable densities
 with shared C and alpha are routed through expm1 so that near-zero behavior
 is resolved to relative precision; where that form overflows, far out on a
-side where nu1 has the heavier tail, the heavier density is factored out.
+side where nu1 has the heavier tail, the heavier density is factored out,
+and near 0, where |y|^(-1-alpha) overflows, the power gives one |y| to the
+expm1.  With alpha near 1, gamma_nu and the L1 of a same-shape pair take
+their closed forms where the quadrature's integrand overflows (see
+``_ts_gamma``).
 
 A two-sided family writes each formula once: every point takes its own
 side's constants (C and lambda by the sign of y) and evaluates the formula
@@ -59,6 +63,7 @@ import numpy as np
 
 from .errors import (
     DivergentIntegral,
+    NonFiniteIntegrand,
     NotAbsolutelyContinuous,
     RatioUndefined,
 )
@@ -542,28 +547,46 @@ def _same_shape_ts(nu1, nu2) -> bool:
     )
 
 
-def _same_shape_ts_difference(nu1, nu2, root, factor) -> Callable:
+def _identity(x):
+    return x
+
+
+def _same_shape_ts_difference(nu1, nu2, root, factor, near_zero=True) -> Callable:
     """y -> root(density(nu1)) - root(density(nu2)) of a same-shape
     tempered-stable pair, for root(x) = x**factor (the identity and 1.0, or
     np.sqrt and 0.5).  With y's side constants it is root(C |y|^(-1-alpha))
     e^(-factor lambda2 |y|) expm1(factor (lambda2 - lambda1) |y|), which
     keeps relative precision where the densities nearly cancel.  Where
-    that is not finite (lambda1 < lambda2 far out: the exponential
-    underflows to 0, the expm1 overflows), the heavier density is factored
-    out instead: -root(C |y|^(-1-alpha)) e^(-factor lambda1 |y|)
-    expm1(factor (lambda1 - lambda2) |y|)."""
+    that is not finite, two other forms of the same value take over:
+      - far out where lambda1 < lambda2 (the exponential underflows to 0,
+        the expm1 overflows), the heavier density is factored out:
+        -root(C |y|^(-1-alpha)) e^(-factor lambda1 |y|)
+        expm1(factor (lambda1 - lambda2) |y|);
+      - near 0, where |y|^(-1-alpha) overflows, one |y| moves from the
+        power into the expm1: root(C) |y|^(1 - factor (1 + alpha))
+        e^(-factor lambda2 |y|) expm1(factor (lambda2 - lambda1) |y|) / |y|
+        (left out with near_zero False, for l1_distance)."""
 
     def diff(y):
         y = np.asarray(y, dtype=float)
         pos = y > 0
         ay = np.abs(y)
+        c = _by_sign(pos, nu1.c_plus, nu1.c_minus)
         lam1 = _by_sign(pos, nu1.lam_plus, nu1.lam_minus)
         lam2 = _by_sign(pos, nu2.lam_plus, nu2.lam_minus)
         with np.errstate(all="ignore"):
-            scale = root(_by_sign(pos, nu1.c_plus, nu1.c_minus) * ay ** (-1.0 - nu1.alpha))
+            scale = root(c * ay ** (-1.0 - nu1.alpha))
             out = scale * np.exp(-factor * lam2 * ay) * np.expm1(factor * (lam2 - lam1) * ay)
             heavier = -scale * np.exp(-factor * lam1 * ay) * np.expm1(factor * (lam1 - lam2) * ay)
-        return np.where(pos | (y < 0), np.where(np.isfinite(out), out, heavier), 0.0)
+            out = np.where(np.isfinite(out), out, heavier)
+            bad = ~np.isfinite(out)
+            if near_zero and bad.any():
+                power = root(c) * ay ** (1.0 - factor * (1.0 + nu1.alpha))
+                k = factor * (lam2 - lam1)
+                z = k * ay  # expm1(z) / |y| as k expm1(z) / z, which has no 0 / 0
+                rel = np.where(z == 0.0, 1.0, np.expm1(z) / z)
+                out = np.where(bad, power * np.exp(-factor * lam2 * ay) * (k * rel), out)
+        return np.where(pos | (y < 0), out, 0.0)
 
     return diff
 
@@ -571,7 +594,7 @@ def _same_shape_ts_difference(nu1, nu2, root, factor) -> Callable:
 def pair_difference_fn(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
     """y -> density(nu1) - density(nu2), cancellation-safe where it matters."""
     if _same_shape_ts(nu1, nu2):
-        return _same_shape_ts_difference(nu1, nu2, lambda x: x, 1.0)
+        return _same_shape_ts_difference(nu1, nu2, _identity, 1.0)
     if (
         isinstance(nu1, CompoundPoissonMeasure)
         and isinstance(nu2, CompoundPoissonMeasure)
@@ -708,7 +731,12 @@ def gamma_nu(nu: LevyMeasure) -> float:
     """Small-jump compensator drift: integral of y over {|y| <= 1}."""
     if nu.diverges_near_zero(1.0):
         raise DivergentIntegral("tabulated small-jump first moment diverges near 0")
-    value = support_integral((nu,), lambda y: y * nu.density(y), -1.0, 1.0)
+    try:
+        value = support_integral((nu,), lambda y: y * nu.density(y), -1.0, 1.0)
+    except NonFiniteIntegrand:
+        if not (isinstance(nu, TemperedStableMeasure) and nu.alpha < 1.0):
+            raise
+        return _ts_gamma(nu)
     if value is None:
         raise DivergentIntegral("small-jump first moment diverges")
     return value
@@ -762,8 +790,53 @@ def _pair_integral(nu1, nu2, integrand) -> float:
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def l1_distance(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
     """Integral of |density gap| over the union support; math.inf if divergent."""
-    diff = pair_difference_fn(nu1, nu2)
-    return _pair_integral(nu1, nu2, lambda y: np.abs(diff(y)))
+    same_shape = _same_shape_ts(nu1, nu2)
+    if same_shape:
+        diff = _same_shape_ts_difference(nu1, nu2, _identity, 1.0, near_zero=False)
+    else:
+        diff = pair_difference_fn(nu1, nu2)
+    try:
+        return _pair_integral(nu1, nu2, lambda y: np.abs(diff(y)))
+    except NonFiniteIntegrand:
+        if not (same_shape and nu1.alpha < 1.0):
+            raise
+        return _ts_l1(nu1, nu2)
+
+
+# A tempered-stable functional whose integrand grows like |y|^(-alpha) at 0
+# has a share of its mass below the smallest double once alpha is near 1
+# (half of int_0^1 y^(-0.999) dy lies below 1e-308), which no quadrature
+# in y can see.  The plain integrand overflows before the quadrature gets
+# that deep (|y|^(-1-alpha) at |y| ~ 1e-160), so where it does, gamma_nu
+# and l1_distance take these closed forms, exact for alpha < 1, instead.
+
+
+def _ts_gamma(nu: TemperedStableMeasure) -> float:
+    """int_{|y| <= 1} y nu(dy): per side, sign C lambda^(alpha - 1)
+    Gamma(1 - alpha) P(1 - alpha, lambda), with P the regularized lower
+    incomplete gamma function."""
+    from scipy.special import gammainc
+
+    s = 1.0 - nu.alpha
+    g = math.gamma(s)
+    return float(
+        nu.c_plus * nu.lam_plus ** -s * g * gammainc(s, nu.lam_plus)
+        - nu.c_minus * nu.lam_minus ** -s * g * gammainc(s, nu.lam_minus)
+    )
+
+
+def _ts_l1(nu1: TemperedStableMeasure, nu2: TemperedStableMeasure) -> float:
+    """int |nu1 - nu2| of a same-shape pair: per side, where nu1 - nu2 keeps
+    one sign, C |Gamma(-alpha) (lambda1^alpha - lambda2^alpha)|."""
+    a = nu1.alpha
+    g = math.gamma(-a)
+    return sum(
+        c * abs(g * (l1**a - l2**a))
+        for c, l1, l2 in (
+            (nu1.c_minus, nu1.lam_minus, nu2.lam_minus),
+            (nu1.c_plus, nu1.lam_plus, nu2.lam_plus),
+        )
+    )
 
 
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)

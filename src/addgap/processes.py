@@ -137,8 +137,9 @@ class ProcessSpec:
             raise ValueError(f"invalid Levy measure: {check.message}")
 
 
-def _probe_grid(horizon: float) -> np.ndarray:
-    return np.linspace(0.0, horizon, PROBE_POINTS)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -161,16 +162,25 @@ class ProblemSpec:
     # -- volatility classification ------------------------------------------
 
     @cached_property
-    def _vol_probes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both instantaneous variances on the probe grid, evaluated once."""
-        t = _probe_grid(self.horizon)
-        probes = tuple(
-            np.asarray(p.vol_sq.value(t), dtype=float)
+    def _probe_t(self) -> np.ndarray:
+        """The probe grid of [0, T], built once."""
+        return _read_only(np.linspace(0.0, self.horizon, PROBE_POINTS))
+
+    def _on_probes(self, attr: str) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(
+            _read_only(np.asarray(getattr(p, attr).value(self._probe_t), dtype=float))
             for p in (self.process1, self.process2)
         )
-        for v in probes:
-            v.flags.writeable = False
-        return probes
+
+    @cached_property
+    def _vol_probes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both instantaneous variances on the probe grid, evaluated once."""
+        return self._on_probes("vol_sq")
+
+    @cached_property
+    def _drift_probes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both drift rates on the probe grid, evaluated once."""
+        return self._on_probes("drift")
 
     def sigma_mismatch(self) -> bool:
         """True when the two instantaneous variances differ somewhere on [0, T]."""
@@ -234,22 +244,13 @@ class ProblemSpec:
     def drift_gap_sup(self) -> float:
         """sup over the probe grid of |f1(t) - f2(t) - eta|."""
         eta = self.eta()
-        t = _probe_grid(self.horizon)
-        gap = (
-            np.asarray(self.process1.drift.value(t), dtype=float)
-            - np.asarray(self.process2.drift.value(t), dtype=float)
-            - eta
-        )
-        return float(np.max(np.abs(gap)))
+        f1, f2 = self._drift_probes
+        return float(np.max(np.abs(f1 - f2 - eta)))
 
     def drift_matched(self) -> bool:
         """Zero-volatility compatibility: f1 - f2 must equal eta on [0, T]."""
-        t = _probe_grid(self.horizon)
-        scale = max(
-            1.0,
-            float(np.max(np.abs(np.asarray(self.process1.drift.value(t), dtype=float)))),
-            float(np.max(np.abs(np.asarray(self.process2.drift.value(t), dtype=float)))),
-        )
+        f1, f2 = self._drift_probes
+        scale = max(1.0, float(np.max(np.abs(f1))), float(np.max(np.abs(f2))))
         return self.drift_gap_sup() <= MATCH_TOL * scale
 
 

@@ -33,6 +33,14 @@ each interval its panel sums. An interval refines in exactly the order it
 would alone, so values, error estimates and the set of integrand points
 are those of integrating the intervals one after another.
 
+A round's panel sums come from one array pass: the values are viewed as a
+(panels, 22) array, and `np.vecdot` takes the 15- and 7-point dot products
+of every row at once.  Each row's dot is the BLAS ddot that a single
+panel's `_HI_W @ values` makes, and the products with the half widths are
+Python floats, so every sum has the bits of the panel-by-panel loop and
+overflows to inf as silently.  In a round with a non-finite value, each
+interval stops at its first bad node.
+
 Outcomes resolve in piece order, then in interval order: the first interval
 that diverges or raises decides the result, and the intervals after it are
 no longer evaluated. If the batched call raises or returns the wrong
@@ -294,71 +302,84 @@ def _evaluate(f: Callable, works: list[_Work]) -> None:
         first = len(centres)
         for lo, hi in w.panels:
             centres.append((0.5 * (lo + hi), 0.5 * (hi - lo)))
-        spans.append((w, first * _N, len(centres) * _N))
-    # The one-panel and one-interval cases skip array set-up that costs as
-    # much as their panel; the arithmetic is the same.
+        spans.append((w, first, len(centres)))
+    # The one-panel case skips array set-up that costs as much as its
+    # panel; the arithmetic is the same.
     if len(centres) == 1:
         ts = centres[0][0] + centres[0][1] * _NODES
     else:
         mh = np.array(centres)
         ts = (mh[:, :1] + mh[:, 1:] * _NODES).ravel()
     blocks = []
-    for w, i0, i1 in spans:
+    for w, p0, p1 in spans:
         if w.pre is None:
-            blocks.append(ts[i0:i1])
+            blocks.append(ts[p0 * _N : p1 * _N])
         else:
-            y, w.aux = w.pre(ts[i0:i1])
+            y, w.aux = w.pre(ts[p0 * _N : p1 * _N])
             blocks.append(y)
     ys = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
-    gy = None
     with np.errstate(all="ignore"):
         try:
             gy = np.asarray(f(ys), dtype=float)
         except Exception:
-            pass
-    if gy is not None and gy.shape == ys.shape:
-        blocks = []
-        for w, i0, i1 in spans:
-            block = gy[i0:i1]
-            blocks.append(block if w.post is None else w.post(block, w.aux))
-        gy = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    else:
-        # Panel by panel, in the order the intervals would run alone: a
-        # panel that raises or is non-finite stops its interval there.
-        fv = _vectorized(f)
-        gy = np.empty_like(ts)
-        for w, i0, i1 in spans:
-            for k in range(i0, i1, _N):
-                try:
-                    gy[k : k + _N] = fv(ys[k : k + _N])
-                except Exception as exc:
-                    w.outcome = exc
-                    break
-                if w.post is not None:
-                    gy[k : k + _N] = w.post(gy[k : k + _N], w.aux[k - i0 : k - i0 + _N])
-                if not np.isfinite(gy[k : k + _N]).all():
-                    break
-
-    all_finite = np.isfinite(gy).all()
-    for w, i0, i1 in spans:
+            gy = None
+        if gy is not None and gy.shape == ys.shape:
+            blocks = []
+            for w, p0, p1 in spans:
+                block = gy[p0 * _N : p1 * _N]
+                blocks.append(block if w.post is None else w.post(block, w.aux))
+            gy = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        else:
+            gy = _panel_by_panel(f, spans, ys)
+        # One pass over the round: each row's dot is the BLAS ddot that
+        # _HI_W @ row makes, so every bit is that of a panel.  The weights
+        # are positive, so a non-finite value makes its dot non-finite, and
+        # finite dots need no look at gy.
+        rows = gy.reshape(-1, _N)
+        highs = np.vecdot(rows[:, :15], _HI_W).tolist()
+        lows = np.vecdot(rows[:, 15:], _LO_W).tolist()
+        finite = math.isfinite(sum(highs) + sum(lows)) or np.isfinite(gy).all()
+    sums = []
+    for (_, half), high, low in zip(centres, highs, lows):
+        value = half * high
+        low = half * low
+        sums.append((value, abs(value - low)))
+    for w, p0, p1 in spans:
         if w.outcome is not None:
             continue
-        sums = []
-        for k in range(i0, i1, _N):
-            if not all_finite:
-                bad = ~np.isfinite(gy[k : k + _N])
-                if bad.any():
-                    x_bad = float(ts[k : k + _N][bad][0])
-                    w.outcome = NonFiniteIntegrand(
-                        f"integrand returned a non-finite value at x = {x_bad!r}"
-                    )
-                    break
-            half = centres[k // _N][1]
-            value = half * float(_HI_W @ gy[k : k + 15])
-            low = half * float(_LO_W @ gy[k + 15 : k + _N])
-            sums.append((value, abs(value - low)))
-        w.sums = sums
+        if not finite:
+            bad = ~np.isfinite(gy[p0 * _N : p1 * _N])
+            if bad.any():
+                x_bad = float(ts[p0 * _N + int(np.argmax(bad))])
+                w.outcome = NonFiniteIntegrand(
+                    f"integrand returned a non-finite value at x = {x_bad!r}"
+                )
+                continue
+        w.sums = sums[p0:p1]
+
+
+def _panel_by_panel(f, spans, ys) -> np.ndarray:
+    """The round's values when the batched call raised or returned the
+    wrong shape: panel by panel, in the order the intervals would run
+    alone.  A panel that raises (its error becomes the interval's outcome)
+    or is non-finite stops its interval there; the rest of its values are
+    left unset."""
+    fv = _vectorized(f)
+    gy = np.empty_like(ys)
+    for w, p0, p1 in spans:
+        for k in range(p0 * _N, p1 * _N, _N):
+            try:
+                gy[k : k + _N] = fv(ys[k : k + _N])
+            except Exception as exc:
+                w.outcome = exc
+                break
+            if w.post is not None:
+                i = k - p0 * _N
+                gy[k : k + _N] = w.post(gy[k : k + _N], w.aux[i : i + _N])
+            if not np.isfinite(gy[k : k + _N]).all():
+                break
+    return gy
 
 
 def integrate(request: IntegrationRequest) -> IntegrationResult:

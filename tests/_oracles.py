@@ -304,6 +304,27 @@ def _seq_power_down(f, lo):
     return g, (-lo) ** 0.2
 
 
+def per_panel_sums(f, work):
+    """The (value, error) sums of the panels a quadrature._Work waits for,
+    one panel at a time: its nodes, substitution, one call of f and the two
+    Gauss-Legendre dot products, as `_evaluate` made them before it reduced
+    a round in one array pass.  The products are Python floats, which
+    overflow to inf silently."""
+    sums = []
+    for lo, hi in work.panels:
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        ts = mid + half * _NODES
+        if work.pre is None:
+            gy = f(ts)
+        else:
+            ys, aux = work.pre(ts)
+            gy = work.post(f(ys), aux)
+        value = half * float(_HI_W @ gy[:15])
+        low = half * float(_LO_W @ gy[15:])
+        sums.append((value, abs(value - low)))
+    return sums
+
+
 def sequential_integrate(request):
     """addgap.quadrature.integrate for a request without breakpoints, one
     working interval after another."""

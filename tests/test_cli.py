@@ -11,7 +11,8 @@ import pytest
 
 from addgap import cli, measures, montecarlo
 from addgap.bounds import compute_report
-from addgap.config import parse_config_dict
+from addgap.config import parse_config_dict, set_config_value
+from addgap.errors import ConfigParse
 from addgap.measures import l1_distance
 from addgap.montecarlo import estimate_tv
 
@@ -973,3 +974,65 @@ class TestHostileInputs:
             "",
             "error: the path values overflow: their sum or sum of squares is not finite\n",
         )
+
+
+def _near_one_config(alpha, matched):
+    """configs/tempered_stable.json with both alpha set; with matched,
+    process1's drift is the pair's eta, so the drifts match at sigma = 0."""
+    data = json.loads((CONFIG_DIR / "tempered_stable.json").read_text())
+    for key in ("process1", "process2"):
+        data[key]["levy"]["alpha"] = alpha
+    if matched:
+        data["process1"]["drift"]["c"] = parse_config_dict(data).problem.eta()
+    return data
+
+
+class TestAlphaNearOne:
+    """The same-shape pair with lambda+ 2 vs 1 for alpha near 1, where the
+    plain integrands of gamma and L1 overflow near 0: a report, not exit 2."""
+
+    @pytest.mark.parametrize("alpha", [0.953, 0.97, 0.99, 0.999])
+    def test_bound_reports_the_closed_forms(self, alpha, tmp_path, capsys):
+        path = write_config(tmp_path, _near_one_config(alpha, matched=True))
+        code, out, err = run(capsys, ["bound", "--json", "--config", path])
+        assert (code, err) == (0, "")
+        report = json.loads(out)["report"]
+        assert report["drift_matched"] is True
+        l1 = abs(math.gamma(-alpha) * (2.0**alpha - 1.0))
+        assert report["l1_nu"] == pytest.approx(l1, rel=1e-14)
+        assert report["gamma2"] == 0.0  # a symmetric measure
+        assert report["gamma1"] == pytest.approx(report["eta"], abs=1e-12)
+        assert report["best"] == report["thm1"] < 1.0
+        if alpha == 0.99:
+            assert report["thm1"] >= 0.6228849  # the exact L1 of the pair
+
+    def test_compare_with_the_bundled_drift(self, tmp_path, capsys):
+        path = write_config(tmp_path, _near_one_config(0.99, matched=False))
+        code, out, err = run(capsys, ["compare", "--json", "--config", path])
+        assert (code, err) == (2, "")
+        doc = json.loads(out)
+        assert doc["report"]["reasons"]["thm1"] == "drift mismatch at sigma = 0"
+        assert doc["estimate_error"] == "drift mismatch at sigma = 0"
+
+
+class TestSweepRowErrors:
+    """A sweep row that fails to parse fails as the whole config would."""
+
+    @pytest.mark.parametrize(
+        "config, param, value",
+        [
+            ("compound_poisson", "horizon", -1.0),
+            ("compound_poisson", "process1.levy.lambda", -1.0),
+            ("tempered_stable", "process1.levy.alpha", 2.5),
+            ("compound_poisson", "estimator.n_paths", 0.0),
+        ],
+    )
+    def test_same_message_and_exit_code(self, config, param, value, capsys):
+        path = CONFIG_DIR / f"{config}.json"
+        raw = json.loads(path.read_text())
+        with pytest.raises(ConfigParse) as whole:
+            parse_config_dict(set_config_value(raw, param, value))
+        argv = ["sweep", "--config", str(path), "--param", param]
+        argv += ["--from", repr(value), "--to", repr(value), "--steps", "1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (1, "", f"error: {whole.value}\n")

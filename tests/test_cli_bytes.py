@@ -3,10 +3,12 @@
 Each command of ``COMMANDS`` runs through ``cli.main`` in process on each
 bundled config, at ADDGAP_THREADS 1 and 2, and the SHA-256 of its exit
 code, stdout and stderr must equal the digest recorded in ``CLI_SHA256``.
-A change that moves one printed digit, one message or one exit code on the
-bundled configs cannot go unseen.  ``python tests/test_cli_bytes.py``
-prints the digests of the tree on the import path, in the layout of
-``CLI_SHA256``.
+The same holds for each sweep of ``PROCESS_SWEEPS`` and its digest in
+``PROCESS_SWEEP_SHA256``.  A change that moves one printed digit, one
+message or one exit code on the bundled configs cannot go unseen.
+``python tests/test_cli_bytes.py`` prints the digests of the tree on the
+import path, in the layout of ``CLI_SHA256`` and then of
+``PROCESS_SWEEP_SHA256``.
 """
 
 import contextlib
@@ -76,9 +78,33 @@ CLI_SHA256 = {
 }
 
 
+# Sweeps of a leaf inside a process (each row re-parses that process), with
+# a row whose drifts or volatilities no longer match, and their digests.
+PROCESS_SWEEPS = {
+    "tempered_stable": [
+        "sweep", "--param", "process1.levy.lambda_plus", "--from", "1.5", "--to", "2.5",
+        "--steps", "3", *PATHS,
+    ],
+    "jump_diffusion": [
+        "sweep", "--param", "process1.vol_sq.c", "--from", "0.5", "--to", "1.5",
+        "--steps", "3", *PATHS,
+    ],
+}
+PROCESS_SWEEP_SHA256 = {
+    "tempered_stable": "83df713b8877711812a64eb4f72477edbc828687b7511ffa08303230597dce55",
+    "jump_diffusion": "923809a109d866015ad4ae99353d0aae240811916c2a46d1af036d8989c5fbe7",
+}
+
+
 def cli_digest(config: str, command: str) -> str:
     """SHA-256 of the exit code, stdout and stderr of one command."""
-    argv = COMMANDS[command] + ["--config", str(CONFIG_DIR / f"{config}.json")]
+    return argv_digest(config, COMMANDS[command])
+
+
+def argv_digest(config: str, argv: list) -> str:
+    """SHA-256 of the exit code, stdout and stderr of cli.main(argv) on a
+    bundled config."""
+    argv = argv + ["--config", str(CONFIG_DIR / f"{config}.json")]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -99,6 +125,13 @@ def test_cli_bytes(config, command, threads, monkeypatch):
     assert cli_digest(config, command) == CLI_SHA256[config][command]
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("config", sorted(PROCESS_SWEEPS))
+def test_process_sweep_bytes(config, threads, monkeypatch):
+    monkeypatch.setenv("ADDGAP_THREADS", threads)
+    assert argv_digest(config, PROCESS_SWEEPS[config]) == PROCESS_SWEEP_SHA256[config]
+
+
 if __name__ == "__main__":
     os.environ["ADDGAP_THREADS"] = "1"
     for name in CONFIGS:
@@ -106,3 +139,5 @@ if __name__ == "__main__":
         for key in COMMANDS:
             print(f'        "{key}": "{cli_digest(name, key)}",')
         print("    },")
+    for name, argv in PROCESS_SWEEPS.items():
+        print(f'    "{name}": "{argv_digest(name, argv)}",')

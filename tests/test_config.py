@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from addgap.config import (
     parse_config,
     parse_config_dict,
     set_config_value,
+    sweep_row,
 )
 from addgap.errors import ConfigParse, UnknownParameterPath
 from addgap.measures import (
@@ -496,3 +498,110 @@ class TestSetConfigValue:
 
     def test_is_a_config_parse_error(self):
         assert issubclass(UnknownParameterPath, ConfigParse)
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def tabulated_config():
+    grid = [-2.0, -1.0, -0.5, -0.1, 0.1, 0.5, 1.0, 2.0]
+    values = [0.2, 0.5, 1.5, 9.0, 9.0, 1.5, 0.5, 0.2]
+    tilted = [v * (1.1 if y > 0 else 0.9) for y, v in zip(grid, values)]
+
+    def process(drift, vals):
+        return {
+            "drift": {"form": "constant", "c": drift},
+            "vol_sq": {"form": "constant", "c": 1.0},
+            "levy": {"type": "tabulated", "grid": grid, "values": vals},
+        }
+
+    return {
+        "process1": process(0.1, tilted),
+        "process2": process(0.0, values),
+        "horizon": 1.0,
+        "estimator": {"n_paths": 1000, "seed": 4},
+        "sweep": {"parameter": "horizon", "from": 0.5, "to": 2.0, "steps": 3},
+    }
+
+
+def bundled(name):
+    return json.loads((CONFIG_DIR / f"{name}.json").read_text())
+
+
+# One leaf in each top-level branch a config has, with a new valid value.
+SWEEP_ROWS = {
+    "compound_poisson": [
+        ("process1.levy.lambda", 2.5),
+        ("process2.drift.c", 0.25),
+        ("horizon", 3.0),
+        ("estimator.seed", 9.0),
+        ("sweep.steps", 7.0),
+    ],
+    "jump_diffusion": [
+        ("process1.vol_sq.c", 1.5),
+        ("process2.levy.jump_density.b", 2.0),
+        ("horizon", 0.5),
+        ("estimator.n_paths", 500.0),
+    ],
+    "tempered_stable": [
+        ("process1.levy.lambda_plus", 2.5),
+        ("process2.levy.alpha", 0.7),
+        ("horizon", 2.0),
+        ("estimator.epsilon", 0.01),
+    ],
+    "tabulated": [
+        ("process1.levy.values.3", 8.0),
+        ("process2.vol_sq.c", 1.0),
+        ("horizon", 0.25),
+        ("estimator.seed", 5.0),
+        ("sweep.from", 0.75),
+    ],
+}
+
+
+class TestSweepRow:
+    @pytest.mark.parametrize(
+        "name, path, value",
+        [(name, path, value) for name, rows in SWEEP_ROWS.items() for path, value in rows],
+    )
+    def test_row_is_the_full_reparse(self, name, path, value):
+        raw = tabulated_config() if name == "tabulated" else bundled(name)
+        cfg = parse_config_dict(raw)
+        row = sweep_row(cfg, path, value)
+        assert row == parse_config_dict(set_config_value(cfg.raw, path, value))
+        # The other branches are reused, not parsed or copied again.
+        branch = path.split(".")[0]
+        for key in raw:
+            if key != branch:
+                assert row.raw[key] is cfg.raw[key]
+        if branch in ("estimator", "sweep"):
+            assert row.problem is cfg.problem
+        for key in ("process1", "process2"):
+            if key != branch:
+                assert getattr(row.problem, key) is getattr(cfg.problem, key)
+
+    @pytest.mark.parametrize(
+        "name, path, value",
+        [
+            ("compound_poisson", "horizon", -1.0),
+            ("compound_poisson", "process1.levy.lambda", -1.0),
+            ("tempered_stable", "process1.levy.alpha", 2.5),
+            ("compound_poisson", "estimator.n_paths", 0.0),
+            ("compound_poisson", "sweep.steps", 0.0),
+            ("tabulated", "process2.levy.values.0", -1.0),
+        ],
+    )
+    def test_row_error_is_the_full_reparse_error(self, name, path, value):
+        raw = tabulated_config() if name == "tabulated" else bundled(name)
+        cfg = parse_config_dict(raw)
+        with pytest.raises(ConfigParse) as whole:
+            parse_config_dict(set_config_value(cfg.raw, path, value))
+        with pytest.raises(ConfigParse) as row:
+            sweep_row(cfg, path, value)
+        assert (row.value.field, row.value.message) == (whole.value.field, whole.value.message)
+
+    def test_unknown_path_is_refused_first(self):
+        cfg = parse_config_dict(bundled("jump_diffusion"))
+        with pytest.raises(UnknownParameterPath) as err:
+            sweep_row(cfg, "estimator.epsilon", 0.1)
+        assert err.value.field == "estimator.epsilon"

@@ -239,6 +239,25 @@ class TestDriftMatching:
         )
         assert not spec.drift_matched()
 
+    def test_each_function_is_probed_once(self):
+        class Counted(ConstantFunction):
+            def value(self, t):
+                calls.append(self.c)
+                return super().value(t)
+
+        calls = []
+        spec = ProblemSpec(
+            ProcessSpec(Counted(ETA_EX3), Counted(0.0), EX3_NU1),
+            ProcessSpec(Counted(0.5), Counted(0.0), EX3_NU2),
+            1.0,
+        )
+        assert spec.vol_class() == "zero" and not spec.sigma_mismatch()
+        for _ in range(2):
+            assert not spec.drift_matched()
+            assert spec.drift_gap_sup() == pytest.approx(0.5)
+        # Both variances at construction, then both drifts once.
+        assert calls == [0.0, 0.0, ETA_EX3, 0.5]
+
     def test_unmatched_time_varying_gap(self):
         # average gap equals eta but pointwise it does not
         spec = ProblemSpec(

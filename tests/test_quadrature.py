@@ -1,6 +1,7 @@
 """Adaptive integrator: closed forms, properties, divergence detection."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from addgap.quadrature import (
     integrate_segments,
 )
 
-from _oracles import L1_EX3, riemann_log, sequential_integrate_segments
+from _oracles import L1_EX3, per_panel_sums, riemann_log, sequential_integrate_segments
 
 TOL = 1e-8
 
@@ -344,3 +345,92 @@ def test_fallback_stops_an_interval_at_its_first_bad_panel():
     expected = (NonFiniteIntegrand, f"integrand returned a non-finite value at x = {left!r}")
     assert outcome(sequential_integrate_segments, f, [0.0, 1.0], {}) == expected
     assert outcome(integrate_segments, f, [0.0, 1.0], {}) == expected
+
+
+# ---------------------------------------------------------------------------
+# One array pass per round: _evaluate's sums against the per-panel loop
+# ---------------------------------------------------------------------------
+
+
+def _mixed(y):
+    """Values from about 1e-12 to 1e12 in size, of both signs."""
+    return np.exp(np.sin(3.0 * y) * 28.0) * np.cos(y) / (1.0 + y * y)
+
+
+def _random_works(rng, n_works, max_panels):
+    """Works with random panels: plain ones on spans from 1e-12 to 1e3
+    wide, tail ones in [0, 1) and power ones near 0."""
+    works = []
+    for _ in range(n_works):
+        kind = rng.integers(3)
+        if kind == 0:
+            lo = rng.uniform(-50.0, 50.0)
+            work = quadrature._Work(None, lo, lo + 1.0, 1e-10, 1e-8, False, False)
+            widths = 10.0 ** rng.uniform(-12.0, 3.0, rng.integers(1, max_panels + 1))
+            starts = rng.uniform(-50.0, 50.0, widths.size)
+        else:
+            sign = rng.choice([-1.0, 1.0])
+            sub = quadrature._tail(rng.uniform(-3.0, 3.0), sign) if kind == 1 else quadrature._power(sign)
+            work = quadrature._Work(sub, 0.0, 1.0, 1e-10, 1e-8, kind == 2, kind == 1)
+            widths = 10.0 ** rng.uniform(-15.0, -0.5, rng.integers(1, max_panels + 1))
+            starts = rng.uniform(0.0, 1.0 - widths)
+        work.panels = tuple(zip(starts.tolist(), (starts + widths).tolist()))
+        works.append(work)
+    return works
+
+
+def _bits(sums):
+    return [(value.hex(), error.hex()) for value, error in sums]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_round_sums_match_the_per_panel_loop(seed):
+    rng = np.random.default_rng(seed)
+    # One work of one panel (the scalar path) on the first seeds, then
+    # rounds of up to 12 works of up to 6 panels each.
+    n_works, max_panels = (1, 1) if seed < 4 else (int(rng.integers(1, 13)), 6)
+    works = _random_works(rng, n_works, max_panels)
+    want = [_bits(per_panel_sums(_mixed, w)) for w in works]
+    quadrature._evaluate(_mixed, works)
+    assert [w.outcome for w in works] == [None] * len(works)
+    assert [_bits(w.sums) for w in works] == want
+    assert all(type(v) is float and type(e) is float for w in works for v, e in w.sums)
+
+
+@pytest.mark.parametrize("n_panels", [1, 5])
+def test_round_whose_products_overflow_is_silent(n_panels):
+    # Each dot product is finite (about 1e300), its product with the half
+    # width is not: inf, and an error of inf - inf = nan, as Python floats
+    # give them.
+    work = quadrature._Work(None, 0.0, 1.0, 1e-10, 1e-8, False, False)
+    work.panels = tuple((k * 1e10, (k + 1) * 1e10) for k in range(n_panels))
+
+    def big(y):
+        return np.full_like(y, 1e300)
+
+    want = _bits(per_panel_sums(big, work))
+    assert want[0] == ("inf", "nan")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        quadrature._evaluate(big, [work])
+    assert work.outcome is None
+    assert _bits(work.sums) == want
+
+
+def test_round_with_a_bad_value_stops_only_its_interval():
+    works = []
+    for lo in (0.0, 10.0):
+        work = quadrature._Work(None, lo, lo + 3.0, 1e-10, 1e-8, False, False)
+        work.panels = ((lo, lo + 1.0), (lo + 1.0, lo + 2.0), (lo + 2.0, lo + 3.0))
+        works.append(work)
+    nodes = 10.5 + 0.5 * quadrature._NODES  # the second panel of the second work
+    first_bad, later_bad = float(nodes[3]), float(nodes[20])
+
+    def f(y):
+        return np.where((y == first_bad) | (y == later_bad) | (y > 12.0), np.nan, _mixed(y))
+
+    want = _bits(per_panel_sums(f, works[0]))
+    quadrature._evaluate(f, works)
+    assert works[0].outcome is None and _bits(works[0].sums) == want
+    assert isinstance(works[1].outcome, NonFiniteIntegrand)
+    assert str(works[1].outcome) == f"integrand returned a non-finite value at x = {first_bad!r}"
