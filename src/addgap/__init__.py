@@ -28,7 +28,6 @@ from .quadrature import (
     IntegrationRequest,
     IntegrationResult,
     integrate,
-    integrate_fn,
 )
 from .measures import (
     CompoundPoissonMeasure,
@@ -138,7 +137,6 @@ __all__ = [
     "gaussian_tv_exact",
     "hellinger_sq",
     "integrate",
-    "integrate_fn",
     "l1_distance",
     "martingale_check",
     "normal_cdf",

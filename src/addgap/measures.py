@@ -67,7 +67,7 @@ from .errors import (
     NotAbsolutelyContinuous,
     RatioUndefined,
 )
-from .quadrature import integrate_segments
+from .quadrature import IntegrationRequest, integrate
 
 # Probe grid for the absolute-continuity check: log-spaced per side.
 AC_PROBES_PER_SIDE = 4096
@@ -515,7 +515,13 @@ def support_integral(measures, integrand, lo=-math.inf, hi=math.inf, cuts=()) ->
     """Integral of integrand over ``support_edges(measures, lo, hi, cuts)``
     in one quadrature, singular at 0; None when it diverges."""
     edges = support_edges(measures, lo, hi, cuts)
-    res = integrate_segments(integrand, edges, singular_at_zero=True)
+    if not edges:
+        return 0.0
+    res = integrate(
+        IntegrationRequest(
+            integrand, edges[0], edges[-1], singular_at_zero=True, breakpoints=tuple(edges[1:-1])
+        )
+    )
     return None if res.diverged else res.value
 
 

@@ -27,7 +27,7 @@ from .measures import (
     support_integral,
     validate_levy,
 )
-from .quadrature import integrate_segments
+from .quadrature import IntegrationRequest, integrate
 
 # Instantaneous variance at or below this is treated as exactly zero.
 MACHINE_ZERO = 1e-30
@@ -232,11 +232,12 @@ class ProblemSpec:
             gap = np.asarray(f1.value(t), dtype=float) - np.asarray(f2.value(t), dtype=float) - eta
             return gap * gap / np.asarray(vol.value(t), dtype=float)
 
-        cuts = {0.0, self.horizon}
+        cuts = set()
         for fn in (f1, f2, vol, self.process2.vol_sq):
             cuts.update(b for b in fn.breakpoints() if 0.0 < b < self.horizon)
+        request = IntegrationRequest(integrand, 0.0, self.horizon, breakpoints=tuple(sorted(cuts)))
         try:
-            res = integrate_segments(integrand, sorted(cuts))
+            res = integrate(request)
         except NonFiniteIntegrand:
             return math.inf
         return math.inf if res.diverged else res.value

@@ -37,15 +37,17 @@ A round's panel sums come from one array pass: the values are viewed as a
 (panels, 22) array, and `np.vecdot` takes the 15- and 7-point dot products
 of every row at once.  Each row's dot is the BLAS ddot that a single
 panel's `_HI_W @ values` makes, and the products with the half widths are
-Python floats, so every sum has the bits of the panel-by-panel loop and
-overflows to inf as silently.  In a round with a non-finite value, each
+Python floats, so every sum has the bits of summing one panel at a time
+and overflows to inf as silently.  In a round with a non-finite value, each
 interval stops at its first bad node.
 
 Outcomes resolve in piece order, then in interval order: the first interval
-that diverges or raises decides the result, and the intervals after it are
-no longer evaluated. If the batched call raises or returns the wrong
-shape, that round is evaluated panel by panel, where an integrand that
-rejects arrays is called once per node.
+that diverges, meets a non-finite value or misses its tolerance decides the
+result, and the intervals after it are no longer evaluated.
+
+The integrand maps a float array of points to a float array of the same
+shape. A value of another shape raises ValueError, and an exception the
+integrand raises propagates from `integrate` unchanged.
 """
 
 import heapq
@@ -95,25 +97,6 @@ class IntegrationResult:
     value: float
     error_estimate: float
     diverged: bool
-
-
-def _vectorized(f: Callable) -> Callable:
-    """Wrap f so it reliably maps float arrays to float arrays."""
-
-    def pointwise(xs: np.ndarray) -> np.ndarray:
-        return np.array([float(f(float(x))) for x in xs], dtype=float)
-
-    def call(xs: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            try:
-                ys = np.asarray(f(xs), dtype=float)
-            except (TypeError, ValueError):
-                return pointwise(xs)
-            if ys.shape != xs.shape:
-                ys = pointwise(xs)
-        return ys
-
-    return call
 
 
 def _width_floor(a: float, b: float) -> float:
@@ -293,8 +276,10 @@ def _working_intervals(a: float, b: float, singular: bool) -> list[tuple]:
 def _evaluate(f: Callable, works: list[_Work]) -> None:
     """Evaluate every panel the works wait for with one call of f.
 
-    Leaves each work the (value, error) sums of its panels in `sums`, or in
-    `outcome` the error that stops it. Arrays are flat, _N entries a panel.
+    f maps the round's points, a flat array of _N entries a panel, to an
+    array of the same shape; another shape raises ValueError, and what f
+    raises propagates. Leaves each work the (value, error) sums of its
+    panels in `sums`, or in `outcome` the NonFiniteIntegrand that stops it.
     """
     spans = []
     centres = []
@@ -320,18 +305,14 @@ def _evaluate(f: Callable, works: list[_Work]) -> None:
     ys = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
     with np.errstate(all="ignore"):
-        try:
-            gy = np.asarray(f(ys), dtype=float)
-        except Exception:
-            gy = None
-        if gy is not None and gy.shape == ys.shape:
-            blocks = []
-            for w, p0, p1 in spans:
-                block = gy[p0 * _N : p1 * _N]
-                blocks.append(block if w.post is None else w.post(block, w.aux))
-            gy = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        else:
-            gy = _panel_by_panel(f, spans, ys)
+        gy = np.asarray(f(ys), dtype=float)
+        if gy.shape != ys.shape:
+            raise ValueError(f"integrand returned shape {gy.shape} for points of shape {ys.shape}")
+        blocks = []
+        for w, p0, p1 in spans:
+            block = gy[p0 * _N : p1 * _N]
+            blocks.append(block if w.post is None else w.post(block, w.aux))
+        gy = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         # One pass over the round: each row's dot is the BLAS ddot that
         # _HI_W @ row makes, so every bit is that of a panel.  The weights
         # are positive, so a non-finite value makes its dot non-finite, and
@@ -346,8 +327,6 @@ def _evaluate(f: Callable, works: list[_Work]) -> None:
         low = half * low
         sums.append((value, abs(value - low)))
     for w, p0, p1 in spans:
-        if w.outcome is not None:
-            continue
         if not finite:
             bad = ~np.isfinite(gy[p0 * _N : p1 * _N])
             if bad.any():
@@ -359,39 +338,19 @@ def _evaluate(f: Callable, works: list[_Work]) -> None:
         w.sums = sums[p0:p1]
 
 
-def _panel_by_panel(f, spans, ys) -> np.ndarray:
-    """The round's values when the batched call raised or returned the
-    wrong shape: panel by panel, in the order the intervals would run
-    alone.  A panel that raises (its error becomes the interval's outcome)
-    or is non-finite stops its interval there; the rest of its values are
-    left unset."""
-    fv = _vectorized(f)
-    gy = np.empty_like(ys)
-    for w, p0, p1 in spans:
-        for k in range(p0 * _N, p1 * _N, _N):
-            try:
-                gy[k : k + _N] = fv(ys[k : k + _N])
-            except Exception as exc:
-                w.outcome = exc
-                break
-            if w.post is not None:
-                i = k - p0 * _N
-                gy[k : k + _N] = w.post(gy[k : k + _N], w.aux[i : i + _N])
-            if not np.isfinite(gy[k : k + _N]).all():
-                break
-    return gy
-
-
 def integrate(request: IntegrationRequest) -> IntegrationResult:
     """Integrate request.integrand over [lower, upper], cut at its breakpoints.
 
-    Infinite bounds are allowed. With singular_at_zero each piece is split
+    The integrand maps a float array to one of the same shape. Infinite
+    bounds are allowed. With singular_at_zero each piece is split
     at 0 and the origin is approached by geometric refinement; divergence at
     the origin or in an infinite tail is reported via the diverged flag.
     """
     a, b = float(request.lower), float(request.upper)
     if math.isnan(a) or math.isnan(b) or not a < b:
         raise ValueError(f"invalid interval [{a!r}, {b!r}]")
+    if math.isnan(request.abs_tol) or math.isnan(request.rel_tol):
+        raise ValueError("tolerances must not be nan")
     if request.abs_tol <= 0 and request.rel_tol <= 0:
         raise ValueError("at least one tolerance must be positive")
     pairs = _pieces([a, *map(float, request.breakpoints), b]) if request.breakpoints else [(a, b)]
@@ -454,43 +413,3 @@ def _pieces(edges: list[float]) -> list[tuple[float, float]]:
         if lo < hi:
             pieces.append((lo, hi))
     return pieces
-
-
-def integrate_fn(
-    f: Callable,
-    lower: float,
-    upper: float,
-    *,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-    singular_at_zero: bool = False,
-) -> IntegrationResult:
-    """Convenience wrapper building the request inline."""
-    return integrate(
-        IntegrationRequest(f, lower, upper, abs_tol, rel_tol, singular_at_zero)
-    )
-
-
-def integrate_segments(
-    f: Callable,
-    edges: list[float],
-    *,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-    singular_at_zero: bool = False,
-) -> IntegrationResult:
-    """Integrate f over the union of [edges[i], edges[i+1]] intervals.
-
-    edges must be sorted and free of nan (ValueError otherwise); adjacent
-    equal edges collapse to nothing. Known breakpoints (support boundaries,
-    tabulation knots) go here so the adaptive loop never has to hunt for
-    interior kinks. All pieces are refined in one lockstep integration.
-    """
-    if len(edges) < 2 or not edges[0] < edges[-1]:
-        _pieces(edges)  # raises unless all edges are equal
-        return IntegrationResult(0.0, 0.0, False)
-    return integrate(
-        IntegrationRequest(
-            f, edges[0], edges[-1], abs_tol, rel_tol, singular_at_zero, tuple(edges[1:-1])
-        )
-    )

@@ -21,14 +21,10 @@ from addgap.quadrature import (
     _HI_W,
     _LO_W,
     _NODES,
-    DEFAULT_ABS_TOL,
-    DEFAULT_REL_TOL,
     DIVERGENCE_CAP,
-    IntegrationRequest,
     IntegrationResult,
     _Diverged,
     _Tracker,
-    _vectorized,
     _width_floor,
 )
 
@@ -326,17 +322,35 @@ def per_panel_sums(f, work):
 
 
 def sequential_integrate(request):
-    """addgap.quadrature.integrate for a request without breakpoints, one
-    working interval after another."""
-    assert not request.breakpoints
+    """addgap.quadrature.integrate, one piece after another with an early
+    return on the first divergent piece, and in each piece one working
+    interval after another (breakpoints assumed sorted and nan-free)."""
     a, b = float(request.lower), float(request.upper)
     if math.isnan(a) or math.isnan(b) or not a < b:
         raise ValueError(f"invalid interval [{a!r}, {b!r}]")
+    if math.isnan(request.abs_tol) or math.isnan(request.rel_tol):
+        raise ValueError("tolerances must not be nan")
     if request.abs_tol <= 0 and request.rel_tol <= 0:
         raise ValueError("at least one tolerance must be positive")
 
-    f = _vectorized(request.integrand)
-    singular = request.singular_at_zero
+    edges = [a, *map(float, request.breakpoints), b]
+    pairs = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if lo < hi]
+    value = 0.0
+    error = 0.0
+    with np.errstate(all="ignore"):
+        for lo, hi in pairs:
+            res = _sequential_piece(
+                request.integrand, lo, hi, request.abs_tol / len(pairs), request.rel_tol,
+                request.singular_at_zero,
+            )
+            if res.diverged:
+                return res
+            value += res.value
+            error += res.error_estimate
+    return IntegrationResult(value, error, False)
+
+
+def _sequential_piece(f, a, b, abs_tol, rel_tol, singular):
     cuts = [a, b]
     if a < 0.0 < b and (singular or (math.isinf(a) and math.isinf(b))):
         cuts = [a, 0.0, b]
@@ -365,47 +379,17 @@ def sequential_integrate(request):
         else:
             work.append((f, lo, hi, False, False))
 
-    seg_abs = request.abs_tol / len(work)
+    seg_abs = abs_tol / len(work)
     value = 0.0
     error = 0.0
     for g, lo, hi, wl, wr in work:
         try:
-            v, e = _seq_adaptive(g, lo, hi, seg_abs, request.rel_tol, wl, wr)
+            v, e = _seq_adaptive(g, lo, hi, seg_abs, rel_tol, wl, wr)
         except _Diverged as d:
             sign = -1.0 if d.args[0] < 0 else 1.0
             return IntegrationResult(sign * DIVERGENCE_CAP, math.inf, True)
         value += v
         error += e
-    return IntegrationResult(value, error, False)
-
-
-def sequential_integrate_fn(
-    f, lower, upper, *, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL, singular_at_zero=False
-):
-    return sequential_integrate(
-        IntegrationRequest(f, lower, upper, abs_tol, rel_tol, singular_at_zero)
-    )
-
-
-def sequential_integrate_segments(
-    f, edges, *, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL, singular_at_zero=False
-):
-    """addgap.quadrature.integrate_segments, one piece after another with an
-    early return on the first divergent piece (edges assumed valid)."""
-    pairs = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if lo < hi]
-    if not pairs:
-        return IntegrationResult(0.0, 0.0, False)
-    value = 0.0
-    error = 0.0
-    for lo, hi in pairs:
-        res = sequential_integrate_fn(
-            f, lo, hi, abs_tol=abs_tol / len(pairs), rel_tol=rel_tol,
-            singular_at_zero=singular_at_zero,
-        )
-        if res.diverged:
-            return IntegrationResult(res.value, math.inf, True)
-        value += res.value
-        error += res.error_estimate
     return IntegrationResult(value, error, False)
 
 

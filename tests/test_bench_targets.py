@@ -6,6 +6,7 @@ renaming one of them breaks ``python3 perfbench/run.py --trace 1``; these
 tests make that a failure of the library's own suite.
 """
 
+import dataclasses
 import importlib.util
 import random
 import sys
@@ -14,11 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from addgap import measures, processes, quadrature, simulate
+from addgap import measures, processes, quadrature
 from addgap.bounds import compute_report
 from addgap.config import parse_config_dict
 
-from _oracles import clear_caches, sequential_integrate_fn, sequential_integrate_segments
+from _oracles import clear_caches, sequential_integrate
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -53,29 +54,23 @@ def tabulated_spec(workloads):
     return parse_config_dict(config).problem
 
 
-def record_points(monkeypatch, integrate_segments, integrate_fn):
-    """Route the library's quadrature calls through the given functions and
-    return the list that collects the points of every integrand call."""
+def record_points(monkeypatch, integrate=None):
+    """Route the library's quadrature calls through ``integrate`` and return
+    the list that collects the points of every integrand call.  The default
+    is ``quadrature.integrate`` as it is at each call, so a tracer's wrapper
+    of it is seen."""
     calls = []
 
-    def recording(f):
+    def recorded(request):
         def g(y):
             calls.append(np.array(y, dtype=float).ravel())
-            return f(y)
+            return request.integrand(y)
 
-        return g
+        impl = quadrature.integrate if integrate is None else integrate
+        return impl(dataclasses.replace(request, integrand=g))
 
-    def segments(f, edges, **kwargs):
-        return integrate_segments(recording(f), edges, **kwargs)
-
-    def one(f, lower, upper, **kwargs):
-        return integrate_fn(recording(f), lower, upper, **kwargs)
-
-    for module in (measures, processes, simulate):
-        if hasattr(module, "integrate_segments"):
-            monkeypatch.setattr(module, "integrate_segments", segments)
-        if hasattr(module, "integrate_fn"):
-            monkeypatch.setattr(module, "integrate_fn", one)
+    for module in (measures, processes):
+        monkeypatch.setattr(module, "integrate", recorded)
     return calls
 
 
@@ -99,11 +94,11 @@ def test_tabulated_report_quadrature_budget(workloads, monkeypatch):
     # points and the report of integrating one interval after another.
     spec = tabulated_spec(workloads)
     with monkeypatch.context() as m:
-        calls = record_points(m, quadrature.integrate_segments, quadrature.integrate_fn)
+        calls = record_points(m)
         report = compute_report(spec)
     spec = tabulated_spec(workloads)
     with monkeypatch.context() as m:
-        oracle_calls = record_points(m, sequential_integrate_segments, sequential_integrate_fn)
+        oracle_calls = record_points(m, sequential_integrate)
         oracle_report = compute_report(spec)
     assert report == oracle_report
     assert len(calls) <= 100 < len(oracle_calls)
@@ -113,7 +108,7 @@ def test_tabulated_report_quadrature_budget(workloads, monkeypatch):
 
 def test_tracer_counts_every_integrand_point(tracer, workloads, monkeypatch):
     spec = tabulated_spec(workloads)
-    calls = record_points(monkeypatch, quadrature.integrate_segments, quadrature.integrate_fn)
+    calls = record_points(monkeypatch)
     with tracer.installed(tracer.Tracer()) as traced:
         compute_report(spec)
     metrics = tracer.layer_metrics(traced.spans)

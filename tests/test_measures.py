@@ -44,7 +44,7 @@ from addgap.measures import (
 from addgap.config import parse_config
 from addgap.processes import ConstantFunction, ProblemSpec, ProcessSpec
 from addgap.simulate import RngStream, sample_jump_batch
-from addgap.quadrature import integrate_fn, integrate_segments
+from addgap.quadrature import IntegrationRequest, integrate
 
 from _oracles import (
     ETA_EX3,
@@ -386,7 +386,10 @@ def closed_form_pair(alpha, c, gap):
 def assert_within_quadrature_error(integrand, edges, cached, closed):
     """The one quadrature of integrand on edges gives ``cached`` bit for bit
     and lies within its error estimate of the closed form."""
-    res = integrate_segments(integrand, edges, singular_at_zero=True)
+    request = IntegrationRequest(
+        integrand, edges[0], edges[-1], singular_at_zero=True, breakpoints=tuple(edges[1:-1])
+    )
+    res = integrate(request)
     assert res.value.hex() == cached.hex()
     assert abs(res.value - float(closed)) <= res.error_estimate
 
@@ -439,10 +442,13 @@ class TestClosedForms:
         # no quadrature in y reaches these values; each plain integrand
         # overflows on the way, and the closed form takes over.
         nu1, nu2, m, sides = closed_form_pair(alpha, c, gap)
+        edges = support_edges((nu1,), -1.0, 1.0)
+        request = IntegrationRequest(
+            lambda y: y * nu1.density(y), edges[0], edges[-1], singular_at_zero=True,
+            breakpoints=tuple(edges[1:-1]),
+        )
         with pytest.raises(NonFiniteIntegrand):
-            integrate_segments(
-                lambda y: y * nu1.density(y), support_edges((nu1,), -1.0, 1.0), singular_at_zero=True
-            )
+            integrate(request)
         l1 = sum(k * abs(mpmath.gamma(-m) * (a**m - b**m)) for k, a, b in sides)
         assert l1_distance(nu1, nu2) == pytest.approx(float(l1), rel=1e-14)
         lower = sum(
@@ -782,7 +788,7 @@ class TestPairIgSides:
         for sign, (c, lam1, lam2) in zip((-1.0, 1.0), ig_sides(nu1, nu2)):
             np.testing.assert_allclose(ratio(sign * y), -(lam1 - lam2) * y, rtol=1e-12, atol=1e-13)
             lo, hi = sorted((0.0, sign * math.inf))
-            gap = integrate_fn(diff, lo, hi, singular_at_zero=True).value
+            gap = integrate(IntegrationRequest(diff, lo, hi, singular_at_zero=True)).value
             want = c * math.gamma(-0.5) * (math.sqrt(lam1) - math.sqrt(lam2))
             assert math.isclose(gap, want, rel_tol=1e-9)
             total += want

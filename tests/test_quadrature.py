@@ -11,15 +11,9 @@ from hypothesis import strategies as st
 
 from addgap import quadrature
 from addgap.errors import NonFiniteIntegrand, ToleranceNotMet
-from addgap.quadrature import (
-    DIVERGENCE_CAP,
-    IntegrationRequest,
-    integrate,
-    integrate_fn,
-    integrate_segments,
-)
+from addgap.quadrature import DIVERGENCE_CAP, IntegrationRequest, integrate
 
-from _oracles import L1_EX3, per_panel_sums, riemann_log, sequential_integrate_segments
+from _oracles import L1_EX3, per_panel_sums, riemann_log, sequential_integrate
 
 TOL = 1e-8
 
@@ -30,60 +24,54 @@ def test_frozen_constant_self_check():
 
 
 def test_inverse_sqrt_singularity():
-    res = integrate_fn(lambda y: y ** -0.5, 0.0, 1.0, singular_at_zero=True)
+    res = integrate(IntegrationRequest(lambda y: y ** -0.5, 0.0, 1.0, singular_at_zero=True))
     assert not res.diverged
     assert abs(res.value - 2.0) < 1e-7
 
 
 def test_exponential_tail():
-    res = integrate_fn(lambda y: np.exp(-y), 0.0, math.inf)
+    res = integrate(IntegrationRequest(lambda y: np.exp(-y), 0.0, math.inf))
     assert abs(res.value - 1.0) < TOL
 
 
 def test_full_line_gaussian():
-    res = integrate_fn(
-        lambda y: np.exp(-0.5 * y * y) / math.sqrt(2 * math.pi), -math.inf, math.inf
-    )
+    f = lambda y: np.exp(-0.5 * y * y) / math.sqrt(2 * math.pi)
+    res = integrate(IntegrationRequest(f, -math.inf, math.inf))
     assert abs(res.value - 1.0) < TOL
 
 
 def test_heavy_tail_difference_vs_riemann_oracle():
     f = lambda y: np.abs(np.exp(-2 * y) - np.exp(-y)) * y ** -1.5
     oracle = riemann_log(f, 1e-16, 200.0, n=2_000_000)
-    res = integrate_fn(f, 0.0, math.inf, singular_at_zero=True)
+    res = integrate(IntegrationRequest(f, 0.0, math.inf, singular_at_zero=True))
     assert not res.diverged
     assert abs(res.value - oracle) / oracle < 1e-6
     assert abs(res.value - L1_EX3) / L1_EX3 < 1e-6
 
 
-def test_scalar_integrand_fallback():
-    res = integrate_fn(lambda y: math.exp(-y), 0.0, math.inf)
-    assert abs(res.value - 1.0) < TOL
-
-
 class TestDivergence:
     def test_power_divergence_at_origin(self):
-        res = integrate_fn(lambda y: y ** -1.5, 0.0, 1.0, singular_at_zero=True)
+        res = integrate(IntegrationRequest(lambda y: y ** -1.5, 0.0, 1.0, singular_at_zero=True))
         assert res.diverged
         assert abs(res.value) == DIVERGENCE_CAP
 
     def test_log_divergence_at_origin(self):
         # int y^-1: partial sums grow only logarithmically, so the cap never
         # fires; the level-stall detector must.
-        res = integrate_fn(lambda y: 1.0 / y, 0.0, 1.0, singular_at_zero=True)
+        res = integrate(IntegrationRequest(lambda y: 1.0 / y, 0.0, 1.0, singular_at_zero=True))
         assert res.diverged
 
     def test_tail_divergence(self):
-        res = integrate_fn(lambda y: 1.0 / y, 1.0, math.inf)
+        res = integrate(IntegrationRequest(lambda y: 1.0 / y, 1.0, math.inf))
         assert res.diverged
 
     def test_near_critical_convergent_not_flagged(self):
         # y^-0.5 converges; must not be mistaken for divergence.
-        res = integrate_fn(lambda y: y ** -0.5, 0.0, 1.0, singular_at_zero=True)
+        res = integrate(IntegrationRequest(lambda y: y ** -0.5, 0.0, 1.0, singular_at_zero=True))
         assert not res.diverged
 
     def test_signed_divergence_sign(self):
-        res = integrate_fn(lambda y: -(y ** -1.5), 0.0, 1.0, singular_at_zero=True)
+        res = integrate(IntegrationRequest(lambda y: -(y ** -1.5), 0.0, 1.0, singular_at_zero=True))
         assert res.diverged
         assert res.value == -DIVERGENCE_CAP
 
@@ -91,7 +79,7 @@ class TestDivergence:
 class TestErrors:
     def test_non_finite_integrand(self):
         with pytest.raises(NonFiniteIntegrand):
-            integrate_fn(lambda y: np.log(y - 0.5), 0.0, 1.0)
+            integrate(IntegrationRequest(lambda y: np.log(y - 0.5), 0.0, 1.0))
 
     def test_noise_never_converges(self):
         rng = np.random.default_rng(7)
@@ -100,13 +88,41 @@ class TestErrors:
             return 1.0 + rng.standard_normal(np.shape(y))
 
         with pytest.raises(ToleranceNotMet):
-            integrate_fn(noisy, 0.0, 1.0, abs_tol=1e-14, rel_tol=1e-14)
+            integrate(IntegrationRequest(noisy, 0.0, 1.0, abs_tol=1e-14, rel_tol=1e-14))
+
+    @pytest.mark.parametrize("tols", [(math.nan, 1e-8), (0.0, math.nan), (1e-10, math.nan)])
+    def test_nan_tolerance(self, tols):
+        calls = []
+
+        def f(y):
+            calls.append(y)
+            return y * y
+
+        with pytest.raises(ValueError, match="nan"):
+            integrate(IntegrationRequest(f, 0.0, 1.0, *tols))
+        assert calls == []
+
+    def test_scalar_returning_integrand(self):
+        with pytest.raises(ValueError, match=r"shape \(\) for points of shape \(22,\)"):
+            integrate(IntegrationRequest(lambda y: 1.0, 0.0, 1.0))
+
+    def test_integrand_exception_propagates(self):
+        calls = []
+        raised = ZeroDivisionError("no panel today")
+
+        def f(y):
+            calls.append(y)
+            raise raised
+
+        with pytest.raises(ZeroDivisionError) as info:
+            integrate(IntegrationRequest(f, -1.0, math.inf, singular_at_zero=True))
+        assert info.value is raised and str(info.value) == "no panel today"
+        assert len(calls) == 1
 
     def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            integrate_fn(lambda y: y, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            integrate_fn(lambda y: y, 2.0, 1.0)
+        for lower, upper in ((1.0, 1.0), (2.0, 1.0), (math.nan, math.nan)):
+            with pytest.raises(ValueError, match="invalid interval"):
+                integrate(IntegrationRequest(lambda y: y, lower, upper))
 
 
 class TestProperties:
@@ -123,8 +139,9 @@ class TestProperties:
             f = lambda y: c1[0] + c1[1] * y + c1[2] * y ** 2 + c1[3] * np.sin(y)
             g = lambda y: c2[0] + c2[1] * y + c2[2] * y ** 2 + c2[3] * np.cos(y)
             s, t = rng.uniform(-2, 2, size=2)
-            lhs = integrate_fn(lambda y: s * f(y) + t * g(y), a, b).value
-            rhs = s * integrate_fn(f, a, b).value + t * integrate_fn(g, a, b).value
+            value = lambda h: integrate(IntegrationRequest(h, a, b)).value
+            lhs = value(lambda y: s * f(y) + t * g(y))
+            rhs = s * value(f) + t * value(g)
             assert abs(lhs - rhs) < 10 * TOL * max(1.0, abs(lhs))
 
     def test_interval_additivity(self):
@@ -132,12 +149,12 @@ class TestProperties:
         f = lambda y: np.exp(-0.3 * y) * np.sin(3 * y)
         for _ in range(25):
             a, m, b = sorted(rng.uniform(-4, 4, size=3))
-            whole = integrate_fn(f, a, b).value if b > a else 0.0
+            whole = integrate(IntegrationRequest(f, a, b)).value if b > a else 0.0
             parts = 0.0
             if m > a:
-                parts += integrate_fn(f, a, m).value
+                parts += integrate(IntegrationRequest(f, a, m)).value
             if b > m:
-                parts += integrate_fn(f, m, b).value
+                parts += integrate(IntegrationRequest(f, m, b)).value
             assert abs(whole - parts) < 10 * TOL * max(1.0, abs(whole))
 
     def test_nonnegative_integrand_nonnegative_value(self):
@@ -148,13 +165,13 @@ class TestProperties:
             if b - a < 1e-3:
                 continue
             f = lambda y: c[0] * np.exp(-c[1] * y * y)
-            res = integrate_fn(f, a, b)
+            res = integrate(IntegrationRequest(f, a, b))
             assert res.value >= -1e-10
 
     def test_polynomial_exactness(self):
         # The 15-point rule is exact well past degree 20; single panel.
         f = lambda y: 5 * y ** 9 - 3 * y ** 4 + y
-        res = integrate_fn(f, -1.0, 2.0)
+        res = integrate(IntegrationRequest(f, -1.0, 2.0))
         truth = 5 * (2 ** 10 - 1) / 10 - 3 * (2 ** 5 + 1) / 5 + (2 ** 2 - 1) / 2
         assert abs(res.value - truth) < 1e-12 * abs(truth)
 
@@ -166,26 +183,24 @@ def test_request_dataclass_roundtrip():
     assert res.error_estimate >= 0.0
 
 
-def test_integrate_segments_matches_whole():
+def test_breakpoints_match_whole():
     f = lambda y: np.exp(-y) * (1 + 0.2 * np.sin(5 * y))
-    whole = integrate_fn(f, 0.0, 3.0).value
-    split = integrate_segments(f, [0.0, 0.7, 0.7, 2.1, 3.0]).value
+    whole = integrate(IntegrationRequest(f, 0.0, 3.0)).value
+    split = integrate(IntegrationRequest(f, 0.0, 3.0, breakpoints=(0.7, 0.7, 2.1))).value
     assert abs(whole - split) < 10 * TOL
 
 
-@pytest.mark.parametrize("edges", [[0.0, 2.0, 1.0], [0.0, math.nan, 1.0], [math.nan, math.nan]])
-def test_integrate_segments_rejects_unsorted_or_nan_edges(edges):
+@pytest.mark.parametrize("breakpoints", [(2.0,), (math.nan,), (0.5, math.nan), (-1.0,), (0.5, 0.25)])
+def test_breakpoints_reject_unsorted_nan_or_outside(breakpoints):
+    request = IntegrationRequest(lambda y: np.ones_like(y), 0.0, 1.0, breakpoints=breakpoints)
     with pytest.raises(ValueError, match="sorted and free of nan"):
-        integrate_segments(lambda y: np.ones_like(y), edges)
+        integrate(request)
 
 
 def test_breakpoints_split_like_segments():
     f = lambda y: np.abs(y - 0.7) * np.exp(-y)
-    edges = [0.0, 0.7, 0.7, 2.1, 3.0]
     req = IntegrationRequest(f, 0.0, 3.0, breakpoints=(0.7, 0.7, 2.1))
-    assert integrate(req) == integrate_segments(f, edges)
-    with pytest.raises(ValueError):
-        integrate(IntegrationRequest(f, 0.0, 3.0, breakpoints=(4.0,)))
+    assert integrate(req) == sequential_integrate(req)
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +267,12 @@ def divergent(draw):
 @st.composite
 def later_piece_fails(draw):
     # The first piece diverges at 0 (or converges); a later piece meets a
-    # nan at its first panel, or raises once the integrand sees y > cut.
+    # nan at its first panel.
     split = draw(st.floats(0.5, 2.0))
     power = draw(st.sampled_from([0.5, 1.0, 1.5]))
-    if draw(st.booleans()):
-        def f(y):
-            return np.where(y < split, y**-power, np.log(split - y - 1.0))
-    else:
-        def f(y):
-            if np.any(np.asarray(y) > split):
-                raise ZeroDivisionError(f"beyond {split!r}")
-            return y**-power
+
+    def f(y):
+        return np.where(y < split, y**-power, np.log(split - y - 1.0))
 
     return f, [0.0, split, split + 1.0], {"singular_at_zero": True}
 
@@ -278,18 +288,6 @@ def not_converging(draw):
     return f, edges, {"abs_tol": 1e-14, "rel_tol": 1e-14, "budget": budget}
 
 
-@st.composite
-def pointwise_only(draw):
-    k = draw(st.floats(0.1, 5.0))
-    if draw(st.booleans()):
-        def f(y):
-            return math.exp(-y) * (1.0 + 0.5 * math.sin(k * y))  # rejects arrays
-    else:
-        def f(y):
-            return k  # wrong shape for arrays
-    return f, draw(edge_lists), {}
-
-
 def outcome(impl, f, edges, kwargs):
     """Everything a caller can observe: result bits or exception, and for a
     finished integral the sorted points the integrand saw."""
@@ -298,53 +296,35 @@ def outcome(impl, f, edges, kwargs):
     seen = []
 
     def recording(y):
-        out = f(y)
-        if np.shape(out) == np.shape(y):
-            seen.append(np.atleast_1d(np.array(y, dtype=float)))
-        return out
+        seen.append(np.array(y, dtype=float))
+        return f(y)
 
+    request = IntegrationRequest(
+        recording, edges[0], edges[-1], breakpoints=tuple(edges[1:-1]), **kwargs
+    )
     with mock.patch.object(quadrature, "MAX_BISECTIONS", budget):
         try:
-            res = impl(recording, edges, **kwargs)
+            res = impl(request)
         except Exception as exc:
             return type(exc), str(exc)
     bits = (res.value.hex(), res.error_estimate.hex(), res.diverged)
     if res.diverged:
         return bits
-    return bits, np.sort(np.concatenate(seen)).tobytes() if seen else b""
+    return bits, np.sort(np.concatenate(seen)).tobytes()
 
 
 @pytest.mark.parametrize(
     "family",
     [
         smooth, kinked, tabulated, singular_or_tail, divergent,
-        later_piece_fails, not_converging, pointwise_only,
+        later_piece_fails, not_converging,
     ],
 )
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_lockstep_matches_sequential_oracle(family, data):
     f, edges, kwargs = data.draw(family())
-    assert outcome(integrate_segments, f, edges, kwargs) == outcome(
-        sequential_integrate_segments, f, edges, kwargs
-    )
-
-
-def test_fallback_stops_an_interval_at_its_first_bad_panel():
-    # A scalar-only integrand, smooth at the nodes of the first panel on
-    # [0, 1]; after the first bisection the left half meets a nan and the
-    # right half raises. Alone, the interval never evaluates the right half.
-    left = float(0.25 + 0.25 * quadrature._NODES[0])
-    right = float(0.75 + 0.25 * quadrature._NODES[0])
-
-    def f(y):
-        if abs(y - right) < 1e-12:
-            raise ArithmeticError("right half evaluated")
-        return math.nan if abs(y - left) < 1e-12 else math.sin(30.0 * y)
-
-    expected = (NonFiniteIntegrand, f"integrand returned a non-finite value at x = {left!r}")
-    assert outcome(sequential_integrate_segments, f, [0.0, 1.0], {}) == expected
-    assert outcome(integrate_segments, f, [0.0, 1.0], {}) == expected
+    assert outcome(integrate, f, edges, kwargs) == outcome(sequential_integrate, f, edges, kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from addgap.processes import (
     _eta_cached,
     char_function,
 )
-from addgap.quadrature import integrate_fn
+from addgap.quadrature import IntegrationRequest, integrate
 from addgap.simulate import (
     DEFAULT_EPSILON,
     RngStream,
@@ -239,7 +239,7 @@ class TestSampleTruncatedJumps:
         eps = 0.05
         batch = sample_jump_batch(TS_ASYM, 1.0, 20_000, RngStream(29, 0), eps)
         lam = TS_ASYM.mass_above(eps)
-        pos_mass = integrate_fn(lambda y: TS_ASYM.density(y), eps, 80.0).value
+        pos_mass = integrate(IntegrationRequest(TS_ASYM.density, eps, 80.0)).value
         p = pos_mass / lam
         frac = np.mean(batch.sizes > 0)
         se = math.sqrt(p * (1.0 - p) / batch.sizes.size)
@@ -277,8 +277,8 @@ class TestJumpBatch:
         eps, horizon = 0.01, 1.0
         batch = sample_jump_batch(TS_SYM, horizon, 100_000, RngStream(9, 0), eps)
         sums = path_sums(batch)
-        second = 2.0 * integrate_fn(
-            lambda y: y * y * TS_SYM.density(y), eps, 60.0
+        second = 2.0 * integrate(
+            IntegrationRequest(lambda y: y * y * TS_SYM.density(y), eps, 60.0)
         ).value
         se_mean = sums.std() / math.sqrt(sums.size)
         assert abs(sums.mean()) < 4.0 * se_mean
