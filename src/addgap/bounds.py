@@ -15,7 +15,9 @@ Applicability is decided by the volatility class of the pair: shared positive
 volatility activates the Gaussian-smoothing terms, shared zero volatility
 requires the drift gap to match the compensated jump drift exactly, and any
 volatility mismatch or partial degeneracy leaves only the trivial bound.
-`continuous_part` makes the same decision for the Monte Carlo estimators.
+`_continuous_verdict` makes this decision once, with the reason xi^2 is
+missing; the report reads it, and `continuous_part` reads the same verdict
+for the Monte Carlo estimators.
 """
 
 import math
@@ -63,22 +65,31 @@ def _gaussian_term(xi_sq: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _continuous_reasons(
-    mismatch: bool, vol_class: str, xi_sq: float | None, drift_matched: bool | None
-) -> tuple[str | None, str | None]:
-    """(volatility reason, drift reason) for the continuous part, None where
-    the hypothesis holds.  The volatilities must agree and not vanish on
-    only part of [0, T]; then a zero-volatility pair must match its drift
-    (drift_matched) and a positive-volatility pair needs a finite xi^2."""
+_NO_SHARED_VOL = "undefined without positive shared volatility"
+
+
+def _continuous_verdict(spec: ProblemSpec, mismatch: bool, vol_class: str, eta_reason=None):
+    """The one decision on the continuous part of the pair: (volatility
+    reason, drift reason, xi^2 reason, xi^2, drift match), a reason None
+    where its hypothesis holds.  The volatilities must agree and not vanish
+    on only part of [0, T] (else eta is not computed); then a zero-volatility
+    pair must match its drift and a positive-volatility pair needs a finite
+    xi^2.  Given eta_reason, the message of an eta the caller found
+    divergent, neither is computed; else a divergent eta raises
+    DivergentIntegral."""
     if mismatch:
-        return "sigma mismatch", None
+        return "sigma mismatch", None, "instantaneous variances differ on [0, T]", None, None
     if vol_class == "degenerate":
-        return "sigma^2 vanishes on part of [0, T]", None
-    if drift_matched is False:
-        return None, "drift mismatch at sigma = 0"
-    if xi_sq is not None and math.isinf(xi_sq):
-        return None, "xi^2 infinite"
-    return None, None
+        return "sigma^2 vanishes on part of [0, T]", None, _NO_SHARED_VOL, None, None
+    positive = vol_class == "positive"
+    if eta_reason is not None:
+        return None, "eta divergent", eta_reason if positive else _NO_SHARED_VOL, None, None
+    if not positive:
+        matched = spec.drift_matched()
+        drift_reason = None if matched else "drift mismatch at sigma = 0"
+        return None, drift_reason, _NO_SHARED_VOL, None, matched
+    xi_sq = spec.xi_sq()
+    return None, "xi^2 infinite" if math.isinf(xi_sq) else None, None, xi_sq, None
 
 
 def continuous_part(spec: ProblemSpec) -> float | None:
@@ -89,16 +100,11 @@ def continuous_part(spec: ProblemSpec) -> float | None:
     Raises HypothesisFailed with the first failing hypothesis; a divergent
     eta raises DivergentIntegral.
     """
-    mismatch, vol_class = spec.sigma_mismatch(), spec.vol_class()
-    xi_sq = drift_matched = None
-    if not mismatch and vol_class == "positive":
-        xi_sq = spec.xi_sq()
-    elif not mismatch and vol_class == "zero":
-        drift_matched = spec.drift_matched()
-    reasons = _continuous_reasons(mismatch, vol_class, xi_sq, drift_matched)
-    failed = next(filter(None, reasons), None)
-    if failed is not None:
-        raise HypothesisFailed(failed)
+    vol_reason, drift_reason, _, xi_sq, _ = _continuous_verdict(
+        spec, spec.sigma_mismatch(), spec.vol_class()
+    )
+    if vol_reason or drift_reason:
+        raise HypothesisFailed(vol_reason or drift_reason)
     return xi_sq
 
 
@@ -205,13 +211,9 @@ class BoundReport:
 
 def compute_report(spec: ProblemSpec) -> BoundReport:
     """Evaluate every ingredient once, then every applicable bound."""
-    nu1 = spec.process1.levy
-    nu2 = spec.process2.levy
-    horizon = spec.horizon
+    nu1, nu2, horizon = spec.process1.levy, spec.process2.levy, spec.horizon
     reasons: dict[str, str] = {}
-
-    mismatch = spec.sigma_mismatch()
-    vol_class = spec.vol_class()
+    mismatch, vol_class = spec.sigma_mismatch(), spec.vol_class()
 
     # Measure-level ingredients do not depend on the volatility.
     try:
@@ -220,38 +222,23 @@ def compute_report(spec: ProblemSpec) -> BoundReport:
         l1_nu = hell = None
         reasons["l1_nu"] = reasons["hellinger_sq_nu"] = str(exc)
 
-    try:
-        eta = spec.eta()
-    except DivergentIntegral as exc:
-        eta = None
-        reasons["eta"] = str(exc)
-
-    gammas = {}
-    for key, nu in (("gamma1", nu1), ("gamma2", nu2)):
+    moments = {}  # the small-jump first moments, None where one diverges
+    for key, moment in (
+        ("eta", spec.eta), ("gamma1", lambda: gamma_nu(nu1)), ("gamma2", lambda: gamma_nu(nu2))
+    ):
         try:
-            gammas[key] = gamma_nu(nu)
+            moments[key] = moment()
         except DivergentIntegral as exc:
-            gammas[key] = None
+            moments[key] = None
             reasons[key] = str(exc)
 
-    xi_sq = drift_matched = None
-    if mismatch:
-        reasons["xi_sq"] = "instantaneous variances differ on [0, T]"
-    elif vol_class != "positive":
-        reasons["xi_sq"] = "undefined without positive shared volatility"
-    elif eta is None:
-        reasons["xi_sq"] = reasons["eta"]
-    else:
-        xi_sq = spec.xi_sq()
-    if not mismatch and vol_class == "zero" and eta is not None:
-        drift_matched = spec.drift_matched()
+    vol_reason, drift_reason, xi_reason, xi_sq, drift_matched = _continuous_verdict(
+        spec, mismatch, vol_class, reasons.get("eta")
+    )
+    if xi_reason is not None:
+        reasons["xi_sq"] = xi_reason
 
     # Each bound reports the first failing hypothesis in its own order.
-    vol_reason, drift_reason = _continuous_reasons(
-        mismatch, vol_class, xi_sq, drift_matched
-    )
-    if eta is None:
-        drift_reason = "eta divergent"
     l1_reason = _measure_reason(l1_nu, "L1")
     zero_only = (
         "applies only under shared zero volatility" if vol_class == "positive" else None
@@ -295,9 +282,9 @@ def compute_report(spec: ProblemSpec) -> BoundReport:
         drift_matched=drift_matched,
         l1_nu=l1_nu,
         hellinger_sq_nu=hell,
-        eta=eta,
-        gamma1=gammas["gamma1"],
-        gamma2=gammas["gamma2"],
+        eta=moments["eta"],
+        gamma1=moments["gamma1"],
+        gamma2=moments["gamma2"],
         xi_sq=xi_sq,
         thm1=values["thm1"],
         thm2=values["thm2"],

@@ -37,6 +37,7 @@ from .bounds import BoundReport, compute_report
 from .config import (
     EstimatorSettings,
     ExperimentConfig,
+    check_sweep_steps,
     parse_config,
     sweep_row,
 )
@@ -44,7 +45,6 @@ from .errors import AddgapError, ConfigParse
 from .measures import l1_distance
 from .montecarlo import (
     EstimateResult,
-    default_epsilon,
     estimate_sinh_oracle,
     estimate_tv,
     martingale_check,
@@ -62,6 +62,8 @@ CSV_HEADER = (
     "parameter,l1_nu,hellinger_sq_nu,xi_sq,thm1,thm2,"
     "simple_sqrt,gaussian_exact,estimate,half_width"
 )
+# The BoundReport fields between the swept value and the estimate's two cells.
+_CSV_REPORT_COLUMNS = tuple(CSV_HEADER.split(",")[1:-2])
 
 
 class _UsageError(Exception):
@@ -184,15 +186,6 @@ def _resolve_settings(cfg: ExperimentConfig, args) -> EstimatorSettings:
     return EstimatorSettings(n_paths, epsilon, seed)
 
 
-def _run_tv(problem, settings: EstimatorSettings) -> EstimateResult:
-    epsilon = (
-        settings.epsilon
-        if settings.epsilon is not None
-        else default_epsilon(problem)
-    )
-    return estimate_tv(problem, settings.n_paths, epsilon, settings.seed)
-
-
 def _bound_exit(report: BoundReport) -> int:
     applicable = any(getattr(report, key) is not None for key in _BOUND_KEYS)
     if applicable or report.sigma_mismatch:
@@ -231,7 +224,7 @@ def _cmd_estimate(args) -> int:
     extra_payload: dict = {}
     extra_rows: list = []
     if args.check == "tv":
-        result = _run_tv(problem, settings)
+        result = estimate_tv(problem, settings.n_paths, settings.epsilon, settings.seed)
         report = compute_report(problem)
         bounds = {key: getattr(report, key) for key in _BOUND_KEYS}
         margins = _margins(report, result.mean)
@@ -274,7 +267,7 @@ def _cmd_compare(args) -> int:
     result = None
     estimate_error = None
     try:
-        result = _run_tv(cfg.problem, settings)
+        result = estimate_tv(cfg.problem, settings.n_paths, settings.epsilon, settings.seed)
     except AddgapError as exc:
         estimate_error = str(exc)
     if args.json:
@@ -324,8 +317,7 @@ def _cmd_sweep(args) -> int:
             raise ConfigParse(flag, "sweep requires a config sweep block or explicit flags")
         merged.append(value)
     param, start, stop, steps = merged
-    if steps < 1:
-        raise ConfigParse("--steps", "must be >= 1")
+    check_sweep_steps(steps, "--steps")
     want_estimate = cfg.estimator is not None or any(
         flag is not None for flag in (args.paths, args.seed, args.epsilon)
     )
@@ -338,25 +330,16 @@ def _cmd_sweep(args) -> int:
         if want_estimate:
             settings = _resolve_settings(sub, args)  # may sweep an estimator leaf
             try:
-                result = _run_tv(sub.problem, settings)
+                result = estimate_tv(
+                    sub.problem, settings.n_paths, settings.epsilon, settings.seed
+                )
             except AddgapError:
                 pass
             else:
                 estimate = result.mean
                 half_width = result.half_width_95
-        cells = [
-            _csv_cell(value),
-            _csv_cell(report.l1_nu),
-            _csv_cell(report.hellinger_sq_nu),
-            _csv_cell(report.xi_sq),
-            _csv_cell(report.thm1),
-            _csv_cell(report.thm2),
-            _csv_cell(report.simple_sqrt),
-            _csv_cell(report.gaussian_exact),
-            _csv_cell(estimate),
-            _csv_cell(half_width),
-        ]
-        lines.append(",".join(cells))
+        cells = [value, *(getattr(report, name) for name in _CSV_REPORT_COLUMNS)]
+        lines.append(",".join(map(_csv_cell, cells + [estimate, half_width])))
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0
 

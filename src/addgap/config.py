@@ -71,11 +71,15 @@ __all__ = [
 
 DEFAULT_N_PATHS = 100_000
 
+# Most grid points a sweep may have; its values are built before the first row.
+MAX_SWEEP_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class EstimatorSettings:
-    """Monte Carlo run parameters; epsilon None means the default policy
-    (0 for finite-activity pairs, 1e-4 otherwise)."""
+    """Monte Carlo run parameters.  epsilon None is passed to the estimators
+    as it is; they read it as ``montecarlo.default_epsilon`` (0 for
+    finite-activity pairs, 1e-4 otherwise)."""
 
     n_paths: int = DEFAULT_N_PATHS
     epsilon: float | None = None
@@ -253,50 +257,55 @@ def _build_sweep(node, where: str) -> SweepSettings:
         raise ConfigParse(f"{where}.parameter", "expected a non-empty string")
     start = _real(node, "from", where)
     stop = _real(node, "to", where)
-    steps = _integer(node, "steps", where)
-    if steps < 1:
-        raise ConfigParse(f"{where}.steps", "must be >= 1")
+    steps = check_sweep_steps(_integer(node, "steps", where), f"{where}.steps")
     return SweepSettings(parameter, start, stop, steps)
 
 
-def _build_problem(process1, process2, horizon: float, source: str) -> ProblemSpec:
-    return _wrap(f"{source}.horizon", lambda: ProblemSpec(process1, process2, horizon))
+def check_sweep_steps(steps: int, field: str) -> int:
+    """steps, after refusing a count below 1 or above MAX_SWEEP_STEPS with
+    ConfigParse naming field."""
+    if steps < 1:
+        raise ConfigParse(field, "must be >= 1")
+    if steps > MAX_SWEEP_STEPS:
+        raise ConfigParse(field, f"must be <= {MAX_SWEEP_STEPS}")
+    return steps
 
 
-def parse_config_dict(data: dict, source: str = "config") -> ExperimentConfig:
+def _build_problem(process1, process2, horizon: float) -> ProblemSpec:
+    return _wrap("config.horizon", lambda: ProblemSpec(process1, process2, horizon))
+
+
+def parse_config_dict(data: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from already-decoded JSON; its ``raw`` is a
     deep copy of data, which the caller keeps."""
-    return _parse(copy.deepcopy(data), source)
+    return _parse(copy.deepcopy(data))
 
 
-def _parse(data, source: str) -> ExperimentConfig:
+def _parse(data) -> ExperimentConfig:
     """parse_config_dict on data that nothing else holds, kept as ``raw``."""
-    data = _object(data, source)
+    data = _object(data, "config")
     _check_keys(
         data,
-        source,
+        "config",
         ("process1", "process2", "horizon"),
         ("estimator", "sweep"),
     )
-    process1 = _build_process(data["process1"], f"{source}.process1")
-    process2 = _build_process(data["process2"], f"{source}.process2")
-    horizon = _real(data, "horizon", source)
-    problem = _build_problem(process1, process2, horizon, source)
+    process1 = _build_process(data["process1"], "config.process1")
+    process2 = _build_process(data["process2"], "config.process2")
+    horizon = _real(data, "horizon", "config")
+    problem = _build_problem(process1, process2, horizon)
     estimator = (
-        _build_estimator(data["estimator"], f"{source}.estimator")
+        _build_estimator(data["estimator"], "config.estimator")
         if "estimator" in data
         else None
     )
-    sweep = (
-        _build_sweep(data["sweep"], f"{source}.sweep") if "sweep" in data else None
-    )
+    sweep = _build_sweep(data["sweep"], "config.sweep") if "sweep" in data else None
     return ExperimentConfig(problem, estimator, sweep, data)
 
 
 def sweep_row(cfg: ExperimentConfig, path: str, value: float) -> ExperimentConfig:
     """``parse_config_dict(set_config_value(cfg.raw, path, value))``, result
-    or ConfigParse, for a cfg parsed from source "config" (as parse_config
-    and parse_config_dict by default do).
+    or ConfigParse.
 
     Only the top-level branch that holds the leaf is parsed again, by its
     own builder: a process or the horizon, and then the ProblemSpec, or the
@@ -306,8 +315,7 @@ def sweep_row(cfg: ExperimentConfig, path: str, value: float) -> ExperimentConfi
     """
     raw = set_config_value(cfg.raw, path, value)
     branch = path.split(".", 1)[0]
-    source = "config"
-    where = f"{source}.{branch}"
+    where = f"config.{branch}"
     if branch == "estimator":
         return replace(cfg, estimator=_build_estimator(raw[branch], where), raw=raw)
     if branch == "sweep":
@@ -319,8 +327,8 @@ def sweep_row(cfg: ExperimentConfig, path: str, value: float) -> ExperimentConfi
     elif branch == "process2":
         process2 = _build_process(raw[branch], where)
     else:
-        horizon = _real(raw, "horizon", source)
-    return replace(cfg, problem=_build_problem(process1, process2, horizon, source), raw=raw)
+        horizon = _real(raw, "horizon", "config")
+    return replace(cfg, problem=_build_problem(process1, process2, horizon), raw=raw)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -332,7 +340,7 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigParse(str(path), f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigParse(str(path), f"invalid JSON: {exc}") from None
-    return _parse(data, "config")
+    return _parse(data)
 
 
 # ---------------------------------------------------------------------------

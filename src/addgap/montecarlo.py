@@ -23,7 +23,7 @@ the log-ratio is one constant (``_jump_sums``, shared with the sinh
 oracle).
 
 Each hypothesis is refused in one place, for all three estimators:
-``_run_seed`` checks the paths, epsilon and the seed;
+``_run_seed`` checks the paths (at most MAX_PATHS), epsilon and the seed;
 ``measures.require_abs_continuity`` refuses a pair that is not nu1 << nu2,
 with the message of the bound report; and ``_jump_sums``, the finite-mass
 gate, reads nu1(|y| > epsilon) and nu2(|y| > epsilon) once, refuses with
@@ -98,6 +98,10 @@ CHUNK_PATHS = 8192
 # measure is the bundled tempered-stable one expects 3.3e7 jumps; the
 # bundled pair itself draws no jumps (see ``_jump_part``).
 MAX_CHUNK_JUMPS = 2**25
+
+# Most paths one estimate may run: 524,288 chunks, whose layout and partials
+# take about 110 MB.  A larger n_paths is refused before anything is built.
+MAX_PATHS = 2**32
 
 
 @dataclass(frozen=True)
@@ -236,10 +240,13 @@ def _reduce_chunks(n_paths: int, epsilon: float, seed: int, values) -> EstimateR
 
 def _run_seed(n_paths: int, epsilon: float, rng_root) -> int:
     """The root seed of a run of n_paths paths truncated at epsilon, after
-    refusing a non-positive n_paths, a negative or non-finite epsilon and
-    a seed that is not a 64-bit unsigned integer, in that order."""
+    refusing a non-positive n_paths, one above MAX_PATHS, a negative or
+    non-finite epsilon and a seed that is not a 64-bit unsigned integer, in
+    that order."""
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
+    if n_paths > MAX_PATHS:
+        raise HypothesisFailed(f"n_paths = {n_paths} is above the limit of {MAX_PATHS}")
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError("epsilon must be finite and >= 0")
     return RngStream(rng_root, 0).root_seed  # validates like every stream
@@ -318,7 +325,10 @@ def _jump_part(nu1: LevyMeasure, nu2: LevyMeasure, horizon: float, n_paths: int,
 
 
 def _estimate_ct_dt(spec, n_paths, epsilon, rng_root, value_fn) -> EstimateResult:
-    """Monte Carlo mean of value_fn(C_T + D_T) under the second process."""
+    """Monte Carlo mean of value_fn(C_T + D_T) under the second process,
+    truncated at epsilon, or at default_epsilon(spec) when it is None."""
+    if epsilon is None:
+        epsilon = default_epsilon(spec)
     seed = _run_seed(n_paths, epsilon, rng_root)
     nu1, nu2, horizon = spec.process1.levy, spec.process2.levy, spec.horizon
     require_abs_continuity(nu1, nu2)
@@ -345,13 +355,14 @@ def default_epsilon(spec: ProblemSpec) -> float:
 
 
 def estimate_tv(
-    spec: ProblemSpec, n_paths: int, epsilon: float, rng_root
+    spec: ProblemSpec, n_paths: int, epsilon: float | None, rng_root
 ) -> EstimateResult:
     """Monte Carlo estimate of the L1 distance E|1 - exp(C_T + D_T)|,
     sampling under the second process's law.
 
     Unbiased for finite-activity pairs at epsilon = 0; with epsilon > 0 it
     targets the truncated proxy instead (no extrapolation is attempted).
+    epsilon None means default_epsilon(spec): 0 for a finite-activity pair.
     Same-shape alpha = 1/2 tempered-stable pairs are drawn exactly and
     unbiased at any valid epsilon, reported as truncation_epsilon 0.
     """
@@ -362,9 +373,7 @@ def estimate_tv(
 
 def martingale_check(spec: ProblemSpec, n_paths: int, rng_root) -> EstimateResult:
     """Monte Carlo mean of M_T = exp(C_T + D_T); must cover 1."""
-    return _estimate_ct_dt(
-        spec, n_paths, default_epsilon(spec), rng_root, np.exp
-    )
+    return _estimate_ct_dt(spec, n_paths, None, rng_root, np.exp)
 
 
 def estimate_sinh_oracle(

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from addgap import cli, measures, montecarlo
+from addgap import cli, config, measures, montecarlo
 from addgap.bounds import compute_report
 from addgap.config import parse_config_dict, set_config_value
 from addgap.errors import ConfigParse
@@ -791,6 +791,74 @@ class TestChunkJumpGuard:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert len(rows) == 2
         assert all(row[4] != "" and row[8:] == ["", ""] for row in rows)
+
+
+def never_built(*args, **kwargs):
+    raise AssertionError("the cap must refuse before anything is built")
+
+
+class TestSizeCaps:
+    """One above each size cap is refused before anything is built: the
+    chunk layout of MAX_PATHS + 1 paths, or the grid of MAX_SWEEP_STEPS + 1
+    sweep values, would take tens of GB."""
+
+    MESSAGE = "n_paths = 4294967297 is above the limit of 4294967296"
+
+    @pytest.fixture(autouse=True)
+    def no_chunks(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_reduce_chunks", never_built)
+
+    def test_limits(self):
+        assert montecarlo.MAX_PATHS + 1 == 4294967297
+        assert config.MAX_SWEEP_STEPS == 100_000
+
+    @pytest.mark.parametrize("check", ["tv", "martingale", "sinh"])
+    def test_estimate_exits_two(self, tmp_path, capsys, check):
+        path = write_config(tmp_path, matched_cp_config())
+        argv = ["estimate", "--config", path, "--check", check, "--paths", "4294967297"]
+        assert run(capsys, argv) == (2, "", f"error: {self.MESSAGE}\n")
+
+    def test_config_n_paths_exits_two(self, tmp_path, capsys):
+        data = matched_cp_config()
+        data["estimator"] = {"n_paths": 4294967297}
+        path = write_config(tmp_path, data)
+        assert run(capsys, ["estimate", "--config", path]) == (2, "", f"error: {self.MESSAGE}\n")
+
+    def test_compare_prints_estimate_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, matched_cp_config())
+        argv = ["compare", "--config", path, "--json", "--paths", "4294967297"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["estimate"] is None and doc["estimate_error"] == self.MESSAGE
+        assert doc["report"]["thm1"] is not None
+
+    def test_sweep_leaves_estimate_cells_empty(self, tmp_path, capsys):
+        data = matched_cp_config()
+        data["estimator"] = {"n_paths": 1000}
+        path = write_config(tmp_path, data)
+        argv = ["sweep", "--config", path, "--param", "estimator.n_paths",
+                "--from", "4294967297", "--to", "4294967297", "--steps", "1"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        (row,) = [line.split(",") for line in out.splitlines()[1:]]
+        assert row[0] == "4294967297.0" and row[4] != "" and row[8:] == ["", ""]
+
+    def test_steps_flag_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_sweep_values", never_built)
+        path = write_config(tmp_path, matched_cp_config())
+        argv = ["sweep", "--config", path, "--param", "horizon", "--from", "0.5",
+                "--to", "1.0", "--steps", "100001"]
+        assert run(capsys, argv) == (1, "", "error: --steps: must be <= 100000\n")
+
+    def test_config_steps_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_sweep_values", never_built)
+        data = matched_cp_config()
+        data["sweep"] = {"parameter": "horizon", "from": 0.5, "to": 1.0, "steps": 100001}
+        path = write_config(tmp_path, data)
+        assert run(capsys, ["sweep", "--config", path]) == (
+            1, "", "error: config.sweep.steps: must be <= 100000\n"
+        )
 
 
 class TestExitCodes:

@@ -9,6 +9,7 @@ import pytest
 
 from addgap.config import (
     DEFAULT_N_PATHS,
+    MAX_SWEEP_STEPS,
     EstimatorSettings,
     SweepSettings,
     parse_config,
@@ -284,6 +285,13 @@ class TestStrictness:
     def test_sweep_steps_positive(self):
         data = base_config()
         data["sweep"] = {"parameter": "horizon", "from": 0.1, "to": 1.0, "steps": 0}
+        self.expect(data, "config.sweep.steps")
+
+    def test_sweep_steps_capped(self):
+        data = base_config()
+        data["sweep"] = {"parameter": "horizon", "from": 0.1, "to": 1.0, "steps": MAX_SWEEP_STEPS}
+        assert parse_config_dict(data).sweep.steps == MAX_SWEEP_STEPS
+        data["sweep"]["steps"] = MAX_SWEEP_STEPS + 1
         self.expect(data, "config.sweep.steps")
 
     def test_sweep_parameter_string(self):

@@ -9,7 +9,8 @@ each pair the battery pins:
 * every field of ``compute_report`` (floats as hex) and its reasons;
 * the value or the (exception type, message) of each ``bound_*`` and of
   ``gaussian_tv_exact``;
-* ``estimate_tv`` (at the default truncation), ``martingale_check`` and
+* ``estimate_tv`` (at the default truncation, passed as
+  ``default_epsilon(spec)`` and as None), ``martingale_check`` and
   ``estimate_sinh_oracle`` at 9000 paths, seed 5, as hex (mean,
   half-width) or (exception type, message).
 
@@ -261,6 +262,10 @@ def test_battery_covers_the_recorded_pairs(golden):
 def test_pair_matches_golden_record(golden, name):
     got = json.loads(json.dumps(record(battery()[name])))
     assert got == golden[name]
+    # epsilon None is the default truncation, resolved by the estimator.
+    spec = parse_config_dict(copy.deepcopy(battery()[name])).problem
+    got_none = _outcome(estimate_tv, spec, N_PATHS, None, SEED)
+    assert json.loads(json.dumps(got_none)) == golden[name]["estimates"]["estimate_tv"]
 
 
 def _law_kind(spec):

@@ -33,6 +33,7 @@ from addgap.measures import (
 from addgap.montecarlo import (
     CHUNK_PATHS,
     MAX_CHUNK_JUMPS,
+    MAX_PATHS,
     EstimateResult,
     _estimate_ct_dt,
     _jump_sums,
@@ -840,6 +841,36 @@ class TestChunkJumpGuard:
         )
         with pytest.raises(HypothesisFailed, match="8.19e\\+08 jumps"):
             estimate_sinh_oracle(spec, 100_000, 1)
+
+
+def never_reduce(*args, **kwargs):
+    raise AssertionError("the cap must refuse before any chunk is laid out")
+
+
+class TestPathCap:
+    # Above MAX_PATHS the chunk layout alone (204 B a chunk) would take more
+    # than 110 MB; the cap refuses before _reduce_chunks builds any of it.
+    ESTIMATORS = {
+        "estimate_tv": lambda spec, n: estimate_tv(spec, n, 0.0, 1),
+        "estimate_tv_default_epsilon": lambda spec, n: estimate_tv(spec, n, None, 1),
+        "martingale_check": lambda spec, n: martingale_check(spec, n, 1),
+        "estimate_sinh_oracle": lambda spec, n: estimate_sinh_oracle(spec, n, 1),
+    }
+
+    def test_limit(self):
+        assert MAX_PATHS == 2**32 and MAX_PATHS // CHUNK_PATHS == 524_288
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_one_above_the_limit_is_refused(self, monkeypatch, name):
+        monkeypatch.setattr(montecarlo, "_reduce_chunks", never_reduce)
+        message = r"^n_paths = 4294967297 is above the limit of 4294967296$"
+        with pytest.raises(HypothesisFailed, match=message):
+            self.ESTIMATORS[name](matched_cp_spec(), MAX_PATHS + 1)
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_the_limit_passes_the_cap(self, monkeypatch, name):
+        monkeypatch.setattr(montecarlo, "_reduce_chunks", lambda n, *args: n)
+        assert self.ESTIMATORS[name](matched_cp_spec(), MAX_PATHS) == MAX_PATHS
 
 
 class _InfiniteMassMeasure(CompoundPoissonMeasure):
