@@ -6,6 +6,17 @@ between measures, the Hellinger-type quantity, the compensated drift gap)
 are computed by adaptive quadrature over the union of supports, split at 0
 and at every known support edge.
 
+Closed forms come first.  For a pair of measures whose type is exactly
+TemperedStableMeasure with shared C+- and alpha (``_ts_alpha``; a subclass
+may override density, so it is integrated), the L1 gap (0 < alpha < 1),
+H^2 (0 < alpha < 2, alpha != 1), eta (0 < alpha < 1) and the
+absolute-continuity verdict are closed forms, and so are gamma (0 < alpha
+< 1) and the Levy integrability (0 < alpha < 2, alpha != 1) of one such
+measure.  Each is written without cancellation, from the math module and
+a math-only incomplete gamma function (``_lower_gamma``,
+``_upper_gamma_cf``).  Every
+other measure and alpha goes through the quadrature.
+
 Finiteness is checked, never assumed: a tempered stable pair with alpha >= 1
 must come back with an infinite L1 flag, and the same pair keeps a finite
 Hellinger value. Cancellation-prone differences of tempered stable densities
@@ -13,9 +24,7 @@ with shared C and alpha are routed through expm1 so that near-zero behavior
 is resolved to relative precision; where that form overflows, far out on a
 side where nu1 has the heavier tail, the heavier density is factored out,
 and near 0, where |y|^(-1-alpha) overflows, the power gives one |y| to the
-expm1.  With alpha near 1, gamma_nu and the L1 of a same-shape pair take
-their closed forms where the quadrature's integrand overflows (see
-``_ts_gamma``).
+expm1.
 
 A two-sided family writes each formula once: every point takes its own
 side's constants (C and lambda by the sign of y) and evaluates the formula
@@ -31,7 +40,8 @@ process, computes each of them once; a failure (an exception) is not
 cached and is raised again on every call.
 
 The hypothesis nu1 << nu2 has one refusal, `require_abs_continuity`: it
-reads the cached probe grid and raises NotAbsolutelyContinuous naming a
+reads the cached verdict (a probe grid, or the closed verdict of two
+tempered-stable measures) and raises NotAbsolutelyContinuous naming a
 probe where nu1 has density and nu2 has none.  `l1_distance`,
 `hellinger_sq`, the bound report and every Monte Carlo estimator go
 through it.
@@ -63,7 +73,6 @@ import numpy as np
 
 from .errors import (
     DivergentIntegral,
-    NonFiniteIntegrand,
     NotAbsolutelyContinuous,
     RatioUndefined,
 )
@@ -728,21 +737,197 @@ def pair_sqrt_difference_fn(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
 
 
 # ---------------------------------------------------------------------------
+# Closed forms of tempered-stable functionals
+# ---------------------------------------------------------------------------
+
+# Relative size of the last term kept by the series below, whose terms are
+# all positive.
+_SERIES_EPS = 2.0**-54
+# Iteration cap of the incomplete gamma function's series and continued
+# fraction; both meet _SERIES_EPS within about a hundred steps on finite input.
+_MAX_TERMS = 10_000
+# The first-moment gap of one side is a series in the lambda gap d up to
+# this relative gap d / max(lambda1, lambda2), and the difference of two
+# closed forms beyond it.
+_ETA_SERIES_GAP = 0.5
+
+
+def _ts_alpha(nu1: LevyMeasure, nu2: LevyMeasure) -> float | None:
+    """The alpha of a same-shape pair of measures whose type is exactly
+    TemperedStableMeasure, the pairs with closed forms; None for any other
+    pair, a subclass included, since it may override density."""
+    if type(nu1) is type(nu2) is TemperedStableMeasure and _same_shape_ts(nu1, nu2):
+        return nu1.alpha
+    return None
+
+
+def _ts_sides(nu1: TemperedStableMeasure, nu2: TemperedStableMeasure) -> tuple:
+    """(sign, C, lambda of nu1, lambda of nu2) of each side, negative first."""
+    return (
+        (-1.0, nu1.c_minus, nu1.lam_minus, nu2.lam_minus),
+        (1.0, nu1.c_plus, nu1.lam_plus, nu2.lam_plus),
+    )
+
+
+def _lower_gamma(s: float, x: float) -> float:
+    """x^-s gamma(s, x) = int_0^1 y^(s - 1) e^(-x y) dy for s > 0 and x > 0,
+    the lower incomplete gamma function scaled by x^-s: its series e^-x
+    sum_n x^n / (s (s + 1) ... (s + n)), of positive terms, for x < s + 1,
+    else Gamma(s) x^-s less the upper function (``_upper_gamma_cf``)."""
+    if x >= s + 1.0:
+        return math.gamma(s) * x**-s - math.exp(-x) * _upper_gamma_cf(s, x)
+    term = total = 1.0 / s
+    for n in range(1, _MAX_TERMS):
+        term *= x / (s + n)
+        total += term
+        if term <= _SERIES_EPS * total:
+            break
+    return total * math.exp(-x)
+
+
+def _upper_gamma_cf(s: float, x: float) -> float:
+    """e^x x^-s Gamma(s, x) for x > 0 and any s, the continued fraction of
+    the upper incomplete gamma function (modified Lentz), which converges
+    within about a hundred steps for x >= s + 1."""
+    tiny = 1e-300
+    b = x + 1.0 - s
+    c, d = 1.0 / tiny, 1.0 / b
+    cf = d
+    for n in range(1, _MAX_TERMS):
+        a = -n * (n - s)
+        b += 2.0
+        d = a * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + a / c
+        c = c if abs(c) > tiny else tiny
+        cf *= d * c
+        if abs(d * c - 1.0) <= _SERIES_EPS:
+            break
+    return cf
+
+
+def _ts_first_moment_gap(alpha: float, lam1: float, lam2: float) -> float:
+    """int_0^1 y^(-alpha) (e^(-lambda1 y) - e^(-lambda2 y)) dy, 0 < alpha < 1.
+
+    With lo, hi the smaller and larger lambda and d = hi - lo, its size is
+    int_0^1 y^(-alpha) e^(-hi y) expm1(d y) dy = sum_k d^k / k! J_k, J_k =
+    int_0^1 y^(k - alpha) e^(-hi y) dy.  Every term is positive and each is
+    at most d / hi times the last, so up to d / hi = _ETA_SERIES_GAP the
+    series has no cancellation: J_K comes from ``_lower_gamma`` and J_(k-1)
+    = (hi J_k + e^(-hi)) / (k - alpha), a recurrence of positive terms,
+    gives the rest.  A wider gap takes the difference of the two closed
+    forms int_0^1 y^(-alpha) e^(-lambda y) dy, which then cancel by at most
+    a factor of about 1 / (1 - alpha)."""
+    if lam1 == lam2:
+        return 0.0
+    lo, hi = sorted((lam1, lam2))
+    d = hi - lo
+    if d > _ETA_SERIES_GAP * hi:
+        size = _lower_gamma(1.0 - alpha, lo) - _lower_gamma(1.0 - alpha, hi)
+    else:
+        terms = max(1, math.ceil(math.log(0.5 * _SERIES_EPS) / math.log(d / hi)))
+        j = _lower_gamma(terms + 1.0 - alpha, hi)
+        e = math.exp(-hi)
+        acc = j
+        for k in range(terms, 1, -1):
+            j = (hi * j + e) / (k - alpha)
+            acc = j + d / k * acc
+        size = d * acc
+    return size if lam1 < lam2 else -size
+
+
+def ts_eta(nu1: LevyMeasure, nu2: LevyMeasure) -> float | None:
+    """int_{|y| <= 1} y (nu1 - nu2)(dy) in closed form for a pair with
+    closed forms (``_ts_alpha``) and 0 < alpha < 1, else None: per side,
+    sign C int_0^1 y^(-alpha) (e^(-lambda1 y) - e^(-lambda2 y)) dy."""
+    a = _ts_alpha(nu1, nu2)
+    if a is None or not 0.0 < a < 1.0:
+        return None
+    return sum(
+        sign * c * _ts_first_moment_gap(a, l1, l2) for sign, c, l1, l2 in _ts_sides(nu1, nu2)
+    )
+
+
+def _ts_l1(a: float, nu1: TemperedStableMeasure, nu2: TemperedStableMeasure) -> float:
+    """int |nu1 - nu2| for 0 < alpha < 1: per side, where nu1 - nu2 keeps
+    one sign, C |Gamma(-alpha)| |lambda1^alpha - lambda2^alpha|, written
+    C |Gamma(-alpha)| (1 - (lo / hi)^alpha) hi^alpha with lo, hi the smaller
+    and larger lambda and the bracket as -expm1(alpha log1p(-(hi - lo) /
+    hi)), so that close lambdas keep relative precision."""
+    g = math.gamma(1.0 - a) / a  # |Gamma(-alpha)|
+    total = 0.0
+    for _, c, l1, l2 in _ts_sides(nu1, nu2):
+        if l1 != l2:
+            lo, hi = sorted((l1, l2))
+            r = (hi - lo) / hi
+            bracket = -math.expm1(a * math.log1p(-r)) if r < 1.0 else 1.0
+            total += c * (g * bracket) * hi**a
+    return total
+
+
+def _hellinger_bracket(a: float, t: float) -> float:
+    """((1 + t)^alpha + (1 - t)^alpha - 2) / (alpha (alpha - 1)) for |t| < 1.
+
+    For |t| < 1/2 it is the series sum_k c_k t^(2k), c_1 = 1, c_(k+1) = c_k
+    (alpha - 2k)(alpha - 2k - 1) / ((2k + 1)(2k + 2)), whose terms are all
+    positive for alpha < 2; beyond, the numerator is (1 + t) expm1((alpha -
+    1) log1p(t)) + (1 - t) expm1((alpha - 1) log1p(-t)), which has no
+    cancellation near alpha = 1, where it vanishes."""
+    t2 = t * t
+    if t2 < 0.25:
+        term = total = t2
+        k = 1
+        while term > _SERIES_EPS * total:
+            term *= t2 * (a - 2 * k) * (a - 2 * k - 1) / ((2 * k + 1) * (2 * k + 2))
+            total += term
+            k += 1
+        return total
+    b = a - 1.0
+    up = (1.0 + t) * math.expm1(b * math.log1p(t)) if t > -1.0 else 0.0
+    down = (1.0 - t) * math.expm1(b * math.log1p(-t)) if t < 1.0 else 0.0
+    return (up + down) / (a * b)
+
+
+def _ts_hellinger(a: float, nu1: TemperedStableMeasure, nu2: TemperedStableMeasure) -> float:
+    """int (sqrt(nu1) - sqrt(nu2))^2 for 0 < alpha < 2, alpha != 1: per side
+    C Gamma(-alpha) m^alpha ((1 + t)^alpha + (1 - t)^alpha - 2), m =
+    (lambda1 + lambda2) / 2 and t = (lambda1 - lambda2) / (2 m), written
+    as C Gamma(2 - alpha) m^alpha times ``_hellinger_bracket``, since
+    Gamma(-alpha) alpha (alpha - 1) = Gamma(2 - alpha); math.inf where
+    m^alpha overflows."""
+    g = math.gamma(2.0 - a)
+    total = 0.0
+    for _, c, l1, l2 in _ts_sides(nu1, nu2):
+        if l1 != l2:
+            m = 0.5 * l1 + 0.5 * l2
+            try:
+                power = m**a
+            except OverflowError:
+                power = math.inf
+            total += c * g * _hellinger_bracket(a, 0.5 * (l1 - l2) / m) * power
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Functionals
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def gamma_nu(nu: LevyMeasure) -> float:
-    """Small-jump compensator drift: integral of y over {|y| <= 1}."""
+    """Small-jump compensator drift: integral of y over {|y| <= 1}.
+
+    For a TemperedStableMeasure itself (not a subclass) with 0 < alpha < 1
+    it is the closed form, per side, sign C int_0^1 y^(-alpha) e^(-lambda
+    y) dy = sign C lambda^(alpha - 1) gamma(1 - alpha, lambda)."""
+    a = _ts_alpha(nu, nu)
+    if a is not None and 0.0 < a < 1.0:
+        return sum(
+            sign * c * _lower_gamma(1.0 - a, lam) for sign, c, lam, _ in _ts_sides(nu, nu)
+        )
     if nu.diverges_near_zero(1.0):
         raise DivergentIntegral("tabulated small-jump first moment diverges near 0")
-    try:
-        value = support_integral((nu,), lambda y: y * nu.density(y), -1.0, 1.0)
-    except NonFiniteIntegrand:
-        if not (isinstance(nu, TemperedStableMeasure) and nu.alpha < 1.0):
-            raise
-        return _ts_gamma(nu)
+    value = support_integral((nu,), lambda y: y * nu.density(y), -1.0, 1.0)
     if value is None:
         raise DivergentIntegral("small-jump first moment diverges")
     return value
@@ -761,7 +946,13 @@ def check_abs_continuity(nu1: LevyMeasure, nu2: LevyMeasure) -> AbsContinuityRep
 
     Probes 4096 log-spaced magnitudes per side from 1e-8 up to the larger of
     100 and the outermost finite support edge, plus all tabulated knots.
+    Two measures whose type is exactly TemperedStableMeasure need no probe
+    (``checked`` 0): C+- > 0 and lambda+- > 0, so each has a positive
+    density at every y != 0, and the two are equivalent even where a
+    density underflows to 0 in floating point.
     """
+    if type(nu1) is type(nu2) is TemperedStableMeasure:
+        return AbsContinuityReport(True, (), 0)
     edges = support_edges((nu1, nu2))
     hi = max([AC_PROBE_MAX_FLOOR] + [abs(p) for p in edges if math.isfinite(p)])
     mags = np.logspace(math.log10(AC_PROBE_MIN), math.log10(hi), AC_PROBES_PER_SIDE)
@@ -788,66 +979,35 @@ def require_abs_continuity(nu1: LevyMeasure, nu2: LevyMeasure) -> None:
 
 
 def _pair_integral(nu1, nu2, integrand) -> float:
-    require_abs_continuity(nu1, nu2)
     value = support_integral((nu1, nu2), integrand)
     return math.inf if value is None else value
 
 
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def l1_distance(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
-    """Integral of |density gap| over the union support; math.inf if divergent."""
-    same_shape = _same_shape_ts(nu1, nu2)
-    if same_shape:
+    """Integral of |density gap| over the union support; math.inf if
+    divergent.  The closed form ``_ts_l1`` for a pair with closed forms
+    (``_ts_alpha``) and 0 < alpha < 1."""
+    require_abs_continuity(nu1, nu2)
+    a = _ts_alpha(nu1, nu2)
+    if a is not None and 0.0 < a < 1.0:
+        return _ts_l1(a, nu1, nu2)
+    if _same_shape_ts(nu1, nu2):
         diff = _same_shape_ts_difference(nu1, nu2, _identity, 1.0, near_zero=False)
     else:
         diff = pair_difference_fn(nu1, nu2)
-    try:
-        return _pair_integral(nu1, nu2, lambda y: np.abs(diff(y)))
-    except NonFiniteIntegrand:
-        if not (same_shape and nu1.alpha < 1.0):
-            raise
-        return _ts_l1(nu1, nu2)
-
-
-# A tempered-stable functional whose integrand grows like |y|^(-alpha) at 0
-# has a share of its mass below the smallest double once alpha is near 1
-# (half of int_0^1 y^(-0.999) dy lies below 1e-308), which no quadrature
-# in y can see.  The plain integrand overflows before the quadrature gets
-# that deep (|y|^(-1-alpha) at |y| ~ 1e-160), so where it does, gamma_nu
-# and l1_distance take these closed forms, exact for alpha < 1, instead.
-
-
-def _ts_gamma(nu: TemperedStableMeasure) -> float:
-    """int_{|y| <= 1} y nu(dy): per side, sign C lambda^(alpha - 1)
-    Gamma(1 - alpha) P(1 - alpha, lambda), with P the regularized lower
-    incomplete gamma function."""
-    from scipy.special import gammainc
-
-    s = 1.0 - nu.alpha
-    g = math.gamma(s)
-    return float(
-        nu.c_plus * nu.lam_plus ** -s * g * gammainc(s, nu.lam_plus)
-        - nu.c_minus * nu.lam_minus ** -s * g * gammainc(s, nu.lam_minus)
-    )
-
-
-def _ts_l1(nu1: TemperedStableMeasure, nu2: TemperedStableMeasure) -> float:
-    """int |nu1 - nu2| of a same-shape pair: per side, where nu1 - nu2 keeps
-    one sign, C |Gamma(-alpha) (lambda1^alpha - lambda2^alpha)|."""
-    a = nu1.alpha
-    g = math.gamma(-a)
-    return sum(
-        c * abs(g * (l1**a - l2**a))
-        for c, l1, l2 in (
-            (nu1.c_minus, nu1.lam_minus, nu2.lam_minus),
-            (nu1.c_plus, nu1.lam_plus, nu2.lam_plus),
-        )
-    )
+    return _pair_integral(nu1, nu2, lambda y: np.abs(diff(y)))
 
 
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def hellinger_sq(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
-    """Integral of (sqrt(density1) - sqrt(density2))^2; math.inf if divergent."""
+    """Integral of (sqrt(density1) - sqrt(density2))^2; math.inf if
+    divergent.  The closed form ``_ts_hellinger`` for a pair with closed
+    forms (``_ts_alpha``) and 0 < alpha < 2, alpha != 1."""
+    require_abs_continuity(nu1, nu2)
+    a = _ts_alpha(nu1, nu2)
+    if a is not None and 0.0 < a < 2.0 and a != 1.0:
+        return _ts_hellinger(a, nu1, nu2)
     sdiff = pair_sqrt_difference_fn(nu1, nu2)
     return _pair_integral(nu1, nu2, lambda y: sdiff(y) ** 2)
 
@@ -864,7 +1024,30 @@ class LevyValidation:
 
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def validate_levy(nu: LevyMeasure) -> LevyValidation:
-    """Check the defining integrability: int (y^2 and 1) nu(dy) < inf."""
+    """Check the defining integrability: int (y^2 and 1) nu(dy) < inf.
+
+    A TemperedStableMeasure itself (not a subclass) with 0 < alpha < 2,
+    alpha != 1, passes with the closed form, per side C [lambda^(alpha -
+    2) gamma(2 - alpha, lambda) + lambda^alpha Gamma(-alpha, lambda)].  For
+    lambda < 1, Gamma(-alpha, lambda) comes from Gamma(2 - alpha, lambda) by
+    two steps of Gamma(s + 1, x) = s Gamma(s, x) + x^s e^(-x), which cancel
+    by about a factor 1 / |1 - alpha| near alpha = 1; for lambda >= 1 it is
+    the continued fraction, which neither cancels nor overflows there.
+    Any other measure goes through the quadrature.
+    """
+    a = _ts_alpha(nu, nu)
+    if a is not None and 0.0 < a < 2.0 and a != 1.0:
+        value = 0.0
+        for _, c, lam, _ in _ts_sides(nu, nu):
+            inner = _lower_gamma(2.0 - a, lam)
+            e = math.exp(-lam)
+            if lam < 1.0:
+                upper = lam**a * math.gamma(2.0 - a) - lam * lam * inner  # lam^a Gamma(2 - a, lam)
+                outer = ((upper - lam * e) / (1.0 - a) - e) / -a
+            else:
+                outer = e * _upper_gamma_cf(-a, lam)
+            value += c * (inner + outer)
+        return LevyValidation(True, value)
     if nu.diverges_near_zero(2.0):
         return LevyValidation(
             False,

@@ -25,6 +25,7 @@ from .measures import (
     LevyMeasure,
     pair_difference_fn,
     support_integral,
+    ts_eta,
     validate_levy,
 )
 from .quadrature import IntegrationRequest, integrate
@@ -215,7 +216,8 @@ class ProblemSpec:
         return _eta_cached(self.process1.levy, self.process2.levy)
 
     def xi_sq(self) -> float:
-        """Integral over [0, T] of (f1 - f2 - eta)^2 / sigma^2.
+        """Integral over [0, T] of (f1 - f2 - eta)^2 / sigma^2, integrated
+        once per spec.
 
         Requires the shared positive-volatility class; math.inf when the
         quotient integral diverges or meets a non-finite quotient, as where
@@ -223,6 +225,10 @@ class ProblemSpec:
         """
         if self.vol_class() == "zero":
             raise ZeroVolatility("xi^2 is undefined for zero volatility")
+        return self._xi_sq
+
+    @cached_property
+    def _xi_sq(self) -> float:
         eta = self.eta()
         f1, f2 = self.process1.drift, self.process2.drift
         vol = self.process1.vol_sq
@@ -257,6 +263,9 @@ class ProblemSpec:
 
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def _eta_cached(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
+    closed = ts_eta(nu1, nu2)
+    if closed is not None:
+        return closed
     if nu1.diverges_near_zero(1.0) or nu2.diverges_near_zero(1.0):
         raise DivergentIntegral("tabulated small-jump first moment diverges near 0")
     diff = pair_difference_fn(nu1, nu2)

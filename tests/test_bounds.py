@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from addgap import measures
+from addgap import measures, processes
 from addgap.bounds import (
     TRIVIAL_BOUND,
     BoundReport,
@@ -398,6 +398,28 @@ class TestSinglePass:
         # The variances are probed once per spec, at construction; the
         # report reuses those probes.
         assert [sum(p is v for p in probes) for v in vols] == [1, 1]
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.7, 0.99])
+    def test_tempered_stable_report_makes_no_quadrature_call(self, monkeypatch, alpha):
+        # Every ingredient of a same-shape tempered-stable pair with 0 <
+        # alpha < 1 at sigma = 0 is a closed form, from building the spec
+        # (the Levy integrability) to the report.
+        def no_quadrature(request):
+            raise AssertionError("quadrature.integrate called")
+
+        clear_caches()
+        monkeypatch.setattr(measures, "integrate", no_quadrature)
+        monkeypatch.setattr(processes, "integrate", no_quadrature)
+        nu1 = TemperedStableMeasure(0.5, 2.0, 1.5, 3.0, alpha)
+        nu2 = TemperedStableMeasure(0.5, 2.0, 1.0, 1.0, alpha)
+
+        def pair(drift1):
+            return ProblemSpec(
+                ProcessSpec(drift1, ZERO_FN, nu1), ProcessSpec(ZERO_FN, ZERO_FN, nu2), 1.0
+            )
+
+        report = compute_report(pair(ConstantFunction(pair(ZERO_FN).eta())))
+        assert report.drift_matched and report.best == report.thm1 < TRIVIAL_BOUND
 
     def test_bound_wrappers_raise_the_report_reason(self):
         spec = matched_cp_pair(1.2, 1.0, 0.5)

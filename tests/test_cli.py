@@ -716,19 +716,45 @@ print("scipy.special" in sys.modules)
 """
 
 
+def tempered_variant(alpha=0.5, vol=0.0):
+    """tempered_stable.json with both alpha and both sigma^2 set; at sigma
+    = 0, process1's drift is the pair's eta, so the drifts match."""
+    data = json.loads((CONFIG_DIR / "tempered_stable.json").read_text())
+    for key in ("process1", "process2"):
+        data[key]["levy"]["alpha"] = alpha
+        data[key]["vol_sq"]["c"] = vol
+    if vol == 0.0:
+        data["process1"]["drift"]["c"] = parse_config_dict(data).problem.eta()
+    return data
+
+
+LAMBDA_SWEEP = [
+    "sweep", "--param", "process1.levy.lambda_plus", "--from", "1.5", "--to", "2.5",
+    "--steps", "3", "--paths", "2000",
+]
+
+
 @pytest.mark.parametrize(
     "names, commands, loaded",
     [
         (("compound_poisson", "tempered_stable"), (["bound"], ["estimate", "--paths", "2000"]), False),
         (("jump_diffusion",), (["bound"],), True),
+        ((tempered_variant(alpha=0.7),), (["bound"], LAMBDA_SWEEP), False),
+        # erf of the Gaussian part loads scipy.special at sigma^2 = 1.
+        ((tempered_variant(vol=1.0),), (["bound"], LAMBDA_SWEEP), True),
     ],
 )
-def test_scipy_special_is_imported_only_when_needed(names, commands, loaded):
-    # Pairs without a Gaussian part never evaluate the normal CDF or erf.
+def test_scipy_special_is_imported_only_when_needed(names, commands, loaded, tmp_path):
+    # Pairs without a Gaussian part never evaluate the normal CDF or erf;
+    # the tempered-stable closed forms use the math module alone.  A name
+    # is a bundled config, a dict a config written for the test.
+    configs = [
+        str(CONFIG_DIR / f"{name}.json") if isinstance(name, str)
+        else write_config(tmp_path, name, f"cfg{k}.json")
+        for k, name in enumerate(names)
+    ]
     argvs = [
-        [command[0], "--config", str(CONFIG_DIR / f"{name}.json"), *command[1:]]
-        for name in names
-        for command in commands
+        [command[0], "--config", config, *command[1:]] for config in configs for command in commands
     ]
     root = CONFIG_DIR.parent
     paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
@@ -962,13 +988,15 @@ def _cp_levy(intensity, density=None):
 
 
 # A measure at the edge of what parses, and a plain one of its family.  The
-# tempered-stable measure with lambda = 1e-300 is left out: it exits 2, but
-# only after a quadrature tail stall of about 2 s per command.
+# tempered-stable measure with lambda = 1e-300 is left out: as the reference
+# of an alpha = 1/2 pair it reaches the inverse Gaussian draws, and
+# Generator.wald returns 0 for a mean near 1e150.
 HOSTILE_MEASURES = {
     "ts_alpha_-1e-9_vs_-0.5": (_ts_levy(-1e-9), _ts_levy(-0.5)),
     "ts_alpha_-1e-3": (_ts_levy(-1e-3), _ts_levy(-1e-3, lam=(1.0, 1.0))),
     "ts_alpha_1.99": (_ts_levy(1.99), _ts_levy(1.99, lam=(1.0, 1.0))),
     "ts_c_1e300": (_ts_levy(0.5, c=(1e300, 1e300)), _ts_levy(0.5)),
+    "ts_lambda_1e300_alpha_1.5": (_ts_levy(1.5, lam=(1e300, 1e300)), _ts_levy(1.5)),
     "cp_lambda_1e-300": (_cp_levy(1e-300), _cp_levy(1.0)),
     "cp_lambda_1e12": (_cp_levy(1e12), _cp_levy(1.0)),
     "normal_variance_1e-300": (
@@ -1081,6 +1109,49 @@ class TestAlphaNearOne:
         doc = json.loads(out)
         assert doc["report"]["reasons"]["thm1"] == "drift mismatch at sigma = 0"
         assert doc["estimate_error"] == "drift mismatch at sigma = 0"
+
+
+def _pair_config(levy1, levy2, vol):
+    """Zero drifts, sigma^2 = vol on both sides, horizon 1."""
+    config = {"horizon": 1.0}
+    for key, levy in (("process1", levy1), ("process2", levy2)):
+        config[key] = {
+            "drift": {"form": "constant", "c": 0.0},
+            "vol_sq": {"form": "constant", "c": vol},
+            "levy": levy,
+        }
+    return config
+
+
+class TestTemperedStableClosedForms:
+    """Reports that the quadrature could not give: the closed forms reach
+    them."""
+
+    def test_fast_decaying_reference_is_equivalent(self, tmp_path, capsys):
+        # nu2's density underflows to 0 past y ~ 92 while nu1's does not:
+        # the probe grid saw a violation there, but two tempered-stable
+        # measures are equivalent.
+        levy1 = _ts_levy(0.5, c=(1.0, 1.0), lam=(1.0, 1.0))
+        levy2 = _ts_levy(0.5, c=(1.0, 1.0), lam=(1.0, 8.0))
+        path = write_config(tmp_path, _pair_config(levy1, levy2, 1.0))
+        code, out, err = run(capsys, ["bound", "--json", "--config", path])
+        assert (code, err) == (0, "")
+        report = json.loads(out)["report"]
+        l1 = 2.0 * math.sqrt(math.pi) * (math.sqrt(8.0) - 1.0)  # |Gamma(-1/2)| (8^(1/2) - 1)
+        assert report["l1_nu"] == pytest.approx(l1, rel=1e-14)
+        assert report["thm1"] is not None and report["thm2"] is not None
+
+    def test_alpha_close_to_two_is_reported(self, tmp_path, capsys):
+        # validate_levy's quadrature overflowed at alpha 1.95: the config
+        # did not parse.
+        path = write_config(tmp_path, tempered_variant(alpha=1.95, vol=1.0))
+        code, out, err = run(capsys, ["bound", "--json", "--config", path])
+        assert (code, err) == (0, "")
+        report = json.loads(out)["report"]
+        a = 1.95
+        h2 = math.gamma(-a) * (2.0**a + 1.0 - 2.0 * 1.5**a)
+        assert report["hellinger_sq_nu"] == pytest.approx(h2, rel=1e-13)
+        assert report["thm1"] is not None
 
 
 class TestSweepRowErrors:

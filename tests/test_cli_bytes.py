@@ -66,14 +66,14 @@ CLI_SHA256 = {
         "sweep": "7f53376a7fa0c8f1afd270e2afc0d350bb53dab79c574728896315409e984146",
     },
     "tempered_stable": {
-        "bound": "4f059be45520af65ee097abc7eda02433f2b669293b1d98d718691a7e7204c31",
-        "bound_json": "bfbb1770cb7d0b81d17122271c24ba6e33731d1ed11e82f328b758b07139aed7",
-        "tv": "b2513ee2a2b80419ff390ee82380f172d7f8082cca28d5ad6f6748163f5918c7",
+        "bound": "039f20781ad244e2fe8cf8431b1d142eac2d6e5be3adf74fca1fc9836f2e3ca5",
+        "bound_json": "9e7d931d651d0c22e402f5118a188a5c80068107fec37cfa1dc365364dafb3da",
+        "tv": "ae25d3bbe0125d2ee93e89279dc494d5156026c05f7fec5f6501d8f23782f6ad",
         "martingale": "7f0cc5b2cc9807ab20777e82ae579d4c0d6bb611a8ab41e22da906a3f5fe5cf4",
         "sinh": "de75fdeb14040c79ca90a8516e901fb9e94785debcdc3e527d37fd76b3fd0ad2",
-        "compare_json": "bdcaab2dae9fa75e596a23d7ef045c11f4022ad5aa1031725130644c6ba6ca54",
-        "epsilon": "b2513ee2a2b80419ff390ee82380f172d7f8082cca28d5ad6f6748163f5918c7",
-        "sweep": "8846db555e8f94c72a46366d2323f3a4e550378445518a63c91e833d6cb64d0d",
+        "compare_json": "0e19edab243cee716f11bde1067132eeb2e0af36f468ba8b93986b074d1a7261",
+        "epsilon": "ae25d3bbe0125d2ee93e89279dc494d5156026c05f7fec5f6501d8f23782f6ad",
+        "sweep": "ac61b56857d366d7014be622a803bee18d6bf92f27bdb5ab4bd5244d1df4b0d3",
     },
 }
 
@@ -91,7 +91,7 @@ PROCESS_SWEEPS = {
     ],
 }
 PROCESS_SWEEP_SHA256 = {
-    "tempered_stable": "83df713b8877711812a64eb4f72477edbc828687b7511ffa08303230597dce55",
+    "tempered_stable": "719f161c7b6e46065622d312c58a8b8a767710a4bda4e943ed8e286453f4af4d",
     "jump_diffusion": "923809a109d866015ad4ae99353d0aae240811916c2a46d1af036d8989c5fbe7",
 }
 

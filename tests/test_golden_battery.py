@@ -35,6 +35,11 @@ The six estimator records of ``not_ac_positive`` and
 refusing a pair that is not absolutely continuous with the report's
 message, which names a probe (``nu1 has density where nu2 has none, e.g.
 at y = ...``), in place of ``nu1 carries density where nu2 has none``.
+The report and bound records of ``ts_bundled``,
+``ts_same_shape_poly_drift``, ``ts_alpha_1_5`` and ``ts_diff_shape_zero``
+were re-recorded when the tempered-stable functionals (L1, H^2, gamma)
+began taking their closed forms; each moved value lies within the error
+estimate of the quadrature it replaced, and no estimate moved.
 To inspect a record, run
 ``PYTHONPATH=src python tests/test_golden_battery.py``; it prints the
 battery as JSON.

@@ -6,6 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from addgap import processes
+from addgap.bounds import compute_report, continuous_part
 from addgap.errors import DivergentIntegral, ZeroVolatility
 from addgap.measures import (
     CompoundPoissonMeasure,
@@ -22,6 +24,7 @@ from addgap.processes import (
     ProcessSpec,
     char_function,
 )
+from addgap.quadrature import integrate
 
 from _oracles import ETA_EX3
 
@@ -219,6 +222,26 @@ class TestXiSq:
         )
         assert spec.vol_class() == "positive"
         assert spec.xi_sq() == math.inf
+
+
+    def test_integrated_once_per_spec(self, monkeypatch):
+        # A sweep row reads xi^2 in the report and again in the estimator's
+        # continuous_part; the spec integrates it once.
+        calls = []
+
+        def counted(request):
+            calls.append(request)
+            return integrate(request)
+
+        monkeypatch.setattr(processes, "integrate", counted)
+        spec = make_problem(
+            ZeroMeasure(), ZeroMeasure(), drift1=PolynomialFunction((0.0, 1.0)), horizon=2.0
+        )
+        values = {spec.xi_sq() for _ in range(3)}
+        compute_report(spec)
+        continuous_part(spec)
+        assert len(calls) == 1 and len(values) == 1
+        assert values.pop() == pytest.approx(8.0 / 3.0, abs=1e-10)
 
 
 class TestDriftMatching:
