@@ -12,10 +12,12 @@ may override density, so it is integrated), the L1 gap (0 < alpha < 1),
 H^2 (0 < alpha < 2, alpha != 1), eta (0 < alpha < 1) and the
 absolute-continuity verdict are closed forms, and so are gamma (0 < alpha
 < 1) and the Levy integrability (0 < alpha < 2, alpha != 1) of one such
-measure.  Each is written without cancellation, from the math module and
-a math-only incomplete gamma function (``_lower_gamma``,
-``_upper_gamma_cf``).  Every
-other measure and alpha goes through the quadrature.
+measure.  Each functional dispatches on the pair itself.  Each form is
+written from the math module and a math-only incomplete gamma function
+(``_lower_gamma``, ``_upper_gamma_cf``) as sums whose terms cancel by at
+most a small constant factor, for every lambda and as alpha approaches 0,
+1 or 2; the one cancellation left is gamma's, between sides of opposite
+sign.  Every other measure and alpha goes through the quadrature.
 
 Finiteness is checked, never assumed: a tempered stable pair with alpha >= 1
 must come back with an infinite L1 flag, and the same pair keeps a finite
@@ -32,8 +34,8 @@ once, never both sides' formulas.
 
 The measures are time-homogeneous, so their functionals do not depend on
 the horizon, the drifts or the variances of a problem: `validate_levy`,
-`check_abs_continuity`, `l1_distance`, `hellinger_sq` and `gamma_nu`
-are pure functions of frozen, value-hashed measures and are cached by
+`check_abs_continuity`, `l1_distance`, `hellinger_sq`, `gamma_nu` and
+`eta_nu` are pure functions of frozen, value-hashed measures and are cached by
 value (`functools.lru_cache`, FUNCTIONAL_CACHE_SIZE entries each).  A
 horizon sweep, or any caller that meets an equal measure twice in one
 process, computes each of them once; a failure (an exception) is not
@@ -363,10 +365,10 @@ class TemperedStableMeasure(LevyMeasure):
     alpha: float
 
     def __post_init__(self):
-        if not (self.c_minus > 0 and self.c_plus > 0):
-            raise ValueError("tempered stable C_- and C_+ must be > 0")
-        if not (self.lam_minus > 0 and self.lam_plus > 0):
-            raise ValueError("tempered stable lambda_- and lambda_+ must be > 0")
+        if not all(0 < v < math.inf for v in (self.c_minus, self.c_plus)):
+            raise ValueError("tempered stable C_- and C_+ must be finite and > 0")
+        if not all(0 < v < math.inf for v in (self.lam_minus, self.lam_plus)):
+            raise ValueError("tempered stable lambda_- and lambda_+ must be finite and > 0")
         if not self.alpha < 2:
             raise ValueError("tempered stable alpha must be < 2")
 
@@ -746,10 +748,14 @@ _SERIES_EPS = 2.0**-54
 # Iteration cap of the incomplete gamma function's series and continued
 # fraction; both meet _SERIES_EPS within about a hundred steps on finite input.
 _MAX_TERMS = 10_000
-# The first-moment gap of one side is a series in the lambda gap d up to
-# this relative gap d / max(lambda1, lambda2), and the difference of two
-# closed forms beyond it.
+# The first-moment gap of one side is summed over pieces of the lambda
+# interval: each a series in its gap d, with d / hi at most this, or with
+# hi <= 1 and _SMALL_LAMBDA_TERMS terms, each at most 1 / k! times the
+# first; above _POWER_LAW_LAMBDA the power-law closed form, whose
+# correction there is below 50 e^(-50), about 1e-20, of it.
 _ETA_SERIES_GAP = 0.5
+_SMALL_LAMBDA_TERMS = 20
+_POWER_LAW_LAMBDA = 50.0
 
 
 def _ts_alpha(nu1: LevyMeasure, nu2: LevyMeasure) -> float | None:
@@ -806,73 +812,115 @@ def _upper_gamma_cf(s: float, x: float) -> float:
     return cf
 
 
+def _moment_gap_piece(alpha: float, lo: float, hi: float) -> float:
+    """int_0^1 y^(-alpha) (e^(-lo y) - e^(-hi y)) dy for lo < hi, with d =
+    hi - lo at most _ETA_SERIES_GAP hi or hi <= 1: sum_k d^k / k! J_k, J_k =
+    int_0^1 y^(k - alpha) e^(-hi y) dy, whose terms are all positive.  J_K
+    comes from ``_lower_gamma`` and J_(k-1) = (hi J_k + e^(-hi)) / (k -
+    alpha), a recurrence of positive terms, gives the rest."""
+    d = hi - lo
+    if d <= _ETA_SERIES_GAP * hi:
+        terms = max(1, math.ceil(math.log(0.5 * _SERIES_EPS) / math.log(d / hi)))
+    else:
+        terms = _SMALL_LAMBDA_TERMS
+    j = _lower_gamma(terms + 1.0 - alpha, hi)
+    e = math.exp(-hi)
+    acc = j
+    for k in range(terms, 1, -1):
+        j = (hi * j + e) / (k - alpha)
+        acc = j + d / k * acc
+    return d * acc
+
+
 def _ts_first_moment_gap(alpha: float, lam1: float, lam2: float) -> float:
     """int_0^1 y^(-alpha) (e^(-lambda1 y) - e^(-lambda2 y)) dy, 0 < alpha < 1.
 
-    With lo, hi the smaller and larger lambda and d = hi - lo, its size is
-    int_0^1 y^(-alpha) e^(-hi y) expm1(d y) dy = sum_k d^k / k! J_k, J_k =
-    int_0^1 y^(k - alpha) e^(-hi y) dy.  Every term is positive and each is
-    at most d / hi times the last, so up to d / hi = _ETA_SERIES_GAP the
-    series has no cancellation: J_K comes from ``_lower_gamma`` and J_(k-1)
-    = (hi J_k + e^(-hi)) / (k - alpha), a recurrence of positive terms,
-    gives the rest.  A wider gap takes the difference of the two closed
-    forms int_0^1 y^(-alpha) e^(-lambda y) dy, which then cancel by at most
-    a factor of about 1 / (1 - alpha)."""
+    With lo, hi the smaller and larger lambda it is a sum of positive
+    pieces, so it has no cancellation.  The part [a, hi] of [lo, hi] above
+    a = max(lo, _POWER_LAW_LAMBDA) is Gamma(1 - alpha) (a^(alpha - 1) -
+    hi^(alpha - 1)), written as Gamma(2 - alpha) a^(alpha - 1) times
+    -expm1(s log(a / hi)) / s, s = 1 - alpha (``_expm1_ratio``), which
+    keeps relative precision for every gap and as alpha -> 1.  Below,
+    [lo, hi] is halved from the top down to 1, and each piece is
+    ``_moment_gap_piece``: a single piece where d / hi <= _ETA_SERIES_GAP."""
     if lam1 == lam2:
         return 0.0
     lo, hi = sorted((lam1, lam2))
-    d = hi - lo
-    if d > _ETA_SERIES_GAP * hi:
-        size = _lower_gamma(1.0 - alpha, lo) - _lower_gamma(1.0 - alpha, hi)
-    else:
-        terms = max(1, math.ceil(math.log(0.5 * _SERIES_EPS) / math.log(d / hi)))
-        j = _lower_gamma(terms + 1.0 - alpha, hi)
-        e = math.exp(-hi)
-        acc = j
-        for k in range(terms, 1, -1):
-            j = (hi * j + e) / (k - alpha)
-            acc = j + d / k * acc
-        size = d * acc
+    size = 0.0
+    if hi > _POWER_LAW_LAMBDA:
+        a = max(lo, _POWER_LAW_LAMBDA)
+        s = 1.0 - alpha
+        size = -math.gamma(1.0 + s) * a**-s * _expm1_ratio(s, _log_ratio(a, hi))
+        hi = a
+    while lo < hi:
+        mid = lo if hi <= 1.0 or lo >= _ETA_SERIES_GAP * hi else _ETA_SERIES_GAP * hi
+        size += _moment_gap_piece(alpha, mid, hi)
+        hi = mid
     return size if lam1 < lam2 else -size
 
 
-def ts_eta(nu1: LevyMeasure, nu2: LevyMeasure) -> float | None:
-    """int_{|y| <= 1} y (nu1 - nu2)(dy) in closed form for a pair with
-    closed forms (``_ts_alpha``) and 0 < alpha < 1, else None: per side,
-    sign C int_0^1 y^(-alpha) (e^(-lambda1 y) - e^(-lambda2 y)) dy."""
-    a = _ts_alpha(nu1, nu2)
-    if a is None or not 0.0 < a < 1.0:
-        return None
-    return sum(
-        sign * c * _ts_first_moment_gap(a, l1, l2) for sign, c, l1, l2 in _ts_sides(nu1, nu2)
-    )
+def _log_ratio(x: float, y: float) -> float:
+    """log(x / y) for x, y > 0 to relative precision: log1p of the relative
+    gap where x / y is within a factor 2 of 1, and log(x) - log(y) where
+    x / y would leave the range of normal doubles."""
+    q = x / y
+    if 0.5 <= q <= 2.0:
+        return math.log1p((x - y) / y)
+    if 2.0**-1000 < q < 2.0**1000:
+        return math.log(q)
+    return math.log(x) - math.log(y)
+
+
+def _expm1_ratio(a: float, x: float) -> float:
+    """expm1(a x) / a for a > 0, to relative precision also where a x is
+    tiny or subnormal: x times expm1(y) / y, y = a x, there."""
+    y = a * x
+    if abs(y) < 1e-5:
+        return x * (1.0 + 0.5 * y * (1.0 + y / 3.0))
+    return math.expm1(y) / a
 
 
 def _ts_l1(a: float, nu1: TemperedStableMeasure, nu2: TemperedStableMeasure) -> float:
     """int |nu1 - nu2| for 0 < alpha < 1: per side, where nu1 - nu2 keeps
     one sign, C |Gamma(-alpha)| |lambda1^alpha - lambda2^alpha|, written
     C |Gamma(-alpha)| (1 - (lo / hi)^alpha) hi^alpha with lo, hi the smaller
-    and larger lambda and the bracket as -expm1(alpha log1p(-(hi - lo) /
-    hi)), so that close lambdas keep relative precision."""
+    and larger lambda and the bracket as -expm1(alpha log(lo / hi))
+    (``_log_ratio``), so that close lambdas, and far ones at a small alpha,
+    keep relative precision."""
     g = math.gamma(1.0 - a) / a  # |Gamma(-alpha)|
     total = 0.0
     for _, c, l1, l2 in _ts_sides(nu1, nu2):
         if l1 != l2:
             lo, hi = sorted((l1, l2))
-            r = (hi - lo) / hi
-            bracket = -math.expm1(a * math.log1p(-r)) if r < 1.0 else 1.0
+            bracket = -math.expm1(a * _log_ratio(lo, hi))
             total += c * (g * bracket) * hi**a
     return total
 
 
-def _hellinger_bracket(a: float, t: float) -> float:
-    """((1 + t)^alpha + (1 - t)^alpha - 2) / (alpha (alpha - 1)) for |t| < 1.
+def _power_gap(a: float, p: float, x: float) -> float:
+    """p^alpha - p for p = e^x > 0, without cancellation: p expm1((alpha -
+    1) x), or the plain difference where p^(alpha - 1) > e, which cancels
+    by at most e / (e - 1) and cannot overflow in the expm1."""
+    b = a - 1.0
+    if b * x > 1.0:
+        return math.exp(a * x) - p
+    return p * math.expm1(b * x)
+
+
+def _hellinger_bracket(a: float, l1: float, l2: float, m: float) -> float:
+    """(p^alpha + q^alpha - 2) / (alpha (alpha - 1)), p = 1 + t = l1 / m and
+    q = 1 - t = l2 / m, m = (l1 + l2) / 2.
 
     For |t| < 1/2 it is the series sum_k c_k t^(2k), c_1 = 1, c_(k+1) = c_k
     (alpha - 2k)(alpha - 2k - 1) / ((2k + 1)(2k + 2)), whose terms are all
-    positive for alpha < 2; beyond, the numerator is (1 + t) expm1((alpha -
-    1) log1p(t)) + (1 - t) expm1((alpha - 1) log1p(-t)), which has no
-    cancellation near alpha = 1, where it vanishes."""
+    positive for alpha < 2.  Beyond, the numerator is a sum of two terms of
+    opposite signs, each within a factor of about 5 of the sum, from log p
+    and log q (``_log_ratio``, exact also where q underflows): for alpha <
+    1/2, (p^alpha - 1) + (q^alpha - 1), divided by alpha
+    (``_expm1_ratio``) so that it stays exact as alpha -> 0, where it
+    tends to alpha log(p q); from 1/2 on, (p^alpha - p) + (q^alpha - q)
+    (``_power_gap``), which stays exact near alpha = 1, where it vanishes."""
+    t = 0.5 * (l1 - l2) / m
     t2 = t * t
     if t2 < 0.25:
         term = total = t2
@@ -882,10 +930,10 @@ def _hellinger_bracket(a: float, t: float) -> float:
             total += term
             k += 1
         return total
-    b = a - 1.0
-    up = (1.0 + t) * math.expm1(b * math.log1p(t)) if t > -1.0 else 0.0
-    down = (1.0 - t) * math.expm1(b * math.log1p(-t)) if t < 1.0 else 0.0
-    return (up + down) / (a * b)
+    logs = (_log_ratio(l1, m), _log_ratio(l2, m))
+    if a < 0.5:
+        return (_expm1_ratio(a, logs[0]) + _expm1_ratio(a, logs[1])) / (a - 1.0)
+    return (_power_gap(a, l1 / m, logs[0]) + _power_gap(a, l2 / m, logs[1])) / (a * (a - 1.0))
 
 
 def _ts_hellinger(a: float, nu1: TemperedStableMeasure, nu2: TemperedStableMeasure) -> float:
@@ -904,8 +952,36 @@ def _ts_hellinger(a: float, nu1: TemperedStableMeasure, nu2: TemperedStableMeasu
                 power = m**a
             except OverflowError:
                 power = math.inf
-            total += c * g * _hellinger_bracket(a, 0.5 * (l1 - l2) / m) * power
+            total += c * g * _hellinger_bracket(a, l1, l2, m) * power
     return total
+
+
+def _ts_levy_integral(a: float, lam: float) -> float:
+    """int_0^inf min(y^2, 1) y^(-1 - alpha) e^(-lambda y) dy for 0 < alpha
+    < 2, alpha != 1: the part below 1, lambda^(alpha - 2) gamma(2 - alpha,
+    lambda) (``_lower_gamma``), plus the part above 1, lambda^alpha
+    Gamma(-alpha, lambda).  For lambda >= 1 that is the continued
+    fraction.  For lambda < 1 it is split at 1 / lambda: above, lambda^alpha
+    Gamma(-alpha, 1) by the continued fraction; below, with L = -log
+    lambda, sum_n (-lambda)^n / n! int_1^(1 / lambda) y^(n - 1 - alpha) dy
+    = sum_n (-1)^n / n! lambda^min(n, alpha) (1 - e^(-|n - alpha| L)) /
+    |n - alpha|, each bracket a ``_expm1_ratio``.  Its terms alternate
+    and fall like 1 / n!, and the sum is at least e^-1 times its first
+    term, so neither part cancels, also as alpha -> 0 or 1."""
+    inner = _lower_gamma(2.0 - a, lam)
+    if lam >= 1.0:
+        return inner + math.exp(-lam) * _upper_gamma_cf(-a, lam)
+    log_inv = -math.log(lam)
+    below = 0.0
+    weight = 1.0  # (-1)^n / n!
+    for n in range(_MAX_TERMS):
+        gap = abs(n - a)
+        term = weight * lam ** min(n, a) * -_expm1_ratio(gap, -log_inv)
+        below += term
+        if n > a and abs(term) <= _SERIES_EPS * abs(below):
+            break
+        weight /= -(n + 1.0)
+    return inner + below + lam**a * math.exp(-1.0) * _upper_gamma_cf(-a, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -933,6 +1009,29 @@ def gamma_nu(nu: LevyMeasure) -> float:
     return value
 
 
+@lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
+def eta_nu(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
+    """Compensated small-jump drift gap: integral of y over {|y| <= 1}
+    against nu1 - nu2, integrated jointly, so that a pair whose small-jump
+    first moments diverge apart but whose gap is integrable is finite.
+
+    For a pair with closed forms (``_ts_alpha``) and 0 < alpha < 1 it is,
+    per side, sign C int_0^1 y^(-alpha) (e^(-lambda1 y) - e^(-lambda2 y))
+    dy (``_ts_first_moment_gap``)."""
+    a = _ts_alpha(nu1, nu2)
+    if a is not None and 0.0 < a < 1.0:
+        return sum(
+            sign * c * _ts_first_moment_gap(a, l1, l2) for sign, c, l1, l2 in _ts_sides(nu1, nu2)
+        )
+    if nu1.diverges_near_zero(1.0) or nu2.diverges_near_zero(1.0):
+        raise DivergentIntegral("tabulated small-jump first moment diverges near 0")
+    diff = pair_difference_fn(nu1, nu2)
+    value = support_integral((nu1, nu2), lambda y: y * diff(y), -1.0, 1.0)
+    if value is None:
+        raise DivergentIntegral("compensated drift gap diverges near 0")
+    return value
+
+
 @dataclass(frozen=True)
 class AbsContinuityReport:
     ok: bool
@@ -947,9 +1046,9 @@ def check_abs_continuity(nu1: LevyMeasure, nu2: LevyMeasure) -> AbsContinuityRep
     Probes 4096 log-spaced magnitudes per side from 1e-8 up to the larger of
     100 and the outermost finite support edge, plus all tabulated knots.
     Two measures whose type is exactly TemperedStableMeasure need no probe
-    (``checked`` 0): C+- > 0 and lambda+- > 0, so each has a positive
-    density at every y != 0, and the two are equivalent even where a
-    density underflows to 0 in floating point.
+    (``checked`` 0): C+- and lambda+- are finite and positive, so each has
+    a positive density at every y != 0, and the two are equivalent even
+    where a density underflows to 0 in floating point.
     """
     if type(nu1) is type(nu2) is TemperedStableMeasure:
         return AbsContinuityReport(True, (), 0)
@@ -1028,25 +1127,13 @@ def validate_levy(nu: LevyMeasure) -> LevyValidation:
 
     A TemperedStableMeasure itself (not a subclass) with 0 < alpha < 2,
     alpha != 1, passes with the closed form, per side C [lambda^(alpha -
-    2) gamma(2 - alpha, lambda) + lambda^alpha Gamma(-alpha, lambda)].  For
-    lambda < 1, Gamma(-alpha, lambda) comes from Gamma(2 - alpha, lambda) by
-    two steps of Gamma(s + 1, x) = s Gamma(s, x) + x^s e^(-x), which cancel
-    by about a factor 1 / |1 - alpha| near alpha = 1; for lambda >= 1 it is
-    the continued fraction, which neither cancels nor overflows there.
-    Any other measure goes through the quadrature.
+    2) gamma(2 - alpha, lambda) + lambda^alpha Gamma(-alpha, lambda)]
+    (``_ts_levy_integral``).  Any other measure goes through the
+    quadrature.
     """
     a = _ts_alpha(nu, nu)
     if a is not None and 0.0 < a < 2.0 and a != 1.0:
-        value = 0.0
-        for _, c, lam, _ in _ts_sides(nu, nu):
-            inner = _lower_gamma(2.0 - a, lam)
-            e = math.exp(-lam)
-            if lam < 1.0:
-                upper = lam**a * math.gamma(2.0 - a) - lam * lam * inner  # lam^a Gamma(2 - a, lam)
-                outer = ((upper - lam * e) / (1.0 - a) - e) / -a
-            else:
-                outer = e * _upper_gamma_cf(-a, lam)
-            value += c * (inner + outer)
+        value = sum(c * _ts_levy_integral(a, lam) for _, c, lam, _ in _ts_sides(nu, nu))
         return LevyValidation(True, value)
     if nu.diverges_near_zero(2.0):
         return LevyValidation(

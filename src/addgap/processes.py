@@ -14,18 +14,16 @@ sums); only the quotient integrals behind xi^2 go through quadrature.
 import abc
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import DivergentIntegral, NonFiniteIntegrand, ZeroVolatility
 from .measures import (
-    FUNCTIONAL_CACHE_SIZE,
     LevyMeasure,
-    pair_difference_fn,
+    eta_nu,
     support_integral,
-    ts_eta,
     validate_levy,
 )
 from .quadrature import IntegrationRequest, integrate
@@ -213,7 +211,7 @@ class ProblemSpec:
         Computed jointly, so pairs whose individual small-jump first moments
         diverge but whose gap is integrable still get a finite value.
         """
-        return _eta_cached(self.process1.levy, self.process2.levy)
+        return eta_nu(self.process1.levy, self.process2.levy)
 
     def xi_sq(self) -> float:
         """Integral over [0, T] of (f1 - f2 - eta)^2 / sigma^2, integrated
@@ -259,20 +257,6 @@ class ProblemSpec:
         f1, f2 = self._drift_probes
         scale = max(1.0, float(np.max(np.abs(f1))), float(np.max(np.abs(f2))))
         return self.drift_gap_sup() <= MATCH_TOL * scale
-
-
-@lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
-def _eta_cached(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
-    closed = ts_eta(nu1, nu2)
-    if closed is not None:
-        return closed
-    if nu1.diverges_near_zero(1.0) or nu2.diverges_near_zero(1.0):
-        raise DivergentIntegral("tabulated small-jump first moment diverges near 0")
-    diff = pair_difference_fn(nu1, nu2)
-    value = support_integral((nu1, nu2), lambda y: y * diff(y), -1.0, 1.0)
-    if value is None:
-        raise DivergentIntegral("compensated drift gap diverges near 0")
-    return value
 
 
 # ---------------------------------------------------------------------------

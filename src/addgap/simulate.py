@@ -84,6 +84,11 @@ __all__ = [
 # Default small-jump truncation threshold for infinite-activity measures.
 DEFAULT_EPSILON = 1e-4
 
+# Largest mean / shape at which inverse Gaussian sums come from
+# Generator.wald, whose root then has a relative error of at most about
+# 2^-36 Z^2; larger ratios take ``_wald_rationalized``.
+_WALD_MAX_MEAN_SHAPE = 2.0**16
+
 # Inner magnitude floor replacing a support edge at 0 when a finite-activity
 # density is tabulated down to the origin.  Mass below it is O(floor^p) for
 # some p > 0 and statistically invisible.
@@ -604,6 +609,24 @@ def stream_jump_sums(
     return sums
 
 
+def _wald_rationalized(gen: np.random.Generator, mean: float, shape: float, n: int) -> np.ndarray:
+    """n IG(mean, shape) variates by Michael, Schucany & Haas with the root
+    written as mean / (1 + w + sqrt(w (w + 2))), w = mean Z^2 / (2 shape),
+    which has no cancellation; where w > 1 it is (2 shape / Z^2) / (1 + r +
+    sqrt(1 + 2 r)), r = 1 / w, which cannot overflow.  Draws all the
+    normals, then all the uniforms."""
+    z2 = gen.standard_normal(n)
+    z2 *= z2
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = (mean / (2.0 * shape)) * z2
+        r = 1.0 / w
+        far = (2.0 * shape / z2) / (1.0 + r + np.sqrt(1.0 + 2.0 * r))
+        near = mean / (1.0 + w + np.sqrt(w * (w + 2.0)))
+        x = np.where(w > 1.0, far, near)
+        u = gen.random(n)
+        return np.where(u <= mean / (mean + x), x, mean * (mean / x))
+
+
 def inverse_gaussian_sums(
     c: float, lam: float, horizon: float, n_paths: int, rng: RngStream
 ) -> np.ndarray:
@@ -613,15 +636,24 @@ def inverse_gaussian_sums(
     No jump is drawn and nothing is truncated: the sum has Laplace
     transform exp(-2 sqrt(pi) c horizon (sqrt(lam + s) - sqrt(lam))), the
     inverse Gaussian law IG(c horizon sqrt(pi / lam), 2 pi (c horizon)^2),
-    which ``Generator.wald`` draws exactly (Michael, Schucany & Haas 1976),
     n_paths variates from the current position of the stream.  They are
     drawn as c horizon times IG(sqrt(pi / lam), 2 pi c horizon), the same
     law (k IG(m, s) = IG(k m, k s)), so that the shape cannot underflow to
-    0 for a tiny c horizon.
+    0 for a tiny c horizon.  ``Generator.wald`` draws them exactly
+    (Michael, Schucany & Haas 1976) up to mean / shape =
+    _WALD_MAX_MEAN_SHAPE; above, its root mean + mean / (2 shape) (Y -
+    sqrt(4 shape Y + Y^2)), Y = mean Z^2, cancels to a relative error of
+    about 2^-52 mean Z^2 / shape (at lam = 1e-100 it returns exact zeros),
+    and ``_wald_rationalized`` draws the same law without cancellation.
     """
     ct = c * horizon
-    sums = rng.generator.wald(math.sqrt(math.pi / lam), 2.0 * math.pi * ct, n_paths)
-    sums *= ct
+    mean, shape = math.sqrt(math.pi / lam), 2.0 * math.pi * ct
+    if mean <= _WALD_MAX_MEAN_SHAPE * shape:
+        sums = rng.generator.wald(mean, shape, n_paths)
+    else:
+        sums = _wald_rationalized(rng.generator, mean, shape, n_paths)
+    with np.errstate(over="ignore"):  # sums past the largest double are inf
+        sums *= ct
     return sums
 
 

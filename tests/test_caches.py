@@ -1,7 +1,7 @@
 """The value-keyed caches of the measure functionals change no output bit.
 
 ``measures.validate_levy``, ``check_abs_continuity``, ``l1_distance``,
-``hellinger_sq`` and ``gamma_nu`` (and ``processes._eta_cached``) are
+``hellinger_sq``, ``gamma_nu`` and ``eta_nu`` are
 ``functools.lru_cache``s keyed by the measures' values; ``l1_distance``
 and ``hellinger_sq`` look up the cached absolute-continuity check before
 they integrate, and a pair that fails it is refused on every call.  A report computed

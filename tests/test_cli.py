@@ -987,16 +987,14 @@ def _cp_levy(intensity, density=None):
     }
 
 
-# A measure at the edge of what parses, and a plain one of its family.  The
-# tempered-stable measure with lambda = 1e-300 is left out: as the reference
-# of an alpha = 1/2 pair it reaches the inverse Gaussian draws, and
-# Generator.wald returns 0 for a mean near 1e150.
+# A measure at the edge of what parses, and a plain one of its family.
 HOSTILE_MEASURES = {
     "ts_alpha_-1e-9_vs_-0.5": (_ts_levy(-1e-9), _ts_levy(-0.5)),
     "ts_alpha_-1e-3": (_ts_levy(-1e-3), _ts_levy(-1e-3, lam=(1.0, 1.0))),
     "ts_alpha_1.99": (_ts_levy(1.99), _ts_levy(1.99, lam=(1.0, 1.0))),
     "ts_c_1e300": (_ts_levy(0.5, c=(1e300, 1e300)), _ts_levy(0.5)),
     "ts_lambda_1e300_alpha_1.5": (_ts_levy(1.5, lam=(1e300, 1e300)), _ts_levy(1.5)),
+    "ts_lambda_1e-300": (_ts_levy(0.5, lam=(1e-300, 1e-300)), _ts_levy(0.5)),
     "cp_lambda_1e-300": (_cp_levy(1e-300), _cp_levy(1.0)),
     "cp_lambda_1e12": (_cp_levy(1e12), _cp_levy(1.0)),
     "normal_variance_1e-300": (
@@ -1152,6 +1150,19 @@ class TestTemperedStableClosedForms:
         h2 = math.gamma(-a) * (2.0**a + 1.0 - 2.0 * 1.5**a)
         assert report["hellinger_sq_nu"] == pytest.approx(h2, rel=1e-13)
         assert report["thm1"] is not None
+
+
+    @pytest.mark.parametrize("lam2", [1e-30, 1e-100, 1e-300])
+    def test_near_zero_reference_lambda_is_estimated(self, tmp_path, capsys, lam2):
+        # The exact inverse Gaussian draws of an alpha = 1/2 pair have mean
+        # sqrt(pi / lambda2); Generator.wald returned zeros at lambda2 =
+        # 1e-100 and the estimate of a distance of at most 2 read 28954.9.
+        levy2 = _ts_levy(0.5, lam=(lam2, lam2))
+        path = write_config(tmp_path, _pair_config(_ts_levy(0.5), levy2, 1.0))
+        code, out, err = run(capsys, ["estimate", "--json", "--config", path])
+        assert (code, err) == (0, "")
+        estimate = json.loads(out)["estimate"]
+        assert estimate["mean"] <= 2.0 + estimate["half_width_95"]
 
 
 class TestSweepRowErrors:

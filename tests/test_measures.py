@@ -288,6 +288,16 @@ class TestAbsoluteContinuity:
         neg = CompoundPoissonMeasure(1.0, UniformDensity(-1.0, -0.5))
         assert not check_abs_continuity(pos, neg).ok
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    @pytest.mark.parametrize("field", ["c_minus", "c_plus", "lam_minus", "lam_plus"])
+    def test_tempered_stable_constants_are_finite_and_positive(self, field, value):
+        # The exact verdict of two tempered-stable measures rests on C+-
+        # and lambda+- in (0, inf): at lambda = inf a side has no density.
+        params = dict(c_minus=1.0, c_plus=1.0, lam_minus=1.0, lam_plus=1.0, alpha=0.5)
+        params[field] = value
+        with pytest.raises(ValueError):
+            TemperedStableMeasure(**params)
+
 
 class TestL1Distance:
     def test_compound_poisson_shared_density(self):
@@ -473,8 +483,13 @@ class TestClosedForms:
 
 # lambda1 - lambda2 on the positive side; the negative side's gap is twice
 # as large, so both sides differ.
-ACCURACY_GAPS = (1e-9, 1e-6, 1e-3, 0.5, 3.0)
-ACCURACY_ALPHAS = (0.1, 0.5, 0.9, 0.999)
+ACCURACY_GAPS = (1e-9, 1e-6, 1e-3, 0.5, 3.0, 1e6)
+ACCURACY_ALPHAS = (1e-300, 1e-12, 0.1, 0.5, 0.9, 0.999)
+
+
+def digits_for(alpha):
+    """mpmath precision that holds 1 - alpha and keeps 40 digits more."""
+    return 40 + max(0, -math.floor(math.log10(alpha)))
 
 
 def accuracy_pair(alpha, gap, swapped):
@@ -496,12 +511,13 @@ def accuracy_pair(alpha, gap, swapped):
 @pytest.mark.parametrize("gap", ACCURACY_GAPS)
 class TestClosedFormAccuracy:
     """The closed forms within 1e-11 relative of 40-digit mpmath values,
-    from lambda gaps of 1e-9 up to 3 (the quadrature they replace was 1.3e-3
-    off for L1 at alpha 0.9 and 7.7e-6 for H^2)."""
+    from lambda gaps of 1e-9 up to 1e6 and for alpha from 1e-300 up (the
+    quadrature they replace was 1.3e-3 off for L1 at alpha 0.9 and 7.7e-6
+    for H^2)."""
 
     @pytest.fixture(autouse=True)
-    def _precise(self):
-        with mpmath.workdps(40):
+    def _precise(self, alpha):
+        with mpmath.workdps(digits_for(alpha)):
             yield
 
     @pytest.mark.parametrize("alpha", ACCURACY_ALPHAS)
@@ -592,6 +608,20 @@ class TestClosedFormReach:
 
 
 class TestValidateLevy:
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-12, 0.5, 0.999, 1.001, 1.5, 1.95])
+    @pytest.mark.parametrize("lam", [1e-300, 1e-6, 0.56, 1.0, 3.0])
+    def test_tempered_stable_closed_form_accuracy(self, alpha, lam):
+        # Per side C [lambda^(alpha - 2) gamma(2 - alpha, lambda) +
+        # lambda^alpha Gamma(-alpha, lambda)], within 1e-13 relative of
+        # mpmath as alpha approaches 0, 1 and 2 and for lambda below and
+        # above 1.
+        with mpmath.workdps(digits_for(alpha)):
+            m, x = mpmath.mpf(alpha), mpmath.mpf(lam)
+            side = x ** (m - 2) * mpmath.gammainc(2 - m, 0, x) + x**m * mpmath.gammainc(-m, x)
+            exact = 2.5 * side
+        value = validate_levy(TemperedStableMeasure(0.5, 2.0, lam, lam, alpha)).value
+        assert abs(value - exact) <= 1e-13 * exact
+
     def test_zero(self):
         rep = validate_levy(ZeroMeasure())
         assert rep.ok and rep.value == 0.0

@@ -24,6 +24,7 @@ from addgap.measures import (
     UniformDensity,
     ZeroMeasure,
     check_abs_continuity,
+    eta_nu,
     gamma_nu,
     hellinger_sq,
     l1_distance,
@@ -36,7 +37,6 @@ from addgap.processes import (
     PiecewiseConstantFunction,
     ProblemSpec,
     ProcessSpec,
-    _eta_cached,
     char_function,
 )
 from addgap.quadrature import IntegrationRequest, integrate
@@ -49,6 +49,7 @@ from addgap.simulate import (
     stream_jump_sums,
 )
 from addgap.simulate import (
+    _WALD_MAX_MEAN_SHAPE,
     _compensator_shift,
     _mass_above,
     _RejectionSizes,
@@ -429,9 +430,9 @@ def measure_pins(nu):
 
 
 def pair_pins(nu1, nu2):
-    """_eta_cached(nu1, nu2), and l1_distance and hellinger_sq where nu1 <<
+    """eta_nu(nu1, nu2), and l1_distance and hellinger_sq where nu1 <<
     nu2 (None where not)."""
-    pins = [_eta_cached(nu1, nu2)]
+    pins = [eta_nu(nu1, nu2)]
     ok = check_abs_continuity(nu1, nu2).ok
     pins += [fn(nu1, nu2) if ok else None for fn in (l1_distance, hellinger_sq)]
     return tuple(None if v is None else float(v).hex() for v in pins)
@@ -681,6 +682,33 @@ class TestInverseGaussianSums:
             ecf_re, ecf_im = np.cos(u * x), np.sin(u * x)
             assert abs(ecf_re.mean() - target.real) < 4.0 * ecf_re.std() / math.sqrt(x.size)
             assert abs(ecf_im.mean() - target.imag) < 4.0 * ecf_im.std() / math.sqrt(x.size)
+
+    @pytest.mark.parametrize("lam", [1e-30, 1e-100, 1e-300])
+    def test_laplace_transform_at_a_near_zero_lambda(self, lam):
+        # The mean sqrt(pi / lam) dwarfs the shape 2 pi c horizon, where
+        # Generator.wald's root cancels (at lam = 1e-100 it returned only
+        # zeros).  E e^(-s S) = exp(-2 sqrt(pi) c horizon s / (sqrt(lam +
+        # s) + sqrt(lam))).
+        c, horizon = 1.3, 0.8
+        sums = inverse_gaussian_sums(c, lam, horizon, 200_000, RngStream(17, 0))
+        assert np.all(sums > 0.0)
+        for s in (0.3, 1.0, 3.0):
+            v = np.exp(-s * sums)
+            target = math.exp(
+                -2.0 * math.sqrt(math.pi) * c * horizon * s / (math.sqrt(lam + s) + math.sqrt(lam))
+            )
+            assert abs(v.mean() - target) < 4.0 * v.std() / math.sqrt(v.size)
+
+    def test_wald_draws_below_the_cancelling_ratio(self):
+        # Up to mean / shape = _WALD_MAX_MEAN_SHAPE the sums are
+        # Generator.wald's draws, bit for bit.
+        c, horizon = 1.0, 1.0
+        lam = math.pi / (_WALD_MAX_MEAN_SHAPE * 2.0 * math.pi * c * horizon) ** 2
+        mean, shape = math.sqrt(math.pi / lam), 2.0 * math.pi * c * horizon
+        assert mean <= _WALD_MAX_MEAN_SHAPE * shape
+        sums = inverse_gaussian_sums(c, lam, horizon, 1000, RngStream(5, 0))
+        direct = RngStream(5, 0).generator.wald(mean, shape, 1000)
+        assert sums.tobytes() == direct.tobytes()
 
     def test_tiny_scale(self):
         # c * horizon = 1e-170: IG(c T sqrt(pi), 2 pi (c T)^2) would have a
