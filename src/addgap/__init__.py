@@ -51,8 +51,6 @@ from .processes import (
     PolynomialFunction,
     ProblemSpec,
     ProcessSpec,
-    TimeFunction,
-    char_function,
 )
 from .bounds import (
     BoundReport,
@@ -61,7 +59,6 @@ from .bounds import (
     bound_thm2,
     compute_report,
     gaussian_tv_exact,
-    normal_cdf,
 )
 from .simulate import (
     DEFAULT_EPSILON,
@@ -79,10 +76,8 @@ from .montecarlo import (
 from .config import (
     EstimatorSettings,
     ExperimentConfig,
-    SweepSettings,
     parse_config,
     parse_config_dict,
-    set_config_value,
 )
 
 __all__ = [
@@ -113,11 +108,9 @@ __all__ = [
     "ProcessSpec",
     "RatioUndefined",
     "RngStream",
-    "SweepSettings",
     "TabulatedDensity",
     "TabulatedLevyMeasure",
     "TemperedStableMeasure",
-    "TimeFunction",
     "ToleranceNotMet",
     "UniformDensity",
     "UnknownParameterPath",
@@ -126,7 +119,6 @@ __all__ = [
     "bound_simple_sqrt",
     "bound_thm1",
     "bound_thm2",
-    "char_function",
     "check_abs_continuity",
     "compute_report",
     "default_epsilon",
@@ -139,9 +131,7 @@ __all__ = [
     "integrate",
     "l1_distance",
     "martingale_check",
-    "normal_cdf",
     "parse_config",
     "parse_config_dict",
     "sample_terminal_values",
-    "set_config_value",
 ]

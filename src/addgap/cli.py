@@ -37,7 +37,8 @@ from .bounds import BoundReport, compute_report
 from .config import (
     EstimatorSettings,
     ExperimentConfig,
-    check_sweep_steps,
+    check_estimator,
+    check_sweep,
     parse_config,
     sweep_row,
 )
@@ -171,19 +172,14 @@ def _estimate_rows(result: EstimateResult) -> list:
 
 
 def _resolve_settings(cfg: ExperimentConfig, args) -> EstimatorSettings:
+    """The estimator flags laid over the config's estimator block."""
     base = cfg.estimator if cfg.estimator is not None else EstimatorSettings()
-    n_paths = args.paths if args.paths is not None else base.n_paths
-    seed = args.seed if args.seed is not None else base.seed
-    epsilon = args.epsilon if args.epsilon is not None else base.epsilon
-    if n_paths <= 0:
-        raise ConfigParse("--paths", "must be positive")
-    if epsilon is not None and epsilon < 0.0:
-        raise ConfigParse("--epsilon", "must be >= 0")
-    if epsilon is not None and not math.isfinite(epsilon):
-        raise ConfigParse("--epsilon", "must be finite")
-    if not 0 <= seed < 1 << 64:
-        raise ConfigParse("--seed", "must be a 64-bit unsigned integer")
-    return EstimatorSettings(n_paths, epsilon, seed)
+    return check_estimator(
+        args.paths if args.paths is not None else base.n_paths,
+        args.epsilon if args.epsilon is not None else base.epsilon,
+        args.seed if args.seed is not None else base.seed,
+        ("--paths", "--epsilon", "--seed"),
+    )
 
 
 def _bound_exit(report: BoundReport) -> int:
@@ -316,15 +312,14 @@ def _cmd_sweep(args) -> int:
         if value is None:
             raise ConfigParse(flag, "sweep requires a config sweep block or explicit flags")
         merged.append(value)
-    param, start, stop, steps = merged
-    check_sweep_steps(steps, "--steps")
+    sweep = check_sweep(*merged, ("--param", "--from", "--to", "--steps"))
     want_estimate = cfg.estimator is not None or any(
         flag is not None for flag in (args.paths, args.seed, args.epsilon)
     )
     _resolve_settings(cfg, args)  # a bad flag is refused before any row
     lines = [CSV_HEADER]
-    for value in _sweep_values(start, stop, steps):
-        sub = sweep_row(cfg, param, value)
+    for value in _sweep_values(sweep.start, sweep.stop, sweep.steps):
+        sub = sweep_row(cfg, sweep.parameter, value)
         report = compute_report(sub.problem)
         estimate = half_width = None
         if want_estimate:

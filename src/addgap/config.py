@@ -25,6 +25,10 @@ which names the constructor and its fields in order, e.g.
 One builder, ``_tagged``, checks every tagged object: the node, its tag,
 its keys, each field in order, then the constructor.
 
+The estimator and sweep blocks check every field's JSON type, then the
+values with ``check_estimator`` and ``check_sweep``.  The CLI flags that
+override these fields go through the same two checks, naming the flag.
+
 A sweep row (``sweep_row``) is the parse of the config with one leaf
 replaced, and it fails with the same field and message.  It re-parses only
 the top-level branch that holds the leaf, reuses the other branches, and
@@ -63,6 +67,8 @@ __all__ = [
     "EstimatorSettings",
     "SweepSettings",
     "ExperimentConfig",
+    "check_estimator",
+    "check_sweep",
     "parse_config",
     "parse_config_dict",
     "set_config_value",
@@ -125,14 +131,25 @@ def _check_keys(node: dict, where: str, required, optional=()) -> None:
             raise ConfigParse(f"{where}.{key}", "missing required field")
 
 
-def _real(node, key: str, where: str) -> float:
+def _number(node, key, where: str) -> float:
+    """node[key] as a float; key is an object key or an array index."""
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigParse(f"{where}.{key}", "expected a number")
-    value = float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range, read as 1e400 is
+        return math.inf if value > 0 else -math.inf
+
+
+def _finite(value: float, field: str) -> float:
     if not math.isfinite(value):
-        raise ConfigParse(f"{where}.{key}", "must be finite")
+        raise ConfigParse(field, "must be finite")
     return value
+
+
+def _real(node, key, where: str) -> float:
+    return _finite(_number(node, key, where), f"{where}.{key}")
 
 
 def _integer(node, key: str, where: str) -> int:
@@ -146,14 +163,7 @@ def _real_list(node, key: str, where: str) -> tuple[float, ...]:
     value = node[key]
     if not isinstance(value, list) or not value:
         raise ConfigParse(f"{where}.{key}", "expected a non-empty array of numbers")
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigParse(f"{where}.{key}.{i}", "expected a number")
-        if not math.isfinite(float(item)):
-            raise ConfigParse(f"{where}.{key}.{i}", "must be finite")
-        out.append(float(item))
-    return tuple(out)
+    return tuple(_real(value, i, f"{where}.{key}") for i in range(len(value)))
 
 
 def _wrap(where: str, builder):
@@ -236,39 +246,52 @@ def _build_process(node, where: str) -> ProcessSpec:
 
 def _build_estimator(node, where: str) -> EstimatorSettings:
     node = _object(node, where)
-    _check_keys(node, where, (), ("n_paths", "epsilon", "seed"))
-    n_paths = _integer(node, "n_paths", where) if "n_paths" in node else DEFAULT_N_PATHS
+    keys = ("n_paths", "epsilon", "seed")
+    _check_keys(node, where, (), keys)
+    default = EstimatorSettings()
+    n_paths = _integer(node, "n_paths", where) if "n_paths" in node else default.n_paths
+    epsilon = _number(node, "epsilon", where) if "epsilon" in node else default.epsilon
+    seed = _integer(node, "seed", where) if "seed" in node else default.seed
+    return check_estimator(n_paths, epsilon, seed, [f"{where}.{key}" for key in keys])
+
+
+def check_estimator(n_paths: int, epsilon: float | None, seed: int, fields) -> EstimatorSettings:
+    """The settings, after refusing n_paths < 1, a negative, then a
+    non-finite epsilon, and a seed outside [0, 2**64) with ConfigParse
+    naming the entry of fields (the names of the three) that is wrong."""
     if n_paths <= 0:
-        raise ConfigParse(f"{where}.n_paths", "must be positive")
-    epsilon = _real(node, "epsilon", where) if "epsilon" in node else None
-    if epsilon is not None and epsilon < 0.0:
-        raise ConfigParse(f"{where}.epsilon", "must be >= 0")
-    seed = _integer(node, "seed", where) if "seed" in node else 0
+        raise ConfigParse(fields[0], "must be positive")
+    if epsilon is not None:
+        if epsilon < 0.0:
+            raise ConfigParse(fields[1], "must be >= 0")
+        _finite(epsilon, fields[1])
     if not 0 <= seed < 1 << 64:
-        raise ConfigParse(f"{where}.seed", "must be a 64-bit unsigned integer")
+        raise ConfigParse(fields[2], "must be a 64-bit unsigned integer")
     return EstimatorSettings(n_paths, epsilon, seed)
 
 
 def _build_sweep(node, where: str) -> SweepSettings:
     node = _object(node, where)
-    _check_keys(node, where, ("parameter", "from", "to", "steps"))
-    parameter = node["parameter"]
+    keys = ("parameter", "from", "to", "steps")
+    _check_keys(node, where, keys)
+    start, stop = _number(node, "from", where), _number(node, "to", where)
+    steps = _integer(node, "steps", where)
+    return check_sweep(node["parameter"], start, stop, steps, [f"{where}.{key}" for key in keys])
+
+
+def check_sweep(parameter, start: float, stop: float, steps: int, fields) -> SweepSettings:
+    """The settings, after refusing a parameter that is not a non-empty
+    string, a non-finite start or stop, and steps outside 1..MAX_SWEEP_STEPS
+    with ConfigParse naming the entry of fields (the four names) that is wrong."""
     if not isinstance(parameter, str) or not parameter:
-        raise ConfigParse(f"{where}.parameter", "expected a non-empty string")
-    start = _real(node, "from", where)
-    stop = _real(node, "to", where)
-    steps = check_sweep_steps(_integer(node, "steps", where), f"{where}.steps")
-    return SweepSettings(parameter, start, stop, steps)
-
-
-def check_sweep_steps(steps: int, field: str) -> int:
-    """steps, after refusing a count below 1 or above MAX_SWEEP_STEPS with
-    ConfigParse naming field."""
+        raise ConfigParse(fields[0], "expected a non-empty string")
+    _finite(start, fields[1])
+    _finite(stop, fields[2])
     if steps < 1:
-        raise ConfigParse(field, "must be >= 1")
+        raise ConfigParse(fields[3], "must be >= 1")
     if steps > MAX_SWEEP_STEPS:
-        raise ConfigParse(field, f"must be <= {MAX_SWEEP_STEPS}")
-    return steps
+        raise ConfigParse(fields[3], f"must be <= {MAX_SWEEP_STEPS}")
+    return SweepSettings(parameter, start, stop, steps)
 
 
 def _build_problem(process1, process2, horizon: float) -> ProblemSpec:

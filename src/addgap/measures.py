@@ -101,6 +101,15 @@ _Interval = tuple[float, float]
 # ---------------------------------------------------------------------------
 
 
+def _knots(table) -> tuple[np.ndarray, np.ndarray]:
+    """grid and values as arrays, after refusing a grid of < 2 increasing knots."""
+    g = np.asarray(table.grid, dtype=float)
+    v = np.asarray(table.values, dtype=float)
+    if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0):
+        raise ValueError("tabulated grid must be strictly increasing with >= 2 knots")
+    return g, v
+
+
 def _store_knots(table, grid: np.ndarray, values: np.ndarray) -> None:
     """Keep a table's knots as tuples of float, so that one built from lists
     or arrays hashes and compares like one built from tuples."""
@@ -201,10 +210,7 @@ class TabulatedDensity(JumpDensity):
     values: tuple[float, ...]
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0):
-            raise ValueError("tabulated grid must be strictly increasing with >= 2 knots")
+        g, v = _knots(self)
         if v.shape != g.shape or not np.all(np.isfinite(v)) or np.any(v < 0):
             raise ValueError("tabulated values must be finite, nonnegative, one per knot")
         raw = float(np.trapezoid(v, g))
@@ -424,10 +430,7 @@ class TabulatedLevyMeasure(LevyMeasure):
     values: tuple[float, ...]
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0):
-            raise ValueError("tabulated grid must be strictly increasing with >= 2 knots")
+        g, v = _knots(self)
         if np.any(g == 0.0):
             raise ValueError("tabulated grid must not contain 0")
         if v.shape != g.shape or not np.all(np.isfinite(v)) or np.any(v <= 0):
@@ -683,14 +686,15 @@ def pair_jump_law(nu1: LevyMeasure, nu2: LevyMeasure) -> JumpLaw:
     first of three laws that the pair qualifies for.
 
     ``"ig_sides"``, value the (C, lambda1, lambda2) of each side on which
-    an alpha = 1/2 pair of tempered-stable measures with equal C+- differs,
-    negative side first.  On such a side log(dnu1/dnu2)(y) = -(lambda1 -
-    lambda2)|y| and nu1 - nu2 integrates to C Gamma(-1/2)(sqrt(lambda1) -
-    sqrt(lambda2)), Gamma(-1/2) = -2 sqrt(pi), with the root difference
-    taken as (lambda1 - lambda2) / (sqrt(lambda1) + sqrt(lambda2)), which
-    does not cancel.  So D is affine in the one-sided jump sums, which are
-    inverse Gaussian under nu2 (``simulate.inverse_gaussian_sums``): it is
-    drawn exactly, with no truncation and no jump.
+    an alpha = 1/2 pair with closed forms (``_ts_alpha``; a subclass may
+    override density) differs, negative side first.  On such a side
+    log(dnu1/dnu2)(y) = -(lambda1 - lambda2)|y| and nu1 - nu2 integrates to
+    C Gamma(-1/2)(sqrt(lambda1) - sqrt(lambda2)), Gamma(-1/2) = -2 sqrt(pi),
+    with the root difference taken as (lambda1 - lambda2) / (sqrt(lambda1)
+    + sqrt(lambda2)), which does not cancel.  So D is affine in the
+    one-sided jump sums, which are inverse Gaussian under nu2
+    (``simulate.inverse_gaussian_sums``): it is drawn exactly, with no
+    truncation and no jump.
 
     ``"constant"``, value the one log-ratio of every jump nu2's sampler can
     draw: both measures compound Poisson and both jump densities uniform
@@ -704,12 +708,8 @@ def pair_jump_law(nu1: LevyMeasure, nu2: LevyMeasure) -> JumpLaw:
     ``"generic"``, value ``pair_log_ratio(nu1, nu2)``: every jump is drawn
     and weighed.
     """
-    if _same_shape_ts(nu1, nu2) and nu1.alpha == 0.5:
-        sides = (
-            (nu1.c_minus, nu1.lam_minus, nu2.lam_minus),
-            (nu1.c_plus, nu1.lam_plus, nu2.lam_plus),
-        )
-        sides = tuple(side for side in sides if side[1] != side[2])
+    if _ts_alpha(nu1, nu2) == 0.5:
+        sides = tuple((c, l1, l2) for _, c, l1, l2 in _ts_sides(nu1, nu2) if l1 != l2)
         gaps = [
             _TWO_SQRT_PI * c * (l1 - l2) / (math.sqrt(l1) + math.sqrt(l2)) for c, l1, l2 in sides
         ]

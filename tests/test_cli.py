@@ -973,6 +973,62 @@ class TestExitCodes:
         assert err == "error: --epsilon: must be >= 0\n"
 
 
+# (config block, its key, the flag, a bad value as the flag reads it).
+# The config side writes the value as a JSON number: NaN and Infinity
+# are the spellings json.dumps gives the non-finite floats.
+BAD_SETTINGS = [
+    ("estimator", "n_paths", "--paths", "0"),
+    ("estimator", "n_paths", "--paths", "-3"),
+    ("estimator", "epsilon", "--epsilon", "-1e-3"),
+    ("estimator", "epsilon", "--epsilon", "nan"),
+    ("estimator", "epsilon", "--epsilon", "inf"),
+    ("estimator", "epsilon", "--epsilon", "-inf"),
+    ("estimator", "seed", "--seed", "-1"),
+    ("estimator", "seed", "--seed", str(1 << 64)),
+    ("sweep", "parameter", "--param", ""),
+    ("sweep", "from", "--from", "nan"),
+    ("sweep", "from", "--from", "-inf"),
+    ("sweep", "to", "--to", "inf"),
+    ("sweep", "steps", "--steps", "0"),
+    ("sweep", "steps", "--steps", "100001"),
+]
+
+
+class TestFlagsShareTheConfigRules:
+    """A flag goes through the check of the config field it overrides."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--from", "--to"])
+    def test_non_finite_sweep_end_names_the_flag(self, flag, value, capsys):
+        # It was refused as the swept leaf: config.horizon: must be finite.
+        config = str(CONFIG_DIR / "compound_poisson.json")
+        argv = ["sweep", "--config", config, f"{flag}={value}"]
+        assert run(capsys, argv) == (1, "", f"error: {flag}: must be finite\n")
+
+    def test_empty_param_names_the_flag(self, capsys):
+        # It was looked up as a path: ": no such field".
+        config = str(CONFIG_DIR / "compound_poisson.json")
+        argv = ["sweep", "--config", config, "--param", ""]
+        assert run(capsys, argv) == (
+            1, "", "error: --param: expected a non-empty string\n"
+        )
+
+    @pytest.mark.parametrize("block, key, flag, value", BAD_SETTINGS)
+    def test_config_field_and_flag_give_one_reason(self, tmp_path, capsys, block, key, flag, value):
+        data = json.loads((CONFIG_DIR / "compound_poisson.json").read_text())
+        data[block][key] = value if key == "parameter" else json.loads(
+            value.replace("nan", "NaN").replace("inf", "Infinity")
+        )
+        command = "sweep" if block == "sweep" else "estimate"
+        from_config = run(capsys, [command, "--config", write_config(tmp_path, data)])
+        config = str(CONFIG_DIR / "compound_poisson.json")
+        from_flag = run(capsys, [command, "--config", config, f"{flag}={value}"])
+        reason = from_flag[2].removeprefix(f"error: {flag}: ")
+        assert reason != from_flag[2]
+        assert from_config == (1, "", f"error: config.{block}.{key}: {reason}")
+        assert from_flag[:2] == (1, "")
+
+
 def _ts_levy(alpha, c=(1.0, 2.0), lam=(1.5, 0.7)):
     return {
         "type": "tempered_stable", "c_minus": c[0], "c_plus": c[1],

@@ -299,6 +299,36 @@ class TestStrictness:
         data["sweep"] = {"parameter": 3, "from": 0.1, "to": 1.0, "steps": 2}
         self.expect(data, "config.sweep.parameter")
 
+    def test_types_are_checked_before_values(self):
+        # Every field's JSON type is read before check_estimator or
+        # check_sweep looks at a value.
+        data = base_config()
+        data["estimator"] = {"n_paths": 0, "seed": "7"}
+        self.expect(data, "config.estimator.seed")
+        data = base_config()
+        data["sweep"] = {"parameter": "", "from": 0.1, "to": "1", "steps": 2}
+        self.expect(data, "config.sweep.to")
+
+    @pytest.mark.parametrize("field, sign, reason", [
+        ("horizon", 1, "must be finite"),
+        ("process1.levy.lambda", -1, "must be finite"),
+        ("estimator.epsilon", 1, "must be finite"),
+        ("estimator.epsilon", -1, "must be >= 0"),
+    ])
+    def test_integer_beyond_float_range_reads_as_infinite(self, field, sign, reason):
+        # float() overflows on +-10**400; the parse stopped with an
+        # OverflowError traceback.
+        data = base_config()
+        data["estimator"] = {}
+        *path, key = field.split(".")
+        node = data
+        for segment in path:
+            node = node[segment]
+        node[key] = sign * 10**400
+        with pytest.raises(ConfigParse) as err:
+            parse_config_dict(data)
+        assert (err.value.field, err.value.message) == (f"config.{field}", reason)
+
 
 _TS = {
     "type": "tempered_stable", "c_minus": 1.0, "c_plus": 1.0,

@@ -28,6 +28,7 @@ from addgap.measures import (
     gamma_nu,
     hellinger_sq,
     l1_distance,
+    pair_jump_law,
     pair_log_ratio,
     validate_levy,
 )
@@ -716,6 +717,20 @@ class TestInverseGaussianSums:
         # the law's mass then lies below the smallest double.
         sums = inverse_gaussian_sums(1e-170, 1.0, 1.0, 1000, RngStream(3, 0))
         assert np.all((sums >= 0.0) & (sums < 1e-150))
+
+    def test_subclass_pair_is_not_drawn_exactly(self):
+        # Two positive-side _OneSide measures that differ only in the
+        # lambda- of the side their density leaves out are the same
+        # measure.  Drawing the inverse Gaussian sum of that side anyway
+        # estimated their distance at 0.851 +- 0.006.
+        nu1 = _OneSide(1.0, 1.0, 3.0, 1.0, 0.5)
+        nu2 = _OneSide(1.0, 1.0, 1.0, 1.0, 0.5)
+        assert pair_jump_law(nu1, nu2).kind == "generic"
+        zero = ConstantFunction(0.0)
+        spec = ProblemSpec(ProcessSpec(zero, zero, nu1), ProcessSpec(zero, zero, nu2), 1.0)
+        assert l1_distance(nu1, nu2) == 0.0
+        result = estimate_tv(spec, 50_000, None, 1)
+        assert (result.mean, result.half_width_95) == (0.0, 0.0)
 
 
 class TestTerminalValues:
