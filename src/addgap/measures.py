@@ -424,6 +424,11 @@ class TabulatedLevyMeasure(LevyMeasure):
     side sits below 1e-3, finiteness verdicts extrapolate the inner-edge
     power-law trend toward 0 (a table of y^{-3} samples represents a measure
     whose y^2-integral diverges, even though the truncated table is finite).
+
+    Every knot is a breakpoint, so the quadrature cuts at each one and
+    integrates a smooth power law on every piece, and the size table of
+    the jump sampler (``simulate._size_table``) puts every knot into its
+    grid, so each of its cells lies inside one knot cell.
     """
 
     grid: tuple[float, ...]
@@ -491,13 +496,7 @@ class TabulatedLevyMeasure(LevyMeasure):
         return tuple((side[0], side[-1]) for side in (g[:k], g[k:]) if side)
 
     def breakpoints(self):
-        # Subsample long knot lists; adaptive bisection resolves the
-        # remaining interpolation kinks on its own.
-        g = self.grid
-        if len(g) <= 33:
-            return g
-        idx = np.unique(np.linspace(0, len(g) - 1, 33).astype(int))
-        return tuple(float(g[i]) for i in idx)
+        return self.grid
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +557,12 @@ def _side_integral(nu: LevyMeasure, integrand, lo_mag: float, hi_mag: float) -> 
 
 
 def _same_shape_ts(nu1, nu2) -> bool:
+    """Two tempered-stable measures, subclasses included as long as they
+    keep the base class's density, with equal C+- and alpha."""
     return (
         isinstance(nu1, TemperedStableMeasure)
         and isinstance(nu2, TemperedStableMeasure)
+        and type(nu1).density is type(nu2).density is TemperedStableMeasure.density
         and nu1.alpha == nu2.alpha
         and nu1.c_plus == nu2.c_plus
         and nu1.c_minus == nu2.c_minus
@@ -1045,12 +1047,20 @@ def check_abs_continuity(nu1: LevyMeasure, nu2: LevyMeasure) -> AbsContinuityRep
 
     Probes 4096 log-spaced magnitudes per side from 1e-8 up to the larger of
     100 and the outermost finite support edge, plus all tabulated knots.
-    Two measures whose type is exactly TemperedStableMeasure need no probe
-    (``checked`` 0): C+- and lambda+- are finite and positive, so each has
-    a positive density at every y != 0, and the two are equivalent even
-    where a density underflows to 0 in floating point.
+    Two pairs need no probe (``checked`` 0):
+      - two measures whose type is exactly TemperedStableMeasure: C+- and
+        lambda+- are finite and positive, so each has a positive density at
+        every y != 0, and the two are equivalent even where a density
+        underflows to 0 in floating point;
+      - two measures whose type is exactly TabulatedLevyMeasure where, on
+        each side on which nu1 has knots, nu1's knot range lies inside
+        nu2's (``_knot_ranges_nested``): nu1 has density only inside its
+        range, and nu2's log-linear density between positive knot values
+        is positive on all of its own.
     """
     if type(nu1) is type(nu2) is TemperedStableMeasure:
+        return AbsContinuityReport(True, (), 0)
+    if type(nu1) is type(nu2) is TabulatedLevyMeasure and _knot_ranges_nested(nu1, nu2):
         return AbsContinuityReport(True, (), 0)
     edges = support_edges((nu1, nu2))
     hi = max([AC_PROBE_MAX_FLOOR] + [abs(p) for p in edges if math.isfinite(p)])
@@ -1066,6 +1076,37 @@ def check_abs_continuity(nu1: LevyMeasure, nu2: LevyMeasure) -> AbsContinuityRep
     return AbsContinuityReport(not bad.any(), violations, probes.size)
 
 
+def _knot_ranges_nested(nu1: TabulatedLevyMeasure, nu2: TabulatedLevyMeasure) -> bool:
+    """Whether, on each side where nu1 has knots, nu2 has knots and nu1's
+    range of log |y| lies inside nu2's: the ranges that ``density`` tests
+    a point against."""
+    for s1, s2 in zip(nu1._sides, nu2._sides):
+        if s1 is not None and (s2 is None or not s2[0][0] <= s1[0][0] <= s1[0][-1] <= s2[0][-1]):
+            return False
+    return True
+
+
+def _tabulated_crossings(nu1: TabulatedLevyMeasure, nu2: TabulatedLevyMeasure) -> list[float]:
+    """The points where the densities of two tabulated measures cross, each
+    side's inside the overlap of the two knot ranges.  Between neighbours of
+    the union of both knot sets there, log nu1 - log nu2 is linear in
+    log |y| (both are np.interp in log-log), so each such cell holds at most
+    one crossing, where that line is 0."""
+    cuts = []
+    for sign, s1, s2 in zip((-1.0, 1.0), nu1._sides, nu2._sides):
+        if s1 is None or s2 is None:
+            continue
+        lo, hi = max(s1[0][0], s2[0][0]), min(s1[0][-1], s2[0][-1])
+        x = np.union1d(s1[0], s2[0])
+        x = x[(lo <= x) & (x <= hi)]
+        gap = np.interp(x, *s1) - np.interp(x, *s2)
+        g0, g1 = gap[:-1], gap[1:]
+        cross = g0 * g1 < 0.0
+        at = x[:-1][cross] + np.diff(x)[cross] * (g0[cross] / (g0[cross] - g1[cross]))
+        cuts.extend((sign * np.exp(at)).tolist())
+    return cuts
+
+
 def require_abs_continuity(nu1: LevyMeasure, nu2: LevyMeasure) -> None:
     """Raise NotAbsolutelyContinuous when ``check_abs_continuity`` finds a
     probe where nu1 has density and nu2 has none: the one refusal of a
@@ -1077,8 +1118,8 @@ def require_abs_continuity(nu1: LevyMeasure, nu2: LevyMeasure) -> None:
         )
 
 
-def _pair_integral(nu1, nu2, integrand) -> float:
-    value = support_integral((nu1, nu2), integrand)
+def _pair_integral(nu1, nu2, integrand, cuts=()) -> float:
+    value = support_integral((nu1, nu2), integrand, cuts=cuts)
     return math.inf if value is None else value
 
 
@@ -1086,7 +1127,10 @@ def _pair_integral(nu1, nu2, integrand) -> float:
 def l1_distance(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
     """Integral of |density gap| over the union support; math.inf if
     divergent.  The closed form ``_ts_l1`` for a pair with closed forms
-    (``_ts_alpha``) and 0 < alpha < 1."""
+    (``_ts_alpha``) and 0 < alpha < 1.  Two measures whose type is exactly
+    TabulatedLevyMeasure (a subclass may override density) are cut where
+    their densities cross (``_tabulated_crossings``), the kinks of the
+    gap's absolute value."""
     require_abs_continuity(nu1, nu2)
     a = _ts_alpha(nu1, nu2)
     if a is not None and 0.0 < a < 1.0:
@@ -1095,7 +1139,10 @@ def l1_distance(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
         diff = _same_shape_ts_difference(nu1, nu2, _identity, 1.0, near_zero=False)
     else:
         diff = pair_difference_fn(nu1, nu2)
-    return _pair_integral(nu1, nu2, lambda y: np.abs(diff(y)))
+    cuts = ()
+    if type(nu1) is type(nu2) is TabulatedLevyMeasure:
+        cuts = _tabulated_crossings(nu1, nu2)
+    return _pair_integral(nu1, nu2, lambda y: np.abs(diff(y)), cuts)
 
 
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)

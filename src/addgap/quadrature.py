@@ -23,15 +23,19 @@ value.
 Lockstep rounds. A request's breakpoints cut [lower, upper] into pieces,
 each with an equal share of abs_tol, and each piece becomes one to three
 working intervals (split at 0, tails and a singular origin substituted),
-which share the piece's tolerance equally. Every working interval is a
-resumable bisection state (`_adaptive`: its own heap, running totals, stall
-trackers and bisection count) that yields the panels it needs next: its
-first panel, then the two halves of each bisection. `integrate` advances
-all unfinished intervals together: each round it builds the nodes of every
-wanted panel, makes one integrand call on their concatenation, and sends
-each interval its panel sums. An interval refines in exactly the order it
-would alone, so values, error estimates and the set of integrand points
-are those of integrating the intervals one after another.
+which share the piece's tolerance equally. Every working interval starts
+with one panel over its whole span. An interval whose first panel meets
+max(abs_tol, rel_tol |value|) takes that panel's (value, error) and builds
+no bisection state; this is the test the bisection makes before its first
+step, so the outcome is the one it would reach. Any other interval becomes
+a resumable bisection state (`_adaptive`: its own heap, running totals,
+stall trackers and bisection count) that yields the panels it needs next,
+the two halves of each bisection. `integrate` advances all unfinished
+intervals together: each round it builds the nodes of every wanted panel,
+makes one integrand call on their concatenation, and sends each interval
+its panel sums. An interval refines in exactly the order it would alone,
+so values, error estimates and the set of integrand points are those of
+integrating the intervals one after another.
 
 A round's panel sums come from one array pass: the values are viewed as a
 (panels, 22) array, and `np.vecdot` takes the 15- and 7-point dot products
@@ -139,8 +143,11 @@ def _adaptive(
     rel_tol: float,
     watch_left: bool,
     watch_right: bool,
+    val: float,
+    err: float,
 ):
-    """Adaptive bisection on a finite working interval, as a resumable state.
+    """Adaptive bisection on a finite working interval, as a resumable state,
+    from the (val, err) of its first panel.
 
     Yields the panels it needs next as a tuple of (lo, hi) pairs and must be
     sent their (value, error) pairs in the same order. Returns (value,
@@ -148,7 +155,6 @@ def _adaptive(
     """
     trackers = [_Tracker(c, abs_tol) for c, watch in ((a, watch_left), (b, watch_right)) if watch]
 
-    ((val, err),) = yield ((a, b),)
     heap = [(-err, 0, a, b, val, err)]
     tie = 1
     total_val = val
@@ -229,16 +235,40 @@ def _power_weight(gy, u4):
 
 
 class _Work:
-    """One working interval: its substitution, its bisection state and the
-    panels it waits for, or its outcome once it has one."""
+    """One working interval: its substitution, the panels it waits for (at
+    first the whole span), its bisection state once its first panel misses
+    the tolerance, or its outcome once it has one."""
 
-    __slots__ = ("pre", "post", "state", "panels", "aux", "sums", "outcome")
+    __slots__ = ("pre", "post", "span", "state", "panels", "aux", "sums", "outcome")
 
     def __init__(self, substitution, lo, hi, abs_tol, rel_tol, wl, wr):
         self.pre, self.post = substitution or (None, None)
-        self.state = _adaptive(lo, hi, abs_tol, rel_tol, wl, wr)
-        self.panels = next(self.state)
+        self.span = (lo, hi, abs_tol, rel_tol, wl, wr)
+        self.state = None
+        self.panels = ((lo, hi),)
         self.outcome = None
+
+    def advance(self) -> bool:
+        """Take the sums of the panels evaluated last; True when the work
+        waits for more panels, else its outcome is set."""
+        try:
+            if self.state is None:
+                ((val, err),) = self.sums
+                abs_tol, rel_tol = self.span[2:4]
+                if err <= max(abs_tol, rel_tol * abs(val)):
+                    self.outcome = (val, err)
+                    return False
+                self.state = _adaptive(*self.span, val, err)
+                self.panels = next(self.state)
+            else:
+                self.panels = self.state.send(self.sums)
+        except StopIteration as done:
+            self.outcome = done.value
+        except (_Diverged, ToleranceNotMet) as exc:
+            self.outcome = exc
+        else:
+            return True
+        return False
 
 
 def _working_intervals(a: float, b: float, singular: bool) -> list[tuple]:
@@ -372,16 +402,9 @@ def integrate(request: IntegrationRequest) -> IntegrationResult:
         _evaluate(f, active)
         waiting = []
         for w in active:
-            if w.outcome is None:
-                try:
-                    w.panels = w.state.send(w.sums)
-                except StopIteration as done:
-                    w.outcome = done.value
-                except (_Diverged, ToleranceNotMet) as exc:
-                    w.outcome = exc
-                else:
-                    waiting.append(w)
-                    continue
+            if w.outcome is None and w.advance():
+                waiting.append(w)
+                continue
             if isinstance(w.outcome, Exception):
                 break  # the intervals after it can no longer change the result
         active = waiting

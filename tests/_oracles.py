@@ -5,11 +5,15 @@ against the Riemann oracle below; the self-check test in test_quadrature
 re-derives them at import-accuracy so a corrupted constant cannot go unseen.
 """
 
+import bisect
 import dataclasses
 import heapq
+import importlib.util
 import math
 import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 
 from addgap.bounds import continuous_part
@@ -50,6 +54,22 @@ def estimator_inputs(monkeypatch, spec, n_paths, epsilon, seed):
 
     _estimate_ct_dt(spec, n_paths, epsilon, seed, record)
     return np.concatenate(seen)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def loaded(name):
+    """Yield perfbench/<name>.py as a module, registered while in use."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules while being built.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
 
 
 def clear_caches():
@@ -452,3 +472,138 @@ def pair_support_edges(nu1, nu2, clip: _Interval | None = None):
         if lo < b < hi:
             pts.add(b)
     return sorted(pts)
+
+
+# ---------------------------------------------------------------------------
+# Exact functionals of log-linear tables.  On a knot cell [u0, u1] of one
+# side of a TabulatedLevyMeasure the density is the power law c t^p of t =
+# |y|, p = log(v1 / v0) / log(u1 / u0), c = v0 / u0^p, so every functional
+# of one or two tables is a sum of integrals of powers over the cells,
+# split where two power laws cross; each is taken exactly in mpmath.
+# ---------------------------------------------------------------------------
+
+_TABLE_DPS = 40
+
+
+def _power_laws(nu):
+    """Per sign, (knots, laws): the knot magnitudes of that side, ascending,
+    and the (c, p) of each cell, as mpf; None for a side without knots."""
+    out = {}
+    for sign in (-1.0, 1.0):
+        knots = sorted((mpmath.mpf(abs(y)), mpmath.mpf(v)) for y, v in zip(nu.grid, nu.values) if sign * y > 0)
+        if not knots:
+            out[sign] = None
+            continue
+        laws = []
+        for (u0, v0), (u1, v1) in zip(knots, knots[1:]):
+            p = mpmath.log(v1 / v0) / mpmath.log(u1 / u0)
+            laws.append((v0 / u0**p, p))
+        out[sign] = ([u for u, _ in knots], laws)
+    return out
+
+
+def _law_at(side, t):
+    """The (c, p) of the cell of ``side`` holding t, None off its range."""
+    if side is None:
+        return None
+    knots, laws = side
+    if not knots[0] <= t <= knots[-1]:
+        return None
+    return laws[min(bisect.bisect_right(knots, t), len(laws)) - 1]
+
+
+def _power_integral(law, k, a, b):
+    """int_a^b c t^(p + k) dt for law = (c, p); 0 for None."""
+    if law is None:
+        return mpmath.mpf(0)
+    c, p = law
+    q = p + k + 1
+    if q == 0:
+        return c * mpmath.log(b / a)
+    return c * (b**q - a**q) / q
+
+
+def _table_pieces(sides, cuts):
+    """(sign, a, b, laws) per piece of each side: the side is split at the
+    knots of every table, at the magnitudes ``cuts`` and where two tables'
+    power laws cross; laws holds each table's (c, p) on the piece."""
+    pieces = []
+    for sign in (-1.0, 1.0):
+        points = {mpmath.mpf(c) for c in cuts}
+        for side in sides:
+            if side[sign] is not None:
+                points.update(side[sign][0])
+        points = sorted(points)
+        for a, b in zip(points, points[1:]):
+            laws = [_law_at(side[sign], (a + b) / 2) for side in sides]
+            inner = []
+            if len(laws) == 2 and None not in laws and laws[0][1] != laws[1][1]:
+                (c1, p1), (c2, p2) = laws
+                t = (c2 / c1) ** (1 / (p1 - p2))
+                if a < t < b:
+                    inner = [t]
+            ends = [a, *inner, b]
+            for lo, hi in zip(ends, ends[1:]):
+                pieces.append((sign, lo, hi, [_law_at(side[sign], (lo + hi) / 2) for side in sides]))
+    return pieces
+
+
+def loglinear_functionals(nu1, nu2):
+    """Exact functionals of two TabulatedLevyMeasures as {name: (value,
+    integral of the absolute integrand)}, floats: ``validate_levy[i]``,
+    ``gamma_nu[i]`` and ``mass_above(eps)[i]`` (eps 0, 0.3, 1.5) of nu_i,
+    and ``eta_nu``, ``l1_distance`` and ``hellinger_sq`` of the pair."""
+    out = {}
+    with mpmath.workdps(_TABLE_DPS):
+        sides = [_power_laws(nu1), _power_laws(nu2)]
+        pieces = _table_pieces(sides, (0.3, 1.0, 1.5))
+
+        def total(term):
+            value = absolute = mpmath.mpf(0)
+            for sign, a, b, laws in pieces:
+                v, av = term(sign, a, b, laws)
+                value += v
+                absolute += av
+            return float(value), float(absolute)
+
+        for i in (0, 1):
+            def levy(sign, a, b, laws):
+                v = _power_integral(laws[i], 2 if b <= 1 else 0, a, b)
+                return v, v
+
+            def gamma(sign, a, b, laws):
+                v = _power_integral(laws[i], 1, a, b) if b <= 1 else 0
+                return sign * v, v
+
+            out[f"validate_levy[{i + 1}]"] = total(levy)
+            out[f"gamma_nu[{i + 1}]"] = total(gamma)
+            for eps in (0.0, 0.3, 1.5):
+                def mass(sign, a, b, laws):
+                    v = _power_integral(laws[i], 0, a, b) if a >= eps else 0
+                    return v, v
+
+                out[f"mass_above({eps})[{i + 1}]"] = total(mass)
+
+        def gap(sign, a, b, laws, k):
+            v = _power_integral(laws[0], k, a, b) - _power_integral(laws[1], k, a, b)
+            return v, abs(v)
+
+        def eta(sign, a, b, laws):
+            v, av = gap(sign, a, b, laws, 1) if b <= 1 else (0, 0)
+            return sign * v, av
+
+        def l1(sign, a, b, laws):
+            v = gap(sign, a, b, laws, 0)[1]
+            return v, v
+
+        def hellinger(sign, a, b, laws):
+            v = _power_integral(laws[0], 0, a, b) + _power_integral(laws[1], 0, a, b)
+            if None not in laws:
+                (c1, p1), (c2, p2) = laws
+                v -= 2 * _power_integral((mpmath.sqrt(c1 * c2), (p1 + p2) / 2), 0, a, b)
+            return v, v
+
+        out["eta_nu"] = total(eta)
+        out["l1_distance"] = total(l1)
+        out["hellinger_sq"] = total(hellinger)
+    return out

@@ -7,10 +7,7 @@ tests make that a failure of the library's own suite.
 """
 
 import dataclasses
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,22 +16,7 @@ from addgap import measures, processes, quadrature
 from addgap.bounds import compute_report
 from addgap.config import parse_config_dict
 
-from _oracles import clear_caches, sequential_integrate
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def loaded(name):
-    """Yield perfbench/<name>.py as a module, registered while in use."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    # Its dataclasses look their module up in sys.modules while being built.
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[spec.name]
+from _oracles import clear_caches, loaded, sequential_integrate
 
 
 @pytest.fixture(scope="module")
@@ -54,10 +36,11 @@ def tabulated_spec(workloads):
     return parse_config_dict(config).problem
 
 
-def record_points(monkeypatch, integrate=None):
+def record_points(monkeypatch, integrate=None, requests=None):
     """Route the library's quadrature calls through ``integrate`` and return
-    the list that collects the points of every integrand call.  The default
-    is ``quadrature.integrate`` as it is at each call, so a tracer's wrapper
+    the list that collects the points of every integrand call; each request
+    is appended to ``requests`` when given.  The default is
+    ``quadrature.integrate`` as it is at each call, so a tracer's wrapper
     of it is seen."""
     calls = []
 
@@ -66,6 +49,8 @@ def record_points(monkeypatch, integrate=None):
             calls.append(np.array(y, dtype=float).ravel())
             return request.integrand(y)
 
+        if requests is not None:
+            requests.append(request)
         impl = quadrature.integrate if integrate is None else integrate
         return impl(dataclasses.replace(request, integrand=g))
 
@@ -90,18 +75,22 @@ def test_install_wraps_and_restores_every_target(tracer):
 
 
 def test_tabulated_report_quadrature_budget(workloads, monkeypatch):
-    # One integrand call per refinement round of each integral, and the
-    # points and the report of integrating one interval after another.
+    # Cut at every knot (and, for L1, where the densities cross), every
+    # working interval of the report meets its tolerance on its first
+    # panel: one integrand call per integral, with the points and the
+    # report of integrating one interval after another.
     spec = tabulated_spec(workloads)
+    requests = []
     with monkeypatch.context() as m:
-        calls = record_points(m)
+        calls = record_points(m, requests=requests)
         report = compute_report(spec)
     spec = tabulated_spec(workloads)
     with monkeypatch.context() as m:
         oracle_calls = record_points(m, sequential_integrate)
         oracle_report = compute_report(spec)
     assert report == oracle_report
-    assert len(calls) <= 100 < len(oracle_calls)
+    assert len(calls) == len(requests) < len(oracle_calls)
+    assert sum(c.size for c in calls) <= 8_000
     points = np.sort(np.concatenate(calls))
     assert points.tobytes() == np.sort(np.concatenate(oracle_calls)).tobytes()
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 from pathlib import Path
 
 import mpmath
@@ -20,6 +21,7 @@ from addgap.errors import (
     RatioUndefined,
 )
 from addgap.measures import (
+    AC_PROBES_PER_SIDE,
     AbsContinuityReport,
     CompoundPoissonMeasure,
     ExponentialDensity,
@@ -29,7 +31,9 @@ from addgap.measures import (
     TemperedStableMeasure,
     UniformDensity,
     ZeroMeasure,
+    _tabulated_crossings,
     check_abs_continuity,
+    eta_nu,
     gamma_nu,
     hellinger_sq,
     l1_distance,
@@ -41,7 +45,7 @@ from addgap.measures import (
     support_integral,
     validate_levy,
 )
-from addgap.config import parse_config
+from addgap.config import parse_config, parse_config_dict
 from addgap.processes import ConstantFunction, ProblemSpec, ProcessSpec
 from addgap.simulate import RngStream, sample_jump_batch
 from addgap.quadrature import IntegrationRequest, integrate
@@ -56,6 +60,8 @@ from _oracles import (
     _side_edges,
     _unit_cut_edges,
     clear_caches,
+    loaded,
+    loglinear_functionals,
     pair_support_edges,
     report_bits,
 )
@@ -282,6 +288,45 @@ class TestAbsoluteContinuity:
         assert check_abs_continuity(narrow, tab).ok
         rep = check_abs_continuity(tab, narrow)
         assert not rep.ok
+
+    @staticmethod
+    def nested_tables():
+        """A positive table, one on part of its knots, and the first with
+        a negative side inside (-1, -0.01) added."""
+        grid = tuple(np.logspace(-2.0, 1.0, 50))
+        vals = tuple(1.0 / g**2 for g in grid)
+        tab = TabulatedLevyMeasure(grid, vals)
+        narrow = TabulatedLevyMeasure(grid[10:40], vals[10:40])
+        mirrored = tuple(-g for g in reversed(grid[5:20]))
+        two_sided = TabulatedLevyMeasure(mirrored + grid, tuple(reversed(vals[5:20])) + vals)
+        return tab, narrow, two_sided
+
+    def test_nested_tabulated_ranges_need_no_probe(self):
+        tab, narrow, two_sided = self.nested_tables()
+        exact = AbsContinuityReport(True, (), 0)
+        assert check_abs_continuity(narrow, tab) == exact
+        assert check_abs_continuity(tab, tab) == exact
+        # nu1 has no negative side, so only the positive ranges must nest.
+        assert check_abs_continuity(narrow, two_sided) == exact
+
+    def test_tabulated_ranges_not_nested_are_probed(self):
+        tab, narrow, two_sided = self.nested_tables()
+        probes = 2 * AC_PROBES_PER_SIDE
+        # Knots that overlap without nesting, a side nu2 lacks, and a
+        # subclass, which may override density.
+        outer = check_abs_continuity(tab, narrow)
+        assert not outer.ok and outer.checked >= probes
+        assert min(outer.violations) == pytest.approx(1e-2)
+        negative = check_abs_continuity(two_sided, tab)
+        assert not negative.ok and negative.violations[0] == pytest.approx(two_sided.grid[0])
+
+        class Sub(TabulatedLevyMeasure):
+            pass
+
+        sub = check_abs_continuity(Sub(narrow.grid, narrow.values), tab)
+        assert sub.ok and sub.checked >= probes
+        with pytest.raises(NotAbsolutelyContinuous, match=r"e\.g\. at y = 0\.01"):
+            l1_distance(tab, narrow)
 
     def test_opposite_sides_fail(self):
         pos = CompoundPoissonMeasure(1.0, UniformDensity(0.5, 1.0))
@@ -606,6 +651,21 @@ class TestClosedFormReach:
         ):
             assert closed == pytest.approx(got[key], rel=1e-8)
 
+    def test_subclass_with_its_own_density(self):
+        # Doubled's density is twice its base class's, so the base's
+        # same-shape density gap (zero here) does not apply to it.
+        class Doubled(TemperedStableMeasure):
+            def density(self, y):
+                return 2.0 * super().density(y)
+
+        clear_caches()
+        nu1 = Doubled(1.0, 1.0, 1.0, 1.0, -0.5)
+        nu2 = TemperedStableMeasure(1.0, 1.0, 1.0, 1.0, -0.5)
+        mass = 3.5449077018110318  # nu2's mass, 2 sqrt(pi)
+        assert nu2.total_mass() == pytest.approx(mass, rel=1e-15)
+        assert abs(l1_distance(nu1, nu2) - mass) <= 1e-8
+        assert abs(hellinger_sq(nu1, nu2) - (math.sqrt(2.0) - 1.0) ** 2 * mass) <= 1e-8
+
 
 class TestValidateLevy:
     @pytest.mark.parametrize("alpha", [1e-300, 1e-12, 0.5, 0.999, 1.001, 1.5, 1.95])
@@ -707,17 +767,103 @@ class TestTabulatedLevyMeasure:
         ref = np.trapezoid(tab.density(ys), ys)
         assert abs(mass - ref) < 1e-6 * ref
 
-    def test_breakpoints_subsampled(self):
+    def test_breakpoints_are_the_grid(self):
         grid = tuple(np.logspace(-3, 1, 500))
         vals = tuple(g**-1.0 for g in grid)
         tab = TabulatedLevyMeasure(grid, vals)
-        assert len(tab.breakpoints()) <= 33
+        assert tab.breakpoints() == tab.grid
 
     def test_infinite_mass_flag_from_inner_trend(self):
         grid = tuple(np.logspace(-6, 0, 100))
         vals = tuple(g**-1.5 for g in grid)
         tab = TabulatedLevyMeasure(grid, vals)
         assert tab.total_mass() == math.inf
+
+
+def loglinear_pair(knots, lo=0.02, hi=4.0, phase=1.0):
+    """Two tabulated measures on one grid of ``knots`` magnitudes per side,
+    the first a tilt of the second, as the benchmark's tabulated pair."""
+    mags = np.geomspace(lo, hi, knots)
+    grid = np.concatenate([-mags[::-1], mags])
+    base = np.abs(grid) ** -1.2 * np.exp(-np.abs(grid))
+    tilted = base * np.exp(0.3 * np.sin(0.2 * np.arange(grid.size) + phase))
+    return TabulatedLevyMeasure(grid, tilted), TabulatedLevyMeasure(grid, base)
+
+
+def crossing_pair():
+    """Two tabulated measures on different grids, the first inside the
+    second's range on each side, whose densities cross several times."""
+    neg, pos = np.geomspace(0.05, 2.5, 17), np.geomspace(0.03, 3.5, 23)
+    grid1 = np.concatenate([-neg[::-1], pos])
+    mags = np.geomspace(0.02, 4.0, 31)
+    grid2 = np.concatenate([-mags[::-1], mags])
+    a1, a2 = np.abs(grid1), np.abs(grid2)
+    values1 = a1**-1.1 * np.exp(-a1) * (1.0 + 0.4 * np.sin(4.0 * np.log(a1)))
+    values2 = a2**-1.2 * np.exp(-0.9 * a2)
+    return TabulatedLevyMeasure(grid1, values1), TabulatedLevyMeasure(grid2, values2)
+
+
+@pytest.fixture
+def workloads():
+    # Per test: Hypothesis draws constants from the local modules it finds
+    # in sys.modules, so a module left loaded would change the examples of
+    # the property tests that run after it.
+    yield from loaded("workloads")
+
+
+def tabulated_functionals(nu1, nu2):
+    """The library's values of the keys of ``loglinear_functionals``."""
+    clear_caches()
+    out = {}
+    for i, nu in ((1, nu1), (2, nu2)):
+        out[f"validate_levy[{i}]"] = validate_levy(nu).value
+        out[f"gamma_nu[{i}]"] = gamma_nu(nu)
+        for eps in (0.0, 0.3, 1.5):
+            out[f"mass_above({eps})[{i}]"] = nu.mass_above(eps)
+    out["eta_nu"] = eta_nu(nu1, nu2)
+    out["l1_distance"] = l1_distance(nu1, nu2)
+    out["hellinger_sq"] = hellinger_sq(nu1, nu2)
+    return out
+
+
+class TestTabulatedOracle:
+    """Every functional of log-linear tables against the exact integrals of
+    their power laws (``loglinear_functionals``), within 1e-12 of the
+    integral of the absolute integrand: the knots, and for L1 the density
+    crossings, cut the quadrature where the integrands kink."""
+
+    @pytest.fixture(params=["benchmark", "crossing", "knots512"])
+    def pair(self, request, workloads):
+        if request.param == "benchmark":
+            config = workloads.tabulated_pair(random.Random("report_sweep:1:0"))
+            problem = parse_config_dict(config).problem
+            return problem.process1.levy, problem.process2.levy
+        if request.param == "crossing":
+            return crossing_pair()
+        return loglinear_pair(256)
+
+    def test_functionals_match_the_exact_integrals(self, pair):
+        exact = loglinear_functionals(*pair)
+        got = tabulated_functionals(*pair)
+        assert sorted(got) == sorted(exact)
+        errors = {key: abs(got[key] - value) / scale for key, (value, scale) in exact.items()}
+        assert max(errors.values()) <= 1e-12, errors
+
+    def test_crossings_lie_where_the_densities_meet(self):
+        nu1, nu2 = crossing_pair()
+        crossings = sorted(_tabulated_crossings(nu1, nu2))
+        assert len(crossings) >= 4 and crossings[0] < 0.0 < crossings[-1]
+        gap = nu1.density(np.array(crossings)) - nu2.density(np.array(crossings))
+        assert np.all(np.abs(gap) <= 1e-12 * nu2.density(np.array(crossings)))
+
+    def test_4096_knots_meet_their_tolerance(self):
+        nu1, nu2 = loglinear_pair(2048)
+        clear_caches()
+        values = [
+            validate_levy(nu1).value, gamma_nu(nu1), eta_nu(nu1, nu2),
+            l1_distance(nu1, nu2), hellinger_sq(nu1, nu2),
+        ]
+        assert all(math.isfinite(v) for v in values)
 
 
 class TestTabulatedKnotTypes:

@@ -183,6 +183,23 @@ def test_request_dataclass_roundtrip():
     assert res.error_estimate >= 0.0
 
 
+def test_first_panel_settles_without_bisection_state(monkeypatch):
+    # Only the piece with the kink inside misses its tolerance on the
+    # first panel and gets a bisection state.
+    built = []
+    adaptive = quadrature._adaptive
+
+    def counting(a, b, *args):
+        built.append((a, b))
+        return adaptive(a, b, *args)
+
+    monkeypatch.setattr(quadrature, "_adaptive", counting)
+    f = lambda y: 1.0 + y * y + np.abs(y - 1.5)
+    req = IntegrationRequest(f, 0.0, 3.0, breakpoints=(1.0, 2.0))
+    assert integrate(req) == sequential_integrate(req)
+    assert built == [(1.0, 2.0)]
+
+
 def test_breakpoints_match_whole():
     f = lambda y: np.exp(-y) * (1 + 0.2 * np.sin(5 * y))
     whole = integrate(IntegrationRequest(f, 0.0, 3.0)).value
@@ -235,6 +252,20 @@ def tabulated(draw):
     values = draw(st.lists(st.floats(0.0, 5.0), min_size=len(knots), max_size=len(knots)))
     edges = knots if draw(st.booleans()) else [knots[0], knots[-1]]
     return (lambda y: np.interp(y, knots, values)), edges, {}
+
+
+@st.composite
+def settled_and_bisected(draw):
+    # A cubic on every piece, kinked inside the middle one: the other
+    # pieces settle on their first panel, the middle one bisects.
+    start = draw(st.floats(-4.0, 2.0))
+    kink = start + 1.0 + draw(st.floats(0.1, 0.9))
+    c = [draw(st.floats(-3.0, 3.0)) for _ in range(4)]
+
+    def f(y):
+        return c[0] + y * (c[1] + y * (c[2] + y * c[3])) + np.abs(y - kink)
+
+    return f, [start, start + 1.0, start + 2.0, start + 3.0], {}
 
 
 @st.composite
@@ -316,7 +347,7 @@ def outcome(impl, f, edges, kwargs):
 @pytest.mark.parametrize(
     "family",
     [
-        smooth, kinked, tabulated, singular_or_tail, divergent,
+        smooth, kinked, tabulated, settled_and_bisected, singular_or_tail, divergent,
         later_piece_fails, not_converging,
     ],
 )

@@ -374,9 +374,9 @@ EDGE_GOLDEN = {
         ("0x1.a5ba3873993e8p-5", "0x0.0p+0", "0x1.a5ba2bb16291cp-5"),
     ],
     "tabulated_levy": [
-        ("0x1.2ebdebf0781e8p+2", "0x1.49a3cf9c2517cp-4", "0x1.2ebdeaa9ddd5cp+2"),
-        ("0x1.5dd3d6d3238a0p-1", "0x1.558f74dd72a48p-5", "0x1.5dd3d624b71fep-1"),
-        ("0x1.b2c1dc7d37f81p-5", "0x0.0p+0", "0x1.b2c1dc4f8911ep-5"),
+        ("0x1.2ebdebf3dc2d8p+2", "0x1.49a3cfa1288fep-4", "0x1.2ebdebf3dc2d9p+2"),
+        ("0x1.5dd3d6dc57d70p-1", "0x1.558f74ef28040p-5", "0x1.5dd3d6dc57d7fp-1"),
+        ("0x1.b2c1dc92967acp-5", "0x0.0p+0", "0x1.b2c1dc92966ffp-5"),
     ],
     "zero": [
         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
@@ -384,7 +384,7 @@ EDGE_GOLDEN = {
         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     ],
 }
-TABULATED_TOTAL_MASS = "0x1.2ebdebf0781e8p+2"
+TABULATED_TOTAL_MASS = "0x1.2ebdebf3dc2d8p+2"
 
 
 def edge_pins(nu):
@@ -508,9 +508,9 @@ SUPPORT_GOLDEN = {
         "0x1.10be14551bbcep-2", "0x1.10be14551bbcep-56",
     ),
     "tabulated_levy": (
-        "-0x1.49a3cf9c2517fp-4", "0x1.6056fee209fa0p-2",
-        "0x1.dfc5ac9b28dedp-1", "-0x1.7baa416973cdep-7",
-        "0x1.a5852a4f6f820p-2", "0x1.d523d41ce429ap-6",
+        "-0x1.49a3cfa1288f0p-4", "0x1.6056feee79d40p-2",
+        "0x1.dfc5ac99d9c2dp-1", "-0x1.7baa4125a2ef3p-7",
+        "0x1.a5852a46dcafcp-2", "0x1.d523d40e2b96fp-6",
     ),
     "tempered_stable": (
         "0x1.a50c26b655cc5p+0", "0x1.d6e74cb39d0fbp-1",
@@ -530,7 +530,7 @@ PAIR_GOLDEN = {
     "cp_exponential/cp_tabulated": ("0x1.5186636732d13p-2", None, None),
     "cp_exponential/cp_uniform": ("0x1.232c6fbdd3350p-3", None, None),
     "cp_exponential/tabulated_gap": ("0x1.c4c96b121ccdap-2", None, None),
-    "cp_exponential/tabulated_levy": ("0x1.0b992f7d57f7bp-1", None, None),
+    "cp_exponential/tabulated_levy": ("0x1.0b992f7d3378dp-1", None, None),
     "cp_exponential/tempered_stable": ("-0x1.33d9cbf176796p+0", "inf", "inf"),
     "cp_exponential/zero": ("0x1.c4c96b121ccdap-2", None, None),
     "cp_gap/cp_exponential": (
@@ -543,8 +543,8 @@ PAIR_GOLDEN = {
     "cp_gap/cp_uniform": ("-0x1.3333333333332p-2", None, None),
     "cp_gap/tabulated_gap": ("0x0.0p+0", None, None),
     "cp_gap/tabulated_levy": (
-        "0x1.49a3cf9c2517fp-4", "0x1.6bd49f9c00008p+2",
-        "0x1.5c71b615d35d4p+2",
+        "0x1.49a3cfa1288f0p-4", "0x1.6bd49f9e4e990p+2",
+        "0x1.5c71b619ac17bp+2",
     ),
     "cp_gap/tempered_stable": ("-0x1.a50c26b5fdaccp+0", "inf", "inf"),
     "cp_gap/zero": ("0x0.0p+0", None, None),
@@ -554,7 +554,7 @@ PAIR_GOLDEN = {
     "cp_normal/cp_tabulated": ("0x1.19767b4a1f298p-3", None, None),
     "cp_normal/cp_uniform": ("-0x1.99a76f19cd0f0p-5", None, None),
     "cp_normal/tabulated_gap": ("0x1.fffc8a9ff322cp-3", None, None),
-    "cp_normal/tabulated_levy": ("0x1.52673942279dcp-2", None, None),
+    "cp_normal/tabulated_levy": ("0x1.5267393843b55p-2", None, None),
     "cp_normal/tempered_stable": ("-0x1.650c9561ff488p+0", "inf", "inf"),
     "cp_normal/zero": ("0x1.fffc8a9ff322cp-3", None, None),
     "cp_tabulated/cp_exponential": ("-0x1.5186636732d13p-2", None, None),
@@ -566,7 +566,7 @@ PAIR_GOLDEN = {
     "cp_tabulated/cp_tabulated": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     "cp_tabulated/cp_uniform": ("-0x1.7fe05710926d5p-3", None, None),
     "cp_tabulated/tabulated_gap": ("0x1.cd0c1eaba7f1cp-4", None, None),
-    "cp_tabulated/tabulated_levy": ("0x1.8b57f728caa09p-3", None, None),
+    "cp_tabulated/tabulated_levy": ("0x1.8b57f72668411p-3", None, None),
     "cp_tabulated/tempered_stable": ("-0x1.883b64cb46161p+0", "inf", "inf"),
     "cp_tabulated/zero": ("0x1.cd0c1eaba7f1cp-4", None, None),
     "cp_uniform/cp_exponential": ("-0x1.232c6fbdd3350p-3", None, None),
@@ -581,7 +581,7 @@ PAIR_GOLDEN = {
     ),
     "cp_uniform/cp_uniform": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     "cp_uniform/tabulated_gap": ("0x1.3333333333332p-2", None, None),
-    "cp_uniform/tabulated_levy": ("0x1.859c272066c75p-2", None, None),
+    "cp_uniform/tabulated_levy": ("0x1.859c271b7d572p-2", None, None),
     "cp_uniform/tempered_stable": ("-0x1.583f59e917106p+0", "inf", "inf"),
     "cp_uniform/zero": ("0x1.3333333333332p-2", None, None),
     "tabulated_gap/cp_exponential": ("-0x1.c4c96b121ccdap-2", None, None),
@@ -594,30 +594,30 @@ PAIR_GOLDEN = {
     "tabulated_gap/cp_uniform": ("-0x1.3333333333332p-2", None, None),
     "tabulated_gap/tabulated_gap": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     "tabulated_gap/tabulated_levy": (
-        "0x1.49a3cf9c2517fp-4", "0x1.8a883921f016cp+2",
-        "0x1.77cbe9be25ee2p+2",
+        "0x1.49a3cfa1288f0p-4", "0x1.8a883923cba89p+2",
+        "0x1.77cbe9bb9632cp+2",
     ),
     "tabulated_gap/tempered_stable": ("-0x1.a50c26b5fdaccp+0", "inf", "inf"),
     "tabulated_gap/zero": ("0x0.0p+0", None, None),
-    "tabulated_levy/cp_exponential": ("-0x1.0b992f7d57f7bp-1", None, None),
-    "tabulated_levy/cp_gap": ("-0x1.49a3cf9c2517fp-4", None, None),
+    "tabulated_levy/cp_exponential": ("-0x1.0b992f7d3378dp-1", None, None),
+    "tabulated_levy/cp_gap": ("-0x1.49a3cfa1288f0p-4", None, None),
     "tabulated_levy/cp_normal": (
-        "-0x1.52673942279dcp-2", "0x1.28f1e0e1d3c85p+2",
-        "0x1.1fe8c0ebba0c0p+1",
+        "-0x1.5267393843b55p-2", "0x1.28f1e0e36e750p+2",
+        "0x1.1fe8c0eb25133p+1",
     ),
-    "tabulated_levy/cp_tabulated": ("-0x1.8b57f728caa09p-3", None, None),
-    "tabulated_levy/cp_uniform": ("-0x1.859c272066c75p-2", None, None),
-    "tabulated_levy/tabulated_gap": ("-0x1.49a3cf9c2517fp-4", None, None),
+    "tabulated_levy/cp_tabulated": ("-0x1.8b57f72668411p-3", None, None),
+    "tabulated_levy/cp_uniform": ("-0x1.859c271b7d572p-2", None, None),
+    "tabulated_levy/tabulated_gap": ("-0x1.49a3cfa1288f0p-4", None, None),
     "tabulated_levy/tabulated_levy": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-    "tabulated_levy/tempered_stable": ("-0x1.b9a663ac1d21bp+0", "inf", "inf"),
-    "tabulated_levy/zero": ("-0x1.49a3cf9c2517fp-4", None, None),
+    "tabulated_levy/tempered_stable": ("-0x1.b9a663b0367bbp+0", "inf", "inf"),
+    "tabulated_levy/zero": ("-0x1.49a3cfa1288f0p-4", None, None),
     "tempered_stable/cp_exponential": ("0x1.33d9cbf176796p+0", None, None),
     "tempered_stable/cp_gap": ("0x1.a50c26b5fdaccp+0", None, None),
     "tempered_stable/cp_normal": ("0x1.650c9561ff488p+0", None, None),
     "tempered_stable/cp_tabulated": ("0x1.883b64cb46161p+0", None, None),
     "tempered_stable/cp_uniform": ("0x1.583f59e917106p+0", None, None),
     "tempered_stable/tabulated_gap": ("0x1.a50c26b5fdaccp+0", None, None),
-    "tempered_stable/tabulated_levy": ("0x1.b9a663ac1d21bp+0", None, None),
+    "tempered_stable/tabulated_levy": ("0x1.b9a663b0367bbp+0", None, None),
     "tempered_stable/tempered_stable": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     "tempered_stable/zero": ("0x1.a50c26b5fdaccp+0", None, None),
     "zero/cp_exponential": (
@@ -629,7 +629,7 @@ PAIR_GOLDEN = {
     "zero/cp_tabulated": ("-0x1.cd0c1eaba7f1cp-4", "0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1"),
     "zero/cp_uniform": ("-0x1.3333333333332p-2", "0x1.0000000000000p+1", "0x1.fffffffffffffp+0"),
     "zero/tabulated_gap": ("0x0.0p+0", "0x1.79ed8cf959584p+0", "0x1.79ed8cf959585p+0"),
-    "zero/tabulated_levy": ("0x1.49a3cf9c2517fp-4", "0x1.2ebdebf0781e9p+2", "0x1.2ebdebf0781e8p+2"),
+    "zero/tabulated_levy": ("0x1.49a3cfa1288f0p-4", "0x1.2ebdebf3dc2d5p+2", "0x1.2ebdebf3dc2d5p+2"),
     "zero/tempered_stable": ("-0x1.a50c26b5fdaccp+0", "inf", "inf"),
     "zero/zero": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
 }
