@@ -637,10 +637,14 @@ def pair_log_ratio(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
     of nu2 is -inf at any y (always so at y = 0 and at nan).
 
     Equals ``nu1.log_density(y) - nu2.log_density(y)`` bit for bit.  For
-    two tempered stable measures |y| and log|y| are computed once instead
-    of once per measure.
+    two tempered stable measures that keep the base class's log-density,
+    |y| and log|y| are computed once instead of once per measure.
     """
-    if isinstance(nu1, TemperedStableMeasure) and isinstance(nu2, TemperedStableMeasure):
+    if all(
+        isinstance(nu, TemperedStableMeasure)
+        and type(nu).log_density is TemperedStableMeasure.log_density
+        for nu in (nu1, nu2)
+    ):
 
         def ratio(y):
             shape = np.shape(y)

@@ -7,11 +7,16 @@ pairwise ingredients the distance bounds are built from: the compensated
 drift gap eta, the normalized drift distance xi^2, volatility-class
 detection, and drift matching in the driftless-Gaussian case.
 
-Time functions carry exact integrals (polynomial antiderivatives, piecewise
+Every time function is a piecewise polynomial on [0, T] (``pieces``), so
+the volatility and drift verdicts read exact extrema: a piece's extremes
+lie at its ends or at real roots of its derivative inside it.  Time
+functions carry exact integrals (polynomial antiderivatives, piecewise
 sums); only the quotient integrals behind xi^2 go through quadrature.
 """
 
 import abc
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,10 +35,17 @@ from .quadrature import IntegrationRequest, integrate
 
 # Instantaneous variance at or below this is treated as exactly zero.
 MACHINE_ZERO = 1e-30
-# Uniform probe grid for pointwise function comparisons over [0, T].
-PROBE_POINTS = 2049
 # Relative tolerance for "equal on [0, T]" verdicts.
 MATCH_TOL = 1e-9
+# Most coefficients a polynomial time function takes: its extrema come from
+# the eigenvalues of a companion matrix, whose cost is cubic in the degree.
+MAX_COEFFS = 64
+
+_EPS = float(np.finfo(float).eps)
+
+# (lo, hi, coeffs): a polynomial, coefficients in ascending degree order,
+# on [lo, hi).
+Piece = tuple[float, float, tuple[float, ...]]
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +54,8 @@ MATCH_TOL = 1e-9
 
 
 class TimeFunction(abc.ABC):
-    """Deterministic function of time with an exact integral."""
+    """Deterministic function of time with an exact integral, a piecewise
+    polynomial on every [0, T]."""
 
     @abc.abstractmethod
     def value(self, t: np.ndarray) -> np.ndarray: ...
@@ -50,6 +63,12 @@ class TimeFunction(abc.ABC):
     @abc.abstractmethod
     def integral(self, a: float, b: float) -> float:
         """Exact integral over [a, b], a <= b."""
+
+    @abc.abstractmethod
+    def pieces(self, horizon: float) -> tuple[Piece, ...]:
+        """The function on [0, horizon] as pieces in order, the first from
+        0 and the last to horizon, which it includes; on each piece it is
+        that piece's polynomial."""
 
     def breakpoints(self) -> tuple[float, ...]:
         return ()
@@ -65,6 +84,9 @@ class ConstantFunction(TimeFunction):
     def integral(self, a, b):
         return self.c * (b - a)
 
+    def pieces(self, horizon):
+        return ((0.0, horizon, (self.c,)),)
+
 
 @dataclass(frozen=True)
 class PolynomialFunction(TimeFunction):
@@ -75,6 +97,8 @@ class PolynomialFunction(TimeFunction):
     def __post_init__(self):
         if len(self.coeffs) == 0:
             raise ValueError("polynomial needs at least one coefficient")
+        if len(self.coeffs) > MAX_COEFFS:
+            raise ValueError(f"polynomial takes at most {MAX_COEFFS} coefficients")
 
     def value(self, t):
         return npoly.polyval(np.asarray(t, dtype=float), self.coeffs)
@@ -82,6 +106,9 @@ class PolynomialFunction(TimeFunction):
     def integral(self, a, b):
         anti = npoly.polyint(self.coeffs)
         return float(npoly.polyval(b, anti) - npoly.polyval(a, anti))
+
+    def pieces(self, horizon):
+        return ((0.0, horizon, tuple(self.coeffs)),)
 
 
 @dataclass(frozen=True)
@@ -103,18 +130,136 @@ class PiecewiseConstantFunction(TimeFunction):
         idx = np.searchsorted(np.asarray(self.breaks), np.asarray(t, dtype=float), side="right")
         return np.asarray(self.values, dtype=float)[idx]
 
+    def _cells(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """The edges of [a, b] cut at every break inside it, and the value
+        on each cell between two edges, read at the cell's midpoint."""
+        breaks = np.asarray(self.breaks, dtype=float)
+        edges = np.concatenate(([a], breaks[(a < breaks) & (breaks < b)], [b]))
+        idx = np.searchsorted(breaks, 0.5 * (edges[:-1] + edges[1:]), side="right")
+        return edges, np.asarray(self.values, dtype=float)[idx]
+
     def integral(self, a, b):
         if not a <= b:
             raise ValueError("integral needs a <= b")
-        edges = [a] + [x for x in self.breaks if a < x < b] + [b]
+        edges, values = self._cells(a, b)
         total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            idx = int(np.searchsorted(np.asarray(self.breaks), 0.5 * (lo + hi), side="right"))
-            total += self.values[idx] * (hi - lo)
+        for area in (values * np.diff(edges)).tolist():
+            total += area
         return total
+
+    def pieces(self, horizon):
+        edges, values = self._cells(0.0, horizon)
+        edges = edges.tolist()
+        return tuple(zip(edges[:-1], edges[1:], ((v,) for v in values.tolist())))
 
     def breakpoints(self):
         return self.breaks
+
+
+# ---------------------------------------------------------------------------
+# Exact extrema of piecewise polynomials
+# ---------------------------------------------------------------------------
+
+
+def _derivative(c) -> tuple[float, ...]:
+    return tuple(k * c[k] for k in range(1, len(c)))
+
+
+def _difference(c1, c2) -> tuple[float, ...]:
+    return tuple(a - b for a, b in itertools.zip_longest(c1, c2, fillvalue=0.0))
+
+
+def _roots(c, lo: float, hi: float) -> list[float]:
+    """The real part of every root of the polynomial c that lies inside
+    (lo, hi), 0 <= lo < hi; a real part is a point of the piece too, so
+    taking each one keeps a real root that rounding moved off the real line.
+    The roots are taken of c(hi s), without its leading terms below eps of
+    its largest on s in [0, 1]: they move no value there beyond rounding,
+    and dropping them keeps the companion matrix finite.  A piece whose
+    scaled terms overflow gets no roots."""
+    if len(c) < 2:
+        return []
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.asarray(c, dtype=float) * hi ** np.arange(len(c))
+        size = np.abs(scaled)
+        if not np.all(np.isfinite(size)):
+            return []
+        degree = int(np.flatnonzero(size > _EPS * size.max())[-1]) if size.any() else 0
+    if degree == 0:
+        return []
+    roots = npoly.polyroots(scaled[: degree + 1]).real * hi
+    return [r for r in roots.tolist() if lo < r < hi]
+
+
+def _values(c, ts: list[float]) -> list[float]:
+    """The polynomial c at each point of ts; inf or nan where it overflows."""
+    if len(c) == 1:
+        return [float(c[0])] * len(ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return npoly.polyval(np.asarray(ts), c).tolist()
+
+
+def _variance_values(c, ts: list[float]) -> list[float]:
+    """A variance polynomial at each point of ts, each value within its
+    finite rounding bound of 0 read as 0.  By Horner's error bound a
+    computed value at t is off by at most about len(c) eps sum |c_k| |t|^k,
+    counting the rounding of the coefficients themselves; a constant is
+    exact."""
+    values = _values(c, ts)
+    if len(c) == 1:
+        return values
+    with np.errstate(over="ignore"):
+        bounds = (len(c) * _EPS) * npoly.polyval(np.abs(ts), np.abs(c))
+    return [0.0 if abs(v) <= b < math.inf else v for v, b in zip(values, bounds.tolist())]
+
+
+def _largest(values) -> float:
+    """The largest of values, nan if one is nan."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
+def _refinement(pieces1, pieces2):
+    """(lo, hi, c1, c2) for each cell of the common refinement of two piece
+    lists over the same [0, T], in order."""
+    i = j = 0
+    lo = 0.0
+    while i < len(pieces1) and j < len(pieces2):
+        hi = min(pieces1[i][1], pieces2[j][1])
+        yield lo, hi, pieces1[i][2], pieces2[j][2]
+        i += pieces1[i][1] == hi
+        j += pieces2[j][1] == hi
+        lo = hi
+
+
+def _paired_values(pieces1, pieces2, values=_values) -> tuple[list[float], list[float]]:
+    """Two piecewise polynomials p1, p2 over the same [0, T], each read by
+    values at the same points: on each cell of their common refinement, its
+    ends and the real roots inside it of p1', p2', p1 - p2 and (p1 - p2)'.
+    The extremes on [0, T] of p1, p2, p1 - p2 and max(p1, p2) are among
+    them."""
+    found1, found2 = [], []
+    for lo, hi, c1, c2 in _refinement(pieces1, pieces2):
+        if len(c1) == len(c2) == 1:  # two constants: one point is all
+            ts = [lo]
+        else:
+            d1, d2 = _derivative(c1), _derivative(c2)
+            polys = (d1, d2, _difference(c1, c2), _difference(d1, d2))
+            ts = [lo, hi, *(t for c in polys for t in _roots(c, lo, hi))]
+        found1 += values(c1, ts)
+        found2 += values(c2, ts)
+    return found1, found2
+
+
+@functools.cache
+def _pieces_follow_value(cls) -> bool:
+    """Whether cls's ``pieces`` is defined where its ``value`` is, or below:
+    a subclass that overrides ``value`` alone would be judged by its base
+    class's pieces."""
+
+    def owner(name):
+        return next(k for k in cls.__mro__ if name in vars(k))
+
+    return issubclass(owner("pieces"), owner("value"))
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +281,6 @@ class ProcessSpec:
             raise ValueError(f"invalid Levy measure: {check.message}")
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """A pair of additive processes compared over [0, horizon]."""
@@ -152,55 +292,48 @@ class ProblemSpec:
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be finite and > 0")
-        for k, v in enumerate(self._vol_probes, start=1):
-            if not np.all(np.isfinite(v)):
+        for k, p in enumerate((self.process1, self.process2), start=1):
+            for name in ("drift", "vol_sq"):
+                if not _pieces_follow_value(type(getattr(p, name))):
+                    raise ValueError(f"process {k} {name} overrides value but not pieces")
+        v1, v2 = _paired_values(
+            self.process1.vol_sq.pieces(self.horizon),
+            self.process2.vol_sq.pieces(self.horizon),
+            _variance_values,
+        )
+        for k, v in enumerate((v1, v2), start=1):
+            if not all(map(math.isfinite, v)):
                 raise ValueError(f"process {k} volatility is not finite on [0, T]")
-            if v.min() < 0.0:
+            if min(v) < 0.0:
                 raise ValueError(f"process {k} volatility is negative on [0, T]")
+        # The verdicts every report reads, from the variances read once.
+        gap = max(abs(a - b) for a, b in zip(v1, v2))
+        larger = [max(a, b) for a, b in zip(v1, v2)]
+        high = max(larger)
+        mismatch = gap > MATCH_TOL * max(high, MACHINE_ZERO)
+        if high <= MACHINE_ZERO:
+            vol_class = "zero"
+        elif min(larger) <= MACHINE_ZERO:
+            vol_class = "degenerate"
+        else:
+            vol_class = "positive"
+        object.__setattr__(self, "_vol_verdicts", (mismatch, vol_class))
 
     # -- volatility classification ------------------------------------------
 
-    @cached_property
-    def _probe_t(self) -> np.ndarray:
-        """The probe grid of [0, T], built once."""
-        return _read_only(np.linspace(0.0, self.horizon, PROBE_POINTS))
-
-    def _on_probes(self, attr: str) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(
-            _read_only(np.asarray(getattr(p, attr).value(self._probe_t), dtype=float))
-            for p in (self.process1, self.process2)
-        )
-
-    @cached_property
-    def _vol_probes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both instantaneous variances on the probe grid, evaluated once."""
-        return self._on_probes("vol_sq")
-
-    @cached_property
-    def _drift_probes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both drift rates on the probe grid, evaluated once."""
-        return self._on_probes("drift")
-
     def sigma_mismatch(self) -> bool:
         """True when the two instantaneous variances differ somewhere on [0, T]."""
-        v1, v2 = self._vol_probes
-        scale = max(v1.max(), v2.max(), MACHINE_ZERO)
-        return bool(np.max(np.abs(v1 - v2)) > MATCH_TOL * scale)
+        return self._vol_verdicts[0]
 
     def vol_class(self) -> str:
-        """'zero' | 'positive' | 'degenerate' for the shared variance.
+        """'zero' | 'positive' | 'degenerate' for the pointwise larger of the
+        two variances.
 
         'degenerate' marks a variance that vanishes on part of [0, T] while
         being positive elsewhere; no bound form covers that case. Meaningful
         only when sigma_mismatch() is False.
         """
-        v1, v2 = self._vol_probes
-        v = np.maximum(v1, v2)
-        if v.max() <= MACHINE_ZERO:
-            return "zero"
-        if v.min() <= MACHINE_ZERO:
-            return "degenerate"
-        return "positive"
+        return self._vol_verdicts[1]
 
     # -- pairwise drift and jump-compensation quantities ---------------------
 
@@ -219,7 +352,7 @@ class ProblemSpec:
 
         Requires the shared positive-volatility class; math.inf when the
         quotient integral diverges or meets a non-finite quotient, as where
-        sigma^2 vanishes between the probe points of vol_class.
+        sigma^2 is positive but so small that the quotient overflows.
         """
         if self.vol_class() == "zero":
             raise ZeroVolatility("xi^2 is undefined for zero volatility")
@@ -246,17 +379,25 @@ class ProblemSpec:
             return math.inf
         return math.inf if res.diverged else res.value
 
-    def drift_gap_sup(self) -> float:
-        """sup over the probe grid of |f1(t) - f2(t) - eta|."""
+    @cached_property
+    def _drift_gap(self) -> tuple[float, float]:
+        """sup |f1 - f2 - eta| over [0, T], and the drift scale
+        max(1, sup |f1|, sup |f2|); nan where a drift overflows."""
         eta = self.eta()
-        f1, f2 = self._drift_probes
-        return float(np.max(np.abs(f1 - f2 - eta)))
+        f1, f2 = _paired_values(
+            self.process1.drift.pieces(self.horizon), self.process2.drift.pieces(self.horizon)
+        )
+        gap = _largest([abs(a - b - eta) for a, b in zip(f1, f2)])
+        return gap, _largest([1.0, *map(abs, f1 + f2)])
+
+    def drift_gap_sup(self) -> float:
+        """sup over [0, T] of |f1(t) - f2(t) - eta|, exact up to rounding."""
+        return self._drift_gap[0]
 
     def drift_matched(self) -> bool:
         """Zero-volatility compatibility: f1 - f2 must equal eta on [0, T]."""
-        f1, f2 = self._drift_probes
-        scale = max(1.0, float(np.max(np.abs(f1))), float(np.max(np.abs(f2))))
-        return self.drift_gap_sup() <= MATCH_TOL * scale
+        gap, scale = self._drift_gap
+        return gap <= MATCH_TOL * scale
 
 
 # ---------------------------------------------------------------------------

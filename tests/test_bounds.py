@@ -5,7 +5,6 @@ import math
 from pathlib import Path
 
 import mpmath
-import numpy as np
 import pytest
 
 from addgap import measures, processes
@@ -28,7 +27,6 @@ from addgap.measures import (
     ZeroMeasure,
 )
 from addgap.processes import (
-    PROBE_POINTS,
     ConstantFunction,
     PiecewiseConstantFunction,
     ProblemSpec,
@@ -376,15 +374,14 @@ class TestSinglePass:
         # The functionals are caches: a second look-up of an ingredient
         # (each of L1 and H^2 checks absolute continuity) is a hit.
         clear_caches()
-        probes = []
-        constant_value = ConstantFunction.value
+        reads = []
+        constant_pieces = ConstantFunction.pieces
 
-        def probe_value(self, t):
-            if np.size(t) == PROBE_POINTS:
-                probes.append(self)
-            return constant_value(self, t)
+        def counted_pieces(self, horizon):
+            reads.append(self)
+            return constant_pieces(self, horizon)
 
-        monkeypatch.setattr(ConstantFunction, "value", probe_value)
+        monkeypatch.setattr(ConstantFunction, "pieces", counted_pieces)
         spec = parse_config(CONFIG_DIR / f"{name}.json").problem
         compute_report(spec)
         vols = [spec.process1.vol_sq, spec.process2.vol_sq]
@@ -395,9 +392,9 @@ class TestSinglePass:
             )
         }
         assert misses == {"ac": 1, "l1": 1, "h2": 1}
-        # The variances are probed once per spec, at construction; the
-        # report reuses those probes.
-        assert [sum(p is v for p in probes) for v in vols] == [1, 1]
+        # The variances' pieces are read once per spec, at construction;
+        # the report reuses them.
+        assert [sum(p is v for p in reads) for v in vols] == [1, 1]
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.7, 0.99])
     def test_tempered_stable_report_makes_no_quadrature_call(self, monkeypatch, alpha):

@@ -114,17 +114,52 @@ class TestBound:
         assert doc["report"]["sigma_mismatch"] is True
         assert doc["report"]["reasons"]["thm1"] == "sigma mismatch"
 
-    def test_vol_vanishing_between_probes_reports_infinite_xi(self, tmp_path, capsys):
+    @pytest.mark.parametrize("s, a", [(1.0, 0.5001), (1.0, 0.5 + math.pi * 1e-4), (0.3, 0.1225049)])
+    def test_vol_vanishing_between_probes_is_degenerate(self, tmp_path, capsys, s, a):
+        # sigma^2 = s (t - a)^2 vanishes between two points of a 2049-point
+        # grid of [0, 1]; no bound form covers a variance that vanishes on
+        # part of [0, T].  The last minimum computes to -8.7e-19.
         data = gaussian_config()
         data["horizon"] = 1.0
         for side in ("process1", "process2"):
-            data[side]["vol_sq"] = {"form": "polynomial", "coeffs": [0.25010001, -1.0002, 1.0]}
+            data[side]["vol_sq"] = {"form": "polynomial", "coeffs": [s * a * a, -2.0 * s * a, s]}
         path = write_config(tmp_path, data)
         code, out, err = run(capsys, ["bound", "--config", path, "--json"])
-        assert (code, err) == (0, "")
+        assert (code, err) == (2, "")
         report = json.loads(out)["report"]
-        assert report["xi_sq"] == "inf"
-        assert report["reasons"]["thm1"] == report["reasons"]["thm2"] == "xi^2 infinite"
+        assert report["vol_class"] == "degenerate" and report["xi_sq"] is None
+        assert report["reasons"]["thm1"] == "sigma^2 vanishes on part of [0, T]"
+        assert report["best"] == 2.0
+
+    def test_variance_negative_between_probes_is_refused(self, tmp_path, capsys):
+        # (t - a)^2 - 1e-9 is negative only within 3.2e-5 of a.
+        a = 0.5 + math.pi * 1e-4
+        data = gaussian_config()
+        data["horizon"] = 1.0
+        data["process2"]["vol_sq"] = {"form": "polynomial", "coeffs": [a * a - 1e-9, -2.0 * a, 1.0]}
+        path = write_config(tmp_path, data)
+        code, out, err = run(capsys, ["bound", "--config", path, "--json"])
+        assert (code, out) == (1, "")
+        assert err.endswith("process 2 volatility is negative on [0, T]\n")
+
+    def test_drift_gap_between_probes_is_a_mismatch(self, tmp_path, capsys):
+        # At lambda 1 on both sides, process 1's drift is 1 higher on
+        # [0.50001, 0.50002) only, between two grid points: f1 - f2 = eta
+        # fails, and the no-jump atom (mass 1/e) moves, so the L1 distance
+        # is at least 2/e.
+        data = matched_cp_config()
+        for side in ("process1", "process2"):
+            data[side]["levy"]["lambda"] = 1.0
+            data[side]["drift"] = {"form": "constant", "c": 0.5}
+        data["process1"]["drift"] = {
+            "form": "piecewise_constant", "breaks": [0.50001, 0.50002], "values": [0.5, 1.5, 0.5],
+        }
+        path = write_config(tmp_path, data)
+        code, out, err = run(capsys, ["bound", "--config", path, "--json"])
+        assert (code, err) == (2, "")
+        report = json.loads(out)["report"]
+        assert report["drift_matched"] is False and report["best"] == 2.0
+        assert report["reasons"]["thm1"] == "drift mismatch at sigma = 0"
 
     def test_intense_compound_poisson_is_a_valid_measure(self, tmp_path, capsys):
         # lambda = 1e9 takes the y^2-integral past the quadrature's divergence
@@ -1103,6 +1138,34 @@ class TestHostileInputs:
                 path = write_config(tmp_path, config)
                 for command in HOSTILE_COMMANDS:
                     codes.add(cli.main([command[0], "--config", path, *command[1:]]))
+        capsys.readouterr()
+        assert codes <= {0, 1, 2}
+
+    def test_polynomial_with_too_many_coefficients_is_refused(self, tmp_path, capsys):
+        data = gaussian_config()
+        data["process1"]["drift"] = {"form": "polynomial", "coeffs": [1.0] * 65}
+        path = write_config(tmp_path, data)
+        assert run(capsys, ["bound", "--config", path]) == (
+            1, "", "error: config.process1.drift: polynomial takes at most 64 coefficients\n"
+        )
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[0.0, 1e10, 1.0, 1e-300], [1.0, -1e300, 1e300], [1.0] * 64, [0.0] * 63 + [1e-300]],
+    )
+    def test_extreme_polynomials_exit_cleanly(self, tmp_path, capsys, coeffs):
+        # Coefficients whose companion matrix or values overflow, as drift
+        # and as variance, at horizons 1, 1e-300 and 1e300.
+        codes = set()
+        for horizon in (1.0, 1e-300, 1e300):
+            for field in ("drift", "vol_sq"):
+                data = gaussian_config()
+                data["horizon"] = horizon
+                for side in ("process1", "process2"):
+                    data[side]["vol_sq"] = {"form": "constant", "c": 0.0}
+                    data[side][field] = {"form": "polynomial", "coeffs": coeffs}
+                path = write_config(tmp_path, data)
+                codes.add(cli.main(["bound", "--config", path]))
         capsys.readouterr()
         assert codes <= {0, 1, 2}
 

@@ -1,10 +1,15 @@
 """Tests for time functions, process pairing, and the characteristic function."""
 
+import dataclasses
 import math
+import time
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from addgap import processes
 from addgap.bounds import compute_report, continuous_part
@@ -17,16 +22,18 @@ from addgap.measures import (
     ZeroMeasure,
 )
 from addgap.processes import (
+    MAX_COEFFS,
     ConstantFunction,
     PiecewiseConstantFunction,
     PolynomialFunction,
     ProblemSpec,
     ProcessSpec,
+    TimeFunction,
     char_function,
 )
 from addgap.quadrature import integrate
 
-from _oracles import ETA_EX3
+from _oracles import ETA_EX3, piecewise_constant_integral
 
 TOL_EXACT = 1e-12
 TOL_QUAD = 1e-8
@@ -82,6 +89,46 @@ class TestTimeFunctions:
         assert ConstantFunction(1.0).breakpoints() == ()
         assert PiecewiseConstantFunction((1.0,), (0.0, 1.0)).breakpoints() == (1.0,)
 
+    def test_pieces(self):
+        assert ConstantFunction(2.5).pieces(3.0) == ((0.0, 3.0, (2.5,)),)
+        assert PolynomialFunction((1.0, 2.0)).pieces(3.0) == ((0.0, 3.0, (1.0, 2.0)),)
+        f = PiecewiseConstantFunction((-1.0, 1.0, 2.0, 4.0), (5.0, 10.0, 20.0, 30.0, 40.0))
+        assert f.pieces(3.0) == ((0.0, 1.0, (10.0,)), (1.0, 2.0, (20.0,)), (2.0, 3.0, (30.0,)))
+        assert f.pieces(1.0) == ((0.0, 1.0, (10.0,)),)
+
+    def test_polynomial_coefficient_cap(self):
+        # Its extrema take the eigenvalues of a companion matrix, cubic in
+        # the degree.
+        assert PolynomialFunction((1.0,) * MAX_COEFFS).pieces(1.0)[0][2] == (1.0,) * MAX_COEFFS
+        with pytest.raises(ValueError, match="at most 64 coefficients"):
+            PolynomialFunction((1.0,) * (MAX_COEFFS + 1))
+
+    def test_piecewise_integral_matches_the_cell_loop(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 10, 200):
+            breaks = tuple(np.unique(rng.normal(0.0, 2.0, n)).tolist())
+            fn = PiecewiseConstantFunction(breaks, tuple(rng.normal(0.0, 3.0, len(breaks) + 1)))
+            ends = [-10.0, breaks[0], breaks[-1], 0.0, *rng.uniform(-5.0, 5.0, 6).tolist()]
+            for a in ends:
+                for b in ends:
+                    if a <= b:
+                        got, want = fn.integral(a, b), piecewise_constant_integral(fn, a, b)
+                        assert type(got) is float and got.hex() == want.hex()
+        fn = PiecewiseConstantFunction((1.0,), (-2.0, 3.0))
+        assert fn.integral(0.5, 0.5) == piecewise_constant_integral(fn, 0.5, 0.5) == 0.0
+        with pytest.raises(ValueError):
+            fn.integral(1.0, 0.0)
+
+    def test_piecewise_integral_is_linear_in_the_breaks(self):
+        # A loop that searches the whole break array per cell took 10 s at
+        # 16000 breaks.
+        n = 100_000
+        fn = PiecewiseConstantFunction(tuple(np.arange(1, n + 1) / (n + 1)), (1.0,) * (n + 1))
+        start = time.perf_counter()
+        assert fn.integral(0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+        assert len(fn.pieces(1.0)) == n + 1
+        assert time.perf_counter() - start < 2.0
+
 
 class TestSpecValidation:
     def test_rejects_invalid_levy(self):
@@ -99,6 +146,41 @@ class TestSpecValidation:
                 ProcessSpec(ZERO_FN, UNIT_FN, ZeroMeasure()),
                 1.0,
             )
+
+    def test_rejects_variance_negative_between_grid_points(self):
+        # (t - a)^2 - 1e-9 dips below 0 only within 3.2e-5 of a, between two
+        # points of a 2049-point grid of [0, 1].
+        a = 0.5 + math.pi * 1e-4
+        dip = PolynomialFunction((a * a - 1e-9, -2.0 * a, 1.0))
+        with pytest.raises(ValueError, match="process 2 volatility is negative"):
+            ProblemSpec(
+                ProcessSpec(ZERO_FN, UNIT_FN, ZeroMeasure()),
+                ProcessSpec(ZERO_FN, dip, ZeroMeasure()),
+                1.0,
+            )
+
+    def test_rejects_non_finite_variance(self):
+        huge = PolynomialFunction((0.0, 0.0, 1e300))
+        with pytest.raises(ValueError, match="process 1 volatility is not finite"):
+            make_problem(ZeroMeasure(), ZeroMeasure(), vol=huge, horizon=1e10)
+
+    def test_rejects_value_override_without_pieces(self):
+        # Its pieces would be its base class's, not the function it is.
+        class Shifted(ConstantFunction):
+            def value(self, t):
+                return super().value(t) + 1.0
+
+        class ShiftedWithPieces(Shifted):
+            def pieces(self, horizon):
+                return ((0.0, horizon, (self.c + 1.0,)),)
+
+        for field in ("drift", "vol_sq"):
+            p = ProcessSpec(ZERO_FN, UNIT_FN, ZeroMeasure())
+            bad = dataclasses.replace(p, **{field: Shifted(1.0)})
+            with pytest.raises(ValueError, match=f"process 2 {field} overrides value but not pieces"):
+                ProblemSpec(p, bad, 1.0)
+            good = dataclasses.replace(p, **{field: ShiftedWithPieces(1.0)})
+            ProblemSpec(p, good, 1.0)
 
     def test_rejects_bad_horizon(self):
         p = ProcessSpec(ZERO_FN, UNIT_FN, ZeroMeasure())
@@ -211,17 +293,24 @@ class TestXiSq:
         with pytest.raises(ZeroVolatility):
             spec.xi_sq()
 
-    def test_vol_vanishing_between_probes_is_infinite(self):
-        # sigma^2(t) = (t - 0.5001)^2 is positive on every probe point, so
-        # the class is "positive", but the quotient is non-finite at a node.
-        vol = PolynomialFunction((0.25010001, -1.0002, 1.0))
+    @pytest.mark.parametrize(
+        "s, a", [(1.0, 0.5001), (1.0, 0.5 + math.pi * 1e-4), (0.3, 0.1225049), (0.3, 0.1075043)]
+    )
+    def test_vol_vanishing_between_probes_is_degenerate(self, s, a):
+        # sigma^2(t) = s (t - a)^2 is positive on every point of a 2049-point
+        # grid of [0, 1], but its minimum is 0: no bound form covers it.  The
+        # last two minima compute to -8.7e-19 and 4.3e-19, within rounding
+        # of 0, so they are neither refused as negative nor read as positive.
+        vol = PolynomialFunction((s * a * a, -2.0 * s * a, s))
         spec = ProblemSpec(
             ProcessSpec(UNIT_FN, vol, ZeroMeasure()),
             ProcessSpec(ZERO_FN, vol, ZeroMeasure()),
             1.0,
         )
-        assert spec.vol_class() == "positive"
-        assert spec.xi_sq() == math.inf
+        assert spec.vol_class() == "degenerate" and not spec.sigma_mismatch()
+        report = compute_report(spec)
+        assert report.xi_sq is None
+        assert report.reasons["thm1"] == "sigma^2 vanishes on part of [0, T]"
 
 
     def test_integrated_once_per_spec(self, monkeypatch):
@@ -262,11 +351,11 @@ class TestDriftMatching:
         )
         assert not spec.drift_matched()
 
-    def test_each_function_is_probed_once(self):
+    def test_each_function_is_read_once(self):
         class Counted(ConstantFunction):
-            def value(self, t):
+            def pieces(self, horizon):
                 calls.append(self.c)
-                return super().value(t)
+                return super().pieces(horizon)
 
         calls = []
         spec = ProblemSpec(
@@ -278,8 +367,20 @@ class TestDriftMatching:
         for _ in range(2):
             assert not spec.drift_matched()
             assert spec.drift_gap_sup() == pytest.approx(0.5)
-        # Both variances at construction, then both drifts once.
+        # Both variances' pieces at construction, then both drifts' once.
         assert calls == [0.0, 0.0, ETA_EX3, 0.5]
+
+    def test_gap_between_grid_points_is_unmatched(self):
+        # Process 1's drift is 1 higher on [0.50001, 0.50002) only, between
+        # two points of a 2049-point grid of [0, 1].
+        bump = PiecewiseConstantFunction((0.50001, 0.50002), (0.0, 1.0, 0.0))
+        spec = ProblemSpec(
+            ProcessSpec(bump, ZERO_FN, ZeroMeasure()),
+            ProcessSpec(ZERO_FN, ZERO_FN, ZeroMeasure()),
+            1.0,
+        )
+        assert spec.drift_gap_sup() == 1.0
+        assert not spec.drift_matched()
 
     def test_unmatched_time_varying_gap(self):
         # average gap equals eta but pointwise it does not
@@ -289,6 +390,105 @@ class TestDriftMatching:
             1.0,
         )
         assert not spec.drift_matched()
+
+
+GRID_POINTS = 2049
+
+
+@dataclasses.dataclass(frozen=True)
+class PiecewisePolynomial(TimeFunction):
+    """coeffs[i] on [breaks[i-1], breaks[i]), every break inside (0, T)."""
+
+    breaks: tuple[float, ...]
+    coeffs: tuple[tuple[float, ...], ...]
+
+    def value(self, t):
+        t = np.asarray(t, dtype=float)
+        idx = np.searchsorted(self.breaks, t, side="right")
+        out = np.empty_like(t)
+        for i, c in enumerate(self.coeffs):
+            out[idx == i] = npoly.polyval(t[idx == i], c)
+        return out
+
+    def integral(self, a, b):
+        raise NotImplementedError
+
+    def pieces(self, horizon):
+        edges = (0.0, *self.breaks, horizon)
+        return tuple(zip(edges[:-1], edges[1:], self.coeffs))
+
+
+@st.composite
+def piecewise_polynomials(draw, horizon):
+    """A piecewise polynomial with its breaks on the grid and, per piece,
+    whether its extremes lie at grid points or left limits at breaks:
+    a polynomial of degree <= 1, or a + s (t - g)^2 with g on the grid."""
+    grid = np.linspace(0.0, horizon, GRID_POINTS)
+    cuts = draw(st.lists(st.integers(1, GRID_POINTS - 2), max_size=4, unique=True).map(sorted))
+    edges = [0, *cuts, GRID_POINTS - 1]
+    coeffs, on_grid = [], True
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        form = draw(st.sampled_from(["linear", "vertex", "any"]))
+        if form == "linear":
+            c = tuple(draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=2)))
+        elif form == "vertex":
+            g = float(grid[draw(st.integers(lo, hi - 1))])
+            a, s = draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))
+            c = (a + s * g * g, -2.0 * s * g, s)
+        else:
+            c = tuple(draw(st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=6)))
+            on_grid = False
+        coeffs.append(c)
+    breaks = tuple(float(grid[k]) for k in cuts)
+    return PiecewisePolynomial(breaks, tuple(coeffs)), on_grid
+
+
+def rounding(fn, horizon):
+    """Rounding of order eps sum |c_k| max(1, T)^k of each piece's values."""
+    return 8.0 * np.finfo(float).eps * max(
+        float(npoly.polyval(max(1.0, horizon), np.abs(c))) for c in fn.coeffs
+    )
+
+
+def grid_extremes(fn, horizon):
+    """min and max over the grid of [0, T] and the left limits at the breaks."""
+    grid = np.linspace(0.0, horizon, GRID_POINTS)
+    limits = [npoly.polyval(b, c) for b, c in zip(fn.breaks, fn.coeffs)]
+    values = np.concatenate([fn.value(grid), limits])
+    return float(values.min()), float(values.max())
+
+
+class TestExactExtrema:
+    """The exact extrema bound the 2049-point grid's, and equal them where
+    the extremes fall on grid points."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from([0.5, 1.0, 3.0]).flatmap(
+        lambda horizon: st.tuples(st.just(horizon), piecewise_polynomials(horizon))
+    ))
+    def test_range_against_the_grid(self, drawn):
+        horizon, (fn, on_grid) = drawn
+        values, _ = processes._paired_values(fn.pieces(horizon), ZERO_FN.pieces(horizon))
+        low, high = min(values), max(values)
+        grid_low, grid_high = grid_extremes(fn, horizon)
+        tol = rounding(fn, horizon)
+        assert low <= grid_low + tol and high >= grid_high - tol
+        if on_grid:
+            assert abs(low - grid_low) <= tol and abs(high - grid_high) <= tol
+        if all(len(c) <= 2 for c in fn.coeffs):
+            assert (low, high) == (grid_low, grid_high)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(piecewise_polynomials(2.0), piecewise_polynomials(2.0))
+    def test_drift_gap_against_the_grid(self, drawn1, drawn2):
+        (f1, _), (f2, _) = drawn1, drawn2
+        spec = ProblemSpec(
+            ProcessSpec(f1, ZERO_FN, ZeroMeasure()), ProcessSpec(f2, ZERO_FN, ZeroMeasure()), 2.0
+        )
+        grid = np.linspace(0.0, 2.0, GRID_POINTS)
+        on_grid = float(np.max(np.abs(f1.value(grid) - f2.value(grid))))
+        tol = rounding(f1, 2.0) + rounding(f2, 2.0)
+        assert spec.drift_gap_sup() >= on_grid - tol
 
 
 class TestCharFunction:
