@@ -60,6 +60,7 @@ from .processes import (
     PolynomialFunction,
     ProblemSpec,
     ProcessSpec,
+    _VarianceRefused,
 )
 
 __all__ = [
@@ -170,6 +171,8 @@ def _wrap(where: str, builder):
     """Turn constructor ValueErrors into parse errors naming the field."""
     try:
         return builder()
+    except _VarianceRefused as exc:
+        raise ConfigParse(f"config.process{exc.k}.vol_sq", str(exc)) from None
     except ValueError as exc:
         raise ConfigParse(where, str(exc)) from None
 

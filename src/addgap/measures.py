@@ -6,9 +6,9 @@ between measures, the Hellinger-type quantity, the compensated drift gap)
 are computed by adaptive quadrature over the union of supports, split at 0
 and at every known support edge.
 
-Closed forms come first.  For a pair of measures whose type is exactly
-TemperedStableMeasure with shared C+- and alpha (``_ts_alpha``; a subclass
-may override density, so it is integrated), the L1 gap (0 < alpha < 1),
+Closed forms come first.  For a same-shape pair of the tempered-stable
+family (``_family``, the one rule for which measures get a family's
+formulas; shared C+- and alpha, ``_ts_alpha``), the L1 gap (0 < alpha < 1),
 H^2 (0 < alpha < 2, alpha != 1), eta (0 < alpha < 1) and the
 absolute-continuity verdict are closed forms, and so are gamma (0 < alpha
 < 1) and the Levy integrability (0 < alpha < 2, alpha != 1) of one such
@@ -68,7 +68,7 @@ import abc
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -556,17 +556,29 @@ def _side_integral(nu: LevyMeasure, integrand, lo_mag: float, hi_mag: float) -> 
 # ---------------------------------------------------------------------------
 
 
-def _same_shape_ts(nu1, nu2) -> bool:
-    """Two tempered-stable measures, subclasses included as long as they
-    keep the base class's density, with equal C+- and alpha."""
-    return (
-        isinstance(nu1, TemperedStableMeasure)
-        and isinstance(nu2, TemperedStableMeasure)
-        and type(nu1).density is type(nu2).density is TemperedStableMeasure.density
-        and nu1.alpha == nu2.alpha
-        and nu1.c_plus == nu2.c_plus
-        and nu1.c_minus == nu2.c_minus
-    )
+_FAMILIES = (TemperedStableMeasure, CompoundPoissonMeasure, TabulatedLevyMeasure, UniformDensity)
+
+
+@cache
+def _family(cls: type) -> type | None:
+    """The built-in class whose formulas (closed forms, fused log-ratio, exact
+    verdicts, samplers) stand in for the methods of cls, or None: a subclass
+    of a Levy family that keeps ``density`` and ``log_density``, or of
+    UniformDensity that keeps ``pdf`` and ``sample``, belongs to it."""
+    for base in _FAMILIES:
+        kept = ("pdf", "sample") if base is UniformDensity else ("density", "log_density")
+        if issubclass(cls, base) and all(getattr(cls, m) is getattr(base, m) for m in kept):
+            return base
+    return None
+
+
+def _ts_alpha(nu1: LevyMeasure, nu2: LevyMeasure) -> float | None:
+    """The alpha of a pair of the tempered-stable family with equal C+- and
+    alpha, which has closed forms; None for any other pair."""
+    if _family(type(nu1)) is _family(type(nu2)) is TemperedStableMeasure:
+        if (nu1.alpha, nu1.c_plus, nu1.c_minus) == (nu2.alpha, nu2.c_plus, nu2.c_minus):
+            return nu1.alpha
+    return None
 
 
 def _identity(x):
@@ -615,11 +627,10 @@ def _same_shape_ts_difference(nu1, nu2, root, factor, near_zero=True) -> Callabl
 
 def pair_difference_fn(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
     """y -> density(nu1) - density(nu2), cancellation-safe where it matters."""
-    if _same_shape_ts(nu1, nu2):
+    if _ts_alpha(nu1, nu2) is not None:
         return _same_shape_ts_difference(nu1, nu2, _identity, 1.0)
     if (
-        isinstance(nu1, CompoundPoissonMeasure)
-        and isinstance(nu2, CompoundPoissonMeasure)
+        _family(type(nu1)) is _family(type(nu2)) is CompoundPoissonMeasure
         and nu1.jump_density == nu2.jump_density
     ):
         gap = nu1.intensity - nu2.intensity
@@ -637,14 +648,10 @@ def pair_log_ratio(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
     of nu2 is -inf at any y (always so at y = 0 and at nan).
 
     Equals ``nu1.log_density(y) - nu2.log_density(y)`` bit for bit.  For
-    two tempered stable measures that keep the base class's log-density,
-    |y| and log|y| are computed once instead of once per measure.
+    two measures of the tempered-stable family, |y| and log|y| are
+    computed once instead of once per measure.
     """
-    if all(
-        isinstance(nu, TemperedStableMeasure)
-        and type(nu).log_density is TemperedStableMeasure.log_density
-        for nu in (nu1, nu2)
-    ):
+    if _family(type(nu1)) is _family(type(nu2)) is TemperedStableMeasure:
 
         def ratio(y):
             shape = np.shape(y)
@@ -692,21 +699,20 @@ def pair_jump_law(nu1: LevyMeasure, nu2: LevyMeasure) -> JumpLaw:
     first of three laws that the pair qualifies for.
 
     ``"ig_sides"``, value the (C, lambda1, lambda2) of each side on which
-    an alpha = 1/2 pair with closed forms (``_ts_alpha``; a subclass may
-    override density) differs, negative side first.  On such a side
-    log(dnu1/dnu2)(y) = -(lambda1 - lambda2)|y| and nu1 - nu2 integrates to
-    C Gamma(-1/2)(sqrt(lambda1) - sqrt(lambda2)), Gamma(-1/2) = -2 sqrt(pi),
-    with the root difference taken as (lambda1 - lambda2) / (sqrt(lambda1)
-    + sqrt(lambda2)), which does not cancel.  So D is affine in the
-    one-sided jump sums, which are inverse Gaussian under nu2
-    (``simulate.inverse_gaussian_sums``): it is drawn exactly, with no
-    truncation and no jump.
+    an alpha = 1/2 pair with closed forms (``_ts_alpha``) differs, negative
+    side first.  On such a side log(dnu1/dnu2)(y) = -(lambda1 - lambda2)|y|
+    and nu1 - nu2 integrates to C Gamma(-1/2)(sqrt(lambda1) -
+    sqrt(lambda2)), Gamma(-1/2) = -2 sqrt(pi), with the root difference
+    taken as (lambda1 - lambda2) / (sqrt(lambda1) + sqrt(lambda2)), which
+    does not cancel.  So D is affine in the one-sided jump sums, which are
+    inverse Gaussian under nu2 (``simulate.inverse_gaussian_sums``): it is
+    drawn exactly, with no truncation and no jump.
 
     ``"constant"``, value the one log-ratio of every jump nu2's sampler can
-    draw: both measures compound Poisson and both jump densities uniform
-    (exactly those types; a subclass may sample elsewhere), nu2's [a2, b2]
-    inside nu1's [a1, b1], and nu2's largest draw a2 + (b2 - a2)(1 -
-    2**-53) not past b2.  Every sampled jump is then a nonzero point of
+    draw: both measures of the compound Poisson family and both jump
+    densities of the uniform one (``_family``), nu2's [a2, b2] inside
+    nu1's [a1, b1], and nu2's largest draw a2 + (b2 - a2)(1 - 2**-53) not
+    past b2.  Every sampled jump is then a nonzero point of
     [a2, b2], where both densities are flat, so its log-ratio is the value
     bit for bit, unless nu2's density underflows to 0, and D depends on the
     jump count alone (the Poisson change of measure).
@@ -721,10 +727,10 @@ def pair_jump_law(nu1: LevyMeasure, nu2: LevyMeasure) -> JumpLaw:
         ]
         return JumpLaw("ig_sides", sides, -sum(gaps, 0.0))
     log_ratio = pair_log_ratio(nu1, nu2)
-    if type(nu1) is type(nu2) is CompoundPoissonMeasure:
+    if _family(type(nu1)) is _family(type(nu2)) is CompoundPoissonMeasure:
         g1, g2 = nu1.jump_density, nu2.jump_density
         if (
-            type(g1) is type(g2) is UniformDensity
+            _family(type(g1)) is _family(type(g2)) is UniformDensity
             and g1.a <= g2.a
             and g2.b <= g1.b
             and g2.a + (g2.b - g2.a) * (1.0 - 2.0**-53) <= g2.b
@@ -739,7 +745,7 @@ def pair_jump_law(nu1: LevyMeasure, nu2: LevyMeasure) -> JumpLaw:
 
 def pair_sqrt_difference_fn(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
     """y -> sqrt(density(nu1)) - sqrt(density(nu2)), cancellation-safe."""
-    if _same_shape_ts(nu1, nu2):
+    if _ts_alpha(nu1, nu2) is not None:
         return _same_shape_ts_difference(nu1, nu2, np.sqrt, 0.5)
     return lambda y: np.sqrt(nu1.density(y)) - np.sqrt(nu2.density(y))
 
@@ -762,15 +768,6 @@ _MAX_TERMS = 10_000
 _ETA_SERIES_GAP = 0.5
 _SMALL_LAMBDA_TERMS = 20
 _POWER_LAW_LAMBDA = 50.0
-
-
-def _ts_alpha(nu1: LevyMeasure, nu2: LevyMeasure) -> float | None:
-    """The alpha of a same-shape pair of measures whose type is exactly
-    TemperedStableMeasure, the pairs with closed forms; None for any other
-    pair, a subclass included, since it may override density."""
-    if type(nu1) is type(nu2) is TemperedStableMeasure and _same_shape_ts(nu1, nu2):
-        return nu1.alpha
-    return None
 
 
 def _ts_sides(nu1: TemperedStableMeasure, nu2: TemperedStableMeasure) -> tuple:
@@ -999,8 +996,8 @@ def _ts_levy_integral(a: float, lam: float) -> float:
 def gamma_nu(nu: LevyMeasure) -> float:
     """Small-jump compensator drift: integral of y over {|y| <= 1}.
 
-    For a TemperedStableMeasure itself (not a subclass) with 0 < alpha < 1
-    it is the closed form, per side, sign C int_0^1 y^(-alpha) e^(-lambda
+    For a measure of the tempered-stable family with 0 < alpha < 1 it is
+    the closed form, per side, sign C int_0^1 y^(-alpha) e^(-lambda
     y) dy = sign C lambda^(alpha - 1) gamma(1 - alpha, lambda)."""
     a = _ts_alpha(nu, nu)
     if a is not None and 0.0 < a < 1.0:
@@ -1050,29 +1047,28 @@ def check_abs_continuity(nu1: LevyMeasure, nu2: LevyMeasure) -> AbsContinuityRep
     """Probe-grid proxy for nu1 << nu2: wherever nu1 has density, nu2 must.
 
     Probes 4096 log-spaced magnitudes per side from 1e-8 up to the larger of
-    100 and the outermost finite support edge, plus all tabulated knots.
+    100 and the outermost finite support edge, plus the tabulated family's knots.
     Two pairs need no probe (``checked`` 0):
-      - two measures whose type is exactly TemperedStableMeasure: C+- and
+      - two measures of the tempered-stable family (``_family``): C+- and
         lambda+- are finite and positive, so each has a positive density at
         every y != 0, and the two are equivalent even where a density
         underflows to 0 in floating point;
-      - two measures whose type is exactly TabulatedLevyMeasure where, on
-        each side on which nu1 has knots, nu1's knot range lies inside
-        nu2's (``_knot_ranges_nested``): nu1 has density only inside its
-        range, and nu2's log-linear density between positive knot values
-        is positive on all of its own.
+      - two measures of the tabulated family where, on each side on which
+        nu1 has knots, nu1's knot range lies inside nu2's
+        (``_knot_ranges_nested``): nu1 has density only inside its range,
+        and nu2's log-linear density between positive knot values is
+        positive on all of its own.
     """
-    if type(nu1) is type(nu2) is TemperedStableMeasure:
-        return AbsContinuityReport(True, (), 0)
-    if type(nu1) is type(nu2) is TabulatedLevyMeasure and _knot_ranges_nested(nu1, nu2):
+    tabulated = [nu for nu in (nu1, nu2) if _family(type(nu)) is TabulatedLevyMeasure]
+    stable = _family(type(nu1)) is _family(type(nu2)) is TemperedStableMeasure
+    if stable or (len(tabulated) == 2 and _knot_ranges_nested(nu1, nu2)):
         return AbsContinuityReport(True, (), 0)
     edges = support_edges((nu1, nu2))
     hi = max([AC_PROBE_MAX_FLOOR] + [abs(p) for p in edges if math.isfinite(p)])
     mags = np.logspace(math.log10(AC_PROBE_MIN), math.log10(hi), AC_PROBES_PER_SIDE)
     probes = np.concatenate([-mags[::-1], mags])
-    knots = [k for nu in (nu1, nu2) if isinstance(nu, TabulatedLevyMeasure) for k in nu.grid]
-    if knots:
-        probes = np.unique(np.concatenate([probes, np.asarray(knots)]))
+    if tabulated:
+        probes = np.unique(np.concatenate([probes, *(nu.grid for nu in tabulated)]))
     d1 = nu1.density(probes)
     d2 = nu2.density(probes)
     bad = (d1 > 0.0) & (d2 == 0.0)
@@ -1131,21 +1127,19 @@ def _pair_integral(nu1, nu2, integrand, cuts=()) -> float:
 def l1_distance(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
     """Integral of |density gap| over the union support; math.inf if
     divergent.  The closed form ``_ts_l1`` for a pair with closed forms
-    (``_ts_alpha``) and 0 < alpha < 1.  Two measures whose type is exactly
-    TabulatedLevyMeasure (a subclass may override density) are cut where
-    their densities cross (``_tabulated_crossings``), the kinks of the
-    gap's absolute value."""
+    (``_ts_alpha``) and 0 < alpha < 1.  Two measures of the tabulated
+    family are cut where their densities cross (``_tabulated_crossings``),
+    the kinks of the gap's absolute value."""
     require_abs_continuity(nu1, nu2)
     a = _ts_alpha(nu1, nu2)
     if a is not None and 0.0 < a < 1.0:
         return _ts_l1(a, nu1, nu2)
-    if _same_shape_ts(nu1, nu2):
+    if a is not None:
         diff = _same_shape_ts_difference(nu1, nu2, _identity, 1.0, near_zero=False)
     else:
         diff = pair_difference_fn(nu1, nu2)
-    cuts = ()
-    if type(nu1) is type(nu2) is TabulatedLevyMeasure:
-        cuts = _tabulated_crossings(nu1, nu2)
+    tabulated = _family(type(nu1)) is _family(type(nu2)) is TabulatedLevyMeasure
+    cuts = _tabulated_crossings(nu1, nu2) if tabulated else ()
     return _pair_integral(nu1, nu2, lambda y: np.abs(diff(y)), cuts)
 
 
@@ -1176,11 +1170,10 @@ class LevyValidation:
 def validate_levy(nu: LevyMeasure) -> LevyValidation:
     """Check the defining integrability: int (y^2 and 1) nu(dy) < inf.
 
-    A TemperedStableMeasure itself (not a subclass) with 0 < alpha < 2,
-    alpha != 1, passes with the closed form, per side C [lambda^(alpha -
-    2) gamma(2 - alpha, lambda) + lambda^alpha Gamma(-alpha, lambda)]
-    (``_ts_levy_integral``).  Any other measure goes through the
-    quadrature.
+    A measure of the tempered-stable family with 0 < alpha < 2, alpha != 1,
+    passes with the closed form, per side C [lambda^(alpha - 2) gamma(2 -
+    alpha, lambda) + lambda^alpha Gamma(-alpha, lambda)]
+    (``_ts_levy_integral``).  Any other measure takes the quadrature.
     """
     a = _ts_alpha(nu, nu)
     if a is not None and 0.0 < a < 2.0 and a != 1.0:

@@ -281,6 +281,14 @@ class ProcessSpec:
             raise ValueError(f"invalid Levy measure: {check.message}")
 
 
+class _VarianceRefused(ValueError):
+    """ProblemSpec's refusal of the variance of process ``k``."""
+
+    def __init__(self, k: int, verdict: str):
+        super().__init__(f"process {k} volatility is {verdict} on [0, T]")
+        self.k = k
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """A pair of additive processes compared over [0, horizon]."""
@@ -303,9 +311,9 @@ class ProblemSpec:
         )
         for k, v in enumerate((v1, v2), start=1):
             if not all(map(math.isfinite, v)):
-                raise ValueError(f"process {k} volatility is not finite on [0, T]")
+                raise _VarianceRefused(k, "not finite")
             if min(v) < 0.0:
-                raise ValueError(f"process {k} volatility is negative on [0, T]")
+                raise _VarianceRefused(k, "negative")
         # The verdicts every report reads, from the variances read once.
         gap = max(abs(a - b) for a, b in zip(v1, v2))
         larger = [max(a, b) for a, b in zip(v1, v2)]

@@ -67,6 +67,7 @@ from .measures import (
     JumpDensity,
     LevyMeasure,
     ZeroMeasure,
+    _family,
     _side_integral,
     gamma_nu,
     support_edges,
@@ -475,7 +476,7 @@ def _draw_counts(
 def _size_source(nu: LevyMeasure, epsilon: float, rng: RngStream, total: int):
     """The source of the ``total`` > 0 sizes that follow the counts on rng."""
     gen = rng.generator
-    if isinstance(nu, CompoundPoissonMeasure):
+    if _family(type(nu)) is CompoundPoissonMeasure:
         acceptance = _mass_above(nu, epsilon) / nu.intensity
         return _RejectionSizes(nu.jump_density, epsilon, acceptance, gen)
     return _TableSizes(_size_table(nu, epsilon), gen, min(total, _BLOCK_JUMPS))

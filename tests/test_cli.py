@@ -140,7 +140,7 @@ class TestBound:
         path = write_config(tmp_path, data)
         code, out, err = run(capsys, ["bound", "--config", path, "--json"])
         assert (code, out) == (1, "")
-        assert err.endswith("process 2 volatility is negative on [0, T]\n")
+        assert err == "error: config.process2.vol_sq: process 2 volatility is negative on [0, T]\n"
 
     def test_drift_gap_between_probes_is_a_mismatch(self, tmp_path, capsys):
         # At lambda 1 on both sides, process 1's drift is 1 higher on

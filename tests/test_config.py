@@ -231,6 +231,19 @@ class TestStrictness:
         data["horizon"] = 0.0
         self.expect(data, "config.horizon")
 
+    def test_non_finite_variance_names_its_process(self):
+        # 1e308 t is finite on [0, 1] and overflows to inf on [0, 3]: a
+        # parse and a sweep row of the horizon both name process 2's vol_sq.
+        data = base_config()
+        data["process2"]["vol_sq"] = {"form": "polynomial", "coeffs": [0.0, 1e308]}
+        cfg = parse_config_dict(data)
+        data["horizon"] = 3.0
+        refusal = ("config.process2.vol_sq", "process 2 volatility is not finite on [0, T]")
+        for parse in (lambda: parse_config_dict(data), lambda: sweep_row(cfg, "horizon", 3.0)):
+            with pytest.raises(ConfigParse) as err:
+                parse()
+            assert (err.value.field, err.value.message) == refusal
+
     def test_constructor_error_wrapped(self):
         data = base_config()
         data["process1"]["levy"]["lambda"] = -2.0

@@ -1,0 +1,224 @@
+"""One rule decides which formulas a measure gets: ``measures._family``.
+
+A subclass of a built-in Levy family that overrides ``density`` and
+``log_density`` leaves the family, so every site weighs it by those two
+methods alone: the functionals integrate its density, the verdict probes
+it, the log-ratio reads its log-density, and its sizes come from the
+table of its density.  The battery holds each site to that plain
+reference for one such subclass of each family.  The last tests read the
+source of ``measures`` and ``simulate`` and refuse any other test of a
+built-in family than ``_family``.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from addgap import measures, simulate
+from addgap.measures import (
+    AC_PROBES_PER_SIDE,
+    CompoundPoissonMeasure,
+    TabulatedLevyMeasure,
+    TemperedStableMeasure,
+    UniformDensity,
+    check_abs_continuity,
+    eta_nu,
+    gamma_nu,
+    hellinger_sq,
+    l1_distance,
+    pair_difference_fn,
+    pair_jump_law,
+    pair_log_ratio,
+    pair_sqrt_difference_fn,
+    support_integral,
+    validate_levy,
+)
+from addgap.simulate import RngStream
+
+SRC = Path(measures.__file__).resolve().parent
+FAMILIES = {
+    "TemperedStableMeasure",
+    "CompoundPoissonMeasure",
+    "TabulatedLevyMeasure",
+    "UniformDensity",
+}
+
+
+class _Twice:
+    """Twice the density of the family it is mixed into, by its own
+    ``density`` and ``log_density``."""
+
+    def density(self, y):
+        return 2.0 * super().density(y)
+
+    def log_density(self, y):
+        with np.errstate(divide="ignore"):
+            return np.log(self.density(y))
+
+
+class _TwiceTS(_Twice, TemperedStableMeasure):
+    pass
+
+
+class _TwiceCP(_Twice, CompoundPoissonMeasure):
+    pass
+
+
+class _TwiceTab(_Twice, TabulatedLevyMeasure):
+    pass
+
+
+GRID = (-1.0, -0.2, 0.1, 0.4, 1.0)
+# Each family's subclass, a measure of the family itself, and points inside
+# both supports.
+CASES = {
+    "tempered_stable": (
+        _TwiceTS(1.0, 1.0, 1.0, 2.0, -0.5),
+        TemperedStableMeasure(2.0, 2.0, 1.0, 1.0, -0.5),
+        np.array([-3.0, -0.5, 1e-3, 0.25, 2.0]),
+    ),
+    "compound_poisson": (
+        _TwiceCP(1.0, UniformDensity(0.0, 1.0)),
+        CompoundPoissonMeasure(1.0, UniformDensity(0.0, 1.0)),
+        np.array([1e-3, 0.25, 0.5, 1.0]),
+    ),
+    "tabulated": (
+        _TwiceTab(GRID, (1.0, 3.0, 4.0, 2.0, 1.0)),
+        TabulatedLevyMeasure(GRID, (2.0, 5.0, 3.0, 3.0, 0.5)),
+        np.array([-0.9, -0.5, 0.1, 0.3, 0.7]),
+    ),
+}
+
+
+def plain_functionals(nu1, nu2):
+    """L1, H^2, gamma of nu1, eta and the Levy integral of nu1, each one
+    quadrature of the plain densities."""
+    d1, d2 = nu1.density, nu2.density
+    values = {
+        "l1": support_integral((nu1, nu2), lambda y: np.abs(d1(y) - d2(y))),
+        "h2": support_integral((nu1, nu2), lambda y: (np.sqrt(d1(y)) - np.sqrt(d2(y))) ** 2),
+        "gamma": support_integral((nu1,), lambda y: y * d1(y), -1.0, 1.0),
+        "eta": support_integral((nu1, nu2), lambda y: y * (d1(y) - d2(y)), -1.0, 1.0),
+        "levy": support_integral(
+            (nu1,), lambda y: np.minimum(y * y, 1.0) * d1(y), cuts=(-1.0, 1.0)
+        ),
+    }
+    return {k: v.hex() for k, v in values.items()}
+
+
+def ordered_pairs():
+    for name, (sub, plain, y) in CASES.items():
+        yield pytest.param(sub, plain, y, id=f"{name}-subclass_first")
+        yield pytest.param(plain, sub, y, id=f"{name}-subclass_second")
+
+
+class TestSubclassBattery:
+    @pytest.mark.parametrize("family", sorted(CASES))
+    def test_subclass_leaves_its_family(self, family):
+        sub, plain, _ = CASES[family]
+        assert measures._family(type(plain)) is type(plain)
+        assert measures._family(type(sub)) is None
+
+    @pytest.mark.parametrize("nu1, nu2, y", ordered_pairs())
+    def test_functionals_are_the_plain_quadrature(self, nu1, nu2, y):
+        got = {
+            "l1": l1_distance(nu1, nu2),
+            "h2": hellinger_sq(nu1, nu2),
+            "gamma": gamma_nu(nu1),
+            "eta": eta_nu(nu1, nu2),
+            "levy": validate_levy(nu1).value,
+        }
+        assert {k: v.hex() for k, v in got.items()} == plain_functionals(nu1, nu2)
+        assert validate_levy(nu1).ok
+
+    @pytest.mark.parametrize("nu1, nu2, y", ordered_pairs())
+    def test_verdict_is_probed(self, nu1, nu2, y):
+        report = check_abs_continuity(nu1, nu2)
+        assert report.ok and report.checked >= 2 * AC_PROBES_PER_SIDE
+
+    @pytest.mark.parametrize("nu1, nu2, y", ordered_pairs())
+    def test_pointwise_sites_read_the_plain_densities(self, nu1, nu2, y):
+        d1, d2 = nu1.density(y), nu2.density(y)
+        assert np.array_equal(pair_difference_fn(nu1, nu2)(y), d1 - d2)
+        assert np.array_equal(pair_sqrt_difference_fn(nu1, nu2)(y), np.sqrt(d1) - np.sqrt(d2))
+        plain_ratio = nu1.log_density(y) - nu2.log_density(y)
+        assert np.array_equal(pair_log_ratio(nu1, nu2)(y), plain_ratio)
+        law = pair_jump_law(nu1, nu2)
+        assert law.kind == "generic" and np.array_equal(law.value(y), plain_ratio)
+
+    @pytest.mark.parametrize("family", sorted(CASES))
+    def test_sizes_come_from_the_table_of_its_density(self, family):
+        sub, _, _ = CASES[family]
+        source = simulate._size_source(sub, 0.0, RngStream(1, 0), 10)
+        assert type(source) is simulate._TableSizes
+        assert source.table is simulate._size_table(sub, 0.0)
+
+    def test_compound_poisson_l1_reads_the_doubled_density(self):
+        # The density gap of a compound Poisson pair with one jump density
+        # is (lambda1 - lambda2) times that density only within the family;
+        # twice U(0, 1) against U(0, 1) is 1 apart on [0, 1].
+        sub, plain, _ = CASES["compound_poisson"]
+        assert l1_distance(sub, plain) == pytest.approx(1.0, rel=1e-15)
+
+
+def family_tests(source: str) -> list[int]:
+    """Lines of ``source`` outside ``_family`` that test membership of a
+    built-in family: isinstance or issubclass against one, or a comparison
+    naming one whose other operands are not ``_family(...)`` calls, such
+    as ``type(x) is F`` or ``type(x).density is F.density``."""
+
+    def names_family(node):
+        return any(isinstance(n, ast.Name) and n.id in FAMILIES for n in ast.walk(node))
+
+    def allowed(operand):
+        if isinstance(operand, ast.Name) and operand.id in FAMILIES:
+            return True
+        return isinstance(operand, ast.Call) and getattr(operand.func, "id", None) == "_family"
+
+    tree = ast.parse(source)
+    inside = {
+        id(n)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_family"
+        for n in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+            "isinstance",
+            "issubclass",
+        ):
+            if any(names_family(arg) for arg in node.args[1:]):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(names_family, operands)) and not all(map(allowed, operands)):
+                found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize(
+    "snippet, lines",
+    [
+        ("isinstance(nu, CompoundPoissonMeasure)", [1]),
+        ("isinstance(g, (JumpDensity, UniformDensity))", [1]),
+        ("issubclass(cls, TabulatedLevyMeasure)", [1]),
+        ("type(nu1) is type(nu2) is TemperedStableMeasure", [1]),
+        ("type(nu).density is TemperedStableMeasure.density", [1]),
+        ("type(g) in (UniformDensity,)", [1]),
+        ("_family(type(nu1)) is _family(type(nu2)) is TemperedStableMeasure", []),
+        ("isinstance(nu, ZeroMeasure)", []),
+        ("def _family(cls):\n    return issubclass(cls, UniformDensity)", []),
+    ],
+)
+def test_checker_flags_every_form_of_a_family_test(snippet, lines):
+    assert family_tests(snippet) == lines
+
+
+@pytest.mark.parametrize("module", ["measures.py", "simulate.py"])
+def test_family_is_the_one_family_test(module):
+    assert family_tests((SRC / module).read_text()) == []

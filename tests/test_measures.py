@@ -309,22 +309,22 @@ class TestAbsoluteContinuity:
         # nu1 has no negative side, so only the positive ranges must nest.
         assert check_abs_continuity(narrow, two_sided) == exact
 
+        class Sub(TabulatedLevyMeasure):
+            pass
+
+        # A subclass that keeps density and log_density is of the
+        # tabulated family (``measures._family``), so it gets the verdict.
+        assert check_abs_continuity(Sub(narrow.grid, narrow.values), tab) == exact
+
     def test_tabulated_ranges_not_nested_are_probed(self):
         tab, narrow, two_sided = self.nested_tables()
         probes = 2 * AC_PROBES_PER_SIDE
-        # Knots that overlap without nesting, a side nu2 lacks, and a
-        # subclass, which may override density.
+        # Knots that overlap without nesting, and a side nu2 lacks.
         outer = check_abs_continuity(tab, narrow)
         assert not outer.ok and outer.checked >= probes
         assert min(outer.violations) == pytest.approx(1e-2)
         negative = check_abs_continuity(two_sided, tab)
         assert not negative.ok and negative.violations[0] == pytest.approx(two_sided.grid[0])
-
-        class Sub(TabulatedLevyMeasure):
-            pass
-
-        sub = check_abs_continuity(Sub(narrow.grid, narrow.values), tab)
-        assert sub.ok and sub.checked >= probes
         with pytest.raises(NotAbsolutelyContinuous, match=r"e\.g\. at y = 0\.01"):
             l1_distance(tab, narrow)
 
@@ -611,45 +611,36 @@ class TestClosedFormReach:
         assert l1_distance(nu1, nu2) == pytest.approx(l1, rel=1e-13)
         assert round(l1, 2) == 9999.04
 
-    def test_subclass_is_integrated(self, monkeypatch):
-        # A subclass may override density, so it takes the quadrature
-        # (and its bits), never the closed forms of its base class.
+    def test_subclass_takes_the_closed_forms(self, monkeypatch):
+        # A subclass that keeps density and log_density is of the
+        # tempered-stable family (``measures._family``): it takes the
+        # closed forms and the exact verdict, no quadrature, and its bits
+        # are those of its base class.
         class Sub(TemperedStableMeasure):
             pass
 
+        def no_quadrature(request):
+            raise AssertionError("the quadrature ran")
+
+        monkeypatch.setattr("addgap.measures.integrate", no_quadrature)
         clear_caches()
-        sub1, sub2 = Sub(1.0, 1.0, 1.0, 2.0, 0.5), Sub(1.0, 1.0, 1.0, 1.0, 0.5)
-        diff = pair_difference_fn(sub1, sub2)
-        sdiff = pair_sqrt_difference_fn(sub1, sub2)
-        quadrature = {
-            "l1": support_integral((sub1, sub2), lambda y: np.abs(diff(y))),
-            "h2": support_integral((sub1, sub2), lambda y: sdiff(y) ** 2),
-            "gamma": support_integral((sub1,), lambda y: y * sub1.density(y), -1.0, 1.0),
-            "eta": support_integral((sub1, sub2), lambda y: y * diff(y), -1.0, 1.0),
-            "levy": support_integral(
-                (sub1,), lambda y: np.minimum(y * y, 1.0) * sub1.density(y), cuts=(-1.0, 1.0)
-            ),
-        }
         zero = ConstantFunction(0.0)
-        spec = ProblemSpec(ProcessSpec(zero, zero, sub1), ProcessSpec(zero, zero, sub2), 1.0)
-        got = {
-            "l1": l1_distance(sub1, sub2),
-            "h2": hellinger_sq(sub1, sub2),
-            "gamma": gamma_nu(sub1),
-            "eta": spec.eta(),
-            "levy": validate_levy(sub1).value,
-        }
-        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in quadrature.items()}
-        assert check_abs_continuity(sub1, sub2).checked == 2 * 4096
-        exact = TemperedStableMeasure(1.0, 1.0, 1.0, 2.0, 0.5)
-        assert check_abs_continuity(exact, EX3_NU2) == AbsContinuityReport(True, (), 0)
-        for key, closed in (
-            ("l1", l1_distance(exact, EX3_NU2)),
-            ("h2", hellinger_sq(exact, EX3_NU2)),
-            ("gamma", gamma_nu(exact)),
-            ("levy", validate_levy(exact).value),
-        ):
-            assert closed == pytest.approx(got[key], rel=1e-8)
+
+        def functionals(nu1, nu2):
+            spec = ProblemSpec(ProcessSpec(zero, zero, nu1), ProcessSpec(zero, zero, nu2), 1.0)
+            values = {
+                "l1": l1_distance(nu1, nu2),
+                "h2": hellinger_sq(nu1, nu2),
+                "gamma": gamma_nu(nu1),
+                "eta": spec.eta(),
+                "levy": validate_levy(nu1).value,
+            }
+            return {k: v.hex() for k, v in values.items()}, check_abs_continuity(nu1, nu2)
+
+        sub = functionals(Sub(1.0, 1.0, 1.0, 2.0, 0.5), Sub(1.0, 1.0, 1.0, 1.0, 0.5))
+        base = functionals(TemperedStableMeasure(1.0, 1.0, 1.0, 2.0, 0.5), EX3_NU2)
+        assert sub == base
+        assert sub[1] == AbsContinuityReport(True, (), 0)
 
     def test_subclass_with_its_own_density(self):
         # Doubled's density is twice its base class's, so the base's
@@ -1121,7 +1112,14 @@ class TestPairIgSides:
 
 
 class _OtherUniform(UniformDensity):
-    """A uniform density by value, but a subclass, free to sample otherwise."""
+    """A subclass that keeps pdf and sample, so of the uniform family."""
+
+
+class _OwnPdfUniform(UniformDensity):
+    """A subclass with its own pdf, so outside the uniform family."""
+
+    def pdf(self, x):
+        return super().pdf(x)
 
 
 def bundled_levy_pair(name):
@@ -1139,8 +1137,13 @@ class TestPairConstantLogRatio:
             bundled_levy_pair("jump_diffusion"),
             (CP_U01(2.0), CompoundPoissonMeasure(1.0, UniformDensity(0.2, 0.7))),
             (CP_U01(0.8), CP_U01(1.5)),
+            (CompoundPoissonMeasure(2.0, _OtherUniform(0.0, 1.0)), CP_U01(1.0)),
+            (CP_U01(2.0), CompoundPoissonMeasure(1.0, _OtherUniform(0.0, 1.0))),
         ],
-        ids=["cp_bundled", "jd_bundled", "inner_support", "lambda1_below_lambda2"],
+        ids=[
+            "cp_bundled", "jd_bundled", "inner_support", "lambda1_below_lambda2",
+            "subclass_nu1", "subclass_nu2",
+        ],
     )
     def test_equals_the_log_ratio_of_every_sampled_jump(self, nu1, nu2):
         law = pair_jump_law(nu1, nu2)
@@ -1165,8 +1168,6 @@ class TestPairConstantLogRatio:
              CompoundPoissonMeasure(1.0, NormalDensity(0.0, 1.0))),
             # the log-ratio is -inf on (1, 2]
             (CP_U01(1.0), CompoundPoissonMeasure(1.0, UniformDensity(0.0, 2.0))),
-            (CompoundPoissonMeasure(2.0, _OtherUniform(0.0, 1.0)), CP_U01(1.0)),
-            (CP_U01(2.0), CompoundPoissonMeasure(1.0, _OtherUniform(0.0, 1.0))),
             (CP_U01(1.0), CompoundPoissonMeasure(1.0, ExponentialDensity(1.0))),
             (EX3_NU1, EX3_NU2),
             (TabulatedLevyMeasure((0.1, 1.0), (2.0, 2.0)), TabulatedLevyMeasure((0.1, 1.0), (1.0, 1.0))),
@@ -1177,11 +1178,14 @@ class TestPairConstantLogRatio:
              CompoundPoissonMeasure(1.0, UniformDensity(-1e308, 1e308))),
             # nu2's density underflows to 0, so every jump's ratio is undefined
             (CP_U01(1.0), CompoundPoissonMeasure(5e-324, UniformDensity(0.0, 2.0))),
+            (CompoundPoissonMeasure(2.0, _OwnPdfUniform(0.0, 1.0)), CP_U01(1.0)),
+            (CP_U01(2.0), CompoundPoissonMeasure(1.0, _OwnPdfUniform(0.0, 1.0))),
         ],
         ids=[
             "exponential", "exponential_same_density", "normal", "wider_reference",
-            "subclass_nu1", "subclass_nu2", "uniform_vs_exponential", "tempered_stable",
+            "uniform_vs_exponential", "tempered_stable",
             "tabulated", "zero_nu1", "zero_nu2", "overflowing_sampler", "vanishing_density",
+            "subclass_nu1", "subclass_nu2",
         ],
     )
     def test_other_pairs_have_no_constant(self, nu1, nu2):
