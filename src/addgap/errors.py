@@ -18,7 +18,7 @@ class DivergentIntegral(AddgapError):
 
 
 class NotAbsolutelyContinuous(AddgapError):
-    """The probe grid found points where nu1 has density but nu2 does not."""
+    """nu1 has density on a part of its support segments that nu2's leave out."""
 
 
 class ZeroVolatility(AddgapError):

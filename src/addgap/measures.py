@@ -9,11 +9,10 @@ and at every known support edge.
 Closed forms come first.  For a same-shape pair of the tempered-stable
 family (``_family``, the one rule for which measures get a family's
 formulas; shared C+- and alpha, ``_ts_alpha``), the L1 gap (0 < alpha < 1),
-H^2 (0 < alpha < 2, alpha != 1), eta (0 < alpha < 1) and the
-absolute-continuity verdict are closed forms, and so are gamma (0 < alpha
-< 1) and the Levy integrability (0 < alpha < 2, alpha != 1) of one such
-measure.  Each functional dispatches on the pair itself.  Each form is
-written from the math module and a math-only incomplete gamma function
+H^2 (0 < alpha < 2, alpha != 1) and eta (0 < alpha < 1) are closed forms,
+and so are gamma (0 < alpha < 1) and the Levy integrability (0 < alpha <
+2, alpha != 1) of one such measure.  Each functional dispatches on the
+pair itself.  Each form is written from the math module and a math-only incomplete gamma function
 (``_lower_gamma``, ``_upper_gamma_cf``) as sums whose terms cancel by at
 most a small constant factor, for every lambda and as alpha approaches 0,
 1 or 2; the one cancellation left is gamma's, between sides of opposite
@@ -42,11 +41,11 @@ process, computes each of them once; a failure (an exception) is not
 cached and is raised again on every call.
 
 The hypothesis nu1 << nu2 has one refusal, `require_abs_continuity`: it
-reads the cached verdict (a probe grid, or the closed verdict of two
-tempered-stable measures) and raises NotAbsolutelyContinuous naming a
-probe where nu1 has density and nu2 has none.  `l1_distance`,
-`hellinger_sq`, the bound report and every Monte Carlo estimator go
-through it.
+reads the cached verdict, which `check_abs_continuity` reaches exactly from
+the support segments of the two measures, and raises
+NotAbsolutelyContinuous naming a point where nu1 has density and nu2 has
+none.  `l1_distance`, `hellinger_sq`, the bound report and every Monte
+Carlo estimator go through it.
 
 A measure has finite activity exactly when ``total_mass()`` is finite;
 there is no second test.
@@ -75,15 +74,11 @@ import numpy as np
 
 from .errors import (
     DivergentIntegral,
+    NonFiniteIntegrand,
     NotAbsolutelyContinuous,
     RatioUndefined,
 )
 from .quadrature import IntegrationRequest, integrate
-
-# Probe grid for the absolute-continuity check: log-spaced per side.
-AC_PROBES_PER_SIDE = 4096
-AC_PROBE_MIN = 1e-8
-AC_PROBE_MAX_FLOOR = 1e2
 
 # Entries kept by each cached functional of the measures.
 FUNCTIONAL_CACHE_SIZE = 256
@@ -127,7 +122,9 @@ class JumpDensity(abc.ABC):
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def support(self) -> _Interval: ...
+    def support(self) -> tuple[_Interval, ...]:
+        """Disjoint intervals in increasing order: the pdf is positive inside
+        each, but at finitely many points, and 0 off them."""
 
     def breakpoints(self) -> tuple[float, ...]:
         """Kinks inside the support; its ends are edges already."""
@@ -152,7 +149,7 @@ class UniformDensity(JumpDensity):
         return self.a + (self.b - self.a) * gen.random(n)
 
     def support(self):
-        return (self.a, self.b)
+        return ((self.a, self.b),)
 
 
 @dataclass(frozen=True)
@@ -173,7 +170,7 @@ class ExponentialDensity(JumpDensity):
         return -np.log1p(-gen.random(n)) / self.rate
 
     def support(self):
-        return (0.0, math.inf)
+        return ((0.0, math.inf),)
 
 
 @dataclass(frozen=True)
@@ -194,7 +191,7 @@ class NormalDensity(JumpDensity):
         return self.mean + math.sqrt(self.variance) * gen.standard_normal(n)
 
     def support(self):
-        return (-math.inf, math.inf)
+        return ((-math.inf, math.inf),)
 
 
 @dataclass(frozen=True)
@@ -251,7 +248,13 @@ class TabulatedDensity(JumpDensity):
         return g[idx] + x
 
     def support(self):
-        return (self.grid[0], self.grid[-1])
+        """The knot cells where a knot value is positive, touching cells
+        joined: the interpolant is positive inside each such cell."""
+        g = np.asarray(self.grid)
+        v = np.asarray(self.values) > 0.0
+        kept = np.concatenate(([False], v[:-1] | v[1:], [False]))
+        ends = np.flatnonzero(kept[:-1] != kept[1:])
+        return tuple(zip(g[ends[::2]].tolist(), g[ends[1::2]].tolist()))
 
     def breakpoints(self):
         return self.grid
@@ -280,7 +283,9 @@ class LevyMeasure(abc.ABC):
 
     @abc.abstractmethod
     def support_segments(self) -> tuple[_Interval, ...]:
-        """Disjoint intervals carrying all mass, none with 0 in the interior."""
+        """Disjoint intervals, none with 0 in the interior: the density is
+        positive inside each, but at finitely many points, and 0 off them.
+        ``check_abs_continuity`` reads its verdict from them alone."""
 
     def breakpoints(self) -> tuple[float, ...]:
         """Kinks of the density inside its support, where quadrature cuts
@@ -333,10 +338,11 @@ class CompoundPoissonMeasure(LevyMeasure):
         return self.intensity
 
     def support_segments(self):
-        lo, hi = self.jump_density.support()
-        if lo < 0.0 < hi:
-            return ((lo, 0.0), (0.0, hi))
-        return ((lo, hi),)
+        """The jump density's segments, each cut at 0."""
+        out = []
+        for lo, hi in self.jump_density.support():
+            out += [(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)]
+        return tuple(out)
 
     def breakpoints(self):
         return self.jump_density.breakpoints()
@@ -561,10 +567,11 @@ _FAMILIES = (TemperedStableMeasure, CompoundPoissonMeasure, TabulatedLevyMeasure
 
 @cache
 def _family(cls: type) -> type | None:
-    """The built-in class whose formulas (closed forms, fused log-ratio, exact
-    verdicts, samplers) stand in for the methods of cls, or None: a subclass
-    of a Levy family that keeps ``density`` and ``log_density``, or of
-    UniformDensity that keeps ``pdf`` and ``sample``, belongs to it."""
+    """The built-in class whose formulas (closed forms, fused log-ratio,
+    samplers; not the verdict on nu1 << nu2, which reads any measure's
+    segments) stand in for the methods of cls, or None: a subclass of a Levy
+    family that keeps ``density`` and ``log_density``, or of UniformDensity
+    that keeps ``pdf`` and ``sample``, belongs to it."""
     for base in _FAMILIES:
         kept = ("pdf", "sample") if base is UniformDensity else ("density", "log_density")
         if issubclass(cls, base) and all(getattr(cls, m) is getattr(base, m) for m in kept):
@@ -1044,46 +1051,34 @@ class AbsContinuityReport:
 
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def check_abs_continuity(nu1: LevyMeasure, nu2: LevyMeasure) -> AbsContinuityReport:
-    """Probe-grid proxy for nu1 << nu2: wherever nu1 has density, nu2 must.
+    """Exact verdict on nu1 << nu2, from the support segments alone: each
+    density is positive inside its segments, but at finitely many points,
+    and 0 off them.  So nu1 << nu2 exactly when nu2's segments, touching
+    neighbours joined, cover nu1's up to finitely many points.
 
-    Probes 4096 log-spaced magnitudes per side from 1e-8 up to the larger of
-    100 and the outermost finite support edge, plus the tabulated family's knots.
-    Two pairs need no probe (``checked`` 0):
-      - two measures of the tempered-stable family (``_family``): C+- and
-        lambda+- are finite and positive, so each has a positive density at
-        every y != 0, and the two are equivalent even where a density
-        underflows to 0 in floating point;
-      - two measures of the tabulated family where, on each side on which
-        nu1 has knots, nu1's knot range lies inside nu2's
-        (``_knot_ranges_nested``): nu1 has density only inside its range,
-        and nu2's log-linear density between positive knot values is
-        positive on all of its own.
+    ``violations`` holds one point inside each part of nu1's segments that
+    nu2's leave out (the first 16), and ``checked`` counts nu1's segments.
     """
-    tabulated = [nu for nu in (nu1, nu2) if _family(type(nu)) is TabulatedLevyMeasure]
-    stable = _family(type(nu1)) is _family(type(nu2)) is TemperedStableMeasure
-    if stable or (len(tabulated) == 2 and _knot_ranges_nested(nu1, nu2)):
-        return AbsContinuityReport(True, (), 0)
-    edges = support_edges((nu1, nu2))
-    hi = max([AC_PROBE_MAX_FLOOR] + [abs(p) for p in edges if math.isfinite(p)])
-    mags = np.logspace(math.log10(AC_PROBE_MIN), math.log10(hi), AC_PROBES_PER_SIDE)
-    probes = np.concatenate([-mags[::-1], mags])
-    if tabulated:
-        probes = np.unique(np.concatenate([probes, *(nu.grid for nu in tabulated)]))
-    d1 = nu1.density(probes)
-    d2 = nu2.density(probes)
-    bad = (d1 > 0.0) & (d2 == 0.0)
-    violations = tuple(float(v) for v in probes[bad][:16])
-    return AbsContinuityReport(not bad.any(), violations, probes.size)
+    ends = [-math.inf]  # the ends of the open holes between nu2's segments
+    for lo, hi in sorted(nu2.support_segments()):
+        if lo > ends[-1]:
+            ends += [lo, hi]
+        else:
+            ends[-1] = max(ends[-1], hi)
+    ends.append(math.inf)
+    holes = list(zip(ends[::2], ends[1::2]))
+    segments = nu1.support_segments()
+    parts = [(max(a, lo), min(b, hi)) for a, b in segments for lo, hi in holes]
+    violations = [_inside(lo, hi) for lo, hi in parts if lo < hi]
+    return AbsContinuityReport(not violations, tuple(violations[:16]), len(segments))
 
 
-def _knot_ranges_nested(nu1: TabulatedLevyMeasure, nu2: TabulatedLevyMeasure) -> bool:
-    """Whether, on each side where nu1 has knots, nu2 has knots and nu1's
-    range of log |y| lies inside nu2's: the ranges that ``density`` tests
-    a point against."""
-    for s1, s2 in zip(nu1._sides, nu2._sides):
-        if s1 is not None and (s2 is None or not s2[0][0] <= s1[0][0] <= s1[0][-1] <= s2[0][-1]):
-            return False
-    return True
+def _inside(lo: float, hi: float) -> float:
+    """A point of (lo, hi), at most one of whose ends is infinite: the
+    midpoint, or a step of max(1, |end|) in from the finite end."""
+    if math.isinf(lo) or math.isinf(hi):
+        return hi - max(1.0, abs(hi)) if math.isinf(lo) else lo + max(1.0, abs(lo))
+    return lo + 0.5 * (hi - lo)
 
 
 def _tabulated_crossings(nu1: TabulatedLevyMeasure, nu2: TabulatedLevyMeasure) -> list[float]:
@@ -1108,9 +1103,10 @@ def _tabulated_crossings(nu1: TabulatedLevyMeasure, nu2: TabulatedLevyMeasure) -
 
 
 def require_abs_continuity(nu1: LevyMeasure, nu2: LevyMeasure) -> None:
-    """Raise NotAbsolutelyContinuous when ``check_abs_continuity`` finds a
-    probe where nu1 has density and nu2 has none: the one refusal of a
-    pair that is not nu1 << nu2, for the report and every estimator."""
+    """Raise NotAbsolutelyContinuous, naming the first point that
+    ``check_abs_continuity`` finds where nu1 has density and nu2 has none:
+    the one refusal of a pair that is not nu1 << nu2, for the report and
+    every estimator."""
     report = check_abs_continuity(nu1, nu2)
     if not report.ok:
         raise NotAbsolutelyContinuous(
@@ -1173,7 +1169,9 @@ def validate_levy(nu: LevyMeasure) -> LevyValidation:
     A measure of the tempered-stable family with 0 < alpha < 2, alpha != 1,
     passes with the closed form, per side C [lambda^(alpha - 2) gamma(2 -
     alpha, lambda) + lambda^alpha Gamma(-alpha, lambda)]
-    (``_ts_levy_integral``).  Any other measure takes the quadrature.
+    (``_ts_levy_integral``).  Any other measure takes the quadrature,
+    whose integrand is >= 0 and so is not finite only where the density
+    overflows: such a measure fails.
     """
     a = _ts_alpha(nu, nu)
     if a is not None and 0.0 < a < 2.0 and a != 1.0:
@@ -1185,9 +1183,12 @@ def validate_levy(nu: LevyMeasure) -> LevyValidation:
             math.inf,
             "inner-edge trend steeper than y^-3: y^2-integral diverges toward 0",
         )
-    value = support_integral(
-        (nu,), lambda y: np.minimum(y * y, 1.0) * nu.density(y), cuts=(-1.0, 1.0)
-    )
+    try:
+        value = support_integral(
+            (nu,), lambda y: np.minimum(y * y, 1.0) * nu.density(y), cuts=(-1.0, 1.0)
+        )
+    except NonFiniteIntegrand as exc:
+        return LevyValidation(False, math.inf, f"density overflows: {exc}")
     if value is None:
         # The quadrature reads a large finite integral as divergent, but
         # int min(y^2, 1) nu(dy) <= nu(R), so a finite-activity measure passes.

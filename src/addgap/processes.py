@@ -7,15 +7,16 @@ pairwise ingredients the distance bounds are built from: the compensated
 drift gap eta, the normalized drift distance xi^2, volatility-class
 detection, and drift matching in the driftless-Gaussian case.
 
-Every time function is a piecewise polynomial on [0, T] (``pieces``), so
-the volatility and drift verdicts read exact extrema: a piece's extremes
-lie at its ends or at real roots of its derivative inside it.  Time
-functions carry exact integrals (polynomial antiderivatives, piecewise
-sums); only the quotient integrals behind xi^2 go through quadrature.
+A time function is its pieces (``TimeFunction.pieces``): a piecewise
+polynomial on every [a, b], from which its values and exact integrals
+(polynomial antiderivatives, piecewise sums) are read.  The volatility and
+drift verdicts read exact extrema from the pieces on [0, T]: a piece's
+extremes lie at its ends or at real roots of its derivative inside it.
+Only the quotient integral behind xi^2 goes through quadrature, cut at the
+piece edges.
 """
 
 import abc
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,38 +55,62 @@ Piece = tuple[float, float, tuple[float, ...]]
 
 
 class TimeFunction(abc.ABC):
-    """Deterministic function of time with an exact integral, a piecewise
-    polynomial on every [0, T]."""
+    """Deterministic function of time, a piecewise polynomial: its pieces
+    are all that a subclass defines, and its values and exact integrals are
+    read from them."""
 
     @abc.abstractmethod
-    def value(self, t: np.ndarray) -> np.ndarray: ...
-
-    @abc.abstractmethod
-    def integral(self, a: float, b: float) -> float:
-        """Exact integral over [a, b], a <= b."""
-
-    @abc.abstractmethod
-    def pieces(self, horizon: float) -> tuple[Piece, ...]:
-        """The function on [0, horizon] as pieces in order, the first from
-        0 and the last to horizon, which it includes; on each piece it is
+    def pieces(self, a: float, b: float) -> tuple[Piece, ...]:
+        """The function on [a, b], a <= b, as pieces in order, the first
+        from a and the last to b, which it includes; on each piece it is
         that piece's polynomial."""
 
-    def breakpoints(self) -> tuple[float, ...]:
-        return ()
+    def value(self, t: np.ndarray) -> np.ndarray:
+        """The function at each point of t, right-continuous at every edge:
+        read from the pieces up to one step past the largest t."""
+        t = np.asarray(t, dtype=float)
+        ts = t[~np.isnan(t)]
+        lo, hi = (float(ts.min()), float(ts.max())) if ts.size else (0.0, 0.0)
+        return _evaluate(self.pieces(lo, math.nextafter(hi, math.inf)), t)
+
+    def integral(self, a: float, b: float) -> float:
+        """Exact integral over [a, b], a <= b: each piece's, added in order;
+        c (hi - lo) for a constant piece, else the antiderivative's
+        difference."""
+        if not a <= b:
+            raise ValueError("integral needs a <= b")
+        total = 0.0
+        for lo, hi, c in self.pieces(a, b):
+            if len(c) == 1:
+                total += c[0] * (hi - lo)
+            else:
+                anti = npoly.polyint(c)
+                total += float(npoly.polyval(hi, anti) - npoly.polyval(lo, anti))
+        return total
+
+
+def _evaluate(pieces, t) -> np.ndarray:
+    """The piecewise polynomial at each point of t, by the piece whose [lo,
+    hi) holds it: the first piece below its lo, the last from its hi."""
+    t = np.asarray(t, dtype=float)
+    if len(pieces) == 1:  # one polynomial on all of t
+        c = pieces[0][2]
+        return np.full_like(t, c[0]) if len(c) == 1 else npoly.polyval(t, c)
+    flat = t.reshape(-1)
+    idx = np.searchsorted(np.array([lo for lo, _, _ in pieces[1:]]), flat, side="right")
+    out = np.array([c[0] if len(c) == 1 else math.nan for _, _, c in pieces])[idx]
+    for i, (_, _, c) in enumerate(pieces):
+        if len(c) > 1:
+            out[idx == i] = npoly.polyval(flat[idx == i], c)
+    return out.reshape(t.shape)
 
 
 @dataclass(frozen=True)
 class ConstantFunction(TimeFunction):
     c: float
 
-    def value(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.c)
-
-    def integral(self, a, b):
-        return self.c * (b - a)
-
-    def pieces(self, horizon):
-        return ((0.0, horizon, (self.c,)),)
+    def pieces(self, a, b):
+        return ((a, b, (self.c,)),)
 
 
 @dataclass(frozen=True)
@@ -100,15 +125,8 @@ class PolynomialFunction(TimeFunction):
         if len(self.coeffs) > MAX_COEFFS:
             raise ValueError(f"polynomial takes at most {MAX_COEFFS} coefficients")
 
-    def value(self, t):
-        return npoly.polyval(np.asarray(t, dtype=float), self.coeffs)
-
-    def integral(self, a, b):
-        anti = npoly.polyint(self.coeffs)
-        return float(npoly.polyval(b, anti) - npoly.polyval(a, anti))
-
-    def pieces(self, horizon):
-        return ((0.0, horizon, tuple(self.coeffs)),)
+    def pieces(self, a, b):
+        return ((a, b, tuple(self.coeffs)),)
 
 
 @dataclass(frozen=True)
@@ -126,34 +144,15 @@ class PiecewiseConstantFunction(TimeFunction):
         if not all(x < y for x, y in zip(self.breaks, self.breaks[1:])):
             raise ValueError("breaks must be strictly increasing")
 
-    def value(self, t):
-        idx = np.searchsorted(np.asarray(self.breaks), np.asarray(t, dtype=float), side="right")
-        return np.asarray(self.values, dtype=float)[idx]
-
-    def _cells(self, a, b) -> tuple[np.ndarray, np.ndarray]:
-        """The edges of [a, b] cut at every break inside it, and the value
-        on each cell between two edges, read at the cell's midpoint."""
+    def pieces(self, a, b):
+        """[a, b] cut at every break inside it, each cell's value read at
+        the cell's midpoint."""
         breaks = np.asarray(self.breaks, dtype=float)
         edges = np.concatenate(([a], breaks[(a < breaks) & (breaks < b)], [b]))
         idx = np.searchsorted(breaks, 0.5 * (edges[:-1] + edges[1:]), side="right")
-        return edges, np.asarray(self.values, dtype=float)[idx]
-
-    def integral(self, a, b):
-        if not a <= b:
-            raise ValueError("integral needs a <= b")
-        edges, values = self._cells(a, b)
-        total = 0.0
-        for area in (values * np.diff(edges)).tolist():
-            total += area
-        return total
-
-    def pieces(self, horizon):
-        edges, values = self._cells(0.0, horizon)
+        values = np.asarray(self.values, dtype=float)[idx].tolist()
         edges = edges.tolist()
-        return tuple(zip(edges[:-1], edges[1:], ((v,) for v in values.tolist())))
-
-    def breakpoints(self):
-        return self.breaks
+        return tuple(zip(edges[:-1], edges[1:], ((v,) for v in values)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +249,6 @@ def _paired_values(pieces1, pieces2, values=_values) -> tuple[list[float], list[
     return found1, found2
 
 
-@functools.cache
-def _pieces_follow_value(cls) -> bool:
-    """Whether cls's ``pieces`` is defined where its ``value`` is, or below:
-    a subclass that overrides ``value`` alone would be judged by its base
-    class's pieces."""
-
-    def owner(name):
-        return next(k for k in cls.__mro__ if name in vars(k))
-
-    return issubclass(owner("pieces"), owner("value"))
-
-
 # ---------------------------------------------------------------------------
 # Process and problem specifications
 # ---------------------------------------------------------------------------
@@ -300,15 +287,13 @@ class ProblemSpec:
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be finite and > 0")
-        for k, p in enumerate((self.process1, self.process2), start=1):
-            for name in ("drift", "vol_sq"):
-                if not _pieces_follow_value(type(getattr(p, name))):
-                    raise ValueError(f"process {k} {name} overrides value but not pieces")
-        v1, v2 = _paired_values(
-            self.process1.vol_sq.pieces(self.horizon),
-            self.process2.vol_sq.pieces(self.horizon),
-            _variance_values,
-        )
+        # Each function's pieces on [0, T], read once per spec for the
+        # verdicts and xi^2: both variances', then both drifts'.
+        p1, p2 = self.process1, self.process2
+        fns = (p1.vol_sq, p2.vol_sq, p1.drift, p2.drift)
+        pieces = tuple(f.pieces(0.0, self.horizon) for f in fns)
+        object.__setattr__(self, "_pieces", pieces)
+        v1, v2 = _paired_values(*pieces[:2], _variance_values)
         for k, v in enumerate((v1, v2), start=1):
             if not all(map(math.isfinite, v)):
                 raise _VarianceRefused(k, "not finite")
@@ -369,18 +354,14 @@ class ProblemSpec:
     @cached_property
     def _xi_sq(self) -> float:
         eta = self.eta()
-        f1, f2 = self.process1.drift, self.process2.drift
-        vol = self.process1.vol_sq
+        vol, _, f1, f2 = self._pieces
 
         def integrand(t):
-            t = np.asarray(t, dtype=float)
-            gap = np.asarray(f1.value(t), dtype=float) - np.asarray(f2.value(t), dtype=float) - eta
-            return gap * gap / np.asarray(vol.value(t), dtype=float)
+            gap = _evaluate(f1, t) - _evaluate(f2, t) - eta
+            return gap * gap / _evaluate(vol, t)
 
-        cuts = set()
-        for fn in (f1, f2, vol, self.process2.vol_sq):
-            cuts.update(b for b in fn.breakpoints() if 0.0 < b < self.horizon)
-        request = IntegrationRequest(integrand, 0.0, self.horizon, breakpoints=tuple(sorted(cuts)))
+        cuts = sorted({lo for pieces in self._pieces for lo, _, _ in pieces[1:]})
+        request = IntegrationRequest(integrand, 0.0, self.horizon, breakpoints=tuple(cuts))
         try:
             res = integrate(request)
         except NonFiniteIntegrand:
@@ -392,9 +373,7 @@ class ProblemSpec:
         """sup |f1 - f2 - eta| over [0, T], and the drift scale
         max(1, sup |f1|, sup |f2|); nan where a drift overflows."""
         eta = self.eta()
-        f1, f2 = _paired_values(
-            self.process1.drift.pieces(self.horizon), self.process2.drift.pieces(self.horizon)
-        )
+        f1, f2 = _paired_values(*self._pieces[2:])
         gap = _largest([abs(a - b - eta) for a, b in zip(f1, f2)])
         return gap, _largest([1.0, *map(abs, f1 + f2)])
 

@@ -17,7 +17,14 @@ import mpmath
 import numpy as np
 
 from addgap.bounds import continuous_part
-from addgap.measures import LevyMeasure, ZeroMeasure, _Interval
+from addgap.measures import (
+    AbsContinuityReport,
+    LevyMeasure,
+    TabulatedLevyMeasure,
+    TemperedStableMeasure,
+    ZeroMeasure,
+    _Interval,
+)
 from addgap.errors import NonFiniteIntegrand, ToleranceNotMet
 from addgap import quadrature
 from addgap.montecarlo import _estimate_ct_dt, e_abs_one_minus_exp_normal
@@ -621,3 +628,48 @@ def piecewise_constant_integral(fn, a, b):
         idx = int(np.searchsorted(np.asarray(fn.breaks), 0.5 * (lo + hi), side="right"))
         total += fn.values[idx] * (hi - lo)
     return total
+
+
+# The probe grid that decided nu1 << nu2 before the verdict was read from
+# the support segments: log-spaced magnitudes per side.
+AC_PROBES_PER_SIDE = 4096
+AC_PROBE_MIN = 1e-8
+AC_PROBE_MAX_FLOOR = 1e2
+
+
+def ac_probes(nu1, nu2):
+    """The probes of ``probe_abs_continuity``: AC_PROBES_PER_SIDE log-spaced
+    magnitudes per side from AC_PROBE_MIN up to the larger of
+    AC_PROBE_MAX_FLOOR and the outermost finite support edge, and the knots
+    of a tabulated Levy measure."""
+    edges = [p for nu in (nu1, nu2) for seg in nu.support_segments() for p in seg]
+    hi = max([AC_PROBE_MAX_FLOOR] + [abs(p) for p in edges if math.isfinite(p)])
+    mags = np.logspace(math.log10(AC_PROBE_MIN), math.log10(hi), AC_PROBES_PER_SIDE)
+    probes = np.concatenate([-mags[::-1], mags])
+    knots = [nu.grid for nu in (nu1, nu2) if isinstance(nu, TabulatedLevyMeasure)]
+    return np.unique(np.concatenate([probes, *knots])) if knots else probes
+
+
+def probe_abs_continuity(nu1, nu2):
+    """The probe-grid reference for nu1 << nu2: no probe where nu1's
+    density is positive and nu2's is 0.  It is right where every support
+    end lies off the probes, no density underflows on the probed range and
+    every gap holds a probe; ``check_abs_continuity`` needs none of that."""
+    probes = ac_probes(nu1, nu2)
+    bad = (nu1.density(probes) > 0.0) & (nu2.density(probes) == 0.0)
+    return AbsContinuityReport(not bad.any(), tuple(probes[bad][:16].tolist()), probes.size)
+
+
+@dataclasses.dataclass(frozen=True)
+class OneSide(TemperedStableMeasure):
+    """The half line of sign ``side`` of a tempered-stable measure: a
+    measure outside every family, given by its own density and segments."""
+
+    side: float = 1.0
+
+    def density(self, y):
+        y = np.asarray(y, dtype=float)
+        return np.where(self.side * y > 0.0, super().density(y), 0.0)
+
+    def support_segments(self):
+        return ((0.0, math.inf),) if self.side > 0 else ((-math.inf, 0.0),)

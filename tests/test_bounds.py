@@ -377,9 +377,9 @@ class TestSinglePass:
         reads = []
         constant_pieces = ConstantFunction.pieces
 
-        def counted_pieces(self, horizon):
+        def counted_pieces(self, a, b):
             reads.append(self)
-            return constant_pieces(self, horizon)
+            return constant_pieces(self, a, b)
 
         monkeypatch.setattr(ConstantFunction, "pieces", counted_pieces)
         spec = parse_config(CONFIG_DIR / f"{name}.json").problem

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1246,8 +1247,8 @@ class TestTemperedStableClosedForms:
 
     def test_fast_decaying_reference_is_equivalent(self, tmp_path, capsys):
         # nu2's density underflows to 0 past y ~ 92 while nu1's does not:
-        # the probe grid saw a violation there, but two tempered-stable
-        # measures are equivalent.
+        # a probe grid saw a violation there, but the two measures have
+        # the same segments, both half lines, and are equivalent.
         levy1 = _ts_levy(0.5, c=(1.0, 1.0), lam=(1.0, 1.0))
         levy2 = _ts_levy(0.5, c=(1.0, 1.0), lam=(1.0, 8.0))
         path = write_config(tmp_path, _pair_config(levy1, levy2, 1.0))
@@ -1282,6 +1283,56 @@ class TestTemperedStableClosedForms:
         assert (code, err) == (0, "")
         estimate = json.loads(out)["estimate"]
         assert estimate["mean"] <= 2.0 + estimate["half_width_95"]
+
+
+class TestExactAbsoluteContinuity:
+    """The verdict on nu1 << nu2 reads the support segments: a null set
+    where a density is 0 is no violation, and a gap between two probes is."""
+
+    UNIFORM = _cp_levy(1.0)
+    TRIANGULAR = _cp_levy(
+        1.0, {"family": "tabulated", "grid": [0.0, 0.5, 1.0], "values": [0.0, 2.0, 0.0]}
+    )
+    # 0 on [0.50001, 0.50002], between two points of a probe grid.
+    ZERO_CELL = _cp_levy(1.0, {
+        "family": "tabulated",
+        "grid": [0.0, 0.50001, 0.50002, 1.0],
+        "values": [2.0 / 0.99999, 0.0, 0.0, 2.0 / 0.99999],
+    })
+
+    def test_triangular_reference_is_reported(self, tmp_path, capsys):
+        # The triangular pdf is 0 at y = 1.0 alone, where the uniform one
+        # is 1: a probe there refused the pair.
+        path = write_config(tmp_path, _pair_config(self.UNIFORM, self.TRIANGULAR, 1.0))
+        code, out, err = run(capsys, ["bound", "--json", "--config", path])
+        assert (code, err) == (0, "")
+        # int |1 - tri| = 1/2: 1/8 on each side of 1/4 and of 3/4.
+        assert json.loads(out)["report"]["l1_nu"] == pytest.approx(0.5, abs=1e-8)
+        argv = ["estimate", "--json", "--config", path, "--paths", "2000"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert math.isfinite(json.loads(out)["estimate"]["mean"])
+
+    @pytest.mark.parametrize("command", ["bound", "estimate"])
+    def test_zero_cell_is_refused(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, _pair_config(self.UNIFORM, self.ZERO_CELL, 1.0))
+        code, out, err = run(capsys, [command, "--config", path])
+        # bound prints the refusal as the reason of l1_nu and H^2, estimate
+        # as its error line.
+        refusal = r"nu1 has density where nu2 has none, e\.g\. at y = (\S+)$"
+        points = re.findall(refusal, out + err, re.M)
+        assert code == 2 and len(points) == (2 if command == "bound" else 1)
+        assert all(0.50001 < float(p) < 0.50002 for p in points)
+
+    @pytest.mark.parametrize("alpha", [-200.0, -1000.0])
+    def test_overflowing_density_is_an_invalid_measure(self, tmp_path, capsys, alpha):
+        # min(y^2, 1) nu(dy) is >= 0, so the quadrature meets a non-finite
+        # value only where the density overflows: the measure is refused.
+        levy = _ts_levy(alpha, c=(1.0, 1.0), lam=(1.0, 1.0))
+        path = write_config(tmp_path, _pair_config(levy, levy, 0.0))
+        code, out, err = run(capsys, ["bound", "--config", path])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: config.process1: invalid Levy measure: density overflows")
 
 
 class TestSweepRowErrors:

@@ -35,6 +35,11 @@ The six estimator records of ``not_ac_positive`` and
 refusing a pair that is not absolutely continuous with the report's
 message, which names a probe (``nu1 has density where nu2 has none, e.g.
 at y = ...``), in place of ``nu1 carries density where nu2 has none``.
+Their report reasons and estimator records were re-recorded again when the
+verdict began reading the support segments in place of a probe grid: the
+point named moved from the probe 1.0056387566976546 to 1.5, the midpoint
+of (1, 2), which uniform(0, 2) covers and uniform(0, 1) leaves out; no
+number moved.
 The report and bound records of ``ts_bundled``,
 ``ts_same_shape_poly_drift``, ``ts_alpha_1_5`` and ``ts_diff_shape_zero``
 were re-recorded when the tempered-stable functionals (L1, H^2, gamma)

@@ -21,7 +21,6 @@ from addgap.errors import (
     RatioUndefined,
 )
 from addgap.measures import (
-    AC_PROBES_PER_SIDE,
     AbsContinuityReport,
     CompoundPoissonMeasure,
     ExponentialDensity,
@@ -57,12 +56,17 @@ from _oracles import (
     H2_EX3,
     H2_EX3_A15,
     L1_EX3,
+    AC_PROBES_PER_SIDE,
+    AC_PROBE_MAX_FLOOR,
+    OneSide,
     _side_edges,
+    ac_probes,
     _unit_cut_edges,
     clear_caches,
     loaded,
     loglinear_functionals,
     pair_support_edges,
+    probe_abs_continuity,
     report_bits,
 )
 
@@ -82,7 +86,7 @@ class TestJumpDensities:
         d = UniformDensity(-1.0, 3.0)
         y = np.array([-2.0, -1.0, 0.0, 3.0, 3.5])
         np.testing.assert_allclose(d.pdf(y), [0.0, 0.25, 0.25, 0.25, 0.0])
-        assert d.support() == (-1.0, 3.0)
+        assert d.support() == ((-1.0, 3.0),)
 
     def test_uniform_rejects_empty_interval(self):
         with pytest.raises(ValueError):
@@ -303,29 +307,36 @@ class TestAbsoluteContinuity:
 
     def test_nested_tabulated_ranges_need_no_probe(self):
         tab, narrow, two_sided = self.nested_tables()
-        exact = AbsContinuityReport(True, (), 0)
-        assert check_abs_continuity(narrow, tab) == exact
-        assert check_abs_continuity(tab, tab) == exact
+
+        def exact(nu1):
+            return AbsContinuityReport(True, (), len(nu1.support_segments()))
+
+        assert check_abs_continuity(narrow, tab) == exact(narrow)
+        assert check_abs_continuity(tab, tab) == exact(tab)
         # nu1 has no negative side, so only the positive ranges must nest.
-        assert check_abs_continuity(narrow, two_sided) == exact
+        assert check_abs_continuity(narrow, two_sided) == exact(narrow)
 
         class Sub(TabulatedLevyMeasure):
             pass
 
-        # A subclass that keeps density and log_density is of the
-        # tabulated family (``measures._family``), so it gets the verdict.
-        assert check_abs_continuity(Sub(narrow.grid, narrow.values), tab) == exact
+        # The verdict reads the segments of any measure, a subclass too.
+        sub = Sub(narrow.grid, narrow.values)
+        assert check_abs_continuity(sub, tab) == exact(sub)
 
     def test_tabulated_ranges_not_nested_are_probed(self):
         tab, narrow, two_sided = self.nested_tables()
-        probes = 2 * AC_PROBES_PER_SIDE
-        # Knots that overlap without nesting, and a side nu2 lacks.
+        g, n = tab.grid, narrow.grid
+        # Knots that overlap without nesting: the midpoint of each part of
+        # tab's range that narrow's leaves out.
         outer = check_abs_continuity(tab, narrow)
-        assert not outer.ok and outer.checked >= probes
-        assert min(outer.violations) == pytest.approx(1e-2)
+        gaps = ((g[0], n[0]), (n[-1], g[-1]))
+        assert outer == AbsContinuityReport(False, tuple(a + 0.5 * (b - a) for a, b in gaps), 1)
+        # A side nu2 lacks.
         negative = check_abs_continuity(two_sided, tab)
-        assert not negative.ok and negative.violations[0] == pytest.approx(two_sided.grid[0])
-        with pytest.raises(NotAbsolutelyContinuous, match=r"e\.g\. at y = 0\.01"):
+        (lo, hi), _ = two_sided.support_segments()
+        assert negative == AbsContinuityReport(False, (lo + 0.5 * (hi - lo),), 2)
+        point = outer.violations[0]
+        with pytest.raises(NotAbsolutelyContinuous, match=rf"e\.g\. at y = {point!r}$"):
             l1_distance(tab, narrow)
 
     def test_opposite_sides_fail(self):
@@ -336,12 +347,127 @@ class TestAbsoluteContinuity:
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
     @pytest.mark.parametrize("field", ["c_minus", "c_plus", "lam_minus", "lam_plus"])
     def test_tempered_stable_constants_are_finite_and_positive(self, field, value):
-        # The exact verdict of two tempered-stable measures rests on C+-
-        # and lambda+- in (0, inf): at lambda = inf a side has no density.
+        # A tempered-stable measure's segments, both half lines, rest on
+        # C+- and lambda+- in (0, inf): at lambda = inf a side has no density.
         params = dict(c_minus=1.0, c_plus=1.0, lam_minus=1.0, lam_plus=1.0, alpha=0.5)
         params[field] = value
         with pytest.raises(ValueError):
             TemperedStableMeasure(**params)
+
+
+# Support ends of the battery's jump densities, and knots of its tabulated
+# Levy measures: two sets apart from each other, off the probe magnitudes
+# and far enough apart that a probe falls between any two of them.
+CP_ENDS = (0.013, 0.37, 1.9, 7.3, 23.1, 61.7)
+LEVY_KNOTS = (0.021, 0.55, 3.1, 11.7, 41.3)
+
+
+def _signed(mags):
+    return sorted({0.0, *mags, *(-m for m in mags)})
+
+
+@st.composite
+def battery_measures(draw):
+    """A built-in measure on which the probe grid is reliable: every finite
+    end below AC_PROBE_MAX_FLOOR and in CP_ENDS or LEVY_KNOTS, and no
+    density underflowing to 0 on the probed range."""
+    kind = draw(st.sampled_from(
+        ["uniform", "exponential", "normal", "tabulated", "ts", "tabulated_levy", "zero"]
+    ))
+    if kind == "uniform":
+        ends = st.lists(st.sampled_from(_signed(CP_ENDS)), min_size=2, max_size=2, unique=True)
+        a, b = draw(ends)
+        return CompoundPoissonMeasure(1.0, UniformDensity(min(a, b), max(a, b)))
+    if kind == "exponential":
+        return CompoundPoissonMeasure(1.0, ExponentialDensity(draw(st.floats(0.1, 5.0))))
+    if kind == "normal":
+        mean, variance = draw(st.floats(-2.0, 2.0)), draw(st.floats(8.0, 20.0))
+        return CompoundPoissonMeasure(1.0, NormalDensity(mean, variance))
+    if kind == "tabulated":
+        knots = st.lists(st.sampled_from(_signed(CP_ENDS)), min_size=2, max_size=6, unique=True)
+        grid = sorted(draw(knots))
+        n = len(grid)
+        values = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 2.0]), min_size=n, max_size=n))
+        values[draw(st.integers(0, n - 1))] = 1.0
+        values = np.array(values) / np.trapezoid(values, grid)
+        return CompoundPoissonMeasure(1.0, TabulatedDensity(tuple(grid), tuple(values)))
+    if kind == "ts":
+        c, lam = st.floats(0.5, 2.0), st.floats(0.1, 5.0)
+        alpha = draw(st.floats(-1.0, 1.9))
+        return TemperedStableMeasure(draw(c), draw(c), draw(lam), draw(lam), alpha)
+    if kind == "tabulated_levy":
+        sides = draw(st.sampled_from([(-1.0,), (1.0,), (-1.0, 1.0)]))
+        knots = st.lists(st.sampled_from(LEVY_KNOTS), min_size=2, max_size=4, unique=True)
+        grid = sorted(sign * m for sign in sides for m in draw(knots))
+        values = draw(st.lists(st.floats(0.1, 10.0), min_size=len(grid), max_size=len(grid)))
+        return TabulatedLevyMeasure(tuple(grid), tuple(values))
+    return ZeroMeasure()
+
+
+class TestExactVerdictAgainstTheProbeGrid:
+    """``check_abs_continuity`` against the probe grid it replaced
+    (``_oracles.probe_abs_continuity``): equal wherever the grid is
+    reliable, and right where it is not."""
+
+    U01 = CompoundPoissonMeasure(1.0, UniformDensity(0.0, 1.0))
+
+    def test_battery_ends_lie_off_the_probes(self):
+        probes = ac_probes(ZeroMeasure(), ZeroMeasure())
+        ends = np.array(sorted(CP_ENDS + LEVY_KNOTS))
+        assert ends[-1] < AC_PROBE_MAX_FLOOR and not np.isin(ends, np.abs(probes)).any()
+        # Each ratio of neighbouring ends is over two probe spacings.
+        spacing = (math.log(AC_PROBE_MAX_FLOOR) - math.log(1e-8)) / (AC_PROBES_PER_SIDE - 1)
+        assert np.diff(np.log(ends)).min() > 2.0 * spacing
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(battery_measures(), battery_measures())
+    def test_equal_where_the_grid_is_reliable(self, nu1, nu2):
+        exact = check_abs_continuity(nu1, nu2)
+        assert exact.ok == probe_abs_continuity(nu1, nu2).ok
+        assert exact.checked == len(nu1.support_segments())
+        # Each violation lies inside one of nu1's segments, where nu2 is 0.
+        for y in exact.violations:
+            assert any(a < y < b for a, b in nu1.support_segments())
+            assert nu2.density(np.array([y]))[0] == 0.0
+
+    def test_triangular_reference(self):
+        # The triangular pdf is 0 at y = 1 alone, a probe: a false refusal.
+        tri = CompoundPoissonMeasure(1.0, TabulatedDensity((0.0, 0.5, 1.0), (0.0, 2.0, 0.0)))
+        assert probe_abs_continuity(self.U01, tri).violations == (1.0,)
+        assert check_abs_continuity(self.U01, tri) == AbsContinuityReport(True, (), 1)
+        assert l1_distance(self.U01, tri) == pytest.approx(0.5, abs=1e-8)
+
+    def test_zero_cell_reference(self):
+        # 0 on [0.50001, 0.50002], between two probes: a false acceptance.
+        v = 2.0 / 0.99999
+        cell = CompoundPoissonMeasure(
+            1.0, TabulatedDensity((0.0, 0.50001, 0.50002, 1.0), (v, 0.0, 0.0, v))
+        )
+        assert cell.support_segments() == ((0.0, 0.50001), (0.50002, 1.0))
+        assert probe_abs_continuity(self.U01, cell).ok
+        report = check_abs_continuity(self.U01, cell)
+        assert report == AbsContinuityReport(False, (0.50001 + 0.5 * (0.50002 - 0.50001),), 1)
+
+    def test_underflowing_normal_reference(self):
+        # The normal pdf underflows to 0 past y ~ 27.59: a false refusal.
+        nu1 = CompoundPoissonMeasure(1.5, ExponentialDensity(1.5))
+        nu2 = CompoundPoissonMeasure(3.0, NormalDensity(0.2, 0.5))
+        grid = probe_abs_continuity(nu1, nu2)
+        assert not grid.ok and grid.violations[0] == pytest.approx(27.59, abs=0.01)
+        assert check_abs_continuity(nu1, nu2) == AbsContinuityReport(True, (), 1)
+        # scipy's quad, cut at 0.5, 1, 2 and 5, gives 1.7422875626.
+        assert l1_distance(nu1, nu2) == pytest.approx(1.7422875626, abs=1e-9)
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_measure_outside_every_family(self, side):
+        # OneSide is given by its own density and segments: the half line
+        # of sign side.  Against it, a tempered-stable measure is refused
+        # on the side it leaves out.
+        ts = TemperedStableMeasure(1.0, 1.0, 1.0, 2.0, 0.5)
+        half = OneSide(1.0, 1.0, 1.0, 2.0, 0.5, side=side)
+        assert check_abs_continuity(half, ts) == AbsContinuityReport(True, (), 1)
+        assert check_abs_continuity(ts, half) == AbsContinuityReport(False, (-side,), 2)
+        assert probe_abs_continuity(ts, half).violations[0] * side < 0.0
 
 
 class TestL1Distance:
@@ -614,8 +740,8 @@ class TestClosedFormReach:
     def test_subclass_takes_the_closed_forms(self, monkeypatch):
         # A subclass that keeps density and log_density is of the
         # tempered-stable family (``measures._family``): it takes the
-        # closed forms and the exact verdict, no quadrature, and its bits
-        # are those of its base class.
+        # closed forms, no quadrature, and its bits are those of its base
+        # class.  Its verdict, like every measure's, reads its two segments.
         class Sub(TemperedStableMeasure):
             pass
 
@@ -640,7 +766,7 @@ class TestClosedFormReach:
         sub = functionals(Sub(1.0, 1.0, 1.0, 2.0, 0.5), Sub(1.0, 1.0, 1.0, 1.0, 0.5))
         base = functionals(TemperedStableMeasure(1.0, 1.0, 1.0, 2.0, 0.5), EX3_NU2)
         assert sub == base
-        assert sub[1] == AbsContinuityReport(True, (), 0)
+        assert sub[1] == AbsContinuityReport(True, (), 2)
 
     def test_subclass_with_its_own_density(self):
         # Doubled's density is twice its base class's, so the base's

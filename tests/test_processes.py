@@ -85,21 +85,26 @@ class TestTimeFunctions:
         with pytest.raises(ValueError):
             PiecewiseConstantFunction((1.0,), (1.0,))
 
-    def test_breakpoints(self):
-        assert ConstantFunction(1.0).breakpoints() == ()
-        assert PiecewiseConstantFunction((1.0,), (0.0, 1.0)).breakpoints() == (1.0,)
+    def test_pieces_on_any_window(self):
+        assert ConstantFunction(1.0).pieces(-2.0, -1.0) == ((-2.0, -1.0, (1.0,)),)
+        f = PiecewiseConstantFunction((-1.0, 1.0, 2.0, 4.0), (5.0, 10.0, 20.0, 30.0, 40.0))
+        assert f.pieces(-3.0, 0.5) == ((-3.0, -1.0, (5.0,)), (-1.0, 0.5, (10.0,)))
+        assert f.pieces(4.0, 6.0) == ((4.0, 6.0, (40.0,)),)
+        assert f.pieces(1.5, 1.5) == ((1.5, 1.5, (20.0,)),)
 
     def test_pieces(self):
-        assert ConstantFunction(2.5).pieces(3.0) == ((0.0, 3.0, (2.5,)),)
-        assert PolynomialFunction((1.0, 2.0)).pieces(3.0) == ((0.0, 3.0, (1.0, 2.0)),)
+        assert ConstantFunction(2.5).pieces(0.0, 3.0) == ((0.0, 3.0, (2.5,)),)
+        assert PolynomialFunction((1.0, 2.0)).pieces(0.0, 3.0) == ((0.0, 3.0, (1.0, 2.0)),)
         f = PiecewiseConstantFunction((-1.0, 1.0, 2.0, 4.0), (5.0, 10.0, 20.0, 30.0, 40.0))
-        assert f.pieces(3.0) == ((0.0, 1.0, (10.0,)), (1.0, 2.0, (20.0,)), (2.0, 3.0, (30.0,)))
-        assert f.pieces(1.0) == ((0.0, 1.0, (10.0,)),)
+        assert f.pieces(0.0, 3.0) == (
+            (0.0, 1.0, (10.0,)), (1.0, 2.0, (20.0,)), (2.0, 3.0, (30.0,))
+        )
+        assert f.pieces(0.0, 1.0) == ((0.0, 1.0, (10.0,)),)
 
     def test_polynomial_coefficient_cap(self):
         # Its extrema take the eigenvalues of a companion matrix, cubic in
         # the degree.
-        assert PolynomialFunction((1.0,) * MAX_COEFFS).pieces(1.0)[0][2] == (1.0,) * MAX_COEFFS
+        assert PolynomialFunction((1.0,) * MAX_COEFFS).pieces(0.0, 1.0)[0][2] == (1.0,) * MAX_COEFFS
         with pytest.raises(ValueError, match="at most 64 coefficients"):
             PolynomialFunction((1.0,) * (MAX_COEFFS + 1))
 
@@ -114,8 +119,11 @@ class TestTimeFunctions:
                     if a <= b:
                         got, want = fn.integral(a, b), piecewise_constant_integral(fn, a, b)
                         assert type(got) is float and got.hex() == want.hex()
+        # The sum starts from +0.0, so an empty cell of value -2 adds -0.0
+        # to it and gives +0.0.
         fn = PiecewiseConstantFunction((1.0,), (-2.0, 3.0))
-        assert fn.integral(0.5, 0.5) == piecewise_constant_integral(fn, 0.5, 0.5) == 0.0
+        assert fn.integral(0.5, 0.5).hex() == piecewise_constant_integral(fn, 0.5, 0.5).hex()
+        assert fn.integral(0.5, 0.5).hex() == "0x0.0p+0"
         with pytest.raises(ValueError):
             fn.integral(1.0, 0.0)
 
@@ -126,7 +134,7 @@ class TestTimeFunctions:
         fn = PiecewiseConstantFunction(tuple(np.arange(1, n + 1) / (n + 1)), (1.0,) * (n + 1))
         start = time.perf_counter()
         assert fn.integral(0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
-        assert len(fn.pieces(1.0)) == n + 1
+        assert len(fn.pieces(0.0, 1.0)) == n + 1
         assert time.perf_counter() - start < 2.0
 
 
@@ -164,23 +172,21 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="process 1 volatility is not finite"):
             make_problem(ZeroMeasure(), ZeroMeasure(), vol=huge, horizon=1e10)
 
-    def test_rejects_value_override_without_pieces(self):
-        # Its pieces would be its base class's, not the function it is.
+    def test_value_and_integral_follow_pieces(self):
+        # A subclass that overrides pieces alone is the function its pieces
+        # say: its values, its integral and every verdict read them.
         class Shifted(ConstantFunction):
-            def value(self, t):
-                return super().value(t) + 1.0
+            def pieces(self, a, b):
+                return ((a, b, (self.c + 1.0,)),)
 
-        class ShiftedWithPieces(Shifted):
-            def pieces(self, horizon):
-                return ((0.0, horizon, (self.c + 1.0,)),)
-
-        for field in ("drift", "vol_sq"):
-            p = ProcessSpec(ZERO_FN, UNIT_FN, ZeroMeasure())
-            bad = dataclasses.replace(p, **{field: Shifted(1.0)})
-            with pytest.raises(ValueError, match=f"process 2 {field} overrides value but not pieces"):
-                ProblemSpec(p, bad, 1.0)
-            good = dataclasses.replace(p, **{field: ShiftedWithPieces(1.0)})
-            ProblemSpec(p, good, 1.0)
+        shifted = Shifted(-2.0)
+        assert shifted.value(np.array([-1.0, 0.5])).tolist() == [-1.0, -1.0]
+        assert shifted.integral(0.0, 3.0) == -3.0
+        p = ProcessSpec(ZERO_FN, UNIT_FN, ZeroMeasure())
+        with pytest.raises(ValueError, match="process 2 volatility is negative"):
+            ProblemSpec(p, dataclasses.replace(p, vol_sq=shifted), 1.0)
+        spec = ProblemSpec(p, dataclasses.replace(p, drift=shifted), 1.0)
+        assert spec.drift_gap_sup() == 1.0 and spec.xi_sq() == pytest.approx(1.0, rel=1e-14)
 
     def test_rejects_bad_horizon(self):
         p = ProcessSpec(ZERO_FN, UNIT_FN, ZeroMeasure())
@@ -353,9 +359,9 @@ class TestDriftMatching:
 
     def test_each_function_is_read_once(self):
         class Counted(ConstantFunction):
-            def pieces(self, horizon):
+            def pieces(self, a, b):
                 calls.append(self.c)
-                return super().pieces(horizon)
+                return super().pieces(a, b)
 
         calls = []
         spec = ProblemSpec(
@@ -367,7 +373,7 @@ class TestDriftMatching:
         for _ in range(2):
             assert not spec.drift_matched()
             assert spec.drift_gap_sup() == pytest.approx(0.5)
-        # Both variances' pieces at construction, then both drifts' once.
+        # Both variances' pieces, then both drifts', once, at construction.
         assert calls == [0.0, 0.0, ETA_EX3, 0.5]
 
     def test_gap_between_grid_points_is_unmatched(self):
@@ -402,20 +408,10 @@ class PiecewisePolynomial(TimeFunction):
     breaks: tuple[float, ...]
     coeffs: tuple[tuple[float, ...], ...]
 
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.breaks, t, side="right")
-        out = np.empty_like(t)
-        for i, c in enumerate(self.coeffs):
-            out[idx == i] = npoly.polyval(t[idx == i], c)
-        return out
-
-    def integral(self, a, b):
-        raise NotImplementedError
-
-    def pieces(self, horizon):
-        edges = (0.0, *self.breaks, horizon)
-        return tuple(zip(edges[:-1], edges[1:], self.coeffs))
+    def pieces(self, a, b):
+        edges = (a, *(x for x in self.breaks if a < x < b), b)
+        idx = np.searchsorted(self.breaks, edges[:-1], side="right")
+        return tuple(zip(edges[:-1], edges[1:], (self.coeffs[i] for i in idx)))
 
 
 @st.composite
@@ -458,6 +454,62 @@ def grid_extremes(fn, horizon):
     return float(values.min()), float(values.max())
 
 
+def per_piece(fn, t):
+    """fn at each point of t by npoly, on the piece that holds it."""
+    idx = np.searchsorted(fn.breaks, t, side="right")
+    return [float(npoly.polyval(x, fn.coeffs[i])) for x, i in zip(t, idx)]
+
+
+def per_piece_integral(fn, a, b):
+    """The integral of fn over [a, b], each piece's by npoly, added in order."""
+    edges = [a, *(x for x in fn.breaks if a < x < b), b]
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        c = fn.coeffs[int(np.searchsorted(fn.breaks, lo, side="right"))]
+        if len(c) == 1:
+            total += c[0] * (hi - lo)
+        else:
+            anti = npoly.polyint(c)
+            total += float(npoly.polyval(hi, anti) - npoly.polyval(lo, anti))
+    return total
+
+
+class TestOneMethodTimeFunction:
+    """A time function that defines only its pieces gets its values and
+    its integral from them: each the polynomial of its own piece."""
+
+    FN = PiecewisePolynomial((0.5, 1.0), ((1.0,), (2.0, 1.0), (5.0, 0.0, -1.0)))
+
+    @pytest.mark.parametrize(
+        "t", [[-0.5], [-2.0, 0.25], [0.5], [0.2, 0.5], [1.0], [-1.0, 0.7, 1.0], [3.0, 1.0]]
+    )
+    def test_value_reads_the_piece_of_each_point(self, t):
+        # t < 0 reads the first piece; a break that is the largest t reads
+        # the piece that starts there (right-continuity).
+        assert self.FN.value(np.array(t)).tolist() == per_piece(self.FN, t)
+
+    def test_integral_adds_the_pieces(self):
+        # 1.5 on [-1, 0.5], 1 + 0.375 on [0.5, 1], 5 - 7/3 on [1, 2].
+        assert self.FN.integral(-1.0, 2.0) == pytest.approx(1.5 + 1.375 + 8.0 / 3.0, rel=1e-15)
+        assert self.FN.integral(0.75, 0.75) == 0.0
+        with pytest.raises(ValueError):
+            self.FN.integral(1.0, 0.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        piecewise_polynomials(2.0),
+        st.lists(st.floats(-1.0, 3.0), min_size=1, max_size=20),
+        st.floats(-1.0, 3.0),
+        st.floats(-1.0, 3.0),
+    )
+    def test_against_npoly_per_piece(self, drawn, ts, a, b):
+        fn, _ = drawn
+        t = [*ts, *fn.breaks[:1]]
+        assert fn.value(np.array(t)).tolist() == per_piece(fn, t)
+        a, b = sorted((a, b))
+        assert fn.integral(a, b).hex() == per_piece_integral(fn, a, b).hex()
+
+
 class TestExactExtrema:
     """The exact extrema bound the 2049-point grid's, and equal them where
     the extremes fall on grid points."""
@@ -468,7 +520,7 @@ class TestExactExtrema:
     ))
     def test_range_against_the_grid(self, drawn):
         horizon, (fn, on_grid) = drawn
-        values, _ = processes._paired_values(fn.pieces(horizon), ZERO_FN.pieces(horizon))
+        values, _ = processes._paired_values(fn.pieces(0.0, horizon), ZERO_FN.pieces(0.0, horizon))
         low, high = min(values), max(values)
         grid_low, grid_high = grid_extremes(fn, horizon)
         tol = rounding(fn, horizon)
