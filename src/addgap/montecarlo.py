@@ -125,18 +125,21 @@ def e_abs_one_minus_exp_normal(m: float, s: float) -> float:
     = 2 [1 - 2 phi(-s/2)]; the short form is wrong for any other mean
     (it forgets the e^{m + s^2/2} weight of the e^X partial moments), so
     the full expression is used.  Degenerates to |1 - e^m| at s = 0.
+    The value is at least |1 - e^{m + s^2/2}|, so it is inf exactly when
+    that exponential overflows.
     """
-    if s < 0.0:
+    if not s >= 0.0:
         raise ValueError("s must be >= 0")
-    growth = m + 0.5 * s * s
-    if growth > 700.0:
+    try:
+        if s == 0.0:
+            return abs(math.expm1(m))
+        weight = math.exp(m + 0.5 * s * s)
+    except OverflowError:
         return math.inf
-    if s == 0.0:
-        return abs(math.expm1(m))
+    if weight == math.inf:  # an infinite m + s^2/2
+        return weight
     t = -m / s
-    return (2.0 * normal_cdf(t) - 1.0) + math.exp(growth) * (
-        1.0 - 2.0 * normal_cdf(t - s)
-    )
+    return (2.0 * normal_cdf(t) - 1.0) + weight * (1.0 - 2.0 * normal_cdf(t - s))
 
 
 # ---------------------------------------------------------------------------

@@ -740,15 +740,22 @@ class TestBundledConfigs:
         assert thm2[-1] / thm2[0] > 2.0 * horizons[-1] / horizons[0]
 
 
-# Runs the CLI argument lists given as JSON in one fresh interpreter, then
-# prints whether scipy.special was imported.
-SCIPY_PROBE = """
+# Runs the CLI argument lists given as JSON in one fresh interpreter, with
+# scipy blocked when the second argument is "block", and prints as JSON the
+# exit code, stdout and stderr of each command and the scipy modules loaded.
+CLI_PROBE = """
 import contextlib, io, json, sys
+if sys.argv[2] == "block":
+    sys.modules["scipy"] = None
 from addgap import cli
+runs = []
 for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0, argv
-print("scipy.special" in sys.modules)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    runs.append((code, out.getvalue(), err.getvalue()))
+loaded = [name for name, module in sys.modules.items() if module and name.startswith("scipy")]
+print(json.dumps({"runs": runs, "scipy": loaded}))
 """
 
 
@@ -768,39 +775,56 @@ LAMBDA_SWEEP = [
     "sweep", "--param", "process1.levy.lambda_plus", "--from", "1.5", "--to", "2.5",
     "--steps", "3", "--paths", "2000",
 ]
+PROBE_COMMANDS = [
+    ["bound"],
+    ["compare", "--paths", "2000"],
+    ["estimate", "--paths", "2000", "--check", "tv"],
+    ["estimate", "--paths", "2000", "--check", "martingale"],
+]
+# The sinh oracle needs a finite-activity pair, and only a tempered-stable
+# config has a lambda_plus to sweep; the others sweep their horizon.
+FINITE_COMMANDS = [
+    ["estimate", "--paths", "2000", "--check", "sinh"],
+    ["sweep", "--param", "horizon", "--from", "0.5", "--to", "2", "--steps", "3", "--paths", "2000"],
+]
 
 
 @pytest.mark.parametrize(
-    "names, commands, loaded",
+    "config, commands",
     [
-        (("compound_poisson", "tempered_stable"), (["bound"], ["estimate", "--paths", "2000"]), False),
-        (("jump_diffusion",), (["bound"],), True),
-        ((tempered_variant(alpha=0.7),), (["bound"], LAMBDA_SWEEP), False),
-        # erf of the Gaussian part loads scipy.special at sigma^2 = 1.
-        ((tempered_variant(vol=1.0),), (["bound"], LAMBDA_SWEEP), True),
+        ("compound_poisson", FINITE_COMMANDS),
+        ("jump_diffusion", FINITE_COMMANDS),
+        ("tempered_stable", [LAMBDA_SWEEP]),
+        (tempered_variant(alpha=0.7), [LAMBDA_SWEEP]),
+        (tempered_variant(vol=1.0), [LAMBDA_SWEEP]),
     ],
+    ids=["compound_poisson", "jump_diffusion", "tempered_stable", "tempered_alpha_0.7",
+         "tempered_vol_1"],
 )
-def test_scipy_special_is_imported_only_when_needed(names, commands, loaded, tmp_path):
-    # Pairs without a Gaussian part never evaluate the normal CDF or erf;
-    # the tempered-stable closed forms use the math module alone.  A name
-    # is a bundled config, a dict a config written for the test.
-    configs = [
-        str(CONFIG_DIR / f"{name}.json") if isinstance(name, str)
-        else write_config(tmp_path, name, f"cfg{k}.json")
-        for k, name in enumerate(names)
-    ]
-    argvs = [
-        [command[0], "--config", config, *command[1:]] for config in configs for command in commands
-    ]
+def test_commands_run_without_scipy(config, commands, tmp_path):
+    # The normal CDF and erf are ports in addgap.bounds: with scipy blocked,
+    # every command exits 0 with the bytes it prints when scipy can load,
+    # and neither interpreter loads a scipy module.
+    if isinstance(config, str):
+        path = str(CONFIG_DIR / f"{config}.json")
+    else:
+        path = write_config(tmp_path, config)
+    argvs = [[c[0], "--config", path, *c[1:]] for c in PROBE_COMMANDS + commands]
     root = CONFIG_DIR.parent
     paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
-        capture_output=True, cwd=root, env=env, timeout=300, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(loaded)
+    results = {}
+    for mode in ("block", "allow"):
+        proc = subprocess.run(
+            [sys.executable, "-c", CLI_PROBE, json.dumps(argvs), mode],
+            capture_output=True, cwd=root, env=env, timeout=300, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        results[mode] = json.loads(proc.stdout)
+        assert results[mode]["scipy"] == [], mode
+    blocked, allowed = results["block"]["runs"], results["allow"]["runs"]
+    assert [code for code, _, _ in blocked] == [0] * len(argvs)
+    assert blocked == allowed
 
 
 def heavy_tempered_config():

@@ -160,6 +160,21 @@ class TestEAbsOneMinusExpNormal:
         with pytest.raises(ValueError):
             e_abs_one_minus_exp_normal(0.0, -1.0)
 
+    def test_nan_s_rejected(self):
+        with pytest.raises(ValueError):
+            e_abs_one_minus_exp_normal(0.0, math.nan)
+
+    def test_finite_past_the_old_cut(self):
+        # |1 - e^705| is about 1.505e306: inf only where e^{m + s^2/2} overflows.
+        assert e_abs_one_minus_exp_normal(705.0, 0.0) == math.expm1(705.0)
+        assert 1e304 < e_abs_one_minus_exp_normal(700.0, 1.0) < math.inf
+        for m, s in ((710.0, 0.0), (709.0, 1.5), (0.0, 1e200), (math.inf, math.inf)):
+            assert e_abs_one_minus_exp_normal(m, s) == math.inf
+
+    @pytest.mark.parametrize("m, s", [(1.0, 0.0), (1.0, 2.0), (-2.0, 0.5)])
+    def test_returns_a_float(self, m, s):
+        assert type(e_abs_one_minus_exp_normal(m, s)) is float
+
 
 def cp_batch(horizon, n_paths, seed, nu=CP10, epsilon=0.0):
     """The jumps that chunk 0 of an estimate with root ``seed`` draws."""
