@@ -3,20 +3,29 @@ r"""Levy measures, jump-size densities, and the pairwise functionals feeding the
 All measures are absolutely continuous with respect to Lebesgue measure on
 R \ {0} and expose a vectorized density. Pairwise quantities (the L1 gap
 between measures, the Hellinger-type quantity, the compensated drift gap)
-are computed by adaptive quadrature over the union of supports, split at 0
-and at every known support edge.
+and the functionals of one measure (gamma, the Levy integrability, the
+mass) are exact sums where the measures' family has a closed form, and
+adaptive quadrature over the union of supports, split at 0 and at every
+known support edge, elsewhere.
 
-Closed forms come first.  For a same-shape pair of the tempered-stable
-family (``_family``, the one rule for which measures get a family's
-formulas; shared C+- and alpha, ``_ts_alpha``), the L1 gap (0 < alpha < 1),
-H^2 (0 < alpha < 2, alpha != 1) and eta (0 < alpha < 1) are closed forms,
-and so are gamma (0 < alpha < 1) and the Levy integrability (0 < alpha <
-2, alpha != 1) of one such measure.  Each functional dispatches on the
-pair itself.  Each form is written from the math module and a math-only incomplete gamma function
-(``_lower_gamma``, ``_upper_gamma_cf``) as sums whose terms cancel by at
-most a small constant factor, for every lambda and as alpha approaches 0,
-1 or 2; the one cancellation left is gamma's, between sides of opposite
-sign.  Every other measure and alpha goes through the quadrature.
+Closed forms come first.  Each functional asks ``_closed_form``, the one
+dispatch: ``_family`` (the one rule for which measures get a family's
+formulas) picks the family of its measures, whose entry in ``_FORMS``
+returns the value, or None where the form does not apply; then the
+quadrature runs.  The forms themselves live in ``_forms``:
+  - a same-shape tempered-stable pair (shared C+- and alpha): L1 and gamma
+    (0 < alpha < 1), eta (0 < alpha < 2), H^2 and the Levy integrability
+    (0 < alpha < 2, alpha != 1);
+  - compound Poisson measures with a uniform, exponential, normal or
+    tabulated jump density (``_DENSITY_MOMENTS``): the Levy integrability
+    and gamma, and L1, H^2 and eta of two sharing the density (the normal
+    where its terms cancel by at most a factor 2);
+  - log-linear tables: every functional, the mass above epsilon included,
+    summed exactly over the knot cells of both tables, cut at |y| = 1 (or
+    epsilon) and where the densities cross (``_table_pieces``), in a form
+    that keeps relative precision as the two densities meet.
+Mixed families, measures outside every family and the ranges above take
+the quadrature.
 
 Finiteness is checked, never assumed: a tempered stable pair with alpha >= 1
 must come back with an infinite L1 flag, and the same pair keeps a finite
@@ -78,6 +87,8 @@ from .errors import (
     NotAbsolutelyContinuous,
     RatioUndefined,
 )
+from . import _forms
+from ._forms import _ts_sides
 from .quadrature import IntegrationRequest, integrate
 
 # Entries kept by each cached functional of the measures.
@@ -303,7 +314,9 @@ class LevyMeasure(abc.ABC):
             raise ValueError("epsilon must be >= 0")
         if epsilon == 0.0:
             return self.total_mass()
-        total = _side_integral(self, self.density, epsilon, math.inf)
+        total = _closed_form("mass_above", (self,), epsilon)
+        if total is None:
+            total = _side_integral(self, self.density, epsilon, math.inf)
         if total is None:
             raise DivergentIntegral(f"mass above {epsilon!r} diverged")
         return total
@@ -493,7 +506,9 @@ class TabulatedLevyMeasure(LevyMeasure):
     def total_mass(self):
         if self.diverges_near_zero(0.0):
             return math.inf
-        total = _side_integral(self, self.density, 0.0, math.inf)
+        total = _closed_form("total_mass", (self,))
+        if total is None:
+            total = _side_integral(self, self.density, 0.0, math.inf)
         return math.inf if total is None else total
 
     def support_segments(self):
@@ -562,7 +577,15 @@ def _side_integral(nu: LevyMeasure, integrand, lo_mag: float, hi_mag: float) -> 
 # ---------------------------------------------------------------------------
 
 
-_FAMILIES = (TemperedStableMeasure, CompoundPoissonMeasure, TabulatedLevyMeasure, UniformDensity)
+_FAMILIES = (
+    TemperedStableMeasure,
+    CompoundPoissonMeasure,
+    TabulatedLevyMeasure,
+    UniformDensity,
+    ExponentialDensity,
+    NormalDensity,
+    TabulatedDensity,
+)
 
 
 @cache
@@ -570,10 +593,10 @@ def _family(cls: type) -> type | None:
     """The built-in class whose formulas (closed forms, fused log-ratio,
     samplers; not the verdict on nu1 << nu2, which reads any measure's
     segments) stand in for the methods of cls, or None: a subclass of a Levy
-    family that keeps ``density`` and ``log_density``, or of UniformDensity
-    that keeps ``pdf`` and ``sample``, belongs to it."""
+    family that keeps ``density`` and ``log_density``, or of a jump density
+    family that keeps ``pdf`` and ``sample``, belongs to it."""
     for base in _FAMILIES:
-        kept = ("pdf", "sample") if base is UniformDensity else ("density", "log_density")
+        kept = ("pdf", "sample") if issubclass(base, JumpDensity) else ("density", "log_density")
         if issubclass(cls, base) and all(getattr(cls, m) is getattr(base, m) for m in kept):
             return base
     return None
@@ -758,240 +781,125 @@ def pair_sqrt_difference_fn(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms of tempered-stable functionals
+# One formula table per family
 # ---------------------------------------------------------------------------
 
-# Relative size of the last term kept by the series below, whose terms are
-# all positive.
-_SERIES_EPS = 2.0**-54
-# Iteration cap of the incomplete gamma function's series and continued
-# fraction; both meet _SERIES_EPS within about a hundred steps on finite input.
-_MAX_TERMS = 10_000
-# The first-moment gap of one side is summed over pieces of the lambda
-# interval: each a series in its gap d, with d / hi at most this, or with
-# hi <= 1 and _SMALL_LAMBDA_TERMS terms, each at most 1 / k! times the
-# first; above _POWER_LAW_LAMBDA the power-law closed form, whose
-# correction there is below 50 e^(-50), about 1e-20, of it.
-_ETA_SERIES_GAP = 0.5
-_SMALL_LAMBDA_TERMS = 20
-_POWER_LAW_LAMBDA = 50.0
+
+_DENSITY_MOMENTS = {
+    UniformDensity: lambda d: _forms.uniform_moments(d.a, d.b),
+    ExponentialDensity: lambda d: _forms.exponential_moments(d.rate),
+    NormalDensity: lambda d: _forms.normal_moments(d.mean, d.variance),
+    TabulatedDensity: lambda d: _forms.tabulated_density_moments(*d._arrays[:2]),
+}
 
 
-def _ts_sides(nu1: TemperedStableMeasure, nu2: TemperedStableMeasure) -> tuple:
-    """(sign, C, lambda of nu1, lambda of nu2) of each side, negative first."""
-    return (
-        (-1.0, nu1.c_minus, nu1.lam_minus, nu2.lam_minus),
-        (1.0, nu1.c_plus, nu1.lam_plus, nu2.lam_plus),
-    )
+@lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
+def _jump_moments(density: JumpDensity) -> tuple[float, float] | None:
+    """(E[min(Y^2, 1)], E[Y; |Y| <= 1]) of a jump density of a family with
+    moments (``_forms``), or None."""
+    form = _DENSITY_MOMENTS.get(_family(type(density)))
+    return None if form is None else form(density)
 
 
-def _lower_gamma(s: float, x: float) -> float:
-    """x^-s gamma(s, x) = int_0^1 y^(s - 1) e^(-x y) dy for s > 0 and x > 0,
-    the lower incomplete gamma function scaled by x^-s: its series e^-x
-    sum_n x^n / (s (s + 1) ... (s + n)), of positive terms, for x < s + 1,
-    else Gamma(s) x^-s less the upper function (``_upper_gamma_cf``)."""
-    if x >= s + 1.0:
-        return math.gamma(s) * x**-s - math.exp(-x) * _upper_gamma_cf(s, x)
-    term = total = 1.0 / s
-    for n in range(1, _MAX_TERMS):
-        term *= x / (s + n)
-        total += term
-        if term <= _SERIES_EPS * total:
-            break
-    return total * math.exp(-x)
+def _cp_moment(nu: CompoundPoissonMeasure, i: int) -> float | None:
+    moments = _jump_moments(nu.jump_density)
+    return None if moments is None else nu.intensity * moments[i]
 
 
-def _upper_gamma_cf(s: float, x: float) -> float:
-    """e^x x^-s Gamma(s, x) for x > 0 and any s, the continued fraction of
-    the upper incomplete gamma function (modified Lentz), which converges
-    within about a hundred steps for x >= s + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c, d = 1.0 / tiny, 1.0 / b
-    cf = d
-    for n in range(1, _MAX_TERMS):
-        a = -n * (n - s)
-        b += 2.0
-        d = a * d + b
-        d = 1.0 / (d if abs(d) > tiny else tiny)
-        c = b + a / c
-        c = c if abs(c) > tiny else tiny
-        cf *= d * c
-        if abs(d * c - 1.0) <= _SERIES_EPS:
-            break
-    return cf
+def _cp_gap(nu1: CompoundPoissonMeasure, nu2: CompoundPoissonMeasure) -> float | None:
+    """lambda1 - lambda2 of two measures sharing a jump density of a family
+    (which integrates to 1), else None."""
+    density = nu1.jump_density
+    if density == nu2.jump_density and _family(type(density)) in _DENSITY_MOMENTS:
+        return nu1.intensity - nu2.intensity
+    return None
 
 
-def _moment_gap_piece(alpha: float, lo: float, hi: float) -> float:
-    """int_0^1 y^(-alpha) (e^(-lo y) - e^(-hi y)) dy for lo < hi, with d =
-    hi - lo at most _ETA_SERIES_GAP hi or hi <= 1: sum_k d^k / k! J_k, J_k =
-    int_0^1 y^(k - alpha) e^(-hi y) dy, whose terms are all positive.  J_K
-    comes from ``_lower_gamma`` and J_(k-1) = (hi J_k + e^(-hi)) / (k -
-    alpha), a recurrence of positive terms, gives the rest."""
-    d = hi - lo
-    if d <= _ETA_SERIES_GAP * hi:
-        terms = max(1, math.ceil(math.log(0.5 * _SERIES_EPS) / math.log(d / hi)))
-    else:
-        terms = _SMALL_LAMBDA_TERMS
-    j = _lower_gamma(terms + 1.0 - alpha, hi)
-    e = math.exp(-hi)
-    acc = j
-    for k in range(terms, 1, -1):
-        j = (hi * j + e) / (k - alpha)
-        acc = j + d / k * acc
-    return d * acc
+def _cp_eta(nu1, nu2) -> float | None:
+    gap, moments = _cp_gap(nu1, nu2), _jump_moments(nu1.jump_density)
+    return None if gap is None or moments is None else gap * moments[1]
 
 
-def _ts_first_moment_gap(alpha: float, lam1: float, lam2: float) -> float:
-    """int_0^1 y^(-alpha) (e^(-lambda1 y) - e^(-lambda2 y)) dy, 0 < alpha < 1.
-
-    With lo, hi the smaller and larger lambda it is a sum of positive
-    pieces, so it has no cancellation.  The part [a, hi] of [lo, hi] above
-    a = max(lo, _POWER_LAW_LAMBDA) is Gamma(1 - alpha) (a^(alpha - 1) -
-    hi^(alpha - 1)), written as Gamma(2 - alpha) a^(alpha - 1) times
-    -expm1(s log(a / hi)) / s, s = 1 - alpha (``_expm1_ratio``), which
-    keeps relative precision for every gap and as alpha -> 1.  Below,
-    [lo, hi] is halved from the top down to 1, and each piece is
-    ``_moment_gap_piece``: a single piece where d / hi <= _ETA_SERIES_GAP."""
-    if lam1 == lam2:
-        return 0.0
-    lo, hi = sorted((lam1, lam2))
-    size = 0.0
-    if hi > _POWER_LAW_LAMBDA:
-        a = max(lo, _POWER_LAW_LAMBDA)
-        s = 1.0 - alpha
-        size = -math.gamma(1.0 + s) * a**-s * _expm1_ratio(s, _log_ratio(a, hi))
-        hi = a
-    while lo < hi:
-        mid = lo if hi <= 1.0 or lo >= _ETA_SERIES_GAP * hi else _ETA_SERIES_GAP * hi
-        size += _moment_gap_piece(alpha, mid, hi)
-        hi = mid
-    return size if lam1 < lam2 else -size
+def _cp_l1(nu1, nu2) -> float | None:
+    gap = _cp_gap(nu1, nu2)
+    return None if gap is None else abs(gap)
 
 
-def _log_ratio(x: float, y: float) -> float:
-    """log(x / y) for x, y > 0 to relative precision: log1p of the relative
-    gap where x / y is within a factor 2 of 1, and log(x) - log(y) where
-    x / y would leave the range of normal doubles."""
-    q = x / y
-    if 0.5 <= q <= 2.0:
-        return math.log1p((x - y) / y)
-    if 2.0**-1000 < q < 2.0**1000:
-        return math.log(q)
-    return math.log(x) - math.log(y)
+def _cp_hellinger(nu1, nu2) -> float | None:
+    """(sqrt lambda1 - sqrt lambda2)^2, as ((lambda1 - lambda2) / (sqrt
+    lambda1 + sqrt lambda2))^2, which does not cancel."""
+    gap = _cp_gap(nu1, nu2)
+    if gap is None:
+        return None
+    return (gap / (math.sqrt(nu1.intensity) + math.sqrt(nu2.intensity))) ** 2
 
 
-def _expm1_ratio(a: float, x: float) -> float:
-    """expm1(a x) / a for a > 0, to relative precision also where a x is
-    tiny or subnormal: x times expm1(y) / y, y = a x, there."""
-    y = a * x
-    if abs(y) < 1e-5:
-        return x * (1.0 + 0.5 * y * (1.0 + y / 3.0))
-    return math.expm1(y) / a
+def _table_pieces(nu1, nu2=None, cut: float = 1.0) -> _forms.Pieces:
+    """The ``_forms.Pieces`` of one tabulated measure or of two, cut at |y|
+    = cut and, for two, where their densities cross."""
+    tables = [_table(nu) for nu in (nu1, nu2) if nu is not None]
+    return _forms.pieces(tables, (cut,))
 
 
-def _ts_l1(a: float, nu1: TemperedStableMeasure, nu2: TemperedStableMeasure) -> float:
-    """int |nu1 - nu2| for 0 < alpha < 1: per side, where nu1 - nu2 keeps
-    one sign, C |Gamma(-alpha)| |lambda1^alpha - lambda2^alpha|, written
-    C |Gamma(-alpha)| (1 - (lo / hi)^alpha) hi^alpha with lo, hi the smaller
-    and larger lambda and the bracket as -expm1(alpha log(lo / hi))
-    (``_log_ratio``), so that close lambdas, and far ones at a small alpha,
-    keep relative precision."""
-    g = math.gamma(1.0 - a) / a  # |Gamma(-alpha)|
-    total = 0.0
-    for _, c, l1, l2 in _ts_sides(nu1, nu2):
-        if l1 != l2:
-            lo, hi = sorted((l1, l2))
-            bracket = -math.expm1(a * _log_ratio(lo, hi))
-            total += c * (g * bracket) * hi**a
-    return total
+# The tables and form sums of the last few tabulated measures: the
+# functionals ask for one measure's (or pair's) forms one after another,
+# and their own caches keep the values, so a long cache would only keep
+# old tables alive.
+_TABLE_CACHE_SIZE = 8
 
 
-def _power_gap(a: float, p: float, x: float) -> float:
-    """p^alpha - p for p = e^x > 0, without cancellation: p expm1((alpha -
-    1) x), or the plain difference where p^(alpha - 1) > e, which cancels
-    by at most e / (e - 1) and cannot overflow in the expm1."""
-    b = a - 1.0
-    if b * x > 1.0:
-        return math.exp(a * x) - p
-    return p * math.expm1(b * x)
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _table(nu: TabulatedLevyMeasure) -> _forms.Table:
+    return _forms.table(nu.grid, nu.values)
 
 
-def _hellinger_bracket(a: float, l1: float, l2: float, m: float) -> float:
-    """(p^alpha + q^alpha - 2) / (alpha (alpha - 1)), p = 1 + t = l1 / m and
-    q = 1 - t = l2 / m, m = (l1 + l2) / 2.
-
-    For |t| < 1/2 it is the series sum_k c_k t^(2k), c_1 = 1, c_(k+1) = c_k
-    (alpha - 2k)(alpha - 2k - 1) / ((2k + 1)(2k + 2)), whose terms are all
-    positive for alpha < 2.  Beyond, the numerator is a sum of two terms of
-    opposite signs, each within a factor of about 5 of the sum, from log p
-    and log q (``_log_ratio``, exact also where q underflows): for alpha <
-    1/2, (p^alpha - 1) + (q^alpha - 1), divided by alpha
-    (``_expm1_ratio``) so that it stays exact as alpha -> 0, where it
-    tends to alpha log(p q); from 1/2 on, (p^alpha - p) + (q^alpha - q)
-    (``_power_gap``), which stays exact near alpha = 1, where it vanishes."""
-    t = 0.5 * (l1 - l2) / m
-    t2 = t * t
-    if t2 < 0.25:
-        term = total = t2
-        k = 1
-        while term > _SERIES_EPS * total:
-            term *= t2 * (a - 2 * k) * (a - 2 * k - 1) / ((2 * k + 1) * (2 * k + 2))
-            total += term
-            k += 1
-        return total
-    logs = (_log_ratio(l1, m), _log_ratio(l2, m))
-    if a < 0.5:
-        return (_expm1_ratio(a, logs[0]) + _expm1_ratio(a, logs[1])) / (a - 1.0)
-    return (_power_gap(a, l1 / m, logs[0]) + _power_gap(a, l2 / m, logs[1])) / (a * (a - 1.0))
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _tab_single(nu) -> dict:
+    return _forms.single_forms(_table_pieces(nu))
 
 
-def _ts_hellinger(a: float, nu1: TemperedStableMeasure, nu2: TemperedStableMeasure) -> float:
-    """int (sqrt(nu1) - sqrt(nu2))^2 for 0 < alpha < 2, alpha != 1: per side
-    C Gamma(-alpha) m^alpha ((1 + t)^alpha + (1 - t)^alpha - 2), m =
-    (lambda1 + lambda2) / 2 and t = (lambda1 - lambda2) / (2 m), written
-    as C Gamma(2 - alpha) m^alpha times ``_hellinger_bracket``, since
-    Gamma(-alpha) alpha (alpha - 1) = Gamma(2 - alpha); math.inf where
-    m^alpha overflows."""
-    g = math.gamma(2.0 - a)
-    total = 0.0
-    for _, c, l1, l2 in _ts_sides(nu1, nu2):
-        if l1 != l2:
-            m = 0.5 * l1 + 0.5 * l2
-            try:
-                power = m**a
-            except OverflowError:
-                power = math.inf
-            total += c * g * _hellinger_bracket(a, l1, l2, m) * power
-    return total
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _tab_pair(nu1, nu2) -> dict:
+    return _forms.pair_forms(_table_pieces(nu1, nu2))
 
 
-def _ts_levy_integral(a: float, lam: float) -> float:
-    """int_0^inf min(y^2, 1) y^(-1 - alpha) e^(-lambda y) dy for 0 < alpha
-    < 2, alpha != 1: the part below 1, lambda^(alpha - 2) gamma(2 - alpha,
-    lambda) (``_lower_gamma``), plus the part above 1, lambda^alpha
-    Gamma(-alpha, lambda).  For lambda >= 1 that is the continued
-    fraction.  For lambda < 1 it is split at 1 / lambda: above, lambda^alpha
-    Gamma(-alpha, 1) by the continued fraction; below, with L = -log
-    lambda, sum_n (-lambda)^n / n! int_1^(1 / lambda) y^(n - 1 - alpha) dy
-    = sum_n (-1)^n / n! lambda^min(n, alpha) (1 - e^(-|n - alpha| L)) /
-    |n - alpha|, each bracket a ``_expm1_ratio``.  Its terms alternate
-    and fall like 1 / n!, and the sum is at least e^-1 times its first
-    term, so neither part cancels, also as alpha -> 0 or 1."""
-    inner = _lower_gamma(2.0 - a, lam)
-    if lam >= 1.0:
-        return inner + math.exp(-lam) * _upper_gamma_cf(-a, lam)
-    log_inv = -math.log(lam)
-    below = 0.0
-    weight = 1.0  # (-1)^n / n!
-    for n in range(_MAX_TERMS):
-        gap = abs(n - a)
-        term = weight * lam ** min(n, a) * -_expm1_ratio(gap, -log_inv)
-        below += term
-        if n > a and abs(term) <= _SERIES_EPS * abs(below):
-            break
-        weight /= -(n + 1.0)
-    return inner + below + lam**a * math.exp(-1.0) * _upper_gamma_cf(-a, 1.0)
+_FORMS = {
+    TemperedStableMeasure: {
+        "levy": _forms.ts_levy,
+        "gamma": _forms.ts_gamma,
+        "eta": _forms.ts_eta,
+        "l1": _forms.ts_l1,
+        "hellinger": _forms.ts_hellinger,
+    },
+    CompoundPoissonMeasure: {
+        "levy": lambda nu: _cp_moment(nu, 0),
+        "gamma": lambda nu: _cp_moment(nu, 1),
+        "eta": _cp_eta,
+        "l1": _cp_l1,
+        "hellinger": _cp_hellinger,
+    },
+    TabulatedLevyMeasure: {
+        "levy": lambda nu: _tab_single(nu)["levy"],
+        "gamma": lambda nu: _tab_single(nu)["gamma"],
+        "total_mass": lambda nu: _tab_single(nu)["total_mass"],
+        "mass_above": lambda nu, eps: _forms.mass_above(_table_pieces(nu, None, eps), eps),
+        "eta": lambda nu1, nu2: _tab_pair(nu1, nu2)["eta"],
+        "l1": lambda nu1, nu2: _tab_pair(nu1, nu2)["l1"],
+        "hellinger": lambda nu1, nu2: _tab_pair(nu1, nu2)["hellinger"],
+    },
+}
+
+
+def _closed_form(name: str, measures: tuple, *params) -> float | None:
+    """The form ``name`` at measures (one, or a pair) and params of the
+    family all the measures belong to (``_family``), or None where they
+    have no common family, it has no such form, or the form does not apply:
+    then the caller takes the quadrature."""
+    family = _family(type(measures[0]))
+    if any(_family(type(nu)) is not family for nu in measures[1:]):
+        return None
+    form = _FORMS.get(family, {}).get(name)
+    return None if form is None else form(*measures, *params)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,19 +909,13 @@ def _ts_levy_integral(a: float, lam: float) -> float:
 
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def gamma_nu(nu: LevyMeasure) -> float:
-    """Small-jump compensator drift: integral of y over {|y| <= 1}.
-
-    For a measure of the tempered-stable family with 0 < alpha < 1 it is
-    the closed form, per side, sign C int_0^1 y^(-alpha) e^(-lambda
-    y) dy = sign C lambda^(alpha - 1) gamma(1 - alpha, lambda)."""
-    a = _ts_alpha(nu, nu)
-    if a is not None and 0.0 < a < 1.0:
-        return sum(
-            sign * c * _lower_gamma(1.0 - a, lam) for sign, c, lam, _ in _ts_sides(nu, nu)
-        )
+    """Small-jump compensator drift: integral of y over {|y| <= 1}: the
+    family's closed form (``_closed_form``), else the quadrature."""
     if nu.diverges_near_zero(1.0):
         raise DivergentIntegral("tabulated small-jump first moment diverges near 0")
-    value = support_integral((nu,), lambda y: y * nu.density(y), -1.0, 1.0)
+    value = _closed_form("gamma", (nu,))
+    if value is None:
+        value = support_integral((nu,), lambda y: y * nu.density(y), -1.0, 1.0)
     if value is None:
         raise DivergentIntegral("small-jump first moment diverges")
     return value
@@ -1023,20 +925,14 @@ def gamma_nu(nu: LevyMeasure) -> float:
 def eta_nu(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
     """Compensated small-jump drift gap: integral of y over {|y| <= 1}
     against nu1 - nu2, integrated jointly, so that a pair whose small-jump
-    first moments diverge apart but whose gap is integrable is finite.
-
-    For a pair with closed forms (``_ts_alpha``) and 0 < alpha < 1 it is,
-    per side, sign C int_0^1 y^(-alpha) (e^(-lambda1 y) - e^(-lambda2 y))
-    dy (``_ts_first_moment_gap``)."""
-    a = _ts_alpha(nu1, nu2)
-    if a is not None and 0.0 < a < 1.0:
-        return sum(
-            sign * c * _ts_first_moment_gap(a, l1, l2) for sign, c, l1, l2 in _ts_sides(nu1, nu2)
-        )
+    first moments diverge apart but whose gap is integrable is finite: the
+    family's closed form (``_closed_form``), else the quadrature."""
     if nu1.diverges_near_zero(1.0) or nu2.diverges_near_zero(1.0):
         raise DivergentIntegral("tabulated small-jump first moment diverges near 0")
-    diff = pair_difference_fn(nu1, nu2)
-    value = support_integral((nu1, nu2), lambda y: y * diff(y), -1.0, 1.0)
+    value = _closed_form("eta", (nu1, nu2))
+    if value is None:
+        diff = pair_difference_fn(nu1, nu2)
+        value = support_integral((nu1, nu2), lambda y: y * diff(y), -1.0, 1.0)
     if value is None:
         raise DivergentIntegral("compensated drift gap diverges near 0")
     return value
@@ -1085,21 +981,9 @@ def _tabulated_crossings(nu1: TabulatedLevyMeasure, nu2: TabulatedLevyMeasure) -
     """The points where the densities of two tabulated measures cross, each
     side's inside the overlap of the two knot ranges.  Between neighbours of
     the union of both knot sets there, log nu1 - log nu2 is linear in
-    log |y| (both are np.interp in log-log), so each such cell holds at most
-    one crossing, where that line is 0."""
-    cuts = []
-    for sign, s1, s2 in zip((-1.0, 1.0), nu1._sides, nu2._sides):
-        if s1 is None or s2 is None:
-            continue
-        lo, hi = max(s1[0][0], s2[0][0]), min(s1[0][-1], s2[0][-1])
-        x = np.union1d(s1[0], s2[0])
-        x = x[(lo <= x) & (x <= hi)]
-        gap = np.interp(x, *s1) - np.interp(x, *s2)
-        g0, g1 = gap[:-1], gap[1:]
-        cross = g0 * g1 < 0.0
-        at = x[:-1][cross] + np.diff(x)[cross] * (g0[cross] / (g0[cross] - g1[cross]))
-        cuts.extend((sign * np.exp(at)).tolist())
-    return cuts
+    log |y| (both are log-linear), so each such cell holds at most one
+    crossing, where that line is 0 (``_forms.Pieces``)."""
+    return _table_pieces(nu1, nu2).crossings.tolist()
 
 
 def require_abs_continuity(nu1: LevyMeasure, nu2: LevyMeasure) -> None:
@@ -1122,15 +1006,15 @@ def _pair_integral(nu1, nu2, integrand, cuts=()) -> float:
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def l1_distance(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
     """Integral of |density gap| over the union support; math.inf if
-    divergent.  The closed form ``_ts_l1`` for a pair with closed forms
-    (``_ts_alpha``) and 0 < alpha < 1.  Two measures of the tabulated
-    family are cut where their densities cross (``_tabulated_crossings``),
-    the kinks of the gap's absolute value."""
+    divergent: the family's closed form (``_closed_form``), else the
+    quadrature.  Two measures of the tabulated family are then cut where
+    their densities cross (``_tabulated_crossings``), the kinks of the
+    gap's absolute value."""
     require_abs_continuity(nu1, nu2)
-    a = _ts_alpha(nu1, nu2)
-    if a is not None and 0.0 < a < 1.0:
-        return _ts_l1(a, nu1, nu2)
-    if a is not None:
+    value = _closed_form("l1", (nu1, nu2))
+    if value is not None:
+        return value
+    if _ts_alpha(nu1, nu2) is not None:
         diff = _same_shape_ts_difference(nu1, nu2, _identity, 1.0, near_zero=False)
     else:
         diff = pair_difference_fn(nu1, nu2)
@@ -1142,12 +1026,12 @@ def l1_distance(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def hellinger_sq(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
     """Integral of (sqrt(density1) - sqrt(density2))^2; math.inf if
-    divergent.  The closed form ``_ts_hellinger`` for a pair with closed
-    forms (``_ts_alpha``) and 0 < alpha < 2, alpha != 1."""
+    divergent: the family's closed form (``_closed_form``), else the
+    quadrature."""
     require_abs_continuity(nu1, nu2)
-    a = _ts_alpha(nu1, nu2)
-    if a is not None and 0.0 < a < 2.0 and a != 1.0:
-        return _ts_hellinger(a, nu1, nu2)
+    value = _closed_form("hellinger", (nu1, nu2))
+    if value is not None:
+        return value
     sdiff = pair_sqrt_difference_fn(nu1, nu2)
     return _pair_integral(nu1, nu2, lambda y: sdiff(y) ** 2)
 
@@ -1166,23 +1050,20 @@ class LevyValidation:
 def validate_levy(nu: LevyMeasure) -> LevyValidation:
     """Check the defining integrability: int (y^2 and 1) nu(dy) < inf.
 
-    A measure of the tempered-stable family with 0 < alpha < 2, alpha != 1,
-    passes with the closed form, per side C [lambda^(alpha - 2) gamma(2 -
-    alpha, lambda) + lambda^alpha Gamma(-alpha, lambda)]
-    (``_ts_levy_integral``).  Any other measure takes the quadrature,
-    whose integrand is >= 0 and so is not finite only where the density
-    overflows: such a measure fails.
+    A measure whose family has a closed form for the integral
+    (``_closed_form``) passes with it.  Any other measure takes the
+    quadrature, whose integrand is >= 0 and so is not finite only where the
+    density overflows: such a measure fails.
     """
-    a = _ts_alpha(nu, nu)
-    if a is not None and 0.0 < a < 2.0 and a != 1.0:
-        value = sum(c * _ts_levy_integral(a, lam) for _, c, lam, _ in _ts_sides(nu, nu))
-        return LevyValidation(True, value)
     if nu.diverges_near_zero(2.0):
         return LevyValidation(
             False,
             math.inf,
             "inner-edge trend steeper than y^-3: y^2-integral diverges toward 0",
         )
+    value = _closed_form("levy", (nu,))
+    if value is not None:
+        return LevyValidation(True, value)
     try:
         value = support_integral(
             (nu,), lambda y: np.minimum(y * y, 1.0) * nu.density(y), cuts=(-1.0, 1.0)

@@ -59,7 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import continuous_part, normal_cdf
+from ._cephes import normal_cdf
+from .bounds import continuous_part
 from .errors import HypothesisFailed
 from .measures import (
     LevyMeasure,
@@ -130,6 +131,8 @@ def e_abs_one_minus_exp_normal(m: float, s: float) -> float:
     """
     if not s >= 0.0:
         raise ValueError("s must be >= 0")
+    if math.isnan(m) or (m == -math.inf and s == math.inf):
+        raise ValueError(f"E|1 - e^X| is undefined at m = {m!r}, s = {s!r}")
     try:
         if s == 0.0:
             return abs(math.expm1(m))

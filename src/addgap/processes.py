@@ -12,8 +12,9 @@ polynomial on every [a, b], from which its values and exact integrals
 (polynomial antiderivatives, piecewise sums) are read.  The volatility and
 drift verdicts read exact extrema from the pieces on [0, T]: a piece's
 extremes lie at its ends or at real roots of its derivative inside it.
-Only the quotient integral behind xi^2 goes through quadrature, cut at the
-piece edges.
+xi^2 is exact, from polynomial antiderivatives, on each piece where the
+variance is a constant; only its quotient integral over the other pieces
+goes through quadrature, cut at the piece edges.
 """
 
 import abc
@@ -340,8 +341,8 @@ class ProblemSpec:
         return eta_nu(self.process1.levy, self.process2.levy)
 
     def xi_sq(self) -> float:
-        """Integral over [0, T] of (f1 - f2 - eta)^2 / sigma^2, integrated
-        once per spec.
+        """Integral over [0, T] of (f1 - f2 - eta)^2 / sigma^2, computed
+        once per spec: exact where sigma^2 is constant (``_xi_sq``).
 
         Requires the shared positive-volatility class; math.inf when the
         quotient integral diverges or meets a non-finite quotient, as where
@@ -353,20 +354,58 @@ class ProblemSpec:
 
     @cached_property
     def _xi_sq(self) -> float:
+        """On each cell of the pieces where sigma^2 is a constant c > 0, the
+        exact integral of the polynomial (f1 - f2 - eta)^2 / c, from its
+        antiderivative; on each run of other cells, one quadrature cut at
+        every piece edge inside it.  math.inf where a cell's variance is 0."""
         eta = self.eta()
+        vol, _, f1, f2 = self._pieces
+        gaps = [(lo, hi, _difference(c1, c2)) for lo, hi, c1, c2 in _refinement(f1, f2)]
+        gaps = [(lo, hi, (g[0] - eta, *g[1:])) for lo, hi, g in gaps]
+        total = 0.0
+        runs = []  # [lo, hi] of each run of cells whose variance is not constant
+        for lo, hi, v, g in _refinement(vol, gaps):
+            if len(v) > 1:
+                if runs and runs[-1][1] == lo:
+                    runs[-1][1] = hi
+                else:
+                    runs.append([lo, hi])
+            elif v[0] <= 0.0:
+                return math.inf
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    sq = npoly.polymul(g, g)
+                    if len(sq) == 1:
+                        part = float(sq[0]) * (hi - lo)
+                    else:
+                        anti = npoly.polyint(sq)
+                        part = float(npoly.polyval(hi, anti) - npoly.polyval(lo, anti))
+                total += part / v[0]
+        if runs:
+            total += self._xi_sq_quadrature(eta, runs)
+        return total if math.isfinite(total) else math.inf
+
+    def _xi_sq_quadrature(self, eta: float, runs) -> float:
+        """The integral of (f1 - f2 - eta)^2 / sigma^2 over each [lo, hi] of
+        runs, one quadrature each, cut at the piece edges inside it."""
         vol, _, f1, f2 = self._pieces
 
         def integrand(t):
             gap = _evaluate(f1, t) - _evaluate(f2, t) - eta
             return gap * gap / _evaluate(vol, t)
 
-        cuts = sorted({lo for pieces in self._pieces for lo, _, _ in pieces[1:]})
-        request = IntegrationRequest(integrand, 0.0, self.horizon, breakpoints=tuple(cuts))
-        try:
-            res = integrate(request)
-        except NonFiniteIntegrand:
-            return math.inf
-        return math.inf if res.diverged else res.value
+        edges = sorted({lo for pieces in self._pieces for lo, _, _ in pieces[1:]})
+        total = 0.0
+        for lo, hi in runs:
+            cuts = tuple(t for t in edges if lo < t < hi)
+            try:
+                res = integrate(IntegrationRequest(integrand, lo, hi, breakpoints=cuts))
+            except NonFiniteIntegrand:
+                return math.inf
+            if res.diverged:
+                return math.inf
+            total += res.value
+        return total
 
     @cached_property
     def _drift_gap(self) -> tuple[float, float]:

@@ -19,8 +19,8 @@ from addgap.bounds import (
     bound_thm2,
     compute_report,
     gaussian_tv_exact,
-    normal_cdf,
 )
+from addgap._cephes import normal_cdf
 from addgap.measures import (
     CompoundPoissonMeasure,
     TemperedStableMeasure,

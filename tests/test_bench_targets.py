@@ -1,5 +1,11 @@
 """The benchmark tracer's targets still exist in the library, and the
-quadrature the benchmark's report workload measures stays within budget.
+quadrature stays within budget on the reports that still take it.
+
+The report workload's tabulated pair and its other reports make no
+quadrature call: their functionals have closed forms.  The budget is held
+on the two inputs nearest to it that still integrate: the workload's knot
+cells, with nu1 outside every family, and a mixed tabulated and
+tempered-stable pair.
 
 ``perfbench/tracer.py`` wraps addgap entry points by name, so deleting or
 renaming one of them breaks ``python3 perfbench/run.py --trace 1``; these
@@ -7,16 +13,22 @@ tests make that a failure of the library's own suite.
 """
 
 import dataclasses
+import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from addgap import measures, processes, quadrature
 from addgap.bounds import compute_report
-from addgap.config import parse_config_dict
+from addgap.config import parse_config, parse_config_dict, sweep_row
+from addgap.measures import TabulatedLevyMeasure
 
 from _oracles import clear_caches, loaded, sequential_integrate
+
+
+PERFBENCH_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -29,10 +41,42 @@ def workloads():
     yield from loaded("workloads")
 
 
+@dataclasses.dataclass(frozen=True)
+class OwnDensityTable(TabulatedLevyMeasure):
+    """A tabulated measure given by its own ``density`` (the same values):
+    outside every family, so its functionals take the quadrature."""
+
+    def density(self, y):
+        return super().density(y)
+
+
 def tabulated_spec(workloads):
-    """A fresh spec of the report workload's tabulated pair, uncached."""
+    """A fresh spec, uncached, of the report workload's tabulated pair with
+    nu1 replaced by 1.5 times nu2 as an ``OwnDensityTable``: the tabulated
+    pair's functionals have closed forms, and this pair integrates the
+    same knot cells, which it never crosses."""
     clear_caches()
     config = workloads.tabulated_pair(random.Random("report_sweep:1:0"))
+    problem = parse_config_dict(config).problem
+    nu2 = problem.process2.levy
+    nu1 = OwnDensityTable(nu2.grid, tuple(1.5 * v for v in nu2.values))
+    first = dataclasses.replace(problem.process1, levy=nu1)
+    return dataclasses.replace(problem, process1=first)
+
+
+def mixed_spec(workloads):
+    """A fresh spec, uncached, of a mixed-family pair: a 32-knot tabulated
+    nu1, 1.5 times the density of a tempered-stable nu2 (C 1, lambda 5,
+    alpha -3) at the knots of the report workload's tabulated pair, so L1,
+    H^2, eta and nu2's gamma take the quadrature."""
+    clear_caches()
+    config = workloads.tabulated_pair(random.Random("report_sweep:1:0"))
+    levy = config["process1"]["levy"]
+    levy["values"] = [1.5 * abs(y) ** 2.0 * math.exp(-5.0 * abs(y)) for y in levy["grid"]]
+    config["process2"]["levy"] = {
+        "type": "tempered_stable", "c_minus": 1.0, "c_plus": 1.0,
+        "lambda_minus": 5.0, "lambda_plus": 5.0, "alpha": -3.0,
+    }
     return parse_config_dict(config).problem
 
 
@@ -95,10 +139,58 @@ def test_tabulated_report_quadrature_budget(workloads, monkeypatch):
     assert points.tobytes() == np.sort(np.concatenate(oracle_calls)).tobytes()
 
 
+def test_mixed_report_takes_the_lockstep_quadrature(workloads, monkeypatch):
+    # Near 0 and past the knots only the tempered-stable density is left,
+    # so some integrals take more than one round; the lockstep quadrature
+    # still makes far fewer integrand calls than one interval after
+    # another, at the same points and with the same report.
+    spec = mixed_spec(workloads)
+    requests = []
+    with monkeypatch.context() as m:
+        calls = record_points(m, requests=requests)
+        report = compute_report(spec)
+    spec = mixed_spec(workloads)
+    with monkeypatch.context() as m:
+        oracle_calls = record_points(m, sequential_integrate)
+        oracle_report = compute_report(spec)
+    assert report == oracle_report
+    assert len(requests) == 4 and len(calls) < len(oracle_calls)
+    assert sum(c.size for c in calls) <= 8_000
+    points = np.sort(np.concatenate(calls))
+    assert points.tobytes() == np.sort(np.concatenate(oracle_calls)).tobytes()
+
+
 def test_tracer_counts_every_integrand_point(tracer, workloads, monkeypatch):
-    spec = tabulated_spec(workloads)
+    spec = mixed_spec(workloads)
     calls = record_points(monkeypatch)
     with tracer.installed(tracer.Tracer()) as traced:
         compute_report(spec)
     metrics = tracer.layer_metrics(traced.spans)
     assert metrics["quadrature.integrand_points"] == sum(c.size for c in calls) > 0
+
+
+def test_report_sweep_inputs_make_no_quadrature_call(workloads, tmp_path, monkeypatch):
+    # Every input of round 0 of the report workload, each sweep row
+    # included: parsing and the report take closed forms only.
+    def no_quadrature(request):
+        raise AssertionError("quadrature.integrate called")
+
+    clear_caches()
+    sweep = workloads.ReportSweep(PERFBENCH_ROOT, 1, tmp_path)
+    sweep.setup()
+    sweep.ops(0)
+    monkeypatch.setattr(measures, "integrate", no_quadrature)
+    monkeypatch.setattr(processes, "integrate", no_quadrature)
+    paths = sorted(tmp_path.glob("r0-*.json"))
+    assert len(paths) == 6
+    rows = 0
+    for path in paths:
+        config = parse_config(path)
+        compute_report(config.problem)
+        if "sweep" in path.name:  # the inputs of the two sweep operations
+            s = config.sweep
+            for i in range(s.steps):
+                value = s.start + (s.stop - s.start) * i / (s.steps - 1)
+                compute_report(sweep_row(config, s.parameter, value).problem)
+                rows += 1
+    assert rows == workloads.LAMBDA_STEPS + workloads.HORIZON_STEPS

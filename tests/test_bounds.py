@@ -14,15 +14,13 @@ from addgap import measures, processes
 from addgap.bounds import (
     TRIVIAL_BOUND,
     BoundReport,
-    _erf,
-    _erfc,
     bound_simple_sqrt,
     bound_thm1,
     bound_thm2,
     compute_report,
     gaussian_tv_exact,
-    normal_cdf,
 )
+from addgap._cephes import _erf, _erfc, normal_cdf
 from addgap.config import parse_config
 from addgap.errors import HypothesisFailed, NotGaussianCase, ZeroVolatility
 from addgap.measures import (
@@ -457,6 +455,19 @@ class TestSinglePass:
 
         report = compute_report(pair(ConstantFunction(pair(ZERO_FN).eta())))
         assert report.drift_matched and report.best == report.thm1 < TRIVIAL_BOUND
+
+    @pytest.mark.parametrize("name", ["compound_poisson", "jump_diffusion", "tempered_stable"])
+    def test_bundled_config_makes_no_quadrature_call(self, monkeypatch, name):
+        # Parsing (the Levy integrability) and the report take closed forms
+        # for every ingredient of the bundled configs, and xi^2 is exact on
+        # constant variances.
+        def no_quadrature(request):
+            raise AssertionError("quadrature.integrate called")
+
+        clear_caches()
+        monkeypatch.setattr(measures, "integrate", no_quadrature)
+        monkeypatch.setattr(processes, "integrate", no_quadrature)
+        compute_report(parse_config(CONFIG_DIR / f"{name}.json").problem)
 
     def test_bound_wrappers_raise_the_report_reason(self):
         spec = matched_cp_pair(1.2, 1.0, 0.5)

@@ -1296,6 +1296,19 @@ class TestTemperedStableClosedForms:
         assert report["thm1"] is not None
 
 
+    def test_eta_at_alpha_1_99_is_reported(self, tmp_path, capsys):
+        # eta_nu raised NonFiniteIntegrand at alpha 1.99 (lambda+ 2 vs 1):
+        # the lambda-gap series holds for every alpha < 2.
+        levy1 = _ts_levy(1.99, c=(1.0, 1.0), lam=(1.0, 2.0))
+        levy2 = _ts_levy(1.99, c=(1.0, 1.0), lam=(1.0, 1.0))
+        path = write_config(tmp_path, _pair_config(levy1, levy2, 1.0))
+        code, out, err = run(capsys, ["bound", "--json", "--config", path])
+        assert (code, err) == (0, "")
+        report = json.loads(out)["report"]
+        assert report["eta"] == pytest.approx(-98.93803818150458, rel=1e-15)
+        assert report["xi_sq"] == pytest.approx(report["eta"] ** 2, rel=1e-15)
+        assert report["thm1"] is not None
+
     @pytest.mark.parametrize("lam2", [1e-30, 1e-100, 1e-300])
     def test_near_zero_reference_lambda_is_estimated(self, tmp_path, capsys, lam2):
         # The exact inverse Gaussian draws of an alpha = 1/2 pair have mean

@@ -46,24 +46,24 @@ CONFIGS = ("compound_poisson", "jump_diffusion", "tempered_stable")
 # the same at every thread count.
 CLI_SHA256 = {
     "compound_poisson": {
-        "bound": "f63c8eff50932ab319d5cc49c4ce7b1f6e08336ace1a856d97e7a73c12cb599a",
-        "bound_json": "defd00d032a3d855b69a647cd21fbab9b18b09e81135db6824c31a3431f7ca8b",
-        "tv": "6c4c4d847724ec2bb611cd37d3641771b59a38f756417afe2948728588858aa3",
+        "bound": "ed011be71f98e0c7af019a555646b4c777f364a1097d42b2fab505aa9276d4d7",
+        "bound_json": "886b9c8e33d418dd544655e8b20185f63582669372aac35682e2d7b89369e9a8",
+        "tv": "d91070559dfaad35e81e40668988aecaba3aa78d1c01560ce18fd4b50819d198",
         "martingale": "5eea46101c8d20a3196fe1483939b9b66c5925d13697f7e0d98d57baa1f45882",
-        "sinh": "930b7bc9f4840ff58e8b311ee31866193d81a5875ee3053a0a62d03f6e4023b7",
-        "compare_json": "b3111a5a716b97ff4cc7f307245d574ecf24b5c40df92635864f82bd7311bb77",
-        "epsilon": "23e69c226f5b75a9da120dbf9dc518914c7f2c6b707eb44c77a770b4b216de5f",
-        "sweep": "7f2792d8ee4ec2671ea5de8ed876642c2c2d0ff0fdaa378b6cb2f3bb1c0aeb6a",
+        "sinh": "e50516ad37207101115925f35cec8eba02e44e0e7af1c6537aef88ed4f83a337",
+        "compare_json": "e1ab6a2a3859bcc9937e889a996353d463f95d16ac06b041330768f6ed691995",
+        "epsilon": "88e80ae6d8ea1d0a38293815f06d58b41426bbc56838d504af4cfd1c7a471f50",
+        "sweep": "c2236d9de83e4d92976ccc937cf15be74d60208b696ad323b92d1ae21c241d16",
     },
     "jump_diffusion": {
-        "bound": "010d96b177ae58757290461dedddfb1de71c826c046401908f3027e849300ce2",
-        "bound_json": "37da9409e70f6eacbc24b97c57a233fb4ff57fe2c54b72ec39c4d6cf19db1091",
-        "tv": "2f5457ca10b953c65b776828b6ce0ff3ab278ef8c2b9c80b083a7661b70d472f",
+        "bound": "dd420e71958e65ac6c9e1fbbdcdb83620822756657262a5a316287a81a7b8d79",
+        "bound_json": "ac955354596d858e5a1caa084928146dce813ad2cf773eab0daae0be3f979f4f",
+        "tv": "7b104426bd0d60bf627df60efacc2ec1efa8b7f5162c4c55850b2603143cb564",
         "martingale": "cd2acdf3b4e46a7aa92042a76aad82ef5860f32ada23ac7039c4881f4a265601",
-        "sinh": "f8a9f284a4bf21d06ede058cd43ec454a415cbe9aaea6ecde7403cf3c1973968",
-        "compare_json": "7b3549adae3194c9e250b2324fb98b4f574468655b957cc2933d30c3b5ef2660",
-        "epsilon": "4b785b0f668847c22d3c287bd026d46ccb71018680d9a6be9b3671658f7224ba",
-        "sweep": "7f53376a7fa0c8f1afd270e2afc0d350bb53dab79c574728896315409e984146",
+        "sinh": "1b52fe8dd7035b4ed4cbde3b970643d35812313610a4bd0e108977717d21a468",
+        "compare_json": "853f5a8aed2353bf741925c84d5d95701dbda77081c324e3afba2ec5de36c666",
+        "epsilon": "5a3d1af657236c38af9e6e35a8f7790624b3ce4573d6f9888929a85ce2ca6a0d",
+        "sweep": "e2c4e2939c19a06df9d3ad39958ab2a0c98683adaaca6fcd5b5be30ea446097e",
     },
     "tempered_stable": {
         "bound": "039f20781ad244e2fe8cf8431b1d142eac2d6e5be3adf74fca1fc9836f2e3ca5",
@@ -92,7 +92,7 @@ PROCESS_SWEEPS = {
 }
 PROCESS_SWEEP_SHA256 = {
     "tempered_stable": "719f161c7b6e46065622d312c58a8b8a767710a4bda4e943ed8e286453f4af4d",
-    "jump_diffusion": "923809a109d866015ad4ae99353d0aae240811916c2a46d1af036d8989c5fbe7",
+    "jump_diffusion": "bcbceba386a2afb507e98084d90d9ab1b2f430af7e3ef2accf067ce2a8b648df",
 }
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from bisect import bisect_right
 from pathlib import Path
 
 import mpmath
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammainc
 
+from addgap import measures as measures_module
 from addgap.bounds import compute_report
 from addgap.errors import (
     DivergentIntegral,
@@ -78,6 +80,15 @@ EX3_NU1 = TemperedStableMeasure(c_minus=1.0, c_plus=1.0, lam_minus=1.0, lam_plus
 EX3_NU2 = TemperedStableMeasure(c_minus=1.0, c_plus=1.0, lam_minus=1.0, lam_plus=1.0, alpha=0.5)
 
 CP_U01 = lambda lam: CompoundPoissonMeasure(lam, UniformDensity(0.0, 1.0))
+
+
+@dataclasses.dataclass(frozen=True)
+class OwnDensityCP(CompoundPoissonMeasure):
+    """A compound Poisson measure given by its own ``density`` (the same
+    formula): outside every family, so its functionals take the quadrature."""
+
+    def density(self, y):
+        return super().density(y)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -727,6 +738,33 @@ class TestClosedFormAccuracy:
         assert abs(spec.eta() - sum(parts)) <= 1e-11 * sum(map(abs, parts))
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 1.9, 1.99])
+@pytest.mark.parametrize(
+    "lams", [(2.0, 1.0), (1.0, 2.0), (0.3, 1e-3), (60.0, 1.0), (200.0, 55.0), (40.0, 48.0)]
+)
+def test_eta_from_alpha_1_to_2_is_the_lambda_series(alpha, lams, monkeypatch):
+    # Per side, sign C int_0^1 y^-alpha (e^(-lambda1 y) - e^(-lambda2 y)) dy
+    # = sign C sum_(k >= 1) ((-lambda1)^k - (-lambda2)^k) / (k! (k + 1 -
+    # alpha)), finite for every alpha < 2; lambda on both sides of the
+    # power-law branch's _POWER_LAW_LAMBDA (50), with no quadrature.
+    def refuse(request):
+        raise AssertionError("quadrature.integrate called")
+
+    monkeypatch.setattr(measures_module, "integrate", refuse)
+    nu1 = TemperedStableMeasure(0.5, 2.0, 1.5, lams[0], alpha)
+    nu2 = TemperedStableMeasure(0.5, 2.0, 1.5, lams[1], alpha)
+    with mpmath.workdps(200):
+        a, l1, l2 = (mpmath.mpf(x) for x in (alpha, *lams))
+        terms = lambda k: ((-l1) ** k - (-l2) ** k) / (mpmath.factorial(k) * (k + 1 - a))
+        exact = 2 * mpmath.nsum(terms, [1, mpmath.inf], method="direct", steps=[600])
+    clear_caches()
+    assert eta_nu(nu1, nu2) == pytest.approx(float(exact), rel=2e-15)
+    # gamma alone stays divergent at alpha >= 1, by the quadrature.
+    monkeypatch.undo()
+    with pytest.raises(DivergentIntegral):
+        gamma_nu(nu1)
+
+
 class TestClosedFormReach:
     def test_alpha_just_below_one(self):
         # The quadrature's stall detector read these as divergent.
@@ -822,9 +860,11 @@ class TestValidateLevy:
 
     def test_finite_mass_past_the_divergence_cap_is_valid(self):
         # int min(y^2, 1) nu(dy) = 1e9 / 3 reads as divergent to the
-        # quadrature; nu(R) = 1e9 bounds it.
-        rep = validate_levy(CP_U01(1e9))
+        # quadrature; nu(R) = 1e9 bounds it.  The measure outside every
+        # family takes the quadrature; the family's closed form is exact.
+        rep = validate_levy(OwnDensityCP(1e9, UniformDensity(0.0, 1.0)))
         assert rep.ok and rep.value == 1e9
+        assert validate_levy(CP_U01(1e9)).value == pytest.approx(1e9 / 3, rel=1e-15)
 
     def test_tabulated_steep_inner_trend_fails(self):
         grid = tuple(np.logspace(-6, 1, 200))
@@ -945,9 +985,9 @@ def tabulated_functionals(nu1, nu2):
 
 class TestTabulatedOracle:
     """Every functional of log-linear tables against the exact integrals of
-    their power laws (``loglinear_functionals``), within 1e-12 of the
-    integral of the absolute integrand: the knots, and for L1 the density
-    crossings, cut the quadrature where the integrands kink."""
+    their power laws (``loglinear_functionals``), within 5.2e-16 of the
+    integral of the absolute integrand: the closed forms sum the same
+    pieces (the quadrature they replaced was held to 1e-12 here)."""
 
     @pytest.fixture(params=["benchmark", "crossing", "knots512"])
     def pair(self, request, workloads):
@@ -964,7 +1004,7 @@ class TestTabulatedOracle:
         got = tabulated_functionals(*pair)
         assert sorted(got) == sorted(exact)
         errors = {key: abs(got[key] - value) / scale for key, (value, scale) in exact.items()}
-        assert max(errors.values()) <= 1e-12, errors
+        assert max(errors.values()) <= 5.2e-16, errors
 
     def test_crossings_lie_where_the_densities_meet(self):
         nu1, nu2 = crossing_pair()
@@ -981,6 +1021,277 @@ class TestTabulatedOracle:
             l1_distance(nu1, nu2), hellinger_sq(nu1, nu2),
         ]
         assert all(math.isfinite(v) for v in values)
+
+
+def tilted_pair(tilt, grid=None, phase=1.0):
+    """Two tables on one grid (the benchmark's 32 magnitudes per side by
+    default), the first the second tilted by exp(tilt sin(0.2 i + phase))."""
+    if grid is None:
+        mags = np.geomspace(0.02, 4.0, 32)
+        grid = np.concatenate([-mags[::-1], mags])
+    base = np.abs(grid) ** -1.2 * np.exp(-np.abs(grid))
+    tilted = base * np.exp(tilt * np.sin(0.2 * np.arange(grid.size) + phase))
+    return TabulatedLevyMeasure(grid, tilted), TabulatedLevyMeasure(grid, base)
+
+
+def no_quadrature(monkeypatch):
+    def refuse(request):
+        raise AssertionError("quadrature.integrate called")
+
+    monkeypatch.setattr(measures_module, "integrate", refuse)
+
+
+ONE_SIDED = np.geomspace(0.1, 3.0, 9)
+
+
+class TestTabulatedClosedForms:
+    """The closed forms of log-linear tables make no quadrature call and lie
+    within 1e-15 of the integral of the absolute integrand of the 40-digit
+    sums (``loglinear_functionals``), also where the two densities nearly
+    cancel (tilts 1e-4 and 1e-7, where the three-power-law expansion of H^2
+    is off by 2.7e-8 and 0.8%), for one-sided tables, for densities that
+    cross inside a knot cell and for tables on different grids."""
+
+    @pytest.fixture(
+        params=["tilt_0.3", "tilt_1e-4", "tilt_1e-7", "one_sided", "one_sided_apart",
+                "crossing", "dense_tilt_1e-7"]
+    )
+    def pair(self, request):
+        name = request.param
+        if name.startswith("tilt_"):
+            return tilted_pair(float(name[5:]))
+        if name == "dense_tilt_1e-7":
+            mags = np.geomspace(1e-3, 30.0, 200)
+            return tilted_pair(1e-7, np.concatenate([-mags[::-1], mags]), phase=0.3)
+        if name == "one_sided":
+            return tilted_pair(0.2, ONE_SIDED)
+        if name == "one_sided_apart":
+            # nu1 on the positive side only, nu2 on both: nu1 << nu2.
+            nu1, nu2 = tilted_pair(0.2, ONE_SIDED)
+            return nu1, TabulatedLevyMeasure(np.concatenate([-ONE_SIDED[::-1], ONE_SIDED]),
+                                             np.concatenate([nu2.values[::-1], nu2.values]))
+        return crossing_pair()
+
+    def test_within_1e_15_of_the_exact_sums(self, pair, monkeypatch):
+        no_quadrature(monkeypatch)
+        exact = loglinear_functionals(*pair)
+        got = tabulated_functionals(*pair)
+        errors = {key: abs(got[key] - value) / scale for key, (value, scale) in exact.items()}
+        assert max(errors.values()) <= 1e-15, errors
+
+    def test_random_steep_tables(self, monkeypatch):
+        # 40 seeded pairs of random tables: knots over 1e-6 to 1e2,
+        # neighbouring values up to 1e16 apart, one or both sides, on one
+        # grid (tilted) or two.  A steep power law is itself only good to
+        # about |p log(y / y_i)| eps where it is read inside a cell, so the
+        # bound is 1e-14 here; the quadrature these forms replace was off
+        # by up to 0.76 (H^2) and 1.4e-2 (eta) of the same scale on such
+        # tables.
+        no_quadrature(monkeypatch)
+        rng = np.random.default_rng(5)
+
+        def table():
+            mags = np.unique(10.0 ** np.sort(rng.uniform(-6.0, 2.0, rng.integers(2, 12))))
+            if mags.size < 2:
+                mags = np.array([0.1, 1.0])
+            grid = (mags, -mags[::-1], np.concatenate([-mags[::-1], mags]))[rng.integers(0, 3)]
+            return grid, 10.0 ** rng.uniform(-8.0, 8.0, grid.size)
+
+        checked = 0
+        while checked < 40:
+            g1, v1 = table()
+            if rng.random() < 0.5:
+                tilt = rng.choice([1e-7, 1e-3, 0.5, 3.0]) * rng.standard_normal(g1.size)
+                g2, v2 = g1, v1 * np.exp(tilt)
+            else:
+                g2, v2 = table()
+            pair = TabulatedLevyMeasure(g1, v1), TabulatedLevyMeasure(g2, v2)
+            if not check_abs_continuity(*pair).ok or any(
+                nu.diverges_near_zero(1.0) for nu in pair
+            ):
+                continue
+            exact = loglinear_functionals(*pair)
+            got = tabulated_functionals(*pair)
+            errors = {
+                key: abs(got[key] - value) / scale
+                for key, (value, scale) in exact.items()
+                if scale > 0.0 and "(0.0)" not in key
+            }
+            assert max(errors.values()) <= 1e-14, (checked, errors)
+            checked += 1
+
+    def test_crossing_inside_a_cell(self):
+        # The densities of the crossing pair meet inside knot cells of
+        # both grids; each such point cuts L1.
+        nu1, nu2 = crossing_pair()
+        knots = set(nu1.grid) | set(nu2.grid)
+        assert not knots & set(_tabulated_crossings(nu1, nu2))
+
+    def test_overflowing_table_takes_the_quadrature(self, monkeypatch):
+        # A form whose piece integrals overflow does not apply.
+        nu = TabulatedLevyMeasure((1.0, 2.0), (1e308, 1e308))
+        calls = []
+        monkeypatch.setattr(
+            measures_module, "integrate", lambda r: calls.append(r) or integrate(r)
+        )
+        assert measures_module._closed_form("levy", (nu,)) is None
+        validate_levy.cache_clear()
+        validate_levy(nu)
+        assert calls
+
+
+def mp_moments(pdf, cuts, tails=0):
+    """(E[min(Y^2, 1)], E[Y; |Y| <= 1], E[|Y|; |Y| <= 1]) of a density in
+    40-digit mpmath: integrated over the pieces between the sorted finite
+    cuts, plus the mass ``tails`` beyond them."""
+    with mpmath.workdps(40):
+        pts = sorted({mpmath.mpf(c) for c in cuts})
+        square, first, size = mpmath.mpf(tails), mpmath.mpf(0), mpmath.mpf(0)
+        for a, b in zip(pts, pts[1:]):
+            inner = -1 <= a and b <= 1
+            square += mpmath.quad(lambda y: (y * y if inner else 1) * pdf(y), [a, b])
+            if inner:
+                m = mpmath.quad(lambda y: y * pdf(y), [a, b])
+                first += m
+                size += abs(m)
+        return float(square), float(first), float(size)
+
+
+def mp_uniform(a, b):
+    p = mpmath.mpf(1.0 / (b - a))
+    return mp_moments(lambda y: p, [a, b, *(c for c in (-1, 0, 1) if a < c < b)])
+
+
+def mp_exponential(rate):
+    """int_0^1 y^k rate e^(-rate y) dy = gamma(k + 1, rate) / rate^k, and
+    the mass e^-rate above 1."""
+    with mpmath.workdps(40):
+        r = mpmath.mpf(rate)
+        low = [mpmath.gammainc(k + 1, 0, r) / r**k for k in (1, 2)]
+        return float(low[1] + mpmath.exp(-r)), float(low[0]), float(low[0])
+
+
+def mp_normal(mean, variance):
+    """Each side of [-1, 1] cut at the mean by quad, and the tails from the
+    normal CDF."""
+    with mpmath.workdps(40):
+        m, v = mpmath.mpf(mean), mpmath.mpf(variance)
+        s = mpmath.sqrt(v)
+        tails = mpmath.ncdf((-1 - m) / s) + mpmath.ncdf((m - 1) / s)
+        pdf = lambda y: mpmath.exp(-((y - m) ** 2) / (2 * v)) / mpmath.sqrt(2 * mpmath.pi * v)
+        return mp_moments(pdf, [-1, 0, 1, *([m] if -1 < m < 1 else [])], tails)
+
+
+def mp_tabulated(grid, values):
+    g, v = np.asarray(grid, float), np.asarray(values, float)
+    v = v / float(np.trapezoid(v, g))
+    knots = [mpmath.mpf(x) for x in g]
+
+    def pdf(y):
+        if not knots[0] <= y <= knots[-1]:
+            return mpmath.mpf(0)
+        i = min(max(bisect_right(knots, y) - 1, 0), len(knots) - 2)
+        t = (y - knots[i]) / (knots[i + 1] - knots[i])
+        return mpmath.mpf(v[i]) * (1 - t) + mpmath.mpf(v[i + 1]) * t
+
+    return mp_moments(pdf, [*g, *(c for c in (-1, 0, 1) if g[0] < c < g[-1])])
+
+
+def unit_table(grid, values):
+    """A grid and its values scaled to unit trapezoid mass."""
+    return grid, tuple((np.asarray(values) / np.trapezoid(values, grid)).tolist())
+
+
+TAB_DENSITIES = {
+    "around_zero": unit_table((-2.0, -0.5, 0.25, 1.5), (0.1, 0.6, 0.5, 0.05)),
+    "inside_unit": unit_table((0.1, 0.3, 0.9), (1.0, 3.0, 0.5)),
+    "wide": unit_table((-40.0, -3.0, 0.0, 2.0, 60.0), (0.0, 0.02, 0.03, 0.01, 0.0)),
+    "zero_cells": unit_table((0.0, 0.5, 0.6, 0.7, 1.4), (2.0, 0.0, 0.0, 1.0, 0.0)),
+}
+# (density, the mpmath moments): uniform, exponential and tabulated
+# densities have forms everywhere; the normal where its Phi and phi terms
+# cancel by at most a factor 2.
+CP_DENSITIES = {
+    "uniform_01": (UniformDensity(0.0, 1.0), lambda: mp_uniform(0.0, 1.0)),
+    "uniform_wide": (UniformDensity(-7.5, 3.25), lambda: mp_uniform(-7.5, 3.25)),
+    "uniform_narrow": (UniformDensity(0.4, 0.4 + 1e-9), lambda: mp_uniform(0.4, 0.4 + 1e-9)),
+    "uniform_far": (UniformDensity(1e5, 2e5), lambda: mp_uniform(1e5, 2e5)),
+    "uniform_negative": (UniformDensity(-0.9, -0.2), lambda: mp_uniform(-0.9, -0.2)),
+    **{
+        f"exponential_{r:g}": (ExponentialDensity(r), lambda r=r: mp_exponential(r))
+        for r in (1e-300, 1e-8, 0.5, 1.0, 3.0, 40.0, 1e8)
+    },
+    **{
+        f"normal_{m:g}_{v:g}": (NormalDensity(m, v), lambda m=m, v=v: mp_normal(m, v))
+        for m, v in ((0.0, 1e-8), (0.0, 0.09), (0.0, 1.0), (0.0, 1e4), (0.3, 1e-6), (-0.7, 1e-6),
+                     (-3.0, 1e-4), (10.0, 1e-2), (50.0, 1.0))
+    },
+    **{
+        f"tabulated_{name}": (TabulatedDensity(*table), lambda table=table: mp_tabulated(*table))
+        for name, table in TAB_DENSITIES.items()
+    },
+}
+
+
+class TestCompoundPoissonClosedForms:
+    """lambda E[min(Y^2, 1)], lambda E[Y; |Y| <= 1] and, for two measures
+    sharing the density, |lambda1 - lambda2|, (sqrt lambda1 - sqrt
+    lambda2)^2 and (lambda1 - lambda2) E[Y; |Y| <= 1], against 40-digit
+    mpmath, from rates of 1e-300 up to 1e300: within 1e-15 relative, or
+    of the size of the sides for gamma and eta; no quadrature call."""
+
+    @pytest.mark.parametrize("name", sorted(CP_DENSITIES))
+    @pytest.mark.parametrize("lam", [1e-300, 0.7, 3.0, 1e300])
+    def test_one_measure(self, name, lam, monkeypatch):
+        density, oracle = CP_DENSITIES[name]
+        square, first, size = oracle()
+        no_quadrature(monkeypatch)
+        clear_caches()
+        nu = CompoundPoissonMeasure(lam, density)
+        assert validate_levy(nu).value == pytest.approx(lam * square, rel=1e-15, abs=0.0)
+        assert abs(gamma_nu(nu) - lam * first) <= 1e-15 * lam * size
+
+    @pytest.mark.parametrize("name", sorted(CP_DENSITIES))
+    @pytest.mark.parametrize("lams", [(2.0, 1.0), (1.0, 1.0 + 2e-16), (1e-300, 5e-301), (1e300, 1.0)])
+    def test_shared_density(self, name, lams, monkeypatch):
+        density, oracle = CP_DENSITIES[name]
+        _, first, size = oracle()
+        no_quadrature(monkeypatch)
+        clear_caches()
+        nu1, nu2 = (CompoundPoissonMeasure(lam, density) for lam in lams)
+        with mpmath.workdps(40):
+            l1, l2 = map(mpmath.mpf, lams)
+            h2 = float((mpmath.sqrt(l1) - mpmath.sqrt(l2)) ** 2)
+            gap = float(l1 - l2)
+        assert l1_distance(nu1, nu2) == pytest.approx(abs(gap), rel=1e-15, abs=0.0)
+        assert hellinger_sq(nu1, nu2) == pytest.approx(h2, rel=1e-15, abs=0.0)
+        assert abs(eta_nu(nu1, nu2) - gap * first) <= 1e-15 * abs(gap) * size
+
+    @pytest.mark.parametrize("mean, variance", [(0.3, 1.0), (0.5, 4.0), (-0.7, 0.25), (1.5, 1e-3)])
+    def test_cancelling_normal_takes_the_quadrature(self, mean, variance, monkeypatch):
+        # Where its terms cancel by more than a factor 2 the normal has no
+        # form; the quadrature is within its tolerance of mpmath.
+        calls = []
+        monkeypatch.setattr(
+            measures_module, "integrate", lambda r: calls.append(r) or integrate(r)
+        )
+        clear_caches()
+        nu = CompoundPoissonMeasure(2.0, NormalDensity(mean, variance))
+        square, first, size = mp_normal(mean, variance)
+        assert validate_levy(nu).value == pytest.approx(2.0 * square, rel=1e-10)
+        assert gamma_nu(nu) == pytest.approx(2.0 * first, rel=1e-10)
+        assert len(calls) == 2
+
+    def test_different_densities_take_the_quadrature(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            measures_module, "integrate", lambda r: calls.append(r) or integrate(r)
+        )
+        clear_caches()
+        nu1 = CompoundPoissonMeasure(2.0, ExponentialDensity(1.0))
+        nu2 = CompoundPoissonMeasure(1.0, ExponentialDensity(2.0))
+        l1_distance(nu1, nu2), hellinger_sq(nu1, nu2), eta_nu(nu1, nu2)
+        assert len(calls) == 3
 
 
 class TestTabulatedKnotTypes:

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from addgap.bounds import bound_thm1, bound_thm2, gaussian_tv_exact, normal_cdf
+from addgap._cephes import normal_cdf
+from addgap.bounds import bound_thm1, bound_thm2, gaussian_tv_exact
 from addgap import montecarlo, simulate
 from addgap.config import parse_config, parse_config_dict
 from addgap.errors import (
@@ -163,6 +164,12 @@ class TestEAbsOneMinusExpNormal:
     def test_nan_s_rejected(self):
         with pytest.raises(ValueError):
             e_abs_one_minus_exp_normal(0.0, math.nan)
+
+    @pytest.mark.parametrize("m, s", [(math.nan, 0.0), (math.nan, 1.0), (-math.inf, math.inf)])
+    def test_undefined_m_rejected(self, m, s):
+        # Each of these read nan silently: m + s^2/2 is nan.
+        with pytest.raises(ValueError, match="undefined"):
+            e_abs_one_minus_exp_normal(m, s)
 
     def test_finite_past_the_old_cut(self):
         # |1 - e^705| is about 1.505e306: inf only where e^{m + s^2/2} overflows.

@@ -321,22 +321,113 @@ class TestXiSq:
 
     def test_integrated_once_per_spec(self, monkeypatch):
         # A sweep row reads xi^2 in the report and again in the estimator's
-        # continuous_part; the spec integrates it once.
-        calls = []
-
-        def counted(request):
-            calls.append(request)
-            return integrate(request)
-
-        monkeypatch.setattr(processes, "integrate", counted)
+        # continuous_part; the spec integrates it once.  The variance 1 + t
+        # is not constant, so the quotient takes the quadrature.
+        calls = counted_integrate(monkeypatch)
         spec = make_problem(
-            ZeroMeasure(), ZeroMeasure(), drift1=PolynomialFunction((0.0, 1.0)), horizon=2.0
+            ZeroMeasure(),
+            ZeroMeasure(),
+            vol=PolynomialFunction((1.0, 1.0)),
+            drift1=PolynomialFunction((0.0, 1.0)),
+            horizon=2.0,
         )
         values = {spec.xi_sq() for _ in range(3)}
         compute_report(spec)
         continuous_part(spec)
         assert len(calls) == 1 and len(values) == 1
-        assert values.pop() == pytest.approx(8.0 / 3.0, abs=1e-10)
+        assert values.pop() == pytest.approx(math.log(3.0), abs=1e-10)
+
+
+def counted_integrate(monkeypatch) -> list:
+    """The requests of every quadrature call of ``processes``."""
+    calls = []
+
+    def counted(request):
+        calls.append(request)
+        return integrate(request)
+
+    monkeypatch.setattr(processes, "integrate", counted)
+    return calls
+
+
+def mp_xi_sq(drift1, drift2, vol, eta, horizon):
+    """(f1 - f2 - eta)^2 / sigma^2 over [0, T] in 40-digit mpmath, cut at
+    every break of the piecewise-constant variance."""
+    with mpmath.workdps(40):
+        def f(t):
+            gap = sum(mpmath.mpf(c) * t**k for k, c in enumerate(drift1.coeffs))
+            gap -= sum(mpmath.mpf(c) * t**k for k, c in enumerate(drift2.coeffs))
+            gap -= mpmath.mpf(eta)
+            return gap * gap
+
+        edges = [0.0, *(b for b in vol.breaks if 0.0 < b < horizon), horizon]
+        total = mpmath.mpf(0)
+        for lo, hi in zip(edges, edges[1:]):
+            value = vol.values[int(np.searchsorted(vol.breaks, 0.5 * (lo + hi), side="right"))]
+            total += mpmath.quad(f, [lo, hi]) / mpmath.mpf(value)
+        return float(total)
+
+
+class TestExactXiSq:
+    """On each piece where the variance is constant, xi^2 is the exact
+    integral of a polynomial: no quadrature call, and within a few ulps of
+    40-digit mpmath."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=5),
+        st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4),
+        st.lists(st.floats(0.05, 3.0), min_size=1, max_size=4, unique=True),
+        st.lists(st.floats(1e-3, 1e3), min_size=5, max_size=5),
+        st.floats(0.1, 4.0),
+    )
+    def test_polynomial_drifts_over_piecewise_constant_variance(
+        self, c1, c2, breaks, values, horizon
+    ):
+        breaks = sorted(breaks)
+        vol = PiecewiseConstantFunction(tuple(breaks), tuple(values[: len(breaks) + 1]))
+        drift1, drift2 = PolynomialFunction(tuple(c1)), PolynomialFunction(tuple(c2))
+        calls = []
+        with pytest.MonkeyPatch.context() as m:
+            calls = counted_integrate(m)
+            spec = make_problem(
+                EX3_NU1, EX3_NU2, vol=vol, drift1=drift1, drift2=drift2, horizon=horizon
+            )
+            got = spec.xi_sq()
+        assert calls == []
+        want = mp_xi_sq(drift1, drift2, vol, spec.eta(), horizon)
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-300)
+
+    def test_mixed_pieces_integrate_only_the_others(self, monkeypatch):
+        # sigma^2 is 2 on [0, 1) and 1 + t on [1, 3): one quadrature, over
+        # [1, 3] alone.
+        class Mixed(processes.TimeFunction):
+            def pieces(self, a, b):
+                out = []
+                if a < 1.0:
+                    out.append((a, min(b, 1.0), (2.0,)))
+                if b > 1.0:
+                    out.append((max(a, 1.0), b, (1.0, 1.0)))
+                return tuple(out)
+
+        calls = counted_integrate(monkeypatch)
+        spec = make_problem(
+            ZeroMeasure(), ZeroMeasure(), vol=Mixed(), drift1=ConstantFunction(1.0), horizon=3.0
+        )
+        assert spec.xi_sq() == pytest.approx(0.5 + math.log(2.0), rel=1e-14)
+        assert [(r.lower, r.upper) for r in calls] == [(1.0, 3.0)]
+
+    def test_zero_constant_variance_is_infinite(self):
+        # Process 1's variance is 0 on [0, 0.5) where process 2's is 2e-30:
+        # the pair is of the positive class and does not mismatch, but the
+        # quotient there is infinite.
+        specs = [
+            ProcessSpec(drift, PiecewiseConstantFunction((0.5,), (v, 1.0)), ZeroMeasure())
+            for drift, v in ((UNIT_FN, 0.0), (ZERO_FN, 2e-30))
+        ]
+        spec = ProblemSpec(*specs, 1.0)
+        assert spec.vol_class() == "positive" and not spec.sigma_mismatch()
+        assert spec.xi_sq() == math.inf
 
 
 class TestDriftMatching:

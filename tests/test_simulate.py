@@ -85,10 +85,10 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # RngStream(7, 2k), rng_gauss RngStream(7, 2k + 1), default epsilon), and
 # the first 16 hex digits of the SHA-256 of their bytes.
 TERMINAL_GOLDEN = {
-    ("compound_poisson", 1): ("0x1.fc756f390e7c8p+7", "6d030e58fa1c5b26"),
-    ("compound_poisson", 2): ("0x1.32a1785af92adp+7", "2f878d1ac66a7ea5"),
-    ("jump_diffusion", 1): ("0x1.f35a766c3d380p+5", "917fdf1919ebc324"),
-    ("jump_diffusion", 2): ("0x1.4ef2c559d1d03p+4", "5d51dc26f4efe013"),
+    ("compound_poisson", 1): ("0x1.fc756f390e7c6p+7", "d112560746727bbb"),
+    ("compound_poisson", 2): ("0x1.32a1785af92acp+7", "bcfe2e60694475e0"),
+    ("jump_diffusion", 1): ("0x1.f35a766c3d377p+5", "0c1fe70705a3d8e4"),
+    ("jump_diffusion", 2): ("0x1.4ef2c559d1cfcp+4", "983de00861e8e8ff"),
     ("tempered_stable", 1): ("-0x1.2e30a8d00665fp+7", "782fe46ad2e3a72d"),
     ("tempered_stable", 2): ("-0x1.4bd58050bbbf4p+4", "ed4053da6cfe8824"),
 }
@@ -373,9 +373,9 @@ EDGE_GOLDEN = {
         ("0x1.a5ba3873993e8p-5", "0x0.0p+0", "0x1.a5ba2bb16291cp-5"),
     ],
     "tabulated_levy": [
-        ("0x1.2ebdebf3dc2d8p+2", "0x1.49a3cfa1288fep-4", "0x1.2ebdebf3dc2d9p+2"),
-        ("0x1.5dd3d6dc57d70p-1", "0x1.558f74ef28040p-5", "0x1.5dd3d6dc57d7fp-1"),
-        ("0x1.b2c1dc92967acp-5", "0x0.0p+0", "0x1.b2c1dc92966ffp-5"),
+        ("0x1.2ebdebf3dc2d7p+2", "0x1.49a3cfa1288fep-4", "0x1.2ebdebf3dc2d9p+2"),
+        ("0x1.5dd3d6dc57d71p-1", "0x1.558f74ef28040p-5", "0x1.5dd3d6dc57d7fp-1"),
+        ("0x1.b2c1dc92967adp-5", "0x0.0p+0", "0x1.b2c1dc92966ffp-5"),
     ],
     "zero": [
         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
@@ -383,7 +383,7 @@ EDGE_GOLDEN = {
         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     ],
 }
-TABULATED_TOTAL_MASS = "0x1.2ebdebf3dc2d8p+2"
+TABULATED_TOTAL_MASS = "0x1.2ebdebf3dc2d7p+2"
 
 
 def edge_pins(nu):
@@ -480,12 +480,12 @@ def print_golden(name, table):
 # grid refused both pairs where the normal pdf underflows to 0, past y ~ 27.6.
 SUPPORT_GOLDEN = {
     "cp_exponential": (
-        "0x1.c4c96b121ccdap-2", "0x1.2ddb9cb6bdde0p-1",
+        "0x1.c4c96b121ccd9p-2", "0x1.2ddb9cb6bdde6p-1",
         "0x1.ad2fcc1b08fc8p-1", "0x1.8fff159fb4d0fp-3",
         "0x1.cd15b7c12f143p-3", "-0x1.99c15ecd9ad0dp-3",
     ),
     "cp_gap": (
-        "0x0.0p+0", "0x1.ffffffffffffep-1",
+        "0x0.0p+0", "0x1.0000000000000p+0",
         "0x1.6d2843208b8fbp-2", "0x1.badc5aabc9265p-2",
         "0x1.facda8c79bd33p-2", "0x1.3e112b8ed06fcp-4",
     ),
@@ -495,22 +495,22 @@ SUPPORT_GOLDEN = {
         "0x1.bd5a05e31eefap-5", "-0x1.1e5cee590330dp-5",
     ),
     "cp_tabulated": (
-        "0x1.cd0c1eaba7f1cp-4", "0x1.c7556ea948135p-2",
+        "0x1.cd0c1eaba7f20p-4", "0x1.c7556ea948136p-2",
         "0x1.d29bcccda26cbp-1", "0x1.130860ee43921p-3",
         "0x1.71c0600514b3cp-2", "-0x1.0f9a0267c6a96p-3",
     ),
     "cp_uniform": (
-        "0x1.3333333333332p-2", "0x1.199999999999ap+0",
+        "0x1.3333333333334p-2", "0x1.199999999999ap+0",
         "0x1.5434ee01928d1p-1", "0x1.93f6989697c2ap-2",
         "0x1.1a0f3ede622c3p-4", "-0x1.309923bff1340p-3",
     ),
     "tabulated_gap": (
-        "0x0.0p+0", "0x1.79ed8cf959584p+0",
+        "0x0.0p+0", "0x1.79ed8cf959586p+0",
         "0x1.64906950e7e67p-2", "0x0.0p+0",
         "0x1.10be14551bbcep-2", "0x1.10be14551bbcep-56",
     ),
     "tabulated_levy": (
-        "-0x1.49a3cfa1288f0p-4", "0x1.6056feee79d40p-2",
+        "-0x1.49a3cfa1288ffp-4", "0x1.6056feee79d40p-2",
         "0x1.dfc5ac99d9c2dp-1", "-0x1.7baa4125a2ef3p-7",
         "0x1.a5852a46dcafcp-2", "0x1.d523d40e2b96fp-6",
     ),
@@ -599,7 +599,7 @@ PAIR_GOLDEN = {
     "tabulated_gap/cp_uniform": ("-0x1.3333333333332p-2", None, None),
     "tabulated_gap/tabulated_gap": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     "tabulated_gap/tabulated_levy": (
-        "0x1.49a3cfa1288f0p-4", "0x1.8a883923cba89p+2",
+        "0x1.49a3cfa1288ffp-4", "0x1.8a883923cba89p+2",
         "0x1.77cbe9bb9632cp+2",
     ),
     "tabulated_gap/tempered_stable": ("-0x1.a50c26b5fdaccp+0", "inf", "inf"),
@@ -612,7 +612,7 @@ PAIR_GOLDEN = {
     ),
     "tabulated_levy/cp_tabulated": ("-0x1.8b57f72668411p-3", None, None),
     "tabulated_levy/cp_uniform": ("-0x1.859c271b7d572p-2", None, None),
-    "tabulated_levy/tabulated_gap": ("-0x1.49a3cfa1288f0p-4", None, None),
+    "tabulated_levy/tabulated_gap": ("-0x1.49a3cfa1288ffp-4", None, None),
     "tabulated_levy/tabulated_levy": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     "tabulated_levy/tempered_stable": ("-0x1.b9a663b0367bbp+0", "inf", "inf"),
     "tabulated_levy/zero": ("-0x1.49a3cfa1288f0p-4", None, None),
