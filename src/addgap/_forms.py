@@ -3,11 +3,11 @@ the value of a functional as a finite sum of elementary terms, or None where
 the family's form does not apply.  ``measures`` picks the family of its
 arguments (``_family``) and reads its form here before any quadrature.
 
-- Tempered-stable measures (same-shape pairs: equal C+- and alpha): the
-  Levy integrability and H^2 (0 < alpha < 2, alpha != 1), gamma and L1
-  (0 < alpha < 1) and eta (0 < alpha < 2), from the math module and a
-  math-only incomplete gamma function, as sums whose terms cancel by at
-  most a small constant factor.
+- Tempered-stable measures (same-shape pairs: equal C+- and alpha): L1,
+  H^2 and eta for every alpha (L1 infinite from alpha = 1 on), the Levy
+  integrability (0 < alpha < 2, alpha != 1) and gamma (0 < alpha < 1),
+  from the math module and a math-only incomplete gamma function, as sums
+  whose terms cancel by at most a small constant factor.
 - Compound Poisson measures with a uniform, exponential, normal or
   piecewise-linear tabulated jump density: lambda E[min(Y^2, 1)] and
   gamma = lambda E[Y; |Y| <= 1] of one measure, and of two that share the
@@ -44,8 +44,9 @@ _MAX_TERMS = 10_000
 # The first-moment gap of one side is summed over pieces of the lambda
 # interval: each a series in its gap d, with d / hi at most this, or with
 # hi <= 1 and _SMALL_LAMBDA_TERMS terms, each at most 1 / k! times the
-# first; above _POWER_LAW_LAMBDA the power-law closed form, whose
-# correction there is below 50 e^(-50), about 1e-20, of it.
+# first; above _POWER_LAW_LAMBDA max(1, 1 - alpha) the power-law closed
+# form, whose correction there, the share of Gamma(2 - alpha) beyond y = 1,
+# is below 1e-20.
 _ETA_SERIES_GAP = 0.5
 _SMALL_LAMBDA_TERMS = 20
 _POWER_LAW_LAMBDA = 50.0
@@ -65,7 +66,17 @@ def _lower_gamma(s: float, x: float) -> float:
     sum_n x^n / (s (s + 1) ... (s + n)), of positive terms, for x < s + 1,
     else Gamma(s) x^-s less the upper function (``_upper_gamma_cf``)."""
     if x >= s + 1.0:
-        return math.gamma(s) * x**-s - math.exp(-x) * _upper_gamma_cf(s, x)
+        # Gamma(s) x^-s as Gamma(s - n) x^(n - s) times the factors (s - i) /
+        # x, i = 1 .. n, each below 1; n > 0 only where x^s would leave the
+        # doubles, so that the product overflows nowhere and underflows only
+        # where its value does (up to n = _MAX_TERMS; beyond, math.gamma
+        # raises OverflowError).
+        n = math.ceil(s - 600.0 / math.log(x))
+        n = max(0, min(math.floor(s - 1.0), n, _MAX_TERMS))
+        head = math.gamma(s - n) * x ** (n - s)
+        for i in range(1, n + 1):
+            head *= (s - i) / x
+        return head - math.exp(-x) * _upper_gamma_cf(s, x)
     term = total = 1.0 / s
     for n in range(1, _MAX_TERMS):
         term *= x / (s + n)
@@ -107,6 +118,15 @@ def _moment_gap_piece(alpha: float, lo: float, hi: float) -> float:
         terms = max(1, math.ceil(math.log(0.5 * _SERIES_EPS) / math.log(d / hi)))
     else:
         terms = _SMALL_LAMBDA_TERMS
+    if alpha < 0.0:
+        # The count above holds the ratio of term k to term k - 1 to d / hi;
+        # below alpha = 0 that ratio is only at most min(d, (d / hi) (k -
+        # alpha)) / k (J_k <= J_(k-1) and hi J_k <= (k - alpha) J_(k-1)).
+        bound, k = 1.0, 1
+        while bound > 0.5 * _SERIES_EPS and k < _MAX_TERMS:
+            k += 1
+            bound *= min(d, d / hi * (k - alpha)) / k
+        terms = max(terms, k)
     j = _lower_gamma(terms + 1.0 - alpha, hi)
     e = math.exp(-hi)
     acc = j
@@ -117,24 +137,27 @@ def _moment_gap_piece(alpha: float, lo: float, hi: float) -> float:
 
 
 def _ts_first_moment_gap(alpha: float, lam1: float, lam2: float) -> float:
-    """int_0^1 y^(-alpha) (e^(-lambda1 y) - e^(-lambda2 y)) dy, 0 < alpha < 2.
+    """int_0^1 y^(-alpha) (e^(-lambda1 y) - e^(-lambda2 y)) dy, alpha < 2.
 
     With lo, hi the smaller and larger lambda it is a sum of positive
     pieces, so it has no cancellation.  The part [a, hi] of [lo, hi] above
-    a = max(lo, _POWER_LAW_LAMBDA) is Gamma(1 - alpha) (a^(alpha - 1) -
-    hi^(alpha - 1)), written as Gamma(2 - alpha) a^(alpha - 1) times
-    -expm1(s log(a / hi)) / s, s = 1 - alpha (``_expm1_ratio``), which
-    keeps relative precision for every gap and as alpha -> 1.  Below,
-    [lo, hi] is halved from the top down to 1, and each piece is
-    ``_moment_gap_piece``: a single piece where d / hi <= _ETA_SERIES_GAP."""
+    a = max(lo, _POWER_LAW_LAMBDA max(1, 1 - alpha)) is Gamma(1 - alpha)
+    (a^(alpha - 1) - hi^(alpha - 1)), written as Gamma(2 - alpha)
+    a^(alpha - 1) times -expm1(s log(a / hi)) / s, s = 1 - alpha
+    (``_expm1_ratio``), which keeps relative precision for every gap and as
+    alpha -> 1.  Below, [lo, hi] is halved from the top down to 1, and each
+    piece is ``_moment_gap_piece``: a single piece where d / hi <=
+    _ETA_SERIES_GAP."""
     if lam1 == lam2:
         return 0.0
     lo, hi = sorted((lam1, lam2))
     size = 0.0
-    if hi > _POWER_LAW_LAMBDA:
-        a = max(lo, _POWER_LAW_LAMBDA)
+    power_law = _POWER_LAW_LAMBDA * max(1.0, 1.0 - alpha)
+    if hi > power_law:
+        a = max(lo, power_law)
         s = 1.0 - alpha
-        size = -math.gamma(1.0 + s) * a**-s * _expm1_ratio(s, _log_ratio(a, hi))
+        if s < 170.0:  # beyond, the part is below Gamma(s) (50 s)^-s < (50 e)^-s: 0.0
+            size = -math.gamma(1.0 + s) * a**-s * _expm1_ratio(s, _log_ratio(a, hi))
         hi = a
     while lo < hi:
         mid = lo if hi <= 1.0 or lo >= _ETA_SERIES_GAP * hi else _ETA_SERIES_GAP * hi
@@ -156,7 +179,7 @@ def _log_ratio(x: float, y: float) -> float:
 
 
 def _expm1_ratio(a: float, x: float) -> float:
-    """expm1(a x) / a for a > 0, to relative precision also where a x is
+    """expm1(a x) / a, x at a = 0, to relative precision also where a x is
     tiny or subnormal: x times expm1(y) / y, y = a x, there."""
     y = a * x
     if abs(y) < 1e-5:
@@ -169,23 +192,30 @@ def _same_shape(nu1, nu2) -> bool:
 
 
 def ts_l1(nu1, nu2) -> float | None:
-    """int |nu1 - nu2| of a same-shape pair for 0 < alpha < 1: per side,
-    where nu1 - nu2 keeps one sign, C |Gamma(-alpha)| |lambda1^alpha -
-    lambda2^alpha|, written
-    C |Gamma(-alpha)| (1 - (lo / hi)^alpha) hi^alpha with lo, hi the smaller
-    and larger lambda and the bracket as -expm1(alpha log(lo / hi))
-    (``_log_ratio``), so that close lambdas, and far ones at a small alpha,
-    keep relative precision."""
-    a = nu1.alpha
-    if not (_same_shape(nu1, nu2) and 0.0 < a < 1.0):
+    """int |nu1 - nu2| of a same-shape pair: per side, where nu1 - nu2 keeps
+    one sign, C |Gamma(-alpha)| |lambda1^alpha - lambda2^alpha| for alpha <
+    1, written C Gamma(1 - alpha) (-expm1(alpha log(lo / hi)) / alpha)
+    hi^alpha with lo, hi the smaller and larger lambda (``_log_ratio``), so
+    that close lambdas, and far ones at a small alpha, keep relative
+    precision; for alpha <= 0 the bracket is a ``_expm1_ratio``, which is
+    log(hi / lo) at alpha = 0.  From alpha = 1 on, math.inf where a side
+    differs; math.inf also where Gamma(1 - alpha) or a power overflows."""
+    if not _same_shape(nu1, nu2):
         return None
-    g = math.gamma(1.0 - a) / a  # |Gamma(-alpha)|
+    a = nu1.alpha
+    sides = [(c, min(l1, l2), max(l1, l2)) for _, c, l1, l2 in _ts_sides(nu1, nu2) if l1 != l2]
+    if a >= 1.0:
+        return math.inf if sides else 0.0
     total = 0.0
-    for _, c, l1, l2 in _ts_sides(nu1, nu2):
-        if l1 != l2:
-            lo, hi = sorted((l1, l2))
-            bracket = -math.expm1(a * _log_ratio(lo, hi))
-            total += c * (g * bracket) * hi**a
+    try:
+        for c, lo, hi in sides:
+            x = _log_ratio(lo, hi)
+            if a > 0.0:  # |Gamma(-alpha)| = Gamma(1 - alpha) / alpha
+                total += c * (math.gamma(1.0 - a) / a * -math.expm1(a * x)) * hi**a
+            else:  # from the right, so that no overflow meets an underflow
+                total += c * (math.gamma(1.0 - a) * (-_expm1_ratio(a, x) * hi**a))
+    except OverflowError:
+        return math.inf
     return total
 
 
@@ -210,8 +240,9 @@ def _hellinger_bracket(a: float, l1: float, l2: float, m: float) -> float:
     and log q (``_log_ratio``, exact also where q underflows): for alpha <
     1/2, (p^alpha - 1) + (q^alpha - 1), divided by alpha
     (``_expm1_ratio``) so that it stays exact as alpha -> 0, where it
-    tends to alpha log(p q); from 1/2 on, (p^alpha - p) + (q^alpha - q)
-    (``_power_gap``), which stays exact near alpha = 1, where it vanishes."""
+    tends to alpha log(p q), and for alpha <= 0; from 1/2 on, (p^alpha -
+    p) + (q^alpha - q) (``_power_gap``), which stays exact near alpha = 1,
+    where it vanishes, and at alpha = 1 the limit p log p + q log q."""
     t = 0.5 * (l1 - l2) / m
     t2 = t * t
     if t2 < 0.25:
@@ -225,30 +256,32 @@ def _hellinger_bracket(a: float, l1: float, l2: float, m: float) -> float:
     logs = (_log_ratio(l1, m), _log_ratio(l2, m))
     if a < 0.5:
         return (_expm1_ratio(a, logs[0]) + _expm1_ratio(a, logs[1])) / (a - 1.0)
+    if a == 1.0:
+        return l1 / m * logs[0] + l2 / m * logs[1]
     return (_power_gap(a, l1 / m, logs[0]) + _power_gap(a, l2 / m, logs[1])) / (a * (a - 1.0))
 
 
 def ts_hellinger(nu1, nu2) -> float | None:
-    """int (sqrt(nu1) - sqrt(nu2))^2 of a same-shape pair for 0 < alpha < 2,
-    alpha != 1: per side
+    """int (sqrt(nu1) - sqrt(nu2))^2 of a same-shape pair: per side
     C Gamma(-alpha) m^alpha ((1 + t)^alpha + (1 - t)^alpha - 2), m =
     (lambda1 + lambda2) / 2 and t = (lambda1 - lambda2) / (2 m), written
     as C Gamma(2 - alpha) m^alpha times ``_hellinger_bracket``, since
-    Gamma(-alpha) alpha (alpha - 1) = Gamma(2 - alpha); math.inf where
-    m^alpha overflows."""
-    a = nu1.alpha
-    if not (_same_shape(nu1, nu2) and 0.0 < a < 2.0 and a != 1.0):
+    Gamma(-alpha) alpha (alpha - 1) = Gamma(2 - alpha), and at alpha = 1 its
+    limit; math.inf where Gamma(2 - alpha) or a power overflows."""
+    if not _same_shape(nu1, nu2):
         return None
-    g = math.gamma(2.0 - a)
+    a = nu1.alpha
     total = 0.0
-    for _, c, l1, l2 in _ts_sides(nu1, nu2):
-        if l1 != l2:
-            m = 0.5 * l1 + 0.5 * l2
-            try:
-                power = m**a
-            except OverflowError:
-                power = math.inf
-            total += c * g * _hellinger_bracket(a, l1, l2, m) * power
+    try:
+        for _, c, l1, l2 in _ts_sides(nu1, nu2):
+            if l1 != l2:
+                m = 0.5 * l1 + 0.5 * l2
+                g, bracket = math.gamma(2.0 - a), _hellinger_bracket(a, l1, l2, m)
+                # For alpha <= 0 from the right, so that no overflow meets
+                # an underflow.
+                total += c * g * bracket * m**a if a > 0.0 else c * (g * (bracket * m**a))
+    except OverflowError:
+        return math.inf
     return total
 
 
@@ -300,15 +333,18 @@ def ts_gamma(nu) -> float | None:
 
 
 def ts_eta(nu1, nu2) -> float | None:
-    """eta of a same-shape pair for 0 < alpha < 2: per side sign C int_0^1
-    y^(-alpha) (e^(-lambda1 y) - e^(-lambda2 y)) dy
-    (``_ts_first_moment_gap``)."""
-    a = nu1.alpha
-    if not (_same_shape(nu1, nu2) and 0.0 < a < 2.0):
+    """eta of a same-shape pair: per side sign C int_0^1 y^(-alpha)
+    (e^(-lambda1 y) - e^(-lambda2 y)) dy (``_ts_first_moment_gap``);
+    math.inf where a Gamma function overflows."""
+    if not _same_shape(nu1, nu2):
         return None
-    return sum(
-        sign * c * _ts_first_moment_gap(a, l1, l2) for sign, c, l1, l2 in _ts_sides(nu1, nu2)
-    )
+    try:
+        return sum(
+            sign * c * _ts_first_moment_gap(nu1.alpha, l1, l2)
+            for sign, c, l1, l2 in _ts_sides(nu1, nu2)
+        )
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

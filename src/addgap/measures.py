@@ -13,8 +13,9 @@ dispatch: ``_family`` (the one rule for which measures get a family's
 formulas) picks the family of its measures, whose entry in ``_FORMS``
 returns the value, or None where the form does not apply; then the
 quadrature runs.  The forms themselves live in ``_forms``:
-  - a same-shape tempered-stable pair (shared C+- and alpha): L1 and gamma
-    (0 < alpha < 1), eta (0 < alpha < 2), H^2 and the Levy integrability
+  - a same-shape tempered-stable pair (shared C+- and alpha): L1, H^2 and
+    eta for every alpha (L1 is infinite from alpha = 1 on where the
+    measures differ), gamma (0 < alpha < 1) and the Levy integrability
     (0 < alpha < 2, alpha != 1);
   - compound Poisson measures with a uniform, exponential, normal or
     tabulated jump density (``_DENSITY_MOMENTS``): the Levy integrability
@@ -26,15 +27,6 @@ quadrature runs.  The forms themselves live in ``_forms``:
     that keeps relative precision as the two densities meet.
 Mixed families, measures outside every family and the ranges above take
 the quadrature.
-
-Finiteness is checked, never assumed: a tempered stable pair with alpha >= 1
-must come back with an infinite L1 flag, and the same pair keeps a finite
-Hellinger value. Cancellation-prone differences of tempered stable densities
-with shared C and alpha are routed through expm1 so that near-zero behavior
-is resolved to relative precision; where that form overflows, far out on a
-side where nu1 has the heavier tail, the heavier density is factored out,
-and near 0, where |y|^(-1-alpha) overflows, the power gives one |y| to the
-expm1.
 
 A two-sided family writes each formula once: every point takes its own
 side's constants (C and lambda by the sign of y) and evaluates the formula
@@ -396,6 +388,8 @@ class TemperedStableMeasure(LevyMeasure):
             raise ValueError("tempered stable lambda_- and lambda_+ must be finite and > 0")
         if not self.alpha < 2:
             raise ValueError("tempered stable alpha must be < 2")
+        if self.alpha == -math.inf:
+            raise ValueError("tempered stable alpha must be finite")
 
     def density(self, y):
         y = np.asarray(y, dtype=float)
@@ -573,7 +567,7 @@ def _side_integral(nu: LevyMeasure, integrand, lo_mag: float, hi_mag: float) -> 
 
 
 # ---------------------------------------------------------------------------
-# Cancellation-safe pairwise integrand hooks
+# Pairwise integrand hooks
 # ---------------------------------------------------------------------------
 
 
@@ -602,63 +596,9 @@ def _family(cls: type) -> type | None:
     return None
 
 
-def _ts_alpha(nu1: LevyMeasure, nu2: LevyMeasure) -> float | None:
-    """The alpha of a pair of the tempered-stable family with equal C+- and
-    alpha, which has closed forms; None for any other pair."""
-    if _family(type(nu1)) is _family(type(nu2)) is TemperedStableMeasure:
-        if (nu1.alpha, nu1.c_plus, nu1.c_minus) == (nu2.alpha, nu2.c_plus, nu2.c_minus):
-            return nu1.alpha
-    return None
-
-
-def _identity(x):
-    return x
-
-
-def _same_shape_ts_difference(nu1, nu2, root, factor, near_zero=True) -> Callable:
-    """y -> root(density(nu1)) - root(density(nu2)) of a same-shape
-    tempered-stable pair, for root(x) = x**factor (the identity and 1.0, or
-    np.sqrt and 0.5).  With y's side constants it is root(C |y|^(-1-alpha))
-    e^(-factor lambda2 |y|) expm1(factor (lambda2 - lambda1) |y|), which
-    keeps relative precision where the densities nearly cancel.  Where
-    that is not finite, two other forms of the same value take over:
-      - far out where lambda1 < lambda2 (the exponential underflows to 0,
-        the expm1 overflows), the heavier density is factored out:
-        -root(C |y|^(-1-alpha)) e^(-factor lambda1 |y|)
-        expm1(factor (lambda1 - lambda2) |y|);
-      - near 0, where |y|^(-1-alpha) overflows, one |y| moves from the
-        power into the expm1: root(C) |y|^(1 - factor (1 + alpha))
-        e^(-factor lambda2 |y|) expm1(factor (lambda2 - lambda1) |y|) / |y|
-        (left out with near_zero False, for l1_distance)."""
-
-    def diff(y):
-        y = np.asarray(y, dtype=float)
-        pos = y > 0
-        ay = np.abs(y)
-        c = _by_sign(pos, nu1.c_plus, nu1.c_minus)
-        lam1 = _by_sign(pos, nu1.lam_plus, nu1.lam_minus)
-        lam2 = _by_sign(pos, nu2.lam_plus, nu2.lam_minus)
-        with np.errstate(all="ignore"):
-            scale = root(c * ay ** (-1.0 - nu1.alpha))
-            out = scale * np.exp(-factor * lam2 * ay) * np.expm1(factor * (lam2 - lam1) * ay)
-            heavier = -scale * np.exp(-factor * lam1 * ay) * np.expm1(factor * (lam1 - lam2) * ay)
-            out = np.where(np.isfinite(out), out, heavier)
-            bad = ~np.isfinite(out)
-            if near_zero and bad.any():
-                power = root(c) * ay ** (1.0 - factor * (1.0 + nu1.alpha))
-                k = factor * (lam2 - lam1)
-                z = k * ay  # expm1(z) / |y| as k expm1(z) / z, which has no 0 / 0
-                rel = np.where(z == 0.0, 1.0, np.expm1(z) / z)
-                out = np.where(bad, power * np.exp(-factor * lam2 * ay) * (k * rel), out)
-        return np.where(pos | (y < 0), out, 0.0)
-
-    return diff
-
-
 def pair_difference_fn(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
-    """y -> density(nu1) - density(nu2), cancellation-safe where it matters."""
-    if _ts_alpha(nu1, nu2) is not None:
-        return _same_shape_ts_difference(nu1, nu2, _identity, 1.0)
+    """y -> density(nu1) - density(nu2); of two compound Poisson measures
+    sharing a jump density, (lambda1 - lambda2) times that density."""
     if (
         _family(type(nu1)) is _family(type(nu2)) is CompoundPoissonMeasure
         and nu1.jump_density == nu2.jump_density
@@ -729,9 +669,9 @@ def pair_jump_law(nu1: LevyMeasure, nu2: LevyMeasure) -> JumpLaw:
     first of three laws that the pair qualifies for.
 
     ``"ig_sides"``, value the (C, lambda1, lambda2) of each side on which
-    an alpha = 1/2 pair with closed forms (``_ts_alpha``) differs, negative
-    side first.  On such a side log(dnu1/dnu2)(y) = -(lambda1 - lambda2)|y|
-    and nu1 - nu2 integrates to C Gamma(-1/2)(sqrt(lambda1) -
+    a same-shape alpha = 1/2 pair of the tempered-stable family differs,
+    negative side first.  On such a side log(dnu1/dnu2)(y) = -(lambda1 -
+    lambda2)|y| and nu1 - nu2 integrates to C Gamma(-1/2)(sqrt(lambda1) -
     sqrt(lambda2)), Gamma(-1/2) = -2 sqrt(pi), with the root difference
     taken as (lambda1 - lambda2) / (sqrt(lambda1) + sqrt(lambda2)), which
     does not cancel.  So D is affine in the one-sided jump sums, which are
@@ -750,7 +690,11 @@ def pair_jump_law(nu1: LevyMeasure, nu2: LevyMeasure) -> JumpLaw:
     ``"generic"``, value ``pair_log_ratio(nu1, nu2)``: every jump is drawn
     and weighed.
     """
-    if _ts_alpha(nu1, nu2) == 0.5:
+    if (
+        _family(type(nu1)) is _family(type(nu2)) is TemperedStableMeasure
+        and _forms._same_shape(nu1, nu2)
+        and nu1.alpha == 0.5
+    ):
         sides = tuple((c, l1, l2) for _, c, l1, l2 in _ts_sides(nu1, nu2) if l1 != l2)
         gaps = [
             _TWO_SQRT_PI * c * (l1 - l2) / (math.sqrt(l1) + math.sqrt(l2)) for c, l1, l2 in sides
@@ -771,13 +715,6 @@ def pair_jump_law(nu1: LevyMeasure, nu2: LevyMeasure) -> JumpLaw:
             except RatioUndefined:  # nu2's density underflows to 0
                 pass
     return JumpLaw("generic", log_ratio)
-
-
-def pair_sqrt_difference_fn(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
-    """y -> sqrt(density(nu1)) - sqrt(density(nu2)), cancellation-safe."""
-    if _ts_alpha(nu1, nu2) is not None:
-        return _same_shape_ts_difference(nu1, nu2, np.sqrt, 0.5)
-    return lambda y: np.sqrt(nu1.density(y)) - np.sqrt(nu2.density(y))
 
 
 # ---------------------------------------------------------------------------
@@ -977,15 +914,6 @@ def _inside(lo: float, hi: float) -> float:
     return lo + 0.5 * (hi - lo)
 
 
-def _tabulated_crossings(nu1: TabulatedLevyMeasure, nu2: TabulatedLevyMeasure) -> list[float]:
-    """The points where the densities of two tabulated measures cross, each
-    side's inside the overlap of the two knot ranges.  Between neighbours of
-    the union of both knot sets there, log nu1 - log nu2 is linear in
-    log |y| (both are log-linear), so each such cell holds at most one
-    crossing, where that line is 0 (``_forms.Pieces``)."""
-    return _table_pieces(nu1, nu2).crossings.tolist()
-
-
 def require_abs_continuity(nu1: LevyMeasure, nu2: LevyMeasure) -> None:
     """Raise NotAbsolutelyContinuous, naming the first point that
     ``check_abs_continuity`` finds where nu1 has density and nu2 has none:
@@ -998,8 +926,8 @@ def require_abs_continuity(nu1: LevyMeasure, nu2: LevyMeasure) -> None:
         )
 
 
-def _pair_integral(nu1, nu2, integrand, cuts=()) -> float:
-    value = support_integral((nu1, nu2), integrand, cuts=cuts)
+def _pair_integral(nu1, nu2, integrand) -> float:
+    value = support_integral((nu1, nu2), integrand)
     return math.inf if value is None else value
 
 
@@ -1007,20 +935,13 @@ def _pair_integral(nu1, nu2, integrand, cuts=()) -> float:
 def l1_distance(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
     """Integral of |density gap| over the union support; math.inf if
     divergent: the family's closed form (``_closed_form``), else the
-    quadrature.  Two measures of the tabulated family are then cut where
-    their densities cross (``_tabulated_crossings``), the kinks of the
-    gap's absolute value."""
+    quadrature."""
     require_abs_continuity(nu1, nu2)
     value = _closed_form("l1", (nu1, nu2))
     if value is not None:
         return value
-    if _ts_alpha(nu1, nu2) is not None:
-        diff = _same_shape_ts_difference(nu1, nu2, _identity, 1.0, near_zero=False)
-    else:
-        diff = pair_difference_fn(nu1, nu2)
-    tabulated = _family(type(nu1)) is _family(type(nu2)) is TabulatedLevyMeasure
-    cuts = _tabulated_crossings(nu1, nu2) if tabulated else ()
-    return _pair_integral(nu1, nu2, lambda y: np.abs(diff(y)), cuts)
+    diff = pair_difference_fn(nu1, nu2)
+    return _pair_integral(nu1, nu2, lambda y: np.abs(diff(y)))
 
 
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
@@ -1032,8 +953,9 @@ def hellinger_sq(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
     value = _closed_form("hellinger", (nu1, nu2))
     if value is not None:
         return value
-    sdiff = pair_sqrt_difference_fn(nu1, nu2)
-    return _pair_integral(nu1, nu2, lambda y: sdiff(y) ** 2)
+    return _pair_integral(
+        nu1, nu2, lambda y: (np.sqrt(nu1.density(y)) - np.sqrt(nu2.density(y))) ** 2
+    )
 
 
 @dataclass(frozen=True)

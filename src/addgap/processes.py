@@ -416,10 +416,6 @@ class ProblemSpec:
         gap = _largest([abs(a - b - eta) for a, b in zip(f1, f2)])
         return gap, _largest([1.0, *map(abs, f1 + f2)])
 
-    def drift_gap_sup(self) -> float:
-        """sup over [0, T] of |f1(t) - f2(t) - eta|, exact up to rounding."""
-        return self._drift_gap[0]
-
     def drift_matched(self) -> bool:
         """Zero-volatility compatibility: f1 - f2 must equal eta on [0, T]."""
         gap, scale = self._drift_gap

@@ -23,6 +23,7 @@ from addgap.measures import (
     TabulatedLevyMeasure,
     TemperedStableMeasure,
     ZeroMeasure,
+    _by_sign,
     _Interval,
 )
 from addgap.errors import NonFiniteIntegrand, ToleranceNotMet
@@ -658,6 +659,46 @@ def probe_abs_continuity(nu1, nu2):
     probes = ac_probes(nu1, nu2)
     bad = (nu1.density(probes) > 0.0) & (nu2.density(probes) == 0.0)
     return AbsContinuityReport(not bad.any(), tuple(probes[bad][:16].tolist()), probes.size)
+
+
+def _same_shape_ts_difference(nu1, nu2, root, factor):
+    """y -> root(density(nu1)) - root(density(nu2)) of a same-shape
+    tempered-stable pair, for root(x) = x**factor (the identity and 1.0, or
+    np.sqrt and 0.5): the reference integrand of the pair's closed forms.
+    With y's side constants it is root(C |y|^(-1-alpha)) e^(-factor lambda2
+    |y|) expm1(factor (lambda2 - lambda1) |y|), which keeps relative
+    precision where the densities nearly cancel.  Where that is not finite,
+    two other forms of the same value take over:
+      - far out where lambda1 < lambda2 (the exponential underflows to 0,
+        the expm1 overflows), the heavier density is factored out:
+        -root(C |y|^(-1-alpha)) e^(-factor lambda1 |y|)
+        expm1(factor (lambda1 - lambda2) |y|);
+      - near 0, where |y|^(-1-alpha) overflows, one |y| moves from the
+        power into the expm1: root(C) |y|^(1 - factor (1 + alpha))
+        e^(-factor lambda2 |y|) expm1(factor (lambda2 - lambda1) |y|) / |y|."""
+
+    def diff(y):
+        y = np.asarray(y, dtype=float)
+        pos = y > 0
+        ay = np.abs(y)
+        c = _by_sign(pos, nu1.c_plus, nu1.c_minus)
+        lam1 = _by_sign(pos, nu1.lam_plus, nu1.lam_minus)
+        lam2 = _by_sign(pos, nu2.lam_plus, nu2.lam_minus)
+        with np.errstate(all="ignore"):
+            scale = root(c * ay ** (-1.0 - nu1.alpha))
+            out = scale * np.exp(-factor * lam2 * ay) * np.expm1(factor * (lam2 - lam1) * ay)
+            heavier = -scale * np.exp(-factor * lam1 * ay) * np.expm1(factor * (lam1 - lam2) * ay)
+            out = np.where(np.isfinite(out), out, heavier)
+            bad = ~np.isfinite(out)
+            if bad.any():
+                power = root(c) * ay ** (1.0 - factor * (1.0 + nu1.alpha))
+                k = factor * (lam2 - lam1)
+                z = k * ay  # expm1(z) / |y| as k expm1(z) / z, which has no 0 / 0
+                rel = np.where(z == 0.0, 1.0, np.expm1(z) / z)
+                out = np.where(bad, power * np.exp(-factor * lam2 * ay) * (k * rel), out)
+        return np.where(pos | (y < 0), out, 0.0)
+
+    return diff
 
 
 @dataclasses.dataclass(frozen=True)

@@ -7,8 +7,10 @@ its log-density, and its sizes come from the table of its density.  The
 battery holds each site to that plain reference for one such subclass of
 each family.  The last tests read the source of ``measures`` and
 ``simulate`` and ``_forms`` and refuse any other test of a built-in
-family than ``_family``.  The jump densities with closed forms
-(uniform, exponential, normal, tabulated) are families too.
+family than ``_family``, and any family test at all inside the
+functionals that take their family's form from ``_closed_form``.  The
+jump densities with closed forms (uniform, exponential, normal,
+tabulated) are families too.
 
 The verdict on nu1 << nu2 is no family formula: every measure, in a family
 or not, gets it from its support segments.  Its expectations here were
@@ -37,7 +39,6 @@ from addgap.measures import (
     pair_difference_fn,
     pair_jump_law,
     pair_log_ratio,
-    pair_sqrt_difference_fn,
     support_integral,
     validate_levy,
 )
@@ -160,7 +161,6 @@ class TestSubclassBattery:
     def test_pointwise_sites_read_the_plain_densities(self, nu1, nu2, y):
         d1, d2 = nu1.density(y), nu2.density(y)
         assert np.array_equal(pair_difference_fn(nu1, nu2)(y), d1 - d2)
-        assert np.array_equal(pair_sqrt_difference_fn(nu1, nu2)(y), np.sqrt(d1) - np.sqrt(d2))
         plain_ratio = nu1.log_density(y) - nu2.log_density(y)
         assert np.array_equal(pair_log_ratio(nu1, nu2)(y), plain_ratio)
         law = pair_jump_law(nu1, nu2)
@@ -240,3 +240,43 @@ def test_checker_flags_every_form_of_a_family_test(snippet, lines):
 @pytest.mark.parametrize("module", ["measures.py", "simulate.py", "_forms.py"])
 def test_family_is_the_one_family_test(module):
     assert family_tests((SRC / module).read_text()) == []
+
+
+# The functionals whose family is read by ``_closed_form`` alone; a second
+# family test in their bodies would be a second path for one family.
+DISPATCHED = ("l1_distance", "hellinger_sq", "eta_nu")
+
+
+def dispatch_bypasses(source: str) -> list[int]:
+    """Lines of ``source`` that name ``_ts_alpha``, or call ``_family``
+    inside one of DISPATCHED."""
+    tree = ast.parse(source)
+    found = [
+        n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "_ts_alpha"
+    ]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in DISPATCHED:
+            found += [
+                n.lineno
+                for n in ast.walk(node)
+                if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_family"
+            ]
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "snippet, lines",
+    [
+        ("_ts_alpha(nu1, nu2)", [1]),
+        ("def l1_distance(nu1, nu2):\n    return _family(type(nu1))", [2]),
+        ("def eta_nu(nu1, nu2):\n    f = lambda: _family(type(nu2))", [2]),
+        ("def pair_jump_law(nu1, nu2):\n    return _family(type(nu1))", []),
+        ("def l1_distance(nu1, nu2):\n    return _closed_form('l1', (nu1, nu2))", []),
+    ],
+)
+def test_checker_flags_every_dispatch_bypass(snippet, lines):
+    assert dispatch_bypasses(snippet) == lines
+
+
+def test_functionals_read_the_family_through_the_dispatch():
+    assert dispatch_bypasses((SRC / "measures.py").read_text()) == []

@@ -186,7 +186,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="process 2 volatility is negative"):
             ProblemSpec(p, dataclasses.replace(p, vol_sq=shifted), 1.0)
         spec = ProblemSpec(p, dataclasses.replace(p, drift=shifted), 1.0)
-        assert spec.drift_gap_sup() == 1.0 and spec.xi_sq() == pytest.approx(1.0, rel=1e-14)
+        assert spec._drift_gap[0] == 1.0 and spec.xi_sq() == pytest.approx(1.0, rel=1e-14)
 
     def test_rejects_bad_horizon(self):
         p = ProcessSpec(ZERO_FN, UNIT_FN, ZeroMeasure())
@@ -438,7 +438,7 @@ class TestDriftMatching:
             1.0,
         )
         assert spec.drift_matched()
-        assert spec.drift_gap_sup() < 1e-9
+        assert spec._drift_gap[0] < 1e-9
 
     def test_unmatched_constant_gap(self):
         spec = ProblemSpec(
@@ -463,7 +463,7 @@ class TestDriftMatching:
         assert spec.vol_class() == "zero" and not spec.sigma_mismatch()
         for _ in range(2):
             assert not spec.drift_matched()
-            assert spec.drift_gap_sup() == pytest.approx(0.5)
+            assert spec._drift_gap[0] == pytest.approx(0.5)
         # Both variances' pieces, then both drifts', once, at construction.
         assert calls == [0.0, 0.0, ETA_EX3, 0.5]
 
@@ -476,7 +476,7 @@ class TestDriftMatching:
             ProcessSpec(ZERO_FN, ZERO_FN, ZeroMeasure()),
             1.0,
         )
-        assert spec.drift_gap_sup() == 1.0
+        assert spec._drift_gap[0] == 1.0
         assert not spec.drift_matched()
 
     def test_unmatched_time_varying_gap(self):
@@ -631,7 +631,7 @@ class TestExactExtrema:
         grid = np.linspace(0.0, 2.0, GRID_POINTS)
         on_grid = float(np.max(np.abs(f1.value(grid) - f2.value(grid))))
         tol = rounding(f1, 2.0) + rounding(f2, 2.0)
-        assert spec.drift_gap_sup() >= on_grid - tol
+        assert spec._drift_gap[0] >= on_grid - tol
 
 
 class TestCharFunction:
