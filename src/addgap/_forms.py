@@ -1,12 +1,12 @@
 r"""The closed forms behind the functionals of ``measures``: for each family,
 the value of a functional as a finite sum of elementary terms, or None where
-the family's form does not apply.  ``measures`` picks the family of its
-arguments (``_family``) and reads its form here before any quadrature.
+the family's form does not apply.  ``measures._FORMS`` files them by
+family, and ``measures._closed_form`` reads them before any quadrature.
 
-- Tempered-stable measures (same-shape pairs: equal C+- and alpha): L1,
-  H^2 and eta for every alpha (L1 infinite from alpha = 1 on), the Levy
-  integrability (0 < alpha < 2, alpha != 1) and gamma (0 < alpha < 1),
-  from the math module and a math-only incomplete gamma function, as sums
+- Tempered-stable measures: the total mass, the Levy integrability (0 <
+  alpha < 2, alpha != 1) and gamma (0 < alpha < 1) of one, and L1, H^2
+  and eta of a same-shape pair (equal C+- and alpha) for every alpha, from
+  the math module and a math-only incomplete gamma function, as sums
   whose terms cancel by at most a small constant factor.
 - Compound Poisson measures with a uniform, exponential, normal or
   piecewise-linear tabulated jump density: lambda E[min(Y^2, 1)] and
@@ -50,6 +50,7 @@ _MAX_TERMS = 10_000
 _ETA_SERIES_GAP = 0.5
 _SMALL_LAMBDA_TERMS = 20
 _POWER_LAW_LAMBDA = 50.0
+_TINY = 2.0**-1022  # the smallest normal double
 
 
 def _ts_sides(nu1, nu2) -> tuple:
@@ -197,8 +198,9 @@ def ts_l1(nu1, nu2) -> float | None:
     1, written C Gamma(1 - alpha) (-expm1(alpha log(lo / hi)) / alpha)
     hi^alpha with lo, hi the smaller and larger lambda (``_log_ratio``), so
     that close lambdas, and far ones at a small alpha, keep relative
-    precision; for alpha <= 0 the bracket is a ``_expm1_ratio``, which is
-    log(hi / lo) at alpha = 0.  From alpha = 1 on, math.inf where a side
+    precision; for alpha below the smallest normal double the bracket is a
+    ``_expm1_ratio``, which is log(hi / lo) at alpha = 0 and does not
+    divide by a subnormal alpha.  From alpha = 1 on, math.inf where a side
     differs; math.inf also where Gamma(1 - alpha) or a power overflows."""
     if not _same_shape(nu1, nu2):
         return None
@@ -210,7 +212,7 @@ def ts_l1(nu1, nu2) -> float | None:
     try:
         for c, lo, hi in sides:
             x = _log_ratio(lo, hi)
-            if a > 0.0:  # |Gamma(-alpha)| = Gamma(1 - alpha) / alpha
+            if a >= _TINY:  # |Gamma(-alpha)| = Gamma(1 - alpha) / alpha
                 total += c * (math.gamma(1.0 - a) / a * -math.expm1(a * x)) * hi**a
             else:  # from the right, so that no overflow meets an underflow
                 total += c * (math.gamma(1.0 - a) * (-_expm1_ratio(a, x) * hi**a))
@@ -285,6 +287,18 @@ def ts_hellinger(nu1, nu2) -> float | None:
     return total
 
 
+def ts_total_mass(nu) -> float:
+    """Gamma(-alpha) (C+ lambda+^alpha + C- lambda-^alpha) for alpha < 0,
+    math.inf where that overflows and for alpha >= 0."""
+    a = nu.alpha
+    if a >= 0:
+        return math.inf
+    try:
+        return math.gamma(-a) * (nu.c_plus * nu.lam_plus**a + nu.c_minus * nu.lam_minus**a)
+    except OverflowError:
+        return math.inf
+
+
 def _ts_levy_integral(a: float, lam: float) -> float:
     """int_0^inf min(y^2, 1) y^(-1 - alpha) e^(-lambda y) dy for 0 < alpha
     < 2, alpha != 1: the part below 1, lambda^(alpha - 2) gamma(2 - alpha,
@@ -356,7 +370,6 @@ def ts_eta(nu1, nu2) -> float | None:
 _NORMAL_CANCEL = 2.0
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _NORMAL_FAR = 40.0
-_TINY = 2.0**-1022
 
 
 def _ends_by_sign(lo: float, hi: float) -> list[tuple[float, float]]:

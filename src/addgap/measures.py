@@ -8,25 +8,15 @@ mass) are exact sums where the measures' family has a closed form, and
 adaptive quadrature over the union of supports, split at 0 and at every
 known support edge, elsewhere.
 
-Closed forms come first.  Each functional asks ``_closed_form``, the one
-dispatch: ``_family`` (the one rule for which measures get a family's
-formulas) picks the family of its measures, whose entry in ``_FORMS``
-returns the value, or None where the form does not apply; then the
-quadrature runs.  The forms themselves live in ``_forms``:
-  - a same-shape tempered-stable pair (shared C+- and alpha): L1, H^2 and
-    eta for every alpha (L1 is infinite from alpha = 1 on where the
-    measures differ), gamma (0 < alpha < 1) and the Levy integrability
-    (0 < alpha < 2, alpha != 1);
-  - compound Poisson measures with a uniform, exponential, normal or
-    tabulated jump density (``_DENSITY_MOMENTS``): the Levy integrability
-    and gamma, and L1, H^2 and eta of two sharing the density (the normal
-    where its terms cancel by at most a factor 2);
-  - log-linear tables: every functional, the mass above epsilon included,
-    summed exactly over the knot cells of both tables, cut at |y| = 1 (or
-    epsilon) and where the densities cross (``_table_pieces``), in a form
-    that keeps relative precision as the two densities meet.
-Mixed families, measures outside every family and the ranges above take
-the quadrature.
+Closed forms come first.  ``_FORMS`` files every family's formulas and
+``_closed_form`` reads them: it is the one caller of ``_family``, the rule
+for which measures get a family's formulas.  Each functional (the total
+mass included), the density gap, the log-ratio, the jump law and the
+exact sampler take their family's form where it applies (a form returns
+None where it does not), and their generic path otherwise: for a
+functional, the quadrature of the density.  So a measure outside every
+family needs only ``density`` and ``support_segments``.  The forms of the
+functionals live in ``_forms``, whose docstring lists them.
 
 A two-sided family writes each formula once: every point takes its own
 side's constants (C and lambda by the sign of y) and evaluates the formula
@@ -269,7 +259,10 @@ class TabulatedDensity(JumpDensity):
 
 
 class LevyMeasure(abc.ABC):
-    """A Levy measure given by its density on R \\ {0}."""
+    """A Levy measure given by its density on R \\ {0} and its support
+    segments, the two methods a measure must define.  Every other method
+    has a default that reads them, and the functionals weigh a measure of
+    a family (``_family``) by that family's forms (``_closed_form``)."""
 
     @abc.abstractmethod
     def density(self, y: np.ndarray) -> np.ndarray:
@@ -279,10 +272,16 @@ class LevyMeasure(abc.ABC):
         with np.errstate(divide="ignore"):
             return np.log(self.density(y))
 
-    @abc.abstractmethod
     def total_mass(self) -> float:
         """nu(R), possibly math.inf; the measure has finite activity exactly
-        when it is finite."""
+        when it is finite: the family's form (``_closed_form``), else the
+        quadrature of the density, inf where either diverges."""
+        if self.diverges_near_zero(0.0):
+            return math.inf
+        total = _closed_form("total_mass", (self,))
+        if total is None:
+            total = _side_integral(self, self.density, 0.0, math.inf)
+        return math.inf if total is None else total
 
     @abc.abstractmethod
     def support_segments(self) -> tuple[_Interval, ...]:
@@ -319,9 +318,6 @@ class ZeroMeasure(LevyMeasure):
     def density(self, y):
         return np.zeros_like(np.asarray(y, dtype=float))
 
-    def total_mass(self):
-        return 0.0
-
     def support_segments(self):
         return ()
 
@@ -338,9 +334,6 @@ class CompoundPoissonMeasure(LevyMeasure):
     def density(self, y):
         y = np.asarray(y, dtype=float)
         return np.where(y != 0.0, self.intensity * self.jump_density.pdf(y), 0.0)
-
-    def total_mass(self):
-        return self.intensity
 
     def support_segments(self):
         """The jump density's segments, each cut at 0."""
@@ -409,19 +402,6 @@ class TemperedStableMeasure(LevyMeasure):
         with np.errstate(all="ignore"):
             out = _ts_log_density(self, pos, ay, np.log(ay))
         return np.where(pos | (y < 0), out, -math.inf).reshape(shape)
-
-    def total_mass(self):
-        """Gamma(-alpha) (C+ lambda+^alpha + C- lambda-^alpha) for alpha < 0,
-        math.inf where that overflows and for alpha >= 0."""
-        if self.alpha >= 0:
-            return math.inf
-        try:
-            return math.gamma(-self.alpha) * (
-                self.c_plus * self.lam_plus**self.alpha
-                + self.c_minus * self.lam_minus**self.alpha
-            )
-        except OverflowError:
-            return math.inf
 
     def support_segments(self):
         return ((-math.inf, 0.0), (0.0, math.inf))
@@ -496,14 +476,6 @@ class TabulatedLevyMeasure(LevyMeasure):
         """Extrapolated divergence of int |y|^moment nu(dy) near 0."""
         p = self._inner_slope()
         return p is not None and p + moment <= -1.0
-
-    def total_mass(self):
-        if self.diverges_near_zero(0.0):
-            return math.inf
-        total = _closed_form("total_mass", (self,))
-        if total is None:
-            total = _side_integral(self, self.density, 0.0, math.inf)
-        return math.inf if total is None else total
 
     def support_segments(self):
         g = self.grid
@@ -597,16 +569,10 @@ def _family(cls: type) -> type | None:
 
 
 def pair_difference_fn(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
-    """y -> density(nu1) - density(nu2); of two compound Poisson measures
-    sharing a jump density, (lambda1 - lambda2) times that density."""
-    if (
-        _family(type(nu1)) is _family(type(nu2)) is CompoundPoissonMeasure
-        and nu1.jump_density == nu2.jump_density
-    ):
-        gap = nu1.intensity - nu2.intensity
-        return lambda y: gap * nu1.jump_density.pdf(y)
-
-    return lambda y: nu1.density(y) - nu2.density(y)
+    """y -> density(nu1) - density(nu2): the family's ``"difference"`` form
+    (``_closed_form``), else that difference."""
+    diff = _closed_form("difference", (nu1, nu2))
+    return (lambda y: nu1.density(y) - nu2.density(y)) if diff is None else diff
 
 
 def _undefined_ratio() -> RatioUndefined:
@@ -617,29 +583,12 @@ def pair_log_ratio(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
     """y -> log(dnu1/dnu2)(y), raising RatioUndefined when the log-density
     of nu2 is -inf at any y (always so at y = 0 and at nan).
 
-    Equals ``nu1.log_density(y) - nu2.log_density(y)`` bit for bit.  For
-    two measures of the tempered-stable family, |y| and log|y| are
-    computed once instead of once per measure.
+    Equals ``nu1.log_density(y) - nu2.log_density(y)`` bit for bit: the
+    family's ``"log_ratio"`` form (``_closed_form``), else that difference.
     """
-    if _family(type(nu1)) is _family(type(nu2)) is TemperedStableMeasure:
-
-        def ratio(y):
-            shape = np.shape(y)
-            y = np.asarray(y, dtype=float).reshape(-1)
-            pos = y > 0
-            if not np.all(pos | (y < 0)):
-                raise _undefined_ratio()
-            ay = np.abs(y)
-            with np.errstate(all="ignore"):
-                lay = np.log(ay)
-                ld2 = _ts_log_density(nu2, pos, ay, lay)
-                if np.any(np.isneginf(ld2)):
-                    raise _undefined_ratio()
-                out = _ts_log_density(nu1, pos, ay, lay)
-                out -= ld2
-            return out.reshape(shape)[()]
-
-        return ratio
+    fused = _closed_form("log_ratio", (nu1, nu2))
+    if fused is not None:
+        return fused
 
     def ratio(y):
         ld2 = nu2.log_density(y)
@@ -649,9 +598,6 @@ def pair_log_ratio(nu1: LevyMeasure, nu2: LevyMeasure) -> Callable:
             return nu1.log_density(y) - ld2
 
     return ratio
-
-
-_TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)  # -Gamma(-1/2)
 
 
 @dataclass(frozen=True)
@@ -666,55 +612,11 @@ class JumpLaw:
 
 def pair_jump_law(nu1: LevyMeasure, nu2: LevyMeasure) -> JumpLaw:
     """How the summed log-ratio D of a path's jumps under nu2 is drawn: the
-    first of three laws that the pair qualifies for.
-
-    ``"ig_sides"``, value the (C, lambda1, lambda2) of each side on which
-    a same-shape alpha = 1/2 pair of the tempered-stable family differs,
-    negative side first.  On such a side log(dnu1/dnu2)(y) = -(lambda1 -
-    lambda2)|y| and nu1 - nu2 integrates to C Gamma(-1/2)(sqrt(lambda1) -
-    sqrt(lambda2)), Gamma(-1/2) = -2 sqrt(pi), with the root difference
-    taken as (lambda1 - lambda2) / (sqrt(lambda1) + sqrt(lambda2)), which
-    does not cancel.  So D is affine in the one-sided jump sums, which are
-    inverse Gaussian under nu2 (``simulate.inverse_gaussian_sums``): it is
-    drawn exactly, with no truncation and no jump.
-
-    ``"constant"``, value the one log-ratio of every jump nu2's sampler can
-    draw: both measures of the compound Poisson family and both jump
-    densities of the uniform one (``_family``), nu2's [a2, b2] inside
-    nu1's [a1, b1], and nu2's largest draw a2 + (b2 - a2)(1 - 2**-53) not
-    past b2.  Every sampled jump is then a nonzero point of
-    [a2, b2], where both densities are flat, so its log-ratio is the value
-    bit for bit, unless nu2's density underflows to 0, and D depends on the
-    jump count alone (the Poisson change of measure).
-
-    ``"generic"``, value ``pair_log_ratio(nu1, nu2)``: every jump is drawn
-    and weighed.
-    """
-    if (
-        _family(type(nu1)) is _family(type(nu2)) is TemperedStableMeasure
-        and _forms._same_shape(nu1, nu2)
-        and nu1.alpha == 0.5
-    ):
-        sides = tuple((c, l1, l2) for _, c, l1, l2 in _ts_sides(nu1, nu2) if l1 != l2)
-        gaps = [
-            _TWO_SQRT_PI * c * (l1 - l2) / (math.sqrt(l1) + math.sqrt(l2)) for c, l1, l2 in sides
-        ]
-        return JumpLaw("ig_sides", sides, -sum(gaps, 0.0))
-    log_ratio = pair_log_ratio(nu1, nu2)
-    if _family(type(nu1)) is _family(type(nu2)) is CompoundPoissonMeasure:
-        g1, g2 = nu1.jump_density, nu2.jump_density
-        if (
-            _family(type(g1)) is _family(type(g2)) is UniformDensity
-            and g1.a <= g2.a
-            and g2.b <= g1.b
-            and g2.a + (g2.b - g2.a) * (1.0 - 2.0**-53) <= g2.b
-        ):
-            point = g2.b if g2.b != 0.0 else g2.a
-            try:
-                return JumpLaw("constant", float(log_ratio(np.array([point]))[0]))
-            except RatioUndefined:  # nu2's density underflows to 0
-                pass
-    return JumpLaw("generic", log_ratio)
+    family's ``"jump_law"`` form (``_closed_form``: ``"ig_sides"`` or
+    ``"constant"``), else ``"generic"``, value ``pair_log_ratio(nu1, nu2)``:
+    every jump is drawn and weighed."""
+    law = _closed_form("jump_law", (nu1, nu2))
+    return JumpLaw("generic", pair_log_ratio(nu1, nu2)) if law is None else law
 
 
 # ---------------------------------------------------------------------------
@@ -722,20 +624,85 @@ def pair_jump_law(nu1: LevyMeasure, nu2: LevyMeasure) -> JumpLaw:
 # ---------------------------------------------------------------------------
 
 
-_DENSITY_MOMENTS = {
-    UniformDensity: lambda d: _forms.uniform_moments(d.a, d.b),
-    ExponentialDensity: lambda d: _forms.exponential_moments(d.rate),
-    NormalDensity: lambda d: _forms.normal_moments(d.mean, d.variance),
-    TabulatedDensity: lambda d: _forms.tabulated_density_moments(*d._arrays[:2]),
-}
+def _ts_log_ratio(nu1, nu2) -> Callable:
+    """The log-ratio of two tempered-stable measures, with |y| and log|y|
+    computed once instead of once per measure."""
+
+    def ratio(y):
+        shape = np.shape(y)
+        y = np.asarray(y, dtype=float).reshape(-1)
+        pos = y > 0
+        if not np.all(pos | (y < 0)):
+            raise _undefined_ratio()
+        ay = np.abs(y)
+        with np.errstate(all="ignore"):
+            lay = np.log(ay)
+            ld2 = _ts_log_density(nu2, pos, ay, lay)
+            if np.any(np.isneginf(ld2)):
+                raise _undefined_ratio()
+            out = _ts_log_density(nu1, pos, ay, lay)
+            out -= ld2
+        return out.reshape(shape)[()]
+
+    return ratio
+
+
+_TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)  # -Gamma(-1/2)
+
+
+def _ts_jump_law(nu1, nu2) -> JumpLaw | None:
+    """``"ig_sides"``, value the (C, lambda1, lambda2) of each side on which
+    a same-shape alpha = 1/2 pair differs, negative side first, else None.
+    On such a side log(dnu1/dnu2)(y) = -(lambda1 - lambda2)|y| and nu1 -
+    nu2 integrates to C Gamma(-1/2)(sqrt(lambda1) - sqrt(lambda2)),
+    Gamma(-1/2) = -2 sqrt(pi), with the root difference taken as (lambda1 -
+    lambda2) / (sqrt(lambda1) + sqrt(lambda2)), which does not cancel.  So
+    D is affine in the one-sided jump sums, which are inverse Gaussian
+    under nu2 (``simulate.inverse_gaussian_sums``): it is drawn exactly,
+    with no truncation and no jump."""
+    if not (_forms._same_shape(nu1, nu2) and nu1.alpha == 0.5):
+        return None
+    sides = tuple((c, l1, l2) for _, c, l1, l2 in _ts_sides(nu1, nu2) if l1 != l2)
+    gaps = [_TWO_SQRT_PI * c * (l1 - l2) / (math.sqrt(l1) + math.sqrt(l2)) for c, l1, l2 in sides]
+    return JumpLaw("ig_sides", sides, -sum(gaps, 0.0))
+
+
+def _uniform_flat_point(g1: UniformDensity, g2: UniformDensity) -> float | None:
+    """A nonzero point of [a2, b2] where it lies inside [a1, b1] and g2's
+    largest draw a2 + (b2 - a2)(1 - 2**-53) is not past b2, else None."""
+    if g1.a <= g2.a and g2.b <= g1.b and g2.a + (g2.b - g2.a) * (1.0 - 2.0**-53) <= g2.b:
+        return g2.b if g2.b != 0.0 else g2.a
+    return None
+
+
+def _cp_jump_law(nu1, nu2) -> JumpLaw | None:
+    """``"constant"``, value the one log-ratio of every jump nu2's sampler
+    can draw, where the jump densities have a ``"flat_point"`` (uniform
+    ones, ``_uniform_flat_point``): every sampled jump lands where both
+    densities are flat, so D depends on the jump count alone (the Poisson
+    change of measure).  None where nu2's density underflows there."""
+    point = _closed_form("flat_point", (nu1.jump_density, nu2.jump_density))
+    if point is None:
+        return None
+    try:
+        return JumpLaw("constant", float(pair_log_ratio(nu1, nu2)(np.array([point]))[0]))
+    except RatioUndefined:
+        return None
+
+
+def _cp_difference(nu1, nu2) -> Callable | None:
+    """(lambda1 - lambda2) times the jump density the two share, or None."""
+    if nu1.jump_density != nu2.jump_density:
+        return None
+    gap = nu1.intensity - nu2.intensity
+    return lambda y: gap * nu1.jump_density.pdf(y)
 
 
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def _jump_moments(density: JumpDensity) -> tuple[float, float] | None:
     """(E[min(Y^2, 1)], E[Y; |Y| <= 1]) of a jump density of a family with
     moments (``_forms``), or None."""
-    form = _DENSITY_MOMENTS.get(_family(type(density)))
-    return None if form is None else form(density)
+    return _closed_form("moments", (density,))
 
 
 def _cp_moment(nu: CompoundPoissonMeasure, i: int) -> float | None:
@@ -745,9 +712,9 @@ def _cp_moment(nu: CompoundPoissonMeasure, i: int) -> float | None:
 
 def _cp_gap(nu1: CompoundPoissonMeasure, nu2: CompoundPoissonMeasure) -> float | None:
     """lambda1 - lambda2 of two measures sharing a jump density of a family
-    (which integrates to 1), else None."""
+    (whose ``"total_mass"`` form is 1), else None."""
     density = nu1.jump_density
-    if density == nu2.jump_density and _family(type(density)) in _DENSITY_MOMENTS:
+    if density == nu2.jump_density and _closed_form("total_mass", (density,)) is not None:
         return nu1.intensity - nu2.intensity
     return None
 
@@ -800,6 +767,9 @@ def _tab_pair(nu1, nu2) -> dict:
     return _forms.pair_forms(_table_pieces(nu1, nu2))
 
 
+# Every jump density of a family is a probability density.
+_PROBABILITY = {"total_mass": lambda density: 1.0}
+
 _FORMS = {
     TemperedStableMeasure: {
         "levy": _forms.ts_levy,
@@ -807,6 +777,9 @@ _FORMS = {
         "eta": _forms.ts_eta,
         "l1": _forms.ts_l1,
         "hellinger": _forms.ts_hellinger,
+        "total_mass": _forms.ts_total_mass,
+        "log_ratio": _ts_log_ratio,
+        "jump_law": _ts_jump_law,
     },
     CompoundPoissonMeasure: {
         "levy": lambda nu: _cp_moment(nu, 0),
@@ -814,6 +787,10 @@ _FORMS = {
         "eta": _cp_eta,
         "l1": _cp_l1,
         "hellinger": _cp_hellinger,
+        "total_mass": lambda nu: nu.intensity,
+        "difference": _cp_difference,
+        "jump_law": _cp_jump_law,
+        "sampler": lambda nu: nu.jump_density,
     },
     TabulatedLevyMeasure: {
         "levy": lambda nu: _tab_single(nu)["levy"],
@@ -824,14 +801,28 @@ _FORMS = {
         "l1": lambda nu1, nu2: _tab_pair(nu1, nu2)["l1"],
         "hellinger": lambda nu1, nu2: _tab_pair(nu1, nu2)["hellinger"],
     },
+    UniformDensity: {
+        "moments": lambda d: _forms.uniform_moments(d.a, d.b),
+        "flat_point": _uniform_flat_point,
+        **_PROBABILITY,
+    },
+    ExponentialDensity: {"moments": lambda d: _forms.exponential_moments(d.rate), **_PROBABILITY},
+    NormalDensity: {"moments": lambda d: _forms.normal_moments(d.mean, d.variance), **_PROBABILITY},
+    TabulatedDensity: {
+        "moments": lambda d: _forms.tabulated_density_moments(*d._arrays[:2]),
+        **_PROBABILITY,
+    },
 }
 
 
-def _closed_form(name: str, measures: tuple, *params) -> float | None:
-    """The form ``name`` at measures (one, or a pair) and params of the
-    family all the measures belong to (``_family``), or None where they
-    have no common family, it has no such form, or the form does not apply:
-    then the caller takes the quadrature."""
+def _closed_form(name: str, measures: tuple, *params) -> object:
+    """The form ``name`` at measures (one or two Levy measures or jump
+    densities) and params of the family all of them belong to
+    (``_family``), or None where they have no common family, it has no such
+    form, or the form does not apply: then the caller takes its generic
+    path.  A form gives a number, a function of y (``"difference"``,
+    ``"log_ratio"``), a ``JumpLaw``, the jump density whose sampler draws
+    the sizes (``"sampler"``) or a point (``"flat_point"``)."""
     family = _family(type(measures[0]))
     if any(_family(type(nu)) is not family for nu in measures[1:]):
         return None
@@ -998,5 +989,5 @@ def validate_levy(nu: LevyMeasure) -> LevyValidation:
         mass = nu.total_mass()
         if math.isfinite(mass):
             return LevyValidation(True, mass)
-        return LevyValidation(False, math.inf, "y^2-integral diverges near 0")
+        return LevyValidation(False, math.inf, "int min(y^2, 1) nu(dy) is not finite")
     return LevyValidation(True, value)

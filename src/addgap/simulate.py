@@ -63,11 +63,9 @@ import numpy as np
 
 from .errors import DivergentIntegral, DivergentMass
 from .measures import (
-    CompoundPoissonMeasure,
     JumpDensity,
     LevyMeasure,
-    ZeroMeasure,
-    _family,
+    _closed_form,
     _side_integral,
     gamma_nu,
     support_edges,
@@ -182,8 +180,6 @@ def _mass_above(nu: LevyMeasure, epsilon: float) -> float:
 @functools.lru_cache(maxsize=256)
 def _compensator_shift(nu: LevyMeasure, epsilon: float) -> float:
     """-integral of y over {epsilon < |y| <= 1} against nu."""
-    if isinstance(nu, ZeroMeasure):
-        return 0.0
     if epsilon == 0.0:
         return -gamma_nu(nu)
     if epsilon >= 1.0:
@@ -474,11 +470,13 @@ def _draw_counts(
 
 
 def _size_source(nu: LevyMeasure, epsilon: float, rng: RngStream, total: int):
-    """The source of the ``total`` > 0 sizes that follow the counts on rng."""
+    """The source of the ``total`` > 0 sizes that follow the counts on rng:
+    rejection from the family's ``"sampler"`` density, else the size table."""
     gen = rng.generator
-    if _family(type(nu)) is CompoundPoissonMeasure:
+    density = _closed_form("sampler", (nu,))
+    if density is not None:
         acceptance = _mass_above(nu, epsilon) / nu.intensity
-        return _RejectionSizes(nu.jump_density, epsilon, acceptance, gen)
+        return _RejectionSizes(density, epsilon, acceptance, gen)
     return _TableSizes(_size_table(nu, epsilon), gen, min(total, _BLOCK_JUMPS))
 
 

@@ -1371,6 +1371,18 @@ class TestExactAbsoluteContinuity:
         assert (code, out) == (1, "")
         assert err.startswith("error: config.process1: invalid Levy measure: density overflows")
 
+    def test_divergent_tail_is_an_invalid_measure(self, tmp_path, capsys):
+        # At alpha = -2 and lambda+ 1e-200 the integral diverges in the
+        # tail, int y e^(-1e-200 y) dy = 1e400, not near 0: the message
+        # names no end.
+        levy = _ts_levy(-2.0, c=(1.0, 1.0), lam=(1.0, 1e-200))
+        path = write_config(tmp_path, _pair_config(levy, levy, 0.0))
+        code, out, err = run(capsys, ["bound", "--config", path])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: config.process1: invalid Levy measure: int min(y^2, 1) nu(dy) is not finite\n"
+        )
+
 
 class TestSweepRowErrors:
     """A sweep row that fails to parse fails as the whole config would."""

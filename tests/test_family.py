@@ -2,15 +2,15 @@
 
 A subclass of a built-in Levy family that overrides ``density`` and
 ``log_density`` leaves the family, so every site weighs it by those two
-methods alone: the functionals integrate its density, the log-ratio reads
-its log-density, and its sizes come from the table of its density.  The
-battery holds each site to that plain reference for one such subclass of
-each family.  The last tests read the source of ``measures`` and
-``simulate`` and ``_forms`` and refuse any other test of a built-in
-family than ``_family``, and any family test at all inside the
-functionals that take their family's form from ``_closed_form``.  The
-jump densities with closed forms (uniform, exponential, normal,
-tabulated) are families too.
+methods alone: the functionals, its total mass included, integrate its
+density, the log-ratio reads its log-density, and its sizes come from the
+table of its density.  The battery holds each site to that plain reference
+for one such subclass of each family.  The last tests read the source of
+every module of ``addgap`` and refuse any other test of a built-in family
+than ``_family``, any call of ``_family`` outside ``_closed_form``, the
+one dispatch that reads each family's forms, and any family class that
+``simulate`` imports.  The jump densities with closed forms (uniform,
+exponential, normal, tabulated) are families too.
 
 The verdict on nu1 << nu2 is no family formula: every measure, in a family
 or not, gets it from its support segments.  Its expectations here were
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from addgap import measures, simulate
+from addgap import ConstantFunction, ProblemSpec, ProcessSpec, measures, simulate
 from addgap.measures import (
     CompoundPoissonMeasure,
     TabulatedLevyMeasure,
@@ -42,6 +42,7 @@ from addgap.measures import (
     support_integral,
     validate_levy,
 )
+from addgap.montecarlo import martingale_check
 from addgap.simulate import RngStream
 
 from _oracles import probe_abs_continuity
@@ -101,6 +102,15 @@ CASES = {
         TabulatedLevyMeasure(GRID, (2.0, 5.0, 3.0, 3.0, 0.5)),
         np.array([-0.9, -0.5, 0.1, 0.3, 0.7]),
     ),
+}
+
+
+# The base class of each family's subclass, with the subclass's parameters:
+# the subclass's mass is twice the base's.
+BASES = {
+    "tempered_stable": TemperedStableMeasure(1.0, 1.0, 1.0, 2.0, -0.5),
+    "compound_poisson": CompoundPoissonMeasure(1.0, UniformDensity(0.0, 1.0)),
+    "tabulated": TabulatedLevyMeasure(GRID, (1.0, 3.0, 4.0, 2.0, 1.0)),
 }
 
 
@@ -173,12 +183,44 @@ class TestSubclassBattery:
         assert type(source) is simulate._TableSizes
         assert source.table is simulate._size_table(sub, 0.0)
 
+    @pytest.mark.parametrize("family", sorted(CASES))
+    def test_mass_is_the_plain_quadrature(self, family):
+        # The mass of its own density, twice its base class's (within the
+        # quadrature's tolerance, 1e-8): 6.0515... for the tempered-stable
+        # subclass and 2.0 for the compound Poisson one, which had read
+        # their base class's formulas.
+        sub, _, _ = CASES[family]
+        plain = support_integral((sub,), sub.density)
+        twice = 2.0 * BASES[family].total_mass()
+        for mass in (sub.total_mass(), sub.mass_above(0.0)):
+            assert mass == pytest.approx(plain, rel=1e-12)
+            assert mass == pytest.approx(twice, rel=1e-8)
+
+    def test_compound_poisson_martingale_covers_one(self):
+        # M_T's compensator reads the doubled mass, so its mean is 1; with
+        # the base class's mass it read e = 2.72.
+        sub, plain, _ = CASES["compound_poisson"]
+        zero, unit = ConstantFunction(0.0), ConstantFunction(1.0)
+        spec = ProblemSpec(ProcessSpec(zero, unit, sub), ProcessSpec(zero, unit, plain), 1.0)
+        result = martingale_check(spec, 200_000, 1)
+        assert abs(result.mean - 1.0) <= 4.0 * result.half_width_95
+
     def test_compound_poisson_l1_reads_the_doubled_density(self):
         # The density gap of a compound Poisson pair with one jump density
         # is (lambda1 - lambda2) times that density only within the family;
         # twice U(0, 1) against U(0, 1) is 1 apart on [0, 1].
         sub, plain, _ = CASES["compound_poisson"]
         assert l1_distance(sub, plain) == pytest.approx(1.0, rel=1e-15)
+
+
+def nodes_inside(tree: ast.AST, function: str) -> set[int]:
+    """The ids of the nodes inside the functions of tree named function."""
+    return {
+        id(n)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == function
+        for n in ast.walk(node)
+    }
 
 
 def family_tests(source: str) -> list[int]:
@@ -196,12 +238,7 @@ def family_tests(source: str) -> list[int]:
         return isinstance(operand, ast.Call) and getattr(operand.func, "id", None) == "_family"
 
     tree = ast.parse(source)
-    inside = {
-        id(n)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "_family"
-        for n in ast.walk(node)
-    }
+    inside = nodes_inside(tree, "_family")
     found = []
     for node in ast.walk(tree):
         if id(node) in inside:
@@ -237,30 +274,30 @@ def test_checker_flags_every_form_of_a_family_test(snippet, lines):
     assert family_tests(snippet) == lines
 
 
-@pytest.mark.parametrize("module", ["measures.py", "simulate.py", "_forms.py"])
+MODULES = sorted(path.name for path in SRC.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_family_is_the_one_family_test(module):
     assert family_tests((SRC / module).read_text()) == []
 
 
-# The functionals whose family is read by ``_closed_form`` alone; a second
-# family test in their bodies would be a second path for one family.
-DISPATCHED = ("l1_distance", "hellinger_sq", "eta_nu")
-
-
 def dispatch_bypasses(source: str) -> list[int]:
     """Lines of ``source`` that name ``_ts_alpha``, or call ``_family``
-    inside one of DISPATCHED."""
+    outside ``_closed_form``: a second caller would be a second place that
+    decides which family gets which formula."""
     tree = ast.parse(source)
+    inside = nodes_inside(tree, "_closed_form")
     found = [
         n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "_ts_alpha"
     ]
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name in DISPATCHED:
-            found += [
-                n.lineno
-                for n in ast.walk(node)
-                if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_family"
-            ]
+    found += [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and getattr(n.func, "id", None) == "_family"
+        and id(n) not in inside
+    ]
     return sorted(found)
 
 
@@ -270,8 +307,11 @@ def dispatch_bypasses(source: str) -> list[int]:
         ("_ts_alpha(nu1, nu2)", [1]),
         ("def l1_distance(nu1, nu2):\n    return _family(type(nu1))", [2]),
         ("def eta_nu(nu1, nu2):\n    f = lambda: _family(type(nu2))", [2]),
-        ("def pair_jump_law(nu1, nu2):\n    return _family(type(nu1))", []),
+        ("def pair_jump_law(nu1, nu2):\n    return _family(type(nu1))", [2]),
         ("def l1_distance(nu1, nu2):\n    return _closed_form('l1', (nu1, nu2))", []),
+        ("def _closed_form(name, measures):\n    return _family(type(measures[0]))", []),
+        ("FAMILY = _family(TemperedStableMeasure)", [1]),
+        ("def _size_source(nu):\n    if _family(type(nu)):\n        pass", [2]),
     ],
 )
 def test_checker_flags_every_dispatch_bypass(snippet, lines):
@@ -279,4 +319,33 @@ def test_checker_flags_every_dispatch_bypass(snippet, lines):
 
 
 def test_functionals_read_the_family_through_the_dispatch():
-    assert dispatch_bypasses((SRC / "measures.py").read_text()) == []
+    found = {module: dispatch_bypasses((SRC / module).read_text()) for module in MODULES}
+    assert found == {module: [] for module in MODULES}
+
+
+def family_imports(source: str) -> list[int]:
+    """Lines of ``source`` that import a family class or ``_family``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name in FAMILIES | {"_family"} for alias in node.names)
+    ]
+
+
+@pytest.mark.parametrize(
+    "snippet, lines",
+    [
+        ("from .measures import CompoundPoissonMeasure", [1]),
+        ("from .measures import (\n    LevyMeasure,\n    _family,\n)", [1]),
+        ("import os\nfrom addgap.measures import UniformDensity as U", [2]),
+        ("from .measures import JumpDensity, LevyMeasure, _closed_form", []),
+    ],
+)
+def test_checker_flags_every_family_import(snippet, lines):
+    assert family_imports(snippet) == lines
+
+
+def test_simulate_imports_no_family():
+    # The samplers take their family's form from ``_closed_form``.
+    assert family_imports((SRC / "simulate.py").read_text()) == []

@@ -858,6 +858,15 @@ class TestWholeRange:
             eta, _ = mp_ts_eta(mpmath.mpf(alpha), sides)
         assert math.isclose(eta_nu(nu1, nu2), float(eta), rel_tol=1e-14)
 
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310])
+    def test_l1_at_a_subnormal_alpha(self, alpha):
+        # Gamma(1 - alpha) / alpha overflows below the smallest normal
+        # double; the bracket of alpha <= 0 reads C log(hi / lo) there.
+        nu1, nu2 = (TemperedStableMeasure(1.0, 1.0, 1.0, lam, alpha) for lam in (2.0, 1.0))
+        assert l1_distance(nu1, nu2) == math.log(2.0)
+        near = TemperedStableMeasure(1.0, 1.0, 1.0, math.nextafter(1.0, 2.0), alpha)
+        assert l1_distance(near, nu2) == pytest.approx(2.0**-52, rel=1e-15)
+
     def test_no_quadrature_on_a_grid_of_alpha(self):
         for alpha in [*np.linspace(-3.0, 1.99, 24).tolist(), -2.0, -1.0, 0.0, 1.0]:
             for lams in ((2.0, 1.0), (1.0, 1.0 + 1e-9), (60.0, 0.3)):
@@ -989,9 +998,11 @@ class TestValidateLevy:
     def test_finite_mass_past_the_divergence_cap_is_valid(self):
         # int min(y^2, 1) nu(dy) = 1e9 / 3 reads as divergent to the
         # quadrature; nu(R) = 1e9 bounds it.  The measure outside every
-        # family takes the quadrature; the family's closed form is exact.
-        rep = validate_levy(OwnDensityCP(1e9, UniformDensity(0.0, 1.0)))
-        assert rep.ok and rep.value == 1e9
+        # family takes the quadrature, for nu(R) too; the family's closed
+        # form is exact.
+        nu = OwnDensityCP(1e9, UniformDensity(0.0, 1.0))
+        rep = validate_levy(nu)
+        assert rep.ok and rep.value == nu.total_mass() == pytest.approx(1e9, rel=1e-15)
         assert validate_levy(CP_U01(1e9)).value == pytest.approx(1e9 / 3, rel=1e-15)
 
     def test_tabulated_steep_inner_trend_fails(self):

@@ -377,9 +377,11 @@ EDGE_GOLDEN = {
         ("0x1.5dd3d6dc57d71p-1", "0x1.558f74ef28040p-5", "0x1.5dd3d6dc57d7fp-1"),
         ("0x1.b2c1dc92967adp-5", "0x0.0p+0", "0x1.b2c1dc92966ffp-5"),
     ],
+    # Below eps = 1 the zero measure's shift is the negated empty
+    # integral, -0.0 (x + -0.0 is x for every x).
     "zero": [
-        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"),
         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     ],
 }
