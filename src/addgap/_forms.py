@@ -192,6 +192,44 @@ def _same_shape(nu1, nu2) -> bool:
     return (nu1.alpha, nu1.c_plus, nu1.c_minus) == (nu2.alpha, nu2.c_plus, nu2.c_minus)
 
 
+def _log_side(c: float, s: float, log_power: float) -> float:
+    """c Gamma(s) e^log_power for c, s > 0, summed in logs so that no
+    intermediate leaves the doubles, to a relative error of about 2^-53
+    times the size of the exponent; math.inf where the value overflows."""
+    try:
+        return math.exp(math.log(c) + math.lgamma(s) + log_power)
+    except OverflowError:
+        return math.inf
+
+
+def _normal(*values: float) -> bool:
+    """Whether every value is a finite normal double: the factors and
+    partial products of a side before C, which a form may multiply only
+    where none left the doubles on the way."""
+    return all(_TINY <= v < math.inf for v in values)
+
+
+def _ts_l1_side(a: float, c: float, lo: float, hi: float) -> float:
+    """C |Gamma(-alpha)| (lo^alpha - hi^alpha) of one side for alpha < 1
+    (``ts_l1``)."""
+    x = _log_ratio(lo, hi)
+    try:
+        if a >= _TINY:  # |Gamma(-alpha)| = Gamma(1 - alpha) / alpha
+            return c * (math.gamma(1.0 - a) / a * -math.expm1(a * x)) * hi**a
+        # From the right, so that no overflow meets an underflow.
+        power = hi**a
+        inner = -_expm1_ratio(a, x) * power
+        scaled = math.gamma(1.0 - a) * inner
+        if a >= 0.0 or _normal(power, inner, scaled):
+            return c * scaled
+    except OverflowError:
+        if a >= 0.0:
+            return math.inf
+    # alpha < 0 where a factor leaves the doubles: C Gamma(-alpha) lo^alpha
+    # (1 - (hi / lo)^alpha), whose bracket lies in (0, 1).
+    return _log_side(c, -a, a * math.log(lo) + math.log(-math.expm1(-a * x)))
+
+
 def ts_l1(nu1, nu2) -> float | None:
     """int |nu1 - nu2| of a same-shape pair: per side, where nu1 - nu2 keeps
     one sign, C |Gamma(-alpha)| |lambda1^alpha - lambda2^alpha| for alpha <
@@ -200,8 +238,11 @@ def ts_l1(nu1, nu2) -> float | None:
     that close lambdas, and far ones at a small alpha, keep relative
     precision; for alpha below the smallest normal double the bracket is a
     ``_expm1_ratio``, which is log(hi / lo) at alpha = 0 and does not
-    divide by a subnormal alpha.  From alpha = 1 on, math.inf where a side
-    differs; math.inf also where Gamma(1 - alpha) or a power overflows."""
+    divide by a subnormal alpha.  For alpha < 0, where a power, Gamma(1 -
+    alpha), the bracket or their product leaves the normal doubles, the
+    side is C Gamma(-alpha) lo^alpha (1 - (hi / lo)^alpha) taken through
+    logs (``_log_side``).  From alpha = 1 on, math.inf where a side
+    differs; math.inf also where a side overflows."""
     if not _same_shape(nu1, nu2):
         return None
     a = nu1.alpha
@@ -209,15 +250,8 @@ def ts_l1(nu1, nu2) -> float | None:
     if a >= 1.0:
         return math.inf if sides else 0.0
     total = 0.0
-    try:
-        for c, lo, hi in sides:
-            x = _log_ratio(lo, hi)
-            if a >= _TINY:  # |Gamma(-alpha)| = Gamma(1 - alpha) / alpha
-                total += c * (math.gamma(1.0 - a) / a * -math.expm1(a * x)) * hi**a
-            else:  # from the right, so that no overflow meets an underflow
-                total += c * (math.gamma(1.0 - a) * (-_expm1_ratio(a, x) * hi**a))
-    except OverflowError:
-        return math.inf
+    for c, lo, hi in sides:
+        total += _ts_l1_side(a, c, lo, hi)
     return total
 
 
@@ -263,27 +297,51 @@ def _hellinger_bracket(a: float, l1: float, l2: float, m: float) -> float:
     return (_power_gap(a, l1 / m, logs[0]) + _power_gap(a, l2 / m, logs[1])) / (a * (a - 1.0))
 
 
+def _ts_hellinger_side(a: float, c: float, l1: float, l2: float) -> float:
+    """C Gamma(2 - alpha) m^alpha times ``_hellinger_bracket`` of one side
+    (``ts_hellinger``)."""
+    m = 0.5 * l1 + 0.5 * l2
+    try:
+        bracket = _hellinger_bracket(a, l1, l2, m)
+    except OverflowError:  # only for alpha < 0
+        bracket = math.inf
+    try:
+        g = math.gamma(2.0 - a)
+        if a > 0.0:
+            return c * g * bracket * m**a
+        # From the right, so that no overflow meets an underflow.
+        power = m**a
+        inner = bracket * power
+        scaled = g * inner
+        if a == 0.0 or _normal(power, inner, scaled):
+            return c * scaled
+    except OverflowError:
+        if a >= 0.0:
+            return math.inf
+    # alpha < 0 where a factor leaves the doubles.  Where the bracket
+    # overflows, (lo / m)^alpha > e^709, so lo^alpha outweighs m^alpha and
+    # hi^alpha by more than that and the side is C Gamma(-alpha) lo^alpha.
+    if bracket < math.inf:
+        return _log_side(c, 2.0 - a, a * math.log(m) + math.log(bracket))
+    return _log_side(c, -a, a * math.log(min(l1, l2)))
+
+
 def ts_hellinger(nu1, nu2) -> float | None:
     """int (sqrt(nu1) - sqrt(nu2))^2 of a same-shape pair: per side
     C Gamma(-alpha) m^alpha ((1 + t)^alpha + (1 - t)^alpha - 2), m =
     (lambda1 + lambda2) / 2 and t = (lambda1 - lambda2) / (2 m), written
     as C Gamma(2 - alpha) m^alpha times ``_hellinger_bracket``, since
     Gamma(-alpha) alpha (alpha - 1) = Gamma(2 - alpha), and at alpha = 1 its
-    limit; math.inf where Gamma(2 - alpha) or a power overflows."""
+    limit.  For alpha < 0, where a factor or their product leaves the
+    normal doubles, the side is taken through logs (``_log_side``);
+    math.inf where a side overflows."""
     if not _same_shape(nu1, nu2):
         return None
     a = nu1.alpha
     total = 0.0
-    try:
-        for _, c, l1, l2 in _ts_sides(nu1, nu2):
-            if l1 != l2:
-                m = 0.5 * l1 + 0.5 * l2
-                g, bracket = math.gamma(2.0 - a), _hellinger_bracket(a, l1, l2, m)
-                # For alpha <= 0 from the right, so that no overflow meets
-                # an underflow.
-                total += c * g * bracket * m**a if a > 0.0 else c * (g * (bracket * m**a))
-    except OverflowError:
-        return math.inf
+    for _, c, l1, l2 in _ts_sides(nu1, nu2):
+        if l1 != l2:
+            total += _ts_hellinger_side(a, c, l1, l2)
     return total
 
 

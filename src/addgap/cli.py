@@ -48,6 +48,7 @@ from .montecarlo import (
     EstimateResult,
     estimate_sinh_oracle,
     estimate_tv,
+    estimate_tv_rows,
     martingale_check,
 )
 
@@ -65,6 +66,11 @@ CSV_HEADER = (
 )
 # The BoundReport fields between the swept value and the estimate's two cells.
 _CSV_REPORT_COLUMNS = tuple(CSV_HEADER.split(",")[1:-2])
+
+# Sweep rows are estimated a block at a time: the rows of a block that can
+# share their draws make them once (``montecarlo.estimate_tv_rows``), and a
+# block bounds the problems held at once to about 1 MB.
+_SWEEP_BLOCK = 256
 
 
 class _UsageError(Exception):
@@ -317,24 +323,25 @@ def _cmd_sweep(args) -> int:
         flag is not None for flag in (args.paths, args.seed, args.epsilon)
     )
     _resolve_settings(cfg, args)  # a bad flag is refused before any row
+    values = _sweep_values(sweep.start, sweep.stop, sweep.steps)
     lines = [CSV_HEADER]
-    for value in _sweep_values(sweep.start, sweep.stop, sweep.steps):
-        sub = sweep_row(cfg, sweep.parameter, value)
-        report = compute_report(sub.problem)
-        estimate = half_width = None
-        if want_estimate:
-            settings = _resolve_settings(sub, args)  # may sweep an estimator leaf
-            try:
-                result = estimate_tv(
-                    sub.problem, settings.n_paths, settings.epsilon, settings.seed
-                )
-            except AddgapError:
-                pass
-            else:
-                estimate = result.mean
-                half_width = result.half_width_95
-        cells = [value, *(getattr(report, name) for name in _CSV_REPORT_COLUMNS)]
-        lines.append(",".join(map(_csv_cell, cells + [estimate, half_width])))
+    for start in range(0, len(values), _SWEEP_BLOCK):
+        rows, jobs = [], []
+        for value in values[start : start + _SWEEP_BLOCK]:
+            sub = sweep_row(cfg, sweep.parameter, value)
+            report = compute_report(sub.problem)
+            rows.append([value, *(getattr(report, name) for name in _CSV_REPORT_COLUMNS)])
+            if want_estimate:
+                settings = _resolve_settings(sub, args)  # may sweep an estimator leaf
+                jobs.append((sub.problem, settings.n_paths, settings.epsilon, settings.seed))
+        outcomes = estimate_tv_rows(jobs) if want_estimate else [None] * len(rows)
+        for cells, outcome in zip(rows, outcomes):
+            estimate = half_width = None
+            if isinstance(outcome, EstimateResult):
+                estimate, half_width = outcome.mean, outcome.half_width_95
+            elif outcome is not None and not isinstance(outcome, AddgapError):
+                raise outcome
+            lines.append(",".join(map(_csv_cell, cells + [estimate, half_width])))
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0
 

@@ -39,9 +39,9 @@ with the running sum of the path that straddles the block boundary
 entered as its first weight; and the rejection sampler of compound
 Poisson sizes carries the accepted draws left over from one block into
 the next, so the sizes are the first accepted values of the stream.
-Given one constant weight per row instead of a function of the sizes,
-``stream_jump_sums`` draws the counts alone and forms each path's sum by
-the same additions (``_counted_sums``).
+Where every jump of a row weighs one constant, ``_counted_sums`` forms
+each path's sum from the counts alone by the same additions, so no size
+is drawn.
 
 Randomness is organized in named streams: ``RngStream(root_seed, k)``
 yields the k-th of 2**64 independent Philox substreams of a root seed, so
@@ -545,7 +545,7 @@ def stream_jump_sums(
     n_paths: int,
     rng: RngStream,
     epsilon: float,
-    weigh: Callable[[np.ndarray], tuple[np.ndarray, ...]] | tuple[float, ...],
+    weigh: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     rows: int = 1,
 ) -> np.ndarray:
     """Per-path sums of ``rows`` weights of the jumps of ``sample_jump_batch``.
@@ -560,19 +560,8 @@ def stream_jump_sums(
     whole batch; the path that straddles a block boundary carries its
     running sum in as the first weight of the next block.  ``weigh`` sees
     a view into a buffer that the next block overwrites.
-
-    ``weigh`` may instead be a tuple of ``rows`` floats, one weight that
-    every jump of a row takes (a pair whose ``measures.pair_jump_law`` is
-    ``"constant"``).  Then only the counts are drawn, with the same
-    validation on the same stream, and no size is drawn: a path with k
-    jumps gets k copies of each weight added left to right from 0.0
-    (``_counted_sums``), the additions the blocks would make, so the sums
-    equal those of ``lambda s: tuple(np.full(s.size, w) for w in weigh)``
-    bit for bit.
     """
     counts = _draw_counts(nu, horizon, n_paths, rng, epsilon)
-    if not callable(weigh):
-        return _counted_sums(counts, weigh, rows)
     sums = np.zeros((rows, n_paths))
     total = int(counts.sum())
     if total == 0:

@@ -79,8 +79,18 @@ CLI_SHA256 = {
 
 
 # Sweeps of a leaf inside a process (each row re-parses that process), with
-# a row whose drifts or volatilities no longer match, and their digests.
+# a row whose drifts or volatilities no longer match, and their digests.  A
+# name is its bundled config, then "/" and a label when a config has more
+# than one.  The lambda sweeps share their draws across rows: one chunk of
+# paths, and three (the last partial).
+LAMBDA_SWEEP = [
+    "sweep", "--param", "process1.levy.lambda", "--from", "1", "--to", "2", "--steps", "5",
+]
 PROCESS_SWEEPS = {
+    "compound_poisson/lambda_one_chunk": [*LAMBDA_SWEEP, "--paths", "8192"],
+    "compound_poisson/lambda": [*LAMBDA_SWEEP, *PATHS],
+    "jump_diffusion/lambda_one_chunk": [*LAMBDA_SWEEP, "--paths", "8192"],
+    "jump_diffusion/lambda": [*LAMBDA_SWEEP, *PATHS],
     "tempered_stable": [
         "sweep", "--param", "process1.levy.lambda_plus", "--from", "1.5", "--to", "2.5",
         "--steps", "3", *PATHS,
@@ -91,6 +101,10 @@ PROCESS_SWEEPS = {
     ],
 }
 PROCESS_SWEEP_SHA256 = {
+    "compound_poisson/lambda_one_chunk": "51258eba74c5b1743b670bf36c09d64fff17dbecf3f84cd5af59db7b7267457f",
+    "compound_poisson/lambda": "77d7975170efaf1e80fe7ecb8c2fbfc5f3cea559f0c87988c51558af9a53251c",
+    "jump_diffusion/lambda_one_chunk": "6a29504219c00006490ee8ce9ad3fbfecb447596efc41e0125943e2b6e64bf3b",
+    "jump_diffusion/lambda": "b77677a86a8bd1240cc7e86b573c0ffdaa0cdea4c61b986d1febe7f9b776c95e",
     "tempered_stable": "719f161c7b6e46065622d312c58a8b8a767710a4bda4e943ed8e286453f4af4d",
     "jump_diffusion": "bcbceba386a2afb507e98084d90d9ab1b2f430af7e3ef2accf067ce2a8b648df",
 }
@@ -103,8 +117,8 @@ def cli_digest(config: str, command: str) -> str:
 
 def argv_digest(config: str, argv: list) -> str:
     """SHA-256 of the exit code, stdout and stderr of cli.main(argv) on a
-    bundled config."""
-    argv = argv + ["--config", str(CONFIG_DIR / f"{config}.json")]
+    bundled config, named as in ``PROCESS_SWEEPS``."""
+    argv = argv + ["--config", str(CONFIG_DIR / f"{config.split('/')[0]}.json")]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)

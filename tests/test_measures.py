@@ -833,6 +833,41 @@ class TestWholeRange:
             eta, _ = mp_ts_eta(mpmath.mpf(alpha), sides)
         assert math.isclose(eta_nu(nu1, nu2), float(eta), rel_tol=1e-14)
 
+    @pytest.mark.parametrize(
+        "alpha, lams",
+        [
+            (-20.0, (1e16, 1.0)),  # (lo / hi)^alpha overflows
+            (-169.0, (300.0, 200.0)),  # both powers underflow
+            (-169.0, (300.0, 299.0)),  # the same, with close lambdas
+            (-20.0, (1e16, 300.0)),  # hi^alpha is subnormal
+            (-200.0, (10.0, 20.0)),  # Gamma(1 - alpha) overflows
+            (-170.0, (1.0, 1.0 + 1e-12)),  # Gamma(2 - alpha) overflows
+            (-0.5, (1e300, 1e-300)),
+        ],
+    )
+    def test_sides_beyond_the_doubles(self, alpha, lams):
+        # A power, a Gamma function or their product leaves the doubles on
+        # the way to a value that does not: the side is taken through logs,
+        # to about 2^-53 times the size of its exponent.
+        nu1, nu2, sides = whole_range_pair(alpha, lams)
+        with mpmath.workdps(50):
+            m = mpmath.mpf(alpha)
+            l1, h2 = mp_ts_l1(m, sides), mp_ts_hellinger(m, sides)
+        assert math.isclose(l1_distance(nu1, nu2), float(l1), rel_tol=1e-12)
+        assert math.isclose(hellinger_sq(nu1, nu2), float(h2), rel_tol=1e-12)
+
+    def test_first_found_values(self):
+        # alpha = -20, lambda+ 1e16 vs 1 read inf and alpha = -169, lambda+
+        # 300 vs 200 read 0.0 while every power was taken as it stands.
+        for alpha, lams, value in (
+            (-20.0, (1e16, 1.0), 1.21645100408832e17),
+            (-169.0, (300.0, 200.0), 3.3758030530921089e-87),
+        ):
+            nu1 = TemperedStableMeasure(1.0, 1.0, 1.0, lams[0], alpha)
+            nu2 = TemperedStableMeasure(1.0, 1.0, 1.0, lams[1], alpha)
+            assert math.isclose(l1_distance(nu1, nu2), value, rel_tol=1e-12)
+            assert math.isclose(hellinger_sq(nu1, nu2), value, rel_tol=1e-12)
+
     @pytest.mark.parametrize("alpha", [-1e6, -170.5, -150.0])
     @pytest.mark.parametrize("lams", [(1e308, 1.7e308), (1000.0, 100.0), (1e300, 1.0)])
     def test_far_below_zero_nothing_reads_nan(self, alpha, lams):

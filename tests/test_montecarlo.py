@@ -506,6 +506,17 @@ class TestPathwiseSplitting:
         assert np.all(lhs <= rhs * (1.0 + 1e-12) + 1e-15)
 
 
+def reduce_one(n_paths, values):
+    """``_reduce_chunks`` of one row whose ``values(rng_jumps, rng_gauss, m)``
+    reads the chunk's two streams; raises what refuses it."""
+    (result,) = _reduce_chunks(
+        n_paths, 1, lambda rj, rg, m: (rj, rg), [(lambda drawn, m: values(*drawn, m), 0.0)]
+    )
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 class TestChunkReduction:
     def test_mean_replays_stream_layout(self):
         # Rebuild the estimate by hand from the documented stream layout
@@ -530,14 +541,14 @@ class TestChunkReduction:
         # 1e304 keeps each chunk's sum finite, but not its sum of squares,
         # nor the fsum of three chunk sums.
         with pytest.raises(HypothesisFailed, match="^the path values overflow: their sum or"):
-            _reduce_chunks(3 * CHUNK_PATHS, 0.0, 1, lambda rj, rg, m: np.full(m, value))
+            reduce_one(3 * CHUNK_PATHS, lambda rj, rg, m: np.full(m, value))
 
     def test_refuses_a_sum_whose_square_overflows(self):
         # The sum (4.1e154) and the sum of squares (4.1e305) are finite, but
         # the square of the sum is not, and the variance would read 0.
         values = np.tile([1e151, 0.0], CHUNK_PATHS // 2)
         with pytest.raises(HypothesisFailed, match="^the path values overflow: the square of"):
-            _reduce_chunks(CHUNK_PATHS, 0.0, 1, lambda rj, rg, m: values[:m])
+            reduce_one(CHUNK_PATHS, lambda rj, rg, m: values[:m])
 
 
 def live_workers():
@@ -589,8 +600,8 @@ class TestWorkerPool:
     def test_lowest_failing_chunk_raises(self, monkeypatch, threads):
         monkeypatch.setenv("ADDGAP_THREADS", threads)
         with pytest.raises(ValueError, match="^chunk 2$"):
-            _reduce_chunks(7 * CHUNK_PATHS, 0.0, 1, fail_on_chunks_2_and_5)
-        result = _reduce_chunks(7 * CHUNK_PATHS, 0.0, 1, lambda rj, rg, m: np.ones(m))
+            reduce_one(7 * CHUNK_PATHS, fail_on_chunks_2_and_5)
+        result = reduce_one(7 * CHUNK_PATHS, lambda rj, rg, m: np.ones(m))
         assert (result.mean, result.half_width_95) == (1.0, 0.0)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -665,7 +676,7 @@ class TestExactInverseGaussian:
     def test_epsilon_plays_no_part(self, monkeypatch):
         # No jump is drawn, so neither the chunk-jump limit nor the size
         # table is consulted, and every epsilon gives the same bits.
-        monkeypatch.setattr(montecarlo, "stream_jump_sums", never_sample)
+        forbid_draws(monkeypatch)
         monkeypatch.setattr(montecarlo, "_jump_sums", never_sample)
         spec = ig_specs()["bundled"]
         results = {estimate_tv(spec, 20_000, eps, 8) for eps in (0.0, 1e-12, 1e-4, 0.5)}
@@ -800,10 +811,17 @@ def never_sample(*args, **kwargs):
     raise AssertionError("the guard must refuse before any jump is drawn")
 
 
+def forbid_draws(monkeypatch):
+    """Make both of montecarlo's jump-drawing entry points fail: the counts
+    of a constant log-ratio and the weighed jumps of any other law."""
+    for name in ("stream_jump_sums", "_draw_counts"):
+        monkeypatch.setattr(montecarlo, name, never_sample)
+
+
 def test_never_sample_patches_the_sampling_entry_point(monkeypatch):
-    # The guard tests below patch montecarlo.stream_jump_sums; a chunk
-    # worker that drew its jumps any other way would slip past them.
-    monkeypatch.setattr(montecarlo, "stream_jump_sums", never_sample)
+    # The guard tests below patch montecarlo's entry points; a chunk worker
+    # that drew its jumps any other way would slip past them.
+    forbid_draws(monkeypatch)
     with pytest.raises(AssertionError, match="before any jump is drawn"):
         estimate_tv(matched_cp_spec(), 10, 0.0, 1)
     with pytest.raises(AssertionError, match="before any jump is drawn"):
@@ -844,7 +862,7 @@ class TestChunkJumpGuard:
             gate(nu2, 11.0, 1e-4, 100_000, nu1)
 
     def test_estimators_refuse_before_drawing(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "stream_jump_sums", never_sample)
+        forbid_draws(monkeypatch)
         spec = heavy_ts_spec()
         message = (
             r"epsilon = 0\.0001 expects 1\.09e\+10 jumps in a chunk of 8192 paths,"
@@ -856,7 +874,7 @@ class TestChunkJumpGuard:
             martingale_check(spec, 100_000, 1)
 
     def test_sinh_oracle_guards_its_chunks(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "stream_jump_sums", never_sample)
+        forbid_draws(monkeypatch)
         heavy = CompoundPoissonMeasure(1e5, G01)
         spec = ProblemSpec(
             ProcessSpec(ZERO_FN, ZERO_FN, heavy), ProcessSpec(ZERO_FN, ZERO_FN, heavy), 1.0
@@ -870,8 +888,8 @@ def never_reduce(*args, **kwargs):
 
 
 class TestPathCap:
-    # Above MAX_PATHS the chunk layout alone (204 B a chunk) would take more
-    # than 110 MB; the cap refuses before _reduce_chunks builds any of it.
+    # Above MAX_PATHS the chunk partials alone (16 B a chunk) would take more
+    # than 8 MB; the cap refuses before _reduce_chunks builds any of them.
     ESTIMATORS = {
         "estimate_tv": lambda spec, n: estimate_tv(spec, n, 0.0, 1),
         "estimate_tv_default_epsilon": lambda spec, n: estimate_tv(spec, n, None, 1),
@@ -891,7 +909,7 @@ class TestPathCap:
 
     @pytest.mark.parametrize("name", sorted(ESTIMATORS))
     def test_the_limit_passes_the_cap(self, monkeypatch, name):
-        monkeypatch.setattr(montecarlo, "_reduce_chunks", lambda n, *args: n)
+        monkeypatch.setattr(montecarlo, "_reduce_chunks", lambda n, seed, draw, rows: [n] * len(rows))
         assert self.ESTIMATORS[name](matched_cp_spec(), MAX_PATHS) == MAX_PATHS
 
 
@@ -914,7 +932,7 @@ class TestFiniteMassGate:
         "nu1, nu2", [(NU, NU), (NU, CP10), (CP10, NU)], ids=["both", "nu1", "nu2"]
     )
     def test_estimators_refuse_before_drawing(self, monkeypatch, vol, nu1, nu2):
-        monkeypatch.setattr(montecarlo, "stream_jump_sums", never_sample)
+        forbid_draws(monkeypatch)
         spec = ProblemSpec(ProcessSpec(ZERO_FN, vol, nu1), ProcessSpec(ZERO_FN, vol, nu2), 1.0)
         assert default_epsilon(spec) == 1e-4  # martingale_check's epsilon meets the gate too
         message = r"^epsilon = 0 requires finite-activity measures; pass epsilon > 0$"

@@ -1169,12 +1169,11 @@ def assert_counted_matches_streamed(monkeypatch, nu, n_paths, stream, eps):
     with monkeypatch.context() as patch:
         patch.setattr(_RejectionSizes, "fill", no_sizes)
         patch.setattr(UniformDensity, "sample", no_sizes)
-        counted = stream_jump_sums(
-            nu, 1.0, n_paths, RngStream(*stream), eps, COUNTED_WEIGHTS, rows=rows
-        )
+        counts = simulate._draw_counts(nu, 1.0, n_paths, RngStream(*stream), eps)
+        counted = simulate._counted_sums(counts, COUNTED_WEIGHTS, rows)
     assert counted.shape == streamed.shape == (rows, n_paths)
     assert np.array_equal(counted.view(np.uint64), streamed.view(np.uint64))
-    return simulate._draw_counts(nu, 1.0, n_paths, RngStream(*stream), eps)
+    return counts
 
 
 class TestCountedSums:
@@ -1191,7 +1190,7 @@ class TestCountedSums:
         nu = CompoundPoissonMeasure(lam, UniformDensity(0.0, 1.0))
         counts = assert_counted_matches_streamed(monkeypatch, nu, 6, (7, 1), eps)
         assert counts.sum() > block  # some path straddles a block boundary
-        (tenths,) = stream_jump_sums(nu, 1.0, 6, RngStream(7, 1), eps, (0.1,))
+        (tenths,) = simulate._counted_sums(counts, (0.1,), 1)
         assert np.any(tenths != counts * 0.1)
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
@@ -1209,11 +1208,11 @@ class TestCountedSums:
 
     def test_counts_are_validated_as_before(self):
         with pytest.raises(ValueError, match="n_paths must be positive"):
-            stream_jump_sums(CP_U01, 1.0, 0, RngStream(1, 0), 0.0, (1.0,))
+            simulate._draw_counts(CP_U01, 1.0, 0, RngStream(1, 0), 0.0)
         with pytest.raises(ValueError, match="epsilon must be >= 0"):
-            stream_jump_sums(CP_U01, 1.0, 5, RngStream(1, 0), -0.1, (1.0,))
+            simulate._draw_counts(CP_U01, 1.0, 5, RngStream(1, 0), -0.1)
         with pytest.raises(DivergentMass):
-            stream_jump_sums(TS_SYM, 1.0, 5, RngStream(1, 0), 0.0, (1.0,))
+            simulate._draw_counts(TS_SYM, 1.0, 5, RngStream(1, 0), 0.0)
 
 
 class TestStreamMemory:
