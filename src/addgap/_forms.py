@@ -4,10 +4,11 @@ the family's form does not apply.  ``measures._FORMS`` files them by
 family, and ``measures._closed_form`` reads them before any quadrature.
 
 - Tempered-stable measures: the total mass, the Levy integrability (0 <
-  alpha < 2, alpha != 1) and gamma (0 < alpha < 1) of one, and L1, H^2
-  and eta of a same-shape pair (equal C+- and alpha) for every alpha, from
-  the math module and a math-only incomplete gamma function, as sums
-  whose terms cancel by at most a small constant factor.
+  alpha < 2, alpha != 1; deferred, see ``ts_levy``) and gamma (0 < alpha
+  < 1) of one, and L1, H^2 and eta of a same-shape pair (equal C+- and
+  alpha) for every alpha, from the math module and a math-only incomplete
+  gamma function, as sums whose terms cancel by at most a small constant
+  factor.
 - Compound Poisson measures with a uniform, exponential, normal or
   piecewise-linear tabulated jump density: lambda E[min(Y^2, 1)] and
   gamma = lambda E[Y; |Y| <= 1] of one measure, and of two that share the
@@ -25,7 +26,7 @@ family, and ``measures._closed_form`` reads them before any quadrature.
 """
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,15 +96,19 @@ def _upper_gamma_cf(s: float, x: float) -> float:
     b = x + 1.0 - s
     c, d = 1.0 / tiny, 1.0 / b
     cf = d
+    # |v| > tiny written as two comparisons, each False at nan, so that a
+    # nan, like a value within tiny of 0, is replaced by tiny.
     for n in range(1, _MAX_TERMS):
         a = -n * (n - s)
         b += 2.0
         d = a * d + b
-        d = 1.0 / (d if abs(d) > tiny else tiny)
+        d = 1.0 / (d if d > tiny or d < -tiny else tiny)
         c = b + a / c
-        c = c if abs(c) > tiny else tiny
-        cf *= d * c
-        if abs(d * c - 1.0) <= _SERIES_EPS:
+        if not (c > tiny or c < -tiny):
+            c = tiny
+        dc = d * c
+        cf *= dc
+        if -_SERIES_EPS <= dc - 1.0 <= _SERIES_EPS:
             break
     return cf
 
@@ -347,14 +352,28 @@ def ts_hellinger(nu1, nu2) -> float | None:
 
 def ts_total_mass(nu) -> float:
     """Gamma(-alpha) (C+ lambda+^alpha + C- lambda-^alpha) for alpha < 0,
-    math.inf where that overflows and for alpha >= 0."""
+    math.inf where that overflows and for alpha >= 0.  Where a power, the
+    sum or the product leaves the normal doubles, the sum of the sides C
+    Gamma(-alpha) lambda^alpha, a side taken through logs (``_log_side``)
+    where its power, C lambda^alpha or its value leaves them, and both
+    sides where Gamma(-alpha) or a power overflows."""
     a = nu.alpha
     if a >= 0:
         return math.inf
+    sides = ((nu.c_plus, nu.lam_plus), (nu.c_minus, nu.lam_minus))
     try:
-        return math.gamma(-a) * (nu.c_plus * nu.lam_plus**a + nu.c_minus * nu.lam_minus**a)
+        g = math.gamma(-a)
+        powers = [lam**a for _, lam in sides]
     except OverflowError:
-        return math.inf
+        return sum(_log_side(c, -a, a * math.log(lam)) for c, lam in sides)
+    scaled = [c * p for (c, _), p in zip(sides, powers)]
+    total = g * (scaled[0] + scaled[1])
+    if _normal(*powers, scaled[0] + scaled[1], total):
+        return total
+    return sum(
+        g * cp if _normal(p, cp, g * cp) else _log_side(c, -a, a * math.log(lam))
+        for (c, lam), p, cp in zip(sides, powers, scaled)
+    )
 
 
 def _ts_levy_integral(a: float, lam: float) -> float:
@@ -385,14 +404,16 @@ def _ts_levy_integral(a: float, lam: float) -> float:
     return inner + below + lam**a * math.exp(-1.0) * _upper_gamma_cf(-a, 1.0)
 
 
-def ts_levy(nu) -> float | None:
-    """int min(y^2, 1) nu(dy) for 0 < alpha < 2, alpha != 1: per side C
-    [lambda^(alpha - 2) gamma(2 - alpha, lambda) + lambda^alpha Gamma(-alpha,
-    lambda)] (``_ts_levy_integral``)."""
+def ts_levy(nu) -> Callable[[], float] | None:
+    """int min(y^2, 1) nu(dy) for 0 < alpha < 2, alpha != 1, deferred: a
+    function of no arguments that sums per side C [lambda^(alpha - 2)
+    gamma(2 - alpha, lambda) + lambda^alpha Gamma(-alpha, lambda)]
+    (``_ts_levy_integral``).  The integral is finite at every such alpha,
+    so the form applies, and the measure is valid, before it is summed."""
     a = nu.alpha
     if not (0.0 < a < 2.0 and a != 1.0):
         return None
-    return sum(c * _ts_levy_integral(a, lam) for _, c, lam, _ in _ts_sides(nu, nu))
+    return lambda: sum(c * _ts_levy_integral(a, lam) for _, c, lam, _ in _ts_sides(nu, nu))
 
 
 def ts_gamma(nu) -> float | None:

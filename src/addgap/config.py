@@ -161,9 +161,14 @@ def _integer(node, key: str, where: str) -> int:
 
 
 def _real_list(node, key: str, where: str) -> tuple[float, ...]:
+    """node[key] as a tuple of finite floats: at once where every entry is
+    a float and their sum is finite, so each one is; else entry by entry
+    (``_real``), which names the first entry it refuses."""
     value = node[key]
     if not isinstance(value, list) or not value:
         raise ConfigParse(f"{where}.{key}", "expected a non-empty array of numbers")
+    if set(map(type, value)) == {float} and math.isfinite(sum(value)):
+        return tuple(value)
     return tuple(_real(value, i, f"{where}.{key}") for i in range(len(value)))
 
 

@@ -57,7 +57,7 @@ truncated compensator.
 import abc
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from typing import Callable
 
@@ -822,7 +822,9 @@ def _closed_form(name: str, measures: tuple, *params) -> object:
     form, or the form does not apply: then the caller takes its generic
     path.  A form gives a number, a function of y (``"difference"``,
     ``"log_ratio"``), a ``JumpLaw``, the jump density whose sampler draws
-    the sizes (``"sampler"``) or a point (``"flat_point"``)."""
+    the sizes (``"sampler"``) or a point (``"flat_point"``); a ``"levy"``
+    form may give its number deferred, as a function of no arguments
+    (``LevyValidation``)."""
     family = _family(type(measures[0]))
     if any(_family(type(nu)) is not family for nu in measures[1:]):
         return None
@@ -951,12 +953,20 @@ def hellinger_sq(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
 
 @dataclass(frozen=True)
 class LevyValidation:
-    """Whether int min(y^2, 1) nu(dy) is finite; ``value`` is the integral,
-    or nu(R), which bounds it, when the quadrature reads it as divergent."""
+    """Whether int min(y^2, 1) nu(dy) is finite (``ok``, and ``message``
+    where it is not).  ``value`` is the integral, or nu(R), which bounds it,
+    when the quadrature reads it as divergent.  ``integral`` holds that
+    number, or the function of no arguments that a family's deferred form
+    gives: ``value`` calls it on first read, so a spec, which reads only
+    the verdict, never computes it."""
 
     ok: bool
-    value: float
+    integral: float | Callable[[], float] = field(repr=False)
     message: str = ""
+
+    @cached_property
+    def value(self) -> float:
+        return self.integral() if callable(self.integral) else self.integral
 
 
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
@@ -964,9 +974,11 @@ def validate_levy(nu: LevyMeasure) -> LevyValidation:
     """Check the defining integrability: int (y^2 and 1) nu(dy) < inf.
 
     A measure whose family has a closed form for the integral
-    (``_closed_form``) passes with it.  Any other measure takes the
-    quadrature, whose integrand is >= 0 and so is not finite only where the
-    density overflows: such a measure fails.
+    (``_closed_form``) passes with it; the tempered-stable form is deferred
+    (``_forms.ts_levy``), so its value is computed on first read of
+    ``value``, with the bits an eager sum gives.  Any other measure takes
+    the quadrature, whose integrand is >= 0 and so is not finite only where
+    the density overflows: such a measure fails.
     """
     if nu.diverges_near_zero(2.0):
         return LevyValidation(
@@ -974,9 +986,9 @@ def validate_levy(nu: LevyMeasure) -> LevyValidation:
             math.inf,
             "inner-edge trend steeper than y^-3: y^2-integral diverges toward 0",
         )
-    value = _closed_form("levy", (nu,))
-    if value is not None:
-        return LevyValidation(True, value)
+    integral = _closed_form("levy", (nu,))
+    if integral is not None:
+        return LevyValidation(True, integral)
     try:
         value = support_integral(
             (nu,), lambda y: np.minimum(y * y, 1.0) * nu.density(y), cuts=(-1.0, 1.0)

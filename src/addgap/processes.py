@@ -356,8 +356,9 @@ class ProblemSpec:
     def _xi_sq(self) -> float:
         """On each cell of the pieces where sigma^2 is a constant c > 0, the
         exact integral of the polynomial (f1 - f2 - eta)^2 / c, from its
-        antiderivative; on each run of other cells, one quadrature cut at
-        every piece edge inside it.  math.inf where a cell's variance is 0."""
+        antiderivative, or g^2 (hi - lo) / c where the gap is a constant g;
+        on each run of other cells, one quadrature cut at every piece edge
+        inside it.  math.inf where a cell's variance is 0."""
         eta = self.eta()
         vol, _, f1, f2 = self._pieces
         gaps = [(lo, hi, _difference(c1, c2)) for lo, hi, c1, c2 in _refinement(f1, f2)]
@@ -372,6 +373,9 @@ class ProblemSpec:
                     runs.append([lo, hi])
             elif v[0] <= 0.0:
                 return math.inf
+            elif len(g) == 1:  # the polynomial route's products, in its order
+                g0 = float(g[0])
+                total += g0 * g0 * (hi - lo) / v[0]
             else:
                 with np.errstate(over="ignore", invalid="ignore"):
                     sq = npoly.polymul(g, g)

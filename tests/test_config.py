@@ -12,6 +12,7 @@ from addgap.config import (
     MAX_SWEEP_STEPS,
     EstimatorSettings,
     SweepSettings,
+    _real_list,
     parse_config,
     parse_config_dict,
     set_config_value,
@@ -463,6 +464,50 @@ def test_tagged_fragment_messages(name):
     with pytest.raises(ConfigParse) as err:
         parse_config_dict(data)
     assert str(err.value) == message
+
+
+LIST_REFUSALS = {
+    "bool": ([0.5, True], "coeffs.1: expected a number"),
+    "str": ([0.5, "1"], "coeffs.1: expected a number"),
+    "null": ([0.5, None], "coeffs.1: expected a number"),
+    "nested": ([0.5, [1.0]], "coeffs.1: expected a number"),
+    "empty": ([], "coeffs: expected a non-empty array of numbers"),
+    "object": ({"a": 1.0}, "coeffs: expected a non-empty array of numbers"),
+    "int_past_float_range": ([0.5, 10**400], "coeffs.1: must be finite"),
+    "negative_int_past_float_range": ([-(10**400), 0.5], "coeffs.0: must be finite"),
+    "nan": ("[0.5, NaN]", "coeffs.1: must be finite"),
+    "infinity": ("[Infinity, 0.5]", "coeffs.0: must be finite"),
+    "minus_infinity": ("[0.5, -Infinity]", "coeffs.1: must be finite"),
+    "first_refusal": ('[NaN, "x"]', "coeffs.0: must be finite"),
+}
+
+
+@pytest.mark.parametrize("name", list(LIST_REFUSALS))
+def test_number_list_refusals(name):
+    # A list of finite floats is read at once; any other list is read
+    # entry by entry, so each refusal names the field and the first entry
+    # it refuses.  A string is the JSON text of the list: json.loads reads
+    # the NaN and Infinity literals as floats.
+    coeffs, message = LIST_REFUSALS[name]
+    if isinstance(coeffs, str):
+        coeffs = json.loads(coeffs)
+    data = base_config()
+    data["process1"]["drift"] = {"form": "polynomial", "coeffs": coeffs}
+    with pytest.raises(ConfigParse) as err:
+        parse_config_dict(data)
+    assert str(err.value) == f"config.process1.drift.{message}"
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.5, 1.0], [5e-324, -0.0], [0, 1, 2], [1, 2.5, -3], [10**300, -0.0], [1e308, 1e308]],
+)
+def test_number_lists_keep_their_values(values):
+    # Ints are read as the floats they round to, and a list whose sum
+    # overflows while every entry is finite is read entry by entry.
+    read = _real_list({"coeffs": values}, "coeffs", "config.process1.drift")
+    assert type(read) is tuple and all(type(v) is float for v in read)
+    assert [v.hex() for v in read] == [float(v).hex() for v in values]
 
 
 class TestParseFile:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammainc
 
-from addgap import measures as measures_module
+from addgap import _forms, measures as measures_module
 from addgap.bounds import compute_report
 from addgap.errors import (
     DivergentIntegral,
@@ -64,11 +64,13 @@ from _oracles import (
     ac_probes,
     _unit_cut_edges,
     clear_caches,
+    direct_ts_total_mass,
     loaded,
     loglinear_functionals,
     pair_support_edges,
     probe_abs_continuity,
     report_bits,
+    upper_gamma_cf_with_abs,
 )
 
 TOL_EXACT = 1e-12
@@ -228,6 +230,53 @@ class TestTotalMass:
     def test_tempered_stable_overflow_is_infinite(self, nu):
         assert nu.total_mass() == math.inf
 
+    @pytest.mark.parametrize(
+        "nu",
+        [
+            TemperedStableMeasure(1.0, 1.0, 300.0, 300.0, -169.0),  # both powers underflow
+            TemperedStableMeasure(1.0, 2.0, 1.0, 1e16, -20.0),  # lambda+^alpha is subnormal
+            TemperedStableMeasure(1e-310, 1e-310, 1.0, 1.0, -100.0),  # the sum is subnormal
+            TemperedStableMeasure(1.0, 1.0, 1000.0, 1000.0, -200.0),  # Gamma(200) overflows
+            TemperedStableMeasure(1e-300, 1e-300, 1e-3, 1e-3, -110.0),  # lambda^alpha overflows
+        ],
+    )
+    def test_tempered_stable_beyond_the_doubles(self, nu):
+        # A factor or the sum leaves the normal doubles on the way to a
+        # mass that does not: each side is taken through logs, to about
+        # 2^-53 times the size of its exponent.
+        a = mpmath.mpf(nu.alpha)
+        with mpmath.workdps(40):
+            sides = [(nu.c_plus, nu.lam_plus), (nu.c_minus, nu.lam_minus)]
+            expect = mpmath.gamma(-a) * sum(c * mpmath.mpf(lam) ** a for c, lam in sides)
+        assert math.isclose(nu.total_mass(), float(expect), rel_tol=1e-12)
+
+    def test_found_value(self):
+        # 2 Gamma(169) 300^-169, which read 0.0 while both powers were
+        # taken as they stand (30-digit mpmath).
+        nu = TemperedStableMeasure(1.0, 1.0, 300.0, 300.0, -169.0)
+        assert math.isclose(nu.total_mass(), 1.1748551281289954e-116, rel_tol=1e-13)
+
+    def test_tempered_stable_keeps_its_bits_in_range(self):
+        # Where both powers, the sum and the product are normal doubles the
+        # mass is the one product it always was; elsewhere it is within
+        # 1e-12 of mpmath, or inf where that overflows.
+        moved = 0
+        for alpha in (-1e-9, -0.5, -3.0, -20.0, -100.0, -169.0, -171.0, -180.0):
+            for c in (1e-300, 1e-5, 1.0, 1e5, 1e300):
+                for lams in ((1e-300, 1.0), (1e-3, 2.0), (1.0, 1.0), (300.0, 0.7), (1e16, 1e300)):
+                    nu = TemperedStableMeasure(c, 2.0 * c, *lams, alpha)
+                    direct, in_range = direct_ts_total_mass(nu)
+                    if in_range:
+                        assert nu.total_mass().hex() == direct.hex()
+                        continue
+                    moved += 1
+                    with mpmath.workdps(40):
+                        a = mpmath.mpf(alpha)
+                        minus, plus = (mpmath.mpf(lam) ** a for lam in lams)
+                        expect = float(mpmath.gamma(-a) * (c * minus + 2 * c * plus))
+                    assert math.isclose(nu.total_mass(), expect, rel_tol=1e-12), nu
+        assert moved > 0
+
     def test_tempered_stable_infinite_activity(self):
         assert EX3_NU1.total_mass() == math.inf
 
@@ -243,6 +292,39 @@ class TestTotalMass:
     def test_mass_above_zero_epsilon_is_total(self):
         assert CP_U01(3.0).mass_above(0.0) == 3.0
         assert EX3_NU1.mass_above(0.0) == math.inf
+
+
+class TestUpperGammaFraction:
+    """``_forms._upper_gamma_cf`` compares each value with tiny by two
+    comparisons, not ``abs``; it matches the loop written with ``abs``
+    (``_oracles.upper_gamma_cf_with_abs``) bit for bit, nan and inf
+    included."""
+
+    S = [-1.99, -1.5, -0.5, -1e-9, 0.0, 1e-9, 0.5, 1.5, 2.0, 10.5, 55.5, 200.0]
+    X = [1e-300, 1e-5, 0.5, 1.0, 1.75, 2.5, 10.0, 1e3, 1e300]
+    ODD = [math.nan, math.inf, -math.inf, 0.0]
+
+    @staticmethod
+    def outcome(fn, s, x):
+        """fn(s, x) as hex, or the type of what it raised (x + 1 = s
+        divides by 0)."""
+        try:
+            return fn(s, x).hex()
+        except ArithmeticError as exc:
+            return type(exc)
+
+    @pytest.mark.parametrize("s", S + ODD)
+    def test_matches_the_abs_loop(self, s):
+        for x in self.X + self.ODD:
+            got = self.outcome(_forms._upper_gamma_cf, s, x)
+            assert got == self.outcome(upper_gamma_cf_with_abs, s, x), (s, x)
+
+    def test_matches_the_abs_loop_at_random(self):
+        rng = random.Random(20)
+        for _ in range(2000):
+            s, x = rng.uniform(-2.0, 60.0), 10.0 ** rng.uniform(-3.0, 3.0)
+            got = self.outcome(_forms._upper_gamma_cf, s, x)
+            assert got == self.outcome(upper_gamma_cf_with_abs, s, x), (s, x)
 
 
 class TestGamma:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import time
 
 import mpmath
@@ -33,7 +34,7 @@ from addgap.processes import (
 )
 from addgap.quadrature import integrate
 
-from _oracles import ETA_EX3, piecewise_constant_integral
+from _oracles import ETA_EX3, piecewise_constant_integral, polynomial_xi_sq
 
 TOL_EXACT = 1e-12
 TOL_QUAD = 1e-8
@@ -416,6 +417,45 @@ class TestExactXiSq:
         )
         assert spec.xi_sq() == pytest.approx(0.5 + math.log(2.0), rel=1e-14)
         assert [(r.lower, r.upper) for r in calls] == [(1.0, 3.0)]
+
+    GAPS = [0.0, -0.0, 5e-324, 1e-300, 1e-160, 1e-5, 0.3, 1.0, 7.5, 1e150, 1e155, 1e200, 1e308]
+
+    def test_constant_gaps_match_the_polynomial_route(self):
+        # Where the variance and the drift gap g are both constants on a
+        # cell, xi^2 takes g^2 (hi - lo) / c without polymul, polyint and
+        # polyval: the products the polynomial route makes, in its order,
+        # so the same bits, also where g^2 underflows or overflows, and no
+        # RuntimeWarning (an error in this suite).  A polynomial whose
+        # higher coefficients are 0 still takes the polynomial route.
+        rng = random.Random(35)
+        levy = [(ZeroMeasure(), ZeroMeasure())] + [
+            (CompoundPoissonMeasure(lam, UniformDensity(-0.5, 1.0)),
+             CompoundPoissonMeasure(1.0, UniformDensity(-0.5, 1.0)))
+            for lam in (1.0 + 1e-9, 2.5, 1e6)
+        ]
+
+        def gap():
+            return rng.choice([1.0, -1.0]) * rng.choice(self.GAPS) * rng.uniform(0.5, 2.0)
+
+        def function(make_value, pieces, forms=(ConstantFunction,)):
+            breaks = tuple(sorted(rng.sample([0.1 * k for k in range(1, 40)], pieces - 1)))
+            values = tuple(make_value() for _ in range(pieces))
+            if pieces > 1:
+                return PiecewiseConstantFunction(breaks, values)
+            return rng.choice(forms)(values[0])
+
+        def padded(value):
+            return PolynomialFunction((value, 0.0))
+
+        for _ in range(400):
+            vol = function(lambda: 10.0 ** rng.uniform(-20.0, 20.0), rng.randint(1, 4))
+            drift1 = function(gap, rng.randint(1, 5), (ConstantFunction, padded))
+            drift2 = function(gap, rng.randint(1, 2), (ConstantFunction, padded))
+            nu1, nu2 = rng.choice(levy)
+            spec = make_problem(
+                nu1, nu2, vol=vol, drift1=drift1, drift2=drift2, horizon=rng.uniform(0.1, 4.0)
+            )
+            assert spec.xi_sq().hex() == polynomial_xi_sq(spec).hex()
 
     def test_zero_constant_variance_is_infinite(self):
         # Process 1's variance is 0 on [0, 0.5) where process 2's is 2e-30:
