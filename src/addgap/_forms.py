@@ -3,19 +3,19 @@ the value of a functional as a finite sum of elementary terms, or None where
 the family's form does not apply.  ``measures._FORMS`` files them by
 family, and ``measures._closed_form`` reads them before any quadrature.
 
-- Tempered-stable measures: the total mass, the Levy integrability (0 <
-  alpha < 2, alpha != 1; deferred, see ``ts_levy``) and gamma (0 < alpha
-  < 1) of one, and L1, H^2 and eta of a same-shape pair (equal C+- and
-  alpha) for every alpha, from the math module and a math-only incomplete
-  gamma function, as sums whose terms cancel by at most a small constant
+- Tempered-stable measures: the total mass and gamma (0 < alpha < 1) of
+  one, and L1, H^2 and eta of a same-shape pair (equal C+- and alpha) for
+  every alpha, from the math module and a math-only incomplete gamma
+  function, as sums whose terms cancel by at most a small constant
   factor.
 - Compound Poisson measures with a uniform, exponential, normal or
-  piecewise-linear tabulated jump density: lambda E[min(Y^2, 1)] and
-  gamma = lambda E[Y; |Y| <= 1] of one measure, and of two that share the
-  density L1 = |lambda1 - lambda2|, H^2 = (sqrt lambda1 - sqrt lambda2)^2
-  and eta = (lambda1 - lambda2) E[Y; |Y| <= 1].  The normal moments use
-  the Cephes ports of ``_cephes``; where their terms would cancel by more
-  than a factor _NORMAL_CANCEL, the normal has no form.
+  piecewise-linear tabulated jump density: the moments E[min(Y^2, 1)] and
+  E[Y; |Y| <= 1] of the density, gamma = lambda E[Y; |Y| <= 1] of one
+  measure, and of two that share the density L1 = |lambda1 - lambda2|,
+  H^2 = (sqrt lambda1 - sqrt lambda2)^2 and eta = (lambda1 - lambda2)
+  E[Y; |Y| <= 1].  The normal moments use the Cephes ports of
+  ``_cephes``; where their terms would cancel by more than a factor
+  _NORMAL_CANCEL, the normal has no form.
 - Log-linear tables (``TabulatedLevyMeasure``): on each piece between the
   knots of both tables, cut at |y| = 1 (or epsilon) and where the densities
   cross (``pieces``), every density is one power law, so each functional
@@ -26,7 +26,7 @@ family, and ``measures._closed_form`` reads them before any quadrature.
 """
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -374,46 +374,6 @@ def ts_total_mass(nu) -> float:
         g * cp if _normal(p, cp, g * cp) else _log_side(c, -a, a * math.log(lam))
         for (c, lam), p, cp in zip(sides, powers, scaled)
     )
-
-
-def _ts_levy_integral(a: float, lam: float) -> float:
-    """int_0^inf min(y^2, 1) y^(-1 - alpha) e^(-lambda y) dy for 0 < alpha
-    < 2, alpha != 1: the part below 1, lambda^(alpha - 2) gamma(2 - alpha,
-    lambda) (``_lower_gamma``), plus the part above 1, lambda^alpha
-    Gamma(-alpha, lambda).  For lambda >= 1 that is the continued
-    fraction.  For lambda < 1 it is split at 1 / lambda: above, lambda^alpha
-    Gamma(-alpha, 1) by the continued fraction; below, with L = -log
-    lambda, sum_n (-lambda)^n / n! int_1^(1 / lambda) y^(n - 1 - alpha) dy
-    = sum_n (-1)^n / n! lambda^min(n, alpha) (1 - e^(-|n - alpha| L)) /
-    |n - alpha|, each bracket a ``_expm1_ratio``.  Its terms alternate
-    and fall like 1 / n!, and the sum is at least e^-1 times its first
-    term, so neither part cancels, also as alpha -> 0 or 1."""
-    inner = _lower_gamma(2.0 - a, lam)
-    if lam >= 1.0:
-        return inner + math.exp(-lam) * _upper_gamma_cf(-a, lam)
-    log_inv = -math.log(lam)
-    below = 0.0
-    weight = 1.0  # (-1)^n / n!
-    for n in range(_MAX_TERMS):
-        gap = abs(n - a)
-        term = weight * lam ** min(n, a) * -_expm1_ratio(gap, -log_inv)
-        below += term
-        if n > a and abs(term) <= _SERIES_EPS * abs(below):
-            break
-        weight /= -(n + 1.0)
-    return inner + below + lam**a * math.exp(-1.0) * _upper_gamma_cf(-a, 1.0)
-
-
-def ts_levy(nu) -> Callable[[], float] | None:
-    """int min(y^2, 1) nu(dy) for 0 < alpha < 2, alpha != 1, deferred: a
-    function of no arguments that sums per side C [lambda^(alpha - 2)
-    gamma(2 - alpha, lambda) + lambda^alpha Gamma(-alpha, lambda)]
-    (``_ts_levy_integral``).  The integral is finite at every such alpha,
-    so the form applies, and the measure is valid, before it is summed."""
-    a = nu.alpha
-    if not (0.0 < a < 2.0 and a != 1.0):
-        return None
-    return lambda: sum(c * _ts_levy_integral(a, lam) for _, c, lam, _ in _ts_sides(nu, nu))
 
 
 def ts_gamma(nu) -> float | None:

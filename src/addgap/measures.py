@@ -3,10 +3,11 @@ r"""Levy measures, jump-size densities, and the pairwise functionals feeding the
 All measures are absolutely continuous with respect to Lebesgue measure on
 R \ {0} and expose a vectorized density. Pairwise quantities (the L1 gap
 between measures, the Hellinger-type quantity, the compensated drift gap)
-and the functionals of one measure (gamma, the Levy integrability, the
-mass) are exact sums where the measures' family has a closed form, and
-adaptive quadrature over the union of supports, split at 0 and at every
-known support edge, elsewhere.
+and the functionals of one measure (gamma, the mass) are exact sums where
+the measures' family has a closed form, and adaptive quadrature over the
+union of supports, split at 0 and at every known support edge, elsewhere.
+The Levy check (``validate_levy``) gives a verdict only: a family's form
+passes the measures it covers, and the quadrature decides the rest.
 
 Closed forms come first.  ``_FORMS`` files every family's formulas and
 ``_closed_form`` reads them: it is the one caller of ``_family``, the rule
@@ -48,16 +49,16 @@ with 0, each cut, each clipped segment end and each breakpoint that lies
 strictly inside that hull; a window that meets no support has no edges
 and integrates to 0.  ``support_integral`` integrates over these edges in
 one quadrature, singular at 0, for the functionals of the whole support
-(gamma, L1, H^2, the Levy integrability, eta and the characteristic
-exponent).  ``_side_integral`` makes one ``support_integral`` per sign
-window, negative side first, for the mass above epsilon and the
-truncated compensator.
+(gamma, L1, H^2, eta, the characteristic exponent and the Levy check).
+``_side_integral`` makes one ``support_integral`` per sign window,
+negative side first, for the mass above epsilon and the truncated
+compensator.
 """
 
 import abc
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from typing import Callable
 
@@ -705,11 +706,6 @@ def _jump_moments(density: JumpDensity) -> tuple[float, float] | None:
     return _closed_form("moments", (density,))
 
 
-def _cp_moment(nu: CompoundPoissonMeasure, i: int) -> float | None:
-    moments = _jump_moments(nu.jump_density)
-    return None if moments is None else nu.intensity * moments[i]
-
-
 def _cp_gap(nu1: CompoundPoissonMeasure, nu2: CompoundPoissonMeasure) -> float | None:
     """lambda1 - lambda2 of two measures sharing a jump density of a family
     (whose ``"total_mass"`` form is 1), else None."""
@@ -772,7 +768,7 @@ _PROBABILITY = {"total_mass": lambda density: 1.0}
 
 _FORMS = {
     TemperedStableMeasure: {
-        "levy": _forms.ts_levy,
+        "levy": lambda nu: True if 0.0 < nu.alpha < 2.0 and nu.alpha != 1.0 else None,
         "gamma": _forms.ts_gamma,
         "eta": _forms.ts_eta,
         "l1": _forms.ts_l1,
@@ -782,8 +778,10 @@ _FORMS = {
         "jump_law": _ts_jump_law,
     },
     CompoundPoissonMeasure: {
-        "levy": lambda nu: _cp_moment(nu, 0),
-        "gamma": lambda nu: _cp_moment(nu, 1),
+        "levy": lambda nu: None if _jump_moments(nu.jump_density) is None else True,
+        "gamma": lambda nu: (
+            None if (m := _jump_moments(nu.jump_density)) is None else nu.intensity * m[1]
+        ),
         "eta": _cp_eta,
         "l1": _cp_l1,
         "hellinger": _cp_hellinger,
@@ -793,7 +791,7 @@ _FORMS = {
         "sampler": lambda nu: nu.jump_density,
     },
     TabulatedLevyMeasure: {
-        "levy": lambda nu: _tab_single(nu)["levy"],
+        "levy": lambda nu: None if _tab_single(nu)["levy"] is None else True,
         "gamma": lambda nu: _tab_single(nu)["gamma"],
         "total_mass": lambda nu: _tab_single(nu)["total_mass"],
         "mass_above": lambda nu, eps: _forms.mass_above(_table_pieces(nu, None, eps), eps),
@@ -822,9 +820,8 @@ def _closed_form(name: str, measures: tuple, *params) -> object:
     form, or the form does not apply: then the caller takes its generic
     path.  A form gives a number, a function of y (``"difference"``,
     ``"log_ratio"``), a ``JumpLaw``, the jump density whose sampler draws
-    the sizes (``"sampler"``) or a point (``"flat_point"``); a ``"levy"``
-    form may give its number deferred, as a function of no arguments
-    (``LevyValidation``)."""
+    the sizes (``"sampler"``), a point (``"flat_point"``) or, for
+    ``"levy"``, True: the measure passes ``validate_levy``."""
     family = _family(type(measures[0]))
     if any(_family(type(nu)) is not family for nu in measures[1:]):
         return None
@@ -953,53 +950,38 @@ def hellinger_sq(nu1: LevyMeasure, nu2: LevyMeasure) -> float:
 
 @dataclass(frozen=True)
 class LevyValidation:
-    """Whether int min(y^2, 1) nu(dy) is finite (``ok``, and ``message``
-    where it is not).  ``value`` is the integral, or nu(R), which bounds it,
-    when the quadrature reads it as divergent.  ``integral`` holds that
-    number, or the function of no arguments that a family's deferred form
-    gives: ``value`` calls it on first read, so a spec, which reads only
-    the verdict, never computes it."""
+    """Whether int min(y^2, 1) nu(dy) is finite (``ok``), and ``message``
+    where it is not."""
 
     ok: bool
-    integral: float | Callable[[], float] = field(repr=False)
     message: str = ""
-
-    @cached_property
-    def value(self) -> float:
-        return self.integral() if callable(self.integral) else self.integral
 
 
 @lru_cache(maxsize=FUNCTIONAL_CACHE_SIZE)
 def validate_levy(nu: LevyMeasure) -> LevyValidation:
     """Check the defining integrability: int (y^2 and 1) nu(dy) < inf.
 
-    A measure whose family has a closed form for the integral
-    (``_closed_form``) passes with it; the tempered-stable form is deferred
-    (``_forms.ts_levy``), so its value is computed on first read of
-    ``value``, with the bits an eager sum gives.  Any other measure takes
-    the quadrature, whose integrand is >= 0 and so is not finite only where
-    the density overflows: such a measure fails.
+    A measure passes where its family's ``"levy"`` form applies
+    (``_closed_form``): a tempered-stable measure with 0 < alpha < 2, alpha
+    != 1, a compound Poisson measure whose jump density has moments, and a
+    table whose sum is finite.  Any other measure takes the quadrature,
+    whose integrand is >= 0 and so is not finite only where the density
+    overflows: such a measure fails.
     """
     if nu.diverges_near_zero(2.0):
         return LevyValidation(
-            False,
-            math.inf,
-            "inner-edge trend steeper than y^-3: y^2-integral diverges toward 0",
+            False, "inner-edge trend steeper than y^-3: y^2-integral diverges toward 0"
         )
-    integral = _closed_form("levy", (nu,))
-    if integral is not None:
-        return LevyValidation(True, integral)
+    if _closed_form("levy", (nu,)) is not None:
+        return LevyValidation(True)
     try:
         value = support_integral(
             (nu,), lambda y: np.minimum(y * y, 1.0) * nu.density(y), cuts=(-1.0, 1.0)
         )
     except NonFiniteIntegrand as exc:
-        return LevyValidation(False, math.inf, f"density overflows: {exc}")
-    if value is None:
-        # The quadrature reads a large finite integral as divergent, but
-        # int min(y^2, 1) nu(dy) <= nu(R), so a finite-activity measure passes.
-        mass = nu.total_mass()
-        if math.isfinite(mass):
-            return LevyValidation(True, mass)
-        return LevyValidation(False, math.inf, "int min(y^2, 1) nu(dy) is not finite")
-    return LevyValidation(True, value)
+        return LevyValidation(False, f"density overflows: {exc}")
+    # The quadrature reads a large finite integral as divergent, but
+    # int min(y^2, 1) nu(dy) <= nu(R), so a finite-activity measure passes.
+    if value is None and not math.isfinite(nu.total_mass()):
+        return LevyValidation(False, "int min(y^2, 1) nu(dy) is not finite")
+    return LevyValidation(True)

@@ -414,16 +414,18 @@ class ProblemSpec:
     @cached_property
     def _drift_gap(self) -> tuple[float, float]:
         """sup |f1 - f2 - eta| over [0, T], and the drift scale
-        max(1, sup |f1|, sup |f2|); nan where a drift overflows."""
+        max(1, sup |f1|, sup |f2|); the sup reads inf, or nan, where a
+        drift overflows on [0, T]."""
         eta = self.eta()
         f1, f2 = _paired_values(*self._pieces[2:])
         gap = _largest([abs(a - b - eta) for a, b in zip(f1, f2)])
         return gap, _largest([1.0, *map(abs, f1 + f2)])
 
     def drift_matched(self) -> bool:
-        """Zero-volatility compatibility: f1 - f2 must equal eta on [0, T]."""
+        """Zero-volatility compatibility: f1 - f2 must equal eta on [0, T];
+        a drift that overflows there matches nothing."""
         gap, scale = self._drift_gap
-        return gap <= MATCH_TOL * scale
+        return math.isfinite(gap) and gap <= MATCH_TOL * scale
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from addgap.measures import (
     _Interval,
 )
 from addgap.errors import NonFiniteIntegrand, ToleranceNotMet
-from addgap import _forms, processes, quadrature
+from addgap import processes, quadrature
 from addgap.montecarlo import _estimate_ct_dt, e_abs_one_minus_exp_normal
 from addgap.quadrature import (
     _HI_W,
@@ -559,9 +559,9 @@ def _table_pieces(sides, cuts):
 
 def loglinear_functionals(nu1, nu2):
     """Exact functionals of two TabulatedLevyMeasures as {name: (value,
-    integral of the absolute integrand)}, floats: ``validate_levy[i]``,
-    ``gamma_nu[i]`` and ``mass_above(eps)[i]`` (eps 0, 0.3, 1.5) of nu_i,
-    and ``eta_nu``, ``l1_distance`` and ``hellinger_sq`` of the pair."""
+    integral of the absolute integrand)}, floats: ``gamma_nu[i]`` and
+    ``mass_above(eps)[i]`` (eps 0, 0.3, 1.5) of nu_i, and ``eta_nu``,
+    ``l1_distance`` and ``hellinger_sq`` of the pair."""
     out = {}
     with mpmath.workdps(_TABLE_DPS):
         sides = [_power_laws(nu1), _power_laws(nu2)]
@@ -576,15 +576,10 @@ def loglinear_functionals(nu1, nu2):
             return float(value), float(absolute)
 
         for i in (0, 1):
-            def levy(sign, a, b, laws):
-                v = _power_integral(laws[i], 2 if b <= 1 else 0, a, b)
-                return v, v
-
             def gamma(sign, a, b, laws):
                 v = _power_integral(laws[i], 1, a, b) if b <= 1 else 0
                 return sign * v, v
 
-            out[f"validate_levy[{i + 1}]"] = total(levy)
             out[f"gamma_nu[{i + 1}]"] = total(gamma)
             for eps in (0.0, 0.3, 1.5):
                 def mass(sign, a, b, laws):
@@ -756,14 +751,6 @@ def direct_ts_total_mass(nu):
     except OverflowError:
         return math.inf, False
     return value, all(2.0**-1022 <= v < math.inf for v in (p, q, inner, value))
-
-
-def eager_ts_levy(nu):
-    """int min(y^2, 1) nu(dy) of a tempered-stable measure, 0 < alpha <
-    2, alpha != 1, summed at once: per side C times
-    ``_forms._ts_levy_integral``, negative side first."""
-    sides = _forms._ts_sides(nu, nu)
-    return sum(c * _forms._ts_levy_integral(nu.alpha, lam) for _, c, lam, _ in sides)
 
 
 def polynomial_xi_sq(spec):

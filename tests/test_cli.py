@@ -168,8 +168,8 @@ class TestBound:
         data = gaussian_config()
         data["horizon"] = 1.0
         data["process1"]["drift"] = {"form": "constant", "c": 0.0}
-        data["process1"]["levy"] = _cp_levy(1e9)
-        data["process2"]["levy"] = _cp_levy(1.0)
+        data["process1"]["levy"] = _cp_measure(1e9)
+        data["process2"]["levy"] = _cp_measure(1.0)
         path = write_config(tmp_path, data)
         code, out, err = run(capsys, ["bound", "--config", path, "--json"])
         assert (code, err) == (0, "")
@@ -1089,14 +1089,14 @@ class TestFlagsShareTheConfigRules:
         assert from_flag[:2] == (1, "")
 
 
-def _ts_levy(alpha, c=(1.0, 2.0), lam=(1.5, 0.7)):
+def _ts_measure(alpha, c=(1.0, 2.0), lam=(1.5, 0.7)):
     return {
         "type": "tempered_stable", "c_minus": c[0], "c_plus": c[1],
         "lambda_minus": lam[0], "lambda_plus": lam[1], "alpha": alpha,
     }
 
 
-def _cp_levy(intensity, density=None):
+def _cp_measure(intensity, density=None):
     return {
         "type": "compound_poisson", "lambda": intensity,
         "jump_density": density or {"family": "uniform", "a": 0.0, "b": 1.0},
@@ -1105,29 +1105,29 @@ def _cp_levy(intensity, density=None):
 
 # A measure at the edge of what parses, and a plain one of its family.
 HOSTILE_MEASURES = {
-    "ts_alpha_-1e-9_vs_-0.5": (_ts_levy(-1e-9), _ts_levy(-0.5)),
-    "ts_alpha_-1e-3": (_ts_levy(-1e-3), _ts_levy(-1e-3, lam=(1.0, 1.0))),
-    "ts_alpha_1.99": (_ts_levy(1.99), _ts_levy(1.99, lam=(1.0, 1.0))),
-    "ts_c_1e300": (_ts_levy(0.5, c=(1e300, 1e300)), _ts_levy(0.5)),
-    "ts_lambda_1e300_alpha_1.5": (_ts_levy(1.5, lam=(1e300, 1e300)), _ts_levy(1.5)),
-    "ts_lambda_1e-300": (_ts_levy(0.5, lam=(1e-300, 1e-300)), _ts_levy(0.5)),
-    "cp_lambda_1e-300": (_cp_levy(1e-300), _cp_levy(1.0)),
-    "cp_lambda_1e12": (_cp_levy(1e12), _cp_levy(1.0)),
+    "ts_alpha_-1e-9_vs_-0.5": (_ts_measure(-1e-9), _ts_measure(-0.5)),
+    "ts_alpha_-1e-3": (_ts_measure(-1e-3), _ts_measure(-1e-3, lam=(1.0, 1.0))),
+    "ts_alpha_1.99": (_ts_measure(1.99), _ts_measure(1.99, lam=(1.0, 1.0))),
+    "ts_c_1e300": (_ts_measure(0.5, c=(1e300, 1e300)), _ts_measure(0.5)),
+    "ts_lambda_1e300_alpha_1.5": (_ts_measure(1.5, lam=(1e300, 1e300)), _ts_measure(1.5)),
+    "ts_lambda_1e-300": (_ts_measure(0.5, lam=(1e-300, 1e-300)), _ts_measure(0.5)),
+    "cp_lambda_1e-300": (_cp_measure(1e-300), _cp_measure(1.0)),
+    "cp_lambda_1e12": (_cp_measure(1e12), _cp_measure(1.0)),
     "normal_variance_1e-300": (
-        _cp_levy(1.0, {"family": "normal", "mean": 0.0, "variance": 1e-300}),
-        _cp_levy(1.0, {"family": "normal", "mean": 0.0, "variance": 1.0}),
+        _cp_measure(1.0, {"family": "normal", "mean": 0.0, "variance": 1e-300}),
+        _cp_measure(1.0, {"family": "normal", "mean": 0.0, "variance": 1.0}),
     ),
     "uniform_1e308": (
-        _cp_levy(1.0, {"family": "uniform", "a": -1e308, "b": 1e308}),
-        _cp_levy(1.0, {"family": "uniform", "a": -1.0, "b": 1.0}),
+        _cp_measure(1.0, {"family": "uniform", "a": -1e308, "b": 1e308}),
+        _cp_measure(1.0, {"family": "uniform", "a": -1.0, "b": 1.0}),
     ),
     "exponential_rate_1e300": (
-        _cp_levy(1.0, {"family": "exponential", "rate": 1e300}),
-        _cp_levy(1.0, {"family": "exponential", "rate": 1.0}),
+        _cp_measure(1.0, {"family": "exponential", "rate": 1e300}),
+        _cp_measure(1.0, {"family": "exponential", "rate": 1.0}),
     ),
     "exponential_rate_1e-300": (
-        _cp_levy(1.0, {"family": "exponential", "rate": 1e-300}),
-        _cp_levy(1.0, {"family": "exponential", "rate": 1.0}),
+        _cp_measure(1.0, {"family": "exponential", "rate": 1e-300}),
+        _cp_measure(1.0, {"family": "exponential", "rate": 1.0}),
     ),
 }
 
@@ -1193,6 +1193,28 @@ class TestHostileInputs:
                 codes.add(cli.main(["bound", "--config", path]))
         capsys.readouterr()
         assert codes <= {0, 1, 2}
+
+    def test_overflowing_drift_is_a_mismatch(self, tmp_path, capsys):
+        # Process 2's drift overflows on [0, 10] (1.7e308 t^2), so the sup
+        # of the drift gap reads inf: at sigma = 0 that is a mismatch, with
+        # best the trivial 2, not a match with every bound 0.0.
+        data = gaussian_config()
+        data["horizon"] = 10.0
+        for side in ("process1", "process2"):
+            data[side]["vol_sq"] = {"form": "constant", "c": 0.0}
+        data["process1"]["drift"] = {"form": "constant", "c": 1e-310}
+        data["process2"]["drift"] = {"form": "polynomial", "coeffs": [1e9, 1e-310, 1.7e308, 1e-30]}
+        path = write_config(tmp_path, data)
+        code, out, err = run(capsys, ["bound", "--json", "--config", path])
+        assert (code, err) == (2, "")
+        report = json.loads(out)["report"]
+        assert report["drift_matched"] is False and report["best"] == 2.0
+        reason = "drift mismatch at sigma = 0"
+        for key in ("thm1", "thm2", "simple_sqrt"):
+            assert report[key] is None and report["reasons"][key] == reason
+        code, out, err = run(capsys, ["compare", "--json", "--config", path])
+        assert (code, err) == (2, "")
+        assert json.loads(out)["estimate_error"] == reason
 
     def test_overflowed_estimate_is_refused(self, tmp_path, capsys):
         # At horizon 1e300, e^{A+} overflows on every path of the sinh
@@ -1273,8 +1295,8 @@ class TestTemperedStableClosedForms:
         # nu2's density underflows to 0 past y ~ 92 while nu1's does not:
         # a probe grid saw a violation there, but the two measures have
         # the same segments, both half lines, and are equivalent.
-        levy1 = _ts_levy(0.5, c=(1.0, 1.0), lam=(1.0, 1.0))
-        levy2 = _ts_levy(0.5, c=(1.0, 1.0), lam=(1.0, 8.0))
+        levy1 = _ts_measure(0.5, c=(1.0, 1.0), lam=(1.0, 1.0))
+        levy2 = _ts_measure(0.5, c=(1.0, 1.0), lam=(1.0, 8.0))
         path = write_config(tmp_path, _pair_config(levy1, levy2, 1.0))
         code, out, err = run(capsys, ["bound", "--json", "--config", path])
         assert (code, err) == (0, "")
@@ -1299,8 +1321,8 @@ class TestTemperedStableClosedForms:
     def test_eta_at_alpha_1_99_is_reported(self, tmp_path, capsys):
         # eta_nu raised NonFiniteIntegrand at alpha 1.99 (lambda+ 2 vs 1):
         # the lambda-gap series holds for every alpha < 2.
-        levy1 = _ts_levy(1.99, c=(1.0, 1.0), lam=(1.0, 2.0))
-        levy2 = _ts_levy(1.99, c=(1.0, 1.0), lam=(1.0, 1.0))
+        levy1 = _ts_measure(1.99, c=(1.0, 1.0), lam=(1.0, 2.0))
+        levy2 = _ts_measure(1.99, c=(1.0, 1.0), lam=(1.0, 1.0))
         path = write_config(tmp_path, _pair_config(levy1, levy2, 1.0))
         code, out, err = run(capsys, ["bound", "--json", "--config", path])
         assert (code, err) == (0, "")
@@ -1314,8 +1336,8 @@ class TestTemperedStableClosedForms:
         # The exact inverse Gaussian draws of an alpha = 1/2 pair have mean
         # sqrt(pi / lambda2); Generator.wald returned zeros at lambda2 =
         # 1e-100 and the estimate of a distance of at most 2 read 28954.9.
-        levy2 = _ts_levy(0.5, lam=(lam2, lam2))
-        path = write_config(tmp_path, _pair_config(_ts_levy(0.5), levy2, 1.0))
+        levy2 = _ts_measure(0.5, lam=(lam2, lam2))
+        path = write_config(tmp_path, _pair_config(_ts_measure(0.5), levy2, 1.0))
         code, out, err = run(capsys, ["estimate", "--json", "--config", path])
         assert (code, err) == (0, "")
         estimate = json.loads(out)["estimate"]
@@ -1326,12 +1348,12 @@ class TestExactAbsoluteContinuity:
     """The verdict on nu1 << nu2 reads the support segments: a null set
     where a density is 0 is no violation, and a gap between two probes is."""
 
-    UNIFORM = _cp_levy(1.0)
-    TRIANGULAR = _cp_levy(
+    UNIFORM = _cp_measure(1.0)
+    TRIANGULAR = _cp_measure(
         1.0, {"family": "tabulated", "grid": [0.0, 0.5, 1.0], "values": [0.0, 2.0, 0.0]}
     )
     # 0 on [0.50001, 0.50002], between two points of a probe grid.
-    ZERO_CELL = _cp_levy(1.0, {
+    ZERO_CELL = _cp_measure(1.0, {
         "family": "tabulated",
         "grid": [0.0, 0.50001, 0.50002, 1.0],
         "values": [2.0 / 0.99999, 0.0, 0.0, 2.0 / 0.99999],
@@ -1365,7 +1387,7 @@ class TestExactAbsoluteContinuity:
     def test_overflowing_density_is_an_invalid_measure(self, tmp_path, capsys, alpha):
         # min(y^2, 1) nu(dy) is >= 0, so the quadrature meets a non-finite
         # value only where the density overflows: the measure is refused.
-        levy = _ts_levy(alpha, c=(1.0, 1.0), lam=(1.0, 1.0))
+        levy = _ts_measure(alpha, c=(1.0, 1.0), lam=(1.0, 1.0))
         path = write_config(tmp_path, _pair_config(levy, levy, 0.0))
         code, out, err = run(capsys, ["bound", "--config", path])
         assert (code, out) == (1, "")
@@ -1375,7 +1397,7 @@ class TestExactAbsoluteContinuity:
         # At alpha = -2 and lambda+ 1e-200 the integral diverges in the
         # tail, int y e^(-1e-200 y) dy = 1e400, not near 0: the message
         # names no end.
-        levy = _ts_levy(-2.0, c=(1.0, 1.0), lam=(1.0, 1e-200))
+        levy = _ts_measure(-2.0, c=(1.0, 1.0), lam=(1.0, 1e-200))
         path = write_config(tmp_path, _pair_config(levy, levy, 0.0))
         code, out, err = run(capsys, ["bound", "--config", path])
         assert (code, out) == (1, "")

@@ -26,6 +26,7 @@ from addgap.measures import (
     AbsContinuityReport,
     CompoundPoissonMeasure,
     ExponentialDensity,
+    LevyValidation,
     NormalDensity,
     TabulatedDensity,
     TabulatedLevyMeasure,
@@ -1051,7 +1052,6 @@ class TestClosedFormReach:
                 "h2": hellinger_sq(nu1, nu2),
                 "gamma": gamma_nu(nu1),
                 "eta": spec.eta(),
-                "levy": validate_levy(nu1).value,
             }
             return {k: v.hex() for k, v in values.items()}, check_abs_continuity(nu1, nu2)
 
@@ -1076,51 +1076,131 @@ class TestClosedFormReach:
         assert abs(hellinger_sq(nu1, nu2) - (math.sqrt(2.0) - 1.0) ** 2 * mass) <= 1e-8
 
 
+@dataclasses.dataclass(frozen=True)
+class OwnPdfUniform(UniformDensity):
+    """A uniform jump density given by its own ``pdf`` (the same formula):
+    outside every family, so a measure with it takes the quadrature."""
+
+    def pdf(self, y):
+        return super().pdf(y)
+
+
+LEVY_ALPHAS = (-500.0, -200.0, -2.0, -1.0, -1e-3, 0.0, 5e-324, 1e-300, 0.5, 0.999, 1.0, 1.001,
+               1.5, 1.95, 1.999999)
+LEVY_CS = (1e-300, 1.0, 1e300)
+LEVY_LAMS = (1e-200, 1e-3, 1.0, 1e300)
+LEVY_CP_DENSITIES = {
+    "U(0,1)": UniformDensity(0.0, 1.0),
+    "U(-3,-1)": UniformDensity(-3.0, -1.0),
+    "Exp(2)": ExponentialDensity(2.0),
+    "N(0.3,1)": NormalDensity(0.3, 1.0),
+    "N(0,0.01)": NormalDensity(0.0, 0.01),
+    "N(1.5,0.001)": NormalDensity(1.5, 0.001),
+    "N(0,1e-300)": NormalDensity(0.0, 1e-300),
+    "tabulated": TabulatedDensity((0.0, 1.0, 2.0), (0.0, 1.0, 0.0)),
+    "own_pdf": OwnPdfUniform(-0.5, 2.0),
+}
+_MAGS = np.geomspace(1e-6, 10.0, 40)
+LEVY_TABLES = {
+    "y^-3.5": (_MAGS, _MAGS**-3.5),
+    "y^-3": (_MAGS, _MAGS**-3.0),
+    "y^-4_and_y^-0.5": (np.concatenate([-_MAGS[::-1], _MAGS]),
+                        np.concatenate([_MAGS[::-1] ** -4.0, _MAGS**-0.5])),
+    "1.7e308_one_side": ((1.0, 2.0), (1.7e308, 1.7e308)),
+    "1.7e308_two_sides": ((-2.0, -1.0, 0.5, 1.0, 1.5),
+                          (1.7e308, 1.7e308, 1.7e308, 1e308, 1.7e308)),
+}
+LEVY_GRID = {
+    **{f"ts({c!r}, {lam!r}, {a!r})": TemperedStableMeasure(c, c, lam, lam, a)
+       for a in LEVY_ALPHAS for c in LEVY_CS for lam in LEVY_LAMS},
+    **{f"cp({lam!r}, {name})": CompoundPoissonMeasure(lam, density)
+       for lam in (1e-300, 1.0, 1e300) for name, density in LEVY_CP_DENSITIES.items()},
+    **{f"tab({name})": TabulatedLevyMeasure(tuple(grid), tuple(values))
+       for name, (grid, values) in LEVY_TABLES.items()},
+}
+_OVERFLOW_AT = "density overflows: integrand returned a non-finite value at x = "
+_NOT_FINITE = "int min(y^2, 1) nu(dy) is not finite"
+_STEEP = "inner-edge trend steeper than y^-3: y^2-integral diverges toward 0"
+# The refusals of LEVY_GRID; every other measure passes.  Those marked
+# "valid" are refused although int min(y^2, 1) nu(dy) is a finite double
+# (30-digit mpmath value after the mark): the quadrature reads a value
+# above its 1e8 cap as divergent, and nu(R) = inf for alpha >= 0, or the
+# density overflows where the integrand does not.
+LEVY_REFUSALS = {
+    **{f"ts({c!r}, {lam!r}, {a!r})": _OVERFLOW_AT + x
+       for a, c, x in (
+           (-500.0, 1e-300, "0.7854860863042694"),
+           (-500.0, 1.0, "0.7854860863042694"),
+           (-500.0, 1e300, "0.0758967082947864"),
+           (-200.0, 1e-300, "0.9939962590102427"),
+           (-200.0, 1.0, "0.9939962590102427"),
+           (-200.0, 1e300, "0.13779113431991497"),
+       ) for lam in LEVY_LAMS},
+    "ts(1.0, 1e-200, -2.0)": _NOT_FINITE,
+    "ts(1e+300, 1e-200, -2.0)": _NOT_FINITE,
+    "ts(1e+300, 1e-200, -1.0)": _NOT_FINITE,
+    "ts(1e+300, 1e+300, -0.001)": _OVERFLOW_AT + "0.006003740989757311",  # valid: 1.0028e-300
+    "ts(1.0, 1e-200, 0.0)": _NOT_FINITE,  # valid: 920.88
+    "ts(1e+300, 1e-200, 0.0)": _NOT_FINITE,  # valid: 9.2088e302
+    "ts(1e+300, 0.001, 0.0)": _NOT_FINITE,  # valid: 1.36624e301
+    "ts(1e+300, 1.0, 0.0)": _NOT_FINITE,  # valid: 9.6725e299
+    "ts(1e+300, 1e+300, 0.0)": _OVERFLOW_AT + "0.006003740989757311",  # valid: 2.0e-300
+    "ts(1e+300, 1e-200, 1.0)": _OVERFLOW_AT + "0.006003740989757311",  # valid: 4.0e300
+    "ts(1e+300, 0.001, 1.0)": _NOT_FINITE,  # valid: 3.98434e300
+    "ts(1e+300, 1.0, 1.0)": _NOT_FINITE,  # valid: 1.56123e300
+    "ts(1e+300, 1e+300, 1.0)": _OVERFLOW_AT + "0.006003740989757311",  # valid: 2.0
+    "tab(y^-3.5)": _STEEP,
+    "tab(y^-3)": _STEEP,
+    "tab(y^-4_and_y^-0.5)": _STEEP,
+    "tab(1.7e308_one_side)": _NOT_FINITE,  # valid: 1.7e308
+    "tab(1.7e308_two_sides)": _NOT_FINITE,
+}
+
+
 class TestValidateLevy:
     @pytest.mark.parametrize("alpha", [1e-300, 1e-12, 0.5, 0.999, 1.001, 1.5, 1.95])
     @pytest.mark.parametrize("lam", [1e-300, 1e-6, 0.56, 1.0, 3.0])
-    def test_tempered_stable_closed_form_accuracy(self, alpha, lam):
+    def test_tempered_stable_closed_form_accuracy(self, alpha, lam, monkeypatch):
         # Per side C [lambda^(alpha - 2) gamma(2 - alpha, lambda) +
-        # lambda^alpha Gamma(-alpha, lambda)], within 1e-13 relative of
-        # mpmath as alpha approaches 0, 1 and 2 and for lambda below and
-        # above 1.
+        # lambda^alpha Gamma(-alpha, lambda)] is a finite double by mpmath
+        # as alpha approaches 0, 1 and 2 and for lambda below and above 1,
+        # and the closed form passes the measure, from alpha alone, with no
+        # quadrature.
         with mpmath.workdps(digits_for(alpha)):
             m, x = mpmath.mpf(alpha), mpmath.mpf(lam)
             side = x ** (m - 2) * mpmath.gammainc(2 - m, 0, x) + x**m * mpmath.gammainc(-m, x)
-            exact = 2.5 * side
-        value = validate_levy(TemperedStableMeasure(0.5, 2.0, lam, lam, alpha)).value
-        assert abs(value - exact) <= 1e-13 * exact
+            exact = float(2.5 * side)
+        assert 0.0 < exact < math.inf
+        no_quadrature(monkeypatch)
+        clear_caches()
+        rep = validate_levy(TemperedStableMeasure(0.5, 2.0, lam, lam, alpha))
+        assert rep == LevyValidation(True, "")
 
     def test_zero(self):
         rep = validate_levy(ZeroMeasure())
-        assert rep.ok and rep.value == 0.0
+        assert rep.ok and rep.message == ""
 
     def test_compound_poisson_value(self):
         rep = validate_levy(CP_U01(2.0))
         assert rep.ok
-        assert abs(rep.value - 2.0 / 3.0) < TOL_CLOSED
 
     def test_tempered_stable_value(self):
         rep = validate_levy(TemperedStableMeasure(1.0, 1.0, 1.0, 1.0, 0.5))
-        inner = float(mpmath.gammainc(1.5, 0, 1))
-        outer = float(mpmath.gammainc(-0.5, 1))
-        expect = 2.0 * (inner + outer)
         assert rep.ok
-        assert abs(rep.value - expect) < TOL_QUAD * expect
 
     def test_alpha_close_to_two_still_valid(self):
         rep = validate_levy(TemperedStableMeasure(1.0, 1.0, 1.0, 1.0, 1.9))
-        assert rep.ok and math.isfinite(rep.value)
+        assert rep.ok
 
     def test_finite_mass_past_the_divergence_cap_is_valid(self):
         # int min(y^2, 1) nu(dy) = 1e9 / 3 reads as divergent to the
         # quadrature; nu(R) = 1e9 bounds it.  The measure outside every
         # family takes the quadrature, for nu(R) too; the family's closed
-        # form is exact.
+        # form passes the measure.
         nu = OwnDensityCP(1e9, UniformDensity(0.0, 1.0))
         rep = validate_levy(nu)
-        assert rep.ok and rep.value == nu.total_mass() == pytest.approx(1e9, rel=1e-15)
-        assert validate_levy(CP_U01(1e9)).value == pytest.approx(1e9 / 3, rel=1e-15)
+        assert rep.ok and nu.total_mass() == pytest.approx(1e9, rel=1e-15)
+        assert validate_levy(CP_U01(1e9)).ok
 
     def test_tabulated_steep_inner_trend_fails(self):
         grid = tuple(np.logspace(-6, 1, 200))
@@ -1133,7 +1213,15 @@ class TestValidateLevy:
         grid = tuple(np.logspace(-6, 1, 200))
         vals = tuple(g**-0.5 * math.exp(-g) for g in grid)
         rep = validate_levy(TabulatedLevyMeasure(grid, vals))
-        assert rep.ok and math.isfinite(rep.value)
+        assert rep.ok
+
+    def test_grid_has_every_refusal(self):
+        assert len(LEVY_GRID) == 212 and set(LEVY_REFUSALS) < set(LEVY_GRID)
+
+    @pytest.mark.parametrize("name", list(LEVY_GRID))
+    def test_verdict_grid(self, name):
+        rep = validate_levy(LEVY_GRID[name])
+        assert rep == LevyValidation(name not in LEVY_REFUSALS, LEVY_REFUSALS.get(name, ""))
 
 
 class TestTabulatedLevyMeasure:
@@ -1229,7 +1317,6 @@ def tabulated_functionals(nu1, nu2):
     clear_caches()
     out = {}
     for i, nu in ((1, nu1), (2, nu2)):
-        out[f"validate_levy[{i}]"] = validate_levy(nu).value
         out[f"gamma_nu[{i}]"] = gamma_nu(nu)
         for eps in (0.0, 0.3, 1.5):
             out[f"mass_above({eps})[{i}]"] = nu.mass_above(eps)
@@ -1272,10 +1359,8 @@ class TestTabulatedOracle:
     def test_4096_knots_meet_their_tolerance(self):
         nu1, nu2 = loglinear_pair(2048)
         clear_caches()
-        values = [
-            validate_levy(nu1).value, gamma_nu(nu1), eta_nu(nu1, nu2),
-            l1_distance(nu1, nu2), hellinger_sq(nu1, nu2),
-        ]
+        assert validate_levy(nu1).ok
+        values = [gamma_nu(nu1), eta_nu(nu1, nu2), l1_distance(nu1, nu2), hellinger_sq(nu1, nu2)]
         assert all(math.isfinite(v) for v in values)
 
 
@@ -1490,7 +1575,7 @@ CP_DENSITIES = {
 
 
 class TestCompoundPoissonClosedForms:
-    """lambda E[min(Y^2, 1)], lambda E[Y; |Y| <= 1] and, for two measures
+    """The Levy verdict, and lambda E[Y; |Y| <= 1] and, for two measures
     sharing the density, |lambda1 - lambda2|, (sqrt lambda1 - sqrt
     lambda2)^2 and (lambda1 - lambda2) E[Y; |Y| <= 1], against 40-digit
     mpmath, from rates of 1e-300 up to 1e300: within 1e-15 relative, or
@@ -1500,11 +1585,11 @@ class TestCompoundPoissonClosedForms:
     @pytest.mark.parametrize("lam", [1e-300, 0.7, 3.0, 1e300])
     def test_one_measure(self, name, lam, monkeypatch):
         density, oracle = CP_DENSITIES[name]
-        square, first, size = oracle()
+        _, first, size = oracle()
         no_quadrature(monkeypatch)
         clear_caches()
         nu = CompoundPoissonMeasure(lam, density)
-        assert validate_levy(nu).value == pytest.approx(lam * square, rel=1e-15, abs=0.0)
+        assert validate_levy(nu).ok
         assert abs(gamma_nu(nu) - lam * first) <= 1e-15 * lam * size
 
     @pytest.mark.parametrize("name", sorted(CP_DENSITIES))
@@ -1526,15 +1611,16 @@ class TestCompoundPoissonClosedForms:
     @pytest.mark.parametrize("mean, variance", [(0.3, 1.0), (0.5, 4.0), (-0.7, 0.25), (1.5, 1e-3)])
     def test_cancelling_normal_takes_the_quadrature(self, mean, variance, monkeypatch):
         # Where its terms cancel by more than a factor 2 the normal has no
-        # form; the quadrature is within its tolerance of mpmath.
+        # form: the Levy check and gamma take the quadrature, gamma within
+        # its tolerance of mpmath.
         calls = []
         monkeypatch.setattr(
             measures_module, "integrate", lambda r: calls.append(r) or integrate(r)
         )
         clear_caches()
         nu = CompoundPoissonMeasure(2.0, NormalDensity(mean, variance))
-        square, first, size = mp_normal(mean, variance)
-        assert validate_levy(nu).value == pytest.approx(2.0 * square, rel=1e-10)
+        first = mp_normal(mean, variance)[1]
+        assert validate_levy(nu).ok
         assert gamma_nu(nu) == pytest.approx(2.0 * first, rel=1e-10)
         assert len(calls) == 2
 

@@ -1,8 +1,14 @@
 """The names ``addgap`` exports, pinned: a change to the public API is a
 visible diff of PUBLIC_API."""
 
+import ast
+from collections import Counter
+from pathlib import Path
+
 import addgap
 from addgap import errors
+
+SOURCE = Path(addgap.__file__).parent
 
 PUBLIC_API = [
     "AddgapError",
@@ -76,3 +82,34 @@ def test_every_error_class_is_exported():
         if isinstance(value, type) and issubclass(value, errors.AddgapError)
     }
     assert classes <= set(PUBLIC_API)
+
+
+def _referenced_names(tree) -> Counter:
+    """Each name a tree reads, as a name, an attribute or an import."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name] += 1
+    return names
+
+
+def test_every_private_definition_is_used():
+    # A module-level function or class whose name starts with "_" is read
+    # somewhere in the package outside its own body: code that no command,
+    # estimator or demo reaches is deleted, not kept.
+    trees = [ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))]
+    everywhere = sum(map(_referenced_names, trees), Counter())
+    unused = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and everywhere[node.name] <= _referenced_names(node)[node.name]
+    ]
+    assert unused == []
