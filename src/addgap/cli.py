@@ -300,7 +300,14 @@ def _sweep_values(start: float, stop: float, steps: int) -> list:
     if steps == 1:
         return [start]
     width = stop - start
-    return [start + width * i / (steps - 1) for i in range(steps)]
+    values = []
+    for i in range(steps):
+        value = start + width * i / (steps - 1)
+        if not math.isfinite(value):  # the width or its multiple overflowed
+            t = i / (steps - 1)
+            value = start * (1 - t) + stop * t
+        values.append(value)
+    return values
 
 
 def _cmd_sweep(args) -> int:

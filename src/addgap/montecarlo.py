@@ -62,6 +62,7 @@ half-width.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -313,22 +314,6 @@ class _Row(NamedTuple):
     values: Callable
 
 
-class _Normals:
-    """A chunk's m standard normals on its Gaussian stream, drawn when a row
-    first calls for them (after that row's jump part, which measured faster
-    at two threads than drawing them with the jumps) and then shared."""
-
-    __slots__ = ("rng", "m", "z")
-
-    def __init__(self, rng: RngStream, m: int):
-        self.rng, self.m, self.z = rng, m, None
-
-    def __call__(self) -> np.ndarray:
-        if self.z is None:
-            self.z = self.rng.generator.standard_normal(self.m)
-        return self.z
-
-
 # Most (row, chunk) partials one reduction holds: one per chunk of MAX_PATHS
 # paths, as a single estimate at the limit holds.
 _MAX_PARTIALS = MAX_PATHS // CHUNK_PATHS
@@ -355,7 +340,11 @@ def _estimate_rows(rows: list) -> list:
         first = rows[members[0]]
 
         def draw(rng_jumps, rng_gauss, m, jumps=first.jumps.draw):
-            return jumps(rng_jumps, m), _Normals(rng_gauss, m)
+            # The chunk's m standard normals are drawn when a row first
+            # calls for them, after that row's jump part, which measured
+            # faster at two threads than drawing them with the jumps.
+            normals = functools.cache(lambda: rng_gauss.generator.standard_normal(m))
+            return jumps(rng_jumps, m), normals
 
         size = max(1, _MAX_PARTIALS // -(-first.n_paths // CHUNK_PATHS))
         for start in range(0, len(members), size):

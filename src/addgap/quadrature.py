@@ -23,19 +23,17 @@ value.
 Lockstep rounds. A request's breakpoints cut [lower, upper] into pieces,
 each with an equal share of abs_tol, and each piece becomes one to three
 working intervals (split at 0, tails and a singular origin substituted),
-which share the piece's tolerance equally. Every working interval starts
-with one panel over its whole span. An interval whose first panel meets
-max(abs_tol, rel_tol |value|) takes that panel's (value, error) and builds
-no bisection state; this is the test the bisection makes before its first
-step, so the outcome is the one it would reach. Any other interval becomes
-a resumable bisection state (`_adaptive`: its own heap, running totals,
-stall trackers and bisection count) that yields the panels it needs next,
-the two halves of each bisection. `integrate` advances all unfinished
-intervals together: each round it builds the nodes of every wanted panel,
-makes one integrand call on their concatenation, and sends each interval
-its panel sums. An interval refines in exactly the order it would alone,
-so values, error estimates and the set of integrand points are those of
-integrating the intervals one after another.
+which share the piece's tolerance equally. Each working interval is one
+`_Work`: its substitution, the panels it waits for, and, once its first
+panel (the whole span) misses max(abs_tol, rel_tol |value|), its bisection
+state: heap, running totals, stall trackers and bisection budget.
+`_Work.advance` takes the sums of the panels evaluated last and either names
+the two halves of the next bisection or sets the outcome. `integrate`
+advances all unfinished intervals together: each round it builds the nodes
+of every wanted panel, makes one integrand call on their concatenation, and
+hands each interval its panel sums. An interval refines in exactly the
+order it would alone, so values, error estimates and the set of integrand
+points are those of integrating the intervals one after another.
 
 A round's panel sums come from one array pass: the values are viewed as a
 (panels, 22) array, and `np.vecdot` takes the 15- and 7-point dot products
@@ -110,7 +108,7 @@ def _width_floor(a: float, b: float) -> float:
 
 
 class _Diverged(Exception):
-    """Internal control flow: a divergence trigger fired.
+    """Outcome of a working interval on which a divergence trigger fired.
 
     args[0] carries the signed partial value at the moment of detection.
     """
@@ -134,65 +132,6 @@ class _Tracker:
             return False
         ratios = [tail[i + 1] / tail[i] for i in range(len(tail) - 1)]
         return min(ratios) >= _STALL_RATIO
-
-
-def _adaptive(
-    a: float,
-    b: float,
-    abs_tol: float,
-    rel_tol: float,
-    watch_left: bool,
-    watch_right: bool,
-    val: float,
-    err: float,
-):
-    """Adaptive bisection on a finite working interval, as a resumable state,
-    from the (val, err) of its first panel.
-
-    Yields the panels it needs next as a tuple of (lo, hi) pairs and must be
-    sent their (value, error) pairs in the same order. Returns (value,
-    error); raises _Diverged or ToleranceNotMet.
-    """
-    trackers = [_Tracker(c, abs_tol) for c, watch in ((a, watch_left), (b, watch_right)) if watch]
-
-    heap = [(-err, 0, a, b, val, err)]
-    tie = 1
-    total_val = val
-    total_err = err
-    total_abs = abs(val)
-
-    for _ in range(MAX_BISECTIONS):
-        if total_err <= max(abs_tol, rel_tol * abs(total_val)):
-            return total_val, total_err
-        if total_abs >= DIVERGENCE_CAP:
-            raise _Diverged(total_val)
-        if not heap:
-            break
-        _, _, pa, pb, pval, perr = heapq.heappop(heap)
-        if pb - pa <= _width_floor(pa, pb):
-            continue
-        total_val -= pval
-        total_err -= perr
-        total_abs -= abs(pval)
-        m = 0.5 * (pa + pb)
-        (lval, lerr), (rval, rerr) = yield ((pa, m), (m, pb))
-        heapq.heappush(heap, (-lerr, tie, pa, m, lval, lerr))
-        heapq.heappush(heap, (-rerr, tie + 1, m, pb, rval, rerr))
-        tie += 2
-        total_val += lval + rval
-        total_err += lerr + rerr
-        total_abs += abs(lval) + abs(rval)
-        for tracker in trackers:
-            # The half peeled off the watched end: the far one from it.
-            if tracker.coord in (pa, pb) and tracker.stalled(rval if pa == tracker.coord else lval):
-                raise _Diverged(total_val)
-
-    if total_err <= max(abs_tol, rel_tol * abs(total_val)):
-        return total_val, total_err
-    raise ToleranceNotMet(
-        f"refinement budget exhausted on [{a!r}, {b!r}]: "
-        f"value ~ {total_val!r}, error ~ {total_err!r}"
-    )
 
 
 # Substitutions: `pre` maps working nodes to integrand points and returns
@@ -235,39 +174,83 @@ def _power_weight(gy, u4):
 
 
 class _Work:
-    """One working interval: its substitution, the panels it waits for (at
-    first the whole span), its bisection state once its first panel misses
-    the tolerance, or its outcome once it has one."""
+    """One working interval, finite after its substitution: the panels it
+    waits for (at first its whole span), its bisection state once its first
+    panel misses the tolerance, and its outcome once it has one: (value,
+    error), _Diverged or ToleranceNotMet."""
 
-    __slots__ = ("pre", "post", "span", "state", "panels", "aux", "sums", "outcome")
+    __slots__ = (
+        "pre", "post", "a", "b", "abs_tol", "rel_tol", "trackers", "panels", "aux", "sums",
+        "outcome", "heap", "tie", "budget", "total_val", "total_err", "total_abs",
+    )
 
     def __init__(self, substitution, lo, hi, abs_tol, rel_tol, wl, wr):
         self.pre, self.post = substitution or (None, None)
-        self.span = (lo, hi, abs_tol, rel_tol, wl, wr)
-        self.state = None
+        self.a, self.b = lo, hi
+        self.abs_tol, self.rel_tol = abs_tol, rel_tol
+        self.trackers = [_Tracker(c, abs_tol) for c, watch in ((lo, wl), (hi, wr)) if watch]
         self.panels = ((lo, hi),)
+        self.heap = None
         self.outcome = None
 
     def advance(self) -> bool:
-        """Take the sums of the panels evaluated last; True when the work
-        waits for more panels, else its outcome is set."""
-        try:
-            if self.state is None:
-                ((val, err),) = self.sums
-                abs_tol, rel_tol = self.span[2:4]
-                if err <= max(abs_tol, rel_tol * abs(val)):
-                    self.outcome = (val, err)
-                    return False
-                self.state = _adaptive(*self.span, val, err)
-                self.panels = next(self.state)
-            else:
-                self.panels = self.state.send(self.sums)
-        except StopIteration as done:
-            self.outcome = done.value
-        except (_Diverged, ToleranceNotMet) as exc:
-            self.outcome = exc
+        """Take the sums of the panels evaluated last and bisect the worst
+        panel, adaptively; True when the work waits for the two halves in
+        `panels`, else its outcome is set."""
+        if self.heap is None:
+            ((val, err),) = self.sums
+            # The test the bisection makes before its first step.
+            if err <= max(self.abs_tol, self.rel_tol * abs(val)):
+                self.outcome = (val, err)
+                return False
+            self.heap = [(-err, 0, self.a, self.b, val, err)]
+            self.tie = 1
+            self.budget = MAX_BISECTIONS
+            self.total_val, self.total_err, self.total_abs = val, err, abs(val)
         else:
+            (pa, m), (_, pb) = self.panels
+            (lval, lerr), (rval, rerr) = self.sums
+            heapq.heappush(self.heap, (-lerr, self.tie, pa, m, lval, lerr))
+            heapq.heappush(self.heap, (-rerr, self.tie + 1, m, pb, rval, rerr))
+            self.tie += 2
+            self.total_val += lval + rval
+            self.total_err += lerr + rerr
+            self.total_abs += abs(lval) + abs(rval)
+            for tracker in self.trackers:
+                # The half peeled off the watched end: the far one from it.
+                peeled = rval if pa == tracker.coord else lval
+                if tracker.coord in (pa, pb) and tracker.stalled(peeled):
+                    self.outcome = _Diverged(self.total_val)
+                    return False
+
+        # Each pass, a skipped narrow panel too, spends one of MAX_BISECTIONS.
+        while self.budget > 0:
+            self.budget -= 1
+            if self.total_err <= max(self.abs_tol, self.rel_tol * abs(self.total_val)):
+                self.outcome = (self.total_val, self.total_err)
+                return False
+            if self.total_abs >= DIVERGENCE_CAP:
+                self.outcome = _Diverged(self.total_val)
+                return False
+            if not self.heap:
+                break
+            _, _, pa, pb, pval, perr = heapq.heappop(self.heap)
+            if pb - pa <= _width_floor(pa, pb):
+                continue
+            self.total_val -= pval
+            self.total_err -= perr
+            self.total_abs -= abs(pval)
+            m = 0.5 * (pa + pb)
+            self.panels = ((pa, m), (m, pb))
             return True
+
+        if self.total_err <= max(self.abs_tol, self.rel_tol * abs(self.total_val)):
+            self.outcome = (self.total_val, self.total_err)
+        else:
+            self.outcome = ToleranceNotMet(
+                f"refinement budget exhausted on [{self.a!r}, {self.b!r}]: "
+                f"value ~ {self.total_val!r}, error ~ {self.total_err!r}"
+            )
         return False
 
 
@@ -318,13 +301,8 @@ def _evaluate(f: Callable, works: list[_Work]) -> None:
         for lo, hi in w.panels:
             centres.append((0.5 * (lo + hi), 0.5 * (hi - lo)))
         spans.append((w, first, len(centres)))
-    # The one-panel case skips array set-up that costs as much as its
-    # panel; the arithmetic is the same.
-    if len(centres) == 1:
-        ts = centres[0][0] + centres[0][1] * _NODES
-    else:
-        mh = np.array(centres)
-        ts = (mh[:, :1] + mh[:, 1:] * _NODES).ravel()
+    mh = np.array(centres)
+    ts = (mh[:, :1] + mh[:, 1:] * _NODES).ravel()
     blocks = []
     for w, p0, p1 in spans:
         if w.pre is None:
@@ -332,7 +310,7 @@ def _evaluate(f: Callable, works: list[_Work]) -> None:
         else:
             y, w.aux = w.pre(ts[p0 * _N : p1 * _N])
             blocks.append(y)
-    ys = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    ys = np.concatenate(blocks)
 
     with np.errstate(all="ignore"):
         gy = np.asarray(f(ys), dtype=float)
@@ -342,7 +320,7 @@ def _evaluate(f: Callable, works: list[_Work]) -> None:
         for w, p0, p1 in spans:
             block = gy[p0 * _N : p1 * _N]
             blocks.append(block if w.post is None else w.post(block, w.aux))
-        gy = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        gy = np.concatenate(blocks)
         # One pass over the round: each row's dot is the BLAS ddot that
         # _HI_W @ row makes, so every bit is that of a panel.  The weights
         # are positive, so a non-finite value makes its dot non-finite, and

@@ -475,7 +475,7 @@ def _size_source(nu: LevyMeasure, epsilon: float, rng: RngStream, total: int):
     gen = rng.generator
     density = _closed_form("sampler", (nu,))
     if density is not None:
-        acceptance = _mass_above(nu, epsilon) / nu.intensity
+        acceptance = _mass_above(nu, epsilon) / _mass_above(nu, 0.0)
         return _RejectionSizes(density, epsilon, acceptance, gen)
     return _TableSizes(_size_table(nu, epsilon), gen, min(total, _BLOCK_JUMPS))
 

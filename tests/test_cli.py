@@ -630,6 +630,23 @@ class TestSweep:
         assert rows[1][4] == "" and rows[1][5] == ""
         assert rows[1][1] != ""
 
+    @pytest.mark.parametrize(
+        "start, stop, grid",
+        [
+            ("0", "1e308", ["0.0", "5e+307", "1e+308"]),
+            ("-1e308", "1e308", ["-1e+308", "0.0", "1e+308"]),
+        ],
+    )
+    def test_grid_with_overflowing_width_stays_finite(self, tmp_path, capsys, start, stop, grid):
+        # stop - start, or its product with i, overflows: those points are
+        # interpolated as start (1 - t) + stop t instead.
+        path = write_config(tmp_path, gaussian_config())
+        argv = ["sweep", "--config", path, "--param", "process1.drift.c", f"--from={start}",
+                f"--to={stop}", "--steps", "3"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == grid
+
     def test_out_file_byte_identical_across_runs(self, tmp_path, capsys, monkeypatch):
         data = matched_cp_config()
         data["estimator"] = {"n_paths": 12000, "seed": 9}

@@ -345,3 +345,35 @@ def test_checker_flags_every_family_import(snippet, lines):
 def test_simulate_imports_no_family():
     # The samplers take their family's form from ``_closed_form``.
     assert family_imports((SRC / "simulate.py").read_text()) == []
+
+
+FAMILY_FIELDS = {"intensity", "jump_density", "alpha", "c_plus", "c_minus", "lam_plus", "lam_minus"}
+
+
+def family_field_reads(source: str) -> list[int]:
+    """Lines of ``source`` that read a field only some families have."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in FAMILY_FIELDS
+    ]
+
+
+@pytest.mark.parametrize(
+    "snippet, lines",
+    [
+        ("acceptance = _mass_above(nu, epsilon) / nu.intensity", [1]),
+        ("density = nu.jump_density", [1]),
+        ("x = 1\nif nu.alpha < 0 and nu.lam_minus:\n    pass", [2, 2]),
+        ("nu.c_plus + nu.c_minus + nu.lam_plus", [1, 1, 1]),
+        ("acceptance = _mass_above(nu, epsilon) / _mass_above(nu, 0.0)", []),
+        ("intensity = _closed_form('total_mass', (nu,))", []),
+    ],
+)
+def test_checker_flags_every_family_field(snippet, lines):
+    assert family_field_reads(snippet) == lines
+
+
+def test_simulate_reads_no_family_field():
+    # The samplers read a measure through its methods and ``_closed_form``.
+    assert family_field_reads((SRC / "simulate.py").read_text()) == []

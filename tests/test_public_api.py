@@ -5,6 +5,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import addgap
 from addgap import errors
 
@@ -97,19 +99,57 @@ def _referenced_names(tree) -> Counter:
     return names
 
 
-def test_every_private_definition_is_used():
-    # A module-level function or class whose name starts with "_" is read
-    # somewhere in the package outside its own body: code that no command,
-    # estimator or demo reaches is deleted, not kept.
-    trees = [ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))]
+def _defined_names(node) -> list:
+    """The names a module-level statement defines: a function's or class's,
+    or the targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
+def unused_private_definitions(sources) -> list:
+    """The module-level functions, classes and constants of ``sources``
+    whose name starts with "_" and that nothing reads outside their own
+    definition."""
+    trees = [ast.parse(source) for source in sources]
     everywhere = sum(map(_referenced_names, trees), Counter())
-    unused = [
-        node.name
+    return [
+        name
         for tree in trees
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and everywhere[node.name] <= _referenced_names(node)[node.name]
+        for name in _defined_names(node)
+        if name.startswith("_")
+        and not name.startswith("__")
+        and everywhere[name] <= _referenced_names(node)[name]
     ]
-    assert unused == []
+
+
+@pytest.mark.parametrize(
+    "sources, unused",
+    [
+        (["def _f():\n    return _f()\n"], ["_f"]),
+        (["class _C:\n    pass\n", "from .a import _C\n"], []),
+        (["_TOL = 1e-8\n"], ["_TOL"]),
+        (["_TOL = 1e-8\ndef f():\n    return _TOL\n"], []),
+        (["_LO_X, _LO_W = leggauss(7)\n_N = _LO_X.size\n"], ["_LO_W", "_N"]),
+        (["_CAP: int = 5\n", "import m\nm._CAP\n"], []),
+        (["__all__ = []\nPUBLIC = 1\n"], []),
+    ],
+)
+def test_checker_flags_every_unused_private_definition(sources, unused):
+    assert unused_private_definitions(sources) == unused
+
+
+def test_every_private_definition_is_used():
+    # A module-level function, class or constant whose name starts with "_"
+    # is read somewhere in the package outside its own definition: code
+    # that no command, estimator or demo reaches is deleted, not kept, and
+    # so is a tuning constant that a deleted path left behind.
+    sources = [path.read_text() for path in sorted(SOURCE.glob("*.py"))]
+    assert unused_private_definitions(sources) == []

@@ -183,21 +183,22 @@ def test_request_dataclass_roundtrip():
     assert res.error_estimate >= 0.0
 
 
-def test_first_panel_settles_without_bisection_state(monkeypatch):
+def test_first_panel_settles_without_bisection_state():
     # Only the piece with the kink inside misses its tolerance on the
-    # first panel and gets a bisection state.
-    built = []
-    adaptive = quadrature._adaptive
+    # first panel: one call evaluates the three whole pieces, and every
+    # later call bisects [1, 2] alone.
+    calls = []
 
-    def counting(a, b, *args):
-        built.append((a, b))
-        return adaptive(a, b, *args)
+    def f(y):
+        calls.append(np.array(y))
+        return 1.0 + y * y + np.abs(y - 1.5)
 
-    monkeypatch.setattr(quadrature, "_adaptive", counting)
-    f = lambda y: 1.0 + y * y + np.abs(y - 1.5)
     req = IntegrationRequest(f, 0.0, 3.0, breakpoints=(1.0, 2.0))
-    assert integrate(req) == sequential_integrate(req)
-    assert built == [(1.0, 2.0)]
+    result = integrate(req)
+    assert calls[0].shape == (3 * quadrature._N,)
+    assert len(calls) > 1
+    assert all(((1.0 <= ys) & (ys <= 2.0)).all() for ys in calls[1:])
+    assert result == sequential_integrate(req)
 
 
 def test_breakpoints_match_whole():
@@ -397,8 +398,8 @@ def _bits(sums):
 @pytest.mark.parametrize("seed", range(40))
 def test_round_sums_match_the_per_panel_loop(seed):
     rng = np.random.default_rng(seed)
-    # One work of one panel (the scalar path) on the first seeds, then
-    # rounds of up to 12 works of up to 6 panels each.
+    # One work of one panel on the first seeds, then rounds of up to 12
+    # works of up to 6 panels each.
     n_works, max_panels = (1, 1) if seed < 4 else (int(rng.integers(1, 13)), 6)
     works = _random_works(rng, n_works, max_panels)
     want = [_bits(per_panel_sums(_mixed, w)) for w in works]
