@@ -22,6 +22,9 @@ log-ratios of the jumps above epsilon summed by
 ``simulate.stream_jump_sums`` (``_jump_sums``, shared with the sinh
 oracle).  Each jump part is split into a draw and a read of it
 (``_Jumps``), so that estimates which make the same draws can share them.
+A counted law reads its chunk as values on a window of counts with the
+number of paths at each, and a row without a Gaussian part reduces it
+so, in time that grows with the window, not with the paths.
 
 Each hypothesis is refused in one place, for all three estimators:
 ``_run_seed`` checks the paths (at most MAX_PATHS), epsilon and the seed;
@@ -84,10 +87,11 @@ from .measures import (
 from .processes import ProblemSpec
 from .simulate import (
     RngStream,
-    _counted_sums,
+    _counted_table,
     _default_epsilon,
-    _draw_counts,
+    _draw_histogram,
     _mass_above,
+    _poisson_window,
     inverse_gaussian_sums,
     stream_jump_sums,
 )
@@ -216,8 +220,9 @@ def _reduce_chunks(n_paths: int, seed: int, draw, rows) -> list:
     The paths run in fixed chunks of CHUNK_PATHS.  ``draw(rng_jumps,
     rng_gauss, m)`` makes the draws of the m paths of chunk j once, from its
     jump stream 2j and its Gaussian stream 2j+1 of ``seed``; then each row
-    ``(values, epsilon)`` in turn maps them to its per-path values,
-    ``values(drawn, m)``, and epsilon is the truncation its result reports.
+    ``(values, epsilon)`` in turn maps them to ``values(drawn, m)``, a pair
+    ``(v, counts)`` that ``_moments`` reduces, and epsilon is the
+    truncation its result reports.
     With t threads, chunk j goes to run j mod t: the calling thread does
     run 0 and the shared pool the others, each run its chunks in index
     order.  Each row's chunk (sum, sum of squares) partials are folded in
@@ -248,14 +253,12 @@ def _reduce_chunks(n_paths: int, seed: int, draw, rows) -> list:
             kept = []
             for i in live:
                 try:
-                    v = values[i](drawn, m)
-                    with np.errstate(over="ignore"):
-                        partials[i, j] = float(v.sum()), float((v * v).sum())
+                    partials[i, j] = _moments(*values[i](drawn, m))
                 except Exception as exc:
                     failures[i].append((j, exc))
                 else:
                     kept.append(i)
-            drawn = v = None  # so that a worker holds one chunk's draws at a time
+            drawn = None  # so that a worker holds one chunk's draws at a time
             if not kept:
                 return
             live = kept
@@ -268,6 +271,18 @@ def _reduce_chunks(n_paths: int, seed: int, draw, rows) -> list:
         min(failed, key=lambda f: f[0])[1] if failed else _fold(sums, n_paths, epsilon, seed)
         for (_, epsilon), sums, failed in zip(rows, partials, failures)
     ]
+
+
+def _moments(v: np.ndarray, counts: np.ndarray | None) -> tuple[float, float]:
+    """The (sum, sum of squares) of a chunk's path values: one value per
+    path when ``counts`` is None, else ``counts[i]`` paths take ``v[i]``.
+    A value that no path takes weighs nothing (0 * inf would be nan)."""
+    with np.errstate(over="ignore"):
+        if counts is None:
+            return float(v.sum()), float((v * v).sum())
+        held = np.flatnonzero(counts)
+        v, counts = v[held], counts[held]
+        return float((counts * v).sum()), float((counts * (v * v)).sum())
 
 
 def _fold(partials: np.ndarray, n: int, epsilon: float, seed: int):
@@ -291,10 +306,12 @@ def _fold(partials: np.ndarray, n: int, epsilon: float, seed: int):
 class _Jumps(NamedTuple):
     """A jump part split where estimates can share it: ``draw(rng_jumps, m)``
     makes the draws of m paths on the jump stream, and ``read(drawn, m)``
-    maps them to this estimate's per-path values, arrays the caller may
-    change.  Jump parts whose ``key`` is equal and not None make the same
-    draws, and their reads leave the draws unchanged; with key None the
-    draws are the estimate's own, and the read may hand them over."""
+    maps them to ``(values, counts)``: this estimate's per-path values with
+    counts None, or its values on a support with counts the number of
+    paths at each; values are arrays the caller may change.  Jump parts
+    whose ``key`` is equal and not None make the same draws, and their
+    reads leave the draws unchanged; with key None the draws are the
+    estimate's own, and the read may hand them over."""
 
     key: object
     draw: Callable
@@ -391,11 +408,13 @@ def _jump_sums(nu1, nu2, law, horizon, n_paths, epsilon, parts, rows=1):
     nu1(|y| > epsilon) and nu2(|y| > epsilon) once and, before anything is
     drawn, refuses a pair where either is infinite and a run whose chunk
     expects more than MAX_CHUNK_JUMPS jumps.  A ``"constant"`` law draws
-    only nu2's Poisson counts, which every pair with the same nu2, horizon
-    and epsilon shares, and reads its sums from them
-    (``simulate._counted_sums``, one weight per row: ``parts`` of the
-    constant, the operations it runs on each block of log-ratios).  Any
-    other law weighs every jump (``simulate.stream_jump_sums``), unshared.
+    only the histogram of the chunk's Poisson counts over a window of
+    nu2's Poisson law (``simulate._draw_histogram``), which every pair with
+    the same nu2, horizon and epsilon shares, and reads its sums on the
+    window's counts (``simulate._counted_table``, one weight per row:
+    ``parts`` of the constant), with the histogram as the number of paths
+    at each.  Any other law weighs every jump
+    (``simulate.stream_jump_sums``), unshared, one sum per path.
     """
     m1, m2 = _mass_above(nu1, epsilon), _mass_above(nu2, epsilon)
     if math.isinf(m1) or math.isinf(m2):
@@ -410,11 +429,12 @@ def _jump_sums(nu1, nu2, law, horizon, n_paths, epsilon, parts, rows=1):
             f" {chunk} paths, above the limit of {MAX_CHUNK_JUMPS}; raise epsilon"
         )
     if law.kind == "constant":
-        weights = tuple(float(w) for w in parts(law.value))
+        support, pmf = _poisson_window(m2 * horizon)
+        table = np.stack([_counted_table(support, float(w)) for w in parts(law.value)])
         jumps = _Jumps(
             ("constant", nu2, horizon, epsilon),
-            lambda rng_jumps, m: _draw_counts(nu2, horizon, m, rng_jumps, epsilon),
-            lambda counts, m: _counted_sums(counts, weights, rows),
+            lambda rng_jumps, m: _draw_histogram(pmf, m, rng_jumps),
+            lambda counts, m: (table.copy(), counts),
         )
     else:
         def weigh(sizes):
@@ -423,7 +443,7 @@ def _jump_sums(nu1, nu2, law, horizon, n_paths, epsilon, parts, rows=1):
         jumps = _Jumps(
             None,
             lambda rng_jumps, m: stream_jump_sums(nu2, horizon, m, rng_jumps, epsilon, weigh, rows),
-            lambda sums, m: sums,
+            lambda sums, m: (sums, None),
         )
     return jumps, m1 - m2
 
@@ -450,24 +470,24 @@ def _jump_part(nu1: LevyMeasure, nu2: LevyMeasure, horizon: float, n_paths: int,
             # (lambda2 - lambda1) S, the same bits; the first side's term
             # is the array the others are added to.
             if not sums:
-                return np.full(m, shift)
+                return np.full(m, shift), None
             d = sums[0] * slopes[0]
             d += shift
             for s, slope in zip(sums[1:], slopes[1:]):
                 d += s * slope
-            return d
+            return d, None
 
         return _Jumps(("ig_sides", drawn_sides, horizon), draw, exact), 0.0
 
     sums, gap = _jump_sums(nu1, nu2, law, horizon, n_paths, epsilon, lambda ratio: (ratio,))
     comp_d = horizon * gap
 
-    def truncated(drawn, m: int) -> np.ndarray:
+    def truncated(drawn, m: int):
         # The summed log-ratios of each path's jumps with |y| > epsilon
         # minus horizon * integral of (nu1 - nu2) over {|y| > epsilon}.
-        (d,) = sums.read(drawn, m)
+        (d,), counts = sums.read(drawn, m)
         d -= comp_d
-        return d
+        return d, counts
 
     return sums._replace(read=truncated), epsilon
 
@@ -484,14 +504,18 @@ def _ct_dt_row(spec, n_paths, epsilon, rng_root, value_fn) -> _Row:
     xi_sq = continuous_part(spec)
     jumps, truncation = _jump_part(nu1, nu2, horizon, n_paths, epsilon)
 
-    def values(drawn, m: int) -> np.ndarray:
-        d = jumps.read(drawn[0], m)
+    def values(drawn, m: int):
+        d, counts = jumps.read(drawn[0], m)
         # C_T, exactly N(-xi^2/2, xi^2); 0 without a Gaussian part.
         c = 0.0
         if xi_sq is not None:
+            if counts is not None:
+                # D_T of each path, in count order: the normals are i.i.d.
+                # and independent of the counts, whatever their order.
+                d, counts = np.repeat(d, counts), None
             c = -0.5 * xi_sq + math.sqrt(xi_sq) * drawn[1]()
         with np.errstate(over="ignore"):
-            return value_fn(c + d)
+            return value_fn(c + d), counts
 
     return _Row(n_paths, seed, truncation, jumps, values)
 
@@ -569,14 +593,14 @@ def estimate_sinh_oracle(
     # The positive and negative parts of the integral of nu1 - nu2.
     pos_rate, neg_rate = max(0.5 * (l1 + gap), 0.0), max(0.5 * (l1 - gap), 0.0)
 
-    def values(drawn, m: int) -> np.ndarray:
+    def values(drawn, m: int):
         # D_T = A+ + A- split along the sign of the log-ratio: A+ sums the
         # positive log-ratios and carries the compensator of the negative
         # part of nu1 - nu2, A- the rest, so A+ >= 0 >= A-.
-        a_plus, a_minus = jumps.read(drawn[0], m)
+        (a_plus, a_minus), counts = jumps.read(drawn[0], m)
         a_plus += horizon * neg_rate
         a_minus -= horizon * pos_rate
         with np.errstate(over="ignore"):
-            return np.exp(a_plus) - np.exp(a_minus)
+            return np.exp(a_plus) - np.exp(a_minus), counts
 
     return _one(_Row(n_paths, seed, 0.0, jumps, values))

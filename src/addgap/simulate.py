@@ -39,9 +39,12 @@ with the running sum of the path that straddles the block boundary
 entered as its first weight; and the rejection sampler of compound
 Poisson sizes carries the accepted draws left over from one block into
 the next, so the sizes are the first accepted values of the stream.
-Where every jump of a row weighs one constant, ``_counted_sums`` forms
-each path's sum from the counts alone by the same additions, so no size
-is drawn.
+Where every jump weighs one constant, the estimators draw neither the
+sizes nor the counts of single paths: the histogram of a chunk's counts
+is one multinomial draw (``_draw_histogram``) over a window of the
+Poisson law that leaves out at most 2^-60 of its mass
+(``_poisson_window``), and ``_counted_table`` gives the sum of a path of
+k jumps by the additions that ``stream_jump_sums`` makes.
 
 Randomness is organized in named streams: ``RngStream(root_seed, k)``
 yields the k-th of 2**64 independent Philox substreams of a root seed, so
@@ -110,6 +113,9 @@ _BLOCK_JUMPS = 2**15
 # Tail mass (relative to the truncated intensity) considered negligible when
 # hunting for the outer tabulation cutoff on an unbounded support.
 _TAIL_FRACTION = 1e-13
+
+# Most Poisson mass a window of counts (``_poisson_window``) leaves out.
+_WINDOW_TAIL = 2.0**-60
 
 _TWO64 = 1 << 64
 
@@ -480,33 +486,75 @@ def _size_source(nu: LevyMeasure, epsilon: float, rng: RngStream, total: int):
     return _TableSizes(_size_table(nu, epsilon), gen, min(total, _BLOCK_JUMPS))
 
 
-def _counted_sums(counts: np.ndarray, weights: tuple[float, ...], rows: int) -> np.ndarray:
-    """Per-path sums of ``counts`` copies of each constant weight, the
-    jump sums of a pair whose ``measures.pair_jump_law`` is ``"constant"``.
+@functools.lru_cache(maxsize=64)
+def _poisson_window(mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(support, pmf)``: the counts of a Poisson(mu) law that hold all but
+    at most _WINDOW_TAIL of its mass, and their probabilities, in ascending
+    order of probability.
 
-    Row r at a path with k jumps is k copies of ``weights[r]`` added left
-    to right from 0.0, as the block ``bincount``s of ``stream_jump_sums``
-    add them, so the bits are those of weighing every jump.  The running
-    sums are built ``_BLOCK_JUMPS`` counts at a time, each block starting
-    from the last sum of the one before, so memory does not grow with the
-    largest count.
+    The log-probabilities relative to the mode, floor(mu), are cumulative
+    sums of the steps log(mu / j) outward from it, taken over 12 sqrt(mu)
+    + 40 counts on each side; they are exponentiated, the counts whose
+    cumulative mass from either end stays within half of _WINDOW_TAIL are
+    dropped, and the rest is normalised.  The order lets
+    ``Generator.multinomial``, which divides each probability by the mass
+    not yet handed out, end on the largest one, so that remainder never
+    falls below it.  mu at or below 0 gives the one count 0.
     """
-    sums = np.zeros((rows, counts.size))
-    top = int(counts.max())
-    for row, weight in zip(sums, weights, strict=True):
-        carry = 0.0
-        for start, stop in _block_spans(top):
-            # running[i] is the sum of start + i copies of the weight.
-            running = np.full(stop - start + 1, weight)
-            running[0] = carry
-            np.cumsum(running, out=running)
-            if stop - start == top:  # one block holds every count
-                np.take(running, counts, out=row)
-            else:
-                held = np.flatnonzero((counts > start) & (counts <= stop))
-                row[held] = running[counts[held] - start]
-            carry = running[-1]
-    return sums
+    if not mu > 0.0:
+        support, pmf = np.zeros(1, dtype=np.int64), np.ones(1)
+    else:
+        mode = math.floor(mu)
+        reach = math.ceil(12.0 * math.sqrt(mu)) + 40
+        counts = np.arange(max(0, mode - reach), mode + reach + 1)
+        at = mode - int(counts[0])
+        j = counts[1:].astype(float)
+        ratio = (mu - j) / j
+        with np.errstate(divide="ignore"):  # mu / j may underflow to 0
+            step = np.where(
+                ratio > -0.5, np.log1p(np.maximum(ratio, -0.5)), np.log(mu / j)
+            )  # log(p_j / p_{j-1})
+        log_p = np.zeros(counts.size)
+        log_p[at + 1 :] = np.cumsum(step[at:])
+        log_p[:at] = -np.cumsum(step[:at][::-1])[::-1]
+        weight = np.exp(log_p)
+        share = weight / weight.sum()
+        lo = int(np.searchsorted(np.cumsum(share), 0.5 * _WINDOW_TAIL, side="right"))
+        hi = counts.size - int(
+            np.searchsorted(np.cumsum(share[::-1]), 0.5 * _WINDOW_TAIL, side="right")
+        )
+        order = np.argsort(weight[lo:hi], kind="stable")
+        support = counts[lo:hi][order]
+        pmf = weight[lo:hi][order] / weight[lo:hi].sum()
+    support.flags.writeable = False
+    pmf.flags.writeable = False
+    return support, pmf
+
+
+def _draw_histogram(pmf: np.ndarray, n_paths: int, rng: RngStream) -> np.ndarray:
+    """How many of n_paths paths have each count of a window
+    (``_poisson_window``), in the window's order: one multinomial draw on
+    rng, which is the law of the histogram of n_paths i.i.d. counts."""
+    return rng.generator.multinomial(n_paths, pmf)
+
+
+def _counted_table(support: np.ndarray, weight: float) -> np.ndarray:
+    """At each count k of ``support``, k copies of ``weight`` added left to
+    right from 0.0: the jump sum of a path of k jumps that each weigh
+    ``weight``, with the bits of the block ``bincount``s of
+    ``stream_jump_sums``.  The running sum reaches the smallest count
+    ``_BLOCK_JUMPS`` copies at a time, so memory grows with the width of
+    the window, not with its counts."""
+    first, last = int(support.min()), int(support.max())
+    carry = 0.0
+    for start, stop in _block_spans(first):
+        running = np.full(stop - start + 1, weight)
+        running[0] = carry
+        carry = np.cumsum(running)[-1]
+    running = np.full(last - first + 1, weight)
+    running[0] = carry
+    np.cumsum(running, out=running)  # running[i] is first + i copies
+    return running[support - first]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from addgap.measures import (
     _Interval,
 )
 from addgap.errors import NonFiniteIntegrand, ToleranceNotMet
-from addgap import processes, quadrature
+from addgap import montecarlo, processes, quadrature
 from addgap.montecarlo import _estimate_ct_dt, e_abs_one_minus_exp_normal
 from addgap.quadrature import (
     _HI_W,
@@ -51,17 +51,31 @@ def path_sums(batch, values=None):
     return sums.astype(float, copy=False)  # an empty bincount is integer
 
 
-def estimator_inputs(monkeypatch, spec, n_paths, epsilon, seed):
-    """C_T + D_T of each path, in path order, as the value_fn of the Monte
-    Carlo estimators receives it when one worker thread runs the chunks."""
+def chunk_values(monkeypatch, estimate):
+    """The path values of each chunk that ``estimate()`` reduces when one
+    worker thread runs the chunks, one value per path: a chunk given on a
+    support (a pair that draws a histogram of jump counts) has each value
+    repeated as many times as paths take it."""
     monkeypatch.setenv("ADDGAP_THREADS", "1")
     seen = []
+    moments = montecarlo._moments
 
-    def record(x):
-        seen.append(np.array(x, copy=True))
-        return x
+    def record(v, counts):
+        seen.append(np.array(v if counts is None else np.repeat(v, counts), copy=True))
+        return moments(v, counts)
 
-    _estimate_ct_dt(spec, n_paths, epsilon, seed, record)
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_moments", record)
+        estimate()
+    return seen
+
+
+def estimator_inputs(monkeypatch, spec, n_paths, epsilon, seed):
+    """C_T + D_T of each path, as the value_fn of the Monte Carlo estimators
+    receives it, chunk after chunk (``chunk_values``)."""
+    seen = chunk_values(
+        monkeypatch, lambda: _estimate_ct_dt(spec, n_paths, epsilon, seed, lambda x: x)
+    )
     return np.concatenate(seen)
 
 

@@ -48,22 +48,22 @@ CLI_SHA256 = {
     "compound_poisson": {
         "bound": "ed011be71f98e0c7af019a555646b4c777f364a1097d42b2fab505aa9276d4d7",
         "bound_json": "886b9c8e33d418dd544655e8b20185f63582669372aac35682e2d7b89369e9a8",
-        "tv": "d91070559dfaad35e81e40668988aecaba3aa78d1c01560ce18fd4b50819d198",
-        "martingale": "5eea46101c8d20a3196fe1483939b9b66c5925d13697f7e0d98d57baa1f45882",
-        "sinh": "e50516ad37207101115925f35cec8eba02e44e0e7af1c6537aef88ed4f83a337",
-        "compare_json": "e1ab6a2a3859bcc9937e889a996353d463f95d16ac06b041330768f6ed691995",
-        "epsilon": "88e80ae6d8ea1d0a38293815f06d58b41426bbc56838d504af4cfd1c7a471f50",
-        "sweep": "c2236d9de83e4d92976ccc937cf15be74d60208b696ad323b92d1ae21c241d16",
+        "tv": "f3882704779564cedbc5013ace4cbd12056af66c526aec5cadcf88f121a9ab25",
+        "martingale": "badf79e666cb903d96adfa52de1b6e8150d1eba2f6f2c1a2c6a81af8a76514ca",
+        "sinh": "edc88b85f67d98dd19707801d0ee5cfc5b52ea7aab861160190c19eaafe1ae66",
+        "compare_json": "61e6cbb204e8c54a473f335047793bffe0d517e66640c790aecd3c036fcf3e73",
+        "epsilon": "14d807c2d40e0b66515940280ff8dcf46fca7ae5c7654be80f3358c52e4e70c7",
+        "sweep": "673f3c6c1b8216d62af4538368f662a7788ab42831ae8d026b7ce57d97fa44c6",
     },
     "jump_diffusion": {
         "bound": "dd420e71958e65ac6c9e1fbbdcdb83620822756657262a5a316287a81a7b8d79",
         "bound_json": "ac955354596d858e5a1caa084928146dce813ad2cf773eab0daae0be3f979f4f",
-        "tv": "7b104426bd0d60bf627df60efacc2ec1efa8b7f5162c4c55850b2603143cb564",
-        "martingale": "cd2acdf3b4e46a7aa92042a76aad82ef5860f32ada23ac7039c4881f4a265601",
-        "sinh": "1b52fe8dd7035b4ed4cbde3b970643d35812313610a4bd0e108977717d21a468",
-        "compare_json": "853f5a8aed2353bf741925c84d5d95701dbda77081c324e3afba2ec5de36c666",
-        "epsilon": "5a3d1af657236c38af9e6e35a8f7790624b3ce4573d6f9888929a85ce2ca6a0d",
-        "sweep": "e2c4e2939c19a06df9d3ad39958ab2a0c98683adaaca6fcd5b5be30ea446097e",
+        "tv": "65779067ab1c366153a2f647660b7a406a3d10d240514d12ec740ff74c7ddda8",
+        "martingale": "ed5c5c6d34a0bdcda27839bb148c1a2d5c9d08095e67ad8b8348b362ba475516",
+        "sinh": "22465556a5213a15a36523e7f6d7572e9640edb00ae3a0dfa4727a5101da51b1",
+        "compare_json": "6297f417bd28a4ee121141567045fa868b0a16abdadcd1c626d110e6ea26fb1c",
+        "epsilon": "e076e6515b173a65a5a798d61969df31531dcd1bbfb6c004e0d42625db441142",
+        "sweep": "e9a838cb909a60c2d920d36769dcba470c06bf8adc5e8ec3a84655b8e4b109e2",
     },
     "tempered_stable": {
         "bound": "039f20781ad244e2fe8cf8431b1d142eac2d6e5be3adf74fca1fc9836f2e3ca5",
@@ -101,12 +101,12 @@ PROCESS_SWEEPS = {
     ],
 }
 PROCESS_SWEEP_SHA256 = {
-    "compound_poisson/lambda_one_chunk": "51258eba74c5b1743b670bf36c09d64fff17dbecf3f84cd5af59db7b7267457f",
-    "compound_poisson/lambda": "77d7975170efaf1e80fe7ecb8c2fbfc5f3cea559f0c87988c51558af9a53251c",
-    "jump_diffusion/lambda_one_chunk": "6a29504219c00006490ee8ce9ad3fbfecb447596efc41e0125943e2b6e64bf3b",
-    "jump_diffusion/lambda": "b77677a86a8bd1240cc7e86b573c0ffdaa0cdea4c61b986d1febe7f9b776c95e",
+    "compound_poisson/lambda_one_chunk": "e5cc948fe3eeff08edbfe54238f3a99c43f52165c0682710ba1f4a563c5c34a2",
+    "compound_poisson/lambda": "04deea88b73f8aaa87181ce2cda44086ed40e3d2601146c85ac381647c2b1128",
+    "jump_diffusion/lambda_one_chunk": "ac95fd29280461fc8b87bfb9f4bcbd5301bc98badb250d9fbd9bfe658c2301e3",
+    "jump_diffusion/lambda": "7ac9c7e3fea0f214fcdb7dc22b385164b8693be05b088d4b3dd5841fe89d57b8",
     "tempered_stable": "719f161c7b6e46065622d312c58a8b8a767710a4bda4e943ed8e286453f4af4d",
-    "jump_diffusion": "bcbceba386a2afb507e98084d90d9ab1b2f430af7e3ef2accf067ce2a8b648df",
+    "jump_diffusion": "3f82fd30b204b53394869056702b64b6ec3f382ed86d3cb0f2f289243d42a50e",
 }
 
 

@@ -15,8 +15,8 @@ DEMO_DIR = ROOT / "demos"
 
 # SHA-256 of each demo's stdout.
 DEMO_SHA256 = {
-    "compound_poisson_distance.py": "2046f823e9c78158a1e4d52684eb9f4162536a4def206ac8c7820c2305b7a5f6",
-    "horizon_sweep.py": "70ea2388db3e38e918359055fac234e749962dac7fbf3236572aea25d069889a",
+    "compound_poisson_distance.py": "1cd8eee6c749b87a0ddabdcc6228c5732bcab4f99055eef11a6b6d1728623be5",
+    "horizon_sweep.py": "033c3e0a438101d87bb354b41706c90806ea68a0b9777bf443d16615c2b8d9c1",
     "tempered_stable_truncation.py": "fa1af780c3822d5ccd427e073f2bd6f9867ad63d8bc49680932cae7910aaaf07",
 }
 

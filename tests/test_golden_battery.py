@@ -23,13 +23,18 @@ computed every ingredient in one pass.  The ``estimate_tv`` and
 Gaussian sums instead of truncating at epsilon; each new estimate lies
 within 0.5 combined half-widths of the truncated one it replaced.  The
 other compound Poisson pairs have uniform(0, 1) jumps on both sides, a
-constant log-ratio, and so draw counts and no sizes (the ``"constant"``
-law of ``measures.pair_jump_law``); ``cp_exponential`` and
+constant log-ratio, and so draw no size (the ``"constant"`` law of
+``measures.pair_jump_law``); ``cp_exponential`` and
 ``cp_wider_reference`` (uniform(0, 1) against uniform(0, 2)) keep the
 path that draws and weighs every jump pinned, and were recorded before
-the counted path existed.  The counted and weighed paths give the same
-bits, so ``JUMP_LAW_KIND`` pins the law of each pair: a pair that slipped
-from one law to another would change no record, only the time it takes.
+the counted path existed.  The counted path first drew each path's
+Poisson count, with the bits of weighing every jump; the estimator
+records of ``cp_bundled``, ``jd_bundled``, ``cp_sigma_mismatch``,
+``degenerate``, ``zero_sigma_drift_mismatch`` and ``sinh_overflow`` were
+re-recorded when it began drawing each chunk's histogram of counts
+instead, and each new estimate lies within 0.9 combined half-widths of
+the one it replaced.  ``JUMP_LAW_KIND`` pins the law of each pair, so a
+pair that slipped from one law to another cannot go unseen.
 The six estimator records of ``not_ac_positive`` and
 ``not_ac_zero_drift_mismatch`` were re-recorded when the estimators began
 refusing a pair that is not absolutely continuous with the report's

@@ -1,5 +1,6 @@
 """Tests for the likelihood-ratio functionals and Monte Carlo estimators."""
 
+import functools
 import json
 import math
 import os
@@ -53,7 +54,13 @@ from addgap.processes import (
     ProblemSpec,
     ProcessSpec,
 )
-from addgap.simulate import RngStream, sample_jump_batch, sample_terminal_values
+from addgap.simulate import (
+    RngStream,
+    _counted_table,
+    _poisson_window,
+    sample_jump_batch,
+    sample_terminal_values,
+)
 
 from _oracles import (
     EABS_1_2,
@@ -183,9 +190,13 @@ class TestEAbsOneMinusExpNormal:
         assert type(e_abs_one_minus_exp_normal(m, s)) is float
 
 
-def cp_batch(horizon, n_paths, seed, nu=CP10, epsilon=0.0):
-    """The jumps that chunk 0 of an estimate with root ``seed`` draws."""
-    return sample_jump_batch(nu, horizon, n_paths, RngStream(seed, 0), epsilon)
+def cp_counts(horizon, n_paths, seed, nu=CP10, epsilon=0.0):
+    """The jump count of each path of chunk 0 of an estimate with root
+    ``seed`` whose log-ratio is one constant, in the order the estimators'
+    values come in (``chunk_values``): the histogram of the Poisson window
+    drawn on stream 0, each count repeated by the paths that take it."""
+    support, pmf = _poisson_window(nu.mass_above(epsilon) * horizon)
+    return np.repeat(support, RngStream(seed, 0).generator.multinomial(n_paths, pmf))
 
 
 class _RecordingExp:
@@ -203,19 +214,36 @@ class _RecordingExp:
 
 
 def sinh_split(monkeypatch, spec, n_paths, seed):
-    """A+ and A- of each path, as the sinh oracle exponentiates them.
+    """A+ and A- of each path, as the sinh oracle exponentiates them; in a
+    chunk given on a support, each is repeated by the paths that take it.
 
-    The oracle's chunks call ``np.exp`` twice each, on A+ then on A-; the
-    recorded calls are checked against that layout before they are paired.
+    The oracle's chunks call ``np.exp`` twice each, on A+ then on A-, and
+    then reduce their values once; the recorded calls are checked against
+    that layout before they are paired.
     """
     monkeypatch.setenv("ADDGAP_THREADS", "1")
     recorder = _RecordingExp()
+    counts = []
+    moments = montecarlo._moments
+
+    def record(v, c):
+        counts.append(c)
+        return moments(v, c)
+
     with monkeypatch.context() as patch:
         patch.setattr(montecarlo, "np", recorder)
+        patch.setattr(montecarlo, "_moments", record)
         estimate_sinh_oracle(spec, n_paths, seed)
     chunks = [min(CHUNK_PATHS, n_paths - s) for s in range(0, n_paths, CHUNK_PATHS)]
-    assert [a.shape for a in recorder.args] == [(m,) for m in chunks for _ in range(2)]
-    return np.concatenate(recorder.args[0::2]), np.concatenate(recorder.args[1::2])
+    assert len(recorder.args) == 2 * len(counts) == 2 * len(chunks)
+    split = []
+    for m, c, pair in zip(chunks, counts, zip(recorder.args[0::2], recorder.args[1::2])):
+        if c is not None:
+            assert c.sum() == m
+            pair = [np.repeat(a, c) for a in pair]
+        assert [a.shape for a in pair] == [(m,), (m,)]
+        split.append(pair)
+    return tuple(np.concatenate(side) for side in zip(*split))
 
 
 def sigma_zero_spec(nu1, nu2, horizon=1.0):
@@ -241,29 +269,29 @@ class TestJumpLoglikD:
 
     def test_empty_record_is_pure_compensator(self, monkeypatch):
         # The first seed whose single path has no jump.
-        seed = next(s for s in range(100) if cp_batch(1.0, 1, s).counts[0] == 0)
+        seed = next(s for s in range(100) if cp_counts(1.0, 1, s)[0] == 0)
         d = estimator_inputs(monkeypatch, matched_cp_spec(), 1, 0.0, seed)
         assert abs(d[0] + 0.2) < TOL_EXACT
 
     def test_constant_ratio_closed_form(self, monkeypatch):
-        expected = cp_batch(2.0, 50, 5).counts * math.log(1.2) - 2.0 * 0.2
+        expected = cp_counts(2.0, 50, 5) * math.log(1.2) - 2.0 * 0.2
         d = estimator_inputs(monkeypatch, matched_cp_spec(2.0), 50, 0.0, 5)
         np.testing.assert_allclose(d, expected, rtol=0.0, atol=TOL_EXACT)
 
     def test_truncated_compensator_uses_clipped_masses(self, monkeypatch):
         nu1 = CompoundPoissonMeasure(2.0, G01)
         eps = 0.3
-        batch = cp_batch(1.0, 50, 6, epsilon=eps)
-        assert batch.sizes.size > 0 and np.all(batch.sizes > eps)
+        counts = cp_counts(1.0, 50, 6, epsilon=eps)
+        assert counts.any()
         # masses above 0.3: 2 * 0.7 and 1 * 0.7; the log-ratio is log 2.
-        expected = batch.counts * math.log(2.0) - 1.0 * (2.0 * 0.7 - 1.0 * 0.7)
+        expected = counts * math.log(2.0) - 1.0 * (2.0 * 0.7 - 1.0 * 0.7)
         d = estimator_inputs(monkeypatch, sigma_zero_spec(nu1, CP10), 50, eps, 6)
         np.testing.assert_allclose(d, expected, rtol=0.0, atol=1e-10)
 
     def test_jump_off_reference_support(self):
         # Sizes above 1 land where the sampled measure has no density.
         stray = CompoundPoissonMeasure(1.0, _StrayingUniform(0.0, 1.0))
-        assert np.any(cp_batch(1.0, 50, 1, nu=stray).sizes > 1.0)
+        assert np.any(sample_jump_batch(stray, 1.0, 50, RngStream(1, 0)).sizes > 1.0)
         with pytest.raises(RatioUndefined):
             estimate_tv(sigma_zero_spec(stray, stray), 50, 0.0, 1)
 
@@ -280,7 +308,7 @@ class TestSplitAPm:
         assert np.all(a_plus == 0.0) and np.all(a_minus == 0.0)
 
     def test_constant_ratio_closed_form(self, monkeypatch):
-        counts = cp_batch(1.0, 50, 9).counts
+        counts = cp_counts(1.0, 50, 9)
         a_plus, a_minus = sinh_split(monkeypatch, matched_cp_spec(), 50, 9)
         np.testing.assert_allclose(
             a_plus, counts * math.log(1.2), rtol=0.0, atol=TOL_EXACT
@@ -508,20 +536,26 @@ class TestPathwiseSplitting:
 
 def reduce_one(n_paths, values):
     """``_reduce_chunks`` of one row whose ``values(rng_jumps, rng_gauss, m)``
-    reads the chunk's two streams; raises what refuses it."""
-    (result,) = _reduce_chunks(
-        n_paths, 1, lambda rj, rg, m: (rj, rg), [(lambda drawn, m: values(*drawn, m), 0.0)]
-    )
+    reads the chunk's two streams: one value per path, or a pair (values on
+    a support, the number of paths at each); raises what refuses it."""
+
+    def row(drawn, m):
+        v = values(*drawn, m)
+        return v if isinstance(v, tuple) else (v, None)
+
+    (result,) = _reduce_chunks(n_paths, 1, lambda rj, rg, m: (rj, rg), [(row, 0.0)])
     if isinstance(result, Exception):
         raise result
     return result
 
 
 class TestChunkReduction:
-    def test_mean_replays_stream_layout(self):
+    def test_mean_replays_stream_layout(self, monkeypatch):
         # Rebuild the estimate by hand from the documented stream layout
         # (jumps on 2j, chunk partials folded in index order) and demand
-        # bit equality with the estimator output.
+        # bit equality with the estimator output.  The pair is drawn as
+        # one without a constant log-ratio: it weighs every jump.
+        monkeypatch.setattr(montecarlo, "pair_jump_law", generic_law)
         spec = matched_cp_spec()
         n, seed, horizon = 20_000, 42, 1.0
         mass_gap = CP12.total_mass() - CP10.total_mass()
@@ -536,12 +570,43 @@ class TestChunkReduction:
         expected = math.fsum(partials) / n
         assert estimate_tv(spec, n, 0.0, seed).mean == expected
 
+    def test_counted_mean_replays_histogram_layout(self):
+        # A constant log-ratio: chunk j draws the histogram of its paths'
+        # jump counts over the Poisson window on stream 2j, and its partial
+        # sums each count's value times the paths that take it.
+        spec = matched_cp_spec()
+        n, seed, horizon = 20_000, 42, 1.0
+        mass_gap = CP12.total_mass() - CP10.total_mass()
+        support, pmf = _poisson_window(CP10.total_mass() * horizon)
+        d = _counted_table(support, math.log(1.2)) - horizon * mass_gap
+        values = np.abs(np.expm1(d))
+        partials = []
+        for j, start in enumerate(range(0, n, CHUNK_PATHS)):
+            m = min(CHUNK_PATHS, n - start)
+            counts = RngStream(seed, 2 * j).generator.multinomial(m, pmf)
+            held = counts > 0
+            partials.append(float((counts[held] * values[held]).sum()))
+        expected = math.fsum(partials) / n
+        assert estimate_tv(spec, n, 0.0, seed).mean == expected
+
     @pytest.mark.parametrize("value", [math.inf, 1e304, math.nan], ids=["inf", "1e304", "nan"])
     def test_refuses_values_that_overflow(self, value):
         # 1e304 keeps each chunk's sum finite, but not its sum of squares,
         # nor the fsum of three chunk sums.
         with pytest.raises(HypothesisFailed, match="^the path values overflow: their sum or"):
             reduce_one(3 * CHUNK_PATHS, lambda rj, rg, m: np.full(m, value))
+
+    def test_a_value_no_path_takes_weighs_nothing(self):
+        # 0 * inf is nan: an empty count whose value overflows must not
+        # reach the sums.
+        support = np.array([np.inf, 2.0, -1.0, np.nan])
+        result = reduce_one(
+            2 * CHUNK_PATHS + 3,
+            lambda rj, rg, m: (support, np.array([0, m - 1, 1, 0])),
+        )
+        n = 2 * CHUNK_PATHS + 3
+        assert result.mean == (2.0 * (n - 3) - 3.0) / n
+        assert math.isfinite(result.half_width_95) and result.half_width_95 > 0.0
 
     def test_refuses_a_sum_whose_square_overflows(self):
         # The sum (4.1e154) and the sum of squares (4.1e305) are finite, but
@@ -775,26 +840,56 @@ def generic_law(nu1, nu2):
     return JumpLaw("generic", pair_log_ratio(nu1, nu2))
 
 
+# Paths of each estimate that compares the counted and the weighed draws.
+COUNTED_PATHS = 1 << 20
+
+
+@functools.cache
+def counted_outcomes(name, threads):
+    """``estimate_outcomes`` of a counted pair at COUNTED_PATHS paths, seed
+    3, and ADDGAP_THREADS ``threads``, with no jump size drawn or weighed."""
+    spec, epsilon = counted_specs()[name]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("ADDGAP_THREADS", threads)
+        patch.setattr(simulate._RejectionSizes, "fill", no_sizes)
+        patch.setattr(UniformDensity, "sample", no_sizes)
+        patch.setattr(montecarlo, "stream_jump_sums", no_sizes)
+        return estimate_outcomes(spec, epsilon, COUNTED_PATHS, 3)
+
+
+@functools.cache
+def weighed_outcomes(name):
+    """The same estimates with every jump drawn and weighed."""
+    spec, epsilon = counted_specs()[name]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "pair_jump_law", generic_law)
+        return estimate_outcomes(spec, epsilon, COUNTED_PATHS, 3)
+
+
 class TestCountedJumpParts:
-    """Pairs with a constant log-ratio draw their counts and no sizes, with
-    every bit of the estimates that weigh each jump."""
+    """Pairs with a constant log-ratio draw the histogram of their paths'
+    jump counts and no size.  The name of the test below predates that
+    draw: the estimates no longer have the bits of weighing each jump, only
+    its law, and their own bits at every thread count."""
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     @pytest.mark.parametrize("name", sorted(counted_specs()))
-    def test_same_bits_as_weighing_each_jump(self, monkeypatch, threads, name):
-        spec, epsilon = counted_specs()[name]
+    def test_same_bits_as_weighing_each_jump(self, threads, name):
+        spec, _ = counted_specs()[name]
         nu1, nu2 = spec.process1.levy, spec.process2.levy
         assert pair_jump_law(nu1, nu2).kind == "constant"
-        monkeypatch.setenv("ADDGAP_THREADS", threads)
-        with monkeypatch.context() as patch:
-            patch.setattr(simulate._RejectionSizes, "fill", no_sizes)
-            counted = estimate_outcomes(spec, epsilon, 24676, 3)
-        with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "pair_jump_law", generic_law)
-            streamed = estimate_outcomes(spec, epsilon, 24676, 3)
-        assert counted == streamed
-        refused = name == "inner_support"
-        assert all((v[0] == "NotAbsolutelyContinuous") == refused for v in counted.values())
+        counted = counted_outcomes(name, threads)
+        assert counted == counted_outcomes(name, "1")
+        weighed = weighed_outcomes(name)
+        if name == "inner_support":
+            assert counted == weighed
+            assert all(v[0] == "NotAbsolutelyContinuous" for v in counted.values())
+            return
+        for key, (mean, half_width) in counted.items():
+            mean, half_width = float.fromhex(mean), float.fromhex(half_width)
+            other, other_width = map(float.fromhex, weighed[key])
+            assert 0.0 < half_width and 0.0 < other_width
+            assert abs(mean - other) < 4.0 * math.hypot(half_width, other_width)
 
 
 def heavy_ts_spec():
@@ -812,9 +907,10 @@ def never_sample(*args, **kwargs):
 
 
 def forbid_draws(monkeypatch):
-    """Make both of montecarlo's jump-drawing entry points fail: the counts
-    of a constant log-ratio and the weighed jumps of any other law."""
-    for name in ("stream_jump_sums", "_draw_counts"):
+    """Make both of montecarlo's jump-drawing entry points fail: the count
+    histogram of a constant log-ratio and the weighed jumps of any other
+    law."""
+    for name in ("stream_jump_sums", "_draw_histogram"):
         monkeypatch.setattr(montecarlo, name, never_sample)
 
 

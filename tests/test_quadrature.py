@@ -446,3 +446,41 @@ def test_round_with_a_bad_value_stops_only_its_interval():
     assert works[0].outcome is None and _bits(works[0].sums) == want
     assert isinstance(works[1].outcome, NonFiniteIntegrand)
     assert str(works[1].outcome) == f"integrand returned a non-finite value at x = {first_bad!r}"
+
+
+# ---------------------------------------------------------------------------
+# Stall trackers: which half of a bisection each one sees
+# ---------------------------------------------------------------------------
+
+
+def tracker_feed(monkeypatch, impl, request):
+    """(watched end, value as hex) of every call to a stall tracker that
+    ``impl(request)`` makes, in order."""
+    fed = []
+    stalled = quadrature._Tracker.stalled
+
+    def spy(self, value):
+        fed.append((self.coord, float(value).hex()))
+        return stalled(self, value)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature._Tracker, "stalled", spy)
+        impl(request)
+    return fed
+
+
+@pytest.mark.parametrize(
+    "f, lower, upper",
+    [
+        (lambda y: 1.0 / np.sqrt(y) + np.cos(y), 0.0, 1.0),  # watched at its left end
+        (lambda y: 1.0 / (y * np.sqrt(y)) + np.exp(-y), 1.0, math.inf),  # at its right end
+    ],
+    ids=["left_watched", "right_watched"],
+)
+def test_stall_trackers_see_the_far_half(monkeypatch, f, lower, upper):
+    # A bisection next to a watched end peels off the half far from it, as
+    # the sequential oracle does; the near half stays and is bisected again.
+    request = IntegrationRequest(f, lower, upper, singular_at_zero=lower == 0.0)
+    fed = tracker_feed(monkeypatch, integrate, request)
+    assert len(fed) >= 3
+    assert fed == tracker_feed(monkeypatch, sequential_integrate, request)

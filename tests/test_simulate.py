@@ -1148,58 +1148,77 @@ class TestStreamJumpSums:
 COUNTED_WEIGHTS = (math.log(2.0), -math.log(1.2), 0.0, 0.1)
 
 
-def no_sizes(*args, **kwargs):
-    raise AssertionError("a constant weight draws no jump size")
-
-
-def assert_counted_matches_streamed(monkeypatch, nu, n_paths, stream, eps):
-    """Constant weights give the sums of weighing every jump, bit for bit,
-    without drawing a size; returns the counts of the chunk."""
-    rows = len(COUNTED_WEIGHTS)
+def assert_table_matches_streamed(nu, n_paths, stream, eps):
+    """Each path's sums of constant weights, read from the per-support
+    table (``_counted_table``) at its jump count, have the bits of weighing
+    every jump; returns the counts of the chunk."""
 
     def weigh(sizes):
         return tuple(np.full(sizes.size, w) for w in COUNTED_WEIGHTS)
 
+    rows = len(COUNTED_WEIGHTS)
     streamed = stream_jump_sums(nu, 1.0, n_paths, RngStream(*stream), eps, weigh, rows=rows)
-    with monkeypatch.context() as patch:
-        patch.setattr(_RejectionSizes, "fill", no_sizes)
-        patch.setattr(UniformDensity, "sample", no_sizes)
-        counts = simulate._draw_counts(nu, 1.0, n_paths, RngStream(*stream), eps)
-        counted = simulate._counted_sums(counts, COUNTED_WEIGHTS, rows)
-    assert counted.shape == streamed.shape == (rows, n_paths)
-    assert np.array_equal(counted.view(np.uint64), streamed.view(np.uint64))
+    counts = simulate._draw_counts(nu, 1.0, n_paths, RngStream(*stream), eps)
+    support = np.unique(counts)
+    for weight, row in zip(COUNTED_WEIGHTS, streamed, strict=True):
+        table = simulate._counted_table(support, weight)
+        counted = table[np.searchsorted(support, counts)]
+        assert np.array_equal(counted.view(np.uint64), row.view(np.uint64))
     return counts
 
 
+def added_left_to_right(weight, counts):
+    """k copies of weight added one at a time from 0.0, at each k of counts."""
+    wanted, total, out = set(int(k) for k in counts), 0.0, {}
+    for k in range(int(max(counts)) + 1):
+        if k in wanted:
+            out[k] = total
+        total += weight
+    return np.array([out[int(k)] for k in counts])
+
+
 class TestCountedSums:
+    """``_counted_table``: the jump sum of a path of k jumps of one constant
+    weight, built from the counts alone."""
+
     @pytest.fixture(params=BLOCKS[:-1], ids=lambda b: f"block{b}")
     def block(self, request, monkeypatch):
         monkeypatch.setattr(simulate, "_BLOCK_JUMPS", request.param)
         return request.param
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
-    def test_paths_longer_than_a_block(self, monkeypatch, block, eps):
-        # About 9000 jumps per path (300 for the one-jump blocks), so paths
-        # straddle blocks of jumps and of counts, and repeated sums of 0.1 round.
-        lam = 300.0 if block == 1 else 9000.0
+    def test_paths_longer_than_a_block(self, block, eps):
+        # About 13000 jumps per path, 9100 above 0.3 (300 for the one-jump
+        # blocks), so the running sum reaches the smallest count over many
+        # blocks, and repeated sums of 0.1 round.
+        lam = 300.0 if block == 1 else 13000.0
         nu = CompoundPoissonMeasure(lam, UniformDensity(0.0, 1.0))
-        counts = assert_counted_matches_streamed(monkeypatch, nu, 6, (7, 1), eps)
-        assert counts.sum() > block  # some path straddles a block boundary
-        (tenths,) = simulate._counted_sums(counts, (0.1,), 1)
-        assert np.any(tenths != counts * 0.1)
+        counts = assert_table_matches_streamed(nu, 6, (7, 1), eps)
+        # Below the default block, the smallest count spans whole blocks.
+        assert (counts.min() > block) == (block < 2**15)
+        support = np.unique(counts)
+        assert np.any(simulate._counted_table(support, 0.1) != support * 0.1)
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
-    def test_paths_without_jumps(self, monkeypatch, block, eps):
+    def test_paths_without_jumps(self, block, eps):
         nu = CompoundPoissonMeasure(0.7, UniformDensity(0.0, 1.0))
-        counts = assert_counted_matches_streamed(monkeypatch, nu, 3000, (8, 1), eps)
+        counts = assert_table_matches_streamed(nu, 3000, (8, 1), eps)
         assert np.any(counts == 0) and np.any(counts > 1)
 
     @pytest.mark.parametrize(
         "nu, eps", [(ZeroMeasure(), 0.0), (CP_U01, 2.0)], ids=["zero", "beyond_support"]
     )
-    def test_chunks_without_jumps(self, monkeypatch, block, nu, eps):
-        counts = assert_counted_matches_streamed(monkeypatch, nu, 50, (9, 1), eps)
+    def test_chunks_without_jumps(self, block, nu, eps):
+        counts = assert_table_matches_streamed(nu, 50, (9, 1), eps)
         assert not counts.any()
+
+    @pytest.mark.parametrize("mu", [1.0, 37.5, 4096.0])
+    def test_window_entries_are_copies_added_left_to_right(self, block, mu):
+        support, _ = simulate._poisson_window(mu)
+        for weight in COUNTED_WEIGHTS:
+            table = simulate._counted_table(support, weight)
+            expected = added_left_to_right(weight, support)
+            assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
 
     def test_counts_are_validated_as_before(self):
         with pytest.raises(ValueError, match="n_paths must be positive"):
@@ -1208,6 +1227,76 @@ class TestCountedSums:
             simulate._draw_counts(CP_U01, 1.0, 5, RngStream(1, 0), -0.1)
         with pytest.raises(DivergentMass):
             simulate._draw_counts(TS_SYM, 1.0, 5, RngStream(1, 0), 0.0)
+
+
+def poisson_pmf(k, mu):
+    return mpmath.exp(k * mpmath.log(mu) - mu - mpmath.loggamma(k + 1))
+
+
+def poisson_tail(k, mu, step):
+    """The Poisson(mu) mass of k, k + step, k + 2 step, ... (step +-1), to
+    a relative 2^-80: each term is the last one times mu / (k + 1) going
+    up, k / mu going down."""
+    term, total = poisson_pmf(k, mu), mpmath.mpf(0)
+    while k >= 0 and term > total * mpmath.mpf(2) ** -80:
+        total += term
+        term = term * mu / (k + 1) if step > 0 else term * k / mu
+        k += step
+    return total
+
+
+class TestPoissonWindow:
+    """The window of counts a histogram of Poisson counts is drawn over."""
+
+    @pytest.mark.parametrize("mu", [1e-300, 1e-3, 1.0, 37.5, 4096.0, 2.0**25])
+    def test_against_mpmath(self, mu):
+        support, pmf = simulate._poisson_window(mu)
+        lo, hi = int(support.min()), int(support.max())
+        assert np.array_equal(np.sort(support), np.arange(lo, hi + 1))
+        assert np.all(np.diff(pmf) >= 0.0)  # ascending, the mode last
+        assert abs(math.fsum(pmf) - 1.0) < 1e-15
+        with mpmath.workdps(40):
+            exact_mu = mpmath.mpf(mu)
+            # Every entry, or about 2000 of them with both ends of the window.
+            picked = set(range(0, support.size, max(1, support.size // 2000)))
+            picked |= {int(np.argmin(support)), int(np.argmax(support))}
+            for i in picked:
+                exact = poisson_pmf(int(support[i]), exact_mu)
+                assert abs(pmf[i] / exact - 1) <= 1e-12
+            omitted = poisson_tail(hi + 1, exact_mu, 1)
+            if lo > 0:
+                omitted += poisson_tail(lo - 1, exact_mu, -1)
+            assert omitted <= mpmath.mpf(2) ** -60
+
+    @pytest.mark.parametrize("mu", [0.0, -0.0, 5e-324])
+    def test_no_mass_is_the_count_zero(self, mu):
+        support, pmf = simulate._poisson_window(mu)
+        assert support.tolist() == [0] and pmf.tolist() == [1.0]
+
+    @pytest.mark.parametrize("mu", [1.2, 4096.0])
+    def test_pooled_histograms_follow_the_pmf(self, mu):
+        # 64 chunks of 8192 paths, one histogram each on the jump streams
+        # of root seed 11, against Poisson(mu), the counts whose expected
+        # number falls below 5 pooled at each end.
+        support, pmf = simulate._poisson_window(mu)
+        observed = sum(
+            simulate._draw_histogram(pmf, 8192, RngStream(11, 2 * j)) for j in range(64)
+        )
+        assert observed.sum() == 64 * 8192
+        order = np.argsort(support)
+        observed, support = observed[order], support[order]
+        expected = 64 * 8192 * stats.poisson.pmf(support, mu)
+        keep = expected >= 5.0
+        first, last = np.flatnonzero(keep)[[0, -1]]
+        observed = np.r_[
+            observed[: first + 1].sum(), observed[first + 1 : last], observed[last:].sum()
+        ]
+        expected = np.r_[
+            64 * 8192 * stats.poisson.cdf(support[first], mu),
+            expected[first + 1 : last],
+            64 * 8192 * stats.poisson.sf(support[last] - 1, mu),
+        ]
+        assert stats.chisquare(observed, expected * observed.sum() / expected.sum()).pvalue > 1e-3
 
 
 class TestStreamMemory:

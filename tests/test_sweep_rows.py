@@ -175,7 +175,7 @@ def draws(monkeypatch):
     """Counts of montecarlo's jump draws and of its standard normal draws."""
     counters = {
         name: Counter(getattr(montecarlo, name))
-        for name in ("inverse_gaussian_sums", "_draw_counts", "stream_jump_sums")
+        for name in ("inverse_gaussian_sums", "_draw_histogram", "stream_jump_sums")
     }
     for name, counter in counters.items():
         monkeypatch.setattr(montecarlo, name, counter)
@@ -208,7 +208,7 @@ class TestDrawCounts:
                 "--from", "1.75", "--to", "3.25", "--steps", "4", "--paths", str(N_PATHS)]
         assert cli.main(argv) == 0
         assert draws() == {
-            "inverse_gaussian_sums": 4, "_draw_counts": 0, "stream_jump_sums": 0,
+            "inverse_gaussian_sums": 4, "_draw_histogram": 0, "stream_jump_sums": 0,
             "standard_normal": 4,
         }
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
@@ -218,7 +218,7 @@ class TestDrawCounts:
         run_sweep("jump_diffusion", "--param", "process1.levy.lambda", "--from", "0.5",
                   "--to", "2", "--steps", "5", "--paths", str(N_PATHS))
         assert draws() == {
-            "inverse_gaussian_sums": 0, "_draw_counts": 4, "stream_jump_sums": 0,
+            "inverse_gaussian_sums": 0, "_draw_histogram": 4, "stream_jump_sums": 0,
             "standard_normal": 4,
         }
 
@@ -226,7 +226,7 @@ class TestDrawCounts:
         run_sweep("jump_diffusion", "--param", "horizon", "--from", "0.5", "--to", "2",
                   "--steps", "3", "--paths", str(N_PATHS))
         assert draws() == {
-            "inverse_gaussian_sums": 0, "_draw_counts": 12, "stream_jump_sums": 0,
+            "inverse_gaussian_sums": 0, "_draw_histogram": 12, "stream_jump_sums": 0,
             "standard_normal": 12,
         }
 
