@@ -329,8 +329,8 @@ class CompoundPoissonMeasure(LevyMeasure):
     jump_density: JumpDensity
 
     def __post_init__(self):
-        if not self.intensity > 0:
-            raise ValueError("compound Poisson intensity must be > 0")
+        if not 0 < self.intensity < math.inf:
+            raise ValueError("compound Poisson intensity must be finite and > 0")
 
     def density(self, y):
         y = np.asarray(y, dtype=float)

@@ -20,11 +20,11 @@ Gaussian sums, with no epsilon, no jump and no chunk-jump limit; from the
 Poisson counts alone when the log-ratio is one constant; or as the
 log-ratios of the jumps above epsilon summed by
 ``simulate.stream_jump_sums`` (``_jump_sums``, shared with the sinh
-oracle).  Each jump part is split into a draw and a read of it
-(``_Jumps``), so that estimates which make the same draws can share them.
-A counted law reads its chunk as values on a window of counts with the
-number of paths at each, and a row without a Gaussian part reduces it
-so, in time that grows with the window, not with the paths.
+oracle).  A jump part is a key, a draw and a read of the draw, so that
+estimates which make the same draws can share them.  A counted law reads
+its chunk as values on a window of counts with the number of paths at
+each, and a row without a Gaussian part reduces it so, in time that grows
+with the window, not with the paths.
 
 Each hypothesis is refused in one place, for all three estimators:
 ``_run_seed`` checks the paths (at most MAX_PATHS), epsilon and the seed;
@@ -36,25 +36,25 @@ MAX_CHUNK_JUMPS jumps, and returns the compensator gap with the sums (an
 exact law draws no jump and needs no gate).  The sinh oracle alone first
 asks for a finite-activity pair: a finite nu(R) for both measures.
 
-Each estimator then hoists its per-estimate constants into a row
-(``_Row``): its jump part and a closure that maps one chunk's draws to
-the values of its paths.
-``_estimate_rows`` runs rows in groups: rows of equal n_paths and seed
-whose jump parts make the same draws (the inverse Gaussian sums of the
-same sides of nu2, or the Poisson counts of the same nu2, horizon and
-epsilon) share them, the common random numbers of Glasserman (2004,
-ch. 7); a sweep's rows are estimated this way (``estimate_tv_rows``) and
-each of the three estimators is a group of one row.  ``_reduce_chunks``
-is the one place that runs chunks and owns their layout: replications run
-in fixed chunks of ``CHUNK_PATHS`` paths; chunk j draws its jumps from
-stream 2j (reduced block by block as they are drawn, see
+Each estimator is one row (``_Row``): its paths, seed and truncation,
+the key and draw of its jump part, and a closure, built once per estimate,
+that maps one chunk's draws to the values of its paths without writing to
+them.  ``_estimate_rows`` groups rows: rows of equal n_paths and seed
+whose keys are equal (the inverse Gaussian sums of the same sides of nu2,
+or the Poisson counts of the same nu2, horizon and epsilon) share their
+draws, the common random numbers of Glasserman (2004, ch. 7); a sweep's
+rows are estimated this way (``estimate_tv_rows``) and each of the three
+estimators is a group of one row.  ``_reduce_chunks`` runs a group and is
+the one place that owns the chunk layout: replications run in fixed
+chunks of ``CHUNK_PATHS`` paths; chunk j draws its jumps from stream 2j
+(reduced block by block as they are drawn, see
 ``simulate.stream_jump_sums``) and its standard normals from stream 2j+1
 of the root seed, once for the whole group (the normals when a row first
-asks for them), and each row reads them in turn without changing them.  Every row keeps its own (sum, sum of
-squares) partial per chunk, and a row's partials are reduced in index
-order with compensated summation, so each row's result is bit-identical
-to a run of its own and for any value of ADDGAP_THREADS (by default the
-CPUs the process may run on).  With t threads, chunk j goes to the
+asks for them), and each row reads them in turn.  Every row keeps its
+own (sum, sum of squares) partial per chunk, and a row's partials are
+reduced in index order with compensated summation, so each row's result
+is bit-identical to a run of its own and for any value of ADDGAP_THREADS
+(by default the CPUs the process may run on).  With t threads, chunk j goes to the
 strided run j mod t: the calling thread does run 0 and one pool of t - 1
 workers, built on first use and reused by every later estimate, does the
 others; the pool is rebuilt after a fork or when ADDGAP_THREADS changes.
@@ -212,17 +212,17 @@ def _submit_runs(threads: int, run, runs: int) -> list:
         return [_pool.submit(run, r) for r in range(1, runs)]
 
 
-def _reduce_chunks(n_paths: int, seed: int, draw, rows) -> list:
-    """The mean and 95% half-width of each row's per-path values over the
-    same n_paths paths: per row an EstimateResult, or the exception that
-    refused it.
+def _reduce_chunks(rows: list) -> list:
+    """The mean and 95% half-width of each row's per-path values: per row
+    an EstimateResult, or the exception that refused it.
 
-    The paths run in fixed chunks of CHUNK_PATHS.  ``draw(rng_jumps,
-    rng_gauss, m)`` makes the draws of the m paths of chunk j once, from its
-    jump stream 2j and its Gaussian stream 2j+1 of ``seed``; then each row
-    ``(values, epsilon)`` in turn maps them to ``values(drawn, m)``, a pair
-    ``(v, counts)`` that ``_moments`` reduces, and epsilon is the
-    truncation its result reports.
+    The rows (``_Row``) share n_paths, seed and their draws, which the
+    first row makes.  The paths run in fixed chunks of CHUNK_PATHS: the m
+    paths of chunk j draw their jumps once, ``draw(rng_jumps, m)`` on stream
+    2j of the seed, and their standard normals once, on stream 2j+1 when a
+    row first calls ``normals()``; then each row in turn maps them to
+    ``values(jumps, normals, m)``, a pair ``(v, counts)`` that ``_moments``
+    reduces.
     With t threads, chunk j goes to run j mod t: the calling thread does
     run 0 and the shared pool the others, each run its chunks in index
     order.  Each row's chunk (sum, sum of squares) partials are folded in
@@ -233,10 +233,10 @@ def _reduce_chunks(n_paths: int, seed: int, draw, rows) -> list:
     one a single thread meets first.  A row whose sum, sum of squares or
     square of the sum is not finite is refused.
     """
+    n_paths, seed, draw = rows[0].n_paths, rows[0].seed, rows[0].draw
     chunks = -(-n_paths // CHUNK_PATHS)
     threads = _thread_count()
     runs = min(threads, chunks)
-    values = [row_values for row_values, _ in rows]
     partials = np.empty((len(rows), chunks, 2))
     failures: list = [[] for _ in rows]  # (chunk index, exception) per row
 
@@ -245,20 +245,25 @@ def _reduce_chunks(n_paths: int, seed: int, draw, rows) -> list:
         for j in range(r, chunks, runs):
             m = min(CHUNK_PATHS, n_paths - j * CHUNK_PATHS)
             try:
-                drawn = draw(RngStream(seed, 2 * j), RngStream(seed, 2 * j + 1), m)
+                jumps = draw(RngStream(seed, 2 * j), m)
             except Exception as exc:
                 for i in live:
                     failures[i].append((j, exc))
                 return
+            # The normals are drawn when a row first calls for them, after
+            # that row's jump part, which measured faster at two threads
+            # than drawing them with the jumps.
+            gauss = RngStream(seed, 2 * j + 1)
+            normals = functools.cache(lambda: gauss.generator.standard_normal(m))
             kept = []
             for i in live:
                 try:
-                    partials[i, j] = _moments(*values[i](drawn, m))
+                    partials[i, j] = _moments(*rows[i].values(jumps, normals, m))
                 except Exception as exc:
                     failures[i].append((j, exc))
                 else:
                     kept.append(i)
-            drawn = None  # so that a worker holds one chunk's draws at a time
+            jumps = normals = None  # so that a worker holds one chunk's draws at a time
             if not kept:
                 return
             live = kept
@@ -268,8 +273,8 @@ def _reduce_chunks(n_paths: int, seed: int, draw, rows) -> list:
     for future in futures:
         future.result()
     return [
-        min(failed, key=lambda f: f[0])[1] if failed else _fold(sums, n_paths, epsilon, seed)
-        for (_, epsilon), sums, failed in zip(rows, partials, failures)
+        min(failed, key=lambda f: f[0])[1] if failed else _fold(sums, n_paths, row.truncation, seed)
+        for row, sums, failed in zip(rows, partials, failures)
     ]
 
 
@@ -303,31 +308,20 @@ def _fold(partials: np.ndarray, n: int, epsilon: float, seed: int):
     return EstimateResult(s1 / n, 1.96 * math.sqrt(variance / n), n, epsilon, seed)
 
 
-class _Jumps(NamedTuple):
-    """A jump part split where estimates can share it: ``draw(rng_jumps, m)``
-    makes the draws of m paths on the jump stream, and ``read(drawn, m)``
-    maps them to ``(values, counts)``: this estimate's per-path values with
-    counts None, or its values on a support with counts the number of
-    paths at each; values are arrays the caller may change.  Jump parts
-    whose ``key`` is equal and not None make the same draws, and their
-    reads leave the draws unchanged; with key None the draws are the
-    estimate's own, and the read may hand them over."""
-
-    key: object
-    draw: Callable
-    read: Callable
-
-
 class _Row(NamedTuple):
-    """One estimate as ``_estimate_rows`` runs it: its paths, root seed and
-    reported truncation; its jump part; and ``values((jump_draws, normals),
-    m)``, the values of a chunk's m paths, where ``normals()`` returns the
-    chunk's m standard normals."""
+    """One estimate: its paths, root seed and reported truncation; the
+    ``key`` of its jump draws, ``draw(rng_jumps, m)``, which makes them for
+    m paths; and ``values(jumps, normals, m)``, which maps them to
+    ``(v, counts)``: the values of the m paths with counts None, or values
+    on a support with counts the number of paths at each.  ``normals()``
+    returns the chunk's m standard normals.  Rows whose key is equal and not
+    None make the same draws; no row writes to its draws or normals."""
 
     n_paths: int
     seed: int
     truncation: float
-    jumps: _Jumps
+    key: object
+    draw: Callable
     values: Callable
 
 
@@ -339,45 +333,30 @@ _MAX_PARTIALS = MAX_PATHS // CHUNK_PATHS
 def _estimate_rows(rows: list) -> list:
     """The EstimateResult, or the exception that refused it, of each row.
 
-    Rows of equal n_paths and seed whose jump parts have the same key (not
-    None) form a group, which makes its draws once per chunk: the jumps,
-    and the standard normals when a row of the group first asks for them
-    (none without a Gaussian part).  Each row reads them as it would its
-    own draws, so its result has the bits of a run of its own (Glasserman
-    2004, ch. 7, common random numbers).  A group runs in batches of at
-    most _MAX_PARTIALS // chunks rows, so one reduction holds at most
+    Rows of equal n_paths and seed whose key is the same (not None) form a
+    group, which makes its draws once per chunk (``_reduce_chunks``), so
+    each row's result has the bits of a run of its own (Glasserman 2004,
+    ch. 7, common random numbers).  A group runs in batches of at most
+    _MAX_PARTIALS // chunks rows, so one reduction holds at most
     _MAX_PARTIALS partials.
     """
     groups: dict = {}
     for i, row in enumerate(rows):
-        key = i if row.jumps.key is None else (row.n_paths, row.seed, row.jumps.key)
+        key = i if row.key is None else (row.n_paths, row.seed, row.key)
         groups.setdefault(key, []).append(i)
     results: list = [None] * len(rows)
     for members in groups.values():
-        first = rows[members[0]]
-
-        def draw(rng_jumps, rng_gauss, m, jumps=first.jumps.draw):
-            # The chunk's m standard normals are drawn when a row first
-            # calls for them, after that row's jump part, which measured
-            # faster at two threads than drawing them with the jumps.
-            normals = functools.cache(lambda: rng_gauss.generator.standard_normal(m))
-            return jumps(rng_jumps, m), normals
-
-        size = max(1, _MAX_PARTIALS // -(-first.n_paths // CHUNK_PATHS))
+        size = max(1, _MAX_PARTIALS // -(-rows[members[0]].n_paths // CHUNK_PATHS))
         for start in range(0, len(members), size):
             batch = members[start : start + size]
-            reduced = _reduce_chunks(
-                first.n_paths, first.seed, draw,
-                [(rows[i].values, rows[i].truncation) for i in batch],
-            )
-            for i, result in zip(batch, reduced):
+            for i, result in zip(batch, _reduce_chunks([rows[i] for i in batch])):
                 results[i] = result
     return results
 
 
 def _one(row: _Row) -> EstimateResult:
     """The result of one row; raises the exception that refused it."""
-    (result,) = _estimate_rows([row])
+    (result,) = _reduce_chunks([row])
     if isinstance(result, Exception):
         raise result
     return result
@@ -397,12 +376,14 @@ def _run_seed(n_paths: int, epsilon: float, rng_root) -> int:
     return RngStream(rng_root, 0).root_seed  # validates like every stream
 
 
-def _jump_sums(nu1, nu2, law, horizon, n_paths, epsilon, parts, rows=1):
-    """``(jumps, gap)`` for a pair whose ``law`` is not ``"ig_sides"``:
-    ``jumps`` (``_Jumps``) reads the ``rows`` per-path sums of ``parts`` of
-    the log-ratio of each jump with |y| > epsilon of m paths under nu2, and
-    ``gap`` is the compensator gap, the integral of nu1 - nu2 over
-    {|y| > epsilon}.
+def _jump_sums(nu1, nu2, law, horizon, n_paths, epsilon, parts):
+    """``(key, draw, read, gap)`` for a pair whose ``law`` is not
+    ``"ig_sides"``: ``draw(rng_jumps, m)`` makes the jump draws of m paths
+    under nu2, shared by the pairs of an equal key that is not None,
+    ``read(jumps, m)`` maps them to ``(sums, counts)``, the sums of each of
+    ``parts`` of the log-ratio of the jumps with |y| > epsilon (as in
+    ``_Row``), and ``gap`` is the compensator gap, the integral of nu1 - nu2
+    over {|y| > epsilon}.
 
     The finite-mass gate of every estimator that draws jumps: it reads
     nu1(|y| > epsilon) and nu2(|y| > epsilon) once and, before anything is
@@ -431,30 +412,33 @@ def _jump_sums(nu1, nu2, law, horizon, n_paths, epsilon, parts, rows=1):
     if law.kind == "constant":
         support, pmf = _poisson_window(m2 * horizon)
         table = np.stack([_counted_table(support, float(w)) for w in parts(law.value)])
-        jumps = _Jumps(
+        table.flags.writeable = False
+        return (
             ("constant", nu2, horizon, epsilon),
             lambda rng_jumps, m: _draw_histogram(pmf, m, rng_jumps),
-            lambda counts, m: (table.copy(), counts),
+            lambda counts, m: (table, counts),
+            m1 - m2,
         )
-    else:
-        def weigh(sizes):
-            return parts(law.value(sizes))
 
-        jumps = _Jumps(
-            None,
-            lambda rng_jumps, m: stream_jump_sums(nu2, horizon, m, rng_jumps, epsilon, weigh, rows),
-            lambda sums, m: (sums, None),
-        )
-    return jumps, m1 - m2
+    def weigh(sizes):
+        return parts(law.value(sizes))
+
+    return (
+        None,
+        lambda rng_jumps, m: stream_jump_sums(nu2, horizon, m, rng_jumps, epsilon, weigh),
+        lambda sums, m: (sums, None),
+        m1 - m2,
+    )
 
 
 def _jump_part(nu1: LevyMeasure, nu2: LevyMeasure, horizon: float, n_paths: int, epsilon: float):
-    """``(jumps, truncation)``: ``jumps`` (``_Jumps``) reads D_T of m paths
-    from the draws of the jump stream, and ``truncation`` is the epsilon it
-    truncates the jumps at (0 when it draws D_T exactly).  An exact law
-    draws the inverse Gaussian sums of each side on which the pair differs,
-    which every pair with the same (C, lambda2) on those sides, in order,
-    and the same horizon shares."""
+    """``(key, draw, read, truncation)``: ``read(jumps, m)`` maps the draws
+    of ``draw`` (as in ``_jump_sums``) to ``(d, counts)``, D_T of the m
+    paths, and ``truncation`` is the epsilon it truncates the jumps at (0
+    when it draws D_T exactly).  An exact law draws the inverse Gaussian
+    sums of each side on which the pair differs, which every pair with the
+    same (C, lambda2) on those sides, in order, and the same horizon
+    shares."""
     law = pair_jump_law(nu1, nu2)
     if law.kind == "ig_sides":
         shift = -horizon * law.mass_gap
@@ -464,32 +448,29 @@ def _jump_part(nu1: LevyMeasure, nu2: LevyMeasure, horizon: float, n_paths: int,
         def draw(rng_jumps: RngStream, m: int) -> list:
             return [inverse_gaussian_sums(c, lam2, horizon, m, rng_jumps) for c, lam2 in drawn_sides]
 
-        def exact(sums: list, m: int) -> np.ndarray:
+        def exact(sums: list, m: int):
             # D_T = shift - sum over sides of (lambda1 - lambda2) S, with S
             # the side's inverse Gaussian jump sum, added side by side as
-            # (lambda2 - lambda1) S, the same bits; the first side's term
-            # is the array the others are added to.
-            if not sums:
-                return np.full(m, shift), None
-            d = sums[0] * slopes[0]
-            d += shift
-            for s, slope in zip(sums[1:], slopes[1:]):
+            # (lambda2 - lambda1) S onto the shift, the same bits.
+            d = np.full(m, shift)
+            for s, slope in zip(sums, slopes):
                 d += s * slope
             return d, None
 
-        return _Jumps(("ig_sides", drawn_sides, horizon), draw, exact), 0.0
+        return ("ig_sides", drawn_sides, horizon), draw, exact, 0.0
 
-    sums, gap = _jump_sums(nu1, nu2, law, horizon, n_paths, epsilon, lambda ratio: (ratio,))
+    key, draw, read, gap = _jump_sums(
+        nu1, nu2, law, horizon, n_paths, epsilon, lambda ratio: (ratio,)
+    )
     comp_d = horizon * gap
 
-    def truncated(drawn, m: int):
+    def truncated(jumps, m: int):
         # The summed log-ratios of each path's jumps with |y| > epsilon
         # minus horizon * integral of (nu1 - nu2) over {|y| > epsilon}.
-        (d,), counts = sums.read(drawn, m)
-        d -= comp_d
-        return d, counts
+        (d,), counts = read(jumps, m)
+        return d - comp_d, counts
 
-    return sums._replace(read=truncated), epsilon
+    return key, draw, truncated, epsilon
 
 
 def _ct_dt_row(spec, n_paths, epsilon, rng_root, value_fn) -> _Row:
@@ -502,10 +483,10 @@ def _ct_dt_row(spec, n_paths, epsilon, rng_root, value_fn) -> _Row:
     nu1, nu2, horizon = spec.process1.levy, spec.process2.levy, spec.horizon
     require_abs_continuity(nu1, nu2)
     xi_sq = continuous_part(spec)
-    jumps, truncation = _jump_part(nu1, nu2, horizon, n_paths, epsilon)
+    key, draw, read, truncation = _jump_part(nu1, nu2, horizon, n_paths, epsilon)
 
-    def values(drawn, m: int):
-        d, counts = jumps.read(drawn[0], m)
+    def values(jumps, normals, m: int):
+        d, counts = read(jumps, m)
         # C_T, exactly N(-xi^2/2, xi^2); 0 without a Gaussian part.
         c = 0.0
         if xi_sq is not None:
@@ -513,17 +494,11 @@ def _ct_dt_row(spec, n_paths, epsilon, rng_root, value_fn) -> _Row:
                 # D_T of each path, in count order: the normals are i.i.d.
                 # and independent of the counts, whatever their order.
                 d, counts = np.repeat(d, counts), None
-            c = -0.5 * xi_sq + math.sqrt(xi_sq) * drawn[1]()
+            c = -0.5 * xi_sq + math.sqrt(xi_sq) * normals()
         with np.errstate(over="ignore"):
             return value_fn(c + d), counts
 
-    return _Row(n_paths, seed, truncation, jumps, values)
-
-
-def _estimate_ct_dt(spec, n_paths, epsilon, rng_root, value_fn) -> EstimateResult:
-    """Monte Carlo mean of value_fn(C_T + D_T) under the second process,
-    truncated at epsilon, or at default_epsilon(spec) when it is None."""
-    return _one(_ct_dt_row(spec, n_paths, epsilon, rng_root, value_fn))
+    return _Row(n_paths, seed, truncation, key, draw, values)
 
 
 def _abs_expm1(x: np.ndarray) -> np.ndarray:
@@ -548,7 +523,7 @@ def estimate_tv(
     Same-shape alpha = 1/2 tempered-stable pairs are drawn exactly and
     unbiased at any valid epsilon, reported as truncation_epsilon 0.
     """
-    return _estimate_ct_dt(spec, n_paths, epsilon, rng_root, _abs_expm1)
+    return _one(_ct_dt_row(spec, n_paths, epsilon, rng_root, _abs_expm1))
 
 
 def estimate_tv_rows(jobs) -> list:
@@ -569,7 +544,7 @@ def estimate_tv_rows(jobs) -> list:
 
 def martingale_check(spec: ProblemSpec, n_paths: int, rng_root) -> EstimateResult:
     """Monte Carlo mean of M_T = exp(C_T + D_T); must cover 1."""
-    return _estimate_ct_dt(spec, n_paths, None, rng_root, np.exp)
+    return _one(_ct_dt_row(spec, n_paths, None, rng_root, np.exp))
 
 
 def estimate_sinh_oracle(
@@ -585,22 +560,21 @@ def estimate_sinh_oracle(
         raise HypothesisFailed("finite-activity pair required")
     require_abs_continuity(nu1, nu2)
     horizon = spec.horizon
-    jumps, gap = _jump_sums(
+    key, draw, read, gap = _jump_sums(
         nu1, nu2, pair_jump_law(nu1, nu2), horizon, n_paths, 0.0,
-        lambda ratio: (np.maximum(ratio, 0.0), np.minimum(ratio, 0.0)), rows=2,
+        lambda ratio: (np.maximum(ratio, 0.0), np.minimum(ratio, 0.0)),
     )
     l1 = l1_distance(nu1, nu2)
     # The positive and negative parts of the integral of nu1 - nu2.
     pos_rate, neg_rate = max(0.5 * (l1 + gap), 0.0), max(0.5 * (l1 - gap), 0.0)
 
-    def values(drawn, m: int):
+    def values(jumps, normals, m: int):
         # D_T = A+ + A- split along the sign of the log-ratio: A+ sums the
         # positive log-ratios and carries the compensator of the negative
         # part of nu1 - nu2, A- the rest, so A+ >= 0 >= A-.
-        (a_plus, a_minus), counts = jumps.read(drawn[0], m)
-        a_plus += horizon * neg_rate
-        a_minus -= horizon * pos_rate
+        (a_plus, a_minus), counts = read(jumps, m)
+        a_plus, a_minus = a_plus + horizon * neg_rate, a_minus - horizon * pos_rate
         with np.errstate(over="ignore"):
             return np.exp(a_plus) - np.exp(a_minus), counts
 
-    return _one(_Row(n_paths, seed, 0.0, jumps, values))
+    return _one(_Row(n_paths, seed, 0.0, key, draw, values))

@@ -73,7 +73,7 @@ from .measures import (
     gamma_nu,
     support_edges,
 )
-from .processes import ProcessSpec
+from .processes import ProblemSpec, ProcessSpec
 
 __all__ = [
     "DEFAULT_EPSILON",
@@ -594,14 +594,14 @@ def stream_jump_sums(
     rng: RngStream,
     epsilon: float,
     weigh: Callable[[np.ndarray], tuple[np.ndarray, ...]],
-    rows: int = 1,
 ) -> np.ndarray:
-    """Per-path sums of ``rows`` weights of the jumps of ``sample_jump_batch``.
+    """Per-path sums of the weights of the jumps of ``sample_jump_batch``.
 
-    ``weigh(sizes)`` maps a block of sizes to ``rows`` arrays of weights,
-    one per size; the result has shape (rows, n_paths), and each row
-    equals one ``np.bincount`` of its weights over the whole batch, keyed
-    by the path of each jump, bit for bit.  The sizes are
+    ``weigh(sizes)`` maps a block of sizes to rows of weights, one weight
+    per size and as many rows for every block (an empty block when no path
+    jumps); the result has one row of n_paths sums per row of weights, and
+    each equals one ``np.bincount`` of its weights over the whole batch,
+    keyed by the path of each jump, bit for bit.  The sizes are
     drawn and weighed ``_BLOCK_JUMPS`` at a time, so the memory of a chunk
     does not grow with its jumps.  Each block is reduced with one
     ``np.bincount`` per row, which adds left to right like the one over a
@@ -610,14 +610,13 @@ def stream_jump_sums(
     a view into a buffer that the next block overwrites.
     """
     counts = _draw_counts(nu, horizon, n_paths, rng, epsilon)
-    sums = np.zeros((rows, n_paths))
     total = int(counts.sum())
     if total == 0:
-        return sums
+        return np.zeros((len(weigh(np.empty(0))), n_paths))
     source = _size_source(nu, epsilon, rng, total)
     size = min(total, _BLOCK_JUMPS)
     sizes = np.empty(size)
-    weights = np.empty((rows, size + 1))
+    sums = weights = None
     ids = np.empty(size + 1, dtype=np.intp)
     # Paths with jumps, and the index of each one's first jump.
     paths = np.flatnonzero(counts)
@@ -637,7 +636,11 @@ def stream_jump_sums(
         block_ids[firsts[lo + 1 : hi] - (start - 1)] = 1
         np.cumsum(block_ids, out=block_ids)
         held = paths[lo:hi]
-        for row, values, w in zip(sums, weigh(block), weights, strict=True):
+        weighed = weigh(block)
+        if sums is None:
+            sums = np.zeros((len(weighed), n_paths))
+            weights = np.empty((len(weighed), size + 1))
+        for row, values, w in zip(sums, weighed, weights, strict=True):
             w = w[: n + 1]
             w[0] = row[held[0]]
             w[1:] = values
@@ -708,8 +711,11 @@ def sample_terminal_values(
     epsilon defaults to 0 for finite-activity measures (exact) and to
     DEFAULT_EPSILON otherwise.  The jumps are drawn on ``rng_jumps`` as
     ``stream_jump_sums`` draws them and summed per path block by block, so
-    memory grows with ``n_paths`` but not with the number of jumps.
+    memory grows with ``n_paths`` but not with the number of jumps.  A
+    variance that ``ProblemSpec`` refuses on [0, horizon], negative or not
+    finite somewhere, raises its ValueError before anything is drawn.
     """
+    ProblemSpec(process, process, horizon)
     nu = process.levy
     if epsilon is None:
         epsilon = _default_epsilon(nu)

@@ -29,7 +29,7 @@ from addgap.measures import (
 )
 from addgap.errors import NonFiniteIntegrand, ToleranceNotMet
 from addgap import montecarlo, processes, quadrature
-from addgap.montecarlo import _estimate_ct_dt, e_abs_one_minus_exp_normal
+from addgap.montecarlo import _ct_dt_row, _one, e_abs_one_minus_exp_normal
 from addgap.quadrature import (
     _HI_W,
     _LO_W,
@@ -74,7 +74,7 @@ def estimator_inputs(monkeypatch, spec, n_paths, epsilon, seed):
     """C_T + D_T of each path, as the value_fn of the Monte Carlo estimators
     receives it, chunk after chunk (``chunk_values``)."""
     seen = chunk_values(
-        monkeypatch, lambda: _estimate_ct_dt(spec, n_paths, epsilon, seed, lambda x: x)
+        monkeypatch, lambda: _one(_ct_dt_row(spec, n_paths, epsilon, seed, lambda x: x))
     )
     return np.concatenate(seen)
 

@@ -447,6 +447,12 @@ class TestAbsoluteContinuity:
         with pytest.raises(ValueError):
             TemperedStableMeasure(**params)
 
+    @pytest.mark.parametrize("intensity", [math.inf, math.nan, 0.0, -1.0])
+    def test_compound_poisson_intensity_is_finite_and_positive(self, intensity):
+        # At lambda = inf the report read nan for H^2 and mass_above raised.
+        with pytest.raises(ValueError, match="intensity must be finite and > 0"):
+            CompoundPoissonMeasure(intensity, UniformDensity(0.0, 1.0))
+
     @pytest.mark.parametrize("alpha", [-math.inf, math.nan, 2.0])
     def test_tempered_stable_alpha_is_finite_and_below_two(self, alpha):
         # At alpha = -inf the pair's closed forms would read nan.

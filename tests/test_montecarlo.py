@@ -37,9 +37,12 @@ from addgap.montecarlo import (
     MAX_CHUNK_JUMPS,
     MAX_PATHS,
     EstimateResult,
-    _estimate_ct_dt,
+    _ct_dt_row,
+    _estimate_rows,
     _jump_sums,
+    _one,
     _reduce_chunks,
+    _Row,
     _thread_count,
     default_epsilon,
     e_abs_one_minus_exp_normal,
@@ -372,8 +375,8 @@ class TestEstimateTv:
         spec = matched_cp_spec()
         tv = estimate_tv(spec, 300_000, 0.0, 4242)
         # 2 (1 - M_T)^+ has the same mean as |1 - M_T| because E[M_T] = 1.
-        pos = _estimate_ct_dt(
-            spec, 300_000, 0.0, 4242, lambda x: 2.0 * np.maximum(-np.expm1(x), 0.0)
+        pos = _one(
+            _ct_dt_row(spec, 300_000, 0.0, 4242, lambda x: 2.0 * np.maximum(-np.expm1(x), 0.0))
         )
         combined = 4.0 * (tv.half_width_95 + pos.half_width_95)
         assert abs(tv.mean - pos.mean) < combined
@@ -539,11 +542,14 @@ def reduce_one(n_paths, values):
     reads the chunk's two streams: one value per path, or a pair (values on
     a support, the number of paths at each); raises what refuses it."""
 
-    def row(drawn, m):
-        v = values(*drawn, m)
+    def draw(rng_jumps, m):
+        return rng_jumps, RngStream(1, rng_jumps.stream_index + 1)
+
+    def row_values(streams, normals, m):
+        v = values(*streams, m)
         return v if isinstance(v, tuple) else (v, None)
 
-    (result,) = _reduce_chunks(n_paths, 1, lambda rj, rg, m: (rj, rg), [(row, 0.0)])
+    (result,) = _reduce_chunks([_Row(n_paths, 1, 0.0, None, draw, row_values)])
     if isinstance(result, Exception):
         raise result
     return result
@@ -639,6 +645,30 @@ def fail_on_chunks_2_and_5(rng_jumps, rng_gauss, m):
     return np.ones(m)
 
 
+def shared_rows(n_paths, draw, failing=()):
+    """Two rows with one key, so one draw per chunk: ``draw(rng_jumps, m)``
+    returns (chunk index, m values).  Row A reads the values and raises on
+    the chunks in ``failing``, the lowest one last in time when runs overlap;
+    row B adds the chunk's normals to them."""
+
+    def values_a(jumps, normals, m):
+        j, v = jumps
+        if j in failing:
+            if j == min(failing):
+                time.sleep(0.05)
+            raise ValueError(f"chunk {j}")
+        return v, None
+
+    def values_b(jumps, normals, m):
+        return jumps[1] + normals(), None
+
+    return [_Row(n_paths, 4, 0.0, "shared", draw, values) for values in (values_a, values_b)]
+
+
+def uniforms(rng_jumps, m):
+    return rng_jumps.stream_index // 2, rng_jumps.generator.random(m)
+
+
 class TestWorkerPool:
     """One pool serves every estimate; it never changes a bit."""
 
@@ -668,6 +698,42 @@ class TestWorkerPool:
             reduce_one(7 * CHUNK_PATHS, fail_on_chunks_2_and_5)
         result = reduce_one(7 * CHUNK_PATHS, lambda rj, rg, m: np.ones(m))
         assert (result.mean, result.half_width_95) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_a_failing_row_leaves_its_group(self, monkeypatch, threads):
+        # A row that fails takes its lowest failing chunk's exception; the
+        # row that shares its draws keeps the bits of a run of its own.
+        monkeypatch.setenv("ADDGAP_THREADS", threads)
+        drawn = []
+
+        def draw(rng_jumps, m):
+            drawn.append(rng_jumps.stream_index)
+            return uniforms(rng_jumps, m)
+
+        row_a, row_b = shared_rows(7 * CHUNK_PATHS, draw, failing=(2, 5))
+        result_a, result_b = _estimate_rows([row_a, row_b])
+        assert sorted(drawn) == list(range(0, 14, 2))
+        assert isinstance(result_a, ValueError) and str(result_a) == "chunk 2"
+        alone = _one(row_b)
+        assert (result_b.mean.hex(), result_b.half_width_95.hex()) == (
+            alone.mean.hex(), alone.half_width_95.hex()
+        )
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_a_failing_draw_fails_the_group(self, monkeypatch, threads):
+        monkeypatch.setenv("ADDGAP_THREADS", threads)
+
+        def draw(rng_jumps, m):
+            j = rng_jumps.stream_index // 2
+            if j == 3:
+                time.sleep(0.05)  # so chunk 5 fails first in time when both run
+                raise ValueError("draw 3")
+            if j == 5:
+                raise ValueError("draw 5")
+            return uniforms(rng_jumps, m)
+
+        results = _estimate_rows(shared_rows(7 * CHUNK_PATHS, draw))
+        assert [(type(r), str(r)) for r in results] == [(ValueError, "draw 3")] * 2
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_rebuilds_the_pool(self, monkeypatch):
@@ -826,7 +892,9 @@ def estimate_outcomes(spec, epsilon, n_paths, seed):
 
     return {
         "tv": outcome(estimate_tv, spec, n_paths, epsilon, seed),
-        "martingale": outcome(_estimate_ct_dt, spec, n_paths, epsilon, seed, np.exp),
+        "martingale": outcome(
+            lambda *args: _one(_ct_dt_row(*args)), spec, n_paths, epsilon, seed, np.exp
+        ),
         "sinh": outcome(estimate_sinh_oracle, spec, n_paths, seed),
     }
 
@@ -927,7 +995,7 @@ def test_never_sample_patches_the_sampling_entry_point(monkeypatch):
 def gate(nu2, horizon, epsilon, n_paths, nu1=CP10):
     """The compensator gap that the estimators' finite-mass gate,
     ``_jump_sums``, returns for (nu1, nu2); raises its refusal."""
-    _, gap = _jump_sums(
+    *_, gap = _jump_sums(
         nu1, nu2, generic_law(nu1, nu2), horizon, n_paths, epsilon, lambda ratio: (ratio,)
     )
     return gap
@@ -1005,7 +1073,7 @@ class TestPathCap:
 
     @pytest.mark.parametrize("name", sorted(ESTIMATORS))
     def test_the_limit_passes_the_cap(self, monkeypatch, name):
-        monkeypatch.setattr(montecarlo, "_reduce_chunks", lambda n, seed, draw, rows: [n] * len(rows))
+        monkeypatch.setattr(montecarlo, "_reduce_chunks", lambda rows: [r.n_paths for r in rows])
         assert self.ESTIMATORS[name](matched_cp_spec(), MAX_PATHS) == MAX_PATHS
 
 

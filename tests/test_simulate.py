@@ -746,6 +746,20 @@ class TestTerminalValues:
         with pytest.raises(ValueError):
             sample_terminal_values(proc, 1.0, 10, rng_jumps=RngStream(1, 0))
 
+    @pytest.mark.parametrize(
+        "vol_sq",
+        [ConstantFunction(-1.0), PiecewiseConstantFunction((0.5,), (-1.0, 1.5))],
+        ids=["constant", "negative_half"],
+    )
+    def test_negative_variance_is_refused(self, vol_sq):
+        # The Gaussian part was dropped (all zeros) or shrunk (a sample
+        # variance of 0.25) where ProblemSpec refuses the variance.
+        proc = ProcessSpec(ConstantFunction(0.0), vol_sq, ZeroMeasure())
+        with pytest.raises(ValueError, match=r"volatility is negative on \[0, T\]"):
+            sample_terminal_values(
+                proc, 1.0, 10, rng_jumps=RngStream(1, 0), rng_gauss=RngStream(1, 1)
+            )
+
     def test_default_epsilon_for_infinite_activity(self):
         proc = ProcessSpec(ConstantFunction(0.0), ConstantFunction(0.0), TS_SYM)
         x = sample_terminal_values(proc, 1.0, 100, rng_jumps=RngStream(2, 0))
@@ -1070,7 +1084,7 @@ def assert_stream_matches_batch(nu, horizon, n_paths, stream, eps, log_ratio):
         return sizes, log_ratio(sizes)
 
     batch = sample_jump_batch(nu, horizon, n_paths, RngStream(*stream), eps)
-    sums = stream_jump_sums(nu, horizon, n_paths, RngStream(*stream), eps, weigh, rows=2)
+    sums = stream_jump_sums(nu, horizon, n_paths, RngStream(*stream), eps, weigh)
     expected = [path_sums(batch), path_sums(batch, log_ratio(batch.sizes))]
     assert sums.shape == (2, n_paths)
     for got, want in zip(sums, expected):
@@ -1128,9 +1142,11 @@ class TestStreamJumpSums:
     )
     def test_chunks_without_jumps(self, block, nu, eps):
         def weigh(sizes):
-            raise AssertionError("no block to weigh")
+            # Only an empty block is weighed: it tells the number of rows.
+            assert sizes.size == 0, "no block to weigh"
+            return sizes, sizes, sizes
 
-        sums = stream_jump_sums(nu, 1.0, 50, RngStream(9, 0), eps, weigh, rows=3)
+        sums = stream_jump_sums(nu, 1.0, 50, RngStream(9, 0), eps, weigh)
         assert sums.shape == (3, 50) and not sums.any()
 
     def test_batch_is_blocks_kept(self, block):
@@ -1156,8 +1172,7 @@ def assert_table_matches_streamed(nu, n_paths, stream, eps):
     def weigh(sizes):
         return tuple(np.full(sizes.size, w) for w in COUNTED_WEIGHTS)
 
-    rows = len(COUNTED_WEIGHTS)
-    streamed = stream_jump_sums(nu, 1.0, n_paths, RngStream(*stream), eps, weigh, rows=rows)
+    streamed = stream_jump_sums(nu, 1.0, n_paths, RngStream(*stream), eps, weigh)
     counts = simulate._draw_counts(nu, 1.0, n_paths, RngStream(*stream), eps)
     support = np.unique(counts)
     for weight, row in zip(COUNTED_WEIGHTS, streamed, strict=True):

@@ -237,10 +237,10 @@ def test_shared_counts_are_read_not_changed():
     jd = config("jump_diffusion")
     jobs = sweep_jobs(jd, "process1.levy.lambda", [0.8, 1.2], n_paths=CHUNK_PATHS)
     rows = [montecarlo._ct_dt_row(*job, lambda x: x) for job in jobs]
-    assert rows[0].jumps.key == rows[1].jumps.key is not None
-    drawn = rows[0].jumps.draw(montecarlo.RngStream(jobs[0][3], 0), CHUNK_PATHS)
+    assert rows[0].key == rows[1].key is not None
+    drawn = rows[0].draw(montecarlo.RngStream(jobs[0][3], 0), CHUNK_PATHS)
     z = montecarlo.RngStream(jobs[0][3], 1).generator.standard_normal(CHUNK_PATHS)
     before = drawn.copy(), z.copy()
     for row in rows:
-        row.values((drawn, lambda: z), CHUNK_PATHS)
+        row.values(drawn, lambda: z, CHUNK_PATHS)
     assert np.array_equal(drawn, before[0]) and np.array_equal(z, before[1])
